@@ -739,6 +739,16 @@ impl CompilationSession for ChaosSession {
         self.inner.load_state(state)
     }
 
+    fn snapshot(&mut self) -> Option<crate::session::SessionSnapshot> {
+        // The inner session's own snapshot (structural where it has one);
+        // like `save_state`, it leaves the inflation behind.
+        self.inner.snapshot()
+    }
+
+    fn restore(&mut self, snapshot: &crate::session::SessionSnapshot) -> Result<(), String> {
+        self.inner.restore(snapshot)
+    }
+
     fn state_size(&self) -> Option<u64> {
         self.inner.state_size().map(|s| s + self.inflation)
     }
@@ -904,6 +914,29 @@ mod tests {
         fresh.init("x", 0).unwrap();
         fresh.load_state(&snap).unwrap();
         assert_eq!(fresh.state_size(), Some(2));
+        // The wrapper hands out the inner session's own snapshot: the same
+        // state, the same bytes, and no inflation either.
+        let snap = s.snapshot().unwrap();
+        assert_eq!(snap.to_bytes(), &s.save_state().unwrap()[..]);
+        let mut fresh = factory();
+        fresh.init("x", 0).unwrap();
+        fresh.restore(&snap).unwrap();
+        assert_eq!(fresh.state_size(), Some(2));
+    }
+
+    #[test]
+    fn llvm_snapshots_stay_structural_through_the_wrapper() {
+        let (factory, _) =
+            FaultPlan::seeded(7).wrap(crate::envs::session_factory("llvm-v0").unwrap());
+        let mut s = factory();
+        s.init("benchmark://cbench-v1/crc32", 0).unwrap();
+        s.apply_action(0).unwrap();
+        let snap = s.snapshot().unwrap();
+        assert!(snap.is_live(), "the wrapper must not flatten it to bytes");
+        let mut fresh = factory();
+        fresh.init("benchmark://cbench-v1/crc32", 0).unwrap();
+        fresh.restore(&snap).unwrap();
+        assert_eq!(fresh.save_state(), s.save_state());
     }
 
     #[test]

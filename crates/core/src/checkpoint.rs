@@ -1,14 +1,22 @@
 //! Session checkpointing: O(K) recovery instead of O(episode) replay.
 //!
-//! The service worker serializes each session's state every K applied
+//! The service worker snapshots each session's state every K applied
 //! actions (configurable, default 10) into a [`CheckpointStore`] owned by
 //! the *client* side of the RPC boundary — the store must outlive the
 //! service worker, because its whole purpose is surviving worker death.
 //! On recovery, `CompilerEnv::replay_episode` asks the store for the
 //! latest checkpoint whose action prefix matches the episode's action
 //! history, restores it into a fresh session with
-//! `CompilationSession::load_state`, and replays only the ≤K-action
+//! `CompilationSession::restore`, and replays only the ≤K-action
 //! suffix.
+//!
+//! The ring holds [`SessionSnapshot`]s ([`RingCheckpoint`]): for an
+//! integration with structural snapshots a checkpoint is a handle to
+//! immutable in-memory state — it costs no encoding to take and none to
+//! restore, and it survives the worker that took it because nothing can
+//! write through it. The portable [`Checkpoint`] (state as bytes) is what
+//! a [`CheckpointSink`] sees and what disk stores hand back; it is encoded
+//! only when a sink is attached.
 //!
 //! # Soundness
 //!
@@ -21,8 +29,8 @@
 //! never cleared on reset.
 //!
 //! The in-memory ring is bounded; an optional [`CheckpointSink`] callback
-//! mirrors every checkpoint to external storage (cg-stdb provides a
-//! crash-safe temp-file+rename disk sink).
+//! mirrors every checkpoint, encoded, to external storage (cg-stdb
+//! provides a crash-safe temp-file+rename disk sink).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -30,15 +38,18 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::session::SessionSnapshot;
+
 /// Default checkpoint interval: serialize every K = 10 applied actions.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 10;
 
 /// Default in-memory ring capacity.
 pub const DEFAULT_RING_CAPACITY: usize = 16;
 
-/// One serialized session snapshot, self-describing: the `(benchmark,
-/// action_space, actions)` triple fully determines the state for a
-/// deterministic session.
+/// One serialized session snapshot — the portable form, for sinks, disk
+/// and callers that hold `save_state` bytes. Self-describing: the
+/// `(benchmark, action_space, actions)` triple fully determines the state
+/// for a deterministic session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// The benchmark URI the episode runs on.
@@ -59,6 +70,51 @@ impl Checkpoint {
     }
 }
 
+/// A checkpoint as the ring holds it: [`Checkpoint`] with the state as a
+/// [`SessionSnapshot`], so a structural snapshot is stored and restored
+/// without ever being encoded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RingCheckpoint {
+    /// The benchmark URI the episode runs on.
+    pub benchmark: String,
+    /// The action space index selected at `init`.
+    pub action_space: usize,
+    /// The full action prefix applied before this snapshot was taken.
+    pub actions: Vec<usize>,
+    /// The session state (`CompilationSession::snapshot`).
+    pub state: SessionSnapshot,
+}
+
+impl RingCheckpoint {
+    /// Number of actions captured by this checkpoint.
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.actions.len()
+    }
+
+    /// The portable form; encodes the state if nothing has yet.
+    #[must_use]
+    pub fn to_portable(&self) -> Checkpoint {
+        Checkpoint {
+            benchmark: self.benchmark.clone(),
+            action_space: self.action_space,
+            actions: self.actions.clone(),
+            state: self.state.to_bytes().to_vec(),
+        }
+    }
+}
+
+impl From<Checkpoint> for RingCheckpoint {
+    fn from(c: Checkpoint) -> RingCheckpoint {
+        RingCheckpoint {
+            benchmark: c.benchmark,
+            action_space: c.action_space,
+            actions: c.actions,
+            state: SessionSnapshot::from_bytes(c.state),
+        }
+    }
+}
+
 /// Destination for mirroring checkpoints outside the in-memory ring
 /// (e.g. cg-stdb's crash-safe disk sink). Failures are the sink's problem:
 /// checkpointing must never fail the step that triggered it.
@@ -66,7 +122,7 @@ pub type CheckpointSink = Arc<dyn Fn(&Checkpoint) + Send + Sync>;
 
 #[derive(Default)]
 struct StoreInner {
-    ring: VecDeque<Checkpoint>,
+    ring: VecDeque<RingCheckpoint>,
     taken: u64,
     restores: u64,
 }
@@ -144,11 +200,19 @@ impl CheckpointStore {
         self.interval != 0 && depth > 0 && depth.is_multiple_of(self.interval)
     }
 
-    /// Records a checkpoint, evicting the oldest entry when full, and
-    /// mirrors it to the sink if one is attached.
+    /// Records a checkpoint whose state is already bytes (a caller holding
+    /// `save_state` output, a disk store seeding the ring); see
+    /// [`CheckpointStore::put_snapshot`].
     pub fn put(&self, checkpoint: Checkpoint) {
+        self.put_snapshot(checkpoint.into());
+    }
+
+    /// Records a checkpoint, evicting the oldest entry when full. If a
+    /// sink is attached the checkpoint is encoded and mirrored to it;
+    /// otherwise a structural snapshot goes into the ring as it is.
+    pub fn put_snapshot(&self, checkpoint: RingCheckpoint) {
         if let Some(sink) = &self.sink {
-            sink(&checkpoint);
+            sink(&checkpoint.to_portable());
         }
         let mut inner = self.inner.lock();
         if inner.ring.len() == self.capacity {
@@ -169,7 +233,7 @@ impl CheckpointStore {
         benchmark: &str,
         action_space: usize,
         actions: &[usize],
-    ) -> Option<Checkpoint> {
+    ) -> Option<RingCheckpoint> {
         let mut inner = self.inner.lock();
         let best = inner
             .ring
@@ -282,6 +346,47 @@ mod tests {
         store.put(ck("b", &[1]));
         store.put(ck("b", &[1, 2]));
         assert_eq!(*seen.lock(), vec![1, 2]);
+    }
+
+    #[test]
+    fn structural_snapshots_are_encoded_only_for_a_sink() {
+        use crate::session::SnapshotState;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Counted(AtomicUsize);
+        impl SnapshotState for Counted {
+            fn encode(&self) -> Vec<u8> {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                vec![7, 7]
+            }
+        }
+        let live = |state: &Arc<Counted>| RingCheckpoint {
+            benchmark: "b".into(),
+            action_space: 0,
+            actions: vec![1, 2],
+            state: SessionSnapshot::from_live(Arc::clone(state)),
+        };
+
+        let state = Arc::new(Counted(AtomicUsize::new(0)));
+        let store = CheckpointStore::new(4, 1);
+        store.put_snapshot(live(&state));
+        let hit = store.latest_matching("b", 0, &[1, 2, 3]).unwrap();
+        assert!(hit.state.is_live());
+        assert_eq!(
+            state.0.load(Ordering::SeqCst),
+            0,
+            "ring-only: never encoded"
+        );
+
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        let mirrored = CheckpointStore::new(4, 1)
+            .with_sink(Arc::new(move |c: &Checkpoint| seen2.lock().push(c.clone())));
+        mirrored.put_snapshot(live(&state));
+        assert_eq!(state.0.load(Ordering::SeqCst), 1, "encoded for the sink");
+        assert_eq!(seen.lock()[0].state, vec![7, 7]);
+        let parked = mirrored.latest_matching("b", 0, &[1, 2]).unwrap();
+        assert_eq!(seen.lock()[0], parked.to_portable());
+        assert_eq!(state.0.load(Ordering::SeqCst), 1, "and only once");
     }
 
     #[test]

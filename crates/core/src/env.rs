@@ -40,11 +40,12 @@ use cg_telemetry::SpanStatus;
 
 use crate::breaker::{Admission, CircuitBreaker};
 use crate::budget::ResourceBudget;
-use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::checkpoint::{CheckpointStore, RingCheckpoint};
 use crate::envs::session_factory;
 use crate::error::CgError;
 use crate::retry::RetryPolicy;
 use crate::service::{Request, Response, ServiceClient, TcpTransport};
+use crate::session::SessionSnapshot;
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 use crate::state::EnvState;
 use crate::watchdog::{Watchdog, WatchdogConfig};
@@ -63,7 +64,7 @@ pub struct StepResult {
     pub changed: bool,
 }
 
-/// A portable snapshot of a live episode: the serialized compiler state
+/// A portable snapshot of a live episode: the captured compiler state
 /// plus the client-side bookkeeping (metrics, reward, action history)
 /// needed to resume rewards seamlessly. Produced by
 /// [`CompilerEnv::episode_snapshot`], consumed by
@@ -78,8 +79,9 @@ pub struct EpisodeSnapshot {
     pub action_space_index: usize,
     /// Actions applied so far (the prefix this snapshot captures).
     pub actions: Vec<usize>,
-    /// Serialized backend state (`CompilationSession::save_state`).
-    pub state: Vec<u8>,
+    /// Backend state (`CompilationSession::snapshot`): over the in-process
+    /// transport a handle to shared immutable state, over TCP its bytes.
+    pub state: SessionSnapshot,
     /// Reward metric after the last action.
     pub prev_metric: f64,
     /// Reward metric at episode start.
@@ -1256,7 +1258,7 @@ impl CompilerEnv {
         if let Ok(Response::State { state: Some(state) }) =
             self.client.call(Request::ExportState { session_id: sid })
         {
-            store.put(Checkpoint {
+            store.put_snapshot(RingCheckpoint {
                 benchmark: self.benchmark.clone(),
                 action_space: self.action_space_index,
                 actions: self.actions.clone(),

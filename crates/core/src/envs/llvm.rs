@@ -6,10 +6,11 @@ use std::sync::Arc;
 use cg_ir::interp::ExecLimits;
 use cg_ir::Module;
 use cg_llvm::action_space::{autophase_subset, ActionSpace};
+use cg_llvm::pass::Touched;
 use cg_llvm::{observation, pipeline, reward};
 use parking_lot::Mutex;
 
-use crate::session::{ActionOutcome, CompilationSession};
+use crate::session::{ActionOutcome, CompilationSession, SessionSnapshot, SnapshotState};
 use crate::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
@@ -69,15 +70,33 @@ fn baselines_for(uri: &str, module: &Module) -> Baselines {
     b
 }
 
+/// A module is its own snapshot: cloning one shares every function and all
+/// globals (copy-on-write), and its portable encoding is the printed IR —
+/// print/parse round-trips byte-identically (the checkpoint contract) and
+/// the format is stable across service restarts.
+impl SnapshotState for Module {
+    fn encode(&self) -> Vec<u8> {
+        cg_ir::printer::print_module(self).into_bytes()
+    }
+}
+
 /// The LLVM phase-ordering compilation session: holds the module being
 /// optimized and applies one pass per action ("After initially reading and
 /// parsing the bitcode file, the server incrementally applies an individual
 /// optimization pass at each step" — the source of the 27× of Table II).
 pub struct LlvmSession {
-    space: ActionSpace,
-    subset: Vec<usize>,
+    space: &'static ActionSpace,
+    subset: &'static [usize],
     active_subset: bool,
     module: Option<Module>,
+    /// The immutable module this episode last coincided with — the cached
+    /// benchmark after `init`, else the latest snapshot taken or restored —
+    /// and which functions the actions since have touched. A snapshot hands
+    /// the untouched ones back to `base`'s copies, so consecutive snapshots
+    /// share every function no pass changed in between even though pass
+    /// sweeps un-share whatever they scan through `func_mut`.
+    base: Option<Arc<Module>>,
+    dirty: Touched,
     benchmark: String,
     measurement_counter: u64,
     /// Interpreter limits for runtime observations; the fuel cap is
@@ -87,7 +106,7 @@ pub struct LlvmSession {
     /// applied pass reports, so `InstCount`/`Autophase` only re-scan dirty
     /// functions.
     features: observation::IncrementalFeatures,
-    /// Reusable IR-print buffer for `Ir` observations and checkpoints
+    /// Reusable IR-print buffer for `Ir` observations and `save_state`
     /// (interior mutability because `save_state` takes `&self`; sessions
     /// are `Send` but never shared, so `RefCell` suffices).
     print_buf: std::cell::RefCell<String>,
@@ -106,16 +125,25 @@ impl Default for LlvmSession {
 impl LlvmSession {
     /// Creates an uninitialized session.
     pub fn new() -> LlvmSession {
-        let space = ActionSpace::new();
-        let subset = autophase_subset()
-            .iter()
-            .map(|n| space.index_of(n).expect("subset names are registry names"))
-            .collect();
+        // The action space (124 pass objects) and the Autophase subset's
+        // indices into it (42 name searches) are the same for every
+        // session; build them once, not on every `reset` and restore.
+        static SPACES: std::sync::OnceLock<(ActionSpace, Vec<usize>)> = std::sync::OnceLock::new();
+        let (space, subset) = SPACES.get_or_init(|| {
+            let space = ActionSpace::new();
+            let subset = autophase_subset()
+                .iter()
+                .map(|n| space.index_of(n).expect("subset names are registry names"))
+                .collect();
+            (space, subset)
+        });
         LlvmSession {
             space,
             subset,
             active_subset: false,
             module: None,
+            base: None,
+            dirty: Touched::None,
             benchmark: String::new(),
             measurement_counter: 0,
             limits: ExecLimits::default(),
@@ -135,6 +163,14 @@ impl LlvmSession {
     /// state-transition logger; not part of the RPC surface).
     pub fn module_ref(&self) -> Option<&Module> {
         self.module.as_ref()
+    }
+
+    /// Makes `base` the episode's state: the live module becomes a
+    /// copy-on-write clone of it and nothing is dirty.
+    fn adopt(&mut self, base: Arc<Module>) {
+        self.module = Some((*base).clone());
+        self.base = Some(base);
+        self.dirty = Touched::None;
     }
 }
 
@@ -214,8 +250,7 @@ impl CompilationSession for LlvmSession {
             ));
         }
         self.active_subset = action_space == 1;
-        let m = cached_benchmark(benchmark)?;
-        self.module = Some((*m).clone());
+        self.adopt(cached_benchmark(benchmark)?);
         self.benchmark = benchmark.to_string();
         self.measurement_counter = 0;
         self.features.clear();
@@ -241,6 +276,7 @@ impl CompilationSession for LlvmSession {
         let m = self.module.as_mut().ok_or("session not initialized")?;
         let effect = self.space.apply_with(m, index, &mut self.analyses);
         self.features.invalidate(&effect.touched);
+        self.dirty.merge(effect.touched);
         Ok(ActionOutcome {
             end_of_episode: false,
             action_space_changed: false,
@@ -313,10 +349,12 @@ impl CompilationSession for LlvmSession {
 
     fn fork(&self) -> Box<dyn CompilationSession> {
         Box::new(LlvmSession {
-            space: self.space.clone(),
-            subset: self.subset.clone(),
+            space: self.space,
+            subset: self.subset,
             active_subset: self.active_subset,
             module: self.module.clone(),
+            base: self.base.clone(),
+            dirty: self.dirty.clone(),
             benchmark: self.benchmark.clone(),
             measurement_counter: self.measurement_counter,
             limits: self.limits,
@@ -329,11 +367,8 @@ impl CompilationSession for LlvmSession {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        // Textual IR is the canonical snapshot: print/parse round-trips
-        // byte-identically (the checkpoint contract), and the format is
-        // stable across service restarts. Printed into the session's
-        // reusable buffer so per-step checkpointing doesn't re-grow a fresh
-        // string every time.
+        // The portable form (`SnapshotState::encode`'s bytes), printed into
+        // the session's reusable buffer.
         self.module.as_ref().map(|m| {
             let mut buf = self.print_buf.borrow_mut();
             cg_ir::printer::print_module_into(&mut buf, m);
@@ -342,13 +377,45 @@ impl CompilationSession for LlvmSession {
     }
 
     fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let text =
-            std::str::from_utf8(state).map_err(|e| format!("checkpoint is not UTF-8: {e}"))?;
-        let m = cg_ir::parser::parse_module(text)
-            .map_err(|e| format!("checkpoint does not parse: {e}"))?;
-        self.module = Some(m);
-        // Function ids restart from zero in a re-parsed module; the cache
-        // keys would silently collide, so drop everything.
+        self.restore(&SessionSnapshot::from_bytes(state.to_vec()))
+    }
+
+    fn snapshot(&mut self) -> Option<SessionSnapshot> {
+        let mut snap = self.module.as_ref()?.clone();
+        if let Some(base) = &self.base {
+            // Pass sweeps copied every function they scanned; the ones no
+            // pass reported touching still equal `base`'s, so the snapshot
+            // takes those (the live module keeps its own copies and with
+            // them its stamps and cached analyses).
+            for &fid in base.func_ids() {
+                if !self.dirty.contains(fid) && snap.func_exists(fid) {
+                    snap.share_func_from(base, fid);
+                }
+            }
+        }
+        let snap = Arc::new(snap);
+        self.base = Some(Arc::clone(&snap));
+        self.dirty = Touched::None;
+        Some(SessionSnapshot::from_live(snap))
+    }
+
+    fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+        let module = match snapshot.live::<Module>() {
+            // An exact clone of the captured state: ids, watermarks and
+            // stamps included, nothing decoded.
+            Some(m) => m,
+            None => {
+                let text = std::str::from_utf8(snapshot.to_bytes())
+                    .map_err(|e| format!("checkpoint is not UTF-8: {e}"))?;
+                let m = cg_ir::parser::parse_module(text)
+                    .map_err(|e| format!("checkpoint does not parse: {e}"))?;
+                Arc::new(m)
+            }
+        };
+        self.adopt(module);
+        // The per-function caches are keyed by function id: a re-parsed
+        // module numbers from zero and a structural one may come from
+        // another episode, so drop everything.
         self.features.clear();
         self.analyses = cg_ir::AnalysisManager::new();
         Ok(())

@@ -9,15 +9,22 @@
 //! key — so caching is sound, and the cache-correctness suite verifies
 //! byte-identical results against fresh evaluations.
 //!
-//! Two structures share one lock:
+//! Two structures per benchmark share one lock:
 //!
-//! * an **exact map** from `(benchmark, sequence-hash)` to the finished
+//! * an **exact map** from sequence hash to the finished
 //!   `(score, metric)` — repeat evaluations cost a hash lookup;
-//! * a **prefix trie** per benchmark whose nodes hold
-//!   [`EpisodeSnapshot`]s at interval boundaries — a novel sequence
-//!   restores the deepest cached prefix (the `fork()`-style reuse of
-//!   §III-B6, but across threads and searches) and only executes its
-//!   novel suffix.
+//! * a **prefix trie** whose nodes hold [`EpisodeSnapshot`]s at interval
+//!   boundaries — a novel sequence restores the deepest cached prefix (the
+//!   `fork()`-style reuse of §III-B6, but across threads and searches) and
+//!   only executes its novel suffix. For llvm-v0 a snapshot's state is a
+//!   handle to a copy-on-write module: every node of a benchmark shares
+//!   its globals, and a node shares with its parent every function the
+//!   actions in between left alone.
+//!
+//! Pool workers contend on the lock, so nothing is allocated, formatted or
+//! freed while it is held beyond the entry itself: the benchmark is looked
+//! up by `&str`, telemetry is emitted after the guard drops, and an
+//! evicted generation is dropped outside it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,11 +57,32 @@ struct TrieNode {
     snapshot: Option<Arc<EpisodeSnapshot>>,
 }
 
+/// Everything cached for one benchmark.
+#[derive(Default)]
+struct PerBenchmark {
+    exact: HashMap<u64, CachedEval>,
+    trie: TrieNode,
+}
+
 #[derive(Default)]
 struct Inner {
-    exact: HashMap<(String, u64), CachedEval>,
-    trie: HashMap<String, TrieNode>,
+    benchmarks: HashMap<String, PerBenchmark>,
+    evals: usize,
     snapshots: usize,
+}
+
+impl Inner {
+    /// The benchmark's entry, created on first use — the only time the
+    /// URI is copied.
+    fn benchmark_mut(&mut self, benchmark: &str) -> &mut PerBenchmark {
+        if !self.benchmarks.contains_key(benchmark) {
+            self.benchmarks
+                .insert(benchmark.to_string(), PerBenchmark::default());
+        }
+        self.benchmarks
+            .get_mut(benchmark)
+            .expect("entry was just ensured")
+    }
 }
 
 /// The shared evaluation cache. All methods take `&self`; one mutex guards
@@ -120,29 +148,32 @@ impl EvalCache {
     /// Looks up a finished evaluation. Counts a pool cache hit or miss.
     pub fn lookup(&self, benchmark: &str, actions: &[usize]) -> Option<CachedEval> {
         let tel = cg_telemetry::global();
-        if !self.enabled {
+        let hit = if self.enabled {
+            let key = seq_hash(actions);
+            let inner = self.inner.lock();
+            inner
+                .benchmarks
+                .get(benchmark)
+                .and_then(|b| b.exact.get(&key))
+                .filter(|e| e.actions == actions)
+                .cloned()
+        } else {
+            None
+        };
+        if hit.is_some() {
+            tel.pool.cache_hits.inc();
+            // Parented under the caller's pool:job span, so a cached
+            // outcome is visible (and explains the missing env spans)
+            // when a job's trace is reconstructed.
+            tel.trace.emit(
+                "cache:hit",
+                format!("{benchmark} depth {}", actions.len()),
+                std::time::Duration::ZERO,
+            );
+        } else {
             tel.pool.cache_misses.inc();
-            return None;
         }
-        let inner = self.inner.lock();
-        match inner.exact.get(&(benchmark.to_string(), seq_hash(actions))) {
-            Some(e) if e.actions == actions => {
-                tel.pool.cache_hits.inc();
-                // Parented under the caller's pool:job span, so a cached
-                // outcome is visible (and explains the missing env spans)
-                // when a job's trace is reconstructed.
-                tel.trace.emit(
-                    "cache:hit",
-                    format!("{benchmark} depth {}", actions.len()),
-                    std::time::Duration::ZERO,
-                );
-                Some(e.clone())
-            }
-            _ => {
-                tel.pool.cache_misses.inc();
-                None
-            }
-        }
+        hit
     }
 
     /// Records a finished evaluation. At capacity the whole cache is
@@ -152,19 +183,28 @@ impl EvalCache {
         if !self.enabled {
             return;
         }
-        let mut inner = self.inner.lock();
-        if inner.exact.len() >= self.capacity {
-            cg_telemetry::global().pool.evictions.inc();
-            *inner = Inner::default();
+        let key = seq_hash(actions);
+        let entry = CachedEval {
+            actions: actions.to_vec(),
+            score,
+            metric,
+        };
+        let mut evicted = None;
+        {
+            let mut inner = self.inner.lock();
+            if inner.evals >= self.capacity {
+                evicted = Some(std::mem::take(&mut *inner));
+            }
+            let fresh = inner
+                .benchmark_mut(benchmark)
+                .exact
+                .insert(key, entry)
+                .is_none();
+            inner.evals += usize::from(fresh);
         }
-        inner.exact.insert(
-            (benchmark.to_string(), seq_hash(actions)),
-            CachedEval {
-                actions: actions.to_vec(),
-                score,
-                metric,
-            },
-        );
+        if evicted.is_some() {
+            cg_telemetry::global().pool.evictions.inc();
+        }
     }
 
     /// The deepest cached snapshot along a *proper* prefix of `actions`
@@ -177,7 +217,7 @@ impl EvalCache {
         actions: &[usize],
     ) -> Option<(usize, Arc<EpisodeSnapshot>)> {
         let inner = self.inner.lock();
-        let mut node = inner.trie.get(benchmark)?;
+        let mut node = &inner.benchmarks.get(benchmark)?.trie;
         let mut found: Option<(usize, Arc<EpisodeSnapshot>)> = None;
         for (depth, a) in actions.iter().enumerate() {
             if depth > 0 {
@@ -201,25 +241,36 @@ impl EvalCache {
         if !self.enabled || snap.actions.is_empty() {
             return;
         }
-        let mut inner = self.inner.lock();
-        if inner.snapshots >= self.capacity {
+        let snap = Arc::new(snap);
+        let mut evicted = Vec::new();
+        {
+            let mut inner = self.inner.lock();
+            if inner.snapshots >= self.capacity {
+                evicted.extend(
+                    inner
+                        .benchmarks
+                        .values_mut()
+                        .map(|b| std::mem::take(&mut b.trie)),
+                );
+                inner.snapshots = 0;
+            }
+            let mut node = &mut inner.benchmark_mut(&snap.benchmark).trie;
+            for &a in &snap.actions {
+                node = node.children.entry(a).or_default();
+            }
+            if node.snapshot.is_none() {
+                node.snapshot = Some(Arc::clone(&snap));
+                inner.snapshots += 1;
+            }
+        }
+        if !evicted.is_empty() {
             cg_telemetry::global().pool.evictions.inc();
-            inner.trie.clear();
-            inner.snapshots = 0;
-        }
-        let mut node = inner.trie.entry(snap.benchmark.clone()).or_default();
-        for &a in &snap.actions {
-            node = node.children.entry(a).or_default();
-        }
-        if node.snapshot.is_none() {
-            node.snapshot = Some(Arc::new(snap));
-            inner.snapshots += 1;
         }
     }
 
     /// Number of exact entries (for tests and stats).
     pub fn len(&self) -> usize {
-        self.inner.lock().exact.len()
+        self.inner.lock().evals
     }
 
     /// Whether the exact map is empty.
@@ -234,7 +285,8 @@ impl EvalCache {
 
     /// Drops all cached entries and snapshots.
     pub fn clear(&self) {
-        *self.inner.lock() = Inner::default();
+        // Taken under the lock, freed after it.
+        let _dropped = std::mem::take(&mut *self.inner.lock());
     }
 }
 
@@ -247,7 +299,7 @@ mod tests {
             benchmark: benchmark.into(),
             action_space_index: 0,
             actions,
-            state: vec![1, 2, 3],
+            state: crate::session::SessionSnapshot::from_bytes(vec![1, 2, 3]),
             prev_metric: 10.0,
             init_metric: 12.0,
             baseline_metric: None,
@@ -293,6 +345,23 @@ mod tests {
         assert!(c.lookup("b", &[1]).is_none());
         assert!(c.lookup("b", &[3]).is_some());
         assert!(c.len() <= 2);
+    }
+
+    #[test]
+    fn snapshot_overflow_drops_the_tries_and_keeps_exact_entries() {
+        let c = EvalCache::new(2);
+        c.insert("b", &[1], 1.0, 1.0);
+        c.insert("b", &[1], 1.0, 1.0);
+        assert_eq!(c.len(), 1, "re-inserting a key does not count twice");
+        c.store_snapshot(snap("b", vec![1]));
+        c.store_snapshot(snap("c", vec![1]));
+        c.store_snapshot(snap("b", vec![2])); // trips the bound
+        assert_eq!(c.snapshot_count(), 1);
+        assert!(c.longest_prefix("b", &[1, 9]).is_none());
+        assert!(c.longest_prefix("c", &[1, 9]).is_none());
+        assert!(c.longest_prefix("b", &[2, 9]).is_some());
+        assert!(c.lookup("b", &[1]).is_some());
+        assert!(c.lookup("c", &[1]).is_none(), "keyed per benchmark");
     }
 
     #[test]

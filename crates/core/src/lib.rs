@@ -6,7 +6,8 @@
 //!
 //! * [`space`] — action/observation/reward space descriptions and values
 //! * [`session`] — the 4-method [`session::CompilationSession`] interface
-//!   compilers implement (Figure 5)
+//!   compilers implement (Figure 5), and [`session::SessionSnapshot`], the
+//!   opaque captured state checkpoints, prefix caches and forks pass around
 //! * [`envs`] — the three shipped integrations: LLVM phase ordering, GCC
 //!   flag tuning, `loop_tool` CUDA loop nests
 //! * [`service`] — the compiler service runtime: session workers, RPC
@@ -73,7 +74,7 @@ pub use breaker::{Admission, BreakerState, CircuitBreaker};
 pub use broker::{Broker, BrokerConfig, DrainReport, Submitted, TenantQuota, ANONYMOUS_TENANT};
 pub use budget::{BudgetKind, BudgetViolation, ResourceBudget};
 pub use chaos::{IoFaultInjector, IoFaultKind, IoFaultPlan, IoFaultStats};
-pub use checkpoint::{Checkpoint, CheckpointSink, CheckpointStore};
+pub use checkpoint::{Checkpoint, CheckpointSink, CheckpointStore, RingCheckpoint};
 pub use env::{
     make, make_with_policy, register_env_scheme, CompilerEnv, EpisodeSnapshot, SchemeFactory,
     StepResult, Transport,
@@ -82,7 +83,7 @@ pub use error::CgError;
 pub use evalcache::EvalCache;
 pub use pool::{ActionSeq, EnvFactory, EnvPool, Outcome};
 pub use retry::RetryPolicy;
-pub use session::CompilationSession;
+pub use session::{CompilationSession, SessionSnapshot};
 pub use sink::{clear_transition_sink, install_transition_sink, transition_sink, TransitionSink};
 pub use space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 pub use state::EnvState;

@@ -19,7 +19,7 @@
 //!
 //! Server-side containment (the other half of the ladder) lives here too:
 //!
-//! * **checkpointing** — the worker serializes each session every K applied
+//! * **checkpointing** — the worker snapshots each session every K applied
 //!   actions into a client-owned [`CheckpointStore`], and
 //!   [`Request::RestoreSession`] rebuilds a session from a snapshot so
 //!   recovery replays only the ≤K-action suffix;
@@ -48,11 +48,11 @@ use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::budget::{BudgetKind, BudgetViolation, ResourceBudget};
-use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::checkpoint::{CheckpointStore, RingCheckpoint};
 use crate::error::CgError;
 use crate::retry::PipelineRetry;
 use crate::retry::RetryPolicy;
-use crate::session::CompilationSession;
+use crate::session::{CompilationSession, SessionSnapshot};
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 use crate::wire::{self, WireCodec};
 
@@ -92,7 +92,7 @@ pub enum Request {
         session_id: u64,
     },
     /// Rebuild a session from a checkpoint: `init` on the benchmark, then
-    /// `CompilationSession::load_state`. The recovery fast path — restoring
+    /// `CompilationSession::restore`. The recovery fast path — restoring
     /// replaces replaying the `actions` prefix the snapshot captured.
     RestoreSession {
         /// Benchmark URI.
@@ -102,10 +102,11 @@ pub enum Request {
         /// The action prefix the snapshot captured (becomes the restored
         /// session's history for subsequent checkpoints).
         actions: Vec<usize>,
-        /// Serialized state from `CompilationSession::save_state`.
-        state: Vec<u8>,
+        /// State from `CompilationSession::snapshot`. The in-process
+        /// channel moves the handle; the wire codecs carry its bytes.
+        state: SessionSnapshot,
     },
-    /// Serialize a session's current state (`CompilationSession::save_state`)
+    /// Capture a session's current state (`CompilationSession::snapshot`)
     /// without disturbing it. The dual of [`Request::RestoreSession`]: export
     /// here, restore elsewhere — how an `EnvPool` seeds a worker's session
     /// from a cached search-tree prefix instead of replaying actions.
@@ -179,8 +180,8 @@ pub enum Response {
     /// Exported session state; `None` when the session has nothing to
     /// snapshot (e.g. uninitialized).
     State {
-        /// Serialized state, loadable via [`Request::RestoreSession`].
-        state: Option<Vec<u8>>,
+        /// The state, loadable via [`Request::RestoreSession`].
+        state: Option<SessionSnapshot>,
     },
     /// The session exceeded its resource budget and was destroyed by the
     /// worker (a "budget kill"); the service itself survives. Surfaced to
@@ -355,9 +356,9 @@ impl ServiceState {
         id
     }
 
-    /// Serializes the session into the checkpoint ring when its history
+    /// Snapshots the session into the checkpoint ring when its history
     /// crossed a K-action boundary since the last snapshot. Best-effort:
-    /// a panicking or non-serializing `save_state` never fails the step.
+    /// a panicking or unsupported `snapshot` never fails the step.
     fn maybe_checkpoint(&mut self, session_id: u64) {
         let interval = self.checkpoints.interval() as usize;
         if interval == 0 {
@@ -370,13 +371,13 @@ impl ServiceState {
         if meta.dirty || depth == 0 || depth / interval <= meta.checkpointed_at / interval {
             return;
         }
-        let Some(session) = self.sessions.get(&session_id) else {
+        let Some(session) = self.sessions.get_mut(&session_id) else {
             return;
         };
-        match std::panic::catch_unwind(AssertUnwindSafe(|| session.save_state())) {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| session.snapshot())) {
             Ok(Some(state)) => {
                 meta.checkpointed_at = depth;
-                self.checkpoints.put(Checkpoint {
+                self.checkpoints.put_snapshot(RingCheckpoint {
                     benchmark: meta.benchmark.clone(),
                     action_space: meta.action_space,
                     actions: meta.actions.clone(),
@@ -391,7 +392,7 @@ impl ServiceState {
     /// Snapshots every live session into the checkpoint store regardless of
     /// interval boundaries — the drain path's "park everything" sweep.
     /// Dirty sessions (whose state no longer equals their action history)
-    /// are skipped; panicking `save_state`s mark the session dirty and move
+    /// are skipped; panicking `snapshot`s mark the session dirty and move
     /// on. Returns how many sessions were checkpointed.
     pub(crate) fn checkpoint_all(&mut self) -> usize {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
@@ -403,13 +404,13 @@ impl ServiceState {
             if meta.dirty {
                 continue;
             }
-            let Some(session) = self.sessions.get(&id) else {
+            let Some(session) = self.sessions.get_mut(&id) else {
                 continue;
             };
-            match std::panic::catch_unwind(AssertUnwindSafe(|| session.save_state())) {
+            match std::panic::catch_unwind(AssertUnwindSafe(|| session.snapshot())) {
                 Ok(Some(state)) => {
                     meta.checkpointed_at = meta.actions.len();
-                    self.checkpoints.put(Checkpoint {
+                    self.checkpoints.put_snapshot(RingCheckpoint {
                         benchmark: meta.benchmark.clone(),
                         action_space: meta.action_space,
                         actions: meta.actions.clone(),
@@ -544,7 +545,7 @@ impl ServiceState {
                     // The growth baseline is the *episode-initial* size —
                     // measured after init, before the snapshot overwrites it.
                     let initial_size = session.state_size();
-                    session.load_state(&state)?;
+                    session.restore(&state)?;
                     Ok::<_, String>(initial_size)
                 }));
                 match restore {
@@ -577,13 +578,13 @@ impl ServiceState {
                 }
             }
             Request::ExportState { session_id } => {
-                let Some(session) = self.sessions.get(&session_id) else {
+                let Some(session) = self.sessions.get_mut(&session_id) else {
                     return Response::Error(format!("no session {session_id}"));
                 };
-                match std::panic::catch_unwind(AssertUnwindSafe(|| session.save_state())) {
+                match std::panic::catch_unwind(AssertUnwindSafe(|| session.snapshot())) {
                     Ok(state) => Response::State { state },
                     Err(_) => {
-                        // Serialization panicked: the session may be corrupt.
+                        // The snapshot panicked: the session may be corrupt.
                         self.sessions.remove(&session_id);
                         self.meta.remove(&session_id);
                         let tel = cg_telemetry::global();
@@ -593,7 +594,7 @@ impl ServiceState {
                             format!("export_state destroyed session {session_id}"),
                             Duration::ZERO,
                         );
-                        Response::Fatal(format!("save_state on session {session_id} panicked"))
+                        Response::Fatal(format!("snapshot of session {session_id} panicked"))
                     }
                 }
             }
@@ -763,7 +764,7 @@ impl ServiceState {
 /// through any clone (including the watchdog's) is seen by all of them.
 #[derive(Clone)]
 pub struct ServiceClient {
-    tx: Arc<Mutex<RequestSender>>,
+    worker: Arc<Mutex<Worker>>,
     factory: SessionFactory,
     timeout: Duration,
     policy: RetryPolicy,
@@ -789,17 +790,61 @@ const GENERATION_POLL: Duration = Duration::from_millis(50);
 /// its reply sender.
 type RequestSender = Sender<(Request, Option<TraceContext>, Sender<Response>)>;
 
+/// The worker thread behind a client and its clones. Dropping it closes
+/// the request channel (`tx` is declared, so dropped, first) and then
+/// reaps the thread.
+struct Worker {
+    tx: RequestSender,
+    reaper: Reaper,
+}
+
+/// Waits, bounded, for a worker thread whose channel has just closed.
+///
+/// The thread frees what it holds — its sessions, and the checkpoint ring
+/// if the client's handle went first — on its way out. Left to finish on
+/// its own it can still be doing so when the caller's next service starts,
+/// and that thread then gets a fresh allocator arena while the old one's
+/// stays behind, free but resident. A worker that is wedged in a pass never
+/// reports back and is left detached after `teardown`.
+struct Reaper {
+    /// Disconnects once the thread has dropped its state.
+    exited: Receiver<()>,
+    /// `None` once detached ([`ServiceClient::restart`] replaces workers it
+    /// has reason to think are hung, and must not wait for them).
+    thread: Option<std::thread::JoinHandle<()>>,
+    teardown: Duration,
+}
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        if let Err(crossbeam::channel::RecvTimeoutError::Disconnected) =
+            self.exited.recv_timeout(self.teardown)
+        {
+            // Past its last statement: the join is immediate, and a panic
+            // that killed the worker was reported when it happened.
+            let _ = thread.join();
+        }
+    }
+}
+
 fn spawn_worker(
     factory: SessionFactory,
     budget: ResourceBudget,
     checkpoints: CheckpointStore,
-) -> RequestSender {
+    teardown: Duration,
+) -> Worker {
     let (tx, rx): (RequestSender, Receiver<_>) = unbounded();
+    let (exited_tx, exited) = bounded::<()>(1);
     let f = Arc::clone(&factory);
-    std::thread::Builder::new()
+    let thread = std::thread::Builder::new()
         .name("cg-compiler-service".into())
         .stack_size(16 << 20)
         .spawn(move || {
+            // Declared before `state`, so dropped after it.
+            let _exited = exited_tx;
             let mut state = ServiceState::new(f, budget, checkpoints);
             while let Ok((req, ctx, reply)) = rx.recv() {
                 let _trace_guard = ctx.map(cg_telemetry::enter_context);
@@ -812,7 +857,14 @@ fn spawn_worker(
             }
         })
         .expect("spawn service thread");
-    tx
+    Worker {
+        tx,
+        reaper: Reaper {
+            exited,
+            thread: Some(thread),
+            teardown,
+        },
+    }
 }
 
 impl ServiceClient {
@@ -831,9 +883,14 @@ impl ServiceClient {
     ) -> ServiceClient {
         let checkpoints = CheckpointStore::default();
         let budget = ResourceBudget::default();
-        let tx = spawn_worker(Arc::clone(&factory), budget.clone(), checkpoints.clone());
+        let worker = spawn_worker(
+            Arc::clone(&factory),
+            budget.clone(),
+            checkpoints.clone(),
+            policy.teardown_deadline,
+        );
         ServiceClient {
-            tx: Arc::new(Mutex::new(tx)),
+            worker: Arc::new(Mutex::new(worker)),
             factory,
             timeout,
             policy,
@@ -891,7 +948,7 @@ impl ServiceClient {
     ) -> Result<Response, CgError> {
         let generation = self.generation.load(Ordering::SeqCst);
         let (reply_tx, reply_rx) = bounded(1);
-        let tx = self.tx.lock().clone();
+        let tx = self.worker.lock().tx.clone();
         tx.send((req, cg_telemetry::current_context(), reply_tx))
             .map_err(|_| CgError::ServiceFailure("service disconnected".into()))?;
         let start = std::time::Instant::now();
@@ -1069,7 +1126,7 @@ impl ServiceClient {
         let deadline = per_call.saturating_mul(reqs.len().max(1) as u32);
         let generation = self.generation.load(Ordering::SeqCst);
         let ctx = cg_telemetry::current_context();
-        let tx = self.tx.lock().clone();
+        let tx = self.worker.lock().tx.clone();
         let mut pending = Vec::with_capacity(reqs.len());
         for req in reqs {
             let (reply_tx, reply_rx) = bounded(1);
@@ -1134,8 +1191,11 @@ impl ServiceClient {
             Arc::clone(&self.factory),
             self.budget.lock().clone(),
             self.checkpoints.clone(),
+            self.policy.teardown_deadline,
         );
-        *self.tx.lock() = fresh;
+        let mut old = std::mem::replace(&mut *self.worker.lock(), fresh);
+        // Detached, not reaped: it is being replaced because it may hang.
+        old.reaper.thread = None;
         let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
         let tel = cg_telemetry::global();
         tel.restarts.inc();
@@ -2488,6 +2548,87 @@ mod tests {
         Arc::new(|| Box::new(CountingSession { steps: 0 }))
     }
 
+    /// The last client to go takes its worker with it: once `drop` returns
+    /// the thread has freed its sessions and exited, whichever clone went
+    /// last. A worker stuck in a pass is given the teardown deadline and
+    /// then left behind.
+    #[test]
+    fn dropping_the_last_client_reaps_the_worker() {
+        struct Tracked(CountingSession, Arc<AtomicU64>);
+        impl Drop for Tracked {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        impl CompilationSession for Tracked {
+            fn action_spaces(&self) -> Vec<ActionSpaceInfo> {
+                self.0.action_spaces()
+            }
+            fn observation_spaces(&self) -> Vec<ObservationSpaceInfo> {
+                self.0.observation_spaces()
+            }
+            fn reward_spaces(&self) -> Vec<RewardSpaceInfo> {
+                self.0.reward_spaces()
+            }
+            fn init(&mut self, b: &str, s: usize) -> Result<(), String> {
+                self.0.init(b, s)
+            }
+            fn apply_action(&mut self, a: usize) -> Result<ActionOutcome, String> {
+                if a == 7 {
+                    std::thread::sleep(Duration::from_secs(2));
+                }
+                self.0.apply_action(a)
+            }
+            fn observe(&mut self, s: &str) -> Result<Observation, String> {
+                self.0.observe(s)
+            }
+            fn fork(&self) -> Box<dyn CompilationSession> {
+                unimplemented!("not forked in this test")
+            }
+        }
+        let dropped = Arc::new(AtomicU64::new(0));
+        let factory: SessionFactory = {
+            let dropped = Arc::clone(&dropped);
+            Arc::new(move || Box::new(Tracked(CountingSession { steps: 0 }, Arc::clone(&dropped))))
+        };
+        let policy = RetryPolicy::default().with_teardown_deadline(Duration::from_millis(50));
+
+        let client = ServiceClient::spawn_with_policy(
+            Arc::clone(&factory),
+            Duration::from_secs(30),
+            policy.clone(),
+        );
+        let clone = client.clone();
+        start(&client);
+        drop(client);
+        assert_eq!(dropped.load(Ordering::SeqCst), 0, "a clone keeps it alive");
+        drop(clone);
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            1,
+            "the session went with it"
+        );
+
+        // A worker busy past the deadline does not hold the caller up.
+        let client = ServiceClient::spawn_with_policy(factory, Duration::from_secs(30), policy);
+        let sid = start(&client);
+        let (reply_tx, _reply_rx) = bounded(1);
+        let step = Request::Step {
+            session_id: sid,
+            actions: vec![7],
+            observation_spaces: vec![],
+        };
+        client
+            .worker
+            .lock()
+            .tx
+            .send((step, None, reply_tx))
+            .unwrap();
+        let started = std::time::Instant::now();
+        drop(client);
+        assert!(started.elapsed() < Duration::from_secs(1), "drop waited");
+    }
+
     /// Serializes the tests that make assertions about the process-global
     /// `timeouts` counter, so they cannot race each other's increments.
     static TIMEOUT_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -2594,8 +2735,9 @@ mod tests {
         // Wedge the worker without waiting for the (long) call deadline.
         let (reply_tx, _reply_rx) = bounded(1);
         client
-            .tx
+            .worker
             .lock()
+            .tx
             .send((
                 Request::Step {
                     session_id: sid,

@@ -1,7 +1,120 @@
 //! The `CompilationSession` interface (Figure 5): the four methods a
 //! compiler integration implements to join the system.
 
+use std::any::Any;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+use serde::{Deserialize, Serialize};
+
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
+
+/// The in-memory form of a session's state, as an integration hands it to
+/// [`SessionSnapshot::from_live`]: immutable, shareable across threads, and
+/// able to produce the portable bytes [`CompilationSession::save_state`]
+/// would have produced for the same state.
+pub trait SnapshotState: Any + Send + Sync {
+    /// The portable encoding of this state. Called at most once per
+    /// snapshot, and only when a wire codec, a disk sink or a byte-wise
+    /// comparison asks for it.
+    fn encode(&self) -> Vec<u8>;
+}
+
+struct SnapshotInner {
+    live: Option<Arc<dyn SnapshotState>>,
+    bytes: OnceLock<Vec<u8>>,
+}
+
+/// One captured session state, opaque and cheap to clone (a reference-count
+/// bump; clones share the state and its encoding).
+///
+/// A snapshot is either **live** — a handle to the integration's own
+/// immutable in-memory state, which [`CompilationSession::restore`] adopts
+/// without decoding anything — or **bytes** that arrived from a wire or a
+/// disk. A live snapshot encodes itself to the same bytes lazily, once, on
+/// the first [`SessionSnapshot::to_bytes`]; nothing in-process ever asks.
+/// Serialized (JSON, CGB1, disk) it is exactly the byte string a
+/// `Vec<u8>` state was, so peers that know only bytes interoperate.
+#[derive(Clone)]
+pub struct SessionSnapshot(Arc<SnapshotInner>);
+
+impl SessionSnapshot {
+    /// Wraps portable state bytes ([`CompilationSession::save_state`]
+    /// output, or bytes decoded from a wire or a file).
+    pub fn from_bytes(bytes: Vec<u8>) -> SessionSnapshot {
+        SessionSnapshot(Arc::new(SnapshotInner {
+            live: None,
+            bytes: OnceLock::from(bytes),
+        }))
+    }
+
+    /// Wraps an integration's in-memory state. The state must be immutable
+    /// from here on (hand over a copy-on-write clone, never a handle the
+    /// session keeps writing through).
+    pub fn from_live<T: SnapshotState>(state: Arc<T>) -> SessionSnapshot {
+        SessionSnapshot(Arc::new(SnapshotInner {
+            live: Some(state),
+            bytes: OnceLock::new(),
+        }))
+    }
+
+    /// The in-memory state, if this snapshot is live and holds a `T`.
+    pub fn live<T: SnapshotState>(&self) -> Option<Arc<T>> {
+        let any: Arc<dyn Any + Send + Sync> = self.0.live.clone()?;
+        any.downcast().ok()
+    }
+
+    /// True if this snapshot holds in-memory state (restoring it decodes
+    /// nothing).
+    pub fn is_live(&self) -> bool {
+        self.0.live.is_some()
+    }
+
+    /// The portable encoding; a live snapshot encodes on the first call
+    /// and keeps the result.
+    pub fn to_bytes(&self) -> &[u8] {
+        self.0.bytes.get_or_init(|| {
+            self.0
+                .live
+                .as_ref()
+                .expect("a snapshot is live or holds bytes")
+                .encode()
+        })
+    }
+}
+
+/// Kind and encoded length only — never the payload (states run to tens of
+/// kilobytes and would drown a `{:?}` of the request that carries them).
+impl fmt::Debug for SessionSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = if self.is_live() { "live" } else { "bytes" };
+        match self.0.bytes.get() {
+            Some(b) => write!(f, "SessionSnapshot({kind}, {} bytes)", b.len()),
+            None => write!(f, "SessionSnapshot({kind}, not encoded)"),
+        }
+    }
+}
+
+/// Byte-wise: two snapshots are equal when their portable encodings are
+/// (clones of one snapshot without encoding anything).
+impl PartialEq for SessionSnapshot {
+    fn eq(&self, other: &SessionSnapshot) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.to_bytes() == other.to_bytes()
+    }
+}
+
+/// The same byte array a `Vec<u8>` state serializes as.
+impl Serialize for SessionSnapshot {
+    fn to_value(&self) -> serde::value::Value {
+        self.to_bytes().to_value()
+    }
+}
+
+impl Deserialize for SessionSnapshot {
+    fn from_value(v: &serde::value::Value) -> Result<SessionSnapshot, serde::DeError> {
+        Vec::<u8>::from_value(v).map(SessionSnapshot::from_bytes)
+    }
+}
 
 /// The outcome of applying one action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +216,33 @@ pub trait CompilationSession: Send {
         Err("this session does not support checkpoint restore".into())
     }
 
+    /// Captures the episode state as a [`SessionSnapshot`]. The default
+    /// wraps [`save_state`]'s bytes; integrations whose state is cheap to
+    /// share in memory override it (and [`restore`]) to hand out a live
+    /// handle instead, so in-process checkpoints, prefix caches and forks
+    /// never pay for an encoding. Takes `&mut self` so an integration may
+    /// tidy its own sharing while it captures; the observable state must
+    /// not change.
+    ///
+    /// [`save_state`]: CompilationSession::save_state
+    /// [`restore`]: CompilationSession::restore
+    fn snapshot(&mut self) -> Option<SessionSnapshot> {
+        self.save_state().map(SessionSnapshot::from_bytes)
+    }
+
+    /// Restores a state captured by [`snapshot`] — from this process or,
+    /// as bytes, from another — under the same contract as [`load_state`].
+    /// The default decodes the snapshot's bytes with [`load_state`].
+    ///
+    /// [`snapshot`]: CompilationSession::snapshot
+    /// [`load_state`]: CompilationSession::load_state
+    ///
+    /// # Errors
+    /// See [`CompilationSession::load_state`].
+    fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+        self.load_state(snapshot.to_bytes())
+    }
+
     /// The current size of the episode state in integration-defined units
     /// (for LLVM sessions, the IR instruction count), used by the resource
     /// budget's growth cap. `None` opts out of size enforcement.
@@ -114,4 +254,75 @@ pub trait CompilationSession: Send {
     /// fuel cap for runtime observations). Called once after `init` and
     /// again whenever the budget changes; the default ignores it.
     fn apply_budget(&mut self, _budget: &crate::budget::ResourceBudget) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// In-memory state that counts how often it is asked to encode.
+    struct Counted {
+        payload: Vec<u8>,
+        encodes: AtomicUsize,
+    }
+
+    impl SnapshotState for Counted {
+        fn encode(&self) -> Vec<u8> {
+            self.encodes.fetch_add(1, Ordering::SeqCst);
+            self.payload.clone()
+        }
+    }
+
+    fn counted(payload: &[u8]) -> Arc<Counted> {
+        Arc::new(Counted {
+            payload: payload.to_vec(),
+            encodes: AtomicUsize::new(0),
+        })
+    }
+
+    #[test]
+    fn live_snapshot_encodes_lazily_and_once() {
+        let state = counted(b"abc");
+        let snap = SessionSnapshot::from_live(Arc::clone(&state));
+        let copy = snap.clone();
+        assert!(snap.is_live());
+        assert!(Arc::ptr_eq(&snap.live::<Counted>().unwrap(), &state));
+        assert_eq!(state.encodes.load(Ordering::SeqCst), 0, "nothing asked yet");
+        assert_eq!(snap, copy, "clones compare equal without encoding");
+        assert_eq!(state.encodes.load(Ordering::SeqCst), 0);
+        assert_eq!(snap.to_bytes(), b"abc");
+        assert_eq!(copy.to_bytes(), b"abc", "clones share the encoding");
+        assert_eq!(state.encodes.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn byte_snapshot_is_not_live_and_equality_is_byte_wise() {
+        let bytes = SessionSnapshot::from_bytes(b"abc".to_vec());
+        assert!(!bytes.is_live());
+        assert!(bytes.live::<Counted>().is_none());
+        assert_eq!(bytes, SessionSnapshot::from_live(counted(b"abc")));
+        assert_ne!(bytes, SessionSnapshot::from_live(counted(b"abd")));
+    }
+
+    #[test]
+    fn serializes_as_the_byte_array_a_vec_does() {
+        let payload = vec![0u8, 1, 255, 128];
+        let snap = SessionSnapshot::from_live(counted(&payload));
+        assert_eq!(snap.to_value(), payload.to_value());
+        let back = SessionSnapshot::from_value(&payload.to_value()).unwrap();
+        assert!(!back.is_live());
+        assert_eq!(back.to_bytes(), &payload[..]);
+        assert!(SessionSnapshot::from_value(&"text".to_value()).is_err());
+    }
+
+    #[test]
+    fn debug_shows_kind_and_length_never_the_payload() {
+        let snap = SessionSnapshot::from_live(counted(b"secret-payload"));
+        assert_eq!(format!("{snap:?}"), "SessionSnapshot(live, not encoded)");
+        let _ = snap.to_bytes();
+        assert_eq!(format!("{snap:?}"), "SessionSnapshot(live, 14 bytes)");
+        let bytes = SessionSnapshot::from_bytes(b"secret-payload".to_vec());
+        assert_eq!(format!("{bytes:?}"), "SessionSnapshot(bytes, 14 bytes)");
+    }
 }

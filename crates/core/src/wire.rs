@@ -55,6 +55,7 @@ use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::budget::{BudgetKind, BudgetViolation, ResourceBudget};
+use crate::session::SessionSnapshot;
 use crate::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, ProgramGraph,
     RewardSpaceInfo,
@@ -542,7 +543,7 @@ pub fn encode_request_frame(
             put_str(buf, benchmark);
             put_u64(buf, *action_space as u64);
             put_action_run(buf, actions);
-            put_bytes(buf, state);
+            put_bytes(buf, state.to_bytes());
         }
         Request::ExportState { session_id } => {
             buf.push(REQ_EXPORT_STATE);
@@ -604,7 +605,7 @@ pub fn decode_request_body(corr: u64, body: &[u8]) -> Result<RequestFrame, WireE
             benchmark: r.str()?.to_owned(),
             action_space: r.u64()? as usize,
             actions: r.action_run()?,
-            state: r.bytes()?.to_owned(),
+            state: SessionSnapshot::from_bytes(r.bytes()?.to_owned()),
         },
         REQ_EXPORT_STATE => Request::ExportState {
             session_id: r.u64()?,
@@ -721,7 +722,7 @@ pub fn encode_response_frame(buf: &mut Vec<u8>, corr: u64, resp: &Response) {
                 None => buf.push(0),
                 Some(s) => {
                     buf.push(1);
-                    put_bytes(buf, s);
+                    put_bytes(buf, s.to_bytes());
                 }
             }
         }
@@ -831,7 +832,7 @@ pub fn decode_response_body(body: &[u8]) -> Result<Response, WireError> {
         RESP_STATE => Response::State {
             state: match r.u8()? {
                 0 => None,
-                1 => Some(r.bytes()?.to_owned()),
+                1 => Some(SessionSnapshot::from_bytes(r.bytes()?.to_owned())),
                 t => return err(format!("bad option tag {t}")),
             },
         },
@@ -1084,7 +1085,7 @@ mod tests {
                 benchmark: "b".into(),
                 action_space: 0,
                 actions: vec![1, 2, 3],
-                state: vec![0, 1, 255, 128],
+                state: SessionSnapshot::from_bytes(vec![0, 1, 255, 128]),
             },
             Request::ExportState { session_id: 11 },
             Request::Configure {
@@ -1152,7 +1153,7 @@ mod tests {
             Response::Ok,
             Response::State { state: None },
             Response::State {
-                state: Some(vec![9, 8, 7]),
+                state: Some(SessionSnapshot::from_bytes(vec![9, 8, 7])),
             },
             Response::Budget(BudgetViolation {
                 kind: BudgetKind::Growth,
@@ -1416,7 +1417,9 @@ mod tests {
                 actions: (0..rng.below(16))
                     .map(|_| rng.below(1 << 20) as usize)
                     .collect(),
-                state: (0..rng.below(128)).map(|_| rng.next_u64() as u8).collect(),
+                state: SessionSnapshot::from_bytes(
+                    (0..rng.below(128)).map(|_| rng.next_u64() as u8).collect(),
+                ),
             },
             7 => Request::ExportState {
                 session_id: rng.next_u64(),
@@ -1450,7 +1453,8 @@ mod tests {
             4 => Response::Ok,
             5 => Response::State {
                 state: (rng.below(2) == 1)
-                    .then(|| (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect()),
+                    .then(|| (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect())
+                    .map(SessionSnapshot::from_bytes),
             },
             6 => Response::Budget(BudgetViolation {
                 kind: if rng.below(2) == 1 {

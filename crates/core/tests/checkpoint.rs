@@ -306,6 +306,91 @@ fn budget_kill_recovers_via_checkpoint_without_restart() {
         env.checkpoint_store().restores() >= 1,
         "recovery should have used the depth-20 checkpoint"
     );
+    // The killed session was abandoned to its runner thread, where it
+    // finished the action on a module that shared functions with the
+    // depth-20 snapshot. Nothing reached the snapshot: the episode ends
+    // where an undisturbed one does.
+    let mut straight = llvm_env_on(session_factory("llvm-v0").unwrap());
+    straight.reset().unwrap();
+    for s in 0..30u64 {
+        let a = straight.action_space().index_of(pool[(s % 4) as usize]);
+        straight.step(a.unwrap()).unwrap();
+    }
+    assert_eq!(env.observe("Ir").unwrap(), straight.observe("Ir").unwrap());
+    assert_eq!(
+        env.episode_reward().to_bits(),
+        straight.episode_reward().to_bits()
+    );
+}
+
+fn llvm_env_on(factory: SessionFactory) -> CompilerEnv {
+    let mut env = CompilerEnv::with_factory(
+        "llvm-v0",
+        factory,
+        "benchmark://cbench-v1/crc32",
+        "Autophase",
+        "IrInstructionCount",
+        Duration::from_secs(60),
+    )
+    .unwrap();
+    env.set_retry_policy(
+        RetryPolicy::default().with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
+    );
+    env
+}
+
+/// A compiler panic on the action right after a K-boundary: the worker
+/// dies one apply after taking a structural snapshot. The snapshot is a
+/// handle to immutable state, so it outlives the worker that took it,
+/// still encodes to exactly the IR of that depth, and recovery resumes
+/// from it with nothing to replay but the failed action.
+#[test]
+fn panic_right_after_a_snapshot_restores_from_it_intact() {
+    const K: usize = 5;
+    let pool = ["sroa", "instcombine", "gvn", "simplifycfg", "dce", "licm"];
+    let mut straight = llvm_env_on(session_factory("llvm-v0").unwrap());
+    straight.reset().unwrap();
+    let actions: Vec<usize> = (0..12)
+        .map(|s| straight.action_space().index_of(pool[s % 6]).unwrap())
+        .collect();
+    let mut ir_at_k = None;
+    for (s, &a) in actions.iter().enumerate() {
+        straight.step(a).unwrap();
+        if s + 1 == K {
+            ir_at_k = Some(straight.observe("Ir").unwrap());
+        }
+    }
+
+    let (factory, stats) = FaultPlan::seeded(23)
+        .schedule(K as u64, FaultKind::Panic)
+        .wrap(session_factory("llvm-v0").unwrap());
+    let mut env = llvm_env_on(factory);
+    env.set_checkpoint_interval(K as u64);
+    env.reset().unwrap();
+    for &a in &actions {
+        env.step(a).unwrap();
+    }
+    assert_eq!(stats.panics(), 1, "the scheduled panic fired");
+    let store = env.checkpoint_store();
+    assert_eq!(store.restores(), 1, "recovery used the depth-{K} snapshot");
+    let parked = store
+        .latest_matching("benchmark://cbench-v1/crc32", 0, &actions[..K + 1])
+        .expect("the snapshot outlived the worker that took it");
+    assert_eq!(parked.depth(), K);
+    assert!(
+        parked.state.is_live(),
+        "the ring holds the handle, not text"
+    );
+    assert_eq!(
+        Observation::Text(String::from_utf8(parked.state.to_bytes().to_vec()).unwrap()),
+        ir_at_k.unwrap(),
+        "the snapshot is intact"
+    );
+    assert_eq!(env.observe("Ir").unwrap(), straight.observe("Ir").unwrap());
+    assert_eq!(
+        env.episode_reward().to_bits(),
+        straight.episode_reward().to_bits()
+    );
 }
 
 proptest! {

@@ -5,11 +5,14 @@
 //! bit-for-bit. A second sweep checks that restoring a mid-episode
 //! snapshot reproduces the byte-identical IR text of an uninterrupted run
 //! — the same differential-oracle discipline `cg difftest` applies to
-//! pass pipelines, aimed at the cache.
+//! pass pipelines, aimed at the cache. A third kills the compiler on the
+//! action right after a prefix snapshot was deposited and checks the
+//! snapshot still serves.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use cg_core::chaos::{FaultKind, FaultPlan};
 use cg_core::envs::session_factory;
 use cg_core::space::Observation;
 use cg_core::{ActionSeq, CompilerEnv, EnvPool};
@@ -149,4 +152,72 @@ fn snapshot_restore_reproduces_byte_identical_ir() {
             "case {case}: restored episode reward diverged"
         );
     }
+}
+
+/// The compiler panics on the action right after a worker deposited a
+/// prefix snapshot. The snapshot is a handle to immutable state shared
+/// with the module that died mid-pass; it must come out of the trie
+/// intact and seed the next sequence on that prefix exactly.
+#[test]
+fn panic_right_after_a_prefix_snapshot_leaves_it_intact() {
+    let benchmark = BENCHMARKS[1];
+    let mut reference = llvm_env();
+    let names = [
+        "mem2reg",
+        "instcombine",
+        "gvn",
+        "simplifycfg",
+        "sroa",
+        "dce",
+    ];
+    let prefix: Vec<usize> = names[..4]
+        .iter()
+        .map(|n| reference.action_space().index_of(n).unwrap())
+        .collect();
+    let tail_a = reference.action_space().index_of(names[4]).unwrap();
+    let tail_b = reference.action_space().index_of(names[5]).unwrap();
+    let seq = |tail: usize| ActionSeq {
+        benchmark: benchmark.to_string(),
+        actions: prefix.iter().copied().chain([tail, tail]).collect(),
+    };
+
+    reference.set_benchmark(benchmark);
+    reference.reset().unwrap();
+    reference.step_batched(&prefix).unwrap();
+    let Observation::Text(prefix_ir) = reference.observe("Ir").unwrap() else {
+        panic!("Ir is text");
+    };
+    reference.step_batched(&[tail_b, tail_b]).unwrap();
+    let (want_score, want_metric) = (reference.episode_reward(), reference.last_metric());
+
+    // Apply ordinal 4 — the first action after the depth-4 deposit — dies.
+    let (sessions, stats) = FaultPlan::seeded(5)
+        .schedule(4, FaultKind::Panic)
+        .wrap(session_factory("llvm-v0").unwrap());
+    let factory: cg_core::EnvFactory = Arc::new(move |_widx| {
+        CompilerEnv::with_factory(
+            "llvm-v0",
+            Arc::clone(&sessions),
+            BENCHMARKS[0],
+            "Autophase",
+            "IrInstructionCount",
+            Duration::from_secs(30),
+        )
+    });
+    let pool = EnvPool::new(1, factory);
+    let _ = pool.evaluate_batch(vec![seq(tail_a)]);
+    assert_eq!(stats.panics(), 1, "the scheduled panic fired");
+
+    let (depth, snap) = pool
+        .cache()
+        .longest_prefix(benchmark, &seq(tail_b).actions)
+        .expect("the depth-4 snapshot is in the trie");
+    assert_eq!(depth, 4);
+    assert!(snap.state.is_live(), "trie nodes hold handles, not text");
+    assert_eq!(snap.state.to_bytes(), prefix_ir.as_bytes());
+
+    let out = pool.evaluate_batch(vec![seq(tail_b)]);
+    assert!(out[0].error.is_none(), "{:?}", out[0].error);
+    assert_eq!(out[0].score.to_bits(), want_score.to_bits());
+    assert_eq!(out[0].metric.to_bits(), want_metric.to_bits());
 }

@@ -119,6 +119,38 @@ fn hang_at_step_5_of_10_is_recovered_transparently() {
     assert_eq!(env.observe("Autophase").unwrap(), ref_obs);
 }
 
+/// With structural snapshots a checkpoint after *every* action is cheap.
+/// A hang then loses nothing: the wedged worker is abandoned — still
+/// holding a module that shares functions with the depth-4 snapshot — the
+/// episode resumes from that snapshot, and only the failed action re-runs.
+#[test]
+fn hang_with_per_action_snapshots_resumes_from_the_previous_step() {
+    let (ref_reward, ref_obs) = reference_run();
+    let (factory, stats) = FaultPlan::seeded(13)
+        .schedule(4, FaultKind::Hang)
+        .with_hang_duration(Duration::from_secs(3))
+        .wrap(session_factory("llvm-v0").unwrap());
+    let mut env = llvm_env(factory, Duration::from_millis(500));
+    env.set_checkpoint_interval(1);
+    env.reset().unwrap();
+    let mut actions = Vec::new();
+    for name in RECIPE {
+        let a = env.action_space().index_of(name).unwrap();
+        env.step(a).unwrap();
+        actions.push(a);
+    }
+    assert_eq!(stats.hangs(), 1, "exactly the scheduled hang fired");
+    assert!(env.service_restarts() >= 1);
+    let store = env.checkpoint_store();
+    assert_eq!(store.restores(), 1, "resumed from a snapshot, not a replay");
+    assert!(store.checkpoints_taken() >= RECIPE.len() as u64);
+    let at_fault = store.latest_matching(BENCH, 0, &actions[..4]).unwrap();
+    assert_eq!(at_fault.depth(), 4);
+    assert!(at_fault.state.is_live());
+    assert!((env.episode_reward() - ref_reward).abs() < 1e-9);
+    assert_eq!(env.observe("Autophase").unwrap(), ref_obs);
+}
+
 /// A deterministic session whose metric depends on which factory invocation
 /// built it: metric = construction_index * `gen_scale` + applies. With
 /// `gen_scale > 0` it models a nondeterministic compiler (every restart

@@ -13,10 +13,22 @@
 //! [`crate::am::AnalysisManager`] record the stamp they were computed at and
 //! are discarded when it no longer matches, which makes cache invalidation a
 //! single integer compare instead of a guess.
+//!
+//! Ownership is **copy-on-write**: a [`Module`] holds each function behind
+//! its own `Arc` and all globals behind one, so [`Module::clone`] is
+//! O(functions) reference-count bumps and the clone shares every function
+//! and every global with the original until one side mutates it. The only
+//! ways to a `&mut Function` or `&mut Vec<Global>` ([`Module::func_mut`],
+//! [`Module::take_func`], [`Module::globals_mut`]) un-share first, so a
+//! clone — a session snapshot, a fork, a cached benchmark — can never be
+//! changed from under its holder. The rule for passes follows: read through
+//! [`Module::func`] / [`Module::globals`], and take the `_mut` accessor only
+//! to mutate.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::inst::{Inst, Op, Terminator};
 use crate::types::Type;
@@ -156,6 +168,9 @@ pub struct Function {
 /// through the public API — and ignores internal storage order and stamps.
 impl PartialEq for Function {
     fn eq(&self, other: &Function) -> bool {
+        if std::ptr::eq(self, other) {
+            return true;
+        }
         self.name == other.name
             && self.params == other.params
             && self.ret_ty == other.ret_ty
@@ -401,16 +416,20 @@ impl Function {
 /// Functions use the same dense-arena + slot-map scheme as blocks within a
 /// function; `order` caches the live ids sorted ascending, which equals
 /// definition order because ids are allocated monotonically.
+///
+/// Cloning is shallow (see the module docs): the clone keeps every
+/// function's [`Stamp`], so analyses cached for the original stay valid for
+/// the clone and for whichever side is not mutated.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Module {
     /// Module name (usually the benchmark URI path).
     pub name: String,
-    functions: Vec<Function>,
+    functions: Vec<Arc<Function>>,
     /// Dense index → id (functions, unlike blocks, don't carry their id).
     ids: Vec<FuncId>,
     slot: Vec<u32>,
     order: Vec<FuncId>,
-    globals: Vec<Global>,
+    globals: Arc<Vec<Global>>,
 }
 
 /// Structural equality over live functions in definition order, globals and
@@ -418,9 +437,11 @@ pub struct Module {
 impl PartialEq for Module {
     fn eq(&self, other: &Module) -> bool {
         self.name == other.name
-            && self.globals == other.globals
+            && (Arc::ptr_eq(&self.globals, &other.globals) || self.globals == other.globals)
             && self.slot.len() == other.slot.len()
             && self.order == other.order
+            // `Function::eq` short-circuits on identity, which is what two
+            // handles to one shared function compare as.
             && self.order.iter().all(|&id| self.func(id) == other.func(id))
     }
 }
@@ -434,7 +455,7 @@ impl Module {
             ids: Vec::new(),
             slot: Vec::new(),
             order: Vec::new(),
-            globals: Vec::new(),
+            globals: Arc::default(),
         }
     }
 
@@ -442,15 +463,15 @@ impl Module {
     pub fn add_function(&mut self, f: Function) -> FuncId {
         let id = FuncId(self.slot.len() as u32);
         self.slot.push(self.functions.len() as u32);
-        self.functions.push(f);
+        self.functions.push(Arc::new(f));
         self.ids.push(id);
         self.order.push(id);
         id
     }
 
     /// Unlinks `id` from the dense arena, fixing up the displaced entry's
-    /// slot, and returns the function. Shared by removal and take.
-    fn detach_func(&mut self, id: FuncId) -> Function {
+    /// slot, and returns the function's handle. Shared by removal and take.
+    fn detach_func(&mut self, id: FuncId) -> Arc<Function> {
         let dense = self.slot[id.0 as usize];
         assert!(dense != DEAD, "function was removed");
         let f = self.functions.swap_remove(dense as usize);
@@ -486,17 +507,58 @@ impl Module {
         &self.functions[dense as usize]
     }
 
-    /// Mutably borrows a function. Does *not* advance the function's stamp
-    /// by itself — only actual mutations through [`Function`] methods do —
-    /// so per-function pass sweeps that merely look at each function keep
-    /// their cached analyses.
+    /// Mutably borrows a function, first copying it if a clone of this
+    /// module still shares it (the copy keeps the [`Stamp`]: same content,
+    /// same analyses). Does *not* advance the function's stamp by itself —
+    /// only actual mutations through [`Function`] methods do — so
+    /// per-function pass sweeps that merely look at each function keep
+    /// their cached analyses. Take it only to mutate: on a shared function
+    /// even an unused `func_mut` costs the copy and ends the sharing.
     ///
     /// # Panics
     /// Panics if the function has been removed.
     pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
         let dense = self.slot[id.0 as usize];
         assert!(dense != DEAD, "function was removed");
-        &mut self.functions[dense as usize]
+        Arc::make_mut(&mut self.functions[dense as usize])
+    }
+
+    /// True if `self` and `other` hold the *same* function object under
+    /// `id` — neither has written to it since one was cloned from the
+    /// other (or since [`Module::share_func_from`]).
+    pub fn shares_func_with(&self, other: &Module, id: FuncId) -> bool {
+        match (self.slot.get(id.0 as usize), other.slot.get(id.0 as usize)) {
+            (Some(&a), Some(&b)) if a != DEAD && b != DEAD => {
+                Arc::ptr_eq(&self.functions[a as usize], &other.functions[b as usize])
+            }
+            _ => false,
+        }
+    }
+
+    /// True if `self` and `other` hold the same globals object.
+    pub fn shares_globals_with(&self, other: &Module) -> bool {
+        Arc::ptr_eq(&self.globals, &other.globals)
+    }
+
+    /// Drops this module's copy of function `id` in favour of `donor`'s
+    /// handle to it, so the two share one object again. For snapshot
+    /// takers that know a function is unchanged since `donor` although a
+    /// read-modify sweep un-shared it. The caller vouches that the two
+    /// copies are equal; the adopted copy carries `donor`'s stamp.
+    ///
+    /// # Panics
+    /// Panics if `id` is not live in both modules.
+    pub fn share_func_from(&mut self, donor: &Module, id: FuncId) {
+        let dense = self.slot[id.0 as usize];
+        assert!(dense != DEAD, "function was removed");
+        let theirs = donor.slot[id.0 as usize];
+        assert!(theirs != DEAD, "function was removed from the donor");
+        debug_assert!(
+            self.functions[dense as usize] == donor.functions[theirs as usize],
+            "share_func_from: function {} differs from the donor's",
+            donor.functions[theirs as usize].name
+        );
+        self.functions[dense as usize] = Arc::clone(&donor.functions[theirs as usize]);
     }
 
     /// Live function ids in definition order. Borrows the internal order —
@@ -528,9 +590,11 @@ impl Module {
     /// Takes a function out of the module, leaving its id dead until
     /// [`Module::put_func`] restores it (used by the inliner to mutate one
     /// function while reading another). While taken, the function is absent
-    /// from [`Module::func_ids`] and iteration.
+    /// from [`Module::func_ids`] and iteration. A function still shared
+    /// with a clone of this module is copied out (stamp included); the
+    /// clone keeps the original.
     pub fn take_func(&mut self, id: FuncId) -> Function {
-        self.detach_func(id)
+        Arc::unwrap_or_clone(self.detach_func(id))
     }
 
     /// Puts a function back into its arena slot.
@@ -540,7 +604,7 @@ impl Module {
     pub fn put_func(&mut self, id: FuncId, f: Function) {
         assert!(self.slot[id.0 as usize] == DEAD);
         self.slot[id.0 as usize] = self.functions.len() as u32;
-        self.functions.push(f);
+        self.functions.push(Arc::new(f));
         self.ids.push(id);
         // Ids are allocated monotonically, so ascending id order *is*
         // definition order; reinsert at the sorted position.
@@ -551,7 +615,7 @@ impl Module {
     /// Adds a global, returning its id.
     pub fn add_global(&mut self, g: Global) -> GlobalId {
         let id = GlobalId(self.globals.len() as u32);
-        self.globals.push(g);
+        Arc::make_mut(&mut self.globals).push(g);
         id
     }
 
@@ -565,16 +629,18 @@ impl Module {
         &self.globals
     }
 
-    /// Mutably borrows the globals.
+    /// Mutably borrows the globals, first copying them if a clone of this
+    /// module still shares them. Take it only to mutate (see
+    /// [`Module::func_mut`]): the initialisers are often most of a module.
     pub fn globals_mut(&mut self) -> &mut Vec<Global> {
-        &mut self.globals
+        Arc::make_mut(&mut self.globals)
     }
 
     /// Total instruction count across all functions (the `IrInstructionCount`
     /// metric / "code size" reward of the LLVM environment).
     pub fn inst_count(&self) -> usize {
         // Dense sweep over live functions; order is irrelevant for a sum.
-        self.functions.iter().map(Function::inst_count).sum()
+        self.functions.iter().map(|f| f.inst_count()).sum()
     }
 
     /// Number of live functions.
@@ -706,6 +772,114 @@ mod tests {
         m.put_func(f1, taken);
         assert_eq!(m.func_ids(), &[f1, f2], "definition order restored");
         assert_eq!(m.func(f1).name, "f");
+    }
+
+    /// Two functions and one global; `f` returns its parameter.
+    fn two_function_module() -> (Module, FuncId, FuncId) {
+        let mut m = Module::new("m");
+        let f = m.add_function(tiny_function());
+        let mut g = Function::new("g", &[Type::I64], Type::I64);
+        let e = g.add_block();
+        g.block_mut(e).term = Terminator::Ret {
+            value: Some(Operand::const_int(1)),
+        };
+        let g = m.add_function(g);
+        m.add_global(Global {
+            name: "table".into(),
+            slots: 2,
+            init: vec![3, 4],
+            constant: false,
+        });
+        (m, f, g)
+    }
+
+    /// A function-local "pass": rewrites one function through `func_mut`.
+    fn rewrite_return(m: &mut Module, fid: FuncId, to: i64) {
+        let f = m.func_mut(fid);
+        let e = f.entry();
+        f.block_mut(e).term = Terminator::Ret {
+            value: Some(Operand::const_int(to)),
+        };
+    }
+
+    #[test]
+    fn clone_shares_until_written_and_writes_never_reach_the_clone() {
+        let (mut m, f, g) = two_function_module();
+        let snap = m.clone();
+        let before = crate::printer::print_module(&snap);
+        assert!(snap.shares_func_with(&m, f) && snap.shares_func_with(&m, g));
+        assert!(snap.shares_globals_with(&m));
+        assert_eq!(snap, m);
+
+        // A function-local pass: only the function it writes is copied.
+        rewrite_return(&mut m, f, 42);
+        assert!(!snap.shares_func_with(&m, f));
+        assert!(
+            snap.shares_func_with(&m, g),
+            "untouched function stays shared"
+        );
+        assert!(snap.shares_globals_with(&m), "globals stay shared");
+        assert_eq!(crate::printer::print_module(&snap), before);
+        assert_ne!(crate::printer::print_module(&m), before);
+        assert_ne!(snap, m);
+
+        // Globals copy on their first write, and only then.
+        m.globals_mut()[0].init[0] = 9;
+        assert!(!snap.shares_globals_with(&m));
+        assert_eq!(snap.global(GlobalId(0)).init, vec![3, 4]);
+        assert_eq!(crate::printer::print_module(&snap), before);
+
+        // The clone can be written too, without reaching the original.
+        let mut snap = snap;
+        let after = crate::printer::print_module(&m);
+        rewrite_return(&mut snap, g, 7);
+        assert_eq!(crate::printer::print_module(&m), after);
+    }
+
+    #[test]
+    fn cow_copy_keeps_the_stamp_until_a_real_mutation() {
+        let (mut m, f, _) = two_function_module();
+        let snap = m.clone();
+        let s0 = snap.func(f).stamp();
+        // `func_mut` on a shared function copies it; the copy is the same
+        // content, so it keeps the stamp and the analyses cached under it.
+        let _ = m.func_mut(f);
+        assert!(!snap.shares_func_with(&m, f));
+        assert_eq!(m.func(f).stamp(), s0);
+        rewrite_return(&mut m, f, 5);
+        assert_ne!(m.func(f).stamp(), s0);
+        assert_eq!(snap.func(f).stamp(), s0, "the clone's stamp never moves");
+    }
+
+    #[test]
+    fn take_and_put_on_a_shared_function_leaves_the_clone_intact() {
+        let (mut m, f, g) = two_function_module();
+        let snap = m.clone();
+        let mut taken = m.take_func(f);
+        assert_eq!(taken.stamp(), snap.func(f).stamp());
+        let e = taken.entry();
+        taken.block_mut(e).term = Terminator::Unreachable;
+        m.put_func(f, taken);
+        assert_eq!(m.func_ids(), &[f, g]);
+        assert!(matches!(
+            snap.func(f).block(e).term,
+            Terminator::Ret { value: Some(_) }
+        ));
+        assert!(matches!(m.func(f).block(e).term, Terminator::Unreachable));
+        assert!(snap.shares_func_with(&m, g));
+    }
+
+    #[test]
+    fn share_func_from_restores_sharing() {
+        let (mut m, f, g) = two_function_module();
+        let snap = m.clone();
+        let _ = m.func_mut(f); // a sweep that looked but changed nothing
+        rewrite_return(&mut m, g, 2);
+        assert!(!snap.shares_func_with(&m, f));
+        m.share_func_from(&snap, f);
+        assert!(snap.shares_func_with(&m, f));
+        assert!(!snap.shares_func_with(&m, g));
+        assert!(!snap.shares_func_with(&m, FuncId(9)), "unknown id");
     }
 
     #[test]

@@ -25,6 +25,15 @@ pub enum Touched {
 }
 
 impl Touched {
+    /// Whether `id` may have been modified.
+    pub fn contains(&self, id: FuncId) -> bool {
+        match self {
+            Touched::None => false,
+            Touched::Funcs(ids) => ids.contains(&id),
+            Touched::All => true,
+        }
+    }
+
     /// Merges another effect into this one (set union, saturating at `All`).
     pub fn merge(&mut self, other: Touched) {
         match (&mut *self, other) {

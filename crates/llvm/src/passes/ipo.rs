@@ -303,9 +303,9 @@ impl Pass for FunctionAttrs {
     fn run(&self, m: &mut Module) -> bool {
         let mut changed = false;
         for fid in m.func_ids_vec() {
-            let f = m.func_mut(fid);
+            let f = m.func(fid);
             if f.inline_hint == InlineHint::None && f.inst_count() <= 4 && f.name != "main" {
-                f.inline_hint = InlineHint::Always;
+                m.func_mut(fid).inline_hint = InlineHint::Always;
                 changed = true;
             }
         }

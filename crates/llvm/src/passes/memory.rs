@@ -766,11 +766,18 @@ impl Pass for GlobalOpt {
                 }
             }
         }
-        for (gi, g) in m.globals_mut().iter_mut().enumerate() {
-            if !stored.contains(&(gi as u32)) && !g.constant {
-                g.constant = true;
-                changed = true;
+        // Decide on the shared view first: `globals_mut` copies every
+        // initialiser when a snapshot still shares them, so it is taken
+        // only when a global really changes.
+        let promote: Vec<usize> = (0..m.globals().len())
+            .filter(|&gi| !stored.contains(&(gi as u32)) && !m.globals()[gi].constant)
+            .collect();
+        if !promote.is_empty() {
+            let globals = m.globals_mut();
+            for gi in promote {
+                globals[gi].constant = true;
             }
+            changed = true;
         }
         // 2. Fold loads of constant globals at constant offsets.
         let globals: Vec<(bool, Vec<i64>, u32)> = m

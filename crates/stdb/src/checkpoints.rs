@@ -382,6 +382,73 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The drain path end to end on the real backend: a broker parks a
+    /// live llvm-v0 session as a structural snapshot, the disk sink gets
+    /// its printed-IR encoding, and a ring seeded from the directory in a
+    /// 'new process' restores byte-identical state that evolves the same.
+    #[test]
+    fn broker_drain_parks_structural_snapshots_that_reseed_from_disk() {
+        use cg_core::broker::{Broker, BrokerConfig};
+        use cg_core::service::{Request, Response};
+        use cg_core::session::CompilationSession;
+        use std::time::Duration;
+
+        const BENCH: &str = "benchmark://cbench-v1/crc32";
+        let mut straight = cg_core::envs::llvm::LlvmSession::new();
+        straight.init(BENCH, 0).unwrap();
+        let names = straight.action_spaces().remove(0).actions;
+        let index = |n: &str| names.iter().position(|a| a == n).unwrap();
+        let actions = vec![index("mem2reg"), index("instcombine"), index("gvn")];
+        let probe = index("simplifycfg");
+        for &a in &actions {
+            straight.apply_action(a).unwrap();
+        }
+        let want = straight.save_state().unwrap();
+
+        let dir = tmpdir("drain");
+        {
+            let store = DiskCheckpoints::open(&dir).unwrap().store(8, 1000);
+            let broker = Broker::new(
+                cg_core::envs::session_factory("llvm-v0").unwrap(),
+                BrokerConfig {
+                    workers: 1,
+                    checkpoints: store.clone(),
+                    ..BrokerConfig::default()
+                },
+            );
+            let start = Request::StartSession {
+                benchmark: BENCH.into(),
+                action_space: 0,
+            };
+            let Response::SessionStarted { session_id } = broker.call("t", start) else {
+                panic!("session did not start");
+            };
+            let step = Request::Step {
+                session_id,
+                actions: actions.clone(),
+                observation_spaces: vec![],
+            };
+            assert!(matches!(broker.call("t", step), Response::Stepped { .. }));
+            assert_eq!(broker.drain(Duration::from_secs(5)).checkpointed, 1);
+            let parked = store.latest_matching(BENCH, 0, &actions).unwrap();
+            assert!(parked.state.is_live(), "the ring keeps the handle");
+            assert_eq!(parked.state.to_bytes(), &want[..]);
+        }
+
+        let store = DiskCheckpoints::open(&dir).unwrap().store(8, 1000);
+        let seeded = store.latest_matching(BENCH, 0, &actions).unwrap();
+        assert_eq!(seeded.depth(), 3);
+        assert!(!seeded.state.is_live(), "disk hands back bytes");
+        assert_eq!(seeded.state.to_bytes(), &want[..]);
+        let mut restored = cg_core::envs::llvm::LlvmSession::new();
+        restored.init(BENCH, 0).unwrap();
+        restored.restore(&seeded.state).unwrap();
+        straight.apply_action(probe).unwrap();
+        restored.apply_action(probe).unwrap();
+        assert_eq!(restored.save_state(), straight.save_state());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn store_is_seeded_from_disk_and_persists_new_checkpoints() {
         let dir = tmpdir("seed");
