@@ -14,9 +14,8 @@
 //! cg export-metrics [env bench steps]       Prometheus / JSONL metrics dump
 //! cg chaos [flags]                          soak episodes under fault injection
 //! cg fuzz [flags]                           differential pass-pipeline fuzzing
-//! cg bench-pool [flags]                     parallel-evaluation throughput report
 //! cg stdb <subcommand> <dir>                transition-store maintenance
-//! cg bench-stdb [flags]                     replay-vs-live throughput report
+//! cg serve [flags]                          multi-tenant TCP front door
 //! ```
 //!
 //! Commands that evaluate environments accept `--stdb DIR` to stream every
@@ -33,11 +32,7 @@ fn usage() -> ExitCode {
          cg stdb scrub <dir> [--repair] [--json]\n  \
          cg stdb compact <dir> [--json]\n  \
          cg stdb stats <dir> [--json]\n  \
-         cg bench-stdb [--episodes N] [--steps N] [--seed S] [--dir DIR] [--out PATH] [--json]\n  \
          cg stats [--json] [--slo-ms MS] [--no-analysis-cache] [--stdb DIR] <env> <benchmark> <steps>\n  \
-         cg bench-ir [--benchmark URI] [--iters N] [--episode-len N] [--out PATH] [--json]\n  \
-         cg bench-wire [--benchmark URI] [--episodes N] [--episode-len N] [--window N]\n                \
-         [--out PATH] [--json] [--no-gates]\n  \
          cg trace [--episode ID|last] [--json] [--tcp] [--chaos-seed S]\n           \
          [<env> <benchmark> <steps>]\n  \
          cg export-metrics [--jsonl] [--slo-ms MS] [<env> <benchmark> <steps>]\n  \
@@ -50,16 +45,10 @@ fn usage() -> ExitCode {
          cg fuzz [--seed-range A..B] [--jobs N] [--profile NAME] [--max-passes N]\n          \
          [--inputs N] [--corpus DIR] [--no-corpus] [--budget-secs N]\n          \
          [--reduce-budget N] [--stdb DIR] [--smoke] [--json]\n  \
-         cg bench-pool [--workers LIST] [--evaluations N] [--length N] [--benchmark URI]\n                \
-         [--ga-budget N] [--ga-pop N] [--seed S] [--stdb DIR] [--out PATH] [--json]\n  \
-         cg serve [--addr A] [--env E|--spin-us US] [--workers N] [--max-sessions N]\n           \
+         cg serve [--addr A] [--env E] [--workers N] [--max-sessions N]\n           \
          [--tenant-sessions N] [--tenant-aps R] [--burst B] [--queue-depth N]\n           \
          [--quantum Q] [--max-connections N] [--retry-after-ms MS] [--codec json|binary]\n           \
-         [--drain-grace-ms MS] [--serve-metrics ADDR] [--drain] [--drain-after-ms MS]\n  \
-         cg loadtest [--workers N] [--victims N] [--noisy-clients N] [--tenant-sessions N]\n              \
-         [--spin-us US] [--window-ms MS] [--episode-steps N] [--retry-after-ms MS]\n              \
-         [--codec json|binary] [--out PATH] [--json] [--require-shed]\n              \
-         [--min-fairness F] [--max-p99-ratio R]"
+         [--drain-grace-ms MS] [--serve-metrics ADDR] [--drain]"
     );
     ExitCode::FAILURE
 }
@@ -73,7 +62,6 @@ fn main() -> ExitCode {
         Some("describe") => describe(args.get(1).map(String::as_str).unwrap_or("llvm-v0")),
         Some("random") => random(&args[1..]),
         Some("stdb") => stdb_cmd(&args[1..]),
-        Some("bench-stdb") => bench_stdb(&args[1..]),
         Some("replay") => replay(args.get(1).map(String::as_str), false),
         Some("validate") => replay(args.get(1).map(String::as_str), true),
         Some("stats") => stats(&args[1..]),
@@ -81,11 +69,7 @@ fn main() -> ExitCode {
         Some("export-metrics") => export_metrics(&args[1..]),
         Some("chaos") => chaos(&args[1..]),
         Some("fuzz") => fuzz(&args[1..]),
-        Some("bench-ir") => bench_ir(&args[1..]),
-        Some("bench-wire") => bench_wire(&args[1..]),
-        Some("bench-pool") => bench_pool(&args[1..]),
         Some("serve") => serve(&args[1..]),
-        Some("loadtest") => loadtest(&args[1..]),
         Some("datasets") => {
             for d in cg_datasets::datasets() {
                 println!(
@@ -1804,746 +1788,6 @@ fn stdb_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The `cg bench-stdb` surface: populate a store from live llvm-v0
-/// episodes (timing both the episodes and the WAL ingest behind them),
-/// scrub it cold, then replay the *same* seeded trajectories through the
-/// `replay://` environment and compare episodes/s. Writes the
-/// machine-readable report to `BENCH_stdb.json` (override with `--out`).
-fn bench_stdb(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use std::time::Instant;
-
-    let mut episodes: u64 = 8;
-    let mut steps: u64 = 12;
-    let mut seed: u64 = 7;
-    let mut dir_arg: Option<String> = None;
-    let mut out_path = "BENCH_stdb.json".to_string();
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> Result<&String, Box<dyn std::error::Error>> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value").into())
-        };
-        match flag.as_str() {
-            "--episodes" => episodes = val("--episodes")?.parse::<u64>()?.max(1),
-            "--steps" => steps = val("--steps")?.parse::<u64>()?.max(1),
-            "--seed" => seed = val("--seed")?.parse()?,
-            "--dir" => dir_arg = Some(val("--dir")?.clone()),
-            "--out" => out_path = val("--out")?.clone(),
-            "--json" => json = true,
-            other => return Err(format!("unknown bench-stdb flag `{other}`").into()),
-        }
-    }
-
-    let tel = cg_telemetry::global();
-    tel.reset();
-    // A fresh scratch store unless the caller pinned one: the hit rate is
-    // only meaningful against a store this run populated.
-    let dir = match dir_arg {
-        Some(d) => std::path::PathBuf::from(d),
-        None => {
-            let d = std::env::temp_dir().join(format!("cg-bench-stdb-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&d);
-            d
-        }
-    };
-
-    // Live arm: real compiler episodes, every transition flowing through
-    // the sink into the WAL.
-    let store = install_stdb_sink(dir.to_str().ok_or("store dir is not valid UTF-8")?)?;
-    let mut env = cg_core::make("llvm-v0")?;
-    let live_start = Instant::now();
-    let mut live_rewards = Vec::with_capacity(episodes as usize);
-    for ep in 0..episodes {
-        env.set_benchmark(SOAK_BENCHMARKS[(ep % SOAK_BENCHMARKS.len() as u64) as usize]);
-        live_rewards.push(seeded_episode(&mut env, seed, ep, steps)?);
-    }
-    let live_wall = live_start.elapsed();
-    drop(env);
-    store.flush();
-    let ingest = store.stats();
-    cg_core::clear_transition_sink();
-    drop(store);
-
-    // Cold integrity pass over everything just written.
-    let scrub = cg_stdb::scrub_dir(&dir, &cg_stdb::WalConfig::default(), false, None)?;
-
-    // Replay arm: the same seeded trajectories answered from the store.
-    let uri = format!("replay://llvm-v0?dir={}", dir.display());
-    let mut renv = cg_core::make(&uri)?;
-    let replay_start = Instant::now();
-    let mut replay_rewards = Vec::with_capacity(episodes as usize);
-    for ep in 0..episodes {
-        renv.set_benchmark(SOAK_BENCHMARKS[(ep % SOAK_BENCHMARKS.len() as u64) as usize]);
-        replay_rewards.push(seeded_episode(&mut renv, seed, ep, steps)?);
-    }
-    let replay_wall = replay_start.elapsed();
-    drop(renv);
-
-    let snap = tel.snapshot();
-    let hits = snap.stdb.replay_hits;
-    let misses = snap.stdb.replay_misses;
-    let hit_rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
-    let live_eps = episodes as f64 / live_wall.as_secs_f64().max(1e-9);
-    let replay_eps = episodes as f64 / replay_wall.as_secs_f64().max(1e-9);
-    let speedup = replay_eps / live_eps.max(1e-9);
-    let max_reward_delta = live_rewards
-        .iter()
-        .zip(&replay_rewards)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0_f64, f64::max);
-
-    #[derive(serde::Serialize)]
-    struct Arm {
-        wall_ms: f64,
-        episodes_per_sec: f64,
-    }
-    #[derive(serde::Serialize)]
-    struct IngestReport {
-        records: u64,
-        bytes: u64,
-        records_per_sec: f64,
-        dropped: u64,
-        segments: u64,
-    }
-    #[derive(serde::Serialize)]
-    struct Report {
-        episodes: u64,
-        steps_per_episode: u64,
-        seed: u64,
-        store_dir: String,
-        live: Arm,
-        replay: Arm,
-        speedup: f64,
-        replay_hits: u64,
-        replay_misses: u64,
-        hit_rate: f64,
-        max_reward_delta: f64,
-        ingest: IngestReport,
-        scrub: cg_stdb::ScrubReport,
-    }
-    let report = Report {
-        episodes,
-        steps_per_episode: steps,
-        seed,
-        store_dir: dir.display().to_string(),
-        live: Arm {
-            wall_ms: live_wall.as_secs_f64() * 1e3,
-            episodes_per_sec: live_eps,
-        },
-        replay: Arm {
-            wall_ms: replay_wall.as_secs_f64() * 1e3,
-            episodes_per_sec: replay_eps,
-        },
-        speedup,
-        replay_hits: hits,
-        replay_misses: misses,
-        hit_rate,
-        max_reward_delta,
-        ingest: IngestReport {
-            records: snap.stdb.ingest_records,
-            bytes: snap.stdb.ingest_bytes,
-            records_per_sec: snap.stdb.ingest_records as f64 / live_wall.as_secs_f64().max(1e-9),
-            dropped: snap.stdb.dropped_records,
-            segments: ingest.segments,
-        },
-        scrub: scrub.clone(),
-    };
-    let rendered = serde_json::to_string_pretty(&report)?;
-    std::fs::write(&out_path, format!("{rendered}\n"))?;
-    if json {
-        println!("{rendered}");
-    } else {
-        println!(
-            "bench-stdb: {} episode(s) × {} step(s), store {}",
-            episodes,
-            steps,
-            dir.display()
-        );
-        println!(
-            "  live    {:>8.1} ms  {:>8.1} episodes/s",
-            report.live.wall_ms, report.live.episodes_per_sec
-        );
-        println!(
-            "  replay  {:>8.1} ms  {:>8.1} episodes/s  ({speedup:.1}× live)",
-            report.replay.wall_ms, report.replay.episodes_per_sec
-        );
-        println!(
-            "  hit rate {:.1}% ({hits} hits, {misses} misses)  max reward delta {:.6}",
-            100.0 * hit_rate,
-            max_reward_delta
-        );
-        println!(
-            "  ingest: {} record(s), {} byte(s), {:.0} records/s, {} dropped",
-            report.ingest.records,
-            report.ingest.bytes,
-            report.ingest.records_per_sec,
-            report.ingest.dropped
-        );
-        println!(
-            "  scrub: ok={} corrupt={} torn-tails={} (clean={})",
-            scrub.records_ok,
-            scrub.records_corrupt,
-            scrub.torn_tails,
-            scrub.is_clean()
-        );
-        println!("report written to {out_path}");
-    }
-    Ok(())
-}
-
-/// The `cg bench-ir` surface: measure the analysis cache against
-/// always-recompute on three workloads — raw dom/loops/liveness requests,
-/// a full `-Oz` pipeline, and a 100-action episode against a persistent
-/// per-session manager (the RL stepping shape). Medians over `--iters`
-/// timed runs; writes the machine-readable report to `BENCH_ir.json`
-/// (override with `--out`). The no-cache arm is exactly the
-/// `--no-analysis-cache` behavior: every analysis request recomputes and
-/// no pass application is memoized.
-fn bench_ir(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use cg_ir::AnalysisManager;
-    use std::time::Instant;
-
-    let mut benchmark = "benchmark://cbench-v1/sha".to_string();
-    let mut iters: usize = 30;
-    let mut episode_len: usize = 100;
-    let mut out_path = "BENCH_ir.json".to_string();
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> Result<&String, Box<dyn std::error::Error>> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value").into())
-        };
-        match flag.as_str() {
-            "--benchmark" => benchmark = val("--benchmark")?.clone(),
-            "--iters" => iters = val("--iters")?.parse::<usize>()?.max(3),
-            "--episode-len" => episode_len = val("--episode-len")?.parse::<usize>()?.max(1),
-            "--out" => out_path = val("--out")?.clone(),
-            "--json" => json = true,
-            other => return Err(format!("unknown bench-ir flag `{other}`").into()),
-        }
-    }
-
-    let m = cg_datasets::benchmark(&benchmark)?;
-    let median_ns = |f: &mut dyn FnMut()| -> u64 {
-        f(); // warm-up (page in the dataset, fill allocator pools)
-        let mut samples = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let t = Instant::now();
-            f();
-            samples.push(t.elapsed().as_nanos() as u64);
-        }
-        samples.sort_unstable();
-        samples[samples.len() / 2]
-    };
-
-    #[derive(serde::Serialize)]
-    struct Scenario {
-        name: String,
-        cached_ns: u64,
-        no_cache_ns: u64,
-        speedup: f64,
-    }
-    let scenario = |name: &str, cached: &mut dyn FnMut(), no_cache: &mut dyn FnMut()| {
-        let cached_ns = median_ns(cached).max(1);
-        let no_cache_ns = median_ns(no_cache).max(1);
-        Scenario {
-            name: name.to_string(),
-            cached_ns,
-            no_cache_ns,
-            speedup: no_cache_ns as f64 / cached_ns as f64,
-        }
-    };
-
-    let mut scenarios = Vec::new();
-
-    // 1. Raw analysis requests on an unchanged module.
-    {
-        let mut warm = AnalysisManager::new();
-        let mut cold = AnalysisManager::disabled();
-        scenarios.push(scenario(
-            "analysis_fetch",
-            &mut || {
-                for &fid in m.func_ids() {
-                    let f = m.func(fid);
-                    std::hint::black_box(warm.dom(fid, f));
-                    std::hint::black_box(warm.loops(fid, f));
-                    std::hint::black_box(warm.liveness(fid, f));
-                }
-            },
-            &mut || {
-                for &fid in m.func_ids() {
-                    let f = m.func(fid);
-                    std::hint::black_box(cold.dom(fid, f));
-                    std::hint::black_box(cold.loops(fid, f));
-                    std::hint::black_box(cold.liveness(fid, f));
-                }
-            },
-        ));
-    }
-
-    // 2. One fresh -Oz pipeline per iteration.
-    {
-        let names = cg_llvm::pipeline::OptLevel::Oz.pass_names();
-        scenarios.push(scenario(
-            "oz_pipeline",
-            &mut || {
-                let mut x = m.clone();
-                let mut am = AnalysisManager::new();
-                cg_llvm::pipeline::run_passes_with(&mut x, &names, &mut am);
-            },
-            &mut || {
-                let mut x = m.clone();
-                let mut am = AnalysisManager::disabled();
-                cg_llvm::pipeline::run_passes_with(&mut x, &names, &mut am);
-            },
-        ));
-    }
-
-    // 3. An episode with a persistent per-session manager (the counters
-    // below come from the cached arm of this scenario).
-    let space = cg_llvm::action_space::ActionSpace::new();
-    let episode_seq: Vec<usize> = [
-        "mem2reg",
-        "gvn",
-        "licm",
-        "early-cse",
-        "sccp",
-        "instcombine",
-        "dce",
-        "jump-threading",
-        "adce",
-    ]
-    .iter()
-    .cycle()
-    .take(episode_len)
-    .map(|n| {
-        space
-            .index_of(n)
-            .unwrap_or_else(|| panic!("unknown pass `{n}`"))
-    })
-    .collect();
-    let episode_name = format!("episode{episode_len}");
-    scenarios.push(scenario(
-        &episode_name,
-        &mut || {
-            let mut x = m.clone();
-            let mut am = AnalysisManager::new();
-            for &a in &episode_seq {
-                space.apply_with(&mut x, a, &mut am);
-            }
-        },
-        &mut || {
-            let mut x = m.clone();
-            let mut am = AnalysisManager::disabled();
-            for &a in &episode_seq {
-                space.apply_with(&mut x, a, &mut am);
-            }
-        },
-    ));
-
-    // One instrumented cached episode for the counters (the timed arms
-    // above interleave cached and disabled runs, so their totals mix).
-    cg_ir::am::reset_cache_stats();
-    {
-        let mut x = m.clone();
-        let mut am = AnalysisManager::new();
-        for &a in &episode_seq {
-            space.apply_with(&mut x, a, &mut am);
-        }
-    }
-    let cache = cg_ir::am::cache_stats();
-
-    #[derive(serde::Serialize)]
-    struct CacheCounters {
-        hits: u64,
-        misses: u64,
-        invalidations: u64,
-        hit_rate: f64,
-        noop_skips: u64,
-    }
-    #[derive(serde::Serialize)]
-    struct Report {
-        benchmark: String,
-        iters: usize,
-        episode_len: usize,
-        scenarios: Vec<Scenario>,
-        cache: CacheCounters,
-    }
-    let report = Report {
-        benchmark,
-        iters,
-        episode_len,
-        scenarios,
-        cache: CacheCounters {
-            hits: cache.hits,
-            misses: cache.misses,
-            invalidations: cache.invalidations,
-            hit_rate: cache.hit_rate(),
-            noop_skips: cache.noop_skips,
-        },
-    };
-    let rendered = serde_json::to_string_pretty(&report)?;
-    std::fs::write(&out_path, &rendered)?;
-    if json {
-        println!("{rendered}");
-    } else {
-        println!(
-            "bench-ir on {} (median of {} iters):",
-            report.benchmark, report.iters
-        );
-        println!(
-            "  {:<16} {:>12} {:>12} {:>9}",
-            "scenario", "cached", "no-cache", "speedup"
-        );
-        for s in &report.scenarios {
-            println!(
-                "  {:<16} {:>10}ns {:>10}ns {:>8.2}x",
-                s.name, s.cached_ns, s.no_cache_ns, s.speedup
-            );
-        }
-        println!(
-            "  cache: hits={} misses={} invalidations={} hit-rate={:.1}% noop-skips={}",
-            report.cache.hits,
-            report.cache.misses,
-            report.cache.invalidations,
-            100.0 * report.cache.hit_rate,
-            report.cache.noop_skips
-        );
-        println!("\nreport written to {out_path}");
-    }
-    Ok(())
-}
-
-/// The `cg bench-pool` surface: measure parallel-evaluation throughput
-/// (batch evaluation and vectorized RL stepping) at each requested worker
-/// count, and quantify how much raw pass-pipeline work the evaluation
-/// cache saves a genetic-algorithm search at equal budget. Writes the
-/// machine-readable report to `BENCH_pool.json` (override with `--out`).
-fn bench_pool(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use cg_core::{ActionSeq, EnvFactory, EnvPool, EvalCache};
-    use rand::rngs::StdRng;
-    use rand::{Rng as _, SeedableRng as _};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let mut worker_counts: Vec<usize> = vec![1, 2, 4, 8];
-    let mut evaluations: usize = 64;
-    let mut length: usize = 8;
-    let mut benchmark = "benchmark://cbench-v1/crc32".to_string();
-    let mut ga_budget: u64 = 240;
-    let mut ga_pop: usize = 16;
-    let mut seed: u64 = 7;
-    let mut out_path = "BENCH_pool.json".to_string();
-    let mut json = false;
-    let mut stdb_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> Result<&String, Box<dyn std::error::Error>> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value").into())
-        };
-        match flag.as_str() {
-            "--workers" => {
-                worker_counts = val("--workers")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()?;
-                if worker_counts.is_empty() {
-                    return Err("--workers wants a list like 1,2,4,8".into());
-                }
-            }
-            "--evaluations" => evaluations = val("--evaluations")?.parse()?,
-            "--length" => length = val("--length")?.parse::<usize>()?.max(1),
-            "--benchmark" => benchmark = val("--benchmark")?.clone(),
-            "--ga-budget" => ga_budget = val("--ga-budget")?.parse()?,
-            "--ga-pop" => ga_pop = val("--ga-pop")?.parse()?,
-            "--seed" => seed = val("--seed")?.parse()?,
-            "--out" => out_path = val("--out")?.clone(),
-            "--json" => json = true,
-            "--stdb" => stdb_dir = Some(val("--stdb")?.clone()),
-            other => return Err(format!("unknown bench-pool flag `{other}`").into()),
-        }
-    }
-    // With --stdb, every pool worker's evaluations land in the store too —
-    // the sink hooks the environment layer, so nothing pool-side changes.
-    let store = stdb_dir.as_deref().map(install_stdb_sink).transpose()?;
-
-    let factory: EnvFactory = {
-        let benchmark = benchmark.clone();
-        Arc::new(move |_widx| {
-            cg_core::CompilerEnv::with_factory(
-                "llvm-v0",
-                cg_core::envs::session_factory("llvm-v0").map_err(cg_core::CgError::Unknown)?,
-                &benchmark,
-                "Autophase",
-                "IrInstructionCount",
-                std::time::Duration::from_secs(60),
-            )
-        })
-    };
-    let probe = factory(0)?;
-    let num_actions = probe.action_space().len();
-    drop(probe);
-
-    // The same deterministic job set for every worker count.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let jobs: Vec<ActionSeq> = (0..evaluations)
-        .map(|_| ActionSeq {
-            benchmark: benchmark.clone(),
-            actions: (0..length).map(|_| rng.gen_range(0..num_actions)).collect(),
-        })
-        .collect();
-
-    #[derive(serde::Serialize)]
-    struct WorkerPoint {
-        workers: usize,
-        evaluations: usize,
-        evals_per_sec: f64,
-        batch_wall_ms: f64,
-        episodes: usize,
-        episodes_per_sec: f64,
-        errors: usize,
-    }
-    #[derive(serde::Serialize)]
-    struct GaReport {
-        budget: u64,
-        population: usize,
-        best_cached: f64,
-        best_uncached: f64,
-        executed_cached: u64,
-        executed_uncached: u64,
-        saved: u64,
-        cache_hits: u64,
-        prefix_hits: u64,
-        savings_pct: f64,
-    }
-    #[derive(serde::Serialize)]
-    struct Report {
-        cpus: usize,
-        benchmark: String,
-        length: usize,
-        workers: Vec<WorkerPoint>,
-        ga: GaReport,
-    }
-
-    let tel = cg_telemetry::global();
-    let mut points = Vec::new();
-    for &w in &worker_counts {
-        // Cache disabled: pure evaluation throughput, no reuse between
-        // worker counts.
-        let pool = EnvPool::with_cache(w, Arc::clone(&factory), Arc::new(EvalCache::disabled()));
-        // Warm the workers (spawn threads, build envs, parse the benchmark)
-        // outside the timed region.
-        let warm: Vec<ActionSeq> = jobs.iter().take(w).cloned().collect();
-        let _ = pool.evaluate_batch(warm);
-        let start = Instant::now();
-        let outcomes = pool.evaluate_batch(jobs.clone());
-        let wall = start.elapsed();
-        let errors = outcomes.iter().filter(|o| o.error.is_some()).count();
-
-        // Vectorized RL stepping: one lockstep episode per worker, repeated.
-        let rounds = (evaluations / w.max(1)).clamp(1, 8);
-        let ep_start = Instant::now();
-        let mut ep_rng = StdRng::seed_from_u64(seed ^ 0xE915);
-        for _ in 0..rounds {
-            for r in pool.reset_all() {
-                r?;
-            }
-            for _ in 0..length {
-                let actions: Vec<usize> =
-                    (0..w).map(|_| ep_rng.gen_range(0..num_actions)).collect();
-                for s in pool.step_all(&actions) {
-                    s?;
-                }
-            }
-        }
-        let ep_wall = ep_start.elapsed();
-        let episodes = rounds * w;
-        points.push(WorkerPoint {
-            workers: w,
-            evaluations,
-            evals_per_sec: evaluations as f64 / wall.as_secs_f64(),
-            batch_wall_ms: wall.as_secs_f64() * 1e3,
-            episodes,
-            episodes_per_sec: episodes as f64 / ep_wall.as_secs_f64(),
-            errors,
-        });
-    }
-
-    // GA at equal budget, cached vs uncached: identical rng stream, so the
-    // uncached run executes every action the cached run either executes or
-    // saves. The workload mirrors `cg_autotune::genetic_algorithm` over a
-    // pool-backed problem (elitist, tournament selection, 0.6 mutation).
-    let ga_workers = worker_counts.iter().copied().max().unwrap_or(2);
-    // (best score, actions executed, actions saved, cache hits, prefix hits)
-    type GaOutcome = (f64, u64, u64, u64, u64);
-    let run_ga = |cache: EvalCache| -> Result<GaOutcome, Box<dyn std::error::Error>> {
-        let pool = EnvPool::with_cache(ga_workers, Arc::clone(&factory), Arc::new(cache));
-        let executed_before = tel.pool.actions_executed.get();
-        let saved_before = tel.pool.actions_saved.get();
-        let hits_before = tel.pool.cache_hits.get();
-        let prefix_before = tel.pool.prefix_hits.get();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6A);
-        let eval_many = |pool: &EnvPool, pts: &[Vec<usize>]| -> Vec<f64> {
-            let seqs = pts
-                .iter()
-                .map(|p| ActionSeq {
-                    benchmark: benchmark.clone(),
-                    actions: p.clone(),
-                })
-                .collect();
-            pool.evaluate_batch(seqs)
-                .into_iter()
-                .map(|o| o.score)
-                .collect()
-        };
-        let population = ga_pop.max(4);
-        let batch = ga_workers * 2;
-        let mut pop: Vec<(Vec<usize>, f64)> = Vec::new();
-        let mut evals = 0u64;
-        let seed_n = population.min(ga_budget as usize);
-        while pop.len() < seed_n {
-            let k = batch.min(seed_n - pop.len());
-            let cands: Vec<Vec<usize>> = (0..k)
-                .map(|_| (0..length).map(|_| rng.gen_range(0..num_actions)).collect())
-                .collect();
-            let scores = eval_many(&pool, &cands);
-            evals += k as u64;
-            pop.extend(cands.into_iter().zip(scores));
-        }
-        let by_score = |a: &(Vec<usize>, f64), b: &(Vec<usize>, f64)| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-        };
-        pop.sort_by(by_score);
-        while evals < ga_budget {
-            let mut next: Vec<(Vec<usize>, f64)> =
-                pop.iter().take(population / 8 + 1).cloned().collect();
-            while next.len() < population && evals < ga_budget {
-                let k = batch
-                    .min(population - next.len())
-                    .min((ga_budget - evals) as usize);
-                let children: Vec<Vec<usize>> = (0..k)
-                    .map(|_| {
-                        let pick = |rng: &mut StdRng, pop: &[(Vec<usize>, f64)]| {
-                            let a = rng.gen_range(0..pop.len());
-                            let b = rng.gen_range(0..pop.len());
-                            pop[a.min(b)].0.clone()
-                        };
-                        let a = pick(&mut rng, &pop);
-                        let b = pick(&mut rng, &pop);
-                        let cut = rng.gen_range(0..a.len());
-                        let mut child: Vec<usize> =
-                            a[..cut].iter().chain(b[cut..].iter()).copied().collect();
-                        if rng.gen_bool(0.6) {
-                            let i = rng.gen_range(0..child.len());
-                            child[i] = rng.gen_range(0..num_actions);
-                        }
-                        child
-                    })
-                    .collect();
-                let scores = eval_many(&pool, &children);
-                evals += k as u64;
-                next.extend(children.into_iter().zip(scores));
-            }
-            next.sort_by(by_score);
-            pop = next;
-        }
-        Ok((
-            pop[0].1,
-            tel.pool.actions_executed.get() - executed_before,
-            tel.pool.actions_saved.get() - saved_before,
-            tel.pool.cache_hits.get() - hits_before,
-            tel.pool.prefix_hits.get() - prefix_before,
-        ))
-    };
-    let (best_cached, executed_cached, saved, cache_hits, prefix_hits) =
-        run_ga(EvalCache::default())?;
-    let (best_uncached, executed_uncached, _, _, _) = run_ga(EvalCache::disabled())?;
-    let savings_pct = if executed_uncached == 0 {
-        0.0
-    } else {
-        100.0 * (executed_uncached - executed_cached.min(executed_uncached)) as f64
-            / executed_uncached as f64
-    };
-
-    let report = Report {
-        cpus: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        benchmark,
-        length,
-        workers: points,
-        ga: GaReport {
-            budget: ga_budget,
-            population: ga_pop,
-            best_cached,
-            best_uncached,
-            executed_cached,
-            executed_uncached,
-            saved,
-            cache_hits,
-            prefix_hits,
-            savings_pct,
-        },
-    };
-    let rendered = serde_json::to_string_pretty(&report)?;
-    std::fs::write(&out_path, &rendered)?;
-    if json {
-        println!("{rendered}");
-    } else {
-        println!(
-            "bench-pool on {} ({} cpus), {} evaluations of length {}:",
-            report.benchmark, report.cpus, evaluations, report.length
-        );
-        println!(
-            "  {:>7} {:>14} {:>14} {:>14} {:>7}",
-            "workers", "evals/sec", "batch wall", "episodes/sec", "errors"
-        );
-        for p in &report.workers {
-            println!(
-                "  {:>7} {:>14.1} {:>12.0}ms {:>14.1} {:>7}",
-                p.workers, p.evals_per_sec, p.batch_wall_ms, p.episodes_per_sec, p.errors
-            );
-        }
-        println!(
-            "\nGA at budget {} (population {}, {} workers):",
-            report.ga.budget, report.ga.population, ga_workers
-        );
-        println!(
-            "  raw actions executed: cached={} uncached={} saved={} ({:.1}% fewer)",
-            report.ga.executed_cached,
-            report.ga.executed_uncached,
-            report.ga.saved,
-            report.ga.savings_pct
-        );
-        println!(
-            "  cache hits={} prefix hits={} best: cached={:+.4} uncached={:+.4}",
-            report.ga.cache_hits,
-            report.ga.prefix_hits,
-            report.ga.best_cached,
-            report.ga.best_uncached
-        );
-        println!("\nreport written to {out_path}");
-    }
-    if let Some(store) = store {
-        store.flush();
-        let s = store.stats();
-        println!(
-            "stdb: {} step(s), {} observation(s), {} dropped → {}",
-            s.steps, s.observations, s.dropped_records, s.dir
-        );
-        cg_core::clear_transition_sink();
-    }
-    Ok(())
-}
-
 fn replay(path: Option<&str>, validate: bool) -> Result<(), Box<dyn std::error::Error>> {
     let path = path.ok_or("missing state file")?;
     let text = std::fs::read_to_string(path)?;
@@ -2563,14 +1807,14 @@ fn replay(path: Option<&str>, validate: bool) -> Result<(), Box<dyn std::error::
 }
 
 // ---------------------------------------------------------------------------
-// The multi-tenant front door: `cg serve`, `cg loadtest`, and the
-// `stampede` chaos mode. All three drive `cg_core::Broker` — the bounded
-// worker fleet with admission control — over real TCP connections.
+// The multi-tenant front door: `cg serve` and the `stampede` chaos mode.
+// Both drive `cg_core::Broker` — the bounded worker fleet with admission
+// control — over real TCP connections.
 // ---------------------------------------------------------------------------
 
 /// A synthetic compilation session that busy-spins a fixed duration per
-/// applied action. Service time is constant and CPU-bound, so front-door
-/// latency and fairness numbers measure the broker, not compiler noise.
+/// applied action. Service time is constant and CPU-bound, so the stampede
+/// soak exercises the broker, not compiler noise.
 struct SpinSession {
     steps: u64,
     spin: std::time::Duration,
@@ -2678,31 +1922,6 @@ fn call_absorbing_overload(
     }
 }
 
-/// The `p`-th percentile (0–100) of a latency sample, in the sample's
-/// units. Sorts in place; an empty sample reads as 0.
-fn percentile_us(samples: &mut [u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((p / 100.0) * (samples.len() - 1) as f64).round() as usize;
-    samples[rank.min(samples.len() - 1)]
-}
-
-/// Jain's fairness index over per-tenant throughput: `(Σx)² / (n·Σx²)`.
-/// 1.0 when perfectly even, `1/n` when one tenant takes everything.
-fn jain_fairness(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = xs.iter().sum();
-    let sum_sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sum_sq <= f64::EPSILON {
-        return 1.0;
-    }
-    (sum * sum) / (xs.len() as f64 * sum_sq)
-}
-
 /// `cg serve`: run the broker front door on a TCP address; with `--drain`,
 /// ask an already-running server to checkpoint its sessions and exit.
 fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -2720,10 +1939,8 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut max_connections: usize = cg_core::service::DEFAULT_MAX_TCP_CONNECTIONS;
     let mut retry_after_ms: u64 = 50;
     let mut drain_grace_ms: u64 = 5_000;
-    let mut spin_us: u64 = 0;
     let mut serve_metrics_addr: Option<String> = None;
     let mut drain = false;
-    let mut drain_after_ms: u64 = 0;
     let mut codec = cg_core::WireCodec::Binary;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -2744,10 +1961,8 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--max-connections" => max_connections = val("--max-connections")?.parse()?,
             "--retry-after-ms" => retry_after_ms = val("--retry-after-ms")?.parse()?,
             "--drain-grace-ms" => drain_grace_ms = val("--drain-grace-ms")?.parse()?,
-            "--spin-us" => spin_us = val("--spin-us")?.parse()?,
             "--serve-metrics" => serve_metrics_addr = Some(val("--serve-metrics")?.clone()),
             "--drain" => drain = true,
-            "--drain-after-ms" => drain_after_ms = val("--drain-after-ms")?.parse()?,
             "--codec" => codec = val("--codec")?.parse::<cg_core::WireCodec>()?,
             other => return Err(format!("unknown serve flag `{other}`").into()),
         }
@@ -2775,11 +1990,7 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let bound = cg_telemetry::export::spawn_metrics_server(maddr)?;
         eprintln!("serving metrics on http://{bound}/metrics");
     }
-    let factory: cg_core::service::SessionFactory = if spin_us > 0 {
-        spin_factory(spin_us)
-    } else {
-        cg_core::envs::session_factory(&env_name).map_err(cg_core::CgError::Unknown)?
-    };
+    let factory = cg_core::envs::session_factory(&env_name).map_err(cg_core::CgError::Unknown)?;
     let grace = Duration::from_millis(drain_grace_ms.max(1));
     let cfg = cg_core::BrokerConfig {
         workers,
@@ -2805,15 +2016,6 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
          stop with `cg serve --drain --addr {bound}`"
     );
     let broker = cg_core::Broker::new(factory, cfg);
-    if drain_after_ms > 0 {
-        // Test hook: self-drain after a fixed delay so scripts can exercise
-        // the full drain path without a second process.
-        let self_drain = broker.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(drain_after_ms));
-            self_drain.drain(grace);
-        });
-    }
     broker.serve(listener)?;
     // Serve only returns once drained; fetch the stored report.
     let report = broker.drain(Duration::ZERO);
@@ -2822,917 +2024,6 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         report.checkpointed, report.shed_queued
     );
     Ok(())
-}
-
-/// What one well-behaved tenant saw during a measurement window.
-struct VictimStats {
-    latencies_us: Vec<u64>,
-    episodes: u64,
-    steps: u64,
-    refusals: u64,
-    errors: Vec<String>,
-}
-
-/// Runs episodes against the front door as one tenant until the window
-/// closes: start a session, step it `episode_steps` times, end it, repeat.
-/// Typed refusals are absorbed with server-advised backoff; anything else
-/// lands in `errors` (the loadtest treats those as unrecovered).
-fn drive_victim(
-    addr: &str,
-    tenant: &str,
-    seed: u64,
-    window: std::time::Duration,
-    episode_steps: u64,
-) -> VictimStats {
-    use cg_core::service::{Request, Response, TcpClient};
-    use std::time::{Duration, Instant};
-
-    let mut out = VictimStats {
-        latencies_us: Vec::new(),
-        episodes: 0,
-        steps: 0,
-        refusals: 0,
-        errors: Vec::new(),
-    };
-    let policy = cg_core::RetryPolicy::default()
-        .with_max_attempts(10)
-        .with_backoff(Duration::from_millis(2), Duration::from_millis(100))
-        .with_jitter(0.25, seed);
-    let mut client = match TcpClient::connect_with_policy(
-        addr,
-        Duration::from_secs(10),
-        cg_core::RetryPolicy::none(),
-    ) {
-        Ok(client) => client,
-        Err(e) => {
-            out.errors.push(format!("{tenant}: connect: {e}"));
-            return out;
-        }
-    };
-    client.set_tenant(tenant);
-    let deadline = Instant::now() + window;
-    'episodes: while Instant::now() < deadline {
-        let start = Request::StartSession {
-            benchmark: "benchmark://spin/loadtest".into(),
-            action_space: 0,
-        };
-        let sid = match call_absorbing_overload(&mut client, &start, &policy, &mut out.refusals) {
-            Ok(Response::SessionStarted { session_id }) => session_id,
-            Ok(other) => {
-                out.errors
-                    .push(format!("{tenant}: start: unexpected {other:?}"));
-                break;
-            }
-            Err(e) => {
-                out.errors.push(format!("{tenant}: start: {e}"));
-                break;
-            }
-        };
-        for _ in 0..episode_steps {
-            let step = Request::Step {
-                session_id: sid,
-                actions: vec![0],
-                observation_spaces: Vec::new(),
-            };
-            let issued = Instant::now();
-            match call_absorbing_overload(&mut client, &step, &policy, &mut out.refusals) {
-                Ok(Response::Stepped { .. }) => {
-                    out.latencies_us.push(issued.elapsed().as_micros() as u64);
-                    out.steps += 1;
-                }
-                Ok(other) => {
-                    out.errors
-                        .push(format!("{tenant}: step: unexpected {other:?}"));
-                    break 'episodes;
-                }
-                Err(e) => {
-                    out.errors.push(format!("{tenant}: step: {e}"));
-                    break 'episodes;
-                }
-            }
-        }
-        let _ = client.call(&Request::EndSession { session_id: sid });
-        out.episodes += 1;
-    }
-    out
-}
-
-/// Runs one victim tenant per thread for a measurement window.
-fn run_victim_window(
-    addr: &str,
-    victims: usize,
-    window: std::time::Duration,
-    episode_steps: u64,
-    seed_base: u64,
-) -> Vec<VictimStats> {
-    let handles: Vec<_> = (0..victims)
-        .map(|v| {
-            let addr = addr.to_string();
-            let tenant = format!("victim-{v}");
-            std::thread::spawn(move || {
-                drive_victim(&addr, &tenant, seed_base + v as u64, window, episode_steps)
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| {
-            h.join().unwrap_or_else(|_| VictimStats {
-                latencies_us: Vec::new(),
-                episodes: 0,
-                steps: 0,
-                refusals: 0,
-                errors: vec!["victim thread panicked".into()],
-            })
-        })
-        .collect()
-}
-
-/// One greedy client on the noisy tenant: hold a session whenever the door
-/// allows, hammer `Step` flat out, and retry refusals as fast as the
-/// server-advised delay permits. Returns (steps, typed refusals).
-fn drive_noisy(addr: &str, stop: &std::sync::atomic::AtomicBool) -> (u64, u64) {
-    use cg_core::service::{Request, Response, TcpClient};
-    use std::sync::atomic::Ordering;
-    use std::time::Duration;
-
-    let mut steps = 0u64;
-    let mut refusals = 0u64;
-    let Ok(mut client) =
-        TcpClient::connect_with_policy(addr, Duration::from_secs(10), cg_core::RetryPolicy::none())
-    else {
-        return (0, 0);
-    };
-    client.set_tenant("noisy");
-    let mut sid: Option<u64> = None;
-    while !stop.load(Ordering::Relaxed) {
-        match sid {
-            None => {
-                let start = Request::StartSession {
-                    benchmark: "benchmark://spin/noisy".into(),
-                    action_space: 0,
-                };
-                match client.call(&start) {
-                    Ok(Response::SessionStarted { session_id }) => sid = Some(session_id),
-                    Err(cg_core::CgError::Overloaded { retry_after_ms, .. }) => {
-                        refusals += 1;
-                        std::thread::sleep(Duration::from_millis(retry_after_ms.min(50)));
-                    }
-                    _ => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-            Some(id) => {
-                let step = Request::Step {
-                    session_id: id,
-                    actions: vec![0],
-                    observation_spaces: Vec::new(),
-                };
-                match client.call(&step) {
-                    Ok(Response::Stepped { .. }) => steps += 1,
-                    Err(cg_core::CgError::Overloaded { retry_after_ms, .. }) => {
-                        refusals += 1;
-                        std::thread::sleep(Duration::from_millis(retry_after_ms.min(50)));
-                    }
-                    _ => sid = None,
-                }
-            }
-        }
-    }
-    if let Some(id) = sid {
-        let _ = client.call(&Request::EndSession { session_id: id });
-    }
-    (steps, refusals)
-}
-
-/// `cg loadtest`: measure the front door under deliberate multi-tenant
-/// overload. Three phases against an in-process broker over real TCP:
-///
-/// * **A (uncontended)** — `--victims` well-behaved tenants run episodes
-///   alone, establishing baseline step latency;
-/// * **B (contended)** — the same victims run while `--noisy-clients`
-///   connections on one tenant hammer the door (more clients than the
-///   tenant's session quota, so typed refusals are guaranteed);
-/// * **C (drain)** — fresh sessions are parked and the broker drains,
-///   proving graceful degradation checkpoints live work.
-///
-/// Emits a JSON report (`--out`, the committed `BENCH_service.json`) with
-/// p50/p99 step latency per phase, episodes/s, refusal/shed counts, the
-/// victim p99 contended/uncontended ratio, and Jain's fairness index over
-/// victim throughput. `--require-shed`, `--min-fairness` and
-/// `--max-p99-ratio` turn the report into a pass/fail gate for CI.
-fn loadtest(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use cg_core::service::{Request, Response, TcpClient};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let mut workers: usize = 6;
-    let mut victims: usize = 3;
-    let mut noisy_clients: usize = 4;
-    let mut tenant_sessions: usize = 2;
-    let mut spin_us: u64 = 300;
-    let mut window_ms: u64 = 1_500;
-    let mut episode_steps: u64 = 20;
-    let mut retry_after_ms: u64 = 25;
-    let mut queue_depth: usize = 64;
-    let mut out_path: Option<String> = None;
-    let mut json = false;
-    let mut require_shed = false;
-    let mut min_fairness: f64 = 0.0;
-    let mut max_p99_ratio: f64 = 0.0;
-    let mut serve_metrics_addr: Option<String> = None;
-    let mut linger_ms: u64 = 0;
-    let mut codec = cg_core::WireCodec::Binary;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> Result<&String, Box<dyn std::error::Error>> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value").into())
-        };
-        match flag.as_str() {
-            "--workers" => workers = val("--workers")?.parse()?,
-            "--victims" => victims = val("--victims")?.parse()?,
-            "--noisy-clients" => noisy_clients = val("--noisy-clients")?.parse()?,
-            "--tenant-sessions" => tenant_sessions = val("--tenant-sessions")?.parse()?,
-            "--spin-us" => spin_us = val("--spin-us")?.parse()?,
-            "--window-ms" => window_ms = val("--window-ms")?.parse()?,
-            "--episode-steps" => episode_steps = val("--episode-steps")?.parse()?,
-            "--retry-after-ms" => retry_after_ms = val("--retry-after-ms")?.parse()?,
-            "--queue-depth" => queue_depth = val("--queue-depth")?.parse()?,
-            "--out" => out_path = Some(val("--out")?.clone()),
-            "--json" => json = true,
-            "--require-shed" => require_shed = true,
-            "--min-fairness" => min_fairness = val("--min-fairness")?.parse()?,
-            "--max-p99-ratio" => max_p99_ratio = val("--max-p99-ratio")?.parse()?,
-            "--serve-metrics" => serve_metrics_addr = Some(val("--serve-metrics")?.clone()),
-            "--linger-ms" => linger_ms = val("--linger-ms")?.parse()?,
-            "--codec" => codec = val("--codec")?.parse::<cg_core::WireCodec>()?,
-            other => return Err(format!("unknown loadtest flag `{other}`").into()),
-        }
-    }
-
-    let tel = cg_telemetry::global();
-    tel.reset();
-    if let Some(maddr) = &serve_metrics_addr {
-        let bound = cg_telemetry::export::spawn_metrics_server(maddr)?;
-        eprintln!("serving metrics on http://{bound}/metrics");
-    }
-
-    let cfg = cg_core::BrokerConfig {
-        workers,
-        max_queue_depth: queue_depth,
-        retry_after_ms,
-        quota: cg_core::TenantQuota {
-            max_sessions: tenant_sessions,
-            ..cg_core::TenantQuota::default()
-        },
-        binary_wire: codec == cg_core::WireCodec::Binary,
-        ..cg_core::BrokerConfig::default()
-    };
-    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?.to_string();
-    let broker = cg_core::Broker::new(spin_factory(spin_us), cfg);
-    let server = {
-        let broker = broker.clone();
-        std::thread::spawn(move || broker.serve(listener))
-    };
-    let window = Duration::from_millis(window_ms.max(100));
-
-    // Phase A: uncontended baseline.
-    eprintln!(
-        "loadtest: phase A — {victims} victim tenants alone for {}ms",
-        window.as_millis()
-    );
-    let baseline = run_victim_window(&addr, victims, window, episode_steps, 0xA11CE);
-
-    // Phase B: the same victims under a noisy tenant's stampede. More
-    // noisy clients than the tenant's session quota guarantees the door
-    // refuses (typed) no matter how the race lands.
-    eprintln!("loadtest: phase B — plus {noisy_clients} noisy clients on one tenant");
-    let stop = Arc::new(AtomicBool::new(false));
-    let noisy: Vec<_> = (0..noisy_clients)
-        .map(|_| {
-            let addr = addr.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || drive_noisy(&addr, &stop))
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(100)); // let the noise establish
-    let contended = run_victim_window(&addr, victims, window, episode_steps, 0xB0B);
-    stop.store(true, Ordering::Relaxed);
-    let mut noisy_steps = 0u64;
-    let mut noisy_refusals = 0u64;
-    for handle in noisy {
-        let (steps, refusals) = handle.join().unwrap_or((0, 0));
-        noisy_steps += steps;
-        noisy_refusals += refusals;
-    }
-
-    // Phase C: park fresh live sessions and drain gracefully under them.
-    eprintln!("loadtest: phase C — drain with live sessions parked");
-    let mut parked = Vec::new();
-    for v in 0..victims {
-        let Ok(mut client) = TcpClient::connect_with_policy(
-            &addr,
-            Duration::from_secs(10),
-            cg_core::RetryPolicy::none(),
-        ) else {
-            continue;
-        };
-        client.set_tenant(&format!("victim-{v}"));
-        let start = Request::StartSession {
-            benchmark: "benchmark://spin/parked".into(),
-            action_space: 0,
-        };
-        if let Ok(Response::SessionStarted { session_id }) = client.call(&start) {
-            let _ = client.call(&Request::Step {
-                session_id,
-                actions: vec![0],
-                observation_spaces: Vec::new(),
-            });
-            parked.push(client); // hold the connection open across the drain
-        }
-    }
-    let parked_sessions = parked.len();
-    let drain = broker.drain(Duration::from_secs(5));
-    let _ = server.join();
-    drop(parked);
-
-    // Distill the phases.
-    let mut base_lat: Vec<u64> = baseline
-        .iter()
-        .flat_map(|v| v.latencies_us.iter().copied())
-        .collect();
-    let mut cont_lat: Vec<u64> = contended
-        .iter()
-        .flat_map(|v| v.latencies_us.iter().copied())
-        .collect();
-    let window_secs = window.as_secs_f64();
-    let phase = |stats: &[VictimStats], lat: &mut [u64]| Phase {
-        episodes: stats.iter().map(|v| v.episodes).sum(),
-        steps: stats.iter().map(|v| v.steps).sum(),
-        episodes_per_sec: stats.iter().map(|v| v.episodes).sum::<u64>() as f64 / window_secs,
-        p50_step_us: percentile_us(lat, 50.0),
-        p99_step_us: percentile_us(lat, 99.0),
-        typed_refusals: stats.iter().map(|v| v.refusals).sum(),
-    };
-    let uncontended = phase(&baseline, &mut base_lat);
-    let contended_phase = phase(&contended, &mut cont_lat);
-    let p99_ratio = if uncontended.p99_step_us == 0 {
-        0.0
-    } else {
-        contended_phase.p99_step_us as f64 / uncontended.p99_step_us as f64
-    };
-    let fairness = jain_fairness(
-        &contended
-            .iter()
-            .map(|v| v.episodes as f64)
-            .collect::<Vec<_>>(),
-    );
-    let unrecovered: Vec<String> = baseline
-        .iter()
-        .chain(contended.iter())
-        .flat_map(|v| v.errors.clone())
-        .collect();
-
-    #[derive(serde::Serialize)]
-    struct Phase {
-        episodes: u64,
-        steps: u64,
-        episodes_per_sec: f64,
-        p50_step_us: u64,
-        p99_step_us: u64,
-        typed_refusals: u64,
-    }
-    #[derive(serde::Serialize)]
-    struct LoadtestReport {
-        workers: usize,
-        codec: String,
-        victim_tenants: usize,
-        noisy_clients: usize,
-        tenant_sessions: usize,
-        spin_us: u64,
-        window_ms: u64,
-        episode_steps: u64,
-        uncontended: Phase,
-        contended: Phase,
-        /// Victim p99 step latency, contended over uncontended.
-        p99_ratio: f64,
-        /// Jain's fairness index over victim episode throughput under load.
-        fairness: f64,
-        noisy_steps: u64,
-        noisy_refusals: u64,
-        broker_admitted: u64,
-        broker_refused: u64,
-        broker_shed: u64,
-        broker_quota_refusals: u64,
-        parked_sessions: usize,
-        drain: cg_core::DrainReport,
-        unrecovered: Vec<String>,
-    }
-    let report = LoadtestReport {
-        workers,
-        codec: codec.name().to_string(),
-        victim_tenants: victims,
-        noisy_clients,
-        tenant_sessions,
-        spin_us,
-        window_ms,
-        episode_steps,
-        uncontended,
-        contended: contended_phase,
-        p99_ratio,
-        fairness,
-        noisy_steps,
-        noisy_refusals,
-        broker_admitted: tel.broker.admitted.get(),
-        broker_refused: tel.broker.refused.get(),
-        broker_shed: tel.broker.shed.get(),
-        broker_quota_refusals: tel.broker.quota_refusals.get(),
-        parked_sessions,
-        drain,
-        unrecovered,
-    };
-
-    let rendered = serde_json::to_string_pretty(&report)?;
-    if let Some(path) = &out_path {
-        std::fs::write(path, format!("{rendered}\n"))?;
-        eprintln!("loadtest: report written to {path}");
-    }
-    if json {
-        println!("{rendered}");
-    } else {
-        println!(
-            "loadtest: {} victims × {}ms windows, {} noisy clients (quota {})",
-            report.victim_tenants, report.window_ms, report.noisy_clients, report.tenant_sessions
-        );
-        println!(
-            "  uncontended: {} episodes ({:.1}/s), step p50 {}µs p99 {}µs",
-            report.uncontended.episodes,
-            report.uncontended.episodes_per_sec,
-            report.uncontended.p50_step_us,
-            report.uncontended.p99_step_us
-        );
-        println!(
-            "  contended:   {} episodes ({:.1}/s), step p50 {}µs p99 {}µs — p99 ratio {:.2}",
-            report.contended.episodes,
-            report.contended.episodes_per_sec,
-            report.contended.p50_step_us,
-            report.contended.p99_step_us,
-            report.p99_ratio
-        );
-        println!(
-            "  fairness {:.3}; noisy tenant: {} steps, {} typed refusals",
-            report.fairness, report.noisy_steps, report.noisy_refusals
-        );
-        println!(
-            "  door: {} admitted, {} refused ({} quota), {} shed; drain checkpointed {} \
-             ({} parked), shed {} queued",
-            report.broker_admitted,
-            report.broker_refused,
-            report.broker_quota_refusals,
-            report.broker_shed,
-            report.drain.checkpointed,
-            report.parked_sessions,
-            report.drain.shed_queued
-        );
-        if !report.unrecovered.is_empty() {
-            println!("  unrecovered ({}):", report.unrecovered.len());
-            for e in &report.unrecovered {
-                println!("    {e}");
-            }
-        }
-    }
-
-    if linger_ms > 0 {
-        std::thread::sleep(Duration::from_millis(linger_ms));
-    }
-
-    // Gates.
-    let mut failures = Vec::new();
-    if !report.unrecovered.is_empty() {
-        failures.push(format!(
-            "{} unrecovered victim errors",
-            report.unrecovered.len()
-        ));
-    }
-    if require_shed && report.broker_refused + report.broker_shed == 0 {
-        failures.push("deliberate overload produced zero refusals or sheds".to_string());
-    }
-    if min_fairness > 0.0 && report.fairness < min_fairness {
-        failures.push(format!(
-            "fairness {:.3} below required {min_fairness:.3}",
-            report.fairness
-        ));
-    }
-    if max_p99_ratio > 0.0 && report.p99_ratio > max_p99_ratio {
-        failures.push(format!(
-            "victim p99 ratio {:.2} above allowed {max_p99_ratio:.2}",
-            report.p99_ratio
-        ));
-    }
-    if parked_sessions > 0 && report.drain.checkpointed < parked_sessions {
-        failures.push(format!(
-            "drain checkpointed {} of {parked_sessions} parked sessions",
-            report.drain.checkpointed
-        ));
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; ").into())
-    }
-}
-
-/// One measured configuration of the wire benchmark: a codec crossed with
-/// a call discipline (serial round trips vs a pipelined request window).
-#[derive(serde::Serialize)]
-struct WireRun {
-    codec: String,
-    mode: String,
-    episodes: u64,
-    steps: u64,
-    /// Episode-step-loop throughput from the median episode; session
-    /// setup/teardown (serial and codec-independent) is excluded.
-    episodes_per_sec: f64,
-    steps_per_sec: f64,
-    p50_step_us: u64,
-    p99_step_us: u64,
-    /// One-directional wire bytes per step (requests + replies, client view).
-    bytes_per_step: u64,
-    decode_errors: u64,
-}
-
-/// `cg bench-wire`: measure the wire protocol itself — the JSON and CGB1
-/// binary codecs crossed with serial and pipelined call disciplines — over
-/// real TCP against an in-process llvm-v0 server. Every run replays the
-/// same deterministic action script and requests graph-heavy observations
-/// (`InstCount`, `Autophase`, `Inst2vec`, `Programl`), and the report
-/// asserts that all four configurations produced byte-identical
-/// observations and derived `IrInstructionCount` rewards before comparing
-/// throughput. Emits the committed `BENCH_wire.json`; the built-in gates
-/// (`--no-gates` to disable) require the binary codec to move at least 3x
-/// fewer bytes per step than JSON, the pipelined discipline to beat serial
-/// episodes/s, and zero decode errors.
-fn bench_wire(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use cg_core::service::{Request, Response, TcpTransport};
-    use cg_core::WireCodec;
-    use std::time::{Duration, Instant};
-
-    let mut benchmark = "benchmark://cbench-v1/sha".to_string();
-    let mut episodes: u64 = 10;
-    let mut episode_len: usize = 12;
-    let mut window: usize = 6;
-    let mut out_path = "BENCH_wire.json".to_string();
-    let mut json = false;
-    let mut gates = true;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> Result<&String, Box<dyn std::error::Error>> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value").into())
-        };
-        match flag.as_str() {
-            "--benchmark" => benchmark = val("--benchmark")?.clone(),
-            "--episodes" => episodes = val("--episodes")?.parse::<u64>()?.max(1),
-            "--episode-len" => episode_len = val("--episode-len")?.parse::<usize>()?.max(1),
-            "--window" => window = val("--window")?.parse::<usize>()?.max(1),
-            "--out" => out_path = val("--out")?.clone(),
-            "--json" => json = true,
-            "--no-gates" => gates = false,
-            other => return Err(format!("unknown bench-wire flag `{other}`").into()),
-        }
-    }
-
-    // The same deterministic action script for every configuration: cycle
-    // the bench-ir pass mix so episodes do real optimization work and the
-    // graph observations shrink/grow the same way in every run.
-    let space = cg_llvm::action_space::ActionSpace::new();
-    let script: Vec<usize> = [
-        "mem2reg",
-        "gvn",
-        "licm",
-        "early-cse",
-        "sccp",
-        "instcombine",
-        "dce",
-        "jump-threading",
-        "adce",
-    ]
-    .iter()
-    .cycle()
-    .take(episode_len)
-    .map(|n| {
-        space
-            .index_of(n)
-            .unwrap_or_else(|| panic!("unknown pass `{n}`"))
-    })
-    .collect();
-    let obs_spaces: Vec<String> = ["InstCount", "Autophase", "Inst2vec", "Programl"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-
-    let factory = cg_core::envs::session_factory("llvm-v0").map_err(cg_core::CgError::Unknown)?;
-    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?.to_string();
-    // Detached on purpose: `serve_tcp` blocks in `accept` for its whole
-    // life, so the thread is reaped by process exit, not joined.
-    std::thread::spawn(move || cg_core::service::serve_tcp(listener, factory));
-
-    let tel = cg_telemetry::global();
-    // `(responses, rewards)` digest of one run: the serialized `Stepped`
-    // frames in step order plus the per-step IrInstructionCount rewards
-    // derived from the InstCount observation. Every configuration must
-    // produce the same digest — codecs may not change episode semantics.
-    type Digest = (Vec<String>, Vec<f64>);
-    let mut digests: Vec<(String, Digest)> = Vec::new();
-
-    // Returns the per-step latencies and the step-loop wall time. Session
-    // setup/teardown is excluded from the timing on purpose: it is serial
-    // and identical across configurations, and would only dilute the wire
-    // effect under test.
-    let run_episode = |transport: &TcpTransport,
-                       pipelined: bool,
-                       digest: Option<&mut Digest>|
-     -> Result<(Vec<u64>, f64), Box<dyn std::error::Error>> {
-        let sid = match transport.call(Request::StartSession {
-            benchmark: benchmark.clone(),
-            action_space: 0,
-        })? {
-            Response::SessionStarted { session_id } => session_id,
-            other => return Err(format!("start answered {other:?}").into()),
-        };
-        let mut lat_us = Vec::with_capacity(episode_len);
-        let mut stepped = Vec::with_capacity(episode_len);
-        let loop_started = Instant::now();
-        if pipelined {
-            for chunk in script.chunks(window) {
-                let reqs: Vec<Request> = chunk
-                    .iter()
-                    .map(|&a| Request::Step {
-                        session_id: sid,
-                        actions: vec![a],
-                        observation_spaces: obs_spaces.clone(),
-                    })
-                    .collect();
-                let issued = Instant::now();
-                let replies = transport.call_pipelined(&reqs)?;
-                let per_step = issued.elapsed().as_micros() as u64 / chunk.len() as u64;
-                for r in replies {
-                    lat_us.push(per_step);
-                    match r {
-                        Response::Stepped { .. } => stepped.push(r),
-                        other => return Err(format!("step answered {other:?}").into()),
-                    }
-                }
-            }
-        } else {
-            for &a in &script {
-                let issued = Instant::now();
-                let r = transport.call(Request::Step {
-                    session_id: sid,
-                    actions: vec![a],
-                    observation_spaces: obs_spaces.clone(),
-                })?;
-                lat_us.push(issued.elapsed().as_micros() as u64);
-                match r {
-                    Response::Stepped { .. } => stepped.push(r),
-                    other => return Err(format!("step answered {other:?}").into()),
-                }
-            }
-        }
-        let loop_secs = loop_started.elapsed().as_secs_f64();
-        let _ = transport.call(Request::EndSession { session_id: sid });
-        if let Some(digest) = digest {
-            // IrInstructionCount reward: the drop in total
-            // instructions (InstCount[0]) per step.
-            let mut prev: Option<i64> = None;
-            for r in &stepped {
-                let Response::Stepped { observations, .. } = r else {
-                    unreachable!()
-                };
-                let total = match &observations[0] {
-                    cg_core::space::Observation::IntVector(v) => v[0],
-                    other => return Err(format!("InstCount answered {other:?}").into()),
-                };
-                if let Some(prev) = prev {
-                    digest.1.push((prev - total) as f64);
-                }
-                prev = Some(total);
-                digest.0.push(serde_json::to_string(r)?);
-            }
-        }
-        Ok((lat_us, loop_secs))
-    };
-
-    struct CfgState {
-        codec: WireCodec,
-        pipelined: bool,
-        transport: TcpTransport,
-        label: String,
-        lat_us: Vec<u64>,
-        ep_secs: Vec<f64>,
-        digest: Digest,
-        bytes: u64,
-        decode_errors: u64,
-    }
-    let mut cfgs: Vec<CfgState> = Vec::new();
-    for (codec, pipelined) in [
-        (WireCodec::Json, false),
-        (WireCodec::Json, true),
-        (WireCodec::Binary, false),
-        (WireCodec::Binary, true),
-    ] {
-        let transport = TcpTransport::connect(&addr, Duration::from_secs(120))?;
-        transport.set_codec(codec);
-        cfgs.push(CfgState {
-            codec,
-            pipelined,
-            transport,
-            label: format!(
-                "{}-{}",
-                codec.name(),
-                if pipelined { "pipelined" } else { "serial" }
-            ),
-            lat_us: Vec::new(),
-            ep_secs: Vec::new(),
-            digest: (Vec::new(), Vec::new()),
-            bytes: 0,
-            decode_errors: 0,
-        });
-    }
-
-    eprintln!(
-        "bench-wire: {episodes} episodes x {episode_len} steps on {benchmark}, \
-         interleaved across {} configurations",
-        cfgs.len()
-    );
-    // One untimed warm-up episode per configuration pages in the dataset
-    // and settles codec negotiation outside the measured window.
-    for cfg in &mut cfgs {
-        run_episode(&cfg.transport, cfg.pipelined, None)?;
-    }
-    // Measured episodes run round-robin across the configurations so that
-    // ambient machine load lands on all of them equally instead of biasing
-    // whichever configuration it happened to overlap.
-    for _ in 0..episodes {
-        for cfg in &mut cfgs {
-            let before = tel.wire.snapshot();
-            let (lat_us, loop_secs) =
-                run_episode(&cfg.transport, cfg.pipelined, Some(&mut cfg.digest))?;
-            cfg.lat_us.extend(lat_us);
-            cfg.ep_secs.push(loop_secs);
-            let after = tel.wire.snapshot();
-            // Client and server share this process's telemetry, so every
-            // frame is accounted at both ends; halve for the one-way view.
-            cfg.bytes += match cfg.codec {
-                WireCodec::Json => {
-                    (after.tx_bytes_json - before.tx_bytes_json)
-                        + (after.rx_bytes_json - before.rx_bytes_json)
-                }
-                WireCodec::Binary => {
-                    (after.tx_bytes_binary - before.tx_bytes_binary)
-                        + (after.rx_bytes_binary - before.rx_bytes_binary)
-                }
-            } / 2;
-            cfg.decode_errors += after.decode_errors - before.decode_errors;
-        }
-    }
-
-    let steps = episodes * episode_len as u64;
-    let mut runs: Vec<WireRun> = Vec::new();
-    for mut cfg in cfgs {
-        cfg.lat_us.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            if cfg.lat_us.is_empty() {
-                return 0;
-            }
-            let idx = ((cfg.lat_us.len() - 1) as f64 * p / 100.0).round() as usize;
-            cfg.lat_us[idx]
-        };
-        // Throughput from the median episode, not total wall time: a
-        // single scheduler hiccup in one episode would otherwise swing
-        // the serial/pipelined comparison by more than the effect size.
-        cfg.ep_secs.sort_by(f64::total_cmp);
-        let median_ep = cfg.ep_secs[cfg.ep_secs.len() / 2].max(1e-9);
-        runs.push(WireRun {
-            codec: cfg.codec.name().to_string(),
-            mode: if cfg.pipelined { "pipelined" } else { "serial" }.to_string(),
-            episodes,
-            steps,
-            episodes_per_sec: 1.0 / median_ep,
-            steps_per_sec: episode_len as f64 / median_ep,
-            p50_step_us: pct(50.0),
-            p99_step_us: pct(99.0),
-            bytes_per_step: cfg.bytes / steps.max(1),
-            decode_errors: cfg.decode_errors,
-        });
-        digests.push((cfg.label, cfg.digest));
-    }
-
-    // Cross-codec agreement: every configuration saw the same episodes.
-    let (ref_label, ref_digest) = &digests[0];
-    let mut divergences: Vec<String> = Vec::new();
-    for (label, digest) in &digests[1..] {
-        if digest != ref_digest {
-            divergences.push(format!(
-                "{label} diverged from {ref_label}: observations or rewards differ"
-            ));
-        }
-    }
-
-    let by = |codec: &str, mode: &str| -> &WireRun {
-        runs.iter()
-            .find(|r| r.codec == codec && r.mode == mode)
-            .expect("all four runs present")
-    };
-    let json_serial = by("json", "serial");
-    let binary_serial = by("binary", "serial");
-    let binary_pipelined = by("binary", "pipelined");
-    let bytes_ratio =
-        json_serial.bytes_per_step as f64 / binary_serial.bytes_per_step.max(1) as f64;
-    let pipeline_speedup = binary_pipelined.episodes_per_sec / binary_serial.episodes_per_sec;
-
-    #[derive(serde::Serialize)]
-    struct WireReport {
-        benchmark: String,
-        episodes: u64,
-        episode_len: usize,
-        window: usize,
-        observation_spaces: Vec<String>,
-        runs: Vec<WireRun>,
-        /// JSON bytes/step over binary bytes/step (serial runs).
-        bytes_ratio: f64,
-        /// Binary pipelined episodes/s over binary serial episodes/s.
-        pipeline_speedup: f64,
-        /// Cross-configuration digest mismatches (must be empty).
-        divergences: Vec<String>,
-    }
-    let report = WireReport {
-        benchmark,
-        episodes,
-        episode_len,
-        window,
-        observation_spaces: obs_spaces,
-        runs,
-        bytes_ratio,
-        pipeline_speedup,
-        divergences,
-    };
-
-    let rendered = serde_json::to_string_pretty(&report)?;
-    std::fs::write(&out_path, format!("{rendered}\n"))?;
-    eprintln!("bench-wire: report written to {out_path}");
-    if json {
-        println!("{rendered}");
-    } else {
-        println!(
-            "bench-wire: {} episodes x {} steps, window {}",
-            report.episodes, report.episode_len, report.window
-        );
-        for r in &report.runs {
-            println!(
-                "  {:<7}{:<10} {:>8.2} eps/s  {:>9.1} steps/s  p50 {:>7}us  p99 {:>7}us  {:>9} B/step",
-                r.codec, r.mode, r.episodes_per_sec, r.steps_per_sec, r.p50_step_us, r.p99_step_us,
-                r.bytes_per_step
-            );
-        }
-        println!(
-            "  bytes ratio (json/binary): {:.2}x; pipeline speedup (binary): {:.2}x",
-            report.bytes_ratio, report.pipeline_speedup
-        );
-    }
-
-    let mut failures = Vec::new();
-    if !report.divergences.is_empty() {
-        failures.extend(report.divergences.iter().cloned());
-    }
-    for r in &report.runs {
-        if r.decode_errors > 0 {
-            failures.push(format!(
-                "{}-{}: {} decode errors",
-                r.codec, r.mode, r.decode_errors
-            ));
-        }
-    }
-    if gates {
-        if report.bytes_ratio < 3.0 {
-            failures.push(format!(
-                "binary codec saved only {bytes_ratio:.2}x bytes/step (need >= 3x)"
-            ));
-        }
-        if report.pipeline_speedup <= 1.0 {
-            failures.push(format!(
-                "pipelined episodes/s did not beat serial ({pipeline_speedup:.3}x)"
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; ").into())
-    }
 }
 
 /// Inputs to the stampede front-door soak, carved off `cg chaos` flags.

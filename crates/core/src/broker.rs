@@ -725,7 +725,7 @@ impl Broker {
     }
 
     /// Submits under the caller's current trace context and blocks for the
-    /// reply — the in-process client surface (and the loadtest harness).
+    /// reply — the in-process client surface.
     pub fn call(&self, tenant: &str, req: Request) -> Response {
         self.call_with_ctx(tenant, req, cg_telemetry::current_context())
     }
@@ -1998,10 +1998,9 @@ mod tests {
             "the noisy tenant must actually have been served"
         );
         // Fair scheduling bounds the victim's latency under contention: a
-        // generous 20x bound (vs the 2x the committed benchmark shows)
-        // keeps this robust on loaded CI machines while still catching a
-        // broken scheduler, where the victim would wait behind the entire
-        // noisy backlog (100x+).
+        // generous 20x bound keeps this robust on loaded CI machines while
+        // still catching a broken scheduler, where the victim would wait
+        // behind the entire noisy backlog (100x+).
         let floor = Duration::from_micros(500);
         let bound = 20 * p99_base.max(floor);
         assert!(

@@ -128,21 +128,6 @@ impl Transport {
         }
     }
 
-    /// Issues a batch of requests with the whole window in flight before
-    /// the first reply is awaited. Typed per-request errors come back as
-    /// raw [`Response`] values in their slots; transport-level failures
-    /// error the batch. See [`ServiceClient::call_pipelined`] and
-    /// [`TcpTransport::call_pipelined`].
-    ///
-    /// # Errors
-    /// [`CgError::ServiceFailure`] on transport death after retries.
-    pub fn call_pipelined(&self, reqs: &[Request]) -> Result<Vec<Response>, CgError> {
-        match self {
-            Transport::Local(c) => c.call_pipelined(reqs),
-            Transport::Tcp(c) => c.call_pipelined(reqs),
-        }
-    }
-
     fn policy(&self) -> &RetryPolicy {
         match self {
             Transport::Local(c) => c.policy(),

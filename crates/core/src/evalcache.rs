@@ -127,7 +127,8 @@ impl EvalCache {
 
     /// A cache that remembers nothing: every lookup misses and every
     /// insert is dropped. Used to measure how much work caching saves
-    /// (`cg bench-pool`) under otherwise identical plumbing.
+    /// (the `search-pool` benchmark workload) under otherwise identical
+    /// plumbing.
     pub fn disabled() -> EvalCache {
         let mut c = EvalCache::new(1);
         c.enabled = false;

@@ -1100,86 +1100,6 @@ impl ServiceClient {
         }
     }
 
-    /// Issues a batch of requests with all of them enqueued on the worker
-    /// channel before the first reply is awaited — the in-process analog
-    /// of [`TcpTransport::call_pipelined`]. The single service worker
-    /// executes serially, so this pipelines submission rather than
-    /// execution; it exists so both transports present the same windowed
-    /// surface and per-session ordering guarantee (the worker drains its
-    /// channel FIFO).
-    ///
-    /// Typed per-request errors come back as raw [`Response`] values in
-    /// their slots; a dead or restarted worker errors the whole batch.
-    ///
-    /// # Errors
-    /// [`CgError::ServiceFailure`] when the worker died, was restarted
-    /// mid-batch, or the per-batch deadline expired.
-    pub fn call_pipelined(&self, reqs: &[Request]) -> Result<Vec<Response>, CgError> {
-        let wire_stats = &cg_telemetry::global().wire;
-        // The batch deadline is the widest per-kind deadline in the window
-        // times its length — the whole window runs on one serial worker.
-        let per_call = reqs
-            .iter()
-            .map(|r| self.policy.deadline_for(r.kind()).unwrap_or(self.timeout))
-            .max()
-            .unwrap_or(self.timeout);
-        let deadline = per_call.saturating_mul(reqs.len().max(1) as u32);
-        let generation = self.generation.load(Ordering::SeqCst);
-        let ctx = cg_telemetry::current_context();
-        let tx = self.worker.lock().tx.clone();
-        let mut pending = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            let (reply_tx, reply_rx) = bounded(1);
-            tx.send((req.clone(), ctx, reply_tx))
-                .map_err(|_| CgError::ServiceFailure("service disconnected".into()))?;
-            wire_stats.pipelined_calls.inc();
-            wire_stats.in_flight.inc();
-            pending.push(reply_rx);
-        }
-        let start = std::time::Instant::now();
-        let mut out = Vec::with_capacity(pending.len());
-        let mut collect = || -> Result<(), CgError> {
-            for rx in &pending {
-                loop {
-                    let remaining = deadline.saturating_sub(start.elapsed());
-                    if remaining.is_zero() {
-                        cg_telemetry::global().timeouts.inc();
-                        return Err(CgError::ServiceFailure(format!(
-                            "pipelined batch exceeded {deadline:?} (hung or crashed)"
-                        )));
-                    }
-                    match rx.recv_timeout(remaining.min(GENERATION_POLL)) {
-                        Ok(resp) => {
-                            out.push(resp);
-                            break;
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                            return Err(CgError::ServiceFailure(
-                                "service worker died (reply channel closed)".into(),
-                            ));
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            if self.generation.load(Ordering::SeqCst) != generation {
-                                return Err(CgError::ServiceFailure(
-                                    "service restarted while the batch was in flight".into(),
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(())
-        };
-        let result = collect();
-        for _ in out.len()..pending.len() {
-            wire_stats.in_flight.dec();
-        }
-        for _ in 0..out.len() {
-            wire_stats.in_flight.dec();
-        }
-        result.map(|()| out)
-    }
-
     /// Abandons the (possibly hung) service thread and spawns a fresh one.
     /// Sessions are lost; callers re-establish them via `reset()`. Takes
     /// `&self` and propagates through all clones, so a supervisor (the
@@ -3409,27 +3329,5 @@ mod tests {
         // and the counter advances exactly as in the serial run.
         assert_eq!(serial, pipelined);
         let _ = transport.call(Request::Shutdown);
-    }
-
-    #[test]
-    fn service_client_pipelined_steps_in_order() {
-        let client = ServiceClient::spawn(counting_factory(), Duration::from_secs(5));
-        let sid = start(&client);
-        let reqs: Vec<Request> = (0..8)
-            .map(|_| Request::Step {
-                session_id: sid,
-                actions: vec![0],
-                observation_spaces: vec!["steps".into()],
-            })
-            .collect();
-        let replies = client.call_pipelined(&reqs).unwrap();
-        let counts: Vec<f64> = replies
-            .iter()
-            .map(|r| match r {
-                Response::Stepped { observations, .. } => observations[0].as_scalar().unwrap(),
-                r => panic!("{r:?}"),
-            })
-            .collect();
-        assert_eq!(counts, (1..=8).map(f64::from).collect::<Vec<_>>());
     }
 }

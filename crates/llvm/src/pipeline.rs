@@ -132,7 +132,7 @@ pub fn run_passes(module: &mut Module, names: &[&str]) -> bool {
 /// Callers that run several pipelines over the same module (searchers,
 /// benchmark harnesses) can keep one manager alive across calls; passing
 /// [`cg_ir::AnalysisManager::disabled`] instead measures the
-/// always-recompute cost (the `--no-analysis-cache` mode of `cg bench-ir`).
+/// always-recompute cost (the `--no-analysis-cache` mode of `cg stats`).
 pub fn run_passes_with(
     module: &mut Module,
     names: &[&str],
