@@ -52,15 +52,12 @@ REQUIRED_FAMILIES = [
     "cg_stdb_segments",
     "cg_stdb_store_bytes",
     "cg_stdb_append_wall_micros",
-    "cg_wire_tx_bytes_json_total",
-    "cg_wire_tx_bytes_binary_total",
-    "cg_wire_rx_bytes_json_total",
-    "cg_wire_rx_bytes_binary_total",
+    "cg_wire_tx_bytes_total",
+    "cg_wire_rx_bytes_total",
     "cg_wire_frames_total",
     "cg_wire_decode_errors_total",
     "cg_wire_pipelined_calls_total",
     "cg_wire_negotiations_total",
-    "cg_wire_fallbacks_total",
     "cg_wire_in_flight",
     "cg_wire_encode_micros",
     "cg_wire_decode_micros",

@@ -47,7 +47,7 @@ fn usage() -> ExitCode {
          [--reduce-budget N] [--stdb DIR] [--smoke] [--json]\n  \
          cg serve [--addr A] [--env E] [--workers N] [--max-sessions N]\n           \
          [--tenant-sessions N] [--tenant-aps R] [--burst B] [--queue-depth N]\n           \
-         [--quantum Q] [--max-connections N] [--retry-after-ms MS] [--codec json|binary]\n           \
+         [--quantum Q] [--max-connections N] [--retry-after-ms MS]\n           \
          [--drain-grace-ms MS] [--serve-metrics ADDR] [--drain]"
     );
     ExitCode::FAILURE
@@ -651,7 +651,8 @@ fn run_traced_episode(
     let mut env = if tcp {
         let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
-        std::thread::spawn(move || cg_core::service::serve_tcp(listener, factory));
+        let broker = cg_core::Broker::new(factory, cg_core::BrokerConfig::default());
+        std::thread::spawn(move || broker.serve(listener));
         cg_core::CompilerEnv::connect_tcp(
             env_id,
             &addr,
@@ -1024,7 +1025,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut stampede_size: usize = 32;
     let mut soak_ms: u64 = 1_500;
     let mut json = false;
-    let mut codec = cg_core::WireCodec::Binary;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut val = |name: &str| -> Result<&String, Box<dyn std::error::Error>> {
@@ -1079,8 +1079,10 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--stampede-size" => stampede_size = val("--stampede-size")?.parse()?,
             "--soak-ms" => soak_ms = val("--soak-ms")?.parse()?,
             "--json" => json = true,
-            "--codec" => codec = val("--codec")?.parse::<cg_core::WireCodec>()?,
-            other => return Err(format!("unknown chaos flag `{other}`").into()),
+            other => {
+                usage();
+                return Err(format!("unknown chaos flag `{other}`").into());
+            }
         }
     }
     // `--faults stampede` switches to the front-door soak: a broker-mode
@@ -1094,7 +1096,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             json,
             serve_metrics_addr,
             linger_ms,
-            codec,
         });
     }
     // `--faults io` targets the transition store's disk path instead of the
@@ -1929,19 +1930,10 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     let mut addr = "127.0.0.1:4567".to_string();
     let mut env_name = "llvm-v0".to_string();
-    let mut workers: usize = 4;
-    let mut max_sessions: usize = 512;
-    let mut tenant_sessions: usize = 8;
-    let mut tenant_aps: f64 = 0.0;
-    let mut burst: f64 = 64.0;
-    let mut queue_depth: usize = 64;
-    let mut quantum: u64 = 8;
-    let mut max_connections: usize = cg_core::service::DEFAULT_MAX_TCP_CONNECTIONS;
-    let mut retry_after_ms: u64 = 50;
-    let mut drain_grace_ms: u64 = 5_000;
+    // Every sizing flag defaults to `BrokerConfig::default()`.
+    let mut cfg = cg_core::BrokerConfig::default();
     let mut serve_metrics_addr: Option<String> = None;
     let mut drain = false;
-    let mut codec = cg_core::WireCodec::Binary;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut val = |name: &str| -> Result<&String, Box<dyn std::error::Error>> {
@@ -1951,20 +1943,25 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         match flag.as_str() {
             "--addr" => addr = val("--addr")?.clone(),
             "--env" => env_name = val("--env")?.clone(),
-            "--workers" => workers = val("--workers")?.parse()?,
-            "--max-sessions" => max_sessions = val("--max-sessions")?.parse()?,
-            "--tenant-sessions" => tenant_sessions = val("--tenant-sessions")?.parse()?,
-            "--tenant-aps" => tenant_aps = val("--tenant-aps")?.parse()?,
-            "--burst" => burst = val("--burst")?.parse()?,
-            "--queue-depth" => queue_depth = val("--queue-depth")?.parse()?,
-            "--quantum" => quantum = val("--quantum")?.parse()?,
-            "--max-connections" => max_connections = val("--max-connections")?.parse()?,
-            "--retry-after-ms" => retry_after_ms = val("--retry-after-ms")?.parse()?,
-            "--drain-grace-ms" => drain_grace_ms = val("--drain-grace-ms")?.parse()?,
+            "--workers" => cfg.workers = val("--workers")?.parse()?,
+            "--max-sessions" => cfg.max_sessions = val("--max-sessions")?.parse()?,
+            "--tenant-sessions" => cfg.quota.max_sessions = val("--tenant-sessions")?.parse()?,
+            "--tenant-aps" => cfg.quota.actions_per_sec = val("--tenant-aps")?.parse()?,
+            "--burst" => cfg.quota.burst = val("--burst")?.parse()?,
+            "--queue-depth" => cfg.max_queue_depth = val("--queue-depth")?.parse()?,
+            "--quantum" => cfg.quantum = val("--quantum")?.parse()?,
+            "--max-connections" => cfg.max_connections = val("--max-connections")?.parse()?,
+            "--retry-after-ms" => cfg.retry_after_ms = val("--retry-after-ms")?.parse()?,
+            "--drain-grace-ms" => {
+                let ms: u64 = val("--drain-grace-ms")?.parse()?;
+                cfg.drain_grace = Duration::from_millis(ms.max(1));
+            }
             "--serve-metrics" => serve_metrics_addr = Some(val("--serve-metrics")?.clone()),
             "--drain" => drain = true,
-            "--codec" => codec = val("--codec")?.parse::<cg_core::WireCodec>()?,
-            other => return Err(format!("unknown serve flag `{other}`").into()),
+            other => {
+                usage();
+                return Err(format!("unknown serve flag `{other}`").into());
+            }
         }
     }
 
@@ -1976,7 +1973,6 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             Duration::from_secs(600),
             cg_core::RetryPolicy::none(),
         )?;
-        client.set_codec(codec);
         return match client.call(&cg_core::service::Request::Shutdown)? {
             cg_core::service::Response::Ok => {
                 println!("server at {addr} drained");
@@ -1991,29 +1987,13 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("serving metrics on http://{bound}/metrics");
     }
     let factory = cg_core::envs::session_factory(&env_name).map_err(cg_core::CgError::Unknown)?;
-    let grace = Duration::from_millis(drain_grace_ms.max(1));
-    let cfg = cg_core::BrokerConfig {
-        workers,
-        max_sessions,
-        max_queue_depth: queue_depth,
-        max_connections,
-        quantum,
-        retry_after_ms,
-        drain_grace: grace,
-        quota: cg_core::TenantQuota {
-            max_sessions: tenant_sessions,
-            actions_per_sec: tenant_aps,
-            burst,
-        },
-        binary_wire: codec == cg_core::WireCodec::Binary,
-        ..cg_core::BrokerConfig::default()
-    };
     let listener = std::net::TcpListener::bind(&addr)?;
     let bound = listener.local_addr()?;
     println!(
-        "cg serve: front door on {bound} — {workers} workers, \
-         {tenant_sessions} sessions/tenant, queue depth {queue_depth}; \
-         stop with `cg serve --drain --addr {bound}`"
+        "cg serve: front door on {bound} — {} workers, \
+         {} sessions/tenant, queue depth {}; \
+         stop with `cg serve --drain --addr {bound}`",
+        cfg.workers, cfg.quota.max_sessions, cfg.max_queue_depth
     );
     let broker = cg_core::Broker::new(factory, cfg);
     broker.serve(listener)?;
@@ -2034,9 +2014,6 @@ struct StampedeOpts {
     json: bool,
     serve_metrics_addr: Option<String>,
     linger_ms: u64,
-    /// Wire codec the server negotiates (`--codec json` disables CGB1, so
-    /// the soak exercises the legacy fallback path under stampede load).
-    codec: cg_core::WireCodec,
 }
 
 /// What happened to one stampeding connect.
@@ -2049,65 +2026,24 @@ enum StampedeFate {
     Untyped(String),
 }
 
-/// One stampeding connect, framed by hand so it can *read first*: a
-/// connection refused at the cap is answered immediately with an
-/// `Overloaded` frame and closed, while an admitted one stays silent
-/// awaiting a request — which the read timeout classifies. Admitted
-/// connects then prove they are actually served by round-tripping a Ping.
+/// One stampeding connect, as a real client makes it: a connection refused
+/// at the cap finds the server's `Overloaded` frame where its handshake
+/// expected the `HelloAck`; an admitted one proves it is actually served by
+/// round-tripping a Ping.
 fn stampede_connect(addr: &str) -> StampedeFate {
-    use std::io::{Read, Write};
-    use std::time::Duration;
+    use cg_core::service::{Request, Response, TcpClient};
 
-    fn read_frame_raw(stream: &mut std::net::TcpStream) -> std::io::Result<Vec<u8>> {
-        let mut len = [0u8; 4];
-        stream.read_exact(&mut len)?;
-        let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-        stream.read_exact(&mut body)?;
-        Ok(body)
-    }
-
-    let mut stream = match std::net::TcpStream::connect(addr) {
-        Ok(stream) => stream,
-        Err(e) => return StampedeFate::Untyped(format!("connect: {e}")),
-    };
-    if let Err(e) = stream.set_read_timeout(Some(Duration::from_millis(500))) {
-        return StampedeFate::Untyped(format!("set timeout: {e}"));
-    }
-    match read_frame_raw(&mut stream) {
-        Ok(frame) => match serde_json::from_slice::<cg_core::service::Response>(&frame) {
-            Ok(cg_core::service::Response::Overloaded { .. }) => StampedeFate::TypedRefusal,
-            Ok(other) => StampedeFate::Untyped(format!("unsolicited reply: {other:?}")),
-            Err(e) => StampedeFate::Untyped(format!("garbled refusal frame: {e}")),
-        },
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            // Silence means admitted: the server is waiting for a request.
-            let ping = match serde_json::to_vec(&cg_core::service::Request::Ping) {
-                Ok(bytes) => bytes,
-                Err(e) => return StampedeFate::Untyped(format!("encode ping: {e}")),
-            };
-            let frame = (ping.len() as u32).to_le_bytes();
-            if let Err(e) = stream
-                .write_all(&frame)
-                .and_then(|()| stream.write_all(&ping))
-            {
-                return StampedeFate::Untyped(format!("send ping: {e}"));
-            }
-            match read_frame_raw(&mut stream) {
-                Ok(frame) => match serde_json::from_slice::<cg_core::service::Response>(&frame) {
-                    Ok(cg_core::service::Response::Pong) => StampedeFate::Admitted,
-                    Ok(cg_core::service::Response::Overloaded { .. }) => StampedeFate::TypedRefusal,
-                    Ok(other) => StampedeFate::Untyped(format!("ping answered {other:?}")),
-                    Err(e) => StampedeFate::Untyped(format!("garbled pong: {e}")),
-                },
-                Err(e) => StampedeFate::Untyped(format!("ping read: {e}")),
-            }
-        }
-        Err(e) => StampedeFate::Untyped(format!("read: {e}")),
+    let timeout = std::time::Duration::from_secs(5);
+    let mut client =
+        match TcpClient::connect_with_policy(addr, timeout, cg_core::RetryPolicy::none()) {
+            Ok(client) => client,
+            Err(e) => return StampedeFate::Untyped(format!("connect: {e}")),
+        };
+    match client.call(&Request::Ping) {
+        Ok(Response::Pong) => StampedeFate::Admitted,
+        Err(cg_core::CgError::Overloaded { .. }) => StampedeFate::TypedRefusal,
+        Ok(other) => StampedeFate::Untyped(format!("ping answered {other:?}")),
+        Err(e) => StampedeFate::Untyped(format!("ping: {e}")),
     }
 }
 
@@ -2143,7 +2079,6 @@ fn chaos_stampede(opts: StampedeOpts) -> Result<(), Box<dyn std::error::Error>> 
             max_sessions: 2,
             ..cg_core::TenantQuota::default()
         },
-        binary_wire: opts.codec == cg_core::WireCodec::Binary,
         ..cg_core::BrokerConfig::default()
     };
     let plan = cg_core::chaos::FaultPlan::seeded(opts.seed).with_stampede_size(opts.stampede_size);

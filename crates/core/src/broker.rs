@@ -1,14 +1,11 @@
 //! Multi-tenant front door: the session broker (admission control,
 //! per-tenant quotas, fair scheduling, backpressure, graceful drain).
 //!
-//! The legacy TCP server ([`crate::service::serve_tcp`]) is
-//! thread-per-connection: every client gets a private [`ServiceState`] and
-//! an unbounded right to spawn work. That model is fine for one researcher
-//! driving one environment; it collapses when a shared service fronts many
-//! tenants — one noisy client can monopolize the machine, overload answers
-//! arrive as hangs or dropped connections, and shutdown loses live episodes.
-//!
-//! The broker replaces it with a bounded front door:
+//! The broker is the only TCP server: one researcher driving one
+//! environment and a shared service fronting many tenants go through the
+//! same bounded front door, so no client has an unbounded right to spawn
+//! work, overload is answered typed rather than by hangs or dropped
+//! connections, and shutdown does not lose live episodes.
 //!
 //! * **Fixed worker fleet.** `workers` threads each own one [`ServiceState`]
 //!   (the [`crate::pool::EnvPool`] ownership pattern: sessions are sharded,
@@ -41,13 +38,20 @@
 //!   parks its live sessions into the [`CheckpointStore`]
 //!   ([`ServiceState::checkpoint_all`]) so episodes survive restarts.
 //!   A `Shutdown` request over TCP triggers the same path.
+//! * **Connection-scoped sessions.** Over TCP a session belongs to the
+//!   connection that created it: when the socket closes — client crash,
+//!   reconnect-recovery abandoning a ghost session, plain disconnect — the
+//!   broker ends that connection's still-live sessions through the normal
+//!   queue, so their quota slots come back without an `EndSession`.
+//!   In-process callers ([`Broker::call`]) have no connection; their
+//!   sessions live until ended or drained.
 //!
 //! Everything the front door decides is observable: `broker:admit`,
 //! `broker:queue`, `broker:shed`, and `broker:drain` trace spans, plus the
 //! `cg_broker_*` Prometheus families (admitted/refused/shed/quota
 //! counters, session/queue-depth/connection gauges, queue-wait histogram).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,13 +66,13 @@ use serde::{Deserialize, Serialize};
 use crate::budget::ResourceBudget;
 use crate::checkpoint::CheckpointStore;
 use crate::service::{
-    account_rx, account_tx, extract_tenant, extract_trace_context, write_frame, FrameReader,
-    Request, Response, ServiceState, SessionFactory,
+    account_rx, account_tx, write_frame, FrameReader, Request, Response, ServiceState,
+    SessionFactory,
 };
-use crate::wire::{self, WireCodec};
+use crate::wire;
 
 /// Tenant a request is billed to when its client never identified itself
-/// (old clients, [`crate::service::TcpClient`]s without `set_tenant`).
+/// ([`crate::service::TcpClient`]s without `set_tenant`).
 pub const ANONYMOUS_TENANT: &str = "anonymous";
 
 /// Per-tenant limits. One quota applies uniformly to every tenant — the
@@ -127,12 +131,6 @@ pub struct BrokerConfig {
     /// Checkpoint store shared by all workers — interval snapshots during
     /// service, the park-everything sweep on drain.
     pub checkpoints: CheckpointStore,
-    /// Whether the front door answers CGB1 binary negotiation (`true`, the
-    /// default). `false` makes the broker behave like a JSON-only legacy
-    /// server — binary probes get the typed bad-frame error that tells a
-    /// negotiating client to fall back, which is how `cg serve --codec
-    /// json` pins the wire format and how interop tests model old peers.
-    pub binary_wire: bool,
 }
 
 impl Default for BrokerConfig {
@@ -141,14 +139,13 @@ impl Default for BrokerConfig {
             workers: 4,
             max_sessions: 512,
             max_queue_depth: 64,
-            max_connections: crate::service::DEFAULT_MAX_TCP_CONNECTIONS,
+            max_connections: 256,
             quantum: 8,
             retry_after_ms: 50,
             drain_grace: Duration::from_secs(5),
             quota: TenantQuota::default(),
             budget: ResourceBudget::default(),
             checkpoints: CheckpointStore::default(),
-            binary_wire: true,
         }
     }
 }
@@ -193,7 +190,7 @@ struct Job {
     req: Request,
     ctx: Option<TraceContext>,
     reply: Sender<Response>,
-    tenant: String,
+    owner: Owner,
     /// DRR cost in action units: `max(1, actions.len())`.
     cost: u64,
     /// Reserves a session slot (`StartSession`/`RestoreSession`/`Fork`).
@@ -206,6 +203,15 @@ struct Job {
     /// when a queued creation is shed before running).
     placed: usize,
     enqueued: Instant,
+}
+
+/// Who submitted a job, and so who owns any session it creates.
+#[derive(Clone)]
+struct Owner {
+    tenant: String,
+    /// The TCP connection it arrived on, `None` in process. A session is
+    /// ended when the connection that created it closes.
+    conn: Option<u64>,
 }
 
 /// Token bucket and occupancy for one tenant.
@@ -229,7 +235,7 @@ struct WorkerQueues {
 
 impl WorkerQueues {
     fn push(&mut self, job: Job) {
-        let tenant = job.tenant.clone();
+        let tenant = job.owner.tenant.clone();
         let queue = self.queues.entry(tenant.clone()).or_default();
         if queue.is_empty() && !self.order.iter().any(|t| t == &tenant) {
             self.order.push_back(tenant);
@@ -294,8 +300,12 @@ struct Core {
     finished: bool,
     report: Option<DrainReport>,
     tenants: HashMap<String, TenantState>,
-    /// Global session id → owning tenant.
-    sessions: HashMap<u64, String>,
+    /// Global session id → owning tenant and connection.
+    sessions: HashMap<u64, Owner>,
+    /// Ids of the TCP connections currently being served. A session whose
+    /// creating connection is no longer here is ended as soon as it lands.
+    open_conns: HashSet<u64>,
+    next_conn: u64,
     /// Live sessions plus reservations, across all tenants.
     live_total: usize,
     queued_total: usize,
@@ -351,8 +361,8 @@ impl Core {
 
     /// Forgets a live session (ended, destroyed by fault or budget kill).
     fn release_session(&mut self, gid: u64) {
-        if let Some(tenant) = self.sessions.remove(&gid) {
-            if let Some(state) = self.tenants.get_mut(&tenant) {
+        if let Some(owner) = self.sessions.remove(&gid) {
+            if let Some(state) = self.tenants.get_mut(&owner.tenant) {
                 state.live = state.live.saturating_sub(1);
             }
             self.live_total = self.live_total.saturating_sub(1);
@@ -365,21 +375,52 @@ impl Core {
     }
 
     fn enqueue(&mut self, worker: usize, job: Job) {
-        self.tenant_mut(&job.tenant).queued += 1;
+        self.tenant_mut(&job.owner.tenant).queued += 1;
         self.queued_total += 1;
         cg_telemetry::global().broker.queue_depth.inc();
         self.workers[worker].push(job);
     }
 
+    /// Queues an `EndSession` for a session whose connection is gone. It
+    /// bypasses the admission ladder — cleanup must not be refused — and
+    /// nobody waits for the reply; `settle` releases the quota slot. After
+    /// a stop the exiting workers park the session instead.
+    fn end_orphan(&mut self, gid: u64) {
+        let Some(owner) = self.sessions.get(&gid).cloned() else {
+            return;
+        };
+        if self.stopped {
+            return;
+        }
+        let workers = self.workers.len() as u64;
+        let worker = (gid % workers) as usize;
+        let (reply, _) = bounded(1);
+        let job = Job {
+            req: Request::EndSession {
+                session_id: gid / workers,
+            },
+            ctx: None,
+            reply,
+            owner,
+            cost: 1,
+            creates: false,
+            ends: true,
+            target: Some(gid),
+            placed: worker,
+            enqueued: Instant::now(),
+        };
+        self.enqueue(worker, job);
+    }
+
     /// Drops one queued job with a typed `Overloaded` reply and full
     /// accounting (queue counters, creation reservation, shed telemetry).
     fn shed_job(&mut self, job: Job, retry_after_ms: u64, reason: &str) {
-        if let Some(state) = self.tenants.get_mut(&job.tenant) {
+        if let Some(state) = self.tenants.get_mut(&job.owner.tenant) {
             state.queued = state.queued.saturating_sub(1);
         }
         self.queued_total = self.queued_total.saturating_sub(1);
         if job.creates {
-            self.release_reservation(&job.tenant, job.placed);
+            self.release_reservation(&job.owner.tenant, job.placed);
         }
         let tel = cg_telemetry::global();
         tel.broker.queue_depth.dec();
@@ -388,7 +429,7 @@ impl Core {
             "broker:shed",
             format!(
                 "tenant {}: queued {} shed: {reason}",
-                job.tenant,
+                job.owner.tenant,
                 job.req.kind()
             ),
             Duration::ZERO,
@@ -446,6 +487,8 @@ impl Broker {
                 report: None,
                 tenants: HashMap::new(),
                 sessions: HashMap::new(),
+                open_conns: HashSet::new(),
+                next_conn: 0,
                 live_total: 0,
                 queued_total: 0,
                 live_per_worker: vec![0; workers],
@@ -469,7 +512,7 @@ impl Broker {
                 std::thread::Builder::new()
                     .name(format!("cg-broker-{index}"))
                     // Compiler passes recurse deeply (same sizing as the
-                    // legacy per-service worker).
+                    // in-process service worker).
                     .stack_size(16 * 1024 * 1024)
                     .spawn(move || worker_loop(inner_w, index, factory))
                     .expect("spawn broker worker"),
@@ -519,6 +562,18 @@ impl Broker {
     /// Runs the admission ladder and, if the request survives it, queues
     /// the work on its owning worker. See [`Submitted`] for the outcomes.
     pub fn submit(&self, tenant: &str, req: Request, ctx: Option<TraceContext>) -> Submitted {
+        self.submit_from(None, tenant, req, ctx)
+    }
+
+    /// [`Broker::submit`] on behalf of TCP connection `conn`, which will
+    /// own any session the request creates.
+    fn submit_from(
+        &self,
+        conn: Option<u64>,
+        tenant: &str,
+        req: Request,
+        ctx: Option<TraceContext>,
+    ) -> Submitted {
         let cfg = &self.inner.cfg;
         let workers = cfg.workers as u64;
         let base = cfg.retry_after_ms.max(1);
@@ -545,7 +600,7 @@ impl Broker {
         // client must not retry).
         if let Some(gid) = target {
             if let Some(owner) = core.sessions.get(&gid) {
-                if owner != tenant {
+                if owner.tenant != tenant {
                     return Submitted::Rejected(Response::Error(format!(
                         "session {gid} is not owned by tenant {tenant}"
                     )));
@@ -672,6 +727,10 @@ impl Broker {
         let kind = req.kind();
         let (tx, rx) = bounded(fanout.max(1));
         let now = Instant::now();
+        let owner = Owner {
+            tenant: tenant.to_string(),
+            conn,
+        };
         if fanout > 1 {
             // Fan the request out to every worker (budgets apply to all
             // shards); the caller collects `fanout` replies.
@@ -680,7 +739,7 @@ impl Broker {
                     req: req.clone(),
                     ctx,
                     reply: tx.clone(),
-                    tenant: tenant.to_string(),
+                    owner: owner.clone(),
                     cost: 1,
                     creates: false,
                     ends: false,
@@ -698,7 +757,7 @@ impl Broker {
                 req,
                 ctx,
                 reply: tx,
-                tenant: tenant.to_string(),
+                owner,
                 cost: actions.max(1),
                 creates,
                 ends,
@@ -727,11 +786,7 @@ impl Broker {
     /// Submits under the caller's current trace context and blocks for the
     /// reply — the in-process client surface.
     pub fn call(&self, tenant: &str, req: Request) -> Response {
-        self.call_with_ctx(tenant, req, cg_telemetry::current_context())
-    }
-
-    fn call_with_ctx(&self, tenant: &str, req: Request, ctx: Option<TraceContext>) -> Response {
-        match self.submit(tenant, req, ctx) {
+        match self.submit(tenant, req, cg_telemetry::current_context()) {
             Submitted::Refused {
                 retry_after_ms,
                 reason,
@@ -847,7 +902,7 @@ impl Broker {
         report
     }
 
-    /// Serves the broker over TCP: length-prefixed JSON frames, one
+    /// Serves the broker over TCP: length-prefixed `CGB1` frames, one
     /// handler thread per connection (bounded by
     /// [`BrokerConfig::max_connections`] — excess connects receive one
     /// typed `Overloaded` frame and are closed). A `Shutdown` request
@@ -879,7 +934,7 @@ impl Broker {
         }
     }
 
-    fn accept_connection(&self, mut stream: TcpStream) {
+    fn accept_connection(&self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         let tel = cg_telemetry::global();
         let cap = self.inner.cfg.max_connections.max(1);
@@ -894,11 +949,13 @@ impl Broker {
                 Duration::ZERO,
                 SpanStatus::Error,
             );
+            // Written before the client has spoken: its handshake reads
+            // this frame where it expected the `HelloAck`.
             let resp = Response::Overloaded {
                 retry_after_ms: self.inner.cfg.retry_after_ms.max(1),
                 reason: format!("connection cap {cap} reached"),
             };
-            let _ = write_frame(&mut stream, &wire::encode_response_json(&resp));
+            reply(&Mutex::new(stream), 0, &resp);
             return;
         }
         tel.broker.connections.inc();
@@ -906,9 +963,17 @@ impl Broker {
         let _ = std::thread::Builder::new()
             .name("cg-broker-conn".to_string())
             .spawn(move || {
+                let conn = {
+                    let mut core = broker.inner.lock_core();
+                    core.next_conn += 1;
+                    let conn = core.next_conn;
+                    core.open_conns.insert(conn);
+                    conn
+                };
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    handle_connection(&broker, stream);
+                    handle_connection(&broker, conn, stream);
                 }));
+                broker.end_connection(conn);
                 broker.inner.connections.fetch_sub(1, Ordering::SeqCst);
                 let tel = cg_telemetry::global();
                 tel.broker.connections.dec();
@@ -922,45 +987,60 @@ impl Broker {
                 }
             });
     }
+
+    /// Closes the books on TCP connection `conn`, however it ended: the
+    /// sessions it created and never ended are ended now, so a crashed or
+    /// reconnecting client cannot strand its tenant's quota.
+    fn end_connection(&self, conn: u64) {
+        let mut core = self.inner.lock_core();
+        core.open_conns.remove(&conn);
+        let orphans: Vec<u64> = core
+            .sessions
+            .iter()
+            .filter_map(|(gid, owner)| (owner.conn == Some(conn)).then_some(*gid))
+            .collect();
+        for gid in orphans {
+            core.end_orphan(gid);
+        }
+        drop(core);
+        self.inner.work_cv.notify_all();
+    }
 }
 
-/// Encodes and writes one binary response frame through the connection's
-/// shared writer (the reader loop and the demux forwarder threads all
-/// funnel through the same mutex, so frames never interleave mid-write).
-fn reply_binary(writer: &Mutex<TcpStream>, corr: u64, resp: &Response) -> bool {
+/// Encodes and writes one response frame through the connection's shared
+/// writer (the reader loop and the demux forwarder threads all funnel
+/// through the same mutex, so frames never interleave mid-write).
+fn reply(writer: &Mutex<TcpStream>, corr: u64, resp: &Response) -> bool {
     let mut buf = Vec::new();
     wire::encode_response_frame(&mut buf, corr, resp);
-    account_tx(WireCodec::Binary, buf.len());
-    let mut w = writer
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    write_frame(&mut *w, &buf).is_ok()
+    send(writer, &buf)
 }
 
-/// Writes one JSON response frame through the shared writer.
-fn reply_json(writer: &Mutex<TcpStream>, resp: &Response) -> bool {
-    let bytes = wire::encode_response_json(resp);
-    account_tx(WireCodec::Json, bytes.len());
+/// Writes one encoded frame through the shared writer.
+fn send(writer: &Mutex<TcpStream>, frame: &[u8]) -> bool {
+    account_tx(frame.len());
     let mut w = writer
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    write_frame(&mut *w, &bytes).is_ok()
+    write_frame(&mut *w, frame).is_ok()
 }
 
 /// Routes each per-connection request through the broker with a sticky
-/// tenant identity (the last `__tenant` metadata seen on this connection).
+/// tenant identity (the last tenant metadata seen on this connection).
 ///
-/// The codec is sniffed per frame (JSON frames start `{`/`"`, CGB1 frames
-/// with their non-UTF-8 magic), so legacy JSON clients work unchanged.
-/// JSON requests keep the one-in-flight lock-step contract: submit, block
-/// for the reply, answer in order. Binary requests pipeline: the reader
-/// submits each frame as it arrives (admission and queueing happen in
-/// receipt order, and session→worker pinning plus per-tenant FIFOs keep
-/// per-session execution ordered), while a short-lived forwarder thread
-/// per in-flight request collects the worker's reply and writes it back
-/// stamped with the request's correlation id — responses may leave out of
-/// order, the client demuxes.
-fn handle_connection(broker: &Broker, stream: TcpStream) {
+/// Requests pipeline: the reader submits each frame as it arrives
+/// (admission and queueing happen in receipt order, and session→worker
+/// pinning plus per-tenant FIFOs keep per-session execution ordered), while
+/// a short-lived forwarder thread per in-flight request collects the
+/// worker's reply and writes it back stamped with the request's correlation
+/// id — responses may leave out of order, the client demuxes.
+///
+/// Everything on the socket is outside input. A frame without the `CGB1`
+/// magic, or a `Hello` carrying another protocol version, is answered with
+/// one typed error naming what was expected, and the connection is closed:
+/// the peer is not speaking this protocol, so nothing after it can be
+/// trusted to be a frame boundary.
+fn handle_connection(broker: &Broker, conn: u64, stream: TcpStream) {
     let mut tenant = ANONYMOUS_TENANT.to_string();
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
@@ -968,131 +1048,52 @@ fn handle_connection(broker: &Broker, stream: TcpStream) {
     };
     let mut stream = stream;
     let mut reader = FrameReader::new();
-    let binary_wire = broker.inner.cfg.binary_wire;
-    'conn: while let Ok(frame) = reader.read(&mut stream) {
-        if wire::is_binary_frame(frame) && binary_wire {
-            account_rx(WireCodec::Binary, frame.len());
-            let (corr, req, ctx) = match wire::decode_frame(frame) {
-                Ok(wire::Frame::Hello { .. }) => {
-                    cg_telemetry::global().wire.negotiations.inc();
-                    let mut buf = Vec::new();
-                    wire::encode_hello_ack(&mut buf);
-                    account_tx(WireCodec::Binary, buf.len());
-                    let mut w = writer
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if write_frame(&mut *w, &buf).is_err() {
-                        break;
-                    }
-                    continue;
+    while let Ok(frame) = reader.read(&mut stream) {
+        account_rx(frame.len());
+        let (corr, req, ctx) = match wire::decode_frame(frame) {
+            Ok(wire::Frame::Hello { version }) if version == wire::WIRE_VERSION => {
+                cg_telemetry::global().wire.negotiations.inc();
+                let mut buf = Vec::new();
+                wire::encode_hello_ack(&mut buf);
+                if !send(&writer, &buf) {
+                    break;
                 }
-                Ok(wire::Frame::Request { corr, body }) => {
-                    match wire::decode_request_body(corr, body) {
-                        Ok(rf) => {
-                            if let Some(t) = rf.tenant {
-                                tenant = t;
-                            }
-                            (rf.corr, rf.req, rf.ctx)
-                        }
-                        Err(e) => {
-                            cg_telemetry::global().wire.decode_errors.inc();
-                            let resp = Response::Error(format!("bad request frame: {e}"));
-                            if !reply_binary(&writer, corr, &resp) {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
-                }
-                Ok(_) | Err(_) => {
-                    cg_telemetry::global().wire.decode_errors.inc();
-                    let resp = Response::Error("unexpected frame kind".to_string());
-                    if !reply_binary(&writer, 0, &resp) {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            if matches!(req, Request::Shutdown) {
-                let grace = broker.inner.cfg.drain_grace;
-                let _report = broker.drain(grace);
-                let _ = reply_binary(&writer, corr, &Response::Ok);
-                break;
+                continue;
             }
-            match broker.submit(&tenant, req, ctx) {
-                Submitted::Refused {
-                    retry_after_ms,
-                    reason,
-                } => {
-                    let resp = Response::Overloaded {
-                        retry_after_ms,
-                        reason,
-                    };
-                    if !reply_binary(&writer, corr, &resp) {
-                        break;
-                    }
-                }
-                Submitted::Rejected(resp) => {
-                    if !reply_binary(&writer, corr, &resp) {
-                        break;
-                    }
-                }
-                Submitted::Queued { rx, replies } => {
-                    cg_telemetry::global().wire.in_flight.inc();
-                    let demux_writer = Arc::clone(&writer);
-                    let spawned = std::thread::Builder::new()
-                        .name("cg-broker-demux".to_string())
-                        .spawn(move || {
-                            let mut responses = Vec::with_capacity(replies);
-                            for _ in 0..replies {
-                                responses.push(rx.recv().unwrap_or_else(|_| {
-                                    Response::Error("broker worker unavailable".to_string())
-                                }));
-                            }
-                            let resp = merge_replies(responses);
-                            reply_binary(&demux_writer, corr, &resp);
-                            cg_telemetry::global().wire.in_flight.dec();
-                        });
-                    if spawned.is_err() {
-                        // Out of threads: answer in band rather than hang
-                        // the client's window.
-                        cg_telemetry::global().wire.in_flight.dec();
-                        let resp = Response::Overloaded {
-                            retry_after_ms: broker.inner.cfg.retry_after_ms.max(1),
-                            reason: "broker demux thread unavailable".to_string(),
-                        };
-                        if !reply_binary(&writer, corr, &resp) {
-                            break 'conn;
+            Ok(wire::Frame::Request { corr, body }) => {
+                match wire::decode_request_body(corr, body) {
+                    Ok(rf) => {
+                        if let Some(t) = rf.tenant {
+                            tenant = t;
                         }
+                        (rf.corr, rf.req, rf.ctx)
                     }
-                }
-            }
-            continue;
-        }
-        account_rx(WireCodec::Json, frame.len());
-        let parsed = std::str::from_utf8(frame)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::parse_value(s).map_err(|e| e.to_string()));
-        let (req, ctx) = match parsed {
-            Ok(mut value) => {
-                let ctx = extract_trace_context(&mut value);
-                if let Some(t) = extract_tenant(&mut value) {
-                    tenant = t;
-                }
-                match Request::from_value(&value) {
-                    Ok(req) => (req, ctx),
                     Err(e) => {
+                        cg_telemetry::global().wire.decode_errors.inc();
                         let resp = Response::Error(format!("bad request frame: {e}"));
-                        if !reply_json(&writer, &resp) {
+                        if !reply(&writer, corr, &resp) {
                             break;
                         }
                         continue;
                     }
                 }
             }
-            Err(e) => {
-                let resp = Response::Error(format!("bad request frame: {e}"));
-                if !reply_json(&writer, &resp) {
+            other => {
+                cg_telemetry::global().wire.decode_errors.inc();
+                // A `Hello` reaching this arm carries another version.
+                let foreign =
+                    matches!(other, Ok(wire::Frame::Hello { .. })) || !wire::is_binary_frame(frame);
+                let resp = Response::Error(if foreign {
+                    format!(
+                        "not a CGB1 peer: frames start with magic {:02x?} and `Hello` \
+                         carries protocol version {}",
+                        wire::WIRE_MAGIC,
+                        wire::WIRE_VERSION
+                    )
+                } else {
+                    "unexpected frame kind".to_string()
+                });
+                if !reply(&writer, 0, &resp) || foreign {
                     break;
                 }
                 continue;
@@ -1104,11 +1105,47 @@ fn handle_connection(broker: &Broker, stream: TcpStream) {
             // until the server is actually safe to kill.
             let grace = broker.inner.cfg.drain_grace;
             let _report = broker.drain(grace);
-            let _ = reply_json(&writer, &Response::Ok);
+            let _ = reply(&writer, corr, &Response::Ok);
             break;
         }
-        let resp = broker.call_with_ctx(&tenant, req, ctx);
-        if !reply_json(&writer, &resp) {
+        let resp = match broker.submit_from(Some(conn), &tenant, req, ctx) {
+            Submitted::Refused {
+                retry_after_ms,
+                reason,
+            } => Response::Overloaded {
+                retry_after_ms,
+                reason,
+            },
+            Submitted::Rejected(resp) => resp,
+            Submitted::Queued { rx, replies } => {
+                cg_telemetry::global().wire.in_flight.inc();
+                let demux_writer = Arc::clone(&writer);
+                let spawned = std::thread::Builder::new()
+                    .name("cg-broker-demux".to_string())
+                    .spawn(move || {
+                        let mut responses = Vec::with_capacity(replies);
+                        for _ in 0..replies {
+                            responses.push(rx.recv().unwrap_or_else(|_| {
+                                Response::Error("broker worker unavailable".to_string())
+                            }));
+                        }
+                        let resp = merge_replies(responses);
+                        reply(&demux_writer, corr, &resp);
+                        cg_telemetry::global().wire.in_flight.dec();
+                    });
+                if spawned.is_ok() {
+                    continue;
+                }
+                // Out of threads: answer in band rather than hang the
+                // client's window.
+                cg_telemetry::global().wire.in_flight.dec();
+                Response::Overloaded {
+                    retry_after_ms: broker.inner.cfg.retry_after_ms.max(1),
+                    reason: "broker demux thread unavailable".to_string(),
+                }
+            }
+        };
+        if !reply(&writer, corr, &resp) {
             break;
         }
     }
@@ -1129,7 +1166,7 @@ fn worker_loop(inner: Arc<Inner>, index: usize, factory: SessionFactory) {
             req,
             ctx,
             reply,
-            tenant,
+            owner,
             cost: _,
             creates,
             ends,
@@ -1141,7 +1178,11 @@ fn worker_loop(inner: Arc<Inner>, index: usize, factory: SessionFactory) {
         tel.broker.queue_wait.record_duration(wait);
         tel.trace.emit(
             "broker:queue",
-            format!("tenant {tenant}: {} dequeued by worker {index}", req.kind()),
+            format!(
+                "tenant {}: {} dequeued by worker {index}",
+                owner.tenant,
+                req.kind()
+            ),
             wait,
         );
         let resp = match std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1154,7 +1195,7 @@ fn worker_loop(inner: Arc<Inner>, index: usize, factory: SessionFactory) {
                 Response::Fatal("broker worker panicked handling request".to_string())
             }
         };
-        let resp = settle(&inner, index, &tenant, creates, ends, target, resp);
+        let resp = settle(&inner, index, owner, creates, ends, target, resp);
         let _ = reply.send(resp);
         inner.idle_cv.notify_all();
     }
@@ -1180,7 +1221,7 @@ fn pop_job(inner: &Inner, index: usize) -> Option<Job> {
             return None;
         }
         if let Some(job) = core.workers[index].pop_drr(inner.cfg.quantum) {
-            if let Some(state) = core.tenants.get_mut(&job.tenant) {
+            if let Some(state) = core.tenants.get_mut(&job.owner.tenant) {
                 state.queued = state.queued.saturating_sub(1);
             }
             core.queued_total = core.queued_total.saturating_sub(1);
@@ -1196,12 +1237,13 @@ fn pop_job(inner: &Inner, index: usize) -> Option<Job> {
 }
 
 /// Post-dispatch accounting: rewrites worker-local session ids to global
-/// ids, records new sessions against their tenant, and releases quota on
-/// every path that destroys one (end, fault, budget kill, failed create).
+/// ids, records new sessions against their tenant and connection, and
+/// releases quota on every path that destroys one (end, fault, budget kill,
+/// failed create).
 fn settle(
     inner: &Inner,
     index: usize,
-    tenant: &str,
+    owner: Owner,
     creates: bool,
     ends: bool,
     target: Option<u64>,
@@ -1214,9 +1256,16 @@ fn settle(
             Response::SessionStarted { session_id } | Response::Forked { session_id } => {
                 let gid = *session_id * workers + index as u64;
                 *session_id = gid;
-                core.sessions.insert(gid, tenant.to_string());
+                // The connection closed while its create was in flight:
+                // nobody can address the session, so end it now.
+                let orphan = owner.conn.is_some_and(|c| !core.open_conns.contains(&c));
+                core.sessions.insert(gid, owner);
+                if orphan {
+                    core.end_orphan(gid);
+                    inner.work_cv.notify_all();
+                }
             }
-            _ => core.release_reservation(tenant, index),
+            _ => core.release_reservation(&owner.tenant, index),
         }
     }
     let destroyed = matches!(resp, Response::Fatal(_) | Response::Budget(_));
@@ -2010,6 +2059,15 @@ mod tests {
         broker.drain(Duration::from_secs(2));
     }
 
+    /// Binds a loopback port and serves `broker` on it from a joinable
+    /// thread; a `Shutdown` request or a drain ends it.
+    fn serve(broker: &Broker) -> (String, JoinHandle<std::io::Result<()>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let broker = broker.clone();
+        (addr, std::thread::spawn(move || broker.serve(listener)))
+    }
+
     #[test]
     fn tcp_broker_serves_tenants_and_drains_on_shutdown() {
         use crate::retry::RetryPolicy;
@@ -2027,12 +2085,7 @@ mod tests {
                 ..BrokerConfig::default()
             },
         );
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = {
-            let broker = broker.clone();
-            std::thread::spawn(move || broker.serve(listener))
-        };
+        let (addr, server) = serve(&broker);
         let policy = RetryPolicy::none();
         let mut alice =
             TcpClient::connect_with_policy(&addr, Duration::from_secs(10), policy.clone()).unwrap();
@@ -2081,74 +2134,129 @@ mod tests {
         );
     }
 
+    /// Sessions are connection-scoped over TCP: a client that drops its
+    /// socket — a crash, or the recovery ladder abandoning a ghost session
+    /// on reconnect — gets its sessions ended and its quota back. Ten
+    /// drops against a quota of two: every create is admitted.
     #[test]
-    fn json_only_broker_forces_transparent_fallback() {
+    fn dropped_connections_return_their_sessions_and_quota() {
         use crate::retry::RetryPolicy;
         use crate::service::TcpClient;
-        // `binary_wire: false` makes the broker behave like a pre-CGB1
-        // server: the client's Hello probe is answered with a JSON error,
-        // and the client must settle on JSON without surfacing anything.
         let broker = Broker::new(
             counting_factory(),
             BrokerConfig {
-                workers: 1,
-                binary_wire: false,
+                workers: 2,
                 quota: TenantQuota {
-                    max_sessions: 1,
+                    max_sessions: 2,
                     ..TenantQuota::default()
                 },
                 ..BrokerConfig::default()
             },
         );
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = {
-            let broker = broker.clone();
-            std::thread::spawn(move || broker.serve(listener))
-        };
-        let mut client =
-            TcpClient::connect_with_policy(&addr, Duration::from_secs(10), RetryPolicy::none())
-                .unwrap();
-        client.set_tenant("fallback-tenant");
-        assert!(matches!(
-            client.call(&Request::Ping).unwrap(),
-            Response::Pong
-        ));
-        assert_eq!(client.codec(), Some(crate::wire::WireCodec::Json));
-        // Tenant metadata still rides the JSON frames after fallback.
-        let gid = match client
-            .call(&Request::StartSession {
-                benchmark: "b".into(),
-                action_space: 0,
-            })
-            .unwrap()
-        {
-            Response::SessionStarted { session_id } => session_id,
-            other => panic!("{other:?}"),
-        };
-        assert!(matches!(
-            client
-                .call(&Request::Step {
-                    session_id: gid,
-                    actions: vec![0],
-                    observation_spaces: vec![],
-                })
-                .unwrap(),
-            Response::Stepped { .. }
-        ));
-        // Tenant metadata survived the fallback: the per-tenant session
-        // quota kicks in on the second StartSession.
-        match client.call(&Request::StartSession {
-            benchmark: "b".into(),
-            action_space: 0,
-        }) {
-            Err(crate::CgError::Overloaded { .. }) => {}
-            other => panic!("expected per-tenant quota refusal, got {other:?}"),
+        let (addr, server) = serve(&broker);
+        for round in 0..10 {
+            let mut client =
+                TcpClient::connect_with_policy(&addr, Duration::from_secs(10), RetryPolicy::none())
+                    .unwrap();
+            client.set_tenant("crashy");
+            // The sweep after the previous drop runs on the server's
+            // clock; a create that beats it is refused typed, and retried.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                match client.call(&Request::StartSession {
+                    benchmark: "b".into(),
+                    action_space: 0,
+                }) {
+                    Ok(Response::SessionStarted { .. }) => break,
+                    Err(crate::CgError::Overloaded { retry_after_ms, .. })
+                        if Instant::now() < deadline =>
+                    {
+                        std::thread::sleep(Duration::from_millis(retry_after_ms));
+                    }
+                    other => panic!("round {round}: create not admitted: {other:?}"),
+                }
+            }
+            drop(client);
         }
-        assert!(matches!(
-            client.call(&Request::Shutdown).unwrap(),
-            Response::Ok
-        ));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while broker.live_sessions() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(
+            broker.live_sessions(),
+            0,
+            "a dropped connection's sessions must be ended"
+        );
+        broker.drain(Duration::from_secs(1));
+        server.join().unwrap().unwrap();
+    }
+
+    /// One raw frame in, the broker's whole answer out: the decoded reply
+    /// frames until the server hangs up.
+    fn raw_exchange(addr: &str, frame: &[u8]) -> Vec<Response> {
+        let mut peer = TcpStream::connect(addr).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_frame(&mut peer, frame).unwrap();
+        let mut reader = FrameReader::new();
+        let mut replies = Vec::new();
+        loop {
+            match reader.read(&mut peer) {
+                Ok(reply) => {
+                    let Ok(wire::Frame::Response { corr: 0, body }) = wire::decode_frame(reply)
+                    else {
+                        panic!("the answer to outside input must be a CGB1 response frame");
+                    };
+                    replies.push(wire::decode_response_body(body).unwrap());
+                }
+                Err(e) => {
+                    assert_eq!(
+                        e.kind(),
+                        std::io::ErrorKind::UnexpectedEof,
+                        "the connection must be closed, not left hanging: {e}"
+                    );
+                    return replies;
+                }
+            }
+        }
+    }
+
+    fn assert_names_the_protocol(replies: &[Response]) {
+        match replies {
+            [Response::Error(e)] => {
+                assert!(e.contains("c9"), "names the magic: {e}");
+                assert!(
+                    e.contains(&format!("version {}", wire::WIRE_VERSION)),
+                    "names the version: {e}"
+                );
+            }
+            other => panic!("expected exactly one typed error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_cgb1_frame_gets_one_typed_error_and_a_close() {
+        let broker = Broker::new(counting_factory(), BrokerConfig::default());
+        let (addr, server) = serve(&broker);
+        let errors_before = cg_telemetry::global().wire.decode_errors.get();
+        // What a pre-CGB1 text client would have sent.
+        assert_names_the_protocol(&raw_exchange(&addr, br#"{"StartSession":{}}"#));
+        assert!(cg_telemetry::global().wire.decode_errors.get() > errors_before);
+        broker.drain(Duration::from_secs(1));
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn hello_of_another_version_gets_one_typed_error_and_a_close() {
+        let broker = Broker::new(counting_factory(), BrokerConfig::default());
+        let (addr, server) = serve(&broker);
+        let errors_before = cg_telemetry::global().wire.decode_errors.get();
+        let mut hello = Vec::new();
+        wire::encode_hello(&mut hello);
+        *hello.last_mut().unwrap() = wire::WIRE_VERSION + 1;
+        assert_names_the_protocol(&raw_exchange(&addr, &hello));
+        assert!(cg_telemetry::global().wire.decode_errors.get() > errors_before);
+        broker.drain(Duration::from_secs(1));
         server.join().unwrap().unwrap();
     }
 
@@ -2163,12 +2271,7 @@ mod tests {
                 ..BrokerConfig::default()
             },
         );
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = {
-            let broker = broker.clone();
-            std::thread::spawn(move || broker.serve(listener))
-        };
+        let (addr, server) = serve(&broker);
         let transport =
             TcpTransport::connect_with_policy(&addr, Duration::from_secs(10), RetryPolicy::none())
                 .unwrap();

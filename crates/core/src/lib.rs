@@ -88,4 +88,3 @@ pub use sink::{clear_transition_sink, install_transition_sink, transition_sink, 
 pub use space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 pub use state::EnvState;
 pub use watchdog::{Watchdog, WatchdogConfig};
-pub use wire::WireCodec;

@@ -6,8 +6,9 @@
 //! * **in-process** — a dedicated service thread per environment, reached
 //!   over channels (the default; one "service process" per env, as the real
 //!   system spawns one compiler service per environment);
-//! * **TCP** — length-prefixed JSON frames over a socket, supporting
-//!   compilation on a different machine than the frontend.
+//! * **TCP** — length-prefixed `CGB1` frames ([`crate::wire`]) over a
+//!   socket to a [`crate::broker::Broker`], supporting compilation on a
+//!   different machine than the frontend.
 //!
 //! Fault tolerance: every session call runs under `catch_unwind`, so a
 //! crashing "compiler" yields a [`Response::Fatal`] instead of killing the
@@ -33,9 +34,8 @@
 //!   `crate::watchdog`).
 
 use std::collections::HashMap;
-use std::io::Read as _;
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,7 +44,6 @@ use std::time::Duration;
 use cg_telemetry::{SpanStatus, TraceContext};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::budget::{BudgetKind, BudgetViolation, ResourceBudget};
@@ -54,7 +53,7 @@ use crate::retry::PipelineRetry;
 use crate::retry::RetryPolicy;
 use crate::session::{CompilationSession, SessionSnapshot};
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
-use crate::wire::{self, WireCodec};
+use crate::wire;
 
 /// A request to the compiler service.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -103,7 +102,7 @@ pub enum Request {
         /// session's history for subsequent checkpoints).
         actions: Vec<usize>,
         /// State from `CompilationSession::snapshot`. The in-process
-        /// channel moves the handle; the wire codecs carry its bytes.
+        /// channel moves the handle; the wire codec carries its bytes.
         state: SessionSnapshot,
     },
     /// Capture a session's current state (`CompilationSession::snapshot`)
@@ -1177,108 +1176,9 @@ pub(crate) fn write_frame<W: std::io::Write>(stream: &mut W, bytes: &[u8]) -> st
     Ok(())
 }
 
-/// Key under which the caller's trace context rides inside a request
-/// frame's payload object. It lives *inside* the single variant object
-/// (`{"step": {..., "__trace": [trace_id, span_id]}}`) rather than at the
-/// top level, because the enum codec requires exactly one top-level key.
-/// Both directions are version-tolerant: an old server ignores the unknown
-/// key, and an old client simply never sends it.
-const TRACE_METADATA_KEY: &str = "__trace";
-
-/// Key under which the client's tenant identity rides inside a request
-/// frame's payload object, next to [`TRACE_METADATA_KEY`]. The broker uses
-/// it to attribute work to per-tenant queues and quotas; the legacy
-/// per-connection server strips and ignores it. Version-tolerant in both
-/// directions: an old server discards the unknown key, an old client never
-/// sends it (and is billed to the anonymous tenant).
-pub(crate) const TENANT_METADATA_KEY: &str = "__tenant";
-
-/// Encodes a request frame, stamping the current trace context (and, when
-/// set, the client's tenant identity) into the variant payload. Unit
-/// variants (`ping`, …) serialize as bare strings and carry no metadata —
-/// they are cheap probes and nothing downstream of them records spans worth
-/// parenting or work worth billing.
-fn encode_request(req: &Request, tenant: Option<&str>) -> Result<Vec<u8>, CgError> {
-    let mut value = req.to_value();
-    if let Value::Object(entries) = &mut value {
-        if let Some((_, Value::Object(payload))) = entries.first_mut() {
-            if let Some(ctx) = cg_telemetry::current_context() {
-                payload.push((
-                    TRACE_METADATA_KEY.to_string(),
-                    Value::Array(vec![Value::UInt(ctx.trace_id), Value::UInt(ctx.span_id)]),
-                ));
-            }
-            if let Some(tenant) = tenant {
-                payload.push((
-                    TENANT_METADATA_KEY.to_string(),
-                    Value::Str(tenant.to_string()),
-                ));
-            }
-        }
-    }
-    serde_json::to_vec(&value).map_err(|e| CgError::ServiceFailure(e.to_string()))
-}
-
-/// Strips the tenant-identity metadata from a decoded request frame, if
-/// present, returning it so the front door can bill the request to the
-/// right tenant. The value is left clean for `Request` deserialization.
-pub(crate) fn extract_tenant(value: &mut Value) -> Option<String> {
-    let Value::Object(entries) = value else {
-        return None;
-    };
-    let (_, Value::Object(payload)) = entries.first_mut()? else {
-        return None;
-    };
-    let at = payload.iter().position(|(k, _)| k == TENANT_METADATA_KEY)?;
-    let (_, meta) = payload.remove(at);
-    match meta {
-        Value::Str(tenant) => Some(tenant),
-        _ => None,
-    }
-}
-
-/// Strips the trace-context metadata from a decoded request frame, if
-/// present. Returns the caller's context so the server can install it
-/// around dispatch; the value is left clean for `Request` deserialization.
-pub(crate) fn extract_trace_context(value: &mut Value) -> Option<TraceContext> {
-    let Value::Object(entries) = value else {
-        return None;
-    };
-    let (_, Value::Object(payload)) = entries.first_mut()? else {
-        return None;
-    };
-    let at = payload.iter().position(|(k, _)| k == TRACE_METADATA_KEY)?;
-    let (_, meta) = payload.remove(at);
-    let Value::Array(ids) = meta else { return None };
-    let as_id = |v: &Value| match v {
-        Value::UInt(n) => Some(*n),
-        Value::Int(n) => u64::try_from(*n).ok(),
-        _ => None,
-    };
-    match ids.as_slice() {
-        [t, s] => Some(TraceContext {
-            trace_id: as_id(t)?,
-            span_id: as_id(s)?,
-        }),
-        _ => None,
-    }
-}
-
-/// Hard cap on a single frame (either codec): a malformed or hostile length
-/// prefix must not allocate unbounded memory.
+/// Hard cap on a single frame: a malformed or hostile length prefix must
+/// not allocate unbounded memory.
 pub(crate) const MAX_FRAME_LEN: usize = 64 << 20;
-
-pub(crate) fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let n = u32::from_le_bytes(len) as usize;
-    if n > MAX_FRAME_LEN {
-        return Err(std::io::Error::other("frame too large"));
-    }
-    let mut buf = vec![0u8; n];
-    stream.read_exact(&mut buf)?;
-    Ok(buf)
-}
 
 /// Capacity a [`FrameReader`] keeps across frames. Buffers grown past this
 /// by one oversized frame (a multi-MB printed-IR observation, say) are
@@ -1295,8 +1195,7 @@ const FRAME_READ_CHUNK: usize = 64 << 10;
 /// frames — the per-connection receive path allocates once, not per frame.
 /// Each socket read drains whatever is available (up to the buffer), so
 /// back-to-back pipelined frames are served from memory without touching
-/// the socket again; [`FrameReader::has_buffered_frame`] exposes that to
-/// the server's reply batching.
+/// the socket again.
 #[derive(Debug, Default)]
 pub(crate) struct FrameReader {
     buf: Vec<u8>,
@@ -1313,18 +1212,6 @@ impl FrameReader {
 
     fn pending(&self) -> usize {
         self.end - self.start
-    }
-
-    /// True when a complete frame is already buffered — the next
-    /// [`FrameReader::read`] will not touch the socket. The server uses
-    /// this to batch replies to a pipelined burst into a single write.
-    pub(crate) fn has_buffered_frame(&self) -> bool {
-        if self.pending() < 4 {
-            return false;
-        }
-        let n =
-            u32::from_le_bytes(self.buf[self.start..self.start + 4].try_into().unwrap()) as usize;
-        n <= MAX_FRAME_LEN && self.pending() - 4 >= n
     }
 
     /// Buffers at least `need` unconsumed bytes, reading in large chunks.
@@ -1381,246 +1268,18 @@ impl FrameReader {
     }
 }
 
-/// Accounts one transmitted frame's payload bytes to the per-codec wire
-/// counters.
-pub(crate) fn account_tx(codec: WireCodec, n: usize) {
+/// Accounts one transmitted frame's payload bytes to the wire counters.
+pub(crate) fn account_tx(n: usize) {
     let wire = &cg_telemetry::global().wire;
     wire.frames.inc();
-    match codec {
-        WireCodec::Json => wire.tx_bytes_json.add(n as u64),
-        WireCodec::Binary => wire.tx_bytes_binary.add(n as u64),
-    }
+    wire.tx_bytes.add(n as u64);
 }
 
-/// Accounts one received frame's payload bytes to the per-codec wire
-/// counters.
-pub(crate) fn account_rx(codec: WireCodec, n: usize) {
+/// Accounts one received frame's payload bytes to the wire counters.
+pub(crate) fn account_rx(n: usize) {
     let wire = &cg_telemetry::global().wire;
     wire.frames.inc();
-    match codec {
-        WireCodec::Json => wire.rx_bytes_json.add(n as u64),
-        WireCodec::Binary => wire.rx_bytes_binary.add(n as u64),
-    }
-}
-
-/// Default cap on concurrent legacy-mode TCP connections. Generous for the
-/// thread-per-connection model it bounds; the broker front door
-/// ([`crate::broker`]) is the right tool past this scale.
-pub const DEFAULT_MAX_TCP_CONNECTIONS: usize = 256;
-
-/// Serves the compiler service over TCP. Each connection gets its own
-/// session table and worker ("support for compiling on a different system
-/// architecture than the host by running the compiler service on a remote
-/// machine"). Blocks forever; run it on a dedicated thread.
-///
-/// Concurrent connections are capped at [`DEFAULT_MAX_TCP_CONNECTIONS`]
-/// (see [`serve_tcp_with_limit`]): excess connects are answered with one
-/// typed in-band [`Response::Overloaded`] frame and closed, instead of
-/// spawning threads without bound until the process wedges.
-pub fn serve_tcp(listener: TcpListener, factory: SessionFactory) {
-    serve_tcp_with_limit(listener, factory, DEFAULT_MAX_TCP_CONNECTIONS);
-}
-
-/// [`serve_tcp`] with an explicit concurrent-connection cap (min 1). A
-/// connection at the cap is refused *in band*: the refused client's first
-/// read yields `Overloaded { retry_after_ms }` — a typed, retryable answer —
-/// rather than an unexplained reset or silent accept-queue growth.
-pub fn serve_tcp_with_limit(
-    listener: TcpListener,
-    factory: SessionFactory,
-    max_connections: usize,
-) {
-    let max_connections = max_connections.max(1);
-    let active = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    for stream in listener.incoming() {
-        let Ok(mut stream) = stream else { continue };
-        let _ = stream.set_nodelay(true);
-        // `fetch_add` before the check keeps the cap exact under concurrent
-        // accepts; the slot is released on refusal or when the handler exits.
-        if active.fetch_add(1, Ordering::SeqCst) >= max_connections {
-            active.fetch_sub(1, Ordering::SeqCst);
-            let tel = cg_telemetry::global();
-            tel.broker.refused.inc();
-            tel.trace.emit_status(
-                "broker:shed",
-                format!("legacy accept loop at connection cap {max_connections}"),
-                Duration::ZERO,
-                SpanStatus::Error,
-            );
-            let resp = Response::Overloaded {
-                retry_after_ms: 100,
-                reason: format!("connection cap {max_connections} reached"),
-            };
-            let _ = write_frame(&mut stream, &wire::encode_response_json(&resp));
-            continue;
-        }
-        let f = Arc::clone(&factory);
-        let slots = Arc::clone(&active);
-        std::thread::spawn(move || {
-            // Panic containment per connection: `handle` already isolates
-            // session code, but a poisoned frame or a bug in the dispatch
-            // layer itself must at worst kill *this* connection, never the
-            // accept loop or sibling connections.
-            let serve = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let mut state =
-                    ServiceState::new(f, ResourceBudget::default(), CheckpointStore::default());
-                let mut reader = FrameReader::new();
-                let mut scratch = Vec::new();
-                // Binary replies accumulate here and flush once the burst
-                // of already-buffered request frames is drained — one write
-                // per pipelined window instead of one per request.
-                let mut out: Vec<u8> = Vec::new();
-                // Per-frame codec sniffing: JSON frames always start with
-                // `{` or `"`, a CGB1 frame with its (non-UTF-8) magic — so
-                // one connection can negotiate up to binary while an old
-                // JSON-only client stays on its path without any handshake.
-                while let Ok(frame) = reader.read(&mut stream) {
-                    if wire::is_binary_frame(frame) {
-                        account_rx(WireCodec::Binary, frame.len());
-                        let (corr, req, ctx) = match wire::decode_frame(frame) {
-                            Ok(wire::Frame::Hello { .. }) => {
-                                cg_telemetry::global().wire.negotiations.inc();
-                                wire::encode_hello_ack(&mut scratch);
-                                account_tx(WireCodec::Binary, scratch.len());
-                                out.extend_from_slice(&(scratch.len() as u32).to_le_bytes());
-                                out.extend_from_slice(&scratch);
-                                let flushed = stream.write_all(&out);
-                                out.clear();
-                                if flushed.is_err() {
-                                    break;
-                                }
-                                continue;
-                            }
-                            Ok(wire::Frame::Request { corr, body }) => {
-                                match wire::decode_request_body(corr, body) {
-                                    Ok(rf) => {
-                                        // Legacy mode has no tenant
-                                        // accounting; the identity is
-                                        // decoded and dropped.
-                                        (rf.corr, rf.req, rf.ctx)
-                                    }
-                                    Err(e) => {
-                                        cg_telemetry::global().wire.decode_errors.inc();
-                                        let resp =
-                                            Response::Error(format!("bad request frame: {e}"));
-                                        wire::encode_response_frame(&mut scratch, corr, &resp);
-                                        account_tx(WireCodec::Binary, scratch.len());
-                                        out.extend_from_slice(
-                                            &(scratch.len() as u32).to_le_bytes(),
-                                        );
-                                        out.extend_from_slice(&scratch);
-                                        let flushed = stream.write_all(&out);
-                                        out.clear();
-                                        if flushed.is_err() {
-                                            break;
-                                        }
-                                        continue;
-                                    }
-                                }
-                            }
-                            Ok(_) | Err(_) => {
-                                cg_telemetry::global().wire.decode_errors.inc();
-                                let resp = Response::Error("unexpected frame kind".to_string());
-                                wire::encode_response_frame(&mut scratch, 0, &resp);
-                                account_tx(WireCodec::Binary, scratch.len());
-                                out.extend_from_slice(&(scratch.len() as u32).to_le_bytes());
-                                out.extend_from_slice(&scratch);
-                                let flushed = stream.write_all(&out);
-                                out.clear();
-                                if flushed.is_err() {
-                                    break;
-                                }
-                                continue;
-                            }
-                        };
-                        let shutdown = matches!(req, Request::Shutdown);
-                        let resp = {
-                            let _trace_guard = ctx.map(cg_telemetry::enter_context);
-                            state.handle(req)
-                        };
-                        wire::encode_response_frame(&mut scratch, corr, &resp);
-                        account_tx(WireCodec::Binary, scratch.len());
-                        out.extend_from_slice(&(scratch.len() as u32).to_le_bytes());
-                        out.extend_from_slice(&scratch);
-                        // Hold the reply while more of the burst is already
-                        // buffered: the whole window answers in one write.
-                        if !shutdown && reader.has_buffered_frame() {
-                            continue;
-                        }
-                        let flushed = stream.write_all(&out);
-                        out.clear();
-                        if flushed.is_err() || shutdown {
-                            break;
-                        }
-                        continue;
-                    }
-                    account_rx(WireCodec::Json, frame.len());
-                    // A mixed-codec client could interleave a JSON frame
-                    // into a binary burst; flush held binary replies first
-                    // so responses never overtake each other.
-                    if !out.is_empty() {
-                        if stream.write_all(&out).is_err() {
-                            break;
-                        }
-                        out.clear();
-                    }
-                    // Decode in two stages: parse the frame into a tree,
-                    // strip the (optional, version-tolerant) trace metadata,
-                    // then deserialize the request from the cleaned tree.
-                    let parsed = std::str::from_utf8(frame)
-                        .map_err(|e| e.to_string())
-                        .and_then(|s| serde_json::parse_value(s).map_err(|e| e.to_string()));
-                    let (req, ctx) = match parsed {
-                        Ok(mut value) => {
-                            let ctx = extract_trace_context(&mut value);
-                            // Legacy mode has no tenant accounting; strip
-                            // the metadata so deserialization stays clean.
-                            let _ = extract_tenant(&mut value);
-                            match Request::from_value(&value) {
-                                Ok(r) => (r, ctx),
-                                Err(e) => {
-                                    let resp = Response::Error(format!("bad request frame: {e}"));
-                                    let _ = write_frame(
-                                        &mut stream,
-                                        &wire::encode_response_json(&resp),
-                                    );
-                                    continue;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            let resp = Response::Error(format!("bad request frame: {e}"));
-                            let _ = write_frame(&mut stream, &wire::encode_response_json(&resp));
-                            continue;
-                        }
-                    };
-                    let shutdown = matches!(req, Request::Shutdown);
-                    let resp = {
-                        let _trace_guard = ctx.map(cg_telemetry::enter_context);
-                        state.handle(req)
-                    };
-                    let bytes = wire::encode_response_json(&resp);
-                    account_tx(WireCodec::Json, bytes.len());
-                    if write_frame(&mut stream, &bytes).is_err() {
-                        break;
-                    }
-                    if shutdown {
-                        break;
-                    }
-                }
-            }));
-            slots.fetch_sub(1, Ordering::SeqCst);
-            if serve.is_err() {
-                let tel = cg_telemetry::global();
-                tel.panics.inc();
-                tel.trace.emit(
-                    "service:panic",
-                    "tcp connection handler panicked; connection dropped",
-                    Duration::ZERO,
-                );
-            }
-        });
-    }
+    wire.rx_bytes.add(n as u64);
 }
 
 /// A TCP client for a remote compiler service, with reconnect-on-I/O-error
@@ -1634,20 +1293,15 @@ pub struct TcpClient {
     /// Tenant identity stamped into every request frame (the broker's
     /// queueing/quota key). `None` bills to the anonymous tenant.
     tenant: Option<String>,
-    /// Codec preference: [`WireCodec::Binary`] (the default) probes the
-    /// peer with a `Hello` before the first call and falls back to JSON
-    /// when the peer doesn't answer `HelloAck`; [`WireCodec::Json`] skips
-    /// negotiation entirely.
-    codec_pref: WireCodec,
-    /// The codec negotiated on the *current* stream; `None` until the
-    /// first call, and reset by every reconnect (the new peer may differ).
-    negotiated: Option<WireCodec>,
+    /// Whether the `Hello`/`HelloAck` handshake has completed on the
+    /// *current* stream; reset by every reconnect.
+    greeted: bool,
     /// Next correlation id. Monotonic per connection; responses are
     /// demuxed by echoing it, which is what lets `call_pipelined` keep
     /// many requests in flight on this one socket.
     corr: u64,
-    /// Reusable encode scratch — binary frames are built here instead of a
-    /// fresh `Vec` per request.
+    /// Reusable encode scratch — frames are built here instead of a fresh
+    /// `Vec` per request.
     scratch: Vec<u8>,
     /// Reusable receive buffer (see [`FrameReader`]).
     reader: FrameReader,
@@ -1678,32 +1332,16 @@ impl TcpClient {
             timeout,
             policy,
             tenant: None,
-            codec_pref: WireCodec::Binary,
-            negotiated: None,
+            greeted: false,
             corr: 0,
             scratch: Vec::new(),
             reader: FrameReader::new(),
         })
     }
 
-    /// Sets the codec preference. [`WireCodec::Json`] forces the legacy
-    /// frames; [`WireCodec::Binary`] (the default) negotiates per
-    /// connection and falls back transparently. Resets any negotiation
-    /// already performed on the current connection.
-    pub fn set_codec(&mut self, codec: WireCodec) {
-        self.codec_pref = codec;
-        self.negotiated = None;
-    }
-
-    /// The codec in use on the current connection, if negotiation has
-    /// happened yet.
-    pub fn codec(&self) -> Option<WireCodec> {
-        self.negotiated
-    }
-
     /// Sets the tenant identity stamped into every request frame, under
-    /// which a broker-mode server queues, schedules, and quota-bills this
-    /// client's work.
+    /// which the broker queues, schedules, and quota-bills this client's
+    /// work.
     pub fn set_tenant(&mut self, tenant: &str) {
         self.tenant = Some(tenant.to_string());
     }
@@ -1725,56 +1363,44 @@ impl TcpClient {
         &self.policy
     }
 
-    /// Ensures the codec for the current stream is settled, probing the
-    /// peer with a `Hello` frame on the first binary-preferred call.
-    ///
-    /// The fallback signal is the frame magic: its first two bytes are
-    /// invalid UTF-8, so a JSON-only server answers the probe with its
-    /// usual typed `Error("bad request frame: …")` — consumed here as
-    /// "peer speaks JSON only". A typed `Overloaded` answer (the
-    /// connection-cap refusal) is surfaced as its error and leaves the
-    /// codec unsettled so the retried call re-probes.
-    fn ensure_negotiated(&mut self) -> Result<WireCodec, CgError> {
-        if let Some(codec) = self.negotiated {
-            return Ok(codec);
-        }
-        if self.codec_pref == WireCodec::Json {
-            self.negotiated = Some(WireCodec::Json);
-            return Ok(WireCodec::Json);
+    /// Opens the conversation on the current stream: sends `Hello` and
+    /// requires a `HelloAck` carrying this build's [`wire::WIRE_VERSION`] —
+    /// a magic + version check on the peer before any request is trusted to
+    /// it. A typed refusal the server wrote instead (the connection cap's
+    /// `Overloaded`, a version-mismatch `Error`) surfaces as its error and
+    /// leaves the stream ungreeted, so a retried call shakes hands again.
+    fn handshake(&mut self) -> Result<(), CgError> {
+        if self.greeted {
+            return Ok(());
         }
         wire::encode_hello(&mut self.scratch);
-        account_tx(WireCodec::Binary, self.scratch.len());
+        account_tx(self.scratch.len());
         write_frame(&mut self.stream, &self.scratch)
             .map_err(|e| CgError::ServiceFailure(format!("hello send: {e}")))?;
         let frame = self
             .reader
             .read(&mut self.stream)
             .map_err(|e| CgError::ServiceFailure(format!("hello recv: {e}")))?;
-        if let Ok(wire::Frame::HelloAck { .. }) = wire::decode_frame(frame) {
-            account_rx(WireCodec::Binary, frame.len());
-            self.negotiated = Some(WireCodec::Binary);
-            return Ok(WireCodec::Binary);
-        }
-        account_rx(WireCodec::Json, frame.len());
-        let resp: Response = serde_json::from_slice(frame)
-            .map_err(|e| CgError::ServiceFailure(format!("unintelligible hello reply: {e}")))?;
-        if let Response::Overloaded {
-            retry_after_ms,
-            reason,
-        } = resp
-        {
-            // A healthy-but-full peer refused the connection before seeing
-            // the probe; surface the overload and renegotiate on retry.
-            return Err(CgError::Overloaded {
-                retry_after_ms,
-                reason,
-            });
-        }
-        // Any other JSON answer (typically the bad-frame error) marks an
-        // old peer: fall back for the connection's lifetime.
-        cg_telemetry::global().wire.fallbacks.inc();
-        self.negotiated = Some(WireCodec::Json);
-        Ok(WireCodec::Json)
+        account_rx(frame.len());
+        let refusal = match wire::decode_frame(frame) {
+            Ok(wire::Frame::HelloAck { version }) if version == wire::WIRE_VERSION => {
+                self.greeted = true;
+                return Ok(());
+            }
+            Ok(wire::Frame::HelloAck { version }) => format!(
+                "peer speaks CGB1 version {version}, expected {}",
+                wire::WIRE_VERSION
+            ),
+            Ok(wire::Frame::Response { body, .. }) => {
+                match wire::decode_response_body(body).map(Self::settle_response) {
+                    Ok(Err(refused)) => return Err(refused),
+                    other => format!("unexpected handshake reply: {other:?}"),
+                }
+            }
+            _ => "peer did not answer the CGB1 handshake".to_string(),
+        };
+        cg_telemetry::global().wire.decode_errors.inc();
+        Err(CgError::ServiceFailure(refusal))
     }
 
     /// Maps typed error responses to their error surface.
@@ -1794,81 +1420,60 @@ impl TcpClient {
         }
     }
 
-    /// Sends `req` on the negotiated codec, returning the stamped
-    /// correlation id (binary) or 0 (JSON, which has in-order replies).
-    fn send_request(&mut self, codec: WireCodec, req: &Request) -> Result<u64, CgError> {
-        match codec {
-            WireCodec::Json => {
-                let bytes = encode_request(req, self.tenant.as_deref())?;
-                account_tx(WireCodec::Json, bytes.len());
-                write_frame(&mut self.stream, &bytes)
-                    .map_err(|e| CgError::ServiceFailure(format!("send: {e}")))?;
-                Ok(0)
-            }
-            WireCodec::Binary => {
-                self.corr += 1;
-                let corr = self.corr;
-                wire::encode_request_frame(
-                    &mut self.scratch,
-                    corr,
-                    req,
-                    cg_telemetry::current_context(),
-                    self.tenant.as_deref(),
-                );
-                account_tx(WireCodec::Binary, self.scratch.len());
-                write_frame(&mut self.stream, &self.scratch)
-                    .map_err(|e| CgError::ServiceFailure(format!("send: {e}")))?;
-                Ok(corr)
-            }
-        }
+    /// Encodes `req` into the scratch buffer under the next correlation
+    /// id, stamped with the caller's trace context and the tenant.
+    fn encode_request(&mut self, req: &Request) -> u64 {
+        self.corr += 1;
+        wire::encode_request_frame(
+            &mut self.scratch,
+            self.corr,
+            req,
+            cg_telemetry::current_context(),
+            self.tenant.as_deref(),
+        );
+        account_tx(self.scratch.len());
+        self.corr
     }
 
-    /// Receives one response frame on the negotiated codec, returning its
-    /// correlation id (0 for JSON frames).
-    fn recv_response(&mut self, codec: WireCodec) -> Result<(u64, Response), CgError> {
+    /// Receives one response frame, returning its correlation id. A read
+    /// deadline that expires counts as a telemetry timeout unless the
+    /// caller expected it (`count_timeout` false: best-effort teardown).
+    fn recv_response(&mut self, count_timeout: bool) -> Result<(u64, Response), CgError> {
         let frame = self.reader.read(&mut self.stream).map_err(|e| {
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) {
+            if count_timeout
+                && matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                )
+            {
                 cg_telemetry::global().timeouts.inc();
             }
             CgError::ServiceFailure(format!("recv: {e}"))
         })?;
-        match codec {
-            WireCodec::Json => {
-                account_rx(WireCodec::Json, frame.len());
-                let resp: Response = serde_json::from_slice(frame)
-                    .map_err(|e| CgError::ServiceFailure(e.to_string()))?;
-                Ok((0, resp))
-            }
-            WireCodec::Binary => {
-                account_rx(WireCodec::Binary, frame.len());
-                match wire::decode_frame(frame) {
-                    Ok(wire::Frame::Response { corr, body }) => {
-                        match wire::decode_response_body(body) {
-                            Ok(resp) => Ok((corr, resp)),
-                            Err(e) => {
-                                cg_telemetry::global().wire.decode_errors.inc();
-                                Err(CgError::ServiceFailure(format!("bad response frame: {e}")))
-                            }
-                        }
-                    }
-                    _ => {
-                        cg_telemetry::global().wire.decode_errors.inc();
-                        Err(CgError::ServiceFailure(
-                            "unexpected frame kind in response".to_string(),
-                        ))
-                    }
+        account_rx(frame.len());
+        match wire::decode_frame(frame) {
+            Ok(wire::Frame::Response { corr, body }) => match wire::decode_response_body(body) {
+                Ok(resp) => Ok((corr, resp)),
+                Err(e) => {
+                    cg_telemetry::global().wire.decode_errors.inc();
+                    Err(CgError::ServiceFailure(format!("bad response frame: {e}")))
                 }
+            },
+            _ => {
+                cg_telemetry::global().wire.decode_errors.inc();
+                Err(CgError::ServiceFailure(
+                    "unexpected frame kind in response".to_string(),
+                ))
             }
         }
     }
 
-    fn call_once(&mut self, req: &Request) -> Result<Response, CgError> {
-        let codec = self.ensure_negotiated()?;
-        let corr = self.send_request(codec, req)?;
-        let (got, resp) = self.recv_response(codec)?;
+    fn call_once(&mut self, req: &Request, count_timeout: bool) -> Result<Response, CgError> {
+        self.handshake()?;
+        let corr = self.encode_request(req);
+        write_frame(&mut self.stream, &self.scratch)
+            .map_err(|e| CgError::ServiceFailure(format!("send: {e}")))?;
+        let (got, resp) = self.recv_response(count_timeout)?;
         if got != corr {
             // A serial call found a stale reply on the socket (e.g. a
             // timed-out predecessor answered late): the stream is
@@ -1882,9 +1487,7 @@ impl TcpClient {
 
     /// Issues a batch of requests with all of them in flight on this one
     /// socket before the first reply is awaited, then demuxes the replies
-    /// by correlation id (binary codec) or strict FIFO order (JSON codec —
-    /// both servers process a connection's frames sequentially and reply
-    /// in receipt order).
+    /// by correlation id.
     ///
     /// Typed per-request errors (`Error`, `Budget`, …) are returned as
     /// their raw [`Response`] values in the matching slot — one failed
@@ -1912,11 +1515,10 @@ impl TcpClient {
         done: &mut [Option<Response>],
     ) -> Result<(), CgError> {
         debug_assert_eq!(reqs.len(), done.len());
-        let codec = self.ensure_negotiated()?;
+        self.handshake()?;
         let wire_stats = &cg_telemetry::global().wire;
-        // corr id → slot index, for the binary demux.
+        // corr id → slot index, for the demux.
         let mut pending: HashMap<u64, usize> = HashMap::new();
-        let mut order: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         // The whole window is encoded into one buffer and flushed with a
         // single write: one syscall per window instead of one per request,
         // and no chance for the kernel to coalesce-and-stall partial frames.
@@ -1925,65 +1527,22 @@ impl TcpClient {
             if done[at].is_some() {
                 continue;
             }
-            let corr = match codec {
-                WireCodec::Json => {
-                    let bytes = encode_request(req, self.tenant.as_deref())?;
-                    account_tx(WireCodec::Json, bytes.len());
-                    batch.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    batch.extend_from_slice(&bytes);
-                    0
-                }
-                WireCodec::Binary => {
-                    self.corr += 1;
-                    wire::encode_request_frame(
-                        &mut self.scratch,
-                        self.corr,
-                        req,
-                        cg_telemetry::current_context(),
-                        self.tenant.as_deref(),
-                    );
-                    account_tx(WireCodec::Binary, self.scratch.len());
-                    batch.extend_from_slice(&(self.scratch.len() as u32).to_le_bytes());
-                    batch.extend_from_slice(&self.scratch);
-                    self.corr
-                }
-            };
+            let corr = self.encode_request(req);
+            batch.extend_from_slice(&(self.scratch.len() as u32).to_le_bytes());
+            batch.extend_from_slice(&self.scratch);
             wire_stats.pipelined_calls.inc();
             wire_stats.in_flight.inc();
             pending.insert(corr, at);
-            order.push_back(at);
-        }
-        if !batch.is_empty() {
-            use std::io::Write as _;
-            if let Err(e) = self.stream.write_all(&batch) {
-                for _ in &order {
-                    wire_stats.in_flight.dec();
-                }
-                return Err(CgError::ServiceFailure(format!("send: {e}")));
-            }
         }
         let result = (|| {
-            while !order.is_empty() {
-                let (corr, resp) = self.recv_response(codec)?;
-                let at = match codec {
-                    // JSON replies carry no ids; both server loops answer a
-                    // connection's frames strictly in receipt order.
-                    WireCodec::Json => order.pop_front().expect("order is non-empty"),
-                    WireCodec::Binary => {
-                        let at = pending.remove(&corr).ok_or_else(|| {
-                            CgError::ServiceFailure(format!(
-                                "correlation mismatch: unexpected id {corr}"
-                            ))
-                        })?;
-                        let in_order = order.front() == Some(&at);
-                        if in_order {
-                            order.pop_front();
-                        } else {
-                            order.retain(|x| *x != at);
-                        }
-                        at
-                    }
-                };
+            self.stream
+                .write_all(&batch)
+                .map_err(|e| CgError::ServiceFailure(format!("send: {e}")))?;
+            while !pending.is_empty() {
+                let (corr, resp) = self.recv_response(true)?;
+                let at = pending.remove(&corr).ok_or_else(|| {
+                    CgError::ServiceFailure(format!("correlation mismatch: unexpected id {corr}"))
+                })?;
                 wire_stats.in_flight.dec();
                 done[at] = Some(resp);
             }
@@ -1991,10 +1550,8 @@ impl TcpClient {
         })();
         // On transport failure the unanswered requests stay in flight from
         // the gauge's perspective unless drained here.
-        if result.is_err() {
-            for _ in &order {
-                wire_stats.in_flight.dec();
-            }
+        for _ in 0..pending.len() {
+            wire_stats.in_flight.dec();
         }
         result
     }
@@ -2022,7 +1579,7 @@ impl TcpClient {
             attempt += 1;
             let budget_spent = self.policy.budget.is_some_and(|b| start.elapsed() >= b);
             let last = attempt >= max || budget_spent;
-            match self.call_once(req) {
+            match self.call_once(req, true) {
                 Err(CgError::ServiceFailure(e)) if !last => {
                     self.policy.record_retry(kind, attempt, &e);
                     std::thread::sleep(self.policy.backoff_for(attempt));
@@ -2035,15 +1592,21 @@ impl TcpClient {
         }
     }
 
+    /// Swaps in a freshly opened stream: it has not been greeted, and
+    /// whatever the old stream left half-read in the receive buffer is not
+    /// part of its conversation.
+    fn replace_stream(&mut self, stream: TcpStream) {
+        self.stream = stream;
+        self.greeted = false;
+        self.reader = FrameReader::new();
+    }
+
     /// Re-opens the connection after `why`; on success the reconnect is
     /// counted and recorded as a span under the caller's current context.
     fn reconnect(&mut self, why: &str) -> bool {
         match Self::open(&self.addr, self.timeout) {
             Ok(stream) => {
-                self.stream = stream;
-                // The new peer may be older or newer than the last one:
-                // renegotiate the codec on the first call over this stream.
-                self.negotiated = None;
+                self.replace_stream(stream);
                 let tel = cg_telemetry::global();
                 tel.reconnects.inc();
                 tel.trace.emit_status(
@@ -2063,12 +1626,12 @@ impl TcpClient {
 /// [`ServiceClient`], so `CompilerEnv` can drive a remote service through
 /// the identical recovery ladder it uses in-process.
 ///
-/// Clones share the underlying connection (the remote side keys its session
-/// table per connection, so a forked environment *must* reuse the socket its
-/// parent's sessions live on) and the restart generation. The checkpoint
-/// store is client-owned: a remote worker's server-side store dies with the
-/// connection, so the environment exports snapshots back over the wire and
-/// parks them here, where they survive reconnects.
+/// Clones share the underlying connection (the broker ends a connection's
+/// sessions when its socket closes, so a forked environment *must* reuse the
+/// socket its parent's sessions live on) and the restart generation. The
+/// checkpoint store is client-owned: the environment exports snapshots back
+/// over the wire and parks them here, where they survive reconnects and
+/// server restarts.
 #[derive(Clone)]
 pub struct TcpTransport {
     inner: Arc<Mutex<TcpClient>>,
@@ -2160,7 +1723,7 @@ impl TcpTransport {
     pub fn call(&self, req: Request) -> Result<Response, CgError> {
         let kind = req.kind();
         let mut span = cg_telemetry::global().trace.span(format!("rpc:{kind}"));
-        let result = self.inner.lock().call_once(&req);
+        let result = self.inner.lock().call_once(&req, true);
         match &result {
             Err(CgError::BudgetExceeded(v)) => {
                 span.set_status(SpanStatus::BudgetExceeded);
@@ -2179,7 +1742,8 @@ impl TcpTransport {
     /// the socket read timeout is temporarily shortened so a hung remote
     /// cannot stall `close()`. A timed-out teardown leaves the stream
     /// desynchronized (the late reply is still in flight), so the connection
-    /// is quietly re-opened before returning.
+    /// is quietly re-opened before returning. Expiry is expected and is
+    /// *not* counted as a timeout in telemetry.
     ///
     /// # Errors
     /// Same as [`TcpTransport::call`]; callers typically ignore the result.
@@ -2191,35 +1755,14 @@ impl TcpTransport {
         let mut client = self.inner.lock();
         let deadline = self.policy.teardown_deadline.min(client.timeout);
         let _ = client.stream.set_read_timeout(Some(deadline));
-        let bytes = encode_request(&req, client.tenant.as_deref())?;
-        let result = (|| {
-            write_frame(&mut client.stream, &bytes)
-                .map_err(|e| CgError::ServiceFailure(format!("send: {e}")))?;
-            let frame = read_frame(&mut client.stream)
-                .map_err(|e| CgError::ServiceFailure(format!("recv: {e}")))?;
-            let resp: Response = serde_json::from_slice(&frame)
-                .map_err(|e| CgError::ServiceFailure(e.to_string()))?;
-            match resp {
-                Response::Error(e) => Err(CgError::Session(e)),
-                Response::Fatal(e) => Err(CgError::SessionLost(e)),
-                Response::Budget(v) => Err(CgError::BudgetExceeded(v)),
-                Response::Overloaded {
-                    retry_after_ms,
-                    reason,
-                } => Err(CgError::Overloaded {
-                    retry_after_ms,
-                    reason,
-                }),
-                ok => Ok(ok),
-            }
-        })();
+        let result = client.call_once(&req, false);
         let _ = client.stream.set_read_timeout(Some(client.timeout));
         if let Err(e) = &result {
             span.set_status(SpanStatus::Error);
             span.set_detail(e.to_string());
             if matches!(e, CgError::ServiceFailure(_)) {
                 if let Ok(stream) = TcpClient::open(&client.addr, client.timeout) {
-                    client.stream = stream;
+                    client.replace_stream(stream);
                 }
             }
         }
@@ -2274,17 +1817,6 @@ impl TcpTransport {
                 other => return other,
             }
         }
-    }
-
-    /// Sets the codec preference on the shared socket (see
-    /// [`TcpClient::set_codec`]).
-    pub fn set_codec(&self, codec: WireCodec) {
-        self.inner.lock().set_codec(codec);
-    }
-
-    /// The codec negotiated on the current connection, if settled.
-    pub fn codec(&self) -> Option<WireCodec> {
-        self.inner.lock().codec()
     }
 
     /// Issues a batch of requests with the whole window in flight on the
@@ -2369,8 +1901,10 @@ impl TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::{Broker, BrokerConfig};
     use crate::chaos::{FaultKind, FaultPlan};
     use crate::session::ActionOutcome;
+    use std::net::TcpListener;
 
     /// A writer that takes at most `cap` bytes per call, exercising the
     /// partial-write continuation of the vectored [`write_frame`].
@@ -2553,17 +2087,23 @@ mod tests {
     /// `timeouts` counter, so they cannot race each other's increments.
     static TIMEOUT_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn start(client: &ServiceClient) -> u64 {
-        match client
-            .call(Request::StartSession {
-                benchmark: "x".into(),
-                action_space: 0,
-            })
-            .unwrap()
-        {
+    fn start_request() -> Request {
+        Request::StartSession {
+            benchmark: "x".into(),
+            action_space: 0,
+        }
+    }
+
+    /// The session id a `StartSession` call answered with.
+    fn started(reply: Result<Response, CgError>) -> u64 {
+        match reply.unwrap() {
             Response::SessionStarted { session_id } => session_id,
             r => panic!("{r:?}"),
         }
+    }
+
+    fn start(client: &ServiceClient) -> u64 {
+        started(client.call(start_request()))
     }
 
     #[test]
@@ -2682,6 +2222,50 @@ mod tests {
         // Expected expiry of a best-effort teardown is not a telemetry
         // timeout event.
         assert_eq!(cg_telemetry::global().timeouts.get(), timeouts_before);
+
+        // The same contract over TCP against the broker: the teardown rides
+        // the connection's own frames under the shortened read deadline.
+        let (factory, _) = FaultPlan::seeded(3)
+            .schedule(0, FaultKind::Hang)
+            .with_hang_duration(Duration::from_secs(2))
+            .wrap(counting_factory());
+        let broker = Broker::new(factory, BrokerConfig::default());
+        let addr = serve(&broker);
+        let transport = TcpTransport::connect_with_policy(
+            &addr,
+            Duration::from_secs(30),
+            RetryPolicy::default().with_teardown_deadline(Duration::from_millis(50)),
+        )
+        .unwrap();
+        let sid = started(transport.call(start_request()));
+        // Wedge the session's worker without waiting on the reply.
+        let _wedged = broker.submit(
+            crate::broker::ANONYMOUS_TENANT,
+            Request::Step {
+                session_id: sid,
+                actions: vec![0],
+                observation_spaces: vec![],
+            },
+            None,
+        );
+        let timeouts_before = cg_telemetry::global().timeouts.get();
+        let t = std::time::Instant::now();
+        let e = transport
+            .call_teardown(Request::EndSession { session_id: sid })
+            .unwrap_err();
+        assert!(matches!(e, CgError::ServiceFailure(_)), "{e:?}");
+        assert!(
+            t.elapsed() < Duration::from_secs(1),
+            "teardown must not block for the full 30s call timeout, took {:?}",
+            t.elapsed()
+        );
+        assert_eq!(cg_telemetry::global().timeouts.get(), timeouts_before);
+        // The late reply died with the old stream: the quietly re-opened
+        // one is in step, and another worker answers at once.
+        assert!(matches!(
+            transport.call(Request::Ping).unwrap(),
+            Response::Pong
+        ));
     }
 
     #[test]
@@ -2871,26 +2455,29 @@ mod tests {
         assert_eq!(client.checkpoint_store().len(), 2);
     }
 
-    #[test]
-    fn tcp_round_trip() {
+    /// Serves `broker` on a fresh loopback port from a detached thread. A
+    /// `Shutdown` request drains it and ends the thread.
+    fn serve(broker: &Broker) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || serve_tcp(listener, counting_factory()));
+        let broker = broker.clone();
+        std::thread::spawn(move || broker.serve(listener));
+        addr
+    }
+
+    fn serve_default(factory: SessionFactory) -> String {
+        serve(&Broker::new(factory, BrokerConfig::default()))
+    }
+
+    #[test]
+    fn tcp_round_trip() {
+        let addr = serve_default(counting_factory());
         let mut client = TcpClient::connect(&addr, Duration::from_secs(5)).unwrap();
         assert!(matches!(
             client.call(&Request::Ping).unwrap(),
             Response::Pong
         ));
-        let sid = match client
-            .call(&Request::StartSession {
-                benchmark: "x".into(),
-                action_space: 0,
-            })
-            .unwrap()
-        {
-            Response::SessionStarted { session_id } => session_id,
-            r => panic!("{r:?}"),
-        };
+        let sid = started(client.call(&start_request()));
         let r = client
             .call(&Request::Step {
                 session_id: sid,
@@ -2919,7 +2506,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(200));
         });
         let mut stream = TcpStream::connect(&addr).unwrap();
-        let err = read_frame(&mut stream).unwrap_err();
+        let err = FrameReader::new().read(&mut stream).unwrap_err();
         assert!(err.to_string().contains("frame too large"), "{err}");
         t.join().unwrap();
     }
@@ -2935,7 +2522,7 @@ mod tests {
             conn.write_all(b"abc").unwrap();
         });
         let mut stream = TcpStream::connect(&addr).unwrap();
-        let err = read_frame(&mut stream).unwrap_err();
+        let err = FrameReader::new().read(&mut stream).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         t.join().unwrap();
     }
@@ -2944,8 +2531,8 @@ mod tests {
     fn tcp_connection_panic_does_not_kill_the_server() {
         /// A session whose *space description* panics: `GetSpaces` probes the
         /// factory outside the per-session `catch_unwind`, so this panics the
-        /// connection-handler layer itself — exactly the hole the
-        /// per-connection containment covers.
+        /// dispatch layer itself — the hole the broker worker's own
+        /// containment covers.
         struct PoisonedSpaces;
         impl CompilationSession for PoisonedSpaces {
             fn action_spaces(&self) -> Vec<ActionSpaceInfo> {
@@ -2974,9 +2561,7 @@ mod tests {
                 Box::new(PoisonedSpaces)
             }
         }
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || serve_tcp(listener, Arc::new(|| Box::new(PoisonedSpaces))));
+        let addr = serve_default(Arc::new(|| Box::new(PoisonedSpaces)));
         let no_retry = RetryPolicy::default().with_max_attempts(1);
         let mut poisoned =
             TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
@@ -2985,10 +2570,15 @@ mod tests {
             poisoned.call(&Request::Ping).unwrap(),
             Response::Pong
         ));
-        // The handler panics and this connection dies...
+        // The dispatch panics and is answered typed, in band...
         let e = poisoned.call(&Request::GetSpaces).unwrap_err();
-        assert!(matches!(e, CgError::ServiceFailure(_)));
-        // ...but the accept loop survives: a fresh connection still works.
+        assert!(matches!(e, CgError::SessionLost(_)), "{e:?}");
+        // ...and neither the worker nor the accept loop died with it: this
+        // connection and a fresh one are both still served.
+        assert!(matches!(
+            poisoned.call(&Request::Ping).unwrap(),
+            Response::Pong
+        ));
         let mut fresh =
             TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry).unwrap();
         assert!(matches!(
@@ -3008,7 +2598,7 @@ mod tests {
             // transparently reconnect under its policy.
             let (first, _) = listener.accept().unwrap();
             drop(first);
-            serve_tcp(listener, counting_factory());
+            Broker::new(counting_factory(), BrokerConfig::default()).serve(listener)
         });
         let tel = cg_telemetry::global();
         let reconnects_before = tel.reconnects.get();
@@ -3031,9 +2621,14 @@ mod tests {
 
     #[test]
     fn tcp_connection_cap_refuses_in_band_and_recovers() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || serve_tcp_with_limit(listener, counting_factory(), 1));
+        let broker = Broker::new(
+            counting_factory(),
+            BrokerConfig {
+                max_connections: 1,
+                ..BrokerConfig::default()
+            },
+        );
+        let addr = serve(&broker);
         let no_retry = RetryPolicy::default().with_max_attempts(1);
         let mut first =
             TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
@@ -3050,9 +2645,12 @@ mod tests {
         refused
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let frame = read_frame(&mut refused).unwrap();
-        let resp: Response = serde_json::from_slice(&frame).unwrap();
-        match resp {
+        let mut reader = FrameReader::new();
+        let frame = reader.read(&mut refused).unwrap();
+        let Ok(wire::Frame::Response { corr: 0, body }) = wire::decode_frame(frame) else {
+            panic!("the refusal must be a CGB1 response frame with correlation id 0");
+        };
+        match wire::decode_response_body(body).unwrap() {
             Response::Overloaded {
                 retry_after_ms,
                 reason,
@@ -3064,10 +2662,20 @@ mod tests {
         }
         drop(refused);
 
+        // A client reads the same frame where its handshake expected the
+        // `HelloAck`, and surfaces it as the typed, retryable overload.
+        let mut turned_away =
+            TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
+                .unwrap();
+        match turned_away.call(&Request::Ping) {
+            Err(CgError::Overloaded { retry_after_ms, .. }) => assert!(retry_after_ms > 0),
+            other => panic!("expected a typed Overloaded from the handshake, got {other:?}"),
+        }
+        drop(turned_away);
+
         // Ending the first connection frees the slot; a later connect is
         // admitted and served (polling, since the slot is released when the
         // handler thread exits).
-        let _ = first.call(&Request::Shutdown);
         drop(first);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
@@ -3092,27 +2700,16 @@ mod tests {
 
     #[test]
     fn tcp_negotiates_binary_by_default() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || serve_tcp(listener, counting_factory()));
+        let addr = serve_default(counting_factory());
         let mut client = TcpClient::connect(&addr, Duration::from_secs(5)).unwrap();
-        assert_eq!(client.codec(), None, "codec settles lazily, on first call");
+        assert!(!client.greeted, "the handshake runs lazily, on first call");
         assert!(matches!(
             client.call(&Request::Ping).unwrap(),
             Response::Pong
         ));
-        assert_eq!(client.codec(), Some(crate::wire::WireCodec::Binary));
+        assert!(client.greeted);
         // A full session round-trips typed payloads over the binary codec.
-        let sid = match client
-            .call(&Request::StartSession {
-                benchmark: "x".into(),
-                action_space: 0,
-            })
-            .unwrap()
-        {
-            Response::SessionStarted { session_id } => session_id,
-            r => panic!("{r:?}"),
-        };
+        let sid = started(client.call(&start_request()));
         match client
             .call(&Request::Step {
                 session_id: sid,
@@ -3129,113 +2726,43 @@ mod tests {
         let _ = client.call(&Request::Shutdown);
     }
 
+    /// The handshake is a magic + version check on the peer: anything but a
+    /// `HelloAck` of this build's version is a typed error, never a silent
+    /// downgrade and never a hang.
     #[test]
-    fn json_pinned_client_skips_negotiation() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || serve_tcp(listener, counting_factory()));
-        let mut client = TcpClient::connect(&addr, Duration::from_secs(5)).unwrap();
-        client.set_codec(crate::wire::WireCodec::Json);
-        assert!(matches!(
-            client.call(&Request::Ping).unwrap(),
-            Response::Pong
-        ));
-        assert_eq!(client.codec(), Some(crate::wire::WireCodec::Json));
-        let _ = client.call(&Request::Shutdown);
-    }
-
-    #[test]
-    fn json_only_peer_interops_with_binary_server() {
-        // Simulates an old, pre-CGB1 client: hand-rolled JSON frames on a
-        // raw socket, no Hello, no magic. The binary-capable server must
-        // sniff each frame and answer it in JSON, unchanged.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || serve_tcp(listener, counting_factory()));
-        let mut peer = TcpStream::connect(&addr).unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut rpc = |req: &Request| -> Response {
-            write_frame(&mut peer, &serde_json::to_vec(req).unwrap()).unwrap();
-            let frame = read_frame(&mut peer).unwrap();
-            serde_json::from_slice(&frame).unwrap()
-        };
-        assert!(matches!(rpc(&Request::Ping), Response::Pong));
-        let sid = match rpc(&Request::StartSession {
-            benchmark: "x".into(),
-            action_space: 0,
-        }) {
-            Response::SessionStarted { session_id } => session_id,
-            r => panic!("{r:?}"),
-        };
-        match rpc(&Request::Step {
-            session_id: sid,
-            actions: vec![0, 0],
-            observation_spaces: vec!["steps".into()],
-        }) {
-            Response::Stepped { observations, .. } => {
-                assert_eq!(observations[0].as_scalar(), Some(2.0));
+    fn handshake_rejects_anything_but_a_matching_hello_ack() {
+        let mut newer = Vec::new();
+        wire::encode_hello_ack(&mut newer);
+        *newer.last_mut().unwrap() = wire::WIRE_VERSION + 1;
+        let text_peer = br#"{"Error":"bad request frame"}"#.to_vec();
+        for (reply, names) in [(newer, "version"), (text_peer, "CGB1 handshake")] {
+            // A fake peer: read the `Hello`, answer `reply`, hang up.
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let peer = std::thread::spawn(move || {
+                let (mut conn, _) = listener.accept().unwrap();
+                let hello = FrameReader::new().read(&mut conn).unwrap().to_vec();
+                assert!(matches!(
+                    wire::decode_frame(&hello),
+                    Ok(wire::Frame::Hello { .. })
+                ));
+                write_frame(&mut conn, &reply).unwrap();
+            });
+            let no_retry = RetryPolicy::default().with_max_attempts(1);
+            let mut client =
+                TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry).unwrap();
+            match client.call(&Request::Ping) {
+                Err(CgError::ServiceFailure(e)) => assert!(e.contains(names), "{e}"),
+                other => panic!("expected a handshake failure, got {other:?}"),
             }
-            r => panic!("{r:?}"),
+            assert!(!client.greeted);
+            peer.join().unwrap();
         }
-        assert!(matches!(rpc(&Request::Shutdown), Response::Ok));
-    }
-
-    #[test]
-    fn binary_client_falls_back_against_json_only_server() {
-        // A legacy JSON-only server: anything it cannot parse as UTF-8 JSON
-        // (such as a CGB1 Hello probe) gets a typed JSON error reply. A
-        // binary-preferring client must settle on JSON transparently.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().unwrap();
-            loop {
-                let frame = match read_frame(&mut conn) {
-                    Ok(f) => f,
-                    Err(_) => return,
-                };
-                let parsed = std::str::from_utf8(&frame)
-                    .map_err(|e| e.to_string())
-                    .and_then(|s| serde_json::from_str::<Request>(s).map_err(|e| e.to_string()));
-                let resp = match parsed {
-                    Ok(Request::Ping) => Response::Pong,
-                    Ok(Request::Shutdown) => {
-                        let _ = write_frame(&mut conn, &serde_json::to_vec(&Response::Ok).unwrap());
-                        return;
-                    }
-                    Ok(_) => Response::Error("unsupported".into()),
-                    Err(e) => Response::Error(format!("bad request frame: {e}")),
-                };
-                if write_frame(&mut conn, &serde_json::to_vec(&resp).unwrap()).is_err() {
-                    return;
-                }
-            }
-        });
-        let tel = cg_telemetry::global();
-        let fallbacks_before = tel.wire.fallbacks.get();
-        let mut client = TcpClient::connect_with_policy(
-            &addr,
-            Duration::from_secs(5),
-            RetryPolicy::default().with_max_attempts(1),
-        )
-        .unwrap();
-        assert!(matches!(
-            client.call(&Request::Ping).unwrap(),
-            Response::Pong
-        ));
-        assert_eq!(client.codec(), Some(crate::wire::WireCodec::Json));
-        assert!(
-            tel.wire.fallbacks.get() > fallbacks_before,
-            "the JSON fallback must be recorded"
-        );
-        let _ = client.call(&Request::Shutdown);
     }
 
     #[test]
     fn trace_and_tenant_metadata_survive_binary_codec() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || serve_tcp(listener, counting_factory()));
+        let addr = serve_default(counting_factory());
         let mut client = TcpClient::connect(&addr, Duration::from_secs(5)).unwrap();
         client.set_tenant("metadata-tenant");
         let sentinel = cg_telemetry::TraceContext {
@@ -3249,9 +2776,8 @@ mod tests {
                 Response::Pong
             ));
         }
-        assert_eq!(client.codec(), Some(crate::wire::WireCodec::Binary));
         // The server-side dispatch span must have joined the client's trace:
-        // the `__trace`-equivalent metadata rode inside the binary frame.
+        // the trace context rode inside the frame's metadata section.
         let joined = cg_telemetry::global()
             .trace
             .events()
@@ -3263,22 +2789,11 @@ mod tests {
 
     #[test]
     fn tcp_pipelined_matches_serial() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || serve_tcp(listener, counting_factory()));
+        let addr = serve_default(counting_factory());
         let transport = TcpTransport::connect(&addr, Duration::from_secs(5)).unwrap();
 
         // Serial reference run.
-        let sid = match transport
-            .call(Request::StartSession {
-                benchmark: "x".into(),
-                action_space: 0,
-            })
-            .unwrap()
-        {
-            Response::SessionStarted { session_id } => session_id,
-            r => panic!("{r:?}"),
-        };
+        let sid = started(transport.call(start_request()));
         let mut serial = Vec::new();
         for _ in 0..4 {
             match transport
@@ -3297,16 +2812,7 @@ mod tests {
         }
 
         // Pipelined run on a fresh session: same actions, one wire window.
-        let sid2 = match transport
-            .call(Request::StartSession {
-                benchmark: "x".into(),
-                action_space: 0,
-            })
-            .unwrap()
-        {
-            Response::SessionStarted { session_id } => session_id,
-            r => panic!("{r:?}"),
-        };
+        let sid2 = started(transport.call(start_request()));
         let reqs: Vec<Request> = (0..4)
             .map(|_| Request::Step {
                 session_id: sid2,

@@ -1,12 +1,11 @@
-//! The `CGB1` binary wire codec: versioned, correlation-id-stamped frames
-//! carrying [`Request`]/[`Response`] bodies in a compact tag-based binary
-//! encoding, negotiated per connection with transparent fallback to the
-//! legacy JSON frames for old peers.
+//! The `CGB1` wire codec — the only frame format on the TCP path:
+//! versioned, correlation-id-stamped frames carrying
+//! [`Request`]/[`Response`] bodies in a compact tag-based binary encoding.
 //!
 //! # Frame layout
 //!
-//! Every binary frame rides inside the existing `len ‖ payload` transport
-//! framing (see `service::write_frame`) and starts with a 4-byte magic:
+//! Every frame rides inside the `len ‖ payload` transport framing (see
+//! `service::write_frame`) and starts with a 4-byte magic:
 //!
 //! ```text
 //! +----------------+------+-------------------+----------------+
@@ -16,24 +15,20 @@
 //! ```
 //!
 //! The magic's first byte `0xC9` followed by ASCII `G` is deliberately
-//! invalid UTF-8: an old JSON-only server that tries `str::from_utf8` on a
-//! binary frame fails immediately and answers its usual typed
-//! `Response::Error("bad request frame: …")` JSON frame — which a
-//! negotiating client interprets as "this peer speaks JSON only" and falls
-//! back transparently. Conversely, legacy JSON frames always begin with `{`
-//! or `"`, so a binary-capable server distinguishes the two codecs per
-//! frame from the first byte and serves old JSON clients unchanged.
+//! invalid UTF-8, so no text protocol's first frame can be mistaken for
+//! one. A peer whose first frame lacks the magic, or whose `Hello` carries
+//! another version, is answered with one `Response::Error` frame naming
+//! the expected magic and version, and disconnected.
 //!
 //! # Frame kinds
 //!
-//! * `0` **Hello** — client → server codec negotiation probe (body: one
-//!   protocol-version byte). A binary-capable server answers `HelloAck`;
-//!   anything else (a JSON error frame, EOF) means "JSON-only peer".
-//! * `1` **HelloAck** — server → client negotiation accept (body: the
-//!   server's protocol version byte).
+//! * `0` **Hello** — client → server handshake, the first frame on every
+//!   connection (body: one protocol-version byte).
+//! * `1` **HelloAck** — server → client handshake accept (body: the
+//!   server's protocol version byte). The client treats anything else as
+//!   a typed error.
 //! * `2` **Request** — body: metadata flags + optional trace context and
-//!   tenant identity (carried natively instead of the JSON `__trace` /
-//!   `__tenant` payload entries) + a tag-encoded [`Request`].
+//!   tenant identity + a tag-encoded [`Request`].
 //! * `3` **Response** — body: a tag-encoded [`Response`]. The correlation
 //!   id echoes the request's, so a pipelining client can keep many
 //!   requests in flight on one socket and demux replies out of order.
@@ -51,8 +46,6 @@
 //! churn).
 
 use cg_telemetry::TraceContext;
-use serde::value::Value;
-use serde::{Deserialize, Serialize};
 
 use crate::budget::{BudgetKind, BudgetViolation, ResourceBudget};
 use crate::session::SessionSnapshot;
@@ -66,8 +59,7 @@ use crate::service::{Request, Response};
 
 /// The frame magic: `0xC9 'G' 'B' '1'`. Invalid UTF-8 by construction (a
 /// `0xC9` lead byte must be followed by a continuation byte, `'G'` is not),
-/// so legacy JSON servers reject binary frames cleanly — the negotiation
-/// fallback signal.
+/// so a text frame can never pass for a `CGB1` frame.
 pub const WIRE_MAGIC: [u8; 4] = [0xC9, b'G', b'B', b'1'];
 
 /// Protocol version carried in Hello/HelloAck bodies.
@@ -80,39 +72,6 @@ const KIND_RESPONSE: u8 = 3;
 
 /// Fixed frame header: magic + kind byte + correlation id.
 const HEADER_LEN: usize = 4 + 1 + 8;
-
-/// Which codec a connection speaks. Negotiated per connection; the JSON
-/// codec is the legacy length-prefixed `serde_json` frame format every
-/// peer understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WireCodec {
-    /// Legacy JSON frames (`{"step":{...}}`).
-    Json,
-    /// `CGB1` binary frames.
-    Binary,
-}
-
-impl WireCodec {
-    /// Lowercase name, for telemetry keys and bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireCodec::Json => "json",
-            WireCodec::Binary => "binary",
-        }
-    }
-}
-
-impl std::str::FromStr for WireCodec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<WireCodec, String> {
-        match s {
-            "json" => Ok(WireCodec::Json),
-            "binary" => Ok(WireCodec::Binary),
-            other => Err(format!("unknown codec {other:?} (expected json|binary)")),
-        }
-    }
-}
 
 /// A binary-codec decode failure. Carried in-band back to the peer as a
 /// typed `Response::Error`, never a dropped connection.
@@ -131,8 +90,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, WireError> {
     Err(WireError(msg.into()))
 }
 
-/// Whether a received frame is a `CGB1` binary frame (vs a legacy JSON
-/// frame, which always starts with `{` or `"`).
+/// Whether a received frame starts with the `CGB1` magic.
 pub fn is_binary_frame(frame: &[u8]) -> bool {
     frame.len() >= 4 && frame[..4] == WIRE_MAGIC
 }
@@ -465,8 +423,7 @@ const META_TRACE: u8 = 1;
 const META_TENANT: u8 = 2;
 
 /// A decoded binary request frame: the request plus the natively-carried
-/// transport metadata (the binary codec's equivalent of the JSON codec's
-/// `__trace` / `__tenant` payload entries).
+/// transport metadata.
 pub struct RequestFrame {
     /// Correlation id to echo in the response.
     pub corr: u64,
@@ -1033,38 +990,12 @@ fn read_budget(r: &mut WireReader<'_>) -> Result<ResourceBudget, WireError> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// JSON bridge (the fallback codec) — shared helpers for cross-agreement
-// ---------------------------------------------------------------------------
-
-/// Encodes a response as a legacy JSON frame, mapping an (in practice
-/// unreachable, but structurally possible) encoder failure or panic to a
-/// guaranteed-encodable typed error frame instead of killing the
-/// connection.
-pub fn encode_response_json(resp: &Response) -> Vec<u8> {
-    let encoded =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serde_json::to_vec(resp)));
-    match encoded {
-        Ok(Ok(bytes)) => bytes,
-        Ok(Err(e)) => json_error_frame(&format!("response encoding failed: {e}")),
-        Err(_) => json_error_frame("response encoding panicked"),
-    }
-}
-
-/// Hand-assembles an `{"Error": "..."}` frame without going back through
-/// the serializer that just failed. The message rides through the JSON
-/// string escaper only, which is total.
-fn json_error_frame(msg: &str) -> Vec<u8> {
-    let escaped = serde_json::to_string(&Value::Str(msg.to_string()))
-        .unwrap_or_else(|_| "\"response encoding failed\"".to_string());
-    format!("{{\"Error\":{escaped}}}").into_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::TestRng;
+    use serde::Serialize as _;
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1181,8 +1112,7 @@ mod tests {
         let decoded = decode_request_body(corr, body).unwrap();
         assert_eq!(decoded.ctx, ctx);
         assert_eq!(decoded.tenant.as_deref(), tenant);
-        // Request has no PartialEq: compare via the JSON value encoding,
-        // which doubles as the binary↔json cross-agreement check.
+        // Request has no PartialEq: compare through `to_value()`.
         assert_eq!(
             serde_json::to_string(&decoded.req.to_value()).unwrap(),
             serde_json::to_string(&req.to_value()).unwrap(),
@@ -1221,9 +1151,9 @@ mod tests {
         }
     }
 
-    /// Binary↔JSON cross-agreement: a value that went through the binary
-    /// codec deserializes from its JSON form to the same JSON form again —
-    /// both codecs describe the same value space.
+    /// The wire codec and the serde derives (stdb records, CLI `--json`
+    /// output) describe the same value space: a response decoded from its
+    /// frame equals, through `to_value()`, the one serde round-trips.
     #[test]
     fn cross_codec_agreement() {
         let mut buf = Vec::new();
@@ -1263,8 +1193,7 @@ mod tests {
 
     #[test]
     fn magic_is_invalid_utf8() {
-        // The negotiation fallback depends on this: a legacy server must
-        // fail `str::from_utf8` on any binary frame, not misparse it.
+        // No text frame can pass for a CGB1 frame, and vice versa.
         let mut buf = Vec::new();
         encode_hello(&mut buf);
         assert!(std::str::from_utf8(&buf).is_err());
@@ -1313,26 +1242,16 @@ mod tests {
         assert_eq!(buf.capacity(), cap, "scratch must be reused, not regrown");
     }
 
-    #[test]
-    fn json_error_frame_is_parseable_and_escaped() {
-        let frame = json_error_frame("bad \"quote\"\nnewline");
-        let resp: Response = serde_json::from_slice(&frame).unwrap();
-        match resp {
-            Response::Error(e) => assert!(e.contains("bad \"quote\"")),
-            other => panic!("{other:?}"),
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Property tests: encode→decode identity over arbitrary values, and
-    // cross-codec agreement against the JSON codec.
+    // Property tests: encode→decode identity over arbitrary values,
+    // compared through `to_value()`, and agreement with the serde derives.
     // ------------------------------------------------------------------
 
     fn arb_string(rng: &mut TestRng) -> String {
         let len = rng.below(20) as usize;
         (0..len)
             .map(|_| {
-                // Mix ASCII with multi-byte chars and JSON-hostile escapes.
+                // Mix ASCII with multi-byte chars and escape-hostile ones.
                 match rng.below(6) {
                     0 => '\n',
                     1 => '"',
@@ -1521,10 +1440,11 @@ mod tests {
             let decoded = decode_request_body(corr, body).unwrap();
             prop_assert_eq!(decoded.ctx, ctx);
             prop_assert_eq!(decoded.tenant, tenant);
-            // Binary↔JSON cross-agreement on the request value.
+            // Binary round trip, compared through `to_value()`.
             let via_binary = serde_json::to_string(&decoded.req.to_value()).unwrap();
             let direct = serde_json::to_string(&req.to_value()).unwrap();
             prop_assert_eq!(via_binary, direct);
+            // The serde derives describe the same value.
             let via_json: Request =
                 serde_json::from_slice(&serde_json::to_vec(&req).unwrap()).unwrap();
             prop_assert_eq!(
@@ -1544,9 +1464,11 @@ mod tests {
             };
             prop_assert_eq!(corr, seed ^ 0xABCD);
             let decoded = decode_response_body(body).unwrap();
+            // Binary round trip, compared through `to_value()`.
             let via_binary = serde_json::to_string(&decoded.to_value()).unwrap();
             let direct = serde_json::to_string(&resp.to_value()).unwrap();
             prop_assert_eq!(via_binary, direct);
+            // The serde derives describe the same value.
             let via_json: Response =
                 serde_json::from_slice(&serde_json::to_vec(&resp).unwrap()).unwrap();
             prop_assert_eq!(

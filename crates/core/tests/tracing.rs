@@ -13,12 +13,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cg_core::chaos::{FaultKind, FaultPlan};
-use cg_core::service::{serve_tcp, SessionFactory};
+use cg_core::service::SessionFactory;
 use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
-use cg_core::CompilerEnv;
+use cg_core::{Broker, BrokerConfig, CompilerEnv};
 use cg_telemetry::{EpisodeRecord, SpanStatus};
 
 /// A deterministic, serializable session: the reward metric is the number
@@ -120,6 +120,15 @@ fn episode_for(benchmark: &str) -> EpisodeRecord {
     recorder.episode(id).expect("episode retained")
 }
 
+/// Serves a default-config broker over `factory` on a loopback port, from
+/// a thread that lives as long as the test binary.
+fn serve_broker(factory: SessionFactory) -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || Broker::new(factory, BrokerConfig::default()).serve(listener));
+    addr
+}
+
 fn spans_named<'a>(
     ep: &'a EpisodeRecord,
     name: &'a str,
@@ -133,9 +142,7 @@ fn tcp_reconnect_recovery_yields_one_connected_span_tree_per_step() {
         .schedule(5, FaultKind::Hang)
         .with_hang_duration(Duration::from_secs(2));
     let (factory, _stats) = plan.wrap(rec_factory());
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || serve_tcp(listener, factory));
+    let addr = serve_broker(factory);
 
     let bench = "benchmark://tracing-v0/tcp-reconnect";
     let mut env = CompilerEnv::connect_tcp(
@@ -199,6 +206,59 @@ fn tcp_reconnect_recovery_yields_one_connected_span_tree_per_step() {
         spans_named(&ep, "service:Step").any(|s| s.parent_id.is_some_and(|p| rpc_ids.contains(&p))),
         "no service:Step span parented under a client rpc:Step span"
     );
+}
+
+/// The state half of the test above: what the recovery ladder restores over
+/// the broker is the episode itself, not just a connected trace. One
+/// scheduled panic and one scheduled hang later, the remote episode holds
+/// the same action history, observation and cumulative reward as a
+/// fault-free in-process run of the same actions.
+#[test]
+fn tcp_episode_through_a_hang_and_a_panic_matches_the_fault_free_run() {
+    const ACTIONS: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 0, 1];
+    let drive = |env: &mut CompilerEnv| {
+        env.set_checkpoint_interval(2);
+        env.reset().unwrap();
+        let mut last = None;
+        for action in ACTIONS {
+            last = Some(env.step(action).unwrap().observation);
+        }
+        (env.actions().to_vec(), last, env.episode_reward())
+    };
+
+    let mut reference = CompilerEnv::with_factory(
+        "state-ref-v0",
+        rec_factory(),
+        "benchmark://tracing-v0/state-reference",
+        "Count",
+        "Count",
+        Duration::from_secs(5),
+    )
+    .unwrap();
+    let expected = drive(&mut reference);
+    reference.close();
+
+    let plan = FaultPlan::seeded(23)
+        .schedule(3, FaultKind::Panic)
+        .schedule(8, FaultKind::Hang)
+        .with_hang_duration(Duration::from_secs(2));
+    let (factory, stats) = plan.wrap(rec_factory());
+    let addr = serve_broker(factory);
+    let mut env = CompilerEnv::connect_tcp(
+        "state-tcp-v0",
+        &addr,
+        "benchmark://tracing-v0/state-faulted",
+        "Count",
+        "Count",
+        Duration::from_millis(300),
+    )
+    .unwrap();
+    let got = drive(&mut env);
+    env.close();
+
+    assert_eq!(stats.panics(), 1, "the scheduled panic must have fired");
+    assert_eq!(stats.hangs(), 1, "the scheduled hang must have fired");
+    assert_eq!(got, expected);
 }
 
 #[test]

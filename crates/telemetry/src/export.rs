@@ -537,36 +537,26 @@ pub fn collect(snap: &TelemetrySnapshot) -> Vec<MetricFamily> {
         &snap.stdb.append_wall,
     ));
 
-    // Wire protocol (codec + pipelining).
+    // Wire protocol (frames + pipelining).
     for (name, help, v) in [
         (
-            "cg_wire_tx_bytes_json_total",
-            "Payload bytes written as JSON frames.",
-            snap.wire.tx_bytes_json,
+            "cg_wire_tx_bytes_total",
+            "Payload bytes written as CGB1 frames.",
+            snap.wire.tx_bytes,
         ),
         (
-            "cg_wire_tx_bytes_binary_total",
-            "Payload bytes written as CGB1 binary frames.",
-            snap.wire.tx_bytes_binary,
-        ),
-        (
-            "cg_wire_rx_bytes_json_total",
-            "Payload bytes read as JSON frames.",
-            snap.wire.rx_bytes_json,
-        ),
-        (
-            "cg_wire_rx_bytes_binary_total",
-            "Payload bytes read as CGB1 binary frames.",
-            snap.wire.rx_bytes_binary,
+            "cg_wire_rx_bytes_total",
+            "Payload bytes read as CGB1 frames.",
+            snap.wire.rx_bytes,
         ),
         (
             "cg_wire_frames_total",
-            "Frames moved in either direction, both codecs.",
+            "Frames moved in either direction.",
             snap.wire.frames,
         ),
         (
             "cg_wire_decode_errors_total",
-            "Binary frames that failed to decode (answered in band).",
+            "Frames that failed to decode (answered in band).",
             snap.wire.decode_errors,
         ),
         (
@@ -576,13 +566,8 @@ pub fn collect(snap: &TelemetrySnapshot) -> Vec<MetricFamily> {
         ),
         (
             "cg_wire_negotiations_total",
-            "Connections negotiated up to the binary codec.",
+            "Hello/HelloAck handshakes the server completed.",
             snap.wire.negotiations,
-        ),
-        (
-            "cg_wire_fallbacks_total",
-            "Negotiations that fell back to JSON (old peer).",
-            snap.wire.fallbacks,
         ),
     ] {
         out.push(counter(name, help, v));
@@ -594,12 +579,12 @@ pub fn collect(snap: &TelemetrySnapshot) -> Vec<MetricFamily> {
     ));
     out.push(summary(
         "cg_wire_encode_micros",
-        "Binary frame encode wall time in microseconds.",
+        "Frame encode wall time in microseconds.",
         &snap.wire.encode_wall,
     ));
     out.push(summary(
         "cg_wire_decode_micros",
-        "Binary frame decode wall time in microseconds.",
+        "Frame decode wall time in microseconds.",
         &snap.wire.decode_wall,
     ));
 

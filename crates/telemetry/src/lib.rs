@@ -1628,36 +1628,29 @@ pub struct StdbSnapshot {
     pub append_wall: HistogramSnapshot,
 }
 
-/// Wire-protocol statistics: bytes on the wire per codec and direction,
-/// frame counts, codec negotiation outcomes, encode/decode latency, and the
-/// pipelined in-flight window depth.
+/// Wire-protocol statistics: bytes on the wire per direction, frame
+/// counts, handshakes, encode/decode latency, and the pipelined in-flight
+/// window depth.
 #[derive(Debug, Default)]
 pub struct WireStats {
-    /// Payload bytes written as JSON frames (request + response bodies,
+    /// Payload bytes written as frames (request + response bodies,
     /// excluding the 4-byte length prefix).
-    pub tx_bytes_json: Counter,
-    /// Payload bytes written as CGB1 binary frames.
-    pub tx_bytes_binary: Counter,
-    /// Payload bytes read as JSON frames.
-    pub rx_bytes_json: Counter,
-    /// Payload bytes read as CGB1 binary frames.
-    pub rx_bytes_binary: Counter,
-    /// Frames moved in either direction, both codecs.
+    pub tx_bytes: Counter,
+    /// Payload bytes read as frames.
+    pub rx_bytes: Counter,
+    /// Frames moved in either direction.
     pub frames: Counter,
-    /// Binary frames that failed to decode (answered in band as typed
-    /// errors, never a dropped connection).
+    /// Frames that failed to decode (answered in band as typed errors).
     pub decode_errors: Counter,
     /// Calls issued through the pipelined (multi-in-flight) path.
     pub pipelined_calls: Counter,
-    /// Connections negotiated up to the binary codec.
+    /// `Hello`/`HelloAck` handshakes the server completed.
     pub negotiations: Counter,
-    /// Negotiation attempts that fell back to JSON (old peer).
-    pub fallbacks: Counter,
     /// Requests currently in flight on pipelined sockets.
     pub in_flight: Gauge,
-    /// Wall time spent encoding binary frames.
+    /// Wall time spent encoding frames.
     pub encode_wall: Histogram,
-    /// Wall time spent decoding binary frames.
+    /// Wall time spent decoding frames.
     pub decode_wall: Histogram,
 }
 
@@ -1665,15 +1658,12 @@ impl WireStats {
     /// Captures the summary.
     pub fn snapshot(&self) -> WireSnapshot {
         WireSnapshot {
-            tx_bytes_json: self.tx_bytes_json.get(),
-            tx_bytes_binary: self.tx_bytes_binary.get(),
-            rx_bytes_json: self.rx_bytes_json.get(),
-            rx_bytes_binary: self.rx_bytes_binary.get(),
+            tx_bytes: self.tx_bytes.get(),
+            rx_bytes: self.rx_bytes.get(),
             frames: self.frames.get(),
             decode_errors: self.decode_errors.get(),
             pipelined_calls: self.pipelined_calls.get(),
             negotiations: self.negotiations.get(),
-            fallbacks: self.fallbacks.get(),
             in_flight: self.in_flight.get(),
             encode_wall: self.encode_wall.snapshot(),
             decode_wall: self.decode_wall.snapshot(),
@@ -1681,15 +1671,12 @@ impl WireStats {
     }
 
     fn reset(&self) {
-        self.tx_bytes_json.reset();
-        self.tx_bytes_binary.reset();
-        self.rx_bytes_json.reset();
-        self.rx_bytes_binary.reset();
+        self.tx_bytes.reset();
+        self.rx_bytes.reset();
         self.frames.reset();
         self.decode_errors.reset();
         self.pipelined_calls.reset();
         self.negotiations.reset();
-        self.fallbacks.reset();
         self.in_flight.reset();
         self.encode_wall.reset();
         self.decode_wall.reset();
@@ -1699,15 +1686,12 @@ impl WireStats {
 /// Serializable form of [`WireStats`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireSnapshot {
-    pub tx_bytes_json: u64,
-    pub tx_bytes_binary: u64,
-    pub rx_bytes_json: u64,
-    pub rx_bytes_binary: u64,
+    pub tx_bytes: u64,
+    pub rx_bytes: u64,
     pub frames: u64,
     pub decode_errors: u64,
     pub pipelined_calls: u64,
     pub negotiations: u64,
-    pub fallbacks: u64,
     pub in_flight: i64,
     pub encode_wall: HistogramSnapshot,
     pub decode_wall: HistogramSnapshot,
@@ -1770,7 +1754,7 @@ pub struct Telemetry {
     pub broker: BrokerStats,
     /// Transition-store (WAL ingest, scrub, replay) statistics.
     pub stdb: StdbStats,
-    /// Wire-protocol (codec + pipelining) statistics.
+    /// Wire-protocol (frames + pipelining) statistics.
     pub wire: WireStats,
     /// Structured trace ring with the embedded episode flight recorder.
     pub trace: TraceBuffer,
