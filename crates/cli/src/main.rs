@@ -648,10 +648,19 @@ fn run_traced_episode(
         }
         None => inner,
     };
+    // Checkpoints every K = 4 actions, set where the ring lives: on the
+    // broker over TCP, on the in-process service otherwise.
+    let checkpoints = cg_core::CheckpointStore::default().with_interval(4);
     let mut env = if tcp {
         let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
-        let broker = cg_core::Broker::new(factory, cg_core::BrokerConfig::default());
+        let broker = cg_core::Broker::new(
+            factory,
+            cg_core::BrokerConfig {
+                checkpoints,
+                ..cg_core::BrokerConfig::default()
+            },
+        );
         std::thread::spawn(move || broker.serve(listener));
         cg_core::CompilerEnv::connect_tcp(
             env_id,
@@ -662,13 +671,14 @@ fn run_traced_episode(
             timeout,
         )?
     } else {
-        cg_core::CompilerEnv::with_factory(
+        let mut service = cg_core::service::ServiceClient::spawn(factory, timeout);
+        service.set_checkpoint_store(checkpoints);
+        cg_core::CompilerEnv::with_link(
             env_id,
-            factory,
+            Box::new(service),
             benchmark,
             "Autophase",
             "IrInstructionCount",
-            timeout,
         )?
     };
     env.set_retry_policy(
@@ -676,7 +686,6 @@ fn run_traced_episode(
             .with_max_attempts(8)
             .with_backoff(Duration::from_millis(5), Duration::from_millis(100)),
     );
-    env.set_checkpoint_interval(4);
     env.reset()?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(chaos_seed.unwrap_or(7) ^ 0xCAFE);
     let n = env.action_space().len();
@@ -1151,25 +1160,26 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .with_max_faults(episodes.saturating_mul(2).max(4));
     let inner = cg_core::envs::session_factory("llvm-v0").map_err(cg_core::CgError::Unknown)?;
     let (factory, stats) = plan.wrap(inner);
-    let mut env = cg_core::CompilerEnv::with_factory(
+    let mut service = cg_core::service::ServiceClient::spawn(factory, timeout);
+    // Containment wiring. The default checkpoint interval is already K=10;
+    // only replace the store for a non-default K (replacing restarts the
+    // service, which would pollute the restart counters below).
+    if checkpoint_k != cg_core::checkpoint::DEFAULT_CHECKPOINT_INTERVAL {
+        service
+            .set_checkpoint_store(cg_core::CheckpointStore::default().with_interval(checkpoint_k));
+    }
+    let mut env = cg_core::CompilerEnv::with_link(
         "llvm-v0",
-        factory,
+        Box::new(service),
         "benchmark://cbench-v1/qsort",
         "Autophase",
         "IrInstructionCount",
-        timeout,
     )?;
     env.set_retry_policy(
         cg_core::RetryPolicy::default()
             .with_max_attempts(10)
             .with_backoff(Duration::from_millis(5), Duration::from_millis(200)),
     );
-    // Containment wiring. The default checkpoint interval is already K=10;
-    // only replace the store for a non-default K (replacing restarts the
-    // service, which would pollute the restart counters below).
-    if checkpoint_k != cg_core::checkpoint::DEFAULT_CHECKPOINT_INTERVAL {
-        env.set_checkpoint_interval(checkpoint_k);
-    }
     if budget_wall_ms > 0 || max_growth > 0.0 {
         let mut budget = cg_core::ResourceBudget::default();
         if budget_wall_ms > 0 {
@@ -1884,21 +1894,21 @@ fn spin_factory(spin_us: u64) -> cg_core::service::SessionFactory {
     std::sync::Arc::new(move || Box::new(SpinSession { steps: 0, spin }))
 }
 
-/// Calls through a raw [`cg_core::service::TcpClient`], absorbing typed
+/// Calls through a raw [`cg_core::service::TcpTransport`], absorbing typed
 /// `Overloaded` refusals in place: count the refusal, sleep at least the
 /// server-advised `retry_after_ms` (the policy's jittered exponential
 /// backoff applies on top), and re-issue — up to the policy's attempt
 /// count. Every other outcome is returned as-is. This is the well-behaved
 /// tenant the front door is designed for.
 fn call_absorbing_overload(
-    client: &mut cg_core::service::TcpClient,
+    client: &cg_core::service::TcpTransport,
     req: &cg_core::service::Request,
     policy: &cg_core::RetryPolicy,
     refusals: &mut u64,
 ) -> Result<cg_core::service::Response, cg_core::CgError> {
     let mut attempt = 0u32;
     loop {
-        match client.call(req) {
+        match client.call(req.clone()) {
             Err(cg_core::CgError::Overloaded {
                 retry_after_ms,
                 reason,
@@ -1968,12 +1978,12 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if drain {
         // Client mode: block until the server has checkpointed everything
         // live and is safe to kill.
-        let mut client = cg_core::service::TcpClient::connect_with_policy(
+        let client = cg_core::service::TcpTransport::connect_with_policy(
             &addr,
             Duration::from_secs(600),
             cg_core::RetryPolicy::none(),
         )?;
-        return match client.call(&cg_core::service::Request::Shutdown)? {
+        return match client.call(cg_core::service::Request::Shutdown)? {
             cg_core::service::Response::Ok => {
                 println!("server at {addr} drained");
                 Ok(())
@@ -2031,15 +2041,15 @@ enum StampedeFate {
 /// expected the `HelloAck`; an admitted one proves it is actually served by
 /// round-tripping a Ping.
 fn stampede_connect(addr: &str) -> StampedeFate {
-    use cg_core::service::{Request, Response, TcpClient};
+    use cg_core::service::{Request, Response, TcpTransport};
 
     let timeout = std::time::Duration::from_secs(5);
-    let mut client =
-        match TcpClient::connect_with_policy(addr, timeout, cg_core::RetryPolicy::none()) {
+    let client =
+        match TcpTransport::connect_with_policy(addr, timeout, cg_core::RetryPolicy::none()) {
             Ok(client) => client,
             Err(e) => return StampedeFate::Untyped(format!("connect: {e}")),
         };
-    match client.call(&Request::Ping) {
+    match client.call(Request::Ping) {
         Ok(Response::Pong) => StampedeFate::Admitted,
         Err(cg_core::CgError::Overloaded { .. }) => StampedeFate::TypedRefusal,
         Ok(other) => StampedeFate::Untyped(format!("ping answered {other:?}")),
@@ -2054,7 +2064,7 @@ fn stampede_connect(addr: &str) -> StampedeFate {
 /// a typed `Overloaded` (no hangs, no dropped connections), and the server
 /// drains cleanly afterwards.
 fn chaos_stampede(opts: StampedeOpts) -> Result<(), Box<dyn std::error::Error>> {
-    use cg_core::service::{Request, Response, TcpClient};
+    use cg_core::service::{Request, Response, TcpTransport};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -2107,7 +2117,7 @@ fn chaos_stampede(opts: StampedeOpts) -> Result<(), Box<dyn std::error::Error>> 
                     .with_max_attempts(20)
                     .with_backoff(Duration::from_millis(5), Duration::from_millis(100))
                     .with_jitter(0.25, 0xE57 + i as u64);
-                let mut client = TcpClient::connect_with_policy(
+                let client = TcpTransport::connect_with_policy(
                     &addr,
                     Duration::from_secs(5),
                     cg_core::RetryPolicy::none(),
@@ -2118,7 +2128,7 @@ fn chaos_stampede(opts: StampedeOpts) -> Result<(), Box<dyn std::error::Error>> 
                     benchmark: "benchmark://spin/soak".into(),
                     action_space: 0,
                 };
-                let sid = match call_absorbing_overload(&mut client, &start, &policy, &mut refusals)
+                let sid = match call_absorbing_overload(&client, &start, &policy, &mut refusals)
                     .map_err(|e| format!("client {i}: start: {e}"))?
                 {
                     Response::SessionStarted { session_id } => session_id,
@@ -2130,7 +2140,7 @@ fn chaos_stampede(opts: StampedeOpts) -> Result<(), Box<dyn std::error::Error>> 
                         actions: vec![0],
                         observation_spaces: Vec::new(),
                     };
-                    match call_absorbing_overload(&mut client, &step, &policy, &mut refusals) {
+                    match call_absorbing_overload(&client, &step, &policy, &mut refusals) {
                         Ok(Response::Stepped { .. }) => {
                             count.fetch_add(1, Ordering::Relaxed);
                         }
@@ -2138,7 +2148,7 @@ fn chaos_stampede(opts: StampedeOpts) -> Result<(), Box<dyn std::error::Error>> 
                         Err(e) => return Err(format!("client {i}: established session: {e}")),
                     }
                 }
-                let _ = client.call(&Request::EndSession { session_id: sid });
+                let _ = client.call(Request::EndSession { session_id: sid });
                 Ok(())
             })
         })

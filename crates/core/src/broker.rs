@@ -7,7 +7,7 @@
 //! work, overload is answered typed rather than by hangs or dropped
 //! connections, and shutdown does not lose live episodes.
 //!
-//! * **Fixed worker fleet.** `workers` threads each own one [`ServiceState`]
+//! * **Fixed worker fleet.** `workers` threads each own one service state
 //!   (the [`crate::pool::EnvPool`] ownership pattern: sessions are sharded,
 //!   never shared, no locks around compiler state). Session ids returned to
 //!   clients are *global*: `gid = local_id * workers + worker_index`, a
@@ -35,8 +35,8 @@
 //! * **Graceful drain.** [`Broker::drain`] stops admitting new sessions,
 //!   lets queued work finish within a grace period, sheds the remainder
 //!   (typed refusals, not silence), then stops the fleet — each worker
-//!   parks its live sessions into the [`CheckpointStore`]
-//!   ([`ServiceState::checkpoint_all`]) so episodes survive restarts.
+//!   parks its live sessions into the [`CheckpointStore`] so episodes
+//!   survive restarts.
 //!   A `Shutdown` request over TCP triggers the same path.
 //! * **Connection-scoped sessions.** Over TCP a session belongs to the
 //!   connection that created it: when the socket closes — client crash,
@@ -72,7 +72,7 @@ use crate::service::{
 use crate::wire;
 
 /// Tenant a request is billed to when its client never identified itself
-/// ([`crate::service::TcpClient`]s without `set_tenant`).
+/// ([`crate::service::TcpTransport`]s without `set_tenant`).
 pub const ANONYMOUS_TENANT: &str = "anonymous";
 
 /// Per-tenant limits. One quota applies uniformly to every tenant — the
@@ -80,7 +80,8 @@ pub const ANONYMOUS_TENANT: &str = "anonymous";
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantQuota {
     /// Concurrent sessions one tenant may hold (`0` = unlimited). The
-    /// N+1-th `StartSession`/`Fork`/`RestoreSession` is refused typed.
+    /// N+1-th `StartSession`/`Fork`/`RestoreSession`/`Resume` is refused
+    /// typed.
     pub max_sessions: usize,
     /// Sustained actions/second one tenant may apply (`0.0` = unlimited),
     /// enforced by a token bucket; refusals advise `retry_after_ms` equal
@@ -105,7 +106,7 @@ impl Default for TenantQuota {
 /// Broker sizing and overload policy.
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
-    /// Worker threads (each owning one [`ServiceState`] shard). Min 1.
+    /// Worker threads (each owning one shard of the sessions). Min 1.
     pub workers: usize,
     /// Global cap on concurrent sessions across all tenants.
     pub max_sessions: usize,
@@ -126,10 +127,12 @@ pub struct BrokerConfig {
     pub drain_grace: Duration,
     /// The uniform per-tenant quota.
     pub quota: TenantQuota,
-    /// Resource budget installed in every worker's [`ServiceState`].
+    /// Resource budget installed in every worker.
     pub budget: ResourceBudget,
     /// Checkpoint store shared by all workers — interval snapshots during
-    /// service, the park-everything sweep on drain.
+    /// service, the park-everything sweep on drain — and the ring
+    /// `Request::Resume` restores from. Its interval is the TCP checkpoint
+    /// interval K.
     pub checkpoints: CheckpointStore,
 }
 
@@ -193,7 +196,8 @@ struct Job {
     owner: Owner,
     /// DRR cost in action units: `max(1, actions.len())`.
     cost: u64,
-    /// Reserves a session slot (`StartSession`/`RestoreSession`/`Fork`).
+    /// Reserves a session slot (`StartSession`/`RestoreSession`/`Resume`/
+    /// `Fork`).
     creates: bool,
     /// Releases a session slot on completion (`EndSession`).
     ends: bool,
@@ -585,7 +589,10 @@ impl Broker {
 
         let creates = matches!(
             req,
-            Request::StartSession { .. } | Request::RestoreSession { .. } | Request::Fork { .. }
+            Request::StartSession { .. }
+                | Request::RestoreSession { .. }
+                | Request::Resume { .. }
+                | Request::Fork { .. }
         );
         let ends = matches!(req, Request::EndSession { .. });
         let target = match &req {
@@ -1253,7 +1260,9 @@ fn settle(
     let mut core = inner.lock_core();
     if creates {
         match &mut resp {
-            Response::SessionStarted { session_id } | Response::Forked { session_id } => {
+            Response::SessionStarted { session_id }
+            | Response::Forked { session_id }
+            | Response::Resumed { session_id, .. } => {
                 let gid = *session_id * workers + index as u64;
                 *session_id = gid;
                 // The connection closed while its create was in flight:
@@ -1379,7 +1388,13 @@ mod tests {
             vec![]
         }
         fn reward_spaces(&self) -> Vec<RewardSpaceInfo> {
-            vec![]
+            vec![RewardSpaceInfo {
+                name: "test".into(),
+                metric: "test".into(),
+                sign: 1.0,
+                baseline: None,
+                deterministic: true,
+            }]
         }
         fn init(&mut self, _b: &str, _s: usize) -> Result<(), String> {
             Ok(())
@@ -2071,7 +2086,7 @@ mod tests {
     #[test]
     fn tcp_broker_serves_tenants_and_drains_on_shutdown() {
         use crate::retry::RetryPolicy;
-        use crate::service::TcpClient;
+        use crate::service::TcpTransport;
         let store = CheckpointStore::new(16, 1000);
         let broker = Broker::new(
             counting_factory(),
@@ -2087,11 +2102,11 @@ mod tests {
         );
         let (addr, server) = serve(&broker);
         let policy = RetryPolicy::none();
-        let mut alice =
-            TcpClient::connect_with_policy(&addr, Duration::from_secs(10), policy.clone()).unwrap();
+        let alice =
+            TcpTransport::connect_with_policy(&addr, Duration::from_secs(10), policy).unwrap();
         alice.set_tenant("alice");
         let gid = match alice
-            .call(&Request::StartSession {
+            .call(Request::StartSession {
                 benchmark: "b".into(),
                 action_space: 0,
             })
@@ -2102,7 +2117,7 @@ mod tests {
         };
         assert!(matches!(
             alice
-                .call(&Request::Step {
+                .call(Request::Step {
                     session_id: gid,
                     actions: vec![0],
                     observation_spaces: vec!["test".into()],
@@ -2112,7 +2127,7 @@ mod tests {
         ));
         // The session quota refuses alice's second session as a *typed*
         // error over the wire.
-        match alice.call(&Request::StartSession {
+        match alice.call(Request::StartSession {
             benchmark: "b".into(),
             action_space: 0,
         }) {
@@ -2123,7 +2138,7 @@ mod tests {
         }
         // Shutdown drains: the live session is parked before the ack.
         assert!(matches!(
-            alice.call(&Request::Shutdown).unwrap(),
+            alice.call(Request::Shutdown).unwrap(),
             Response::Ok
         ));
         server.join().unwrap().unwrap();
@@ -2134,6 +2149,57 @@ mod tests {
         );
     }
 
+    /// An environment bills the tenant its transport names: name the
+    /// [`TcpTransport`](crate::service::TcpTransport) and build the env over
+    /// it with `CompilerEnv::with_link`. With a quota of one session each,
+    /// tenant A's second environment is refused typed while tenant B's
+    /// first is admitted.
+    #[test]
+    fn environments_are_billed_to_their_transports_tenant() {
+        use crate::env::CompilerEnv;
+        use crate::retry::RetryPolicy;
+        use crate::service::TcpTransport;
+        let broker = Broker::new(
+            counting_factory(),
+            BrokerConfig {
+                workers: 2,
+                quota: TenantQuota {
+                    max_sessions: 1,
+                    ..TenantQuota::default()
+                },
+                ..BrokerConfig::default()
+            },
+        );
+        let (addr, server) = serve(&broker);
+        let env_of = |tenant: &str| {
+            let link = TcpTransport::connect_with_policy(
+                &addr,
+                Duration::from_secs(10),
+                RetryPolicy::none(),
+            )
+            .unwrap();
+            link.set_tenant(tenant);
+            CompilerEnv::with_link("test-v0", Box::new(link), "b", "test", "test").unwrap()
+        };
+        let mut a1 = env_of("a");
+        a1.reset().unwrap();
+        let mut a2 = env_of("a");
+        match a2.reset() {
+            Err(crate::CgError::Overloaded { reason, .. }) => {
+                assert!(reason.contains("tenant a"), "{reason}");
+            }
+            other => panic!("tenant a's second env must be refused typed, got {other:?}"),
+        }
+        let mut b1 = env_of("b");
+        b1.reset().unwrap();
+        assert_eq!(b1.step(0).unwrap().observation, Observation::Scalar(1.0));
+        assert_eq!(broker.live_sessions(), 2);
+        drop((a1, a2, b1));
+        assert_eq!(broker.live_sessions(), 0);
+        broker.drain(Duration::from_secs(1));
+        server.join().unwrap().unwrap();
+    }
+
     /// Sessions are connection-scoped over TCP: a client that drops its
     /// socket — a crash, or the recovery ladder abandoning a ghost session
     /// on reconnect — gets its sessions ended and its quota back. Ten
@@ -2141,7 +2207,7 @@ mod tests {
     #[test]
     fn dropped_connections_return_their_sessions_and_quota() {
         use crate::retry::RetryPolicy;
-        use crate::service::TcpClient;
+        use crate::service::TcpTransport;
         let broker = Broker::new(
             counting_factory(),
             BrokerConfig {
@@ -2155,15 +2221,18 @@ mod tests {
         );
         let (addr, server) = serve(&broker);
         for round in 0..10 {
-            let mut client =
-                TcpClient::connect_with_policy(&addr, Duration::from_secs(10), RetryPolicy::none())
-                    .unwrap();
+            let client = TcpTransport::connect_with_policy(
+                &addr,
+                Duration::from_secs(10),
+                RetryPolicy::none(),
+            )
+            .unwrap();
             client.set_tenant("crashy");
             // The sweep after the previous drop runs on the server's
             // clock; a create that beats it is refused typed, and retried.
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
-                match client.call(&Request::StartSession {
+                match client.call(Request::StartSession {
                     benchmark: "b".into(),
                     action_space: 0,
                 }) {

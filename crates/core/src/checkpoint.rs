@@ -1,14 +1,18 @@
 //! Session checkpointing: O(K) recovery instead of O(episode) replay.
 //!
 //! The service worker snapshots each session's state every K applied
-//! actions (configurable, default 10) into a [`CheckpointStore`] owned by
-//! the *client* side of the RPC boundary — the store must outlive the
-//! service worker, because its whole purpose is surviving worker death.
-//! On recovery, `CompilerEnv::replay_episode` asks the store for the
-//! latest checkpoint whose action prefix matches the episode's action
-//! history, restores it into a fresh session with
-//! `CompilationSession::restore`, and replays only the ≤K-action
-//! suffix.
+//! actions (configurable, default 10) into a [`CheckpointStore`] that lives
+//! with the service yet outlives its workers — its whole purpose is
+//! surviving worker death. In process the
+//! [`crate::service::ServiceClient`] keeps one across worker restarts; a
+//! [`crate::broker::Broker`] shares one
+//! ([`crate::broker::BrokerConfig::checkpoints`]) between its workers and
+//! every connection. On recovery the environment sends
+//! [`crate::service::Request::Resume`]: the service takes the latest
+//! checkpoint whose action prefix matches the episode's action history,
+//! restores it into a fresh session with `CompilationSession::restore`,
+//! and the environment replays only the ≤K-action suffix. The environment
+//! never sees a checkpoint.
 //!
 //! The ring holds [`SessionSnapshot`]s ([`RingCheckpoint`]): for an
 //! integration with structural snapshots a checkpoint is a handle to
@@ -28,7 +32,10 @@
 //! generation wrote it — stale ring entries are harmless and the ring is
 //! never cleared on reset.
 //!
-//! The in-memory ring is bounded; an optional [`CheckpointSink`] callback
+//! The in-memory ring is bounded, and a broker's is shared by every session
+//! it serves: under load a session's checkpoint may be evicted before it is
+//! needed, and recovery then replays the whole history — slower, never
+//! wrong. An optional [`CheckpointSink`] callback
 //! mirrors every checkpoint, encoded, to external storage (cg-stdb
 //! provides a crash-safe temp-file+rename disk sink).
 
@@ -127,9 +134,9 @@ struct StoreInner {
     restores: u64,
 }
 
-/// A bounded ring of recent checkpoints, shared between the service worker
-/// (writer) and the environment's recovery path (reader). Cheaply
-/// cloneable; clones share the same ring.
+/// A bounded ring of recent checkpoints, shared between the service
+/// workers that take them and the [`crate::service::Request::Resume`]s
+/// that restore them. Cheaply cloneable; clones share the same ring.
 #[derive(Clone)]
 pub struct CheckpointStore {
     inner: Arc<Mutex<StoreInner>>,

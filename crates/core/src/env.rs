@@ -21,16 +21,21 @@
 //! 1. **in-band budget error** — a pass exceeding its
 //!    [`crate::budget::ResourceBudget`] is killed inside the service and
 //!    answered as a typed error (no hang, no restart);
-//! 2. **checkpoint restore + suffix replay** — recovery restores the latest
-//!    matching snapshot from the client-owned
-//!    [`crate::checkpoint::CheckpointStore`] and replays only the ≤K-action
-//!    suffix (O(K) instead of O(episode));
-//! 3. **full replay** — when no checkpoint matches (or restore fails), the
-//!    whole action history is replayed as before;
+//! 2. **checkpoint restore + suffix replay** — recovery sends
+//!    [`Request::Resume`]: the service restores the deepest matching
+//!    snapshot from its own checkpoint ring and the environment replays
+//!    only the ≤K-action suffix (O(K) instead of O(episode));
+//! 3. **full replay** — when no checkpoint matches (the service starts the
+//!    session fresh) or the restored state diverges, the whole action
+//!    history is replayed;
 //! 4. **hard failure** — replay divergence or retry exhaustion surfaces as
 //!    a typed error; the per-(benchmark, action)
 //!    [`crate::breaker::CircuitBreaker`] (if attached) quarantines pairs
 //!    that keep killing services so later episodes fail fast.
+//!
+//! The ladder is written once, against [`Link`]: it runs unchanged whether
+//! the compiler lives in this process ([`ServiceClient`]) or on another
+//! machine ([`TcpTransport`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -40,11 +45,10 @@ use cg_telemetry::SpanStatus;
 
 use crate::breaker::{Admission, CircuitBreaker};
 use crate::budget::ResourceBudget;
-use crate::checkpoint::{CheckpointStore, RingCheckpoint};
 use crate::envs::session_factory;
 use crate::error::CgError;
 use crate::retry::RetryPolicy;
-use crate::service::{Request, Response, ServiceClient, TcpTransport};
+use crate::service::{Link, Request, Response, ServiceClient, TcpTransport};
 use crate::session::SessionSnapshot;
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 use crate::state::EnvState;
@@ -92,107 +96,20 @@ pub struct EpisodeSnapshot {
     pub episode_reward: f64,
 }
 
-/// The service transport an environment drives: the default in-process
-/// worker, or a remote service over TCP. Both expose the same call surface
-/// ([`ServiceClient`] / [`TcpTransport`]), so the recovery ladder above is
-/// transport-agnostic — the same replay, checkpoint-restore, and retry
-/// machinery runs whether the compiler lives in this process or on another
-/// machine.
-#[derive(Debug, Clone)]
-pub enum Transport {
-    /// In-process service worker reached over channels.
-    Local(ServiceClient),
-    /// Remote service over length-prefixed TCP frames.
-    Tcp(TcpTransport),
-}
-
-impl Transport {
-    fn call(&self, req: Request) -> Result<Response, CgError> {
-        match self {
-            Transport::Local(c) => c.call(req),
-            Transport::Tcp(c) => c.call(req),
-        }
-    }
-
-    fn call_teardown(&self, req: Request) -> Result<Response, CgError> {
-        match self {
-            Transport::Local(c) => c.call_teardown(req),
-            Transport::Tcp(c) => c.call_teardown(req),
-        }
-    }
-
-    fn call_with_policy(&mut self, req: Request) -> Result<Response, CgError> {
-        match self {
-            Transport::Local(c) => c.call_with_policy(req),
-            Transport::Tcp(c) => c.call_with_policy(req),
-        }
-    }
-
-    fn policy(&self) -> &RetryPolicy {
-        match self {
-            Transport::Local(c) => c.policy(),
-            Transport::Tcp(c) => c.policy(),
-        }
-    }
-
-    fn set_policy(&mut self, policy: RetryPolicy) {
-        match self {
-            Transport::Local(c) => c.set_policy(policy),
-            Transport::Tcp(c) => c.set_policy(policy),
-        }
-    }
-
-    fn restart(&self) {
-        match self {
-            Transport::Local(c) => c.restart(),
-            Transport::Tcp(c) => c.restart(),
-        }
-    }
-
-    fn restarts(&self) -> u64 {
-        match self {
-            Transport::Local(c) => c.restarts(),
-            Transport::Tcp(c) => c.restarts(),
-        }
-    }
-
-    fn checkpoint_store(&self) -> &CheckpointStore {
-        match self {
-            Transport::Local(c) => c.checkpoint_store(),
-            Transport::Tcp(c) => c.checkpoint_store(),
-        }
-    }
-
-    fn set_checkpoint_store(&mut self, store: CheckpointStore) {
-        match self {
-            Transport::Local(c) => c.set_checkpoint_store(store),
-            Transport::Tcp(c) => c.set_checkpoint_store(store),
-        }
-    }
-
-    fn resource_budget(&self) -> ResourceBudget {
-        match self {
-            Transport::Local(c) => c.resource_budget(),
-            Transport::Tcp(c) => c.resource_budget(),
-        }
-    }
-
-    fn set_resource_budget(&self, budget: ResourceBudget) -> Result<(), CgError> {
-        match self {
-            Transport::Local(c) => c.set_resource_budget(budget),
-            Transport::Tcp(c) => c.set_resource_budget(budget),
-        }
-    }
-}
-
 /// A compiler optimization environment: the Gym interaction loop (Figure 1)
 /// over a [`crate::session::CompilationSession`] living behind the service
 /// RPC boundary (Figure 2).
 #[derive(Debug)]
 pub struct CompilerEnv {
     env_id: String,
-    client: Transport,
+    /// The service (or connection) this environment drives; forks share it.
+    link: Box<dyn Link>,
     session: Option<u64>,
+    /// `link.restarts()` when the current session was established, or when
+    /// this env last restarted the link itself. A link that has restarted
+    /// since, under another handle, has already lost the session, so
+    /// recovery replays without restarting it again.
+    session_generation: u64,
     benchmark: String,
     action_space_index: usize,
     action_spaces: Vec<ActionSpaceInfo>,
@@ -370,16 +287,17 @@ impl CompilerEnv {
         reward_space: &str,
         timeout: Duration,
     ) -> Result<CompilerEnv, CgError> {
-        let client = Transport::Local(ServiceClient::spawn(factory, timeout));
-        Self::with_transport(env_id, client, benchmark, observation_space, reward_space)
+        let link = Box::new(ServiceClient::spawn(factory, timeout));
+        Self::with_link(env_id, link, benchmark, observation_space, reward_space)
     }
 
     /// Builds an environment over a remote compiler service reached by TCP
     /// ("running the compiler service on a remote machine"). The same
-    /// recovery ladder applies: I/O failures reconnect and replay; session
-    /// checkpoints are exported back over the wire at each K-boundary into
-    /// the transport's client-owned store, so recovery after a connection
-    /// loss replays only the suffix.
+    /// recovery ladder applies: I/O failures reconnect and replay, and the
+    /// broker's checkpoint ring outlives the connection, so recovery after
+    /// a connection loss replays only the suffix. To bill a tenant, build
+    /// the [`TcpTransport`] yourself, `set_tenant` on it, and pass it to
+    /// [`CompilerEnv::with_link`].
     ///
     /// # Errors
     /// Connection failures, or a remote that cannot describe its spaces.
@@ -391,29 +309,25 @@ impl CompilerEnv {
         reward_space: &str,
         timeout: Duration,
     ) -> Result<CompilerEnv, CgError> {
-        let transport = TcpTransport::connect(addr, timeout)?;
-        Self::with_transport(
-            env_id,
-            Transport::Tcp(transport),
-            benchmark,
-            observation_space,
-            reward_space,
-        )
+        let link = Box::new(TcpTransport::connect(addr, timeout)?);
+        Self::with_link(env_id, link, benchmark, observation_space, reward_space)
     }
 
-    /// Builds an environment over an already-connected transport.
+    /// Builds an environment over an already-established [`Link`] — a
+    /// [`ServiceClient`] whose checkpoint store was set, say, or a
+    /// [`TcpTransport`] named for a tenant.
     ///
     /// # Errors
     /// Fails when the backend cannot describe its spaces.
-    pub fn with_transport(
+    pub fn with_link(
         env_id: &str,
-        client: Transport,
+        link: Box<dyn Link>,
         benchmark: &str,
         observation_space: &str,
         reward_space: &str,
     ) -> Result<CompilerEnv, CgError> {
         let (action_spaces, observation_spaces, reward_spaces) =
-            match client.call(Request::GetSpaces)? {
+            match link.call(Request::GetSpaces)? {
                 Response::Spaces {
                     action_spaces,
                     observation_spaces,
@@ -427,8 +341,9 @@ impl CompilerEnv {
             };
         Ok(CompilerEnv {
             env_id: env_id.to_string(),
-            client,
+            link,
             session: None,
+            session_generation: 0,
             benchmark: benchmark.to_string(),
             action_space_index: 0,
             action_spaces,
@@ -480,13 +395,13 @@ impl CompilerEnv {
 
     /// The recovery policy in effect for this environment's service client.
     pub fn retry_policy(&self) -> &RetryPolicy {
-        self.client.policy()
+        self.link.policy()
     }
 
     /// Replaces the recovery policy (attempts, backoff, deadlines) governing
     /// transparent fault recovery.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.client.set_policy(policy);
+        self.link.set_policy(policy);
     }
 
     /// Sets the in-service [`ResourceBudget`] (rung 1 of the recovery
@@ -498,33 +413,12 @@ impl CompilerEnv {
     /// Service failure delivering the new budget to the live worker (the
     /// budget is still recorded and re-applied on the next restart).
     pub fn set_resource_budget(&mut self, budget: ResourceBudget) -> Result<(), CgError> {
-        self.client.set_resource_budget(budget)
+        self.link.set_resource_budget(budget)
     }
 
     /// The in-service resource budget currently configured.
     pub fn resource_budget(&self) -> ResourceBudget {
-        self.client.resource_budget()
-    }
-
-    /// Sets the checkpoint interval K: the service snapshots each session
-    /// every K applied actions, and recovery replays only the ≤K-action
-    /// suffix (rung 2 of the ladder). `0` disables checkpointing.
-    ///
-    /// Replaces the checkpoint store (existing snapshots are kept — the
-    /// ring is shared) and restarts the service so the worker picks up the
-    /// new interval; call this before `reset`, not mid-episode.
-    pub fn set_checkpoint_interval(&mut self, every_k_actions: u64) {
-        let store = self
-            .client
-            .checkpoint_store()
-            .clone()
-            .with_interval(every_k_actions);
-        self.client.set_checkpoint_store(store);
-    }
-
-    /// The client-owned checkpoint store (shared with the service worker).
-    pub fn checkpoint_store(&self) -> crate::checkpoint::CheckpointStore {
-        self.client.checkpoint_store().clone()
+        self.link.resource_budget()
     }
 
     /// Attaches a per-(benchmark, action) [`CircuitBreaker`]: pairs that
@@ -543,14 +437,11 @@ impl CompilerEnv {
     /// Starts a [`Watchdog`] heartbeating this environment's service:
     /// silently-wedged workers are detected between calls and proactively
     /// restarted (in-flight calls abort into the normal recovery path).
-    /// Replaces any previous watchdog. In-process transport only: a remote
-    /// service's liveness is already surfaced by socket timeouts, and a
-    /// heartbeat sharing the single connection would interleave with real
-    /// replies.
+    /// Replaces any previous watchdog. Only links that offer a heartbeat
+    /// get one (see [`Link::watchdog`]): the in-process service does, a
+    /// remote one surfaces its liveness through socket timeouts instead.
     pub fn enable_watchdog(&mut self, config: WatchdogConfig) {
-        if let Transport::Local(client) = &self.client {
-            self.watchdog = Some(Watchdog::spawn(client.clone(), config));
-        }
+        self.watchdog = self.link.watchdog(config);
     }
 
     /// Stops the watchdog, if one is running.
@@ -662,7 +553,7 @@ impl CompilerEnv {
             // A short teardown deadline keeps a hung service from stalling
             // the new episode (and its expiry is not a telemetry timeout).
             let _ = self
-                .client
+                .link
                 .call_teardown(Request::EndSession { session_id: sid });
         }
         let reward_info = self.reward_info()?;
@@ -681,8 +572,8 @@ impl CompilerEnv {
             benchmark: self.benchmark.clone(),
             action_space: self.action_space_index,
         };
-        let restarts_before = self.client.restarts();
-        let sid = match self.client.call_with_policy(req)? {
+        let restarts_before = self.link.restarts();
+        let sid = match self.link.call_with_policy(req)? {
             Response::SessionStarted { session_id } => session_id,
             r => {
                 return Err(CgError::ServiceFailure(format!(
@@ -690,10 +581,10 @@ impl CompilerEnv {
                 )))
             }
         };
-        let recovered = self.client.restarts() - restarts_before;
+        let recovered = self.link.restarts() - restarts_before;
         if recovered > 0 {
             // The service died or hung and was transparently replaced.
-            // The transport's restart() already bumped the restart counter;
+            // The link's restart() already bumped the restart counter;
             // record that an episode recovered, with its benchmark.
             tel.trace.emit_status(
                 "env:transparent-restart",
@@ -704,7 +595,8 @@ impl CompilerEnv {
             span.set_status(SpanStatus::Recovered);
         }
         self.session = Some(sid);
-        let resp = self.client.call(Request::Step {
+        self.session_generation = self.link.restarts();
+        let resp = self.link.call(Request::Step {
             session_id: sid,
             actions: vec![],
             observation_spaces: spaces,
@@ -766,11 +658,11 @@ impl CompilerEnv {
     /// backoff never rounds below it) and re-issue the identical request.
     /// Replay and restart are never involved: overload is not a fault.
     fn call_patient(&self, req: Request) -> Result<Response, CgError> {
-        let policy = self.client.policy().clone();
+        let policy = self.link.policy().clone();
         let attempts = policy.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
-            match self.client.call(req.clone()) {
+            match self.link.call(req.clone()) {
                 Err(CgError::Overloaded {
                     retry_after_ms,
                     reason,
@@ -788,10 +680,11 @@ impl CompilerEnv {
 
     /// Issues a session-scoped request, transparently recovering the episode
     /// on service failure: the service is restarted (unless the fault was an
-    /// in-band budget kill), a fresh session is established from the latest
-    /// matching checkpoint (or from scratch), the unreplayed action suffix
-    /// is replayed (with a consistency check), and the failed call is
-    /// retried — up to the policy's attempt count and budget.
+    /// in-band budget kill, or the link was already restarted under this
+    /// session), a fresh session is established from the latest matching
+    /// checkpoint (or from scratch), the unreplayed action suffix is
+    /// replayed (with a consistency check), and the failed call is retried
+    /// — up to the policy's attempt count and budget.
     ///
     /// `fault_actions` attributes faults for the circuit breaker: the
     /// actions this request applies. Rejected pairs fail fast with
@@ -846,14 +739,20 @@ impl CompilerEnv {
         // worker session: drop it immediately so nothing can address the
         // ghost session.
         self.session = None;
-        let policy = self.client.policy().clone();
+        let policy = self.link.policy().clone();
         let start = std::time::Instant::now();
         for attempt in 1..policy.max_attempts.max(1) {
             if policy.budget.is_some_and(|b| start.elapsed() >= b) {
                 break;
             }
             std::thread::sleep(policy.backoff_for(attempt));
-            match self.replay_episode(Self::needs_restart(&last)) {
+            // A link restarted since this session began — by a fork sharing
+            // it, or by the watchdog — has already lost the session: replay
+            // is enough, and restarting again would take the sibling's
+            // fresh session down with it.
+            let restart =
+                Self::needs_restart(&last) && self.link.restarts() == self.session_generation;
+            match self.replay_episode(restart) {
                 Ok(new_sid) => match self.call_patient(build(new_sid)) {
                     Err(e) if Self::recoverable(&e) => {
                         self.session = None;
@@ -873,43 +772,48 @@ impl CompilerEnv {
     }
 
     /// Restores the episode after a fault, climbing down the recovery
-    /// ladder: restarts the service (when the fault requires it), restores
-    /// the deepest matching checkpoint and replays only the unreplayed
-    /// action suffix — falling back to a full-history replay when no
-    /// checkpoint matches (or the restored state diverges) — and checks
-    /// that the restored reward metric matches the pre-fault `prev_metric`.
+    /// ladder: restarts the service (when the fault requires it), asks it
+    /// to [`Request::Resume`] the episode — it restores the deepest
+    /// matching checkpoint from its own ring, or starts the session fresh —
+    /// and replays only the unreplayed action suffix, falling back to a
+    /// full-history replay when the restored state diverges. Checks that
+    /// the restored reward metric matches the pre-fault `prev_metric`.
     fn replay_episode(&mut self, restart: bool) -> Result<u64, CgError> {
         let tel = cg_telemetry::global();
         let timer = cg_telemetry::Timer::start();
         if restart {
-            self.client.restart();
+            self.link.restart();
+            // This env's own restart: a later attempt whose replay fails
+            // must restart again, not mistake it for a sibling's.
+            self.session_generation = self.link.restarts();
         }
         let reward_info = self.reward_info()?;
-        let mut try_checkpoint = true;
+        let mut resume = true;
         loop {
-            let restored = if try_checkpoint {
-                self.restore_latest_checkpoint()
+            let req = if resume {
+                Request::Resume {
+                    benchmark: self.benchmark.clone(),
+                    action_space: self.action_space_index,
+                    actions: self.actions.clone(),
+                }
             } else {
-                None
-            };
-            let (sid, replay_from) = match restored {
-                Some(pair) => pair,
-                None => {
-                    let resp = self.client.call(Request::StartSession {
-                        benchmark: self.benchmark.clone(),
-                        action_space: self.action_space_index,
-                    })?;
-                    match resp {
-                        Response::SessionStarted { session_id } => (session_id, 0),
-                        r => {
-                            return Err(CgError::ServiceFailure(format!(
-                                "bad StartSession reply during replay: {r:?}"
-                            )))
-                        }
-                    }
+                Request::StartSession {
+                    benchmark: self.benchmark.clone(),
+                    action_space: self.action_space_index,
                 }
             };
-            let resp = self.client.call(Request::Step {
+            let (sid, replay_from) = match self.link.call(req)? {
+                Response::Resumed { session_id, depth } => {
+                    (session_id, depth.min(self.actions.len()))
+                }
+                Response::SessionStarted { session_id } => (session_id, 0),
+                r => {
+                    return Err(CgError::ServiceFailure(format!(
+                        "bad session reply during replay: {r:?}"
+                    )))
+                }
+            };
+            let resp = self.link.call(Request::Step {
                 session_id: sid,
                 actions: self.actions[replay_from..].to_vec(),
                 observation_spaces: vec![reward_info.metric.clone()],
@@ -932,6 +836,7 @@ impl CompilerEnv {
             let tolerance = 1e-6 * self.prev_metric.abs().max(1.0);
             if (metric - self.prev_metric).abs() <= tolerance {
                 self.session = Some(sid);
+                self.session_generation = self.link.restarts();
                 if replay_from > 0 {
                     tel.checkpoint_restores.inc();
                     tel.trace.emit_status(
@@ -965,7 +870,7 @@ impl CompilerEnv {
             // or corrupt snapshot): drop down one rung and replay the whole
             // history before declaring a divergence.
             let _ = self
-                .client
+                .link
                 .call_teardown(Request::EndSession { session_id: sid });
             if replay_from > 0 {
                 tel.trace.emit_status(
@@ -978,7 +883,7 @@ impl CompilerEnv {
                     timer.elapsed(),
                     SpanStatus::Retried,
                 );
-                try_checkpoint = false;
+                resume = false;
                 continue;
             }
             tel.replay_divergences.inc();
@@ -998,29 +903,6 @@ impl CompilerEnv {
                 actual: metric,
                 repro,
             });
-        }
-    }
-
-    /// Rung 2 of the recovery ladder: restores the deepest stored checkpoint
-    /// whose (benchmark, action space, action prefix) matches this episode.
-    /// Returns the fresh session id and the checkpoint depth, or `None` when
-    /// no checkpoint matches or the restore fails (the caller falls back to
-    /// a full replay — a lost checkpoint is never an error).
-    fn restore_latest_checkpoint(&mut self) -> Option<(u64, usize)> {
-        let cp = self.client.checkpoint_store().latest_matching(
-            &self.benchmark,
-            self.action_space_index,
-            &self.actions,
-        )?;
-        let depth = cp.depth();
-        match self.client.call(Request::RestoreSession {
-            benchmark: cp.benchmark,
-            action_space: cp.action_space,
-            actions: cp.actions,
-            state: cp.state,
-        }) {
-            Ok(Response::SessionStarted { session_id }) => Some((session_id, depth)),
-            _ => None,
         }
     }
 
@@ -1091,11 +973,11 @@ impl CompilerEnv {
         }
         span.attr("benchmark", self.benchmark.clone());
         span.attr("actions", format!("{actions:?}"));
-        let restarts_before = self.client.restarts();
+        let restarts_before = self.link.restarts();
         let result = self.step_lazy_inner(actions, extra_observations);
         match &result {
             Ok(_) => {
-                if self.client.restarts() > restarts_before {
+                if self.link.restarts() > restarts_before {
                     // The step succeeded, but only after the recovery
                     // ladder replaced the service under it.
                     span.set_status(SpanStatus::Recovered);
@@ -1205,7 +1087,6 @@ impl CompilerEnv {
             tel.episode.actions_changed.add(actions.len() as u64);
         }
         tel.episode.reward_sum.add(reward);
-        self.maybe_checkpoint_tcp();
         let dur = timer.observe(&tel.episode.step_wall);
         tel.slo.record(dur);
         tel.trace.emit(
@@ -1222,34 +1103,6 @@ impl CompilerEnv {
                 changed,
             },
         ))
-    }
-
-    /// Client-driven checkpointing for the TCP transport: a remote worker's
-    /// server-side snapshots die with its connection, so at each K-boundary
-    /// the env exports the session state back over the wire and parks it in
-    /// the transport's client-owned store, where
-    /// [`CompilerEnv::restore_latest_checkpoint`] finds it after a
-    /// reconnect. Best effort — a failed export costs a rung of recovery
-    /// speed, never the step.
-    fn maybe_checkpoint_tcp(&mut self) {
-        let Transport::Tcp(t) = &self.client else {
-            return;
-        };
-        let store = t.checkpoint_store().clone();
-        if !store.due(self.actions.len() as u64) {
-            return;
-        }
-        let Some(sid) = self.session else { return };
-        if let Ok(Response::State { state: Some(state) }) =
-            self.client.call(Request::ExportState { session_id: sid })
-        {
-            store.put_snapshot(RingCheckpoint {
-                benchmark: self.benchmark.clone(),
-                action_space: self.action_space_index,
-                actions: self.actions.clone(),
-                state,
-            });
-        }
     }
 
     /// Computes a single observation on demand, without taking an action.
@@ -1296,8 +1149,9 @@ impl CompilerEnv {
             .emit("fork", format!("{} {}", self.env_id, self.benchmark), dur);
         Ok(CompilerEnv {
             env_id: self.env_id.clone(),
-            client: self.client.clone(),
+            link: self.link.clone_link(),
             session: Some(forked),
+            session_generation: self.session_generation,
             benchmark: self.benchmark.clone(),
             action_space_index: self.action_space_index,
             action_spaces: self.action_spaces.clone(),
@@ -1367,10 +1221,10 @@ impl CompilerEnv {
     pub fn restore_snapshot(&mut self, snap: &EpisodeSnapshot) -> Result<(), CgError> {
         if let Some(sid) = self.session.take() {
             let _ = self
-                .client
+                .link
                 .call_teardown(Request::EndSession { session_id: sid });
         }
-        let resp = self.client.call_with_policy(Request::RestoreSession {
+        let resp = self.link.call_with_policy(Request::RestoreSession {
             benchmark: snap.benchmark.clone(),
             action_space: snap.action_space_index,
             actions: snap.actions.clone(),
@@ -1382,6 +1236,7 @@ impl CompilerEnv {
             )));
         };
         self.session = Some(session_id);
+        self.session_generation = self.link.restarts();
         self.benchmark = snap.benchmark.clone();
         self.action_space_index = snap.action_space_index;
         self.actions = snap.actions.clone();
@@ -1423,7 +1278,7 @@ impl CompilerEnv {
             // Best effort with a short teardown deadline: a wedged service
             // must not stall the caller (or Drop) for the full call timeout.
             let _ = self
-                .client
+                .link
                 .call_teardown(Request::EndSession { session_id: sid });
         }
     }
@@ -1431,7 +1286,7 @@ impl CompilerEnv {
     /// Number of service restarts this environment has triggered (fault
     /// tolerance observability).
     pub fn service_restarts(&self) -> u64 {
-        self.client.restarts()
+        self.link.restarts()
     }
 }
 

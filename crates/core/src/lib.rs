@@ -10,16 +10,17 @@
 //!   opaque captured state checkpoints, prefix caches and forks pass around
 //! * [`envs`] — the three shipped integrations: LLVM phase ordering, GCC
 //!   flag tuning, `loop_tool` CUDA loop nests
-//! * [`service`] — the compiler service runtime: session workers, RPC
-//!   transports (in-process and TCP), timeouts, panic isolation, retries,
-//!   and the parsed-benchmark cache
-//! * [`env`] — the user-facing [`env::CompilerEnv`] with `reset`/`step`/
+//! * [`service`] — the compiler service runtime: session workers, the
+//!   [`service::Link`] clients reach them through (in-process and TCP),
+//!   timeouts, panic isolation, and the one retry loop
+//! * [`mod@env`] — the user-facing [`env::CompilerEnv`] with `reset`/`step`/
 //!   `fork`, batched and lazy stepping, and transparent mid-episode fault
 //!   recovery by action replay
 //! * [`retry`] — the [`retry::RetryPolicy`] governing attempts, backoff
 //!   with deterministic jitter, per-request deadlines, and budgets
-//! * [`checkpoint`] — session snapshots every K actions into a
-//!   client-owned ring, making recovery O(K) instead of O(episode)
+//! * [`checkpoint`] — session snapshots every K actions into the service's
+//!   ring, which outlives its workers and connections, making recovery
+//!   O(K) instead of O(episode)
 //! * [`budget`] — in-service resource budgets (step wall-clock, state-size
 //!   growth, interpreter fuel) answered as typed in-band errors
 //! * [`watchdog`] — a supervisor heartbeating the service and proactively
@@ -77,7 +78,7 @@ pub use chaos::{IoFaultInjector, IoFaultKind, IoFaultPlan, IoFaultStats};
 pub use checkpoint::{Checkpoint, CheckpointSink, CheckpointStore, RingCheckpoint};
 pub use env::{
     make, make_with_policy, register_env_scheme, CompilerEnv, EpisodeSnapshot, SchemeFactory,
-    StepResult, Transport,
+    StepResult,
 };
 pub use error::CgError;
 pub use evalcache::EvalCache;

@@ -3,8 +3,9 @@
 //! The paper's runtime treats every compiler invocation as fallible: calls
 //! may crash, hang, or be answered by a service that has since died. Rather
 //! than hard-coding "try twice", recovery behaviour is captured in a
-//! [`RetryPolicy`] value threaded through [`crate::service::ServiceClient`],
-//! [`crate::service::TcpClient`], and [`crate::env::CompilerEnv`]:
+//! [`RetryPolicy`] value carried by every [`crate::service::Link`] and
+//! applied in one place, [`crate::service::Link::call_with_policy`], and by
+//! [`crate::env::CompilerEnv`]'s recovery ladder:
 //!
 //! * **attempts** — how many times a logical call may be issued in total;
 //! * **backoff** — exponential delay between attempts, with *deterministic*
@@ -143,7 +144,7 @@ impl RetryPolicy {
     /// Records one retry decision as a `Retried`-status trace span under
     /// the caller's current context: which request kind, which attempt,
     /// what failed, and how long recovery backs off before re-issuing.
-    /// Shared by both transports so every retry looks the same in a trace.
+    /// Shared by every link so each retry looks the same in a trace.
     pub fn record_retry(&self, kind: &str, attempt: u32, error: &str) {
         cg_telemetry::global().trace.emit_status(
             format!("rpc:retry:{kind}"),
@@ -187,71 +188,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn backoff_with_floor(&self, attempt: u32, floor: Duration) -> Duration {
         self.backoff_for(attempt).max(floor)
-    }
-}
-
-/// Per-correlation-id retry accounting for pipelined calls.
-///
-/// A pipelined batch fails as a *transport*, not as a call: when the socket
-/// dies mid-window, some requests already have replies and must not be
-/// re-issued, while the unanswered remainder each burn one attempt. This
-/// tracker holds the per-slot attempt counts across reconnects so the
-/// policy's `max_attempts` bounds every individual request, exactly as the
-/// serial path does — not the batch as a whole (which would let one flaky
-/// link starve a long window) and not per-failure (which would retry
-/// forever as long as *some* request succeeds each round).
-#[derive(Debug)]
-pub struct PipelineRetry {
-    policy: RetryPolicy,
-    attempts: Vec<u32>,
-    started: std::time::Instant,
-}
-
-impl PipelineRetry {
-    /// Tracks a batch of `n` in-flight requests under `policy`.
-    #[must_use]
-    pub fn new(n: usize, policy: RetryPolicy) -> PipelineRetry {
-        PipelineRetry {
-            policy,
-            attempts: vec![0; n],
-            started: std::time::Instant::now(),
-        }
-    }
-
-    /// Attempts burned so far by the request in slot `at`.
-    #[must_use]
-    pub fn attempts(&self, at: usize) -> u32 {
-        self.attempts.get(at).copied().unwrap_or(0)
-    }
-
-    /// Records one failed attempt for every still-unanswered slot after a
-    /// transport failure, emitting the same retry spans as the serial path.
-    ///
-    /// Returns the delay to back off before re-issuing the unanswered
-    /// requests, or `None` when any of them has exhausted the policy
-    /// (attempt count or wall-clock budget) — the batch then fails with
-    /// the transport error.
-    pub fn record_failure(&mut self, unanswered: &[usize], error: &str) -> Option<Duration> {
-        let max = self.policy.max_attempts.max(1);
-        if self
-            .policy
-            .budget
-            .is_some_and(|b| self.started.elapsed() >= b)
-        {
-            return None;
-        }
-        let mut worst = 0u32;
-        for &at in unanswered {
-            let n = &mut self.attempts[at];
-            *n += 1;
-            worst = worst.max(*n);
-            self.policy
-                .record_retry("Pipelined", *n, &format!("slot {at}: {error}"));
-        }
-        if worst >= max {
-            return None;
-        }
-        Some(self.policy.backoff_for(worst))
     }
 }
 
@@ -333,42 +269,6 @@ mod tests {
     fn none_never_retries() {
         assert_eq!(RetryPolicy::none().max_attempts, 1);
         assert_eq!(RetryPolicy::default().with_max_attempts(0).max_attempts, 1);
-    }
-
-    #[test]
-    fn pipeline_retry_bounds_each_slot_not_the_batch() {
-        let p = RetryPolicy::default()
-            .with_max_attempts(3)
-            .with_jitter(0.0, 0)
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(40));
-        let mut t = PipelineRetry::new(4, p);
-        // Slots 2 and 3 unanswered on the first transport failure.
-        assert_eq!(
-            t.record_failure(&[2, 3], "io"),
-            Some(Duration::from_millis(10))
-        );
-        assert_eq!(t.attempts(2), 1);
-        assert_eq!(t.attempts(0), 0, "answered slots burn nothing");
-        // Slot 2 answered on the second attempt; slot 3 keeps failing.
-        assert_eq!(
-            t.record_failure(&[3], "io"),
-            Some(Duration::from_millis(20))
-        );
-        // The third failed attempt exhausts slot 3 under max_attempts=3.
-        assert_eq!(t.record_failure(&[3], "io"), None);
-    }
-
-    #[test]
-    fn pipeline_retry_honors_wall_budget() {
-        let p = RetryPolicy::default()
-            .with_max_attempts(100)
-            .with_budget(Duration::ZERO);
-        let mut t = PipelineRetry::new(1, p);
-        assert_eq!(
-            t.record_failure(&[0], "io"),
-            None,
-            "a spent budget makes the in-flight attempt the last"
-        );
     }
 
     #[test]

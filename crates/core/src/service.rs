@@ -1,37 +1,40 @@
 //! The compiler service runtime (§IV-B): session workers behind an RPC
 //! boundary, with timeouts, panic isolation, and restart-on-failure.
 //!
-//! Two transports implement the same request/response protocol:
+//! The client reaches the service through one interface, the [`Link`]
+//! trait, with two implementations of the same request/response protocol:
 //!
-//! * **in-process** — a dedicated service thread per environment, reached
-//!   over channels (the default; one "service process" per env, as the real
-//!   system spawns one compiler service per environment);
-//! * **TCP** — length-prefixed `CGB1` frames ([`crate::wire`]) over a
-//!   socket to a [`crate::broker::Broker`], supporting compilation on a
-//!   different machine than the frontend.
+//! * **in-process** — [`ServiceClient`]: a dedicated service thread per
+//!   environment, reached over channels (the default; one "service
+//!   process" per env, as the real system spawns one compiler service per
+//!   environment);
+//! * **TCP** — [`TcpTransport`]: length-prefixed `CGB1` frames
+//!   ([`crate::wire`]) over a socket to a [`crate::broker::Broker`],
+//!   supporting compilation on a different machine than the frontend.
 //!
 //! Fault tolerance: every session call runs under `catch_unwind`, so a
 //! crashing "compiler" yields a [`Response::Fatal`] instead of killing the
 //! service; calls that exceed the client deadline surface as
 //! [`CgError::ServiceFailure`]. Recovery behaviour (attempts, backoff,
-//! per-request deadlines) is configured by a [`RetryPolicy`]; the
-//! environment layer additionally restores lost sessions mid-episode by
-//! replaying the action history (see `CompilerEnv`).
+//! per-request deadlines) is configured by a [`RetryPolicy`] and applied by
+//! the one retry loop, [`Link::call_with_policy`]; the environment layer
+//! additionally restores lost sessions mid-episode by replaying the action
+//! history (see `CompilerEnv`).
 //!
 //! Server-side containment (the other half of the ladder) lives here too:
 //!
 //! * **checkpointing** — the worker snapshots each session every K applied
-//!   actions into a client-owned [`CheckpointStore`], and
-//!   [`Request::RestoreSession`] rebuilds a session from a snapshot so
-//!   recovery replays only the ≤K-action suffix;
+//!   actions into the service's [`CheckpointStore`] (a ring that outlives
+//!   workers and connections), and [`Request::Resume`] rebuilds a session
+//!   from the deepest matching snapshot so recovery replays only the
+//!   ≤K-action suffix;
 //! * **resource budgets** — `Step` runs under a [`ResourceBudget`]
 //!   (wall-clock deadline via a supervised runner thread, state-size cap
 //!   checked after every action), answering a typed [`Response::Budget`]
 //!   in-band instead of hanging until the client deadline;
-//! * **watchdog hooks** — [`ServiceClient::restart`] takes `&self` and
-//!   propagates to all clones, and in-flight calls poll the restart
-//!   generation so a watchdog restart aborts them quickly (see
-//!   `crate::watchdog`).
+//! * **watchdog hooks** — [`Link::restart`] takes `&self` and propagates
+//!   to all clones, and in-flight calls poll the restart generation so a
+//!   watchdog restart aborts them quickly (see `crate::watchdog`).
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -49,10 +52,10 @@ use serde::{Deserialize, Serialize};
 use crate::budget::{BudgetKind, BudgetViolation, ResourceBudget};
 use crate::checkpoint::{CheckpointStore, RingCheckpoint};
 use crate::error::CgError;
-use crate::retry::PipelineRetry;
 use crate::retry::RetryPolicy;
 use crate::session::{CompilationSession, SessionSnapshot};
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
+use crate::watchdog::{Watchdog, WatchdogConfig};
 use crate::wire;
 
 /// A request to the compiler service.
@@ -105,6 +108,19 @@ pub enum Request {
         /// channel moves the handle; the wire codec carries its bytes.
         state: SessionSnapshot,
     },
+    /// Re-establish an episode after a fault: the service restores the
+    /// deepest checkpoint in its own ring whose `(benchmark, action_space,
+    /// actions)` is a prefix of this episode, or starts the session fresh,
+    /// and answers [`Response::Resumed`] with the depth the caller must
+    /// replay from.
+    Resume {
+        /// Benchmark URI.
+        benchmark: String,
+        /// Index into the advertised action spaces.
+        action_space: usize,
+        /// The episode's full action history.
+        actions: Vec<usize>,
+    },
     /// Capture a session's current state (`CompilationSession::snapshot`)
     /// without disturbing it. The dual of [`Request::RestoreSession`]: export
     /// here, restore elsewhere — how an `EnvPool` seeds a worker's session
@@ -134,6 +150,7 @@ impl Request {
             Request::Fork { .. } => "Fork",
             Request::EndSession { .. } => "EndSession",
             Request::RestoreSession { .. } => "RestoreSession",
+            Request::Resume { .. } => "Resume",
             Request::ExportState { .. } => "ExportState",
             Request::Configure { .. } => "Configure",
             Request::Shutdown => "Shutdown",
@@ -174,6 +191,14 @@ pub enum Response {
         /// The new session's handle.
         session_id: u64,
     },
+    /// Episode re-established by [`Request::Resume`].
+    Resumed {
+        /// Handle for subsequent requests.
+        session_id: u64,
+        /// Actions already applied: the restored checkpoint's depth, `0`
+        /// for a fresh session.
+        depth: usize,
+    },
     /// Session ended / shutdown acknowledged.
     Ok,
     /// Exported session state; `None` when the session has nothing to
@@ -201,9 +226,11 @@ pub enum Response {
     /// The request failed; the session (if any) is still usable.
     Error(String),
     /// The request failed fatally: the session it addressed was destroyed
-    /// (e.g. a compiler panic) and its id is no longer valid. The service
-    /// itself survives. Surfaced to clients as [`CgError::SessionLost`] so
-    /// the environment can restore the episode by action replay.
+    /// (e.g. a compiler panic) or is not held by this service at all (a
+    /// stale id from before a restart), so its id is no longer valid. The
+    /// service itself survives. Surfaced to clients as
+    /// [`CgError::SessionLost`] so the environment can restore the episode
+    /// by action replay.
     Fatal(String),
 }
 
@@ -320,6 +347,14 @@ fn execute_step(
             verdict: StepVerdict::Panicked,
         },
     }
+}
+
+/// The answer to a session-scoped request for an id this service does not
+/// hold. Fatal, not an error: the id names a session that is gone — lost
+/// with a restarted worker or ended with its connection — so the caller
+/// restores its episode by replay.
+fn unknown_session(session_id: u64) -> Response {
+    Response::Fatal(format!("no session {session_id}"))
 }
 
 pub(crate) struct ServiceState {
@@ -576,9 +611,43 @@ impl ServiceState {
                     }
                 }
             }
+            Request::Resume {
+                benchmark,
+                action_space,
+                actions,
+            } => {
+                let restored = self
+                    .checkpoints
+                    .latest_matching(&benchmark, action_space, &actions)
+                    .and_then(|cp| {
+                        let depth = cp.depth();
+                        match self.dispatch(Request::RestoreSession {
+                            benchmark: cp.benchmark,
+                            action_space: cp.action_space,
+                            actions: cp.actions,
+                            state: cp.state,
+                        }) {
+                            Response::SessionStarted { session_id } => Some((session_id, depth)),
+                            // A checkpoint that will not restore is never an
+                            // error: the episode starts over instead.
+                            _ => None,
+                        }
+                    });
+                let (session_id, depth) = match restored {
+                    Some(found) => found,
+                    None => match self.dispatch(Request::StartSession {
+                        benchmark,
+                        action_space,
+                    }) {
+                        Response::SessionStarted { session_id } => (session_id, 0),
+                        failed => return failed,
+                    },
+                };
+                Response::Resumed { session_id, depth }
+            }
             Request::ExportState { session_id } => {
                 let Some(session) = self.sessions.get_mut(&session_id) else {
-                    return Response::Error(format!("no session {session_id}"));
+                    return unknown_session(session_id);
                 };
                 match std::panic::catch_unwind(AssertUnwindSafe(|| session.snapshot())) {
                     Ok(state) => Response::State { state },
@@ -615,7 +684,7 @@ impl ServiceState {
                 // The session leaves the map for the duration of the step so
                 // a wall-budget kill can abandon it to the runner thread.
                 let Some(mut session) = self.sessions.remove(&session_id) else {
-                    return Response::Error(format!("no session {session_id}"));
+                    return unknown_session(session_id);
                 };
                 let size_limit = self
                     .budget
@@ -744,7 +813,7 @@ impl ServiceState {
                     }
                     Response::Forked { session_id: id }
                 }
-                None => Response::Error(format!("no session {session_id}")),
+                None => unknown_session(session_id),
             },
             Request::EndSession { session_id } => {
                 self.sessions.remove(&session_id);
@@ -754,6 +823,166 @@ impl ServiceState {
             Request::Shutdown => Response::Ok,
         }
     }
+}
+
+/// The client half of the RPC boundary: what [`crate::env::CompilerEnv`]
+/// drives, however the compiler is reached. [`ServiceClient`] links to an
+/// in-process worker over channels and [`TcpTransport`] to a
+/// [`crate::broker::Broker`] over a socket; the recovery ladder, the retry
+/// loop and fork sharing are written once, against this trait.
+///
+/// A link and the handles [`Link::clone_link`] makes share one service (or
+/// one connection): a restart through any of them replaces it for all.
+pub trait Link: Send + Sync + std::fmt::Debug {
+    /// Issues one request, once, under the policy's per-kind deadline.
+    ///
+    /// # Errors
+    /// [`CgError::ServiceFailure`] when the service is dead, hung past the
+    /// deadline or unreachable; [`CgError::SessionLost`] when the session
+    /// is gone; [`CgError::Session`] for backend errors;
+    /// [`CgError::BudgetExceeded`] and [`CgError::Overloaded`] for typed
+    /// in-band refusals.
+    fn call(&self, req: Request) -> Result<Response, CgError>;
+
+    /// Issues a best-effort teardown request (e.g. `EndSession` against a
+    /// service that may be hung or dead) bounded by the policy's short
+    /// teardown deadline. Expiry is expected and is *not* counted as a
+    /// timeout in telemetry.
+    ///
+    /// # Errors
+    /// Same as [`Link::call`]; callers typically ignore the result.
+    fn call_teardown(&self, req: Request) -> Result<Response, CgError>;
+
+    /// Replaces the (possibly hung) service behind the link: a fresh worker
+    /// in process, a fresh connection over TCP. Every session the old one
+    /// held is lost, for every handle sharing the link; callers
+    /// re-establish theirs by replay.
+    fn restart(&self);
+
+    /// How many times [`Link::restart`] has replaced the service.
+    fn restarts(&self) -> u64;
+
+    /// The recovery policy in effect.
+    fn policy(&self) -> &RetryPolicy;
+
+    /// Replaces this handle's recovery policy.
+    fn set_policy(&mut self, policy: RetryPolicy);
+
+    /// The resource budget last configured on the service.
+    fn resource_budget(&self) -> ResourceBudget;
+
+    /// Sets the service's resource budget (rung 1 of the recovery ladder).
+    ///
+    /// # Errors
+    /// Propagates the `Configure` call failure; the budget is remembered
+    /// regardless.
+    fn set_resource_budget(&self, budget: ResourceBudget) -> Result<(), CgError>;
+
+    /// Another handle on the same service or connection: what a forked
+    /// environment drives.
+    fn clone_link(&self) -> Box<dyn Link>;
+
+    /// Starts a [`Watchdog`] heartbeating the service behind the link, or
+    /// `None` when the link offers no heartbeat: a socket's liveness already
+    /// surfaces through its read deadline, and a heartbeat sharing the
+    /// connection would interleave with real replies.
+    fn watchdog(&self, _config: WatchdogConfig) -> Option<Watchdog> {
+        None
+    }
+
+    /// Issues a request under the recovery policy — the runtime's one retry
+    /// loop. On service failure the link is restarted and the call retried
+    /// after an exponential, deterministically jittered backoff; a session
+    /// lost at birth is retried without a restart; a typed overload refusal
+    /// is retried in place, never earlier than the server asked — until the
+    /// policy's attempt count or wall-clock budget is exhausted.
+    ///
+    /// The request is passed by value: the happy path (and the final
+    /// attempt) never clone it; a clone is taken only when a later retry is
+    /// still possible.
+    ///
+    /// # Errors
+    /// The final error when all attempts were exhausted.
+    fn call_with_policy(&self, req: Request) -> Result<Response, CgError> {
+        let policy = self.policy().clone();
+        let start = std::time::Instant::now();
+        let max = policy.max_attempts.max(1);
+        let kind = req.kind();
+        let mut req = Some(req);
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            let budget_spent = policy.budget.is_some_and(|b| start.elapsed() >= b);
+            let last = attempt >= max || budget_spent;
+            let this = if last {
+                req.take().expect("request is held until the final attempt")
+            } else {
+                req.as_ref()
+                    .expect("request is held until the final attempt")
+                    .clone()
+            };
+            match self.call(this) {
+                Err(CgError::ServiceFailure(e)) if !last => {
+                    policy.record_retry(kind, attempt, &e);
+                    self.restart();
+                    std::thread::sleep(policy.backoff_for(attempt));
+                }
+                // A session destroyed at birth (init panic) is retryable on
+                // a fresh session without replacing the service.
+                Err(CgError::SessionLost(e)) if !last => {
+                    policy.record_retry(kind, attempt, &e);
+                    std::thread::sleep(policy.backoff_for(attempt));
+                }
+                // A typed overload refusal comes from a healthy but busy
+                // front door: retry in place (no restart) and never earlier
+                // than the server-advised retry_after floor.
+                Err(CgError::Overloaded {
+                    retry_after_ms,
+                    reason,
+                }) if !last => {
+                    policy.record_retry(kind, attempt, &reason);
+                    std::thread::sleep(
+                        policy.backoff_with_floor(attempt, Duration::from_millis(retry_after_ms)),
+                    );
+                }
+                other => return other,
+            }
+        }
+    }
+}
+
+/// Maps a reply to the client's error surface: typed failure replies
+/// become their [`CgError`], everything else is a result.
+fn settle(resp: Response) -> Result<Response, CgError> {
+    match resp {
+        Response::Error(e) => Err(CgError::Session(e)),
+        Response::Fatal(e) => Err(CgError::SessionLost(e)),
+        Response::Budget(v) => Err(CgError::BudgetExceeded(v)),
+        Response::Overloaded {
+            retry_after_ms,
+            reason,
+        } => Err(CgError::Overloaded {
+            retry_after_ms,
+            reason,
+        }),
+        ok => Ok(ok),
+    }
+}
+
+/// Runs one client call under a span named `name`, whose status records
+/// how the call ended — the same on every link, so a trace reads alike
+/// whichever one carried it.
+fn traced<T>(name: String, call: impl FnOnce() -> Result<T, CgError>) -> Result<T, CgError> {
+    let mut span = cg_telemetry::global().trace.span(name);
+    let result = call();
+    if let Err(e) = &result {
+        span.set_status(match e {
+            CgError::BudgetExceeded(_) => SpanStatus::BudgetExceeded,
+            _ => SpanStatus::Error,
+        });
+        span.set_detail(e.to_string());
+    }
+    result
 }
 
 /// A handle to a running in-process compiler service.
@@ -829,11 +1058,15 @@ impl Drop for Reaper {
     }
 }
 
+/// Spawns a worker whose session ids start at `first_id`. Each generation
+/// of a client's worker gets its own id range, so an id from a replaced
+/// worker can never name a session of its successor.
 fn spawn_worker(
     factory: SessionFactory,
     budget: ResourceBudget,
     checkpoints: CheckpointStore,
     teardown: Duration,
+    first_id: u64,
 ) -> Worker {
     let (tx, rx): (RequestSender, Receiver<_>) = unbounded();
     let (exited_tx, exited) = bounded::<()>(1);
@@ -845,6 +1078,7 @@ fn spawn_worker(
             // Declared before `state`, so dropped after it.
             let _exited = exited_tx;
             let mut state = ServiceState::new(f, budget, checkpoints);
+            state.next_id = first_id;
             while let Ok((req, ctx, reply)) = rx.recv() {
                 let _trace_guard = ctx.map(cg_telemetry::enter_context);
                 let shutdown = matches!(req, Request::Shutdown);
@@ -887,6 +1121,7 @@ impl ServiceClient {
             budget.clone(),
             checkpoints.clone(),
             policy.teardown_deadline,
+            0,
         );
         ServiceClient {
             worker: Arc::new(Mutex::new(worker)),
@@ -899,44 +1134,20 @@ impl ServiceClient {
         }
     }
 
-    /// The recovery policy in effect.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// Replaces the recovery policy.
-    pub fn set_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
-    /// The checkpoint store shared with the service worker. Client-owned,
-    /// so it survives worker restarts — that is the point.
+    /// The checkpoint ring this service's workers write into. It is held
+    /// here, not by a worker, so it survives worker restarts — that is the
+    /// point — and [`Request::Resume`] finds a replaced worker's snapshots
+    /// in it.
     pub fn checkpoint_store(&self) -> &CheckpointStore {
         &self.checkpoints
     }
 
-    /// Replaces the checkpoint store (interval, capacity, disk sink). The
-    /// *current* worker keeps writing to the old ring until the next
-    /// restart; call before starting sessions for full coverage.
+    /// Replaces the checkpoint store (interval, capacity, disk sink): where
+    /// the in-process checkpoint interval K is set. The service restarts so
+    /// its worker writes to the new store; call before starting sessions.
     pub fn set_checkpoint_store(&mut self, store: CheckpointStore) {
         self.checkpoints = store;
         self.restart();
-    }
-
-    /// The resource budget currently applied to the service.
-    pub fn resource_budget(&self) -> ResourceBudget {
-        self.budget.lock().clone()
-    }
-
-    /// Sets the service's resource budget: configures the live worker and
-    /// remembers the budget so every restarted worker inherits it.
-    ///
-    /// # Errors
-    /// Propagates the `Configure` call failure; the budget is remembered
-    /// for future workers regardless.
-    pub fn set_resource_budget(&self, budget: ResourceBudget) -> Result<(), CgError> {
-        *self.budget.lock() = budget.clone();
-        self.call(Request::Configure { budget }).map(|_| ())
     }
 
     fn call_inner(
@@ -962,19 +1173,7 @@ impl ServiceClient {
                 )));
             }
             match reply_rx.recv_timeout(remaining.min(GENERATION_POLL)) {
-                Ok(Response::Error(e)) => return Err(CgError::Session(e)),
-                Ok(Response::Fatal(e)) => return Err(CgError::SessionLost(e)),
-                Ok(Response::Budget(v)) => return Err(CgError::BudgetExceeded(v)),
-                Ok(Response::Overloaded {
-                    retry_after_ms,
-                    reason,
-                }) => {
-                    return Err(CgError::Overloaded {
-                        retry_after_ms,
-                        reason,
-                    });
-                }
-                Ok(resp) => return Ok(resp),
+                Ok(resp) => return settle(resp),
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                     return Err(CgError::ServiceFailure(
                         "service worker died (reply channel closed)".into(),
@@ -998,136 +1197,13 @@ impl ServiceClient {
     /// the client timeout when no override is configured).
     ///
     /// # Errors
-    /// [`CgError::ServiceFailure`] when the service is dead or the call
-    /// exceeded the deadline; [`CgError::SessionLost`] when the session was
-    /// destroyed by a panic; [`CgError::Session`] for backend errors.
+    /// See [`Link::call`].
     pub fn call(&self, req: Request) -> Result<Response, CgError> {
         let kind = req.kind();
         let deadline = self.policy.deadline_for(kind).unwrap_or(self.timeout);
-        let mut span = cg_telemetry::global().trace.span(format!("rpc:{kind}"));
-        let result = self.call_inner(req, deadline, true);
-        match &result {
-            Err(CgError::BudgetExceeded(v)) => {
-                span.set_status(SpanStatus::BudgetExceeded);
-                span.set_detail(v.to_string());
-            }
-            Err(e) => {
-                span.set_status(SpanStatus::Error);
-                span.set_detail(e.to_string());
-            }
-            Ok(_) => {}
-        }
-        result
-    }
-
-    /// Issues a best-effort teardown request (e.g. `EndSession` against a
-    /// service that may be hung or dead) bounded by the policy's short
-    /// teardown deadline. Expiry is expected and is *not* counted as a
-    /// timeout in telemetry.
-    ///
-    /// # Errors
-    /// Same as [`ServiceClient::call`]; callers typically ignore the result.
-    pub fn call_teardown(&self, req: Request) -> Result<Response, CgError> {
-        let kind = req.kind();
-        let deadline = self.policy.teardown_deadline.min(self.timeout);
-        let mut span = cg_telemetry::global()
-            .trace
-            .span(format!("rpc:teardown:{kind}"));
-        let result = self.call_inner(req, deadline, false);
-        if let Err(e) = &result {
-            span.set_status(SpanStatus::Error);
-            span.set_detail(e.to_string());
-        }
-        result
-    }
-
-    /// Issues a request under the recovery policy: on service failure the
-    /// service is restarted and the call retried after an exponential,
-    /// deterministically jittered backoff, until the policy's attempt count
-    /// or wall-clock budget is exhausted — the runtime's "retry loop".
-    ///
-    /// The request is passed by value: the happy path (and the final
-    /// attempt) never clone it; a clone is taken only when a later retry is
-    /// still possible.
-    ///
-    /// # Errors
-    /// The final error when all attempts were exhausted.
-    pub fn call_with_policy(&mut self, req: Request) -> Result<Response, CgError> {
-        let policy = self.policy.clone();
-        let start = std::time::Instant::now();
-        let max = policy.max_attempts.max(1);
-        let kind = req.kind();
-        let mut req = Some(req);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let budget_spent = policy.budget.is_some_and(|b| start.elapsed() >= b);
-            let last = attempt >= max || budget_spent;
-            let this = if last {
-                req.take().expect("request is held until the final attempt")
-            } else {
-                req.as_ref()
-                    .expect("request is held until the final attempt")
-                    .clone()
-            };
-            match self.call(this) {
-                Err(CgError::ServiceFailure(e)) if !last => {
-                    policy.record_retry(kind, attempt, &e);
-                    self.restart();
-                    std::thread::sleep(policy.backoff_for(attempt));
-                }
-                // A session destroyed at birth (init panic) is retryable on
-                // a fresh session without restarting the whole service.
-                Err(CgError::SessionLost(e)) if !last => {
-                    policy.record_retry(kind, attempt, &e);
-                    std::thread::sleep(policy.backoff_for(attempt));
-                }
-                // A typed overload refusal comes from a healthy but busy
-                // front door: retry in place (no restart) and never earlier
-                // than the server-advised retry_after floor.
-                Err(CgError::Overloaded {
-                    retry_after_ms,
-                    reason,
-                }) if !last => {
-                    policy.record_retry(kind, attempt, &reason);
-                    std::thread::sleep(
-                        policy.backoff_with_floor(attempt, Duration::from_millis(retry_after_ms)),
-                    );
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Abandons the (possibly hung) service thread and spawns a fresh one.
-    /// Sessions are lost; callers re-establish them via `reset()`. Takes
-    /// `&self` and propagates through all clones, so a supervisor (the
-    /// watchdog) can restart a service other threads are using; their
-    /// in-flight calls notice the generation change and abort with
-    /// [`CgError::ServiceFailure`].
-    pub fn restart(&self) {
-        let fresh = spawn_worker(
-            Arc::clone(&self.factory),
-            self.budget.lock().clone(),
-            self.checkpoints.clone(),
-            self.policy.teardown_deadline,
-        );
-        let mut old = std::mem::replace(&mut *self.worker.lock(), fresh);
-        // Detached, not reaped: it is being replaced because it may hang.
-        old.reaper.thread = None;
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let tel = cg_telemetry::global();
-        tel.restarts.inc();
-        tel.trace.emit(
-            "service:restart",
-            format!("generation {generation}"),
-            Duration::ZERO,
-        );
-    }
-
-    /// How many times this client has restarted its service.
-    pub fn restarts(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
+        traced(format!("rpc:{kind}"), || {
+            self.call_inner(req, deadline, true)
+        })
     }
 
     /// Liveness probe: a `Ping` bounded by `deadline`, not counted as a
@@ -1140,6 +1216,82 @@ impl ServiceClient {
             self.call_inner(Request::Ping, deadline, false),
             Ok(Response::Pong)
         )
+    }
+}
+
+impl Link for ServiceClient {
+    fn call(&self, req: Request) -> Result<Response, CgError> {
+        ServiceClient::call(self, req)
+    }
+
+    fn call_teardown(&self, req: Request) -> Result<Response, CgError> {
+        let deadline = self.policy.teardown_deadline.min(self.timeout);
+        traced(format!("rpc:teardown:{}", req.kind()), || {
+            self.call_inner(req, deadline, false)
+        })
+    }
+
+    /// Abandons the (possibly hung) service thread and spawns a fresh one.
+    /// Propagates through all clones, so a supervisor (the watchdog) can
+    /// restart a service other threads are using; their in-flight calls
+    /// notice the generation change and abort with
+    /// [`CgError::ServiceFailure`].
+    fn restart(&self) {
+        // Under the worker lock, so concurrent restarts (the watchdog's and
+        // an environment's) each get a generation, and an id range, of
+        // their own.
+        let mut worker = self.worker.lock();
+        let generation = self.generation.load(Ordering::SeqCst) + 1;
+        let fresh = spawn_worker(
+            Arc::clone(&self.factory),
+            self.budget.lock().clone(),
+            self.checkpoints.clone(),
+            self.policy.teardown_deadline,
+            generation << 32,
+        );
+        let mut old = std::mem::replace(&mut *worker, fresh);
+        self.generation.store(generation, Ordering::SeqCst);
+        drop(worker);
+        // Detached, not reaped: it is being replaced because it may hang.
+        old.reaper.thread = None;
+        let tel = cg_telemetry::global();
+        tel.restarts.inc();
+        tel.trace.emit(
+            "service:restart",
+            format!("generation {generation}"),
+            Duration::ZERO,
+        );
+    }
+
+    fn restarts(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    fn policy(&self) -> &RetryPolicy {
+        &self.policy
+    }
+
+    fn set_policy(&mut self, policy: RetryPolicy) {
+        self.policy = policy;
+    }
+
+    fn resource_budget(&self) -> ResourceBudget {
+        self.budget.lock().clone()
+    }
+
+    /// Configures the live worker and remembers the budget, so every
+    /// restarted worker inherits it.
+    fn set_resource_budget(&self, budget: ResourceBudget) -> Result<(), CgError> {
+        *self.budget.lock() = budget.clone();
+        self.call(Request::Configure { budget }).map(|_| ())
+    }
+
+    fn clone_link(&self) -> Box<dyn Link> {
+        Box::new(self.clone())
+    }
+
+    fn watchdog(&self, config: WatchdogConfig) -> Option<Watchdog> {
+        Some(Watchdog::spawn(self.clone(), config))
     }
 }
 
@@ -1282,21 +1434,22 @@ pub(crate) fn account_rx(n: usize) {
     wire.rx_bytes.add(n as u64);
 }
 
-/// A TCP client for a remote compiler service, with reconnect-on-I/O-error
-/// governed by its [`RetryPolicy`].
+/// One socket to a broker: the private connection inside a
+/// [`TcpTransport`]. It speaks CGB1 frames, reusing its encode scratch and
+/// receive buffer across calls, and never retries — recovery belongs to
+/// [`Link::call_with_policy`] and the environment's ladder.
 #[derive(Debug)]
-pub struct TcpClient {
+struct Connection {
     stream: TcpStream,
     addr: String,
     timeout: Duration,
-    policy: RetryPolicy,
     /// Tenant identity stamped into every request frame (the broker's
     /// queueing/quota key). `None` bills to the anonymous tenant.
     tenant: Option<String>,
     /// Whether the `Hello`/`HelloAck` handshake has completed on the
     /// *current* stream; reset by every reconnect.
     greeted: bool,
-    /// Next correlation id. Monotonic per connection; responses are
+    /// Last correlation id issued. Monotonic per connection; responses are
     /// demuxed by echoing it, which is what lets `call_pipelined` keep
     /// many requests in flight on this one socket.
     corr: u64,
@@ -1307,45 +1460,7 @@ pub struct TcpClient {
     reader: FrameReader,
 }
 
-impl TcpClient {
-    /// Connects to a remote service with the default [`RetryPolicy`].
-    ///
-    /// # Errors
-    /// Propagates connection failures as [`CgError::ServiceFailure`].
-    pub fn connect(addr: &str, timeout: Duration) -> Result<TcpClient, CgError> {
-        Self::connect_with_policy(addr, timeout, RetryPolicy::default())
-    }
-
-    /// Connects with an explicit recovery policy.
-    ///
-    /// # Errors
-    /// Propagates connection failures as [`CgError::ServiceFailure`].
-    pub fn connect_with_policy(
-        addr: &str,
-        timeout: Duration,
-        policy: RetryPolicy,
-    ) -> Result<TcpClient, CgError> {
-        let stream = Self::open(addr, timeout)?;
-        Ok(TcpClient {
-            stream,
-            addr: addr.to_string(),
-            timeout,
-            policy,
-            tenant: None,
-            greeted: false,
-            corr: 0,
-            scratch: Vec::new(),
-            reader: FrameReader::new(),
-        })
-    }
-
-    /// Sets the tenant identity stamped into every request frame, under
-    /// which the broker queues, schedules, and quota-bills this client's
-    /// work.
-    pub fn set_tenant(&mut self, tenant: &str) {
-        self.tenant = Some(tenant.to_string());
-    }
-
+impl Connection {
     fn open(addr: &str, timeout: Duration) -> Result<TcpStream, CgError> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| CgError::ServiceFailure(format!("connect {addr}: {e}")))?;
@@ -1356,11 +1471,6 @@ impl TcpClient {
         // ~40ms; request/response traffic wants immediate flushes.
         let _ = stream.set_nodelay(true);
         Ok(stream)
-    }
-
-    /// The recovery policy in effect.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Opens the conversation on the current stream: sends `Hello` and
@@ -1392,7 +1502,7 @@ impl TcpClient {
                 wire::WIRE_VERSION
             ),
             Ok(wire::Frame::Response { body, .. }) => {
-                match wire::decode_response_body(body).map(Self::settle_response) {
+                match wire::decode_response_body(body).map(settle) {
                     Ok(Err(refused)) => return Err(refused),
                     other => format!("unexpected handshake reply: {other:?}"),
                 }
@@ -1401,23 +1511,6 @@ impl TcpClient {
         };
         cg_telemetry::global().wire.decode_errors.inc();
         Err(CgError::ServiceFailure(refusal))
-    }
-
-    /// Maps typed error responses to their error surface.
-    fn settle_response(resp: Response) -> Result<Response, CgError> {
-        match resp {
-            Response::Error(e) => Err(CgError::Session(e)),
-            Response::Fatal(e) => Err(CgError::SessionLost(e)),
-            Response::Budget(v) => Err(CgError::BudgetExceeded(v)),
-            Response::Overloaded {
-                retry_after_ms,
-                reason,
-            } => Err(CgError::Overloaded {
-                retry_after_ms,
-                reason,
-            }),
-            ok => Ok(ok),
-        }
     }
 
     /// Encodes `req` into the scratch buffer under the next correlation
@@ -1468,145 +1561,97 @@ impl TcpClient {
         }
     }
 
+    /// Receives the next reply to a request issued at or after correlation
+    /// id `first`. Replies to earlier ids answer calls that already gave up
+    /// — a call whose read deadline expired leaves its reply in flight —
+    /// and are discarded, so a late reply never desynchronizes the
+    /// connection and a timeout never forces a reconnect.
+    fn recv_reply(&mut self, first: u64, count_timeout: bool) -> Result<(u64, Response), CgError> {
+        loop {
+            let (corr, resp) = self.recv_response(count_timeout)?;
+            if corr >= first {
+                return Ok((corr, resp));
+            }
+        }
+    }
+
     fn call_once(&mut self, req: &Request, count_timeout: bool) -> Result<Response, CgError> {
         self.handshake()?;
         let corr = self.encode_request(req);
         write_frame(&mut self.stream, &self.scratch)
             .map_err(|e| CgError::ServiceFailure(format!("send: {e}")))?;
-        let (got, resp) = self.recv_response(count_timeout)?;
+        let (got, resp) = self.recv_reply(corr, count_timeout)?;
         if got != corr {
-            // A serial call found a stale reply on the socket (e.g. a
-            // timed-out predecessor answered late): the stream is
-            // desynchronized, which the retry ladder heals by reconnect.
             return Err(CgError::ServiceFailure(format!(
                 "correlation mismatch: wanted {corr}, got {got}"
             )));
         }
-        Self::settle_response(resp)
+        settle(resp)
     }
 
-    /// Issues a batch of requests with all of them in flight on this one
-    /// socket before the first reply is awaited, then demuxes the replies
-    /// by correlation id.
-    ///
-    /// Typed per-request errors (`Error`, `Budget`, …) are returned as
-    /// their raw [`Response`] values in the matching slot — one failed
-    /// step must not discard its siblings' results. Transport-level
-    /// failures abort the whole batch.
-    ///
-    /// # Errors
-    /// [`CgError::ServiceFailure`] on I/O or decode failure.
-    pub fn call_pipelined(&mut self, reqs: &[Request]) -> Result<Vec<Response>, CgError> {
-        let mut out: Vec<Option<Response>> = vec![None; reqs.len()];
-        self.pipeline_once(reqs, &mut out)?;
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("pipeline_once fills every slot on success"))
-            .collect())
-    }
-
-    /// One pipelined attempt: sends every request whose `done` slot is
-    /// still empty, then collects replies until all slots are filled.
-    /// Slots filled by a previous attempt are left untouched, so a retry
-    /// wrapper re-issues only the requests whose replies were lost.
-    fn pipeline_once(
-        &mut self,
-        reqs: &[Request],
-        done: &mut [Option<Response>],
-    ) -> Result<(), CgError> {
-        debug_assert_eq!(reqs.len(), done.len());
+    /// Sends a whole window of requests before awaiting the first reply,
+    /// then demuxes the replies by correlation id into request order. A
+    /// transport failure fails the window.
+    fn call_pipelined(&mut self, reqs: &[Request]) -> Result<Vec<Response>, CgError> {
         self.handshake()?;
         let wire_stats = &cg_telemetry::global().wire;
-        // corr id → slot index, for the demux.
-        let mut pending: HashMap<u64, usize> = HashMap::new();
+        let first = self.corr + 1;
         // The whole window is encoded into one buffer and flushed with a
         // single write: one syscall per window instead of one per request,
         // and no chance for the kernel to coalesce-and-stall partial frames.
         let mut batch: Vec<u8> = Vec::new();
-        for (at, req) in reqs.iter().enumerate() {
-            if done[at].is_some() {
-                continue;
-            }
-            let corr = self.encode_request(req);
+        for req in reqs {
+            self.encode_request(req);
             batch.extend_from_slice(&(self.scratch.len() as u32).to_le_bytes());
             batch.extend_from_slice(&self.scratch);
             wire_stats.pipelined_calls.inc();
             wire_stats.in_flight.inc();
-            pending.insert(corr, at);
         }
-        let result = (|| {
+        let mut replies: Vec<Option<Response>> = vec![None; reqs.len()];
+        let mut pending = reqs.len();
+        let result: Result<(), CgError> = (|| {
             self.stream
                 .write_all(&batch)
                 .map_err(|e| CgError::ServiceFailure(format!("send: {e}")))?;
-            while !pending.is_empty() {
-                let (corr, resp) = self.recv_response(true)?;
-                let at = pending.remove(&corr).ok_or_else(|| {
-                    CgError::ServiceFailure(format!("correlation mismatch: unexpected id {corr}"))
-                })?;
+            while pending > 0 {
+                let (corr, resp) = self.recv_reply(first, true)?;
+                let slot = replies
+                    .get_mut((corr - first) as usize)
+                    .filter(|slot| slot.is_none())
+                    .ok_or_else(|| {
+                        CgError::ServiceFailure(format!(
+                            "correlation mismatch: unexpected id {corr}"
+                        ))
+                    })?;
+                *slot = Some(resp);
+                pending -= 1;
                 wire_stats.in_flight.dec();
-                done[at] = Some(resp);
             }
             Ok(())
         })();
         // On transport failure the unanswered requests stay in flight from
         // the gauge's perspective unless drained here.
-        for _ in 0..pending.len() {
+        for _ in 0..pending {
             wire_stats.in_flight.dec();
         }
-        result
-    }
-
-    /// Issues one request over the socket. On an I/O error the connection is
-    /// re-established (with backoff) and the request re-sent, up to the
-    /// policy's attempt count.
-    ///
-    /// Note that the server executes a request as soon as it is fully
-    /// received: a retried mutating `Step` whose first reply was lost to a
-    /// connection drop may be applied twice. Remote sessions needing exact
-    /// state should be restored by action replay (as `CompilerEnv` does)
-    /// rather than resumed blindly after an I/O error.
-    ///
-    /// # Errors
-    /// [`CgError::ServiceFailure`] on I/O or timeout after all attempts;
-    /// [`CgError::SessionLost`] when the remote session was destroyed;
-    /// [`CgError::Session`] for backend errors.
-    pub fn call(&mut self, req: &Request) -> Result<Response, CgError> {
-        let start = std::time::Instant::now();
-        let max = self.policy.max_attempts.max(1);
-        let kind = req.kind();
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let budget_spent = self.policy.budget.is_some_and(|b| start.elapsed() >= b);
-            let last = attempt >= max || budget_spent;
-            match self.call_once(req, true) {
-                Err(CgError::ServiceFailure(e)) if !last => {
-                    self.policy.record_retry(kind, attempt, &e);
-                    std::thread::sleep(self.policy.backoff_for(attempt));
-                    // On reconnect failure, keep the old stream; the next
-                    // attempt retries the connect from scratch.
-                    self.reconnect(&e);
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Swaps in a freshly opened stream: it has not been greeted, and
-    /// whatever the old stream left half-read in the receive buffer is not
-    /// part of its conversation.
-    fn replace_stream(&mut self, stream: TcpStream) {
-        self.stream = stream;
-        self.greeted = false;
-        self.reader = FrameReader::new();
+        result?;
+        Ok(replies
+            .into_iter()
+            .map(|r| r.expect("every slot is answered on success"))
+            .collect())
     }
 
     /// Re-opens the connection after `why`; on success the reconnect is
     /// counted and recorded as a span under the caller's current context.
+    /// The fresh stream has not been greeted, and whatever the old stream
+    /// left half-read in the receive buffer is not part of its
+    /// conversation.
     fn reconnect(&mut self, why: &str) -> bool {
         match Self::open(&self.addr, self.timeout) {
             Ok(stream) => {
-                self.replace_stream(stream);
+                self.stream = stream;
+                self.greeted = false;
+                self.reader = FrameReader::new();
                 let tel = cg_telemetry::global();
                 tel.reconnects.inc();
                 tel.trace.emit_status(
@@ -1622,21 +1667,18 @@ impl TcpClient {
     }
 }
 
-/// A [`TcpClient`] wrapped to present the same call surface as
-/// [`ServiceClient`], so `CompilerEnv` can drive a remote service through
-/// the identical recovery ladder it uses in-process.
+/// The TCP [`Link`]: a remote [`crate::broker::Broker`] reached over one
+/// connection.
 ///
-/// Clones share the underlying connection (the broker ends a connection's
-/// sessions when its socket closes, so a forked environment *must* reuse the
-/// socket its parent's sessions live on) and the restart generation. The
-/// checkpoint store is client-owned: the environment exports snapshots back
-/// over the wire and parks them here, where they survive reconnects and
-/// server restarts.
+/// Clones share the connection (the broker ends a connection's sessions
+/// when its socket closes, so a forked environment *must* reuse the socket
+/// its parent's sessions live on) and the restart generation. Checkpoints
+/// live with the service, in [`crate::broker::BrokerConfig::checkpoints`],
+/// which outlives connections.
 #[derive(Clone)]
 pub struct TcpTransport {
-    inner: Arc<Mutex<TcpClient>>,
+    inner: Arc<Mutex<Connection>>,
     policy: RetryPolicy,
-    checkpoints: CheckpointStore,
     budget: Arc<Mutex<ResourceBudget>>,
     restarts: Arc<AtomicU64>,
 }
@@ -1667,51 +1709,29 @@ impl TcpTransport {
         timeout: Duration,
         policy: RetryPolicy,
     ) -> Result<TcpTransport, CgError> {
-        let client = TcpClient::connect_with_policy(addr, timeout, policy.clone())?;
+        let connection = Connection {
+            stream: Connection::open(addr, timeout)?,
+            addr: addr.to_string(),
+            timeout,
+            tenant: None,
+            greeted: false,
+            corr: 0,
+            scratch: Vec::new(),
+            reader: FrameReader::new(),
+        };
         Ok(TcpTransport {
-            inner: Arc::new(Mutex::new(client)),
+            inner: Arc::new(Mutex::new(connection)),
             policy,
-            checkpoints: CheckpointStore::default(),
             budget: Arc::new(Mutex::new(ResourceBudget::default())),
             restarts: Arc::new(AtomicU64::new(0)),
         })
     }
 
-    /// The recovery policy in effect.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// Replaces the recovery policy (on this handle and the shared socket).
-    pub fn set_policy(&mut self, policy: RetryPolicy) {
-        self.inner.lock().policy = policy.clone();
-        self.policy = policy;
-    }
-
-    /// The client-side checkpoint store snapshots are parked in.
-    pub fn checkpoint_store(&self) -> &CheckpointStore {
-        &self.checkpoints
-    }
-
-    /// Replaces the checkpoint store (interval, capacity, disk sink).
-    pub fn set_checkpoint_store(&mut self, store: CheckpointStore) {
-        self.checkpoints = store;
-    }
-
-    /// The resource budget last configured on the remote service.
-    pub fn resource_budget(&self) -> ResourceBudget {
-        self.budget.lock().clone()
-    }
-
-    /// Configures the remote service's resource budget. Unlike the
-    /// in-process transport, a remote worker survives reconnects, so the
-    /// remembered budget only matters for reporting.
-    ///
-    /// # Errors
-    /// Propagates the `Configure` call failure.
-    pub fn set_resource_budget(&self, budget: ResourceBudget) -> Result<(), CgError> {
-        *self.budget.lock() = budget.clone();
-        self.call(Request::Configure { budget }).map(|_| ())
+    /// Sets the tenant identity stamped into every request frame on the
+    /// shared connection, under which the broker queues, schedules, and
+    /// quota-bills its work.
+    pub fn set_tenant(&self, tenant: &str) {
+        self.inner.lock().tenant = Some(tenant.to_string());
     }
 
     /// Issues one request over the socket — a single attempt, recorded as an
@@ -1719,167 +1739,50 @@ impl TcpTransport {
     /// remote `service:{kind}` dispatch span parents under it.
     ///
     /// # Errors
-    /// Same surface as [`ServiceClient::call`].
+    /// See [`Link::call`].
     pub fn call(&self, req: Request) -> Result<Response, CgError> {
-        let kind = req.kind();
-        let mut span = cg_telemetry::global().trace.span(format!("rpc:{kind}"));
-        let result = self.inner.lock().call_once(&req, true);
-        match &result {
-            Err(CgError::BudgetExceeded(v)) => {
-                span.set_status(SpanStatus::BudgetExceeded);
-                span.set_detail(v.to_string());
-            }
-            Err(e) => {
-                span.set_status(SpanStatus::Error);
-                span.set_detail(e.to_string());
-            }
-            Ok(_) => {}
-        }
-        result
-    }
-
-    /// Best-effort teardown bounded by the policy's short teardown deadline:
-    /// the socket read timeout is temporarily shortened so a hung remote
-    /// cannot stall `close()`. A timed-out teardown leaves the stream
-    /// desynchronized (the late reply is still in flight), so the connection
-    /// is quietly re-opened before returning. Expiry is expected and is
-    /// *not* counted as a timeout in telemetry.
-    ///
-    /// # Errors
-    /// Same as [`TcpTransport::call`]; callers typically ignore the result.
-    pub fn call_teardown(&self, req: Request) -> Result<Response, CgError> {
-        let kind = req.kind();
-        let mut span = cg_telemetry::global()
-            .trace
-            .span(format!("rpc:teardown:{kind}"));
-        let mut client = self.inner.lock();
-        let deadline = self.policy.teardown_deadline.min(client.timeout);
-        let _ = client.stream.set_read_timeout(Some(deadline));
-        let result = client.call_once(&req, false);
-        let _ = client.stream.set_read_timeout(Some(client.timeout));
-        if let Err(e) = &result {
-            span.set_status(SpanStatus::Error);
-            span.set_detail(e.to_string());
-            if matches!(e, CgError::ServiceFailure(_)) {
-                if let Ok(stream) = TcpClient::open(&client.addr, client.timeout) {
-                    client.replace_stream(stream);
-                }
-            }
-        }
-        result
-    }
-
-    /// Issues a request under the recovery policy: on I/O failure the
-    /// connection is re-established and the call retried with backoff, up to
-    /// the policy's attempt count or wall-clock budget.
-    ///
-    /// # Errors
-    /// The final error when all attempts were exhausted.
-    pub fn call_with_policy(&mut self, req: Request) -> Result<Response, CgError> {
-        let policy = self.policy.clone();
-        let start = std::time::Instant::now();
-        let max = policy.max_attempts.max(1);
-        let kind = req.kind();
-        let mut req = Some(req);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let budget_spent = policy.budget.is_some_and(|b| start.elapsed() >= b);
-            let last = attempt >= max || budget_spent;
-            let this = if last {
-                req.take().expect("request is held until the final attempt")
-            } else {
-                req.as_ref()
-                    .expect("request is held until the final attempt")
-                    .clone()
-            };
-            match self.call(this) {
-                Err(CgError::ServiceFailure(e)) if !last => {
-                    policy.record_retry(kind, attempt, &e);
-                    std::thread::sleep(policy.backoff_for(attempt));
-                    self.inner.lock().reconnect(&e);
-                }
-                Err(CgError::SessionLost(e)) if !last => {
-                    policy.record_retry(kind, attempt, &e);
-                    std::thread::sleep(policy.backoff_for(attempt));
-                }
-                // Overload is answered by a healthy server over a healthy
-                // socket: no reconnect, just back off at the server's floor.
-                Err(CgError::Overloaded {
-                    retry_after_ms,
-                    reason,
-                }) if !last => {
-                    policy.record_retry(kind, attempt, &reason);
-                    std::thread::sleep(
-                        policy.backoff_with_floor(attempt, Duration::from_millis(retry_after_ms)),
-                    );
-                }
-                other => return other,
-            }
-        }
+        traced(format!("rpc:{}", req.kind()), || {
+            self.inner.lock().call_once(&req, true)
+        })
     }
 
     /// Issues a batch of requests with the whole window in flight on the
-    /// socket before the first reply is awaited (see
-    /// [`TcpClient::call_pipelined`]), under the recovery policy with
-    /// per-correlation-id retry accounting: a transport failure mid-window
-    /// reconnects and re-issues only the unanswered requests, each bounded
-    /// individually by the policy's attempt count and wall budget — replies
-    /// that already landed are never re-executed.
-    ///
-    /// Typed per-request errors are returned in their slots as raw
-    /// [`Response`] values; only transport-level failure errors the batch.
+    /// socket before the first reply is awaited — one attempt. Typed
+    /// per-request errors are returned in their slots as raw [`Response`]
+    /// values, so one failed step does not discard its siblings' results.
     ///
     /// # Errors
-    /// The final transport error once any unanswered request exhausts the
-    /// policy.
+    /// [`CgError::ServiceFailure`] when the transport fails: the whole
+    /// window fails with it.
     pub fn call_pipelined(&self, reqs: &[Request]) -> Result<Vec<Response>, CgError> {
-        let mut span = cg_telemetry::global()
-            .trace
-            .span(format!("rpc:pipeline:{}", reqs.len()));
-        let mut done: Vec<Option<Response>> = vec![None; reqs.len()];
-        let mut tracker = PipelineRetry::new(reqs.len(), self.policy.clone());
-        loop {
-            let result = self.inner.lock().pipeline_once(reqs, &mut done);
-            match result {
-                Ok(()) => {
-                    return Ok(done
-                        .into_iter()
-                        .map(|r| r.expect("pipeline_once fills every slot on success"))
-                        .collect());
-                }
-                Err(CgError::ServiceFailure(e)) => {
-                    let unanswered: Vec<usize> = done
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(at, r)| r.is_none().then_some(at))
-                        .collect();
-                    match tracker.record_failure(&unanswered, &e) {
-                        Some(backoff) => {
-                            std::thread::sleep(backoff);
-                            self.inner.lock().reconnect(&e);
-                        }
-                        None => {
-                            span.set_status(SpanStatus::Error);
-                            span.set_detail(&e);
-                            return Err(CgError::ServiceFailure(e));
-                        }
-                    }
-                }
-                Err(other) => {
-                    span.set_status(SpanStatus::Error);
-                    span.set_detail(other.to_string());
-                    return Err(other);
-                }
-            }
-        }
+        traced(format!("rpc:pipeline:{}", reqs.len()), || {
+            self.inner.lock().call_pipelined(reqs)
+        })
+    }
+}
+
+impl Link for TcpTransport {
+    fn call(&self, req: Request) -> Result<Response, CgError> {
+        TcpTransport::call(self, req)
     }
 
-    /// The TCP analog of [`ServiceClient::restart`]: drop the (possibly
-    /// wedged) connection and open a fresh one. Remote sessions on the old
-    /// connection are lost; callers re-establish them via replay, exactly as
-    /// after an in-process worker restart.
-    pub fn restart(&self) {
+    /// The teardown rides the connection's own frames under a temporarily
+    /// shortened read deadline, so a hung remote cannot stall `close()`.
+    /// Its late reply, if one comes, is discarded by the next call.
+    fn call_teardown(&self, req: Request) -> Result<Response, CgError> {
+        traced(format!("rpc:teardown:{}", req.kind()), || {
+            let mut conn = self.inner.lock();
+            let deadline = self.policy.teardown_deadline.min(conn.timeout);
+            let _ = conn.stream.set_read_timeout(Some(deadline));
+            let result = conn.call_once(&req, false);
+            let _ = conn.stream.set_read_timeout(Some(conn.timeout));
+            result
+        })
+    }
+
+    /// Drops the (possibly wedged) connection and opens a fresh one; the
+    /// broker ends the sessions the old connection held.
+    fn restart(&self) {
         let reconnected = self.inner.lock().reconnect("transport restart");
         let generation = self.restarts.fetch_add(1, Ordering::SeqCst) + 1;
         let tel = cg_telemetry::global();
@@ -1891,10 +1794,31 @@ impl TcpTransport {
         );
     }
 
-    /// How many times this transport has torn down and re-opened its
-    /// connection via [`TcpTransport::restart`].
-    pub fn restarts(&self) -> u64 {
+    fn restarts(&self) -> u64 {
         self.restarts.load(Ordering::SeqCst)
+    }
+
+    fn policy(&self) -> &RetryPolicy {
+        &self.policy
+    }
+
+    fn set_policy(&mut self, policy: RetryPolicy) {
+        self.policy = policy;
+    }
+
+    fn resource_budget(&self) -> ResourceBudget {
+        self.budget.lock().clone()
+    }
+
+    /// A remote worker survives reconnects, so the remembered budget only
+    /// matters for reporting.
+    fn set_resource_budget(&self, budget: ResourceBudget) -> Result<(), CgError> {
+        *self.budget.lock() = budget.clone();
+        self.call(Request::Configure { budget }).map(|_| ())
+    }
+
+    fn clone_link(&self) -> Box<dyn Link> {
+        Box::new(self.clone())
     }
 }
 
@@ -2166,7 +2090,7 @@ mod tests {
             .schedule(0, FaultKind::Hang)
             .with_hang_duration(Duration::from_millis(500))
             .wrap(counting_factory());
-        let mut client = ServiceClient::spawn(factory, Duration::from_millis(100));
+        let client = ServiceClient::spawn(factory, Duration::from_millis(100));
         let sid = start(&client);
         let e = client
             .call(Request::Step {
@@ -2227,7 +2151,7 @@ mod tests {
         // the connection's own frames under the shortened read deadline.
         let (factory, _) = FaultPlan::seeded(3)
             .schedule(0, FaultKind::Hang)
-            .with_hang_duration(Duration::from_secs(2))
+            .with_hang_duration(Duration::from_millis(400))
             .wrap(counting_factory());
         let broker = Broker::new(factory, BrokerConfig::default());
         let addr = serve(&broker);
@@ -2260,12 +2184,15 @@ mod tests {
             t.elapsed()
         );
         assert_eq!(cg_telemetry::global().timeouts.get(), timeouts_before);
-        // The late reply died with the old stream: the quietly re-opened
-        // one is in step, and another worker answers at once.
-        assert!(matches!(
-            transport.call(Request::Ping).unwrap(),
-            Response::Pong
-        ));
+        // Another worker answers at once, on the same connection; once the
+        // wedged worker lets go, the teardown's late reply reaches the
+        // socket and the next call discards it instead of taking it for
+        // its own.
+        let ping = || matches!(transport.call(Request::Ping), Ok(Response::Pong));
+        assert!(ping());
+        std::thread::sleep(Duration::from_millis(600));
+        assert!(ping());
+        assert_eq!(transport.restarts(), 0, "no reconnect was needed");
     }
 
     #[test]
@@ -2370,7 +2297,8 @@ mod tests {
             }
             other => panic!("expected BudgetExceeded, got {other:?}"),
         }
-        // The session was destroyed; the service survives.
+        // The session was destroyed — its id is answered as lost, which
+        // recovery replays — and the service survives.
         let e = client
             .call(Request::Step {
                 session_id: sid,
@@ -2378,7 +2306,7 @@ mod tests {
                 observation_spaces: vec![],
             })
             .unwrap_err();
-        assert!(matches!(e, CgError::Session(_)));
+        assert!(matches!(e, CgError::SessionLost(_)), "{e:?}");
         assert_eq!(client.restarts(), 0);
     }
 
@@ -2441,7 +2369,7 @@ mod tests {
             .unwrap();
         assert_eq!(client.checkpoint_store().len(), 1);
         client.restart();
-        // The ring is client-owned: worker death does not empty it, and the
+        // The ring outlives the worker: worker death does not empty it, and the
         // fresh worker keeps writing into the same ring.
         assert_eq!(client.checkpoint_store().len(), 1);
         let sid2 = start(&client);
@@ -2453,6 +2381,66 @@ mod tests {
             })
             .unwrap();
         assert_eq!(client.checkpoint_store().len(), 2);
+    }
+
+    #[test]
+    fn resume_restores_the_deepest_checkpoint_or_starts_fresh() {
+        let client = ServiceClient::spawn(counting_factory(), Duration::from_secs(5));
+        let sid = start(&client);
+        client
+            .call(Request::Step {
+                session_id: sid,
+                actions: vec![0; 25],
+                observation_spaces: vec![],
+            })
+            .unwrap();
+        let resume = |benchmark: &str| match client
+            .call(Request::Resume {
+                benchmark: benchmark.into(),
+                action_space: 0,
+                actions: vec![0; 27],
+            })
+            .unwrap()
+        {
+            Response::Resumed { session_id, depth } => (session_id, depth),
+            r => panic!("{r:?}"),
+        };
+        let steps = |session_id| match client
+            .call(Request::Step {
+                session_id,
+                actions: vec![],
+                observation_spaces: vec!["steps".into()],
+            })
+            .unwrap()
+        {
+            Response::Stepped { observations, .. } => observations[0].as_scalar(),
+            r => panic!("{r:?}"),
+        };
+        // The batch crossed K = 10 once: the snapshot at depth 25.
+        let (restored, depth) = resume("x");
+        assert_eq!((depth, steps(restored)), (25, Some(25.0)));
+        let (fresh, depth) = resume("another benchmark");
+        assert_eq!((depth, steps(fresh)), (0, Some(0.0)));
+    }
+
+    /// Each worker generation numbers its sessions apart, so an id from a
+    /// replaced worker is answered as lost rather than landing on whichever
+    /// session holds that number now.
+    #[test]
+    fn restarted_worker_never_reuses_a_session_id() {
+        let client = ServiceClient::spawn(counting_factory(), Duration::from_secs(5));
+        let stale = start(&client);
+        client.restart();
+        let fresh = start(&client);
+        assert_ne!(stale, fresh);
+        let e = client
+            .call(Request::Step {
+                session_id: stale,
+                actions: vec![0],
+                observation_spaces: vec![],
+            })
+            .unwrap_err();
+        assert!(matches!(e, CgError::SessionLost(_)), "{e:?}");
     }
 
     /// Serves `broker` on a fresh loopback port from a detached thread. A
@@ -2472,14 +2460,14 @@ mod tests {
     #[test]
     fn tcp_round_trip() {
         let addr = serve_default(counting_factory());
-        let mut client = TcpClient::connect(&addr, Duration::from_secs(5)).unwrap();
+        let client = TcpTransport::connect(&addr, Duration::from_secs(5)).unwrap();
         assert!(matches!(
-            client.call(&Request::Ping).unwrap(),
+            client.call(Request::Ping).unwrap(),
             Response::Pong
         ));
-        let sid = started(client.call(&start_request()));
+        let sid = started(client.call(start_request()));
         let r = client
-            .call(&Request::Step {
+            .call(Request::Step {
                 session_id: sid,
                 actions: vec![0],
                 observation_spaces: vec!["steps".into()],
@@ -2491,7 +2479,7 @@ mod tests {
             }
             r => panic!("{r:?}"),
         }
-        let _ = client.call(&Request::Shutdown);
+        let _ = client.call(Request::Shutdown);
     }
 
     #[test]
@@ -2563,29 +2551,26 @@ mod tests {
         }
         let addr = serve_default(Arc::new(|| Box::new(PoisonedSpaces)));
         let no_retry = RetryPolicy::default().with_max_attempts(1);
-        let mut poisoned =
-            TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
+        let poisoned =
+            TcpTransport::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
                 .unwrap();
         assert!(matches!(
-            poisoned.call(&Request::Ping).unwrap(),
+            poisoned.call(Request::Ping).unwrap(),
             Response::Pong
         ));
         // The dispatch panics and is answered typed, in band...
-        let e = poisoned.call(&Request::GetSpaces).unwrap_err();
+        let e = poisoned.call(Request::GetSpaces).unwrap_err();
         assert!(matches!(e, CgError::SessionLost(_)), "{e:?}");
         // ...and neither the worker nor the accept loop died with it: this
         // connection and a fresh one are both still served.
         assert!(matches!(
-            poisoned.call(&Request::Ping).unwrap(),
+            poisoned.call(Request::Ping).unwrap(),
             Response::Pong
         ));
-        let mut fresh =
-            TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry).unwrap();
-        assert!(matches!(
-            fresh.call(&Request::Ping).unwrap(),
-            Response::Pong
-        ));
-        let _ = fresh.call(&Request::Shutdown);
+        let fresh =
+            TcpTransport::connect_with_policy(&addr, Duration::from_secs(5), no_retry).unwrap();
+        assert!(matches!(fresh.call(Request::Ping).unwrap(), Response::Pong));
+        let _ = fresh.call(Request::Shutdown);
     }
 
     #[test]
@@ -2602,21 +2587,22 @@ mod tests {
         });
         let tel = cg_telemetry::global();
         let reconnects_before = tel.reconnects.get();
-        let mut client = TcpClient::connect_with_policy(
+        let client = TcpTransport::connect_with_policy(
             &addr,
             Duration::from_secs(5),
             RetryPolicy::default().with_max_attempts(4),
         )
         .unwrap();
         assert!(matches!(
-            client.call(&Request::Ping).unwrap(),
+            client.call_with_policy(Request::Ping).unwrap(),
             Response::Pong
         ));
         assert!(
             tel.reconnects.get() > reconnects_before,
             "a reconnect was recorded"
         );
-        let _ = client.call(&Request::Shutdown);
+        assert!(client.restarts() >= 1, "the link restart reconnected");
+        let _ = client.call(Request::Shutdown);
     }
 
     #[test]
@@ -2630,13 +2616,10 @@ mod tests {
         );
         let addr = serve(&broker);
         let no_retry = RetryPolicy::default().with_max_attempts(1);
-        let mut first =
-            TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
+        let first =
+            TcpTransport::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
                 .unwrap();
-        assert!(matches!(
-            first.call(&Request::Ping).unwrap(),
-            Response::Pong
-        ));
+        assert!(matches!(first.call(Request::Ping).unwrap(), Response::Pong));
 
         // The second connection is over the cap. Read before writing: the
         // refusal arrives unsolicited as one typed `Overloaded` frame, so a
@@ -2664,10 +2647,10 @@ mod tests {
 
         // A client reads the same frame where its handshake expected the
         // `HelloAck`, and surfaces it as the typed, retryable overload.
-        let mut turned_away =
-            TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
+        let turned_away =
+            TcpTransport::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
                 .unwrap();
-        match turned_away.call(&Request::Ping) {
+        match turned_away.call(Request::Ping) {
             Err(CgError::Overloaded { retry_after_ms, .. }) => assert!(retry_after_ms > 0),
             other => panic!("expected a typed Overloaded from the handshake, got {other:?}"),
         }
@@ -2679,12 +2662,12 @@ mod tests {
         drop(first);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            let mut next =
-                TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
+            let next =
+                TcpTransport::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
                     .unwrap();
-            match next.call(&Request::Ping) {
+            match next.call(Request::Ping) {
                 Ok(Response::Pong) => {
-                    let _ = next.call(&Request::Shutdown);
+                    let _ = next.call(Request::Shutdown);
                     break;
                 }
                 Ok(other) => panic!("unexpected ping reply: {other:?}"),
@@ -2701,17 +2684,20 @@ mod tests {
     #[test]
     fn tcp_negotiates_binary_by_default() {
         let addr = serve_default(counting_factory());
-        let mut client = TcpClient::connect(&addr, Duration::from_secs(5)).unwrap();
-        assert!(!client.greeted, "the handshake runs lazily, on first call");
+        let client = TcpTransport::connect(&addr, Duration::from_secs(5)).unwrap();
+        assert!(
+            !client.inner.lock().greeted,
+            "the handshake runs lazily, on first call"
+        );
         assert!(matches!(
-            client.call(&Request::Ping).unwrap(),
+            client.call(Request::Ping).unwrap(),
             Response::Pong
         ));
-        assert!(client.greeted);
+        assert!(client.inner.lock().greeted);
         // A full session round-trips typed payloads over the binary codec.
-        let sid = started(client.call(&start_request()));
+        let sid = started(client.call(start_request()));
         match client
-            .call(&Request::Step {
+            .call(Request::Step {
                 session_id: sid,
                 actions: vec![0, 0, 0],
                 observation_spaces: vec!["steps".into()],
@@ -2723,7 +2709,7 @@ mod tests {
             }
             r => panic!("{r:?}"),
         }
-        let _ = client.call(&Request::Shutdown);
+        let _ = client.call(Request::Shutdown);
     }
 
     /// The handshake is a magic + version check on the peer: anything but a
@@ -2749,13 +2735,13 @@ mod tests {
                 write_frame(&mut conn, &reply).unwrap();
             });
             let no_retry = RetryPolicy::default().with_max_attempts(1);
-            let mut client =
-                TcpClient::connect_with_policy(&addr, Duration::from_secs(5), no_retry).unwrap();
-            match client.call(&Request::Ping) {
+            let client =
+                TcpTransport::connect_with_policy(&addr, Duration::from_secs(5), no_retry).unwrap();
+            match client.call(Request::Ping) {
                 Err(CgError::ServiceFailure(e)) => assert!(e.contains(names), "{e}"),
                 other => panic!("expected a handshake failure, got {other:?}"),
             }
-            assert!(!client.greeted);
+            assert!(!client.inner.lock().greeted);
             peer.join().unwrap();
         }
     }
@@ -2763,7 +2749,7 @@ mod tests {
     #[test]
     fn trace_and_tenant_metadata_survive_binary_codec() {
         let addr = serve_default(counting_factory());
-        let mut client = TcpClient::connect(&addr, Duration::from_secs(5)).unwrap();
+        let client = TcpTransport::connect(&addr, Duration::from_secs(5)).unwrap();
         client.set_tenant("metadata-tenant");
         let sentinel = cg_telemetry::TraceContext {
             trace_id: 0xC0FF_EE00_0000_0042,
@@ -2772,7 +2758,7 @@ mod tests {
         {
             let _guard = cg_telemetry::enter_context(sentinel);
             assert!(matches!(
-                client.call(&Request::Ping).unwrap(),
+                client.call(Request::Ping).unwrap(),
                 Response::Pong
             ));
         }
@@ -2784,7 +2770,7 @@ mod tests {
             .iter()
             .any(|s| s.trace_id == sentinel.trace_id && s.span.starts_with("service:"));
         assert!(joined, "server span must carry the client's trace id");
-        let _ = client.call(&Request::Shutdown);
+        let _ = client.call(Request::Shutdown);
     }
 
     #[test]

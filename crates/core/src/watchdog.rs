@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Sender};
 
-use crate::service::ServiceClient;
+use crate::service::{Link, ServiceClient};
 
 /// Default heartbeat interval.
 pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);

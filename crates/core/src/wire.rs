@@ -416,6 +416,7 @@ const REQ_RESTORE_SESSION: u8 = 6;
 const REQ_EXPORT_STATE: u8 = 7;
 const REQ_CONFIGURE: u8 = 8;
 const REQ_SHUTDOWN: u8 = 9;
+const REQ_RESUME: u8 = 10;
 
 /// Request metadata flag: a trace context follows.
 const META_TRACE: u8 = 1;
@@ -502,6 +503,16 @@ pub fn encode_request_frame(
             put_action_run(buf, actions);
             put_bytes(buf, state.to_bytes());
         }
+        Request::Resume {
+            benchmark,
+            action_space,
+            actions,
+        } => {
+            buf.push(REQ_RESUME);
+            put_str(buf, benchmark);
+            put_u64(buf, *action_space as u64);
+            put_action_run(buf, actions);
+        }
         Request::ExportState { session_id } => {
             buf.push(REQ_EXPORT_STATE);
             put_u64(buf, *session_id);
@@ -564,6 +575,11 @@ pub fn decode_request_body(corr: u64, body: &[u8]) -> Result<RequestFrame, WireE
             actions: r.action_run()?,
             state: SessionSnapshot::from_bytes(r.bytes()?.to_owned()),
         },
+        REQ_RESUME => Request::Resume {
+            benchmark: r.str()?.to_owned(),
+            action_space: r.u64()? as usize,
+            actions: r.action_run()?,
+        },
         REQ_EXPORT_STATE => Request::ExportState {
             session_id: r.u64()?,
         },
@@ -603,6 +619,7 @@ const RESP_BUDGET: u8 = 7;
 const RESP_OVERLOADED: u8 = 8;
 const RESP_ERROR: u8 = 9;
 const RESP_FATAL: u8 = 10;
+const RESP_RESUMED: u8 = 11;
 
 const OBS_TEXT: u8 = 0;
 const OBS_INT_VECTOR: u8 = 1;
@@ -671,6 +688,11 @@ pub fn encode_response_frame(buf: &mut Vec<u8>, corr: u64, resp: &Response) {
         Response::Forked { session_id } => {
             buf.push(RESP_FORKED);
             put_u64(buf, *session_id);
+        }
+        Response::Resumed { session_id, depth } => {
+            buf.push(RESP_RESUMED);
+            put_u64(buf, *session_id);
+            put_u64(buf, *depth as u64);
         }
         Response::Ok => buf.push(RESP_OK),
         Response::State { state } => {
@@ -784,6 +806,10 @@ pub fn decode_response_body(body: &[u8]) -> Result<Response, WireError> {
         }
         RESP_FORKED => Response::Forked {
             session_id: r.u64()?,
+        },
+        RESP_RESUMED => Response::Resumed {
+            session_id: r.u64()?,
+            depth: r.u64()? as usize,
         },
         RESP_OK => Response::Ok,
         RESP_STATE => Response::State {
@@ -1018,6 +1044,11 @@ mod tests {
                 actions: vec![1, 2, 3],
                 state: SessionSnapshot::from_bytes(vec![0, 1, 255, 128]),
             },
+            Request::Resume {
+                benchmark: "b".into(),
+                action_space: 1,
+                actions: vec![4, 0, 4],
+            },
             Request::ExportState { session_id: 11 },
             Request::Configure {
                 budget: ResourceBudget {
@@ -1081,6 +1112,10 @@ mod tests {
                 ],
             },
             Response::Forked { session_id: 5 },
+            Response::Resumed {
+                session_id: 12,
+                depth: 20,
+            },
             Response::Ok,
             Response::State { state: None },
             Response::State {
@@ -1310,7 +1345,7 @@ mod tests {
     }
 
     fn arb_request(rng: &mut TestRng) -> Request {
-        match rng.below(10) {
+        match rng.below(11) {
             0 => Request::Ping,
             1 => Request::GetSpaces,
             2 => Request::StartSession {
@@ -1351,12 +1386,19 @@ mod tests {
                     interp_fuel: (rng.below(2) == 1).then(|| rng.next_u64()),
                 },
             },
+            9 => Request::Resume {
+                benchmark: arb_string(rng),
+                action_space: rng.below(4) as usize,
+                actions: (0..rng.below(16))
+                    .map(|_| rng.below(1 << 20) as usize)
+                    .collect(),
+            },
             _ => Request::Shutdown,
         }
     }
 
     fn arb_response(rng: &mut TestRng) -> Response {
-        match rng.below(11) {
+        match rng.below(12) {
             0 => Response::Pong,
             1 => Response::SessionStarted {
                 session_id: rng.next_u64(),
@@ -1391,6 +1433,10 @@ mod tests {
             },
             8 => Response::Error(arb_string(rng)),
             9 => Response::Fatal(arb_string(rng)),
+            10 => Response::Resumed {
+                session_id: rng.next_u64(),
+                depth: rng.below(1 << 20) as usize,
+            },
             _ => Response::Spaces {
                 action_spaces: (0..rng.below(3))
                     .map(|_| ActionSpaceInfo {

@@ -2,11 +2,14 @@
 //! O(K) recovery rung of the ladder (restore the latest snapshot, replay
 //! only the suffix) and the in-band budget kill (typed error, no restart).
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cg_core::chaos::{FaultKind, FaultPlan};
+use cg_core::checkpoint::DEFAULT_CHECKPOINT_INTERVAL;
 use cg_core::envs::llvm::LlvmSession;
 use cg_core::envs::session_factory;
 use cg_core::service::SessionFactory;
@@ -14,7 +17,8 @@ use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
-use cg_core::{CgError, CompilerEnv, ResourceBudget, RetryPolicy};
+use cg_core::{CgError, CheckpointStore, CompilerEnv, ResourceBudget, RetryPolicy};
+use common::{Via, BOTH};
 
 use proptest::prelude::*;
 
@@ -100,27 +104,35 @@ fn counting_factory(panic_at: u64) -> (SessionFactory, Arc<AtomicU64>) {
     (factory, attempts)
 }
 
-/// The acceptance scenario: a 200-step episode whose 196th apply (episode
-/// step index 195) panics the session away. With the default checkpoint
-/// interval K = 10 the worker has a depth-190 snapshot, so recovery must
-/// replay exactly the 5-action suffix — not the 195-action history.
-#[test]
-fn fault_at_step_195_of_200_replays_at_most_k_actions() {
-    const STEPS: u64 = 200;
-    const FAULT_AT: u64 = 196; // apply ordinal (1-based): episode step 195
-    let (factory, attempts) = counting_factory(FAULT_AT);
-    let mut env = CompilerEnv::with_factory(
-        "count-v0",
-        factory,
-        "benchmark://count",
-        "steps",
-        "steps",
-        Duration::from_secs(10),
-    )
-    .unwrap();
+/// A `count-v0` environment over `via` whose service checkpoints every
+/// `interval` actions, and the ring it checkpoints into.
+fn count_env(via: Via, factory: SessionFactory, interval: u64) -> (CompilerEnv, CheckpointStore) {
+    let (link, store) = common::link(via, factory, interval, Duration::from_secs(10));
+    let mut env =
+        CompilerEnv::with_link("count-v0", link, "benchmark://count", "steps", "steps").unwrap();
     env.set_retry_policy(
         RetryPolicy::default().with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
     );
+    (env, store)
+}
+
+/// The acceptance scenario: a 200-step episode whose 196th apply (episode
+/// step index 195) panics the session away. With the default checkpoint
+/// interval K = 10 the service has a depth-190 snapshot, so recovery must
+/// replay exactly the 5-action suffix — not the 195-action history — over
+/// either link.
+#[test]
+fn fault_at_step_195_of_200_replays_at_most_k_actions() {
+    for via in BOTH {
+        fault_at_step_195_of_200_over(via);
+    }
+}
+
+fn fault_at_step_195_of_200_over(via: Via) {
+    const STEPS: u64 = 200;
+    const FAULT_AT: u64 = 196; // apply ordinal (1-based): episode step 195
+    let (factory, attempts) = counting_factory(FAULT_AT);
+    let (mut env, store) = count_env(via, factory, DEFAULT_CHECKPOINT_INTERVAL);
     env.reset().unwrap();
     for s in 0..STEPS {
         let step = env.step((s % 8) as usize).unwrap();
@@ -133,13 +145,9 @@ fn fault_at_step_195_of_200_replays_at_most_k_actions() {
     );
     assert!(
         env.service_restarts() >= 1,
-        "panic recovery restarts the service"
+        "{via:?}: panic recovery restarts the service"
     );
-    assert_eq!(
-        env.checkpoint_store().restores(),
-        1,
-        "recovery used a checkpoint"
-    );
+    assert_eq!(store.restores(), 1, "{via:?}: recovery used a checkpoint");
     // Apply-attempt accounting: 195 pre-fault successes + 1 panic + the
     // replayed suffix + 1 retried action + 4 remaining actions. The suffix
     // is everything between; prove it was ≤ K (and exactly 5 for K = 10).
@@ -147,11 +155,11 @@ fn fault_at_step_195_of_200_replays_at_most_k_actions() {
     let replayed = total - (195 + 1 + 1 + 4);
     assert!(
         replayed <= 10,
-        "recovery replayed {replayed} actions, more than K=10"
+        "{via:?}: recovery replayed {replayed} actions, more than K=10"
     );
     assert_eq!(
         replayed, 5,
-        "depth-190 checkpoint implies a 5-action suffix"
+        "{via:?}: depth-190 checkpoint implies a 5-action suffix"
     );
 }
 
@@ -193,28 +201,13 @@ fn fault_recovery_without_checkpoints_replays_everything() {
             panic_at: FAULT_AT,
         }))
     });
-    let mut env = CompilerEnv::with_factory(
-        "count-v0",
-        factory,
-        "benchmark://count",
-        "steps",
-        "steps",
-        Duration::from_secs(10),
-    )
-    .unwrap();
-    env.set_retry_policy(
-        RetryPolicy::default().with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
-    );
+    let (mut env, store) = count_env(Via::InProcess, factory, DEFAULT_CHECKPOINT_INTERVAL);
     env.reset().unwrap();
     for s in 0..30 {
         env.step((s % 8) as usize).unwrap();
     }
     assert_eq!(env.observe("steps").unwrap(), Observation::Scalar(30.0));
-    assert_eq!(
-        env.checkpoint_store().restores(),
-        0,
-        "nothing to restore from"
-    );
+    assert_eq!(store.restores(), 0, "nothing to restore from");
     // 25 pre-fault + 1 panic + 25 full replay + 1 retry + 4 remaining.
     assert_eq!(attempts.load(Ordering::SeqCst), 56);
 }
@@ -279,18 +272,7 @@ fn budget_kill_recovers_via_checkpoint_without_restart() {
         .schedule(24, FaultKind::Hang)
         .with_hang_duration(Duration::from_secs(5))
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut env = CompilerEnv::with_factory(
-        "llvm-v0",
-        factory,
-        "benchmark://cbench-v1/crc32",
-        "Autophase",
-        "IrInstructionCount",
-        Duration::from_secs(60),
-    )
-    .unwrap();
-    env.set_retry_policy(
-        RetryPolicy::default().with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
-    );
+    let (mut env, store) = llvm_env_with_ring(factory, DEFAULT_CHECKPOINT_INTERVAL);
     env.set_resource_budget(ResourceBudget::default().with_step_wall(Duration::from_millis(250)))
         .unwrap();
     env.reset().unwrap();
@@ -303,7 +285,7 @@ fn budget_kill_recovers_via_checkpoint_without_restart() {
     assert_eq!(stats.hangs(), 1, "the scheduled hang fired");
     assert_eq!(env.service_restarts(), 0, "contained in-band: no restart");
     assert!(
-        env.checkpoint_store().restores() >= 1,
+        store.restores() >= 1,
         "recovery should have used the depth-20 checkpoint"
     );
     // The killed session was abandoned to its runner thread, where it
@@ -324,19 +306,25 @@ fn budget_kill_recovers_via_checkpoint_without_restart() {
 }
 
 fn llvm_env_on(factory: SessionFactory) -> CompilerEnv {
-    let mut env = CompilerEnv::with_factory(
+    llvm_env_with_ring(factory, DEFAULT_CHECKPOINT_INTERVAL).0
+}
+
+/// An in-process llvm-v0 environment whose service checkpoints every
+/// `interval` actions, and the ring it checkpoints into.
+fn llvm_env_with_ring(factory: SessionFactory, interval: u64) -> (CompilerEnv, CheckpointStore) {
+    let (link, store) = common::link(Via::InProcess, factory, interval, Duration::from_secs(60));
+    let mut env = CompilerEnv::with_link(
         "llvm-v0",
-        factory,
+        link,
         "benchmark://cbench-v1/crc32",
         "Autophase",
         "IrInstructionCount",
-        Duration::from_secs(60),
     )
     .unwrap();
     env.set_retry_policy(
         RetryPolicy::default().with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
     );
-    env
+    (env, store)
 }
 
 /// A compiler panic on the action right after a K-boundary: the worker
@@ -364,14 +352,12 @@ fn panic_right_after_a_snapshot_restores_from_it_intact() {
     let (factory, stats) = FaultPlan::seeded(23)
         .schedule(K as u64, FaultKind::Panic)
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut env = llvm_env_on(factory);
-    env.set_checkpoint_interval(K as u64);
+    let (mut env, store) = llvm_env_with_ring(factory, K as u64);
     env.reset().unwrap();
     for &a in &actions {
         env.step(a).unwrap();
     }
     assert_eq!(stats.panics(), 1, "the scheduled panic fired");
-    let store = env.checkpoint_store();
     assert_eq!(store.restores(), 1, "recovery used the depth-{K} snapshot");
     let parked = store
         .latest_matching("benchmark://cbench-v1/crc32", 0, &actions[..K + 1])

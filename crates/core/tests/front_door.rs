@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use cg_core::service::{Request, Response, SessionFactory, TcpClient};
+use cg_core::service::{Request, Response, SessionFactory, TcpTransport};
 use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 use cg_core::{Broker, BrokerConfig, CgError, CheckpointStore, RetryPolicy, TenantQuota};
@@ -80,9 +80,9 @@ fn gate_factory() -> SessionFactory {
     Arc::new(|| Box::new(GateSession { steps: 0 }))
 }
 
-fn connect(addr: &str, tenant: &str) -> Result<TcpClient, String> {
-    let mut client =
-        TcpClient::connect_with_policy(addr, Duration::from_secs(30), RetryPolicy::none())
+fn connect(addr: &str, tenant: &str) -> Result<TcpTransport, String> {
+    let client =
+        TcpTransport::connect_with_policy(addr, Duration::from_secs(30), RetryPolicy::none())
             .map_err(|e| format!("{tenant}: connect: {e}"))?;
     client.set_tenant(tenant);
     Ok(client)
@@ -107,7 +107,7 @@ fn step_request(session_id: u64) -> Request {
 /// a quota of [`QUOTA`] the door has no reason to refuse it anything — any
 /// error, typed or not, is returned as a failure.
 fn drive_victim(addr: &str, tenant: &str, contest: &Barrier) -> Vec<String> {
-    let mut client = match connect(addr, tenant) {
+    let client = match connect(addr, tenant) {
         Ok(client) => client,
         Err(e) => {
             contest.wait();
@@ -118,14 +118,14 @@ fn drive_victim(addr: &str, tenant: &str, contest: &Barrier) -> Vec<String> {
     // Creates the backend rejects must hand their reservation back;
     // leaked, these would spend the whole quota before the first episode.
     for _ in 0..QUOTA {
-        match client.call(&start_request(REJECTED_BENCHMARK)) {
+        match client.call(start_request(REJECTED_BENCHMARK)) {
             Err(CgError::Session(_)) => {}
             other => errors.push(format!("{tenant}: rejected create answered {other:?}")),
         }
     }
     contest.wait();
     for episode in 0..EPISODES {
-        let sid = match client.call(&start_request("benchmark://gate/episode")) {
+        let sid = match client.call(start_request("benchmark://gate/episode")) {
             Ok(Response::SessionStarted { session_id }) => session_id,
             other => {
                 errors.push(format!("{tenant}: episode {episode}: start: {other:?}"));
@@ -133,7 +133,7 @@ fn drive_victim(addr: &str, tenant: &str, contest: &Barrier) -> Vec<String> {
             }
         };
         for step in 1..=EPISODE_STEPS {
-            match client.call(&step_request(sid)) {
+            match client.call(step_request(sid)) {
                 Ok(Response::Stepped { observations, .. })
                     if observations == [Observation::Scalar(step as f64)] => {}
                 other => {
@@ -144,7 +144,7 @@ fn drive_victim(addr: &str, tenant: &str, contest: &Barrier) -> Vec<String> {
                 }
             }
         }
-        match client.call(&Request::EndSession { session_id: sid }) {
+        match client.call(Request::EndSession { session_id: sid }) {
             Ok(Response::Ok) => {}
             other => {
                 errors.push(format!("{tenant}: episode {episode}: end: {other:?}"));
@@ -168,10 +168,10 @@ struct NoisyOutcome {
 /// One call of a greedy noisy client: open a session when it holds none,
 /// step the one it holds otherwise. A typed refusal is counted and its
 /// advised delay slept; anything else that is not service is a failure.
-fn noisy_call(client: &mut TcpClient, sid: &mut Option<u64>, out: &mut NoisyOutcome) {
+fn noisy_call(client: &TcpTransport, sid: &mut Option<u64>, out: &mut NoisyOutcome) {
     let reply = match *sid {
-        None => client.call(&start_request("benchmark://gate/noisy")),
-        Some(id) => client.call(&step_request(id)),
+        None => client.call(start_request("benchmark://gate/noisy")),
+        Some(id) => client.call(step_request(id)),
     };
     match reply {
         Ok(Response::SessionStarted { session_id }) => *sid = Some(session_id),
@@ -191,7 +191,7 @@ fn noisy_call(client: &mut TcpClient, sid: &mut Option<u64>, out: &mut NoisyOutc
 /// refuse — no timing involved.
 fn drive_noisy(addr: &str, contest: &Barrier, stop: &AtomicBool) -> NoisyOutcome {
     let mut out = NoisyOutcome::default();
-    let mut client = match connect(addr, "noisy") {
+    let client = match connect(addr, "noisy") {
         Ok(client) => client,
         Err(e) => {
             out.failures.push(e);
@@ -200,14 +200,14 @@ fn drive_noisy(addr: &str, contest: &Barrier, stop: &AtomicBool) -> NoisyOutcome
         }
     };
     let mut sid = None;
-    noisy_call(&mut client, &mut sid, &mut out);
+    noisy_call(&client, &mut sid, &mut out);
     out.admitted_first_try = sid.is_some();
     contest.wait();
     while out.failures.is_empty() && !stop.load(Ordering::Relaxed) {
-        noisy_call(&mut client, &mut sid, &mut out);
+        noisy_call(&client, &mut sid, &mut out);
     }
     if let Some(id) = sid {
-        match client.call(&Request::EndSession { session_id: id }) {
+        match client.call(Request::EndSession { session_id: id }) {
             Ok(Response::Ok) => {}
             other => out.failures.push(format!("noisy: end: {other:?}")),
         }
@@ -297,13 +297,13 @@ fn quota_overload_spares_victims_and_drain_parks_live_sessions() {
     let mut parked = Vec::new();
     for v in 0..VICTIMS {
         let benchmark = format!("benchmark://gate/parked-{v}");
-        let mut client = connect(&addr, &format!("victim-{v}")).unwrap();
-        let Ok(Response::SessionStarted { session_id }) = client.call(&start_request(&benchmark))
+        let client = connect(&addr, &format!("victim-{v}")).unwrap();
+        let Ok(Response::SessionStarted { session_id }) = client.call(start_request(&benchmark))
         else {
             panic!("victim-{v}: parked session refused");
         };
         for _ in 0..=v {
-            client.call(&step_request(session_id)).unwrap();
+            client.call(step_request(session_id)).unwrap();
         }
         parked.push((client, benchmark, v + 1));
     }

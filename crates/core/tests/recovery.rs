@@ -1,20 +1,25 @@
 //! Integration tests for mid-episode fault recovery: a service that panics
 //! or hangs partway through an episode is restarted and the episode restored
-//! by action replay, transparently to the caller; replay divergence and
-//! unrecoverable failures surface as typed errors.
+//! by action replay, transparently to the caller — over either link, and
+//! for every fork sharing it; replay divergence and unrecoverable failures
+//! surface as typed errors.
+
+mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use cg_core::chaos::{FaultKind, FaultPlan};
+use cg_core::checkpoint::DEFAULT_CHECKPOINT_INTERVAL;
 use cg_core::envs::session_factory;
 use cg_core::service::SessionFactory;
 use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
-use cg_core::{CgError, CompilerEnv, RetryPolicy};
+use cg_core::{Broker, BrokerConfig, CgError, CompilerEnv, RetryPolicy};
+use common::{Via, BOTH};
 
 const BENCH: &str = "benchmark://cbench-v1/crc32";
 
@@ -44,6 +49,12 @@ fn llvm_env(factory: SessionFactory, timeout: Duration) -> CompilerEnv {
     .unwrap()
 }
 
+/// An llvm-v0 environment over `via`, its service running `factory`.
+fn llvm_env_via(via: Via, factory: SessionFactory, timeout: Duration) -> CompilerEnv {
+    let (link, _) = common::link(via, factory, DEFAULT_CHECKPOINT_INTERVAL, timeout);
+    CompilerEnv::with_link("llvm-v0", link, BENCH, "Autophase", "IrInstructionCount").unwrap()
+}
+
 /// Runs the recipe fault-free: (cumulative reward, final Autophase vector).
 fn reference_run() -> (f64, Observation) {
     let mut env = llvm_env(session_factory("llvm-v0").unwrap(), Duration::from_secs(30));
@@ -58,12 +69,18 @@ fn reference_run() -> (f64, Observation) {
 
 #[test]
 fn panic_at_step_5_of_10_is_recovered_transparently() {
+    for via in BOTH {
+        panic_at_step_5_of_10_over(via);
+    }
+}
+
+fn panic_at_step_5_of_10_over(via: Via) {
     let (ref_reward, ref_obs) = reference_run();
     let tel = cg_telemetry::global();
     let (factory, stats) = FaultPlan::seeded(11)
         .schedule(4, FaultKind::Panic)
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut env = llvm_env(factory, Duration::from_secs(30));
+    let mut env = llvm_env_via(via, factory, Duration::from_secs(30));
     env.reset().unwrap();
     let recoveries_before = tel.recoveries.get();
     for name in RECIPE {
@@ -72,14 +89,18 @@ fn panic_at_step_5_of_10_is_recovered_transparently() {
         // panicked the session away.
         env.step(a).unwrap();
     }
-    assert_eq!(stats.panics(), 1, "exactly the scheduled panic fired");
+    assert_eq!(
+        stats.panics(),
+        1,
+        "{via:?}: exactly the scheduled panic fired"
+    );
     assert!(
         env.service_restarts() >= 1,
-        "recovery restarted the service"
+        "{via:?}: recovery restarted the service"
     );
     assert!(
         tel.recoveries.get() > recoveries_before,
-        "replay recovery not recorded"
+        "{via:?}: replay recovery not recorded"
     );
     assert!(
         tel.trace.events().iter().any(|e| e.span == "env:replay"),
@@ -87,36 +108,111 @@ fn panic_at_step_5_of_10_is_recovered_transparently() {
     );
     assert!(
         (env.episode_reward() - ref_reward).abs() < 1e-9,
-        "episode reward diverged after recovery: {} vs {ref_reward}",
+        "{via:?}: episode reward diverged after recovery: {} vs {ref_reward}",
         env.episode_reward()
     );
     assert_eq!(
         env.observe("Autophase").unwrap(),
         ref_obs,
-        "state diverged after recovery"
+        "{via:?}: state diverged after recovery"
     );
 }
 
 #[test]
 fn hang_at_step_5_of_10_is_recovered_transparently() {
+    for via in BOTH {
+        hang_at_step_5_of_10_over(via);
+    }
+}
+
+fn hang_at_step_5_of_10_over(via: Via) {
     let (ref_reward, ref_obs) = reference_run();
     let (factory, stats) = FaultPlan::seeded(12)
         .schedule(4, FaultKind::Hang)
         .with_hang_duration(Duration::from_secs(3))
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut env = llvm_env(factory, Duration::from_millis(500));
+    let mut env = llvm_env_via(via, factory, Duration::from_millis(500));
     env.reset().unwrap();
     for name in RECIPE {
         let a = env.action_space().index_of(name).unwrap();
         env.step(a).unwrap();
     }
-    assert_eq!(stats.hangs(), 1, "exactly the scheduled hang fired");
+    assert_eq!(
+        stats.hangs(),
+        1,
+        "{via:?}: exactly the scheduled hang fired"
+    );
     assert!(
         env.service_restarts() >= 1,
-        "the wedged service was restarted"
+        "{via:?}: the wedged service was restarted"
     );
-    assert!((env.episode_reward() - ref_reward).abs() < 1e-9);
-    assert_eq!(env.observe("Autophase").unwrap(), ref_obs);
+    assert!((env.episode_reward() - ref_reward).abs() < 1e-9, "{via:?}");
+    assert_eq!(env.observe("Autophase").unwrap(), ref_obs, "{via:?}");
+}
+
+/// The worker the first recovery restarted onto hangs too, on the first
+/// replayed action. That is this env's own restart, not a sibling's: the
+/// next attempt must restart again rather than resume into the wedged
+/// worker until the attempts run out.
+#[test]
+fn hang_on_replay_is_recovered_by_a_second_restart() {
+    for via in BOTH {
+        hang_on_replay_over(via);
+    }
+}
+
+fn hang_on_replay_over(via: Via) {
+    const TIMEOUT: Duration = Duration::from_millis(500);
+    let (ref_reward, ref_obs) = reference_run();
+    // Apply 4 is step 5; apply 5 is the first action its replay re-runs.
+    let (factory, stats) = FaultPlan::seeded(14)
+        .schedule(4, FaultKind::Hang)
+        .schedule(5, FaultKind::Hang)
+        .with_hang_duration(Duration::from_secs(3))
+        .wrap(session_factory("llvm-v0").unwrap());
+    let mut env = match via {
+        Via::InProcess => llvm_env_via(via, factory, TIMEOUT),
+        // A reconnect cannot unwedge a broker worker: the broker needs a
+        // third, idle one for the second recovery to land on.
+        Via::Tcp => {
+            let broker = Broker::new(
+                factory,
+                BrokerConfig {
+                    workers: 3,
+                    ..BrokerConfig::default()
+                },
+            );
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            std::thread::spawn(move || broker.serve(listener));
+            CompilerEnv::connect_tcp(
+                "llvm-v0",
+                &addr,
+                BENCH,
+                "Autophase",
+                "IrInstructionCount",
+                TIMEOUT,
+            )
+            .unwrap()
+        }
+    };
+    env.set_retry_policy(
+        RetryPolicy::default()
+            .with_max_attempts(3)
+            .with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
+    );
+    env.reset().unwrap();
+    for name in RECIPE {
+        let a = env.action_space().index_of(name).unwrap();
+        env.step(a).unwrap();
+    }
+    assert_eq!(stats.hangs(), 2, "{via:?}: both scheduled hangs fired");
+    assert!(
+        env.service_restarts() >= 2,
+        "{via:?}: each wedged service was restarted"
+    );
+    assert!((env.episode_reward() - ref_reward).abs() < 1e-9, "{via:?}");
+    assert_eq!(env.observe("Autophase").unwrap(), ref_obs, "{via:?}");
 }
 
 /// With structural snapshots a checkpoint after *every* action is cheap.
@@ -130,8 +226,9 @@ fn hang_with_per_action_snapshots_resumes_from_the_previous_step() {
         .schedule(4, FaultKind::Hang)
         .with_hang_duration(Duration::from_secs(3))
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut env = llvm_env(factory, Duration::from_millis(500));
-    env.set_checkpoint_interval(1);
+    let (link, store) = common::link(Via::InProcess, factory, 1, Duration::from_millis(500));
+    let mut env =
+        CompilerEnv::with_link("llvm-v0", link, BENCH, "Autophase", "IrInstructionCount").unwrap();
     env.reset().unwrap();
     let mut actions = Vec::new();
     for name in RECIPE {
@@ -141,7 +238,6 @@ fn hang_with_per_action_snapshots_resumes_from_the_previous_step() {
     }
     assert_eq!(stats.hangs(), 1, "exactly the scheduled hang fired");
     assert!(env.service_restarts() >= 1);
-    let store = env.checkpoint_store();
     assert_eq!(store.restores(), 1, "resumed from a snapshot, not a replay");
     assert!(store.checkpoints_taken() >= RECIPE.len() as u64);
     let at_fault = store.latest_matching(BENCH, 0, &actions[..4]).unwrap();
@@ -311,4 +407,148 @@ fn unrecovered_failure_leaves_no_stale_session() {
     );
     // And reset() re-establishes a working episode (init is fault-free).
     env.reset().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Forks share their parent's link: a restart through one replaces the
+// service (or the connection) under all of them.
+// ---------------------------------------------------------------------------
+
+fn act(env: &CompilerEnv, name: &str) -> usize {
+    env.action_space().index_of(name).unwrap()
+}
+
+/// What a test compares an episode by: action history, Autophase
+/// observation, cumulative reward.
+fn outcome(env: &mut CompilerEnv) -> (Vec<usize>, Observation, f64) {
+    let obs = env.observe("Autophase").unwrap();
+    (env.actions().to_vec(), obs, env.episode_reward())
+}
+
+/// The fault-free in-process [`outcome`] of `recipe`.
+fn fault_free(recipe: &[&str]) -> (Vec<usize>, Observation, f64) {
+    let mut env = llvm_env(session_factory("llvm-v0").unwrap(), Duration::from_secs(30));
+    env.reset().unwrap();
+    for name in recipe {
+        let a = act(&env, name);
+        env.step(a).unwrap();
+    }
+    outcome(&mut env)
+}
+
+/// In process, the parent's panic restarts the worker the child's session
+/// lived on too. The child's next step recovers by replay — it is not
+/// answered "no session" by a worker that never held it — and does not
+/// restart the service a second time.
+#[test]
+fn fork_survives_its_parents_recovery_in_process() {
+    let (factory, stats) = FaultPlan::seeded(31)
+        .schedule(2, FaultKind::Panic)
+        .wrap(session_factory("llvm-v0").unwrap());
+    let mut parent = llvm_env(factory, Duration::from_secs(30));
+    parent.reset().unwrap();
+    for name in ["sroa", "mem2reg"] {
+        parent.step(act(&parent, name)).unwrap();
+    }
+    let mut child = parent.fork().unwrap();
+    parent.step(act(&parent, "gvn")).unwrap(); // apply 2 panics
+    assert_eq!(stats.panics(), 1, "the scheduled panic fired");
+    child.step(act(&child, "dce")).unwrap();
+    assert_eq!(child.service_restarts(), 1, "one restart, shared by both");
+    assert_eq!(
+        outcome(&mut parent),
+        fault_free(&["sroa", "mem2reg", "gvn"])
+    );
+    assert_eq!(outcome(&mut child), fault_free(&["sroa", "mem2reg", "dce"]));
+}
+
+/// Over TCP a fork shares its parent's connection, and the broker ends a
+/// connection's sessions when it closes. The child's hang makes its
+/// recovery re-open the shared socket, which ends the parent's session
+/// too: the parent's next step recovers by replay on the new connection
+/// without re-opening it again, which would end the child's new session.
+#[test]
+fn fork_survives_its_siblings_reconnect_over_tcp() {
+    const HANG: Duration = Duration::from_millis(800);
+    let (factory, stats) = FaultPlan::seeded(32)
+        .schedule(2, FaultKind::Hang)
+        .with_hang_duration(HANG)
+        .wrap(session_factory("llvm-v0").unwrap());
+    let broker = Broker::new(factory, BrokerConfig::default());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = {
+        let broker = broker.clone();
+        std::thread::spawn(move || broker.serve(listener))
+    };
+    let mut parent = CompilerEnv::connect_tcp(
+        "llvm-v0",
+        &addr,
+        BENCH,
+        "Autophase",
+        "IrInstructionCount",
+        Duration::from_millis(300),
+    )
+    .unwrap();
+    parent.reset().unwrap();
+    for name in ["sroa", "mem2reg"] {
+        parent.step(act(&parent, name)).unwrap();
+    }
+    let mut child = parent.fork().unwrap();
+    child.step(act(&child, "gvn")).unwrap(); // apply 2 hangs: reconnect
+    assert_eq!(stats.hangs(), 1, "the scheduled hang fired");
+    // Let the wedged worker go, so it has ended the old connection's
+    // sessions by the time the parent calls again.
+    std::thread::sleep(HANG);
+    parent.step(act(&parent, "dce")).unwrap();
+    child.step(act(&child, "instcombine")).unwrap();
+    assert_eq!(
+        parent.service_restarts(),
+        1,
+        "one reconnect, shared by both"
+    );
+    // Each env's live session is counted once: answering the parent's
+    // stale id as lost released nothing twice.
+    assert_eq!(broker.live_sessions(), 2);
+    assert_eq!(
+        outcome(&mut parent),
+        fault_free(&["sroa", "mem2reg", "dce"])
+    );
+    assert_eq!(
+        outcome(&mut child),
+        fault_free(&["sroa", "mem2reg", "gvn", "instcombine"])
+    );
+    parent.close();
+    child.close();
+    assert_eq!(broker.live_sessions(), 0);
+    broker.drain(Duration::from_secs(1));
+    server.join().unwrap().unwrap();
+}
+
+/// Session ids are never reused across worker generations: a fork taken
+/// before a restart must not address a session the restarted worker has
+/// created since — here the parent's next fork, which would silently take
+/// the stale child's action while its own history stays unchanged.
+#[test]
+fn stale_fork_id_never_steps_another_session() {
+    let (factory, stats) = FaultPlan::seeded(33)
+        .schedule(3, FaultKind::Panic)
+        .wrap(session_factory("llvm-v0").unwrap());
+    let mut parent = llvm_env(factory, Duration::from_secs(30));
+    parent.reset().unwrap();
+    for name in ["sroa", "mem2reg", "gvn"] {
+        parent.step(act(&parent, name)).unwrap();
+    }
+    let mut stale = parent.fork().unwrap();
+    parent.step(act(&parent, "instcombine")).unwrap(); // apply 3 panics
+    assert_eq!(stats.panics(), 1, "the scheduled panic fired");
+    let mut fresh = parent.fork().unwrap();
+    stale.step(act(&stale, "dce")).unwrap();
+    let recovered = ["sroa", "mem2reg", "gvn", "instcombine"];
+    assert_eq!(outcome(&mut fresh), fault_free(&recovered));
+    assert_eq!(outcome(&mut parent), fault_free(&recovered));
+    assert_eq!(
+        outcome(&mut stale),
+        fault_free(&["sroa", "mem2reg", "gvn", "dce"])
+    );
 }

@@ -13,12 +13,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cg_core::chaos::{FaultKind, FaultPlan};
-use cg_core::service::SessionFactory;
+use cg_core::service::{ServiceClient, SessionFactory};
 use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
-use cg_core::{Broker, BrokerConfig, CompilerEnv};
+use cg_core::{Broker, BrokerConfig, CheckpointStore, CompilerEnv};
 use cg_telemetry::{EpisodeRecord, SpanStatus};
 
 /// A deterministic, serializable session: the reward metric is the number
@@ -120,12 +120,16 @@ fn episode_for(benchmark: &str) -> EpisodeRecord {
     recorder.episode(id).expect("episode retained")
 }
 
-/// Serves a default-config broker over `factory` on a loopback port, from
-/// a thread that lives as long as the test binary.
+/// Serves a broker over `factory` that checkpoints every 2 actions, on a
+/// loopback port, from a thread that lives as long as the test binary.
 fn serve_broker(factory: SessionFactory) -> String {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || Broker::new(factory, BrokerConfig::default()).serve(listener));
+    let config = BrokerConfig {
+        checkpoints: CheckpointStore::default().with_interval(2),
+        ..BrokerConfig::default()
+    };
+    std::thread::spawn(move || Broker::new(factory, config).serve(listener));
     addr
 }
 
@@ -154,9 +158,8 @@ fn tcp_reconnect_recovery_yields_one_connected_span_tree_per_step() {
         Duration::from_millis(300),
     )
     .unwrap();
-    // Client-driven checkpointing: snapshots are exported over the wire
-    // every 2 actions, so recovery restores instead of replaying from zero.
-    env.set_checkpoint_interval(2);
+    // The broker checkpoints every 2 actions into a ring that outlives the
+    // connection, so recovery restores instead of replaying from zero.
     env.reset().unwrap();
     // The 6th apply (global index 5) hangs past the socket timeout: the
     // transport reconnects, the episode restores checkpoint depth 4,
@@ -217,7 +220,6 @@ fn tcp_reconnect_recovery_yields_one_connected_span_tree_per_step() {
 fn tcp_episode_through_a_hang_and_a_panic_matches_the_fault_free_run() {
     const ACTIONS: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 0, 1];
     let drive = |env: &mut CompilerEnv| {
-        env.set_checkpoint_interval(2);
         env.reset().unwrap();
         let mut last = None;
         for action in ACTIONS {
@@ -266,16 +268,10 @@ fn checkpoint_restore_recovery_spans_stay_connected_in_process() {
     let plan = FaultPlan::seeded(7).schedule(7, FaultKind::Panic);
     let (factory, _stats) = plan.wrap(rec_factory());
     let bench = "benchmark://tracing-v0/checkpoint-restore";
-    let mut env = CompilerEnv::with_factory(
-        "cp-trace-v0",
-        factory,
-        bench,
-        "Count",
-        "Count",
-        Duration::from_secs(5),
-    )
-    .unwrap();
-    env.set_checkpoint_interval(2);
+    let mut service = ServiceClient::spawn(factory, Duration::from_secs(5));
+    service.set_checkpoint_store(CheckpointStore::default().with_interval(2));
+    let mut env =
+        CompilerEnv::with_link("cp-trace-v0", Box::new(service), bench, "Count", "Count").unwrap();
     env.reset().unwrap();
     // The 8th apply (global index 7) panics: the session is destroyed, the
     // worker restarts, checkpoint depth 6 restores, the 1-action suffix

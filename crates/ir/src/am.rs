@@ -505,15 +505,16 @@ mod tests {
         let (mut m, fid) = small_module();
         let mut am = AnalysisManager::new();
         let c1 = am.cfg(fid, m.func(fid));
-        let _ = am.liveness(fid, m.func(fid));
+        let l1 = am.liveness(fid, m.func(fid));
         let e = m.func(fid).entry();
         let _ = m.func_mut(fid).block_mut(e);
         am.preserve_cfg(fid, m.func(fid));
         let c2 = am.cfg(fid, m.func(fid));
         assert!(Arc::ptr_eq(&c1, &c2));
-        reset_cache_stats();
-        let _ = am.liveness(fid, m.func(fid));
-        assert_eq!(cache_stats().misses, 1, "liveness was dropped");
+        // By identity, not by the process-wide miss counter, which tests
+        // running concurrently in this binary also move.
+        let l2 = am.liveness(fid, m.func(fid));
+        assert!(!Arc::ptr_eq(&l1, &l2), "liveness was dropped");
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl fmt::Display for CastKind {
 
 /// The operation performed by an [`Inst`].
 ///
-/// `Op` is `Eq + Hash` (floats compare by bit pattern via [`Constant`]), so
+/// `Op` is `Eq + Hash` (floats compare by bit pattern via [`crate::Constant`]), so
 /// value-numbering passes can use operations directly as table keys.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum Op {

@@ -2,8 +2,8 @@
 //!
 //! A typed, SSA-form intermediate representation modelled on LLVM-IR, built
 //! from scratch for `compiler-gym-rs`. It is the common substrate shared by
-//! the simulated LLVM optimizer ([`cg-llvm`]), the simulated GCC backend
-//! ([`cg-gcc`]) and the benchmark program generators ([`cg-datasets`]).
+//! the simulated LLVM optimizer (`cg-llvm`), the simulated GCC backend
+//! (`cg-gcc`) and the benchmark program generators (`cg-datasets`).
 //!
 //! The crate provides:
 //!

@@ -194,7 +194,7 @@ impl Pass for NewGvnAlias {
 /// We reproduce the bug faithfully: candidate sink sites are ordered by the
 /// *heap address* of per-block scratch allocations, so repeated runs on the
 /// same input can disagree. It is excluded from
-/// [`crate::action_space::action_space`] and exists so the validation
+/// [`crate::action_space::ActionSpace`] and exists so the validation
 /// machinery has a real bug to catch (see the `validation` tests in
 /// `cg-core`).
 #[derive(Debug, Default)]
