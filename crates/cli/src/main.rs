@@ -1195,7 +1195,7 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             interval: Duration::from_millis(watchdog_ms),
             probe_deadline: Duration::from_millis((watchdog_ms / 2).max(10)),
             misses: 2,
-        });
+        })?;
     }
     let breaker = (breaker_threshold > 0).then(|| {
         cg_core::CircuitBreaker::new(

@@ -67,7 +67,7 @@ use crate::budget::ResourceBudget;
 use crate::checkpoint::CheckpointStore;
 use crate::service::{
     account_rx, account_tx, write_frame, FrameReader, Request, Response, ServiceState,
-    SessionFactory,
+    SessionFactory, PASS_THREAD_STACK,
 };
 use crate::wire;
 
@@ -515,9 +515,7 @@ impl Broker {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("cg-broker-{index}"))
-                    // Compiler passes recurse deeply (same sizing as the
-                    // in-process service worker).
-                    .stack_size(16 * 1024 * 1024)
+                    .stack_size(PASS_THREAD_STACK)
                     .spawn(move || worker_loop(inner_w, index, factory))
                     .expect("spawn broker worker"),
             );

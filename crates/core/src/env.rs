@@ -33,9 +33,20 @@
 //!    [`crate::breaker::CircuitBreaker`] (if attached) quarantines pairs
 //!    that keep killing services so later episodes fail fast.
 //!
-//! The ladder is written once, against [`Link`]: it runs unchanged whether
-//! the compiler lives in this process ([`ServiceClient`]) or on another
-//! machine ([`TcpTransport`]).
+//! The ladder is written once, against [`Link`], and runs unchanged over
+//! its three implementations:
+//!
+//! * [`InlineLink`] — the compiler runs on the caller's thread. [`make`]
+//!   and [`CompilerEnv::with_service`] build it. It contains panics,
+//!   backend errors and budget kills; a hung step only under a step wall
+//!   budget;
+//! * [`ServiceClient`] — a service thread per environment, adding a client
+//!   deadline on every request kind and the watchdog.
+//!   [`CompilerEnv::with_factory`] builds it;
+//! * [`TcpTransport`] — a broker on another machine, with a socket
+//!   deadline and reconnects. [`CompilerEnv::connect_tcp`] builds it.
+//!
+//! [`CompilerEnv::with_link`] takes any of them.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -48,7 +59,7 @@ use crate::budget::ResourceBudget;
 use crate::envs::session_factory;
 use crate::error::CgError;
 use crate::retry::RetryPolicy;
-use crate::service::{Link, Request, Response, ServiceClient, TcpTransport};
+use crate::service::{InlineLink, Link, Request, Response, ServiceClient, TcpTransport};
 use crate::session::SessionSnapshot;
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 use crate::state::EnvState;
@@ -183,6 +194,9 @@ fn record_faults(breaker: &Option<CircuitBreaker>, benchmark: &str, actions: &[u
 ///   tuning
 /// * `"loop_tool-v0"` — CUDA loop-nest tuning
 ///
+/// The compiler runs inline, on the calling thread (see
+/// [`CompilerEnv::with_service`]).
+///
 /// # Errors
 /// [`CgError::Unknown`] for unregistered ids.
 pub fn make(env_id: &str) -> Result<CompilerEnv, CgError> {
@@ -226,14 +240,7 @@ pub fn make(env_id: &str) -> Result<CompilerEnv, CgError> {
         ),
         other => return Err(CgError::Unknown(format!("environment `{other}`"))),
     };
-    CompilerEnv::with_service(
-        env_id,
-        &backend,
-        benchmark,
-        obs,
-        rew,
-        Duration::from_secs(300),
-    )
+    CompilerEnv::with_service(env_id, &backend, benchmark, obs, rew)
 }
 
 /// Like [`make`], but with an explicit recovery policy instead of the
@@ -248,32 +255,31 @@ pub fn make_with_policy(env_id: &str, policy: RetryPolicy) -> Result<CompilerEnv
 }
 
 impl CompilerEnv {
-    /// Builds an environment around a freshly spawned service for `backend`.
+    /// Builds an environment whose `backend` compiler runs inline, on the
+    /// calling thread, over an [`InlineLink`]: no service thread and no
+    /// hand-off per request. Panics, backend errors and budget kills are
+    /// contained as on every link; a hung step only under a step wall
+    /// budget ([`CompilerEnv::set_resource_budget`]). For a client deadline
+    /// on every request, or a watchdog, use [`CompilerEnv::with_factory`].
     ///
     /// # Errors
-    /// Fails when the backend cannot describe its spaces.
+    /// Unknown backends; a backend that cannot describe its spaces.
     pub fn with_service(
         env_id: &str,
         backend: &str,
         benchmark: &str,
         observation_space: &str,
         reward_space: &str,
-        timeout: Duration,
     ) -> Result<CompilerEnv, CgError> {
-        // Validated eagerly so a bad id fails here, not inside the thread.
         let factory = session_factory(backend).map_err(CgError::Unknown)?;
-        Self::with_factory(
-            env_id,
-            factory,
-            benchmark,
-            observation_space,
-            reward_space,
-            timeout,
-        )
+        let link = Box::new(InlineLink::new(factory));
+        Self::with_link(env_id, link, benchmark, observation_space, reward_space)
     }
 
-    /// Builds an environment around an arbitrary session factory. This is
-    /// the extension point for custom backends and for fault-injection
+    /// Builds an environment around an arbitrary session factory, served
+    /// by a [`ServiceClient`]: a service thread whose every request is
+    /// bounded by `timeout`, and which can carry a watchdog. This is the
+    /// extension point for custom backends and for fault-injection
     /// harnesses (see [`crate::chaos`]) that need a deliberately
     /// misbehaving session.
     ///
@@ -437,11 +443,17 @@ impl CompilerEnv {
     /// Starts a [`Watchdog`] heartbeating this environment's service:
     /// silently-wedged workers are detected between calls and proactively
     /// restarted (in-flight calls abort into the normal recovery path).
-    /// Replaces any previous watchdog. Only links that offer a heartbeat
-    /// get one (see [`Link::watchdog`]): the in-process service does, a
-    /// remote one surfaces its liveness through socket timeouts instead.
-    pub fn enable_watchdog(&mut self, config: WatchdogConfig) {
-        self.watchdog = self.link.watchdog(config);
+    /// Replaces any previous watchdog. Only a [`ServiceClient`] has a
+    /// heartbeat to watch (see [`Link::watchdog`]), so build the
+    /// environment with [`CompilerEnv::with_factory`] or over a
+    /// `ServiceClient` for one.
+    ///
+    /// # Errors
+    /// [`CgError::Usage`] naming the link, when it is not a
+    /// `ServiceClient`; any previous watchdog keeps running.
+    pub fn enable_watchdog(&mut self, config: WatchdogConfig) -> Result<(), CgError> {
+        self.watchdog = Some(self.link.watchdog(config)?);
+        Ok(())
     }
 
     /// Stops the watchdog, if one is running.
@@ -1426,5 +1438,75 @@ mod tests {
     fn step_before_reset_is_usage_error() {
         let mut env = make("llvm-v0").unwrap();
         assert!(matches!(env.step(0), Err(CgError::Usage(_))));
+    }
+
+    /// `make` runs the compiler on the caller's thread, so it must fit in
+    /// the default 2 MiB stack of a plain `std::thread::spawn` thread: every
+    /// action on the largest cBench program, then every observation
+    /// representation and the interpreter-backed `Runtime` reward.
+    #[test]
+    fn make_runs_on_a_default_stack_thread() {
+        let largest = cg_datasets::CBENCH
+            .iter()
+            .map(|name| format!("benchmark://cbench-v1/{name}"))
+            .max_by_key(|uri| cg_datasets::benchmark(uri).unwrap().inst_count())
+            .unwrap();
+        std::thread::spawn(move || {
+            let mut env = make("llvm-v0").unwrap();
+            env.set_benchmark(&largest);
+            env.set_reward_space("Runtime");
+            env.reset().unwrap();
+            let actions: Vec<usize> = (0..env.action_space().len()).collect();
+            assert_eq!(actions.len(), 124);
+            env.step_batched(&actions).unwrap();
+            for space in ["Ir", "InstCount", "Autophase", "Inst2vec", "Programl"] {
+                env.observe(space).unwrap();
+            }
+            assert!(env.last_metric() > 0.0, "Runtime was measured");
+        })
+        .join()
+        .expect("the episode fits a default thread stack");
+    }
+
+    fn watchdog_config() -> WatchdogConfig {
+        WatchdogConfig {
+            interval: Duration::from_millis(20),
+            probe_deadline: Duration::from_millis(200),
+            misses: 2,
+        }
+    }
+
+    #[test]
+    fn watchdog_needs_a_service_client() {
+        let mut env = make("llvm-v0").unwrap();
+        match env.enable_watchdog(watchdog_config()) {
+            Err(CgError::Usage(e)) => {
+                assert!(e.contains("InlineLink"), "names the link: {e}");
+                assert!(e.contains("ServiceClient"), "says what to build: {e}");
+            }
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        assert_eq!(env.watchdog_restarts(), 0);
+    }
+
+    #[test]
+    fn watchdog_runs_over_a_service_client() {
+        let mut env = CompilerEnv::with_factory(
+            "llvm-v0",
+            session_factory("llvm-v0").unwrap(),
+            "benchmark://cbench-v1/crc32",
+            "Autophase",
+            "IrInstructionCount",
+            Duration::from_secs(30),
+        )
+        .unwrap();
+        env.enable_watchdog(watchdog_config()).unwrap();
+        env.reset().unwrap();
+        env.step(0).unwrap();
+        assert_eq!(
+            env.watchdog_restarts(),
+            0,
+            "a healthy service is left alone"
+        );
     }
 }

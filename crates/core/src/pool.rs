@@ -4,7 +4,9 @@
 //! every candidate costs a `reset` plus one pass pipeline. [`EnvPool`] runs
 //! N worker threads, each owning its own [`CompilerEnv`] (service, session
 //! table and all — workers share *nothing* mutable except the evaluation
-//! cache and the work queue), fed from one queue:
+//! cache and the work queue), fed from one queue. A worker whose env comes
+//! from [`crate::make`] is one thread: its compiler runs inline, on the
+//! worker itself. The surfaces:
 //!
 //! * [`EnvPool::evaluate_batch`] — fire-and-collect sequence evaluation
 //!   with per-job fault isolation: a job that errors, blows a budget, or
@@ -30,6 +32,7 @@ use parking_lot::Mutex;
 use crate::env::{CompilerEnv, StepResult};
 use crate::error::CgError;
 use crate::evalcache::EvalCache;
+use crate::service::PASS_THREAD_STACK;
 use crate::space::Observation;
 
 /// Builds a worker's environment. Called lazily on the worker thread (index
@@ -121,6 +124,8 @@ impl EnvPool {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("cg-pool-{widx}"))
+                    // An inline environment runs its passes right here.
+                    .stack_size(PASS_THREAD_STACK)
                     .spawn(move || worker_main(widx, &f, &c, &q, &cmd_rx))
                     .expect("spawn pool worker"),
             );

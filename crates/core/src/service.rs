@@ -2,20 +2,28 @@
 //! boundary, with timeouts, panic isolation, and restart-on-failure.
 //!
 //! The client reaches the service through one interface, the [`Link`]
-//! trait, with two implementations of the same request/response protocol:
+//! trait, with three implementations of the same request/response
+//! protocol:
 //!
-//! * **in-process** — [`ServiceClient`]: a dedicated service thread per
-//!   environment, reached over channels (the default; one "service
-//!   process" per env, as the real system spawns one compiler service per
-//!   environment);
+//! * **inline** — [`InlineLink`]: the session runs on the caller's thread,
+//!   with no service thread and no hand-off per request. What
+//!   [`crate::make`], `replay://` and therefore every `EnvPool` worker
+//!   build (via [`crate::CompilerEnv::with_service`]);
+//! * **threaded** — [`ServiceClient`]: a dedicated service thread per
+//!   environment, reached over channels. The link that enforces a client
+//!   deadline on every request kind and the only one with a watchdog;
+//!   [`crate::CompilerEnv::with_factory`] and [`ServiceClient::spawn`]
+//!   build it;
 //! * **TCP** — [`TcpTransport`]: length-prefixed `CGB1` frames
 //!   ([`crate::wire`]) over a socket to a [`crate::broker::Broker`],
-//!   supporting compilation on a different machine than the frontend.
+//!   supporting compilation on a different machine than the frontend
+//!   ([`crate::CompilerEnv::connect_tcp`]).
 //!
 //! Fault tolerance: every session call runs under `catch_unwind`, so a
 //! crashing "compiler" yields a [`Response::Fatal`] instead of killing the
 //! service; calls that exceed the client deadline surface as
-//! [`CgError::ServiceFailure`]. Recovery behaviour (attempts, backoff,
+//! [`CgError::ServiceFailure`], and so does a panic that escapes the
+//! dispatcher itself. Recovery behaviour (attempts, backoff,
 //! per-request deadlines) is configured by a [`RetryPolicy`] and applied by
 //! the one retry loop, [`Link::call_with_policy`]; the environment layer
 //! additionally restores lost sessions mid-episode by replaying the action
@@ -237,6 +245,11 @@ pub enum Response {
 /// Factory producing fresh sessions for this service's environment.
 pub type SessionFactory = Arc<dyn Fn() -> Box<dyn CompilationSession> + Send + Sync>;
 
+/// Stack size of every thread this crate spawns to run compiler passes —
+/// service workers, step runners, broker workers and pool workers — since
+/// passes recurse deeply.
+pub(crate) const PASS_THREAD_STACK: usize = 16 << 20;
+
 /// Book-keeping the worker holds alongside each session to drive
 /// checkpointing and budget enforcement.
 struct SessionMeta {
@@ -379,6 +392,21 @@ impl ServiceState {
             next_id: 0,
             budget,
             checkpoints,
+        }
+    }
+
+    /// The state of a link's `generation`-th service. Each generation
+    /// numbers its sessions from its own range, so an id from a replaced
+    /// service can never name a session of its successor.
+    fn generation(
+        factory: SessionFactory,
+        budget: ResourceBudget,
+        checkpoints: CheckpointStore,
+        generation: u64,
+    ) -> ServiceState {
+        ServiceState {
+            next_id: generation << 32,
+            ..ServiceState::new(factory, budget, checkpoints)
         }
     }
 
@@ -704,7 +732,7 @@ impl ServiceState {
                     let trace_ctx = cg_telemetry::current_context();
                     std::thread::Builder::new()
                         .name("cg-step-runner".into())
-                        .stack_size(16 << 20)
+                        .stack_size(PASS_THREAD_STACK)
                         .spawn(move || {
                             let _trace_guard = trace_ctx.map(cg_telemetry::enter_context);
                             let run = execute_step(&mut session, &acts, &spaces, size_limit);
@@ -882,12 +910,21 @@ pub trait Link: Send + Sync + std::fmt::Debug {
     /// environment drives.
     fn clone_link(&self) -> Box<dyn Link>;
 
-    /// Starts a [`Watchdog`] heartbeating the service behind the link, or
-    /// `None` when the link offers no heartbeat: a socket's liveness already
-    /// surfaces through its read deadline, and a heartbeat sharing the
-    /// connection would interleave with real replies.
-    fn watchdog(&self, _config: WatchdogConfig) -> Option<Watchdog> {
-        None
+    /// Starts a [`Watchdog`] heartbeating the service behind the link.
+    /// Only [`ServiceClient`] has a heartbeat: an inline session has no
+    /// service to probe between calls, a socket's liveness already surfaces
+    /// through its read deadline, and a heartbeat sharing the connection
+    /// would interleave with real replies.
+    ///
+    /// # Errors
+    /// [`CgError::Usage`] naming the link, for every other link.
+    fn watchdog(&self, _config: WatchdogConfig) -> Result<Watchdog, CgError> {
+        let kind = std::any::type_name::<Self>().rsplit("::").next();
+        Err(CgError::Usage(format!(
+            "{} has no heartbeat to watch; build the environment over a \
+             ServiceClient (CompilerEnv::with_factory) for a watchdog",
+            kind.unwrap_or("this link")
+        )))
     }
 
     /// Issues a request under the recovery policy — the runtime's one retry
@@ -1058,27 +1095,17 @@ impl Drop for Reaper {
     }
 }
 
-/// Spawns a worker whose session ids start at `first_id`. Each generation
-/// of a client's worker gets its own id range, so an id from a replaced
-/// worker can never name a session of its successor.
-fn spawn_worker(
-    factory: SessionFactory,
-    budget: ResourceBudget,
-    checkpoints: CheckpointStore,
-    teardown: Duration,
-    first_id: u64,
-) -> Worker {
+/// Spawns a worker thread serving `state`.
+fn spawn_worker(state: ServiceState, teardown: Duration) -> Worker {
     let (tx, rx): (RequestSender, Receiver<_>) = unbounded();
     let (exited_tx, exited) = bounded::<()>(1);
-    let f = Arc::clone(&factory);
     let thread = std::thread::Builder::new()
         .name("cg-compiler-service".into())
-        .stack_size(16 << 20)
+        .stack_size(PASS_THREAD_STACK)
         .spawn(move || {
             // Declared before `state`, so dropped after it.
             let _exited = exited_tx;
-            let mut state = ServiceState::new(f, budget, checkpoints);
-            state.next_id = first_id;
+            let mut state = state;
             while let Ok((req, ctx, reply)) = rx.recv() {
                 let _trace_guard = ctx.map(cg_telemetry::enter_context);
                 let shutdown = matches!(req, Request::Shutdown);
@@ -1117,11 +1144,8 @@ impl ServiceClient {
         let checkpoints = CheckpointStore::default();
         let budget = ResourceBudget::default();
         let worker = spawn_worker(
-            Arc::clone(&factory),
-            budget.clone(),
-            checkpoints.clone(),
+            ServiceState::generation(Arc::clone(&factory), budget.clone(), checkpoints.clone(), 0),
             policy.teardown_deadline,
-            0,
         );
         ServiceClient {
             worker: Arc::new(Mutex::new(worker)),
@@ -1243,24 +1267,20 @@ impl Link for ServiceClient {
         let mut worker = self.worker.lock();
         let generation = self.generation.load(Ordering::SeqCst) + 1;
         let fresh = spawn_worker(
-            Arc::clone(&self.factory),
-            self.budget.lock().clone(),
-            self.checkpoints.clone(),
+            ServiceState::generation(
+                Arc::clone(&self.factory),
+                self.budget.lock().clone(),
+                self.checkpoints.clone(),
+                generation,
+            ),
             self.policy.teardown_deadline,
-            generation << 32,
         );
         let mut old = std::mem::replace(&mut *worker, fresh);
         self.generation.store(generation, Ordering::SeqCst);
         drop(worker);
         // Detached, not reaped: it is being replaced because it may hang.
         old.reaper.thread = None;
-        let tel = cg_telemetry::global();
-        tel.restarts.inc();
-        tel.trace.emit(
-            "service:restart",
-            format!("generation {generation}"),
-            Duration::ZERO,
-        );
+        record_restart(format!("generation {generation}"));
     }
 
     fn restarts(&self) -> u64 {
@@ -1290,8 +1310,161 @@ impl Link for ServiceClient {
         Box::new(self.clone())
     }
 
-    fn watchdog(&self, config: WatchdogConfig) -> Option<Watchdog> {
-        Some(Watchdog::spawn(self.clone(), config))
+    fn watchdog(&self, config: WatchdogConfig) -> Result<Watchdog, CgError> {
+        Ok(Watchdog::spawn(self.clone(), config))
+    }
+}
+
+/// Counts a link restart and records it in the trace.
+fn record_restart(detail: String) {
+    let tel = cg_telemetry::global();
+    tel.restarts.inc();
+    tel.trace.emit("service:restart", detail, Duration::ZERO);
+}
+
+// ---------------------------------------------------------------------------
+// Inline link
+// ---------------------------------------------------------------------------
+
+/// The inline [`Link`]: the compiler session runs on the caller's thread.
+///
+/// A request is one dispatch under a lock — no service thread, no channel,
+/// no hand-off. Containment is what the dispatcher gives every link: each
+/// session call runs under `catch_unwind`, the [`ResourceBudget`] is
+/// enforced in band (a step wall budget runs the step on a runner thread,
+/// so it still contains a hung step), and one more `catch_unwind` turns a
+/// panic that escapes the dispatcher into [`CgError::ServiceFailure`],
+/// after which [`Link::restart`] swaps in a fresh service state.
+///
+/// There is no client deadline: without a step wall budget a hung step
+/// hangs the caller, and the [`RetryPolicy`]'s per-kind deadlines do not
+/// apply. A restart cannot preempt a step already running on another
+/// handle's thread; it waits for it. Build a [`ServiceClient`] for a
+/// deadline on every request kind, or for a watchdog.
+///
+/// Clones share the service state, the restart generation, the checkpoint
+/// store and the budget, as [`ServiceClient`]'s do; their calls serialize
+/// on the state's lock, as they would on one worker thread.
+#[derive(Clone)]
+pub struct InlineLink {
+    state: Arc<Mutex<ServiceState>>,
+    policy: RetryPolicy,
+    generation: Arc<AtomicU64>,
+    checkpoints: CheckpointStore,
+    budget: Arc<Mutex<ResourceBudget>>,
+}
+
+impl std::fmt::Debug for InlineLink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InlineLink")
+            .field("policy", &self.policy)
+            .finish()
+    }
+}
+
+impl InlineLink {
+    /// An inline service over `factory`, with the default [`RetryPolicy`].
+    pub fn new(factory: SessionFactory) -> InlineLink {
+        let checkpoints = CheckpointStore::default();
+        let budget = ResourceBudget::default();
+        let state = ServiceState::generation(factory, budget.clone(), checkpoints.clone(), 0);
+        InlineLink {
+            state: Arc::new(Mutex::new(state)),
+            policy: RetryPolicy::default(),
+            generation: Arc::new(AtomicU64::new(0)),
+            checkpoints,
+            budget: Arc::new(Mutex::new(budget)),
+        }
+    }
+
+    /// The checkpoint ring this service writes into. It outlives restarts,
+    /// and [`Request::Resume`] finds a replaced state's snapshots in it.
+    pub fn checkpoint_store(&self) -> &CheckpointStore {
+        &self.checkpoints
+    }
+
+    /// Replaces the checkpoint store (interval, capacity, disk sink): where
+    /// the checkpoint interval K is set. Call before starting sessions.
+    pub fn set_checkpoint_store(&mut self, store: CheckpointStore) {
+        self.state.lock().checkpoints = store.clone();
+        self.checkpoints = store;
+    }
+
+    /// Runs one request on this thread. A panic that escapes the
+    /// dispatcher — session code it calls outside the per-session
+    /// `catch_unwind`, such as `fork` — is a service failure, as it would
+    /// be for a worker thread it killed.
+    fn handle(&self, req: Request) -> Result<Response, CgError> {
+        let mut state = self.state.lock();
+        match std::panic::catch_unwind(AssertUnwindSafe(|| state.handle(req))) {
+            Ok(resp) => settle(resp),
+            Err(_) => {
+                let tel = cg_telemetry::global();
+                tel.panics.inc();
+                tel.trace
+                    .emit("service:panic", "inline dispatch panicked", Duration::ZERO);
+                Err(CgError::ServiceFailure(
+                    "the compiler service panicked outside a session call".into(),
+                ))
+            }
+        }
+    }
+}
+
+impl Link for InlineLink {
+    fn call(&self, req: Request) -> Result<Response, CgError> {
+        traced(format!("rpc:{}", req.kind()), || self.handle(req))
+    }
+
+    /// There is no deadline to shorten: the teardown runs like any call.
+    fn call_teardown(&self, req: Request) -> Result<Response, CgError> {
+        traced(format!("rpc:teardown:{}", req.kind()), || self.handle(req))
+    }
+
+    /// Swaps in a fresh service state, numbering sessions from the next
+    /// generation's range, for every clone. Waits for a call in flight on
+    /// another thread to return.
+    fn restart(&self) {
+        let mut state = self.state.lock();
+        let generation = self.generation.load(Ordering::SeqCst) + 1;
+        let fresh = ServiceState::generation(
+            Arc::clone(&state.factory),
+            self.budget.lock().clone(),
+            self.checkpoints.clone(),
+            generation,
+        );
+        // The old sessions are freed after the lock is released.
+        let _old = std::mem::replace(&mut *state, fresh);
+        self.generation.store(generation, Ordering::SeqCst);
+        drop(state);
+        record_restart(format!("inline generation {generation}"));
+    }
+
+    fn restarts(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    fn policy(&self) -> &RetryPolicy {
+        &self.policy
+    }
+
+    fn set_policy(&mut self, policy: RetryPolicy) {
+        self.policy = policy;
+    }
+
+    fn resource_budget(&self) -> ResourceBudget {
+        self.budget.lock().clone()
+    }
+
+    /// Configures the live state and remembers the budget, so every
+    /// restarted state inherits it.
+    fn set_resource_budget(&self, budget: ResourceBudget) -> Result<(), CgError> {
+        *self.budget.lock() = budget.clone();
+        self.call(Request::Configure { budget }).map(|_| ())
+    }
+
+    fn clone_link(&self) -> Box<dyn Link> {
+        Box::new(self.clone())
     }
 }
 
@@ -1785,13 +1958,9 @@ impl Link for TcpTransport {
     fn restart(&self) {
         let reconnected = self.inner.lock().reconnect("transport restart");
         let generation = self.restarts.fetch_add(1, Ordering::SeqCst) + 1;
-        let tel = cg_telemetry::global();
-        tel.restarts.inc();
-        tel.trace.emit(
-            "service:restart",
-            format!("tcp generation {generation}, reconnected={reconnected}"),
-            Duration::ZERO,
-        );
+        record_restart(format!(
+            "tcp generation {generation}, reconnected={reconnected}"
+        ));
     }
 
     fn restarts(&self) -> u64 {

@@ -18,7 +18,7 @@ use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
 use cg_core::{CgError, CheckpointStore, CompilerEnv, ResourceBudget, RetryPolicy};
-use common::{Via, BOTH};
+use common::{Via, ALL};
 
 use proptest::prelude::*;
 
@@ -120,10 +120,10 @@ fn count_env(via: Via, factory: SessionFactory, interval: u64) -> (CompilerEnv, 
 /// step index 195) panics the session away. With the default checkpoint
 /// interval K = 10 the service has a depth-190 snapshot, so recovery must
 /// replay exactly the 5-action suffix — not the 195-action history — over
-/// either link.
+/// every link, each from its own ring.
 #[test]
 fn fault_at_step_195_of_200_replays_at_most_k_actions() {
-    for via in BOTH {
+    for via in ALL {
         fault_at_step_195_of_200_over(via);
     }
 }

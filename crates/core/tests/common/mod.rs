@@ -1,30 +1,36 @@
-//! The two links a recovery-ladder test runs over. Such tests are written
-//! once and run against the in-process service and against a broker on
-//! loopback, so neither link can drift from the other.
+//! The three links a recovery-ladder test runs over. Such tests are written
+//! once and run against the inline service, the threaded in-process service
+//! and a broker on loopback, so no link can drift from the others.
+
+// Each test binary compiles its own copy and uses a subset of it.
+#![allow(dead_code)]
 
 use std::net::TcpListener;
 use std::time::Duration;
 
 use cg_core::checkpoint::DEFAULT_CHECKPOINT_INTERVAL;
-use cg_core::service::{Link, ServiceClient, SessionFactory, TcpTransport};
-use cg_core::{Broker, BrokerConfig, CheckpointStore};
+use cg_core::service::{InlineLink, Link, ServiceClient, SessionFactory, TcpTransport};
+use cg_core::{Broker, BrokerConfig, CheckpointStore, CompilerEnv, ResourceBudget};
 
 /// How an environment reaches its service.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Via {
-    /// A [`ServiceClient`]: an in-process worker.
+    /// A [`ServiceClient`]: an in-process worker thread.
     InProcess,
     /// A [`TcpTransport`] to a [`Broker`] on loopback.
     Tcp,
+    /// An [`InlineLink`]: the session runs on the caller's thread.
+    Inline,
 }
 
-/// Both links, in the order tests run them.
-pub const BOTH: [Via; 2] = [Via::InProcess, Via::Tcp];
+/// Every link, in the order tests run them.
+pub const ALL: [Via; 3] = [Via::InProcess, Via::Tcp, Via::Inline];
 
 /// A link to a fresh service over `factory` that checkpoints every
 /// `interval` actions, and a handle on the ring it checkpoints into: the
-/// in-process client's own store, or the broker's
-/// [`BrokerConfig::checkpoints`].
+/// in-process link's own store, or the broker's
+/// [`BrokerConfig::checkpoints`]. `timeout` is the client deadline; the
+/// inline link has none.
 pub fn link(
     via: Via,
     factory: SessionFactory,
@@ -58,5 +64,21 @@ pub fn link(
             let transport = TcpTransport::connect(&addr, timeout).unwrap();
             (Box::new(transport), checkpoints)
         }
+        Via::Inline => {
+            let mut inline = InlineLink::new(factory);
+            inline.set_checkpoint_store(checkpoints);
+            let ring = inline.checkpoint_store().clone();
+            (Box::new(inline), ring)
+        }
+    }
+}
+
+/// Makes `env`'s link answer a hung step within `deadline`. The threaded
+/// and TCP links already do, by their client deadline; the inline link has
+/// none, so it gets a step wall budget, which kills the step in band.
+pub fn contain_hangs(via: Via, env: &mut CompilerEnv, deadline: Duration) {
+    if via == Via::Inline {
+        env.set_resource_budget(ResourceBudget::default().with_step_wall(deadline))
+            .unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! Integration tests for mid-episode fault recovery: a service that panics
 //! or hangs partway through an episode is restarted and the episode restored
-//! by action replay, transparently to the caller — over either link, and
+//! by action replay, transparently to the caller — over every link, and
 //! for every fork sharing it; replay divergence and unrecoverable failures
 //! surface as typed errors.
 
@@ -13,13 +13,13 @@ use std::time::Duration;
 use cg_core::chaos::{FaultKind, FaultPlan};
 use cg_core::checkpoint::DEFAULT_CHECKPOINT_INTERVAL;
 use cg_core::envs::session_factory;
-use cg_core::service::SessionFactory;
+use cg_core::service::{InlineLink, Link, Request, Response, SessionFactory};
 use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
 use cg_core::{Broker, BrokerConfig, CgError, CompilerEnv, RetryPolicy};
-use common::{Via, BOTH};
+use common::{Via, ALL};
 
 const BENCH: &str = "benchmark://cbench-v1/crc32";
 
@@ -69,7 +69,7 @@ fn reference_run() -> (f64, Observation) {
 
 #[test]
 fn panic_at_step_5_of_10_is_recovered_transparently() {
-    for via in BOTH {
+    for via in ALL {
         panic_at_step_5_of_10_over(via);
     }
 }
@@ -120,18 +120,21 @@ fn panic_at_step_5_of_10_over(via: Via) {
 
 #[test]
 fn hang_at_step_5_of_10_is_recovered_transparently() {
-    for via in BOTH {
+    for via in ALL {
         hang_at_step_5_of_10_over(via);
     }
 }
 
 fn hang_at_step_5_of_10_over(via: Via) {
+    const TIMEOUT: Duration = Duration::from_millis(500);
     let (ref_reward, ref_obs) = reference_run();
     let (factory, stats) = FaultPlan::seeded(12)
         .schedule(4, FaultKind::Hang)
         .with_hang_duration(Duration::from_secs(3))
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut env = llvm_env_via(via, factory, Duration::from_millis(500));
+    let mut env = llvm_env_via(via, factory, TIMEOUT);
+    common::contain_hangs(via, &mut env, TIMEOUT);
+    let kills_before = cg_telemetry::global().budget_kills.get();
     env.reset().unwrap();
     for name in RECIPE {
         let a = env.action_space().index_of(name).unwrap();
@@ -142,10 +145,17 @@ fn hang_at_step_5_of_10_over(via: Via) {
         1,
         "{via:?}: exactly the scheduled hang fired"
     );
-    assert!(
-        env.service_restarts() >= 1,
-        "{via:?}: the wedged service was restarted"
-    );
+    if via == Via::Inline {
+        // Killed in band by the wall budget: the session is lost, the
+        // service is not.
+        assert!(cg_telemetry::global().budget_kills.get() > kills_before);
+        assert_eq!(env.service_restarts(), 0, "{via:?}: no restart");
+    } else {
+        assert!(
+            env.service_restarts() >= 1,
+            "{via:?}: the wedged service was restarted"
+        );
+    }
     assert!((env.episode_reward() - ref_reward).abs() < 1e-9, "{via:?}");
     assert_eq!(env.observe("Autophase").unwrap(), ref_obs, "{via:?}");
 }
@@ -153,10 +163,11 @@ fn hang_at_step_5_of_10_over(via: Via) {
 /// The worker the first recovery restarted onto hangs too, on the first
 /// replayed action. That is this env's own restart, not a sibling's: the
 /// next attempt must restart again rather than resume into the wedged
-/// worker until the attempts run out.
+/// worker until the attempts run out. Inline, both hangs are budget kills
+/// and the second attempt replays again without any restart.
 #[test]
 fn hang_on_replay_is_recovered_by_a_second_restart() {
-    for via in BOTH {
+    for via in ALL {
         hang_on_replay_over(via);
     }
 }
@@ -171,7 +182,7 @@ fn hang_on_replay_over(via: Via) {
         .with_hang_duration(Duration::from_secs(3))
         .wrap(session_factory("llvm-v0").unwrap());
     let mut env = match via {
-        Via::InProcess => llvm_env_via(via, factory, TIMEOUT),
+        Via::InProcess | Via::Inline => llvm_env_via(via, factory, TIMEOUT),
         // A reconnect cannot unwedge a broker worker: the broker needs a
         // third, idle one for the second recovery to land on.
         Via::Tcp => {
@@ -196,21 +207,28 @@ fn hang_on_replay_over(via: Via) {
             .unwrap()
         }
     };
+    common::contain_hangs(via, &mut env, TIMEOUT);
     env.set_retry_policy(
         RetryPolicy::default()
             .with_max_attempts(3)
             .with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
     );
+    let kills_before = cg_telemetry::global().budget_kills.get();
     env.reset().unwrap();
     for name in RECIPE {
         let a = env.action_space().index_of(name).unwrap();
         env.step(a).unwrap();
     }
     assert_eq!(stats.hangs(), 2, "{via:?}: both scheduled hangs fired");
-    assert!(
-        env.service_restarts() >= 2,
-        "{via:?}: each wedged service was restarted"
-    );
+    if via == Via::Inline {
+        assert!(cg_telemetry::global().budget_kills.get() >= kills_before + 2);
+        assert_eq!(env.service_restarts(), 0, "{via:?}: no restart");
+    } else {
+        assert!(
+            env.service_restarts() >= 2,
+            "{via:?}: each wedged service was restarted"
+        );
+    }
     assert!((env.episode_reward() - ref_reward).abs() < 1e-9, "{via:?}");
     assert_eq!(env.observe("Autophase").unwrap(), ref_obs, "{via:?}");
 }
@@ -409,6 +427,83 @@ fn unrecovered_failure_leaves_no_stale_session() {
     env.reset().unwrap();
 }
 
+/// `Request::Fork` calls `fork()` outside the per-session `catch_unwind`, so
+/// a session whose `fork()` panics unwinds out of the dispatcher itself.
+/// Inline, that is the caller's own thread: the link catches it and
+/// answers a service failure, and after a restart the fresh service state
+/// numbers its sessions from a range the old one never used.
+#[test]
+fn inline_panic_outside_a_session_call_is_a_service_failure() {
+    struct ForkPanics(GenSession);
+    impl CompilationSession for ForkPanics {
+        fn action_spaces(&self) -> Vec<ActionSpaceInfo> {
+            self.0.action_spaces()
+        }
+        fn observation_spaces(&self) -> Vec<ObservationSpaceInfo> {
+            self.0.observation_spaces()
+        }
+        fn reward_spaces(&self) -> Vec<RewardSpaceInfo> {
+            self.0.reward_spaces()
+        }
+        fn init(&mut self, b: &str, s: usize) -> Result<(), String> {
+            self.0.init(b, s)
+        }
+        fn apply_action(&mut self, a: usize) -> Result<ActionOutcome, String> {
+            self.0.apply_action(a)
+        }
+        fn observe(&mut self, s: &str) -> Result<Observation, String> {
+            self.0.observe(s)
+        }
+        fn fork(&self) -> Box<dyn CompilationSession> {
+            panic!("chaos: fork panicked")
+        }
+    }
+    let factory: SessionFactory = Arc::new(|| {
+        Box::new(ForkPanics(GenSession {
+            gen: 0,
+            gen_scale: 0,
+            steps: 0,
+        }))
+    });
+    let link = InlineLink::new(factory);
+    let start = || match link.call(Request::StartSession {
+        benchmark: "benchmark://none".into(),
+        action_space: 0,
+    }) {
+        Ok(Response::SessionStarted { session_id }) => session_id,
+        other => panic!("{other:?}"),
+    };
+    let step = |session_id| {
+        link.call(Request::Step {
+            session_id,
+            actions: vec![0],
+            observation_spaces: vec!["Metric".into()],
+        })
+    };
+    let panics_before = cg_telemetry::global().panics.get();
+    let stale = start();
+    let err = link
+        .call(Request::Fork { session_id: stale })
+        .expect_err("the fork panicked");
+    // Still here: the panic stopped at the link, not at this thread.
+    assert!(matches!(err, CgError::ServiceFailure(_)), "{err:?}");
+    assert!(cg_telemetry::global().panics.get() > panics_before);
+
+    link.restart();
+    assert_eq!(link.restarts(), 1);
+    let fresh = start();
+    assert_eq!(fresh >> 32, 1, "generation 1 numbers from 1 << 32");
+    assert_eq!(stale >> 32, 0);
+    let e = step(stale).unwrap_err();
+    assert!(matches!(e, CgError::SessionLost(_)), "{e:?}");
+    match step(fresh).unwrap() {
+        Response::Stepped { observations, .. } => {
+            assert_eq!(observations, vec![Observation::Scalar(1.0)]);
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Forks share their parent's link: a restart through one replaces the
 // service (or the connection) under all of them.
@@ -436,30 +531,49 @@ fn fault_free(recipe: &[&str]) -> (Vec<usize>, Observation, f64) {
     outcome(&mut env)
 }
 
+/// The two in-process links: a fork shares its parent's worker thread or
+/// its parent's inline service state.
+const IN_PROCESS: [Via; 2] = [Via::InProcess, Via::Inline];
+
 /// In process, the parent's panic restarts the worker the child's session
 /// lived on too. The child's next step recovers by replay — it is not
 /// answered "no session" by a worker that never held it — and does not
 /// restart the service a second time.
 #[test]
 fn fork_survives_its_parents_recovery_in_process() {
+    for via in IN_PROCESS {
+        fork_survives_its_parents_recovery_over(via);
+    }
+}
+
+fn fork_survives_its_parents_recovery_over(via: Via) {
     let (factory, stats) = FaultPlan::seeded(31)
         .schedule(2, FaultKind::Panic)
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut parent = llvm_env(factory, Duration::from_secs(30));
+    let mut parent = llvm_env_via(via, factory, Duration::from_secs(30));
     parent.reset().unwrap();
     for name in ["sroa", "mem2reg"] {
         parent.step(act(&parent, name)).unwrap();
     }
     let mut child = parent.fork().unwrap();
     parent.step(act(&parent, "gvn")).unwrap(); // apply 2 panics
-    assert_eq!(stats.panics(), 1, "the scheduled panic fired");
+    assert_eq!(stats.panics(), 1, "{via:?}: the scheduled panic fired");
     child.step(act(&child, "dce")).unwrap();
-    assert_eq!(child.service_restarts(), 1, "one restart, shared by both");
+    assert_eq!(
+        child.service_restarts(),
+        1,
+        "{via:?}: one restart, shared by both"
+    );
     assert_eq!(
         outcome(&mut parent),
-        fault_free(&["sroa", "mem2reg", "gvn"])
+        fault_free(&["sroa", "mem2reg", "gvn"]),
+        "{via:?}"
     );
-    assert_eq!(outcome(&mut child), fault_free(&["sroa", "mem2reg", "dce"]));
+    assert_eq!(
+        outcome(&mut child),
+        fault_free(&["sroa", "mem2reg", "dce"]),
+        "{via:?}"
+    );
 }
 
 /// Over TCP a fork shares its parent's connection, and the broker ends a
@@ -531,24 +645,31 @@ fn fork_survives_its_siblings_reconnect_over_tcp() {
 /// the stale child's action while its own history stays unchanged.
 #[test]
 fn stale_fork_id_never_steps_another_session() {
+    for via in IN_PROCESS {
+        stale_fork_id_never_steps_another_session_over(via);
+    }
+}
+
+fn stale_fork_id_never_steps_another_session_over(via: Via) {
     let (factory, stats) = FaultPlan::seeded(33)
         .schedule(3, FaultKind::Panic)
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut parent = llvm_env(factory, Duration::from_secs(30));
+    let mut parent = llvm_env_via(via, factory, Duration::from_secs(30));
     parent.reset().unwrap();
     for name in ["sroa", "mem2reg", "gvn"] {
         parent.step(act(&parent, name)).unwrap();
     }
     let mut stale = parent.fork().unwrap();
     parent.step(act(&parent, "instcombine")).unwrap(); // apply 3 panics
-    assert_eq!(stats.panics(), 1, "the scheduled panic fired");
+    assert_eq!(stats.panics(), 1, "{via:?}: the scheduled panic fired");
     let mut fresh = parent.fork().unwrap();
     stale.step(act(&stale, "dce")).unwrap();
     let recovered = ["sroa", "mem2reg", "gvn", "instcombine"];
-    assert_eq!(outcome(&mut fresh), fault_free(&recovered));
-    assert_eq!(outcome(&mut parent), fault_free(&recovered));
+    assert_eq!(outcome(&mut fresh), fault_free(&recovered), "{via:?}");
+    assert_eq!(outcome(&mut parent), fault_free(&recovered), "{via:?}");
     assert_eq!(
         outcome(&mut stale),
-        fault_free(&["sroa", "mem2reg", "gvn", "dce"])
+        fault_free(&["sroa", "mem2reg", "gvn", "dce"]),
+        "{via:?}"
     );
 }

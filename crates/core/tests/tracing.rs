@@ -1,25 +1,28 @@
 //! Integration tests for structured tracing: span-context propagation
-//! across the RPC boundary (both transports), and span trees that stay
-//! connected through the recovery ladder (reconnect, checkpoint restore,
-//! suffix replay).
+//! across the RPC boundary (every link), and span trees that stay
+//! connected through the recovery ladder (reconnect or budget kill,
+//! checkpoint restore, suffix replay).
 //!
 //! The telemetry registry is a process-wide global shared by every test in
 //! this binary, so each test uses a unique benchmark URI and makes its
 //! assertions against the episode flight recorder (which routes spans by
 //! trace binding), never against the shared ring as a whole.
 
+mod common;
+
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use cg_core::chaos::{FaultKind, FaultPlan};
-use cg_core::service::{ServiceClient, SessionFactory};
+use cg_core::service::SessionFactory;
 use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
 use cg_core::{Broker, BrokerConfig, CheckpointStore, CompilerEnv};
 use cg_telemetry::{EpisodeRecord, SpanStatus};
+use common::Via;
 
 /// A deterministic, serializable session: the reward metric is the number
 /// of applied actions, so replay-based recovery always reconverges.
@@ -142,34 +145,46 @@ fn spans_named<'a>(
 
 #[test]
 fn tcp_reconnect_recovery_yields_one_connected_span_tree_per_step() {
+    // The hung call's socket deadline expires and the transport reconnects.
+    hang_recovery_yields_one_connected_span_tree_per_step(
+        Via::Tcp,
+        &["tcp:reconnect", "env:checkpoint-restore", "env:replay"],
+    );
+}
+
+#[test]
+fn inline_budget_kill_recovery_yields_one_connected_span_tree_per_step() {
+    // The step wall budget kills the hung step in band: nothing restarts.
+    hang_recovery_yields_one_connected_span_tree_per_step(
+        Via::Inline,
+        &["env:checkpoint-restore", "env:replay"],
+    );
+}
+
+/// The 6th apply (global index 5) hangs past the link's deadline. Inside
+/// that one step the hung call is abandoned, the episode restores
+/// checkpoint depth 4 from a ring that outlives the fault, replays the
+/// 1-action suffix and retries. Every span of it, `rungs` included, lands
+/// in the step's one connected tree.
+fn hang_recovery_yields_one_connected_span_tree_per_step(via: Via, rungs: &[&str]) {
+    const DEADLINE: Duration = Duration::from_millis(300);
     let plan = FaultPlan::seeded(11)
         .schedule(5, FaultKind::Hang)
         .with_hang_duration(Duration::from_secs(2));
     let (factory, _stats) = plan.wrap(rec_factory());
-    let addr = serve_broker(factory);
-
-    let bench = "benchmark://tracing-v0/tcp-reconnect";
-    let mut env = CompilerEnv::connect_tcp(
-        "tcp-trace-v0",
-        &addr,
-        bench,
-        "Count",
-        "Count",
-        Duration::from_millis(300),
-    )
-    .unwrap();
-    // The broker checkpoints every 2 actions into a ring that outlives the
-    // connection, so recovery restores instead of replaying from zero.
+    let (link, _) = common::link(via, factory, 2, DEADLINE);
+    let bench = &format!("benchmark://tracing-v0/hang-{via:?}");
+    let mut env = CompilerEnv::with_link("hang-trace-v0", link, bench, "Count", "Count").unwrap();
+    common::contain_hangs(via, &mut env, DEADLINE);
     env.reset().unwrap();
-    // The 6th apply (global index 5) hangs past the socket timeout: the
-    // transport reconnects, the episode restores checkpoint depth 4,
-    // replays the 1-action suffix, and retries — all inside one step.
     for _ in 0..6 {
         env.step(0).unwrap();
     }
-    assert!(
-        env.service_restarts() >= 1,
-        "the hang must have forced a reconnect"
+    let restarted = env.service_restarts() >= 1;
+    assert_eq!(
+        restarted,
+        via == Via::Tcp,
+        "{via:?}: only the transport restarts on a hang"
     );
     env.close();
 
@@ -178,7 +193,7 @@ fn tcp_reconnect_recovery_yields_one_connected_span_tree_per_step() {
     // The recovery rungs are present, carry `recovered` status, and sit in
     // the faulted step's trace (not in fresh, disconnected traces).
     let step_traces: HashSet<u64> = spans_named(&ep, "env:step").map(|s| s.trace_id).collect();
-    for name in ["tcp:reconnect", "env:checkpoint-restore", "env:replay"] {
+    for name in rungs {
         let span = spans_named(&ep, name)
             .next()
             .unwrap_or_else(|| panic!("no `{name}` span in episode {}", ep.episode_id));
@@ -192,12 +207,14 @@ fn tcp_reconnect_recovery_yields_one_connected_span_tree_per_step() {
             "`{name}` is not part of a step's span tree"
         );
     }
-    // The faulted-but-recovered step is marked on its root span.
-    assert!(
+    // A step that succeeded only because its link was replaced is marked
+    // on its root span.
+    assert_eq!(
         spans_named(&ep, "env:step").any(|s| s.status == SpanStatus::Recovered),
-        "no env:step root carries the recovered status"
+        restarted,
+        "{via:?}: env:step roots marked recovered"
     );
-    // Context crossed the wire: the remote dispatch span parents under the
+    // Context crossed the link: the dispatch span parents under the
     // client's rpc span within the same trace.
     let rpc_ids: HashSet<u64> = ep
         .spans
@@ -207,7 +224,7 @@ fn tcp_reconnect_recovery_yields_one_connected_span_tree_per_step() {
         .collect();
     assert!(
         spans_named(&ep, "service:Step").any(|s| s.parent_id.is_some_and(|p| rpc_ids.contains(&p))),
-        "no service:Step span parented under a client rpc:Step span"
+        "{via:?}: no service:Step span parented under a client rpc:Step span"
     );
 }
 
@@ -265,16 +282,20 @@ fn tcp_episode_through_a_hang_and_a_panic_matches_the_fault_free_run() {
 
 #[test]
 fn checkpoint_restore_recovery_spans_stay_connected_in_process() {
+    for via in [Via::InProcess, Via::Inline] {
+        checkpoint_restore_recovery_spans_stay_connected_over(via);
+    }
+}
+
+fn checkpoint_restore_recovery_spans_stay_connected_over(via: Via) {
     let plan = FaultPlan::seeded(7).schedule(7, FaultKind::Panic);
     let (factory, _stats) = plan.wrap(rec_factory());
-    let bench = "benchmark://tracing-v0/checkpoint-restore";
-    let mut service = ServiceClient::spawn(factory, Duration::from_secs(5));
-    service.set_checkpoint_store(CheckpointStore::default().with_interval(2));
-    let mut env =
-        CompilerEnv::with_link("cp-trace-v0", Box::new(service), bench, "Count", "Count").unwrap();
+    let bench = &format!("benchmark://tracing-v0/checkpoint-restore-{via:?}");
+    let (link, _) = common::link(via, factory, 2, Duration::from_secs(5));
+    let mut env = CompilerEnv::with_link("cp-trace-v0", link, bench, "Count", "Count").unwrap();
     env.reset().unwrap();
     // The 8th apply (global index 7) panics: the session is destroyed, the
-    // worker restarts, checkpoint depth 6 restores, the 1-action suffix
+    // service restarts, checkpoint depth 6 restores, the 1-action suffix
     // replays, and the step retries.
     for _ in 0..8 {
         env.step(1).unwrap();
@@ -290,15 +311,15 @@ fn checkpoint_restore_recovery_spans_stay_connected_in_process() {
         assert_eq!(
             span.status,
             SpanStatus::Recovered,
-            "`{name}` not marked recovered"
+            "{via:?}: `{name}` not marked recovered"
         );
     }
     assert!(
         spans_named(&ep, "env:step").any(|s| s.status == SpanStatus::Recovered),
-        "no env:step root carries the recovered status"
+        "{via:?}: no env:step root carries the recovered status"
     );
-    // Context crossed the in-process channel: service dispatch spans parent
-    // under the client's rpc spans.
+    // Context reached the service, across the channel or on this thread:
+    // service dispatch spans parent under the client's rpc spans.
     let rpc_ids: HashSet<u64> = ep
         .spans
         .iter()
@@ -307,10 +328,10 @@ fn checkpoint_restore_recovery_spans_stay_connected_in_process() {
         .collect();
     assert!(
         spans_named(&ep, "service:Step").any(|s| s.parent_id.is_some_and(|p| rpc_ids.contains(&p))),
-        "no service:Step span parented under a client rpc span"
+        "{via:?}: no service:Step span parented under a client rpc span"
     );
     // One trace per step: 8 steps → 8 distinct step traces, each also
     // carrying its own `step` summary event.
     let step_traces: HashSet<u64> = spans_named(&ep, "env:step").map(|s| s.trace_id).collect();
-    assert_eq!(step_traces.len(), 8, "expected one trace per step");
+    assert_eq!(step_traces.len(), 8, "{via:?}: expected one trace per step");
 }

@@ -28,9 +28,8 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
-use cg_core::service::SessionFactory;
+use cg_core::service::{InlineLink, SessionFactory};
 use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 use cg_core::{CgError, CompilerEnv};
@@ -126,13 +125,13 @@ pub fn make_replay(uri: &str) -> Result<CompilerEnv, CgError> {
             })
         })
     };
-    let mut env = CompilerEnv::with_factory(
+    // Served inline, on the caller's thread, like every `make` env.
+    let mut env = CompilerEnv::with_link(
         uri,
-        factory,
+        Box::new(InlineLink::new(factory)),
         &parsed.benchmark,
         &parsed.observation_space,
         &parsed.reward_space,
-        Duration::from_secs(300),
     )?;
     // Never re-log what we just read out of the store.
     env.set_transition_logging(false);
