@@ -1,7 +1,8 @@
 //! Integration tests for structured tracing: span-context propagation
-//! across the RPC boundary (every link), and span trees that stay
-//! connected through the recovery ladder (reconnect or budget kill,
-//! checkpoint restore, suffix replay).
+//! across the RPC boundary (every link, down to the per-pass spans of a
+//! real llvm-v0 episode), and span trees that stay connected through the
+//! recovery ladder (reconnect or budget kill, checkpoint restore, suffix
+//! replay).
 //!
 //! The telemetry registry is a process-wide global shared by every test in
 //! this binary, so each test uses a unique benchmark URI and makes its
@@ -226,6 +227,48 @@ fn hang_recovery_yields_one_connected_span_tree_per_step(via: Via, rungs: &[&str
         spans_named(&ep, "service:Step").any(|s| s.parent_id.is_some_and(|p| rpc_ids.contains(&p))),
         "{via:?}: no service:Step span parented under a client rpc:Step span"
     );
+}
+
+/// Real passes over the broker: each `pass:<name>` span the llvm-v0 action
+/// space opens runs on the broker's worker, inside the dispatch of the step
+/// that applied it, so it parents under that step's `service:Step` span.
+#[test]
+fn tcp_llvm_pass_spans_parent_under_service_step() {
+    let factory = cg_core::envs::session_factory("llvm-v0").unwrap();
+    let (link, _) = common::link(Via::Tcp, factory, 2, Duration::from_secs(30));
+    let bench = "benchmark://cbench-v1/qsort";
+    let mut env = CompilerEnv::with_link(
+        "llvm-v0",
+        link,
+        bench,
+        "IrInstructionCount",
+        "IrInstructionCount",
+    )
+    .unwrap();
+    env.reset().unwrap();
+    for action in [0, 1, 2, 3] {
+        env.step(action).unwrap();
+    }
+    env.close();
+
+    let ep = episode_for(bench);
+    assert_connected(&ep);
+    let service_steps: HashSet<u64> = spans_named(&ep, "service:Step")
+        .map(|s| s.span_id)
+        .collect();
+    let passes: Vec<_> = ep
+        .spans
+        .iter()
+        .filter(|s| s.span.starts_with("pass:"))
+        .collect();
+    assert_eq!(passes.len(), 4, "one pass span per applied action");
+    for span in passes {
+        assert!(
+            span.parent_id.is_some_and(|p| service_steps.contains(&p)),
+            "`{}` is not parented under a service:Step span",
+            span.span
+        );
+    }
 }
 
 /// The state half of the test above: what the recovery ladder restores over

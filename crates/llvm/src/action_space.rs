@@ -6,7 +6,7 @@
 //! space, matching the paper's removal of `-gvn-sink` after state
 //! validation exposed it.
 
-use crate::pass::{reconcile_analyses, registry, PassEffect, PassRef};
+use crate::pass::{registry, run_pass_with, PassEffect, PassRef};
 use cg_ir::AnalysisManager;
 
 /// The discrete action space: an indexed list of passes.
@@ -81,8 +81,8 @@ impl ActionSpace {
     /// Like [`ActionSpace::apply_tracked`], but runs against a caller-owned
     /// [`AnalysisManager`]. A session that keeps one manager across actions
     /// lets each pass reuse CFG/dominator/loop analyses computed by its
-    /// predecessors; after the pass runs, the cache is reconciled with the
-    /// reported effect and the pass's `preserved()` declaration.
+    /// predecessors, and skips a pass already known to be a no-op on this
+    /// content ([`run_pass_with`] does both).
     ///
     /// # Panics
     /// Panics if `i` is out of range.
@@ -101,19 +101,7 @@ impl ActionSpace {
             .trace
             .span(format!("pass:{}", pass.name()));
         let timer = cg_telemetry::Timer::start();
-        let effect = if am.known_noop(&pass.name(), module) {
-            // No-op memo: this pass already ran on byte-identical content
-            // and changed nothing — skip the application entirely. The
-            // span/stats still record the (near-zero) invocation.
-            PassEffect::unchanged()
-        } else {
-            let effect = pass.run_with(module, am);
-            reconcile_analyses(module, am, &effect, pass.preserved());
-            if !effect.changed {
-                am.note_noop(&pass.name(), module);
-            }
-            effect
-        };
+        let effect = run_pass_with(pass.as_ref(), module, am);
         let dur = timer.elapsed();
         let delta = module.inst_count() as i64 - before;
         span.set_detail(format!("delta={delta}"));

@@ -119,13 +119,12 @@ pub enum Preserved {
 /// [`crate::passes::gvn::GvnSink`] is the one exception, mirroring the
 /// `-gvn-sink` nondeterminism bug the paper found in LLVM.
 ///
-/// Implement exactly one of `run` or `run_with` (the other, plus
-/// `run_tracked`, is defaulted in terms of it). Function-local passes
-/// implement `run_with` to report the precise set of modified functions and
-/// to fetch CFG/dominator/loop analyses from the shared
-/// [`AnalysisManager`] instead of recomputing them; module-restructuring
-/// passes (inlining, global rewrites) implement `run` and inherit the
-/// conservative [`Touched::All`]-when-changed effect.
+/// Implement exactly one of `run` or `run_with` (the other is defaulted in
+/// terms of it). Function-local passes implement `run_with` to report the
+/// precise set of modified functions and to fetch CFG/dominator/loop
+/// analyses from the shared [`AnalysisManager`] instead of recomputing
+/// them; module-restructuring passes (inlining, global rewrites) implement
+/// `run` and inherit the conservative [`Touched::All`]-when-changed effect.
 pub trait Pass: Send + Sync {
     /// The pass name as it appears in the action space (kebab-case, possibly
     /// with a parameter suffix, e.g. `inline-250`).
@@ -134,12 +133,6 @@ pub trait Pass: Send + Sync {
     /// Runs the pass. Returns `true` if the module was changed.
     fn run(&self, module: &mut Module) -> bool {
         self.run_with(module, &mut AnalysisManager::new()).changed
-    }
-
-    /// Runs the pass with a throwaway analysis cache, reporting which
-    /// functions it touched.
-    fn run_tracked(&self, module: &mut Module) -> PassEffect {
-        self.run_with(module, &mut AnalysisManager::new())
     }
 
     /// Runs the pass against a shared analysis cache. The pass may consume
@@ -182,9 +175,8 @@ pub fn run_pass_with(pass: &dyn Pass, m: &mut Module, am: &mut AnalysisManager) 
     effect
 }
 
-/// The cache-reconciliation half of [`run_pass_with`], exposed for runners
-/// that time or trace the pass invocation themselves.
-pub fn reconcile_analyses(
+/// The cache-reconciliation half of [`run_pass_with`].
+fn reconcile_analyses(
     m: &Module,
     am: &mut AnalysisManager,
     effect: &PassEffect,

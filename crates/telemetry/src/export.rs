@@ -1,18 +1,21 @@
 //! Metrics export: Prometheus text exposition, JSONL, and a minimal HTTP
 //! scrape endpoint.
 //!
-//! Both renderers draw from the same intermediate [`MetricFamily`] list built
-//! out of a [`TelemetrySnapshot`], so the two formats can never disagree on
-//! what is exported. Histograms are exported as Prometheus *summaries*
-//! (`quantile` labels plus `_sum`/`_count`); the recorded min and max ride
-//! along as `quantile="0"` / `quantile="1"`, which [`crate::Histogram`]
-//! tracks exactly.
+//! Every family is declared once, beside its live field, in one of the
+//! crate's `metrics!` groups. [`collect`] walks those declarations over a
+//! [`TelemetrySnapshot`], and both renderers draw from the resulting
+//! [`MetricFamily`] list, so the two formats can never disagree on what is
+//! exported. Histograms are exported as Prometheus *summaries* (`quantile`
+//! labels plus `_sum`/`_count`); the recorded min and max ride along as
+//! `quantile="0"` / `quantile="1"`, which [`crate::Histogram`] tracks
+//! exactly.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use crate::{HistogramSnapshot, TelemetrySnapshot};
+use crate::{HistogramSnapshot, PassSnapshot, TelemetrySnapshot};
 
 /// One exported sample: optional name suffix (`_sum`, `_count`), labels, and
 /// a value.
@@ -30,635 +33,143 @@ pub struct Sample {
 #[derive(Debug, Clone)]
 pub struct MetricFamily {
     /// Metric name (`cg_` prefix throughout).
-    pub name: String,
+    pub name: &'static str,
     /// One-line help text.
     pub help: &'static str,
     /// Prometheus type: `counter`, `gauge`, or `summary`.
     pub kind: &'static str,
+    /// The snapshot field the family is declared on, as a dotted path
+    /// (e.g. `stdb.scrub_ok`).
+    pub source: String,
     /// The samples.
     pub samples: Vec<Sample>,
 }
 
-fn counter(name: &str, help: &'static str, value: u64) -> MetricFamily {
-    MetricFamily {
-        name: name.to_string(),
-        help,
-        kind: "counter",
-        samples: vec![Sample {
-            suffix: "",
-            labels: Vec::new(),
-            value: value as f64,
-        }],
-    }
+/// A snapshot of a declared metric group: appends the group's families,
+/// naming each one's source as `path` plus its field.
+pub(crate) trait Exported {
+    fn export(&self, path: &str, out: &mut Vec<MetricFamily>);
 }
 
-fn gauge(name: &str, help: &'static str, value: f64) -> MetricFamily {
-    MetricFamily {
-        name: name.to_string(),
-        help,
-        kind: "gauge",
-        samples: vec![Sample {
-            suffix: "",
-            labels: Vec::new(),
-            value,
-        }],
-    }
+/// A snapshot value and the samples it exports as.
+pub(crate) trait Sampled {
+    /// The Prometheus type of a family of such values.
+    const TYPE: &'static str;
+    /// The value's samples under `labels`.
+    fn samples(&self, labels: &[(String, String)]) -> Vec<Sample>;
 }
 
-fn labeled(label: &str, key: &str) -> Vec<(String, String)> {
-    vec![(label.to_string(), key.to_string())]
-}
-
-fn summary_samples(h: &HistogramSnapshot, labels: &[(String, String)]) -> Vec<Sample> {
-    let quantile = |q: &str, v: u64| {
-        let mut l = labels.to_vec();
-        l.push(("quantile".to_string(), q.to_string()));
-        Sample {
-            suffix: "",
-            labels: l,
-            value: v as f64,
+macro_rules! sampled_number {
+    ($($ty:ty => $kind:literal),*) => {$(
+        impl Sampled for $ty {
+            const TYPE: &'static str = $kind;
+            fn samples(&self, labels: &[(String, String)]) -> Vec<Sample> {
+                vec![Sample {
+                    suffix: "",
+                    labels: labels.to_vec(),
+                    value: *self as f64,
+                }]
+            }
         }
-    };
-    vec![
-        quantile("0", h.min_micros),
-        quantile("0.5", h.p50_micros),
-        quantile("0.9", h.p90_micros),
-        quantile("0.99", h.p99_micros),
-        quantile("1", h.max_micros),
-        Sample {
-            suffix: "_sum",
-            labels: labels.to_vec(),
-            value: h.sum_micros as f64,
-        },
-        Sample {
-            suffix: "_count",
-            labels: labels.to_vec(),
-            value: h.count as f64,
-        },
-    ]
+    )*};
 }
 
-fn summary(name: &str, help: &'static str, h: &HistogramSnapshot) -> MetricFamily {
-    MetricFamily {
-        name: name.to_string(),
-        help,
-        kind: "summary",
-        samples: summary_samples(h, &[]),
+sampled_number!(u64 => "counter", i64 => "gauge", f64 => "gauge");
+
+fn summary(
+    labels: &[(String, String)],
+    quantiles: &[(&str, u64)],
+    sum: u64,
+    count: u64,
+) -> Vec<Sample> {
+    let sample = |suffix, labels: Vec<(String, String)>, value: u64| Sample {
+        suffix,
+        labels,
+        value: value as f64,
+    };
+    let mut out: Vec<Sample> = quantiles
+        .iter()
+        .map(|&(q, v)| {
+            let mut l = labels.to_vec();
+            l.push(("quantile".to_string(), q.to_string()));
+            sample("", l, v)
+        })
+        .collect();
+    out.push(sample("_sum", labels.to_vec(), sum));
+    out.push(sample("_count", labels.to_vec(), count));
+    out
+}
+
+impl Sampled for HistogramSnapshot {
+    const TYPE: &'static str = "summary";
+    fn samples(&self, labels: &[(String, String)]) -> Vec<Sample> {
+        let quantiles = [
+            ("0", self.min_micros),
+            ("0.5", self.p50_micros),
+            ("0.9", self.p90_micros),
+            ("0.99", self.p99_micros),
+            ("1", self.max_micros),
+        ];
+        summary(labels, &quantiles, self.sum_micros, self.count)
     }
 }
 
-/// Flattens a snapshot into the exported metric families, in a deterministic
+/// A pass's wall-time summary, from the quantiles a [`PassSnapshot`] keeps.
+impl Sampled for PassSnapshot {
+    const TYPE: &'static str = "summary";
+    fn samples(&self, labels: &[(String, String)]) -> Vec<Sample> {
+        let quantiles = [("0.5", self.p50_micros), ("0.99", self.p99_micros)];
+        summary(labels, &quantiles, self.total_micros, self.calls)
+    }
+}
+
+/// Appends an unlabeled family; `kind` overrides the value's own type.
+pub(crate) fn scalar<S: Sampled>(
+    out: &mut Vec<MetricFamily>,
+    source: String,
+    name: &'static str,
+    help: &'static str,
+    kind: Option<&'static str>,
+    value: &S,
+) {
+    out.push(MetricFamily {
+        name,
+        help,
+        kind: kind.unwrap_or(S::TYPE),
+        source,
+        samples: value.samples(&[]),
+    });
+}
+
+/// Appends a family keyed by `label`: one sample set per key of `map`, of
+/// the value `column` picks from the key's snapshot.
+pub(crate) fn labeled<T, S: Sampled>(
+    out: &mut Vec<MetricFamily>,
+    source: String,
+    name: &'static str,
+    help: &'static str,
+    label: &str,
+    map: &BTreeMap<String, T>,
+    column: impl for<'a> Fn(&'a T) -> &'a S,
+) {
+    let samples = map
+        .iter()
+        .flat_map(|(key, v)| column(v).samples(&[(label.to_string(), key.clone())]))
+        .collect();
+    out.push(MetricFamily {
+        name,
+        help,
+        kind: S::TYPE,
+        source,
+        samples,
+    });
+}
+
+/// Flattens a snapshot into the exported metric families, in declaration
 /// order.
 pub fn collect(snap: &TelemetrySnapshot) -> Vec<MetricFamily> {
     let mut out = Vec::new();
-
-    // Service requests, per kind.
-    let mut req_counts = Vec::new();
-    let mut req_latency = Vec::new();
-    for (kind, h) in &snap.requests {
-        req_counts.push(Sample {
-            suffix: "",
-            labels: labeled("kind", kind),
-            value: h.count as f64,
-        });
-        req_latency.extend(summary_samples(h, &labeled("kind", kind)));
-    }
-    out.push(MetricFamily {
-        name: "cg_requests_total".to_string(),
-        help: "Service requests handled, by request kind.",
-        kind: "counter",
-        samples: req_counts,
-    });
-    out.push(MetricFamily {
-        name: "cg_request_latency_micros".to_string(),
-        help: "Service request latency in microseconds, by request kind.",
-        kind: "summary",
-        samples: req_latency,
-    });
-    out.push(MetricFamily {
-        name: "cg_request_errors_total".to_string(),
-        help: "Error responses, by request kind.",
-        kind: "counter",
-        samples: snap
-            .request_errors
-            .iter()
-            .map(|(kind, v)| Sample {
-                suffix: "",
-                labels: labeled("kind", kind),
-                value: *v as f64,
-            })
-            .collect(),
-    });
-    out.push(gauge(
-        "cg_in_flight",
-        "Service requests currently being processed.",
-        snap.in_flight as f64,
-    ));
-
-    // Fault-tolerance counters.
-    for (name, help, v) in [
-        (
-            "cg_timeouts_total",
-            "Requests that hit the client deadline.",
-            snap.timeouts,
-        ),
-        (
-            "cg_panics_total",
-            "Session panics caught by the service runtime.",
-            snap.panics,
-        ),
-        ("cg_restarts_total", "Service restarts.", snap.restarts),
-        (
-            "cg_recoveries_total",
-            "Episodes transparently recovered by replay.",
-            snap.recoveries,
-        ),
-        (
-            "cg_replay_divergences_total",
-            "Replays whose reward metric diverged.",
-            snap.replay_divergences,
-        ),
-        (
-            "cg_reconnects_total",
-            "TCP client reconnects.",
-            snap.reconnects,
-        ),
-        (
-            "cg_checkpoints_taken_total",
-            "Session checkpoints serialized.",
-            snap.checkpoints_taken,
-        ),
-        (
-            "cg_checkpoint_restores_total",
-            "Recoveries restored from a checkpoint.",
-            snap.checkpoint_restores,
-        ),
-        (
-            "cg_budget_kills_total",
-            "Sessions killed in-band by a resource budget.",
-            snap.budget_kills,
-        ),
-        (
-            "cg_watchdog_restarts_total",
-            "Watchdog-initiated restarts.",
-            snap.watchdog_restarts,
-        ),
-        (
-            "cg_breaker_trips_total",
-            "Circuit-breaker open transitions.",
-            snap.breaker_trips,
-        ),
-        (
-            "cg_breaker_fast_fails_total",
-            "Calls rejected by an open circuit.",
-            snap.breaker_fast_fails,
-        ),
-        (
-            "cg_breaker_half_opens_total",
-            "Circuit-breaker half-open probes.",
-            snap.breaker_half_opens,
-        ),
-    ] {
-        out.push(counter(name, help, v));
-    }
-
-    // Episode statistics.
-    out.push(counter(
-        "cg_episodes_total",
-        "Completed reset() calls.",
-        snap.episode.episodes,
-    ));
-    out.push(counter(
-        "cg_steps_total",
-        "Completed step() calls.",
-        snap.episode.steps,
-    ));
-    out.push(counter(
-        "cg_actions_total",
-        "Actions applied.",
-        snap.episode.actions_total,
-    ));
-    out.push(counter(
-        "cg_actions_changed_total",
-        "Actions that mutated program state.",
-        snap.episode.actions_changed,
-    ));
-    out.push(gauge(
-        "cg_reward_sum",
-        "Sum of all step rewards.",
-        snap.episode.reward_sum,
-    ));
-    out.push(summary(
-        "cg_reset_latency_micros",
-        "reset() wall time in microseconds.",
-        &snap.episode.reset_wall,
-    ));
-    out.push(summary(
-        "cg_step_latency_micros",
-        "step() wall time in microseconds.",
-        &snap.episode.step_wall,
-    ));
-    out.push(summary(
-        "cg_fork_latency_micros",
-        "fork() wall time in microseconds.",
-        &snap.episode.fork_wall,
-    ));
-
-    // Observation spaces.
-    let mut obs = Vec::new();
-    for (space, h) in &snap.observations {
-        obs.extend(summary_samples(h, &labeled("space", space)));
-    }
-    out.push(MetricFamily {
-        name: "cg_observation_latency_micros".to_string(),
-        help: "Observation computation latency in microseconds, by space.",
-        kind: "summary",
-        samples: obs,
-    });
-
-    // Per-pass profile.
-    let mut pass_calls = Vec::new();
-    let mut pass_wall = Vec::new();
-    let mut pass_changed = Vec::new();
-    let mut pass_delta = Vec::new();
-    for (pass, p) in &snap.passes {
-        let labels = labeled("pass", pass);
-        pass_calls.push(Sample {
-            suffix: "",
-            labels: labels.clone(),
-            value: p.calls as f64,
-        });
-        pass_wall.push(Sample {
-            suffix: "",
-            labels: labels.clone(),
-            value: p.total_micros as f64,
-        });
-        pass_changed.push(Sample {
-            suffix: "",
-            labels: labels.clone(),
-            value: p.changed as f64,
-        });
-        pass_delta.push(Sample {
-            suffix: "",
-            labels,
-            value: p.inst_delta as f64,
-        });
-    }
-    out.push(MetricFamily {
-        name: "cg_pass_calls_total".to_string(),
-        help: "Pass invocations, by pass.",
-        kind: "counter",
-        samples: pass_calls,
-    });
-    out.push(MetricFamily {
-        name: "cg_pass_wall_micros_total".to_string(),
-        help: "Cumulative pass wall time in microseconds, by pass.",
-        kind: "counter",
-        samples: pass_wall,
-    });
-    out.push(MetricFamily {
-        name: "cg_pass_changed_total".to_string(),
-        help: "Invocations that changed the module, by pass.",
-        kind: "counter",
-        samples: pass_changed,
-    });
-    out.push(MetricFamily {
-        name: "cg_pass_inst_delta".to_string(),
-        help: "Cumulative signed instruction-count delta, by pass.",
-        kind: "gauge",
-        samples: pass_delta,
-    });
-
-    // Pool and cache.
-    for (name, help, v) in [
-        (
-            "cg_pool_jobs_total",
-            "Evaluation jobs completed.",
-            snap.pool.jobs,
-        ),
-        (
-            "cg_pool_job_errors_total",
-            "Jobs that finished with an error.",
-            snap.pool.job_errors,
-        ),
-        (
-            "cg_pool_job_panics_total",
-            "Worker panics caught mid-job.",
-            snap.pool.job_panics,
-        ),
-        (
-            "cg_cache_hits_total",
-            "Exact evaluation-cache hits.",
-            snap.pool.cache_hits,
-        ),
-        (
-            "cg_cache_misses_total",
-            "Evaluation-cache misses.",
-            snap.pool.cache_misses,
-        ),
-        (
-            "cg_cache_prefix_hits_total",
-            "Prefix-trie snapshot hits.",
-            snap.pool.prefix_hits,
-        ),
-        (
-            "cg_actions_executed_total",
-            "Pass applications executed by workers.",
-            snap.pool.actions_executed,
-        ),
-        (
-            "cg_actions_saved_total",
-            "Pass applications skipped via cache reuse.",
-            snap.pool.actions_saved,
-        ),
-        (
-            "cg_cache_evictions_total",
-            "Cache entries evicted.",
-            snap.pool.evictions,
-        ),
-    ] {
-        out.push(counter(name, help, v));
-    }
-    out.push(gauge(
-        "cg_pool_workers",
-        "Worker threads alive.",
-        snap.pool.workers as f64,
-    ));
-    out.push(gauge(
-        "cg_pool_queue_depth",
-        "Jobs queued, not yet running.",
-        snap.pool.queue_depth as f64,
-    ));
-    out.push(summary(
-        "cg_pool_batch_latency_micros",
-        "evaluate_batch wall time in microseconds.",
-        &snap.pool.batch_wall,
-    ));
-    out.push(summary(
-        "cg_pool_job_latency_micros",
-        "Evaluation job wall time in microseconds.",
-        &snap.pool.job_wall,
-    ));
-
-    // Session-broker front door.
-    for (name, help, v) in [
-        (
-            "cg_broker_admitted_total",
-            "Sessions admitted through the front door.",
-            snap.broker.admitted,
-        ),
-        (
-            "cg_broker_refused_total",
-            "Requests refused by admission control with a typed Overloaded.",
-            snap.broker.refused,
-        ),
-        (
-            "cg_broker_shed_total",
-            "Queued work shed under overload.",
-            snap.broker.shed,
-        ),
-        (
-            "cg_broker_quota_refusals_total",
-            "Refusals due to a per-tenant quota.",
-            snap.broker.quota_refusals,
-        ),
-        (
-            "cg_broker_drains_total",
-            "Graceful drains initiated.",
-            snap.broker.drains,
-        ),
-        (
-            "cg_broker_drained_checkpoints_total",
-            "Live sessions checkpointed during drain.",
-            snap.broker.drained_checkpoints,
-        ),
-    ] {
-        out.push(counter(name, help, v));
-    }
-    out.push(gauge(
-        "cg_broker_sessions",
-        "Live broker sessions.",
-        snap.broker.sessions as f64,
-    ));
-    out.push(gauge(
-        "cg_broker_queue_depth",
-        "Requests queued in tenant FIFOs.",
-        snap.broker.queue_depth as f64,
-    ));
-    out.push(gauge(
-        "cg_broker_connections",
-        "Open front-door TCP connections.",
-        snap.broker.connections as f64,
-    ));
-    out.push(summary(
-        "cg_broker_queue_wait_micros",
-        "Time requests spend queued before dispatch, in microseconds.",
-        &snap.broker.queue_wait,
-    ));
-
-    // Transition store.
-    for (name, help, v) in [
-        (
-            "cg_stdb_ingest_records_total",
-            "Records durably appended to the transition-store WAL.",
-            snap.stdb.ingest_records,
-        ),
-        (
-            "cg_stdb_ingest_bytes_total",
-            "Payload bytes appended to the transition-store WAL.",
-            snap.stdb.ingest_bytes,
-        ),
-        (
-            "cg_stdb_dropped_records_total",
-            "Records dropped by ingest backpressure or append failure.",
-            snap.stdb.dropped_records,
-        ),
-        (
-            "cg_stdb_append_retries_total",
-            "Appends retried after a rolled-back torn write.",
-            snap.stdb.append_retries,
-        ),
-        (
-            "cg_stdb_replay_hits_total",
-            "Replay-env steps answered from the store.",
-            snap.stdb.replay_hits,
-        ),
-        (
-            "cg_stdb_replay_misses_total",
-            "Replay-env requests that fell through to the live compiler.",
-            snap.stdb.replay_misses,
-        ),
-        (
-            "cg_stdb_quarantined_records_total",
-            "Corrupt records quarantined by recovery or scrub.",
-            snap.stdb.quarantined_records,
-        ),
-        (
-            "cg_stdb_torn_tails_total",
-            "Torn WAL tails truncated during recovery-on-open.",
-            snap.stdb.torn_tails,
-        ),
-        (
-            "cg_stdb_scrub_corrupt_total",
-            "Checksum failures found by scrub.",
-            snap.stdb.scrub_corrupt,
-        ),
-        (
-            "cg_stdb_scrub_repaired_total",
-            "Corrupt records repaired from intact duplicates.",
-            snap.stdb.scrub_repaired,
-        ),
-        (
-            "cg_stdb_checkpoint_rejects_total",
-            "Checkpoint files rejected at load (bad checksum or torn).",
-            snap.stdb.checkpoint_rejects,
-        ),
-        (
-            "cg_stdb_compactions_total",
-            "Transition-store compactions completed.",
-            snap.stdb.compactions,
-        ),
-    ] {
-        out.push(counter(name, help, v));
-    }
-    out.push(gauge(
-        "cg_stdb_segments",
-        "Live transition-store WAL segments.",
-        snap.stdb.segments as f64,
-    ));
-    out.push(gauge(
-        "cg_stdb_store_bytes",
-        "Bytes across live transition-store WAL segments.",
-        snap.stdb.store_bytes as f64,
-    ));
-    out.push(summary(
-        "cg_stdb_append_wall_micros",
-        "WAL append wall time in microseconds.",
-        &snap.stdb.append_wall,
-    ));
-
-    // Wire protocol (frames + pipelining).
-    for (name, help, v) in [
-        (
-            "cg_wire_tx_bytes_total",
-            "Payload bytes written as CGB1 frames.",
-            snap.wire.tx_bytes,
-        ),
-        (
-            "cg_wire_rx_bytes_total",
-            "Payload bytes read as CGB1 frames.",
-            snap.wire.rx_bytes,
-        ),
-        (
-            "cg_wire_frames_total",
-            "Frames moved in either direction.",
-            snap.wire.frames,
-        ),
-        (
-            "cg_wire_decode_errors_total",
-            "Frames that failed to decode (answered in band).",
-            snap.wire.decode_errors,
-        ),
-        (
-            "cg_wire_pipelined_calls_total",
-            "Calls issued through the pipelined path.",
-            snap.wire.pipelined_calls,
-        ),
-        (
-            "cg_wire_negotiations_total",
-            "Hello/HelloAck handshakes the server completed.",
-            snap.wire.negotiations,
-        ),
-    ] {
-        out.push(counter(name, help, v));
-    }
-    out.push(gauge(
-        "cg_wire_in_flight",
-        "Requests currently in flight on pipelined sockets.",
-        snap.wire.in_flight as f64,
-    ));
-    out.push(summary(
-        "cg_wire_encode_micros",
-        "Frame encode wall time in microseconds.",
-        &snap.wire.encode_wall,
-    ));
-    out.push(summary(
-        "cg_wire_decode_micros",
-        "Frame decode wall time in microseconds.",
-        &snap.wire.decode_wall,
-    ));
-
-    // Fuzzer.
-    out.push(counter(
-        "cg_fuzz_cases_total",
-        "Fuzz cases executed.",
-        snap.fuzz.cases,
-    ));
-    out.push(counter(
-        "cg_fuzz_divergences_total",
-        "Fuzz divergences found.",
-        snap.fuzz.divergences,
-    ));
-
-    // Trace ring and flight recorder.
-    out.push(gauge(
-        "cg_trace_spans",
-        "Span records currently buffered.",
-        snap.trace_events as f64,
-    ));
-    out.push(counter(
-        "cg_trace_dropped_total",
-        "Span records evicted from the ring.",
-        snap.trace_dropped,
-    ));
-    out.push(counter(
-        "cg_episodes_recorded_total",
-        "Flight-recorder episodes opened.",
-        snap.episodes_recorded,
-    ));
-    out.push(counter(
-        "cg_episodes_evicted_total",
-        "Flight-recorder episodes evicted.",
-        snap.episodes_dropped,
-    ));
-    out.push(counter(
-        "cg_episode_spans_dropped_total",
-        "Spans dropped by per-episode caps.",
-        snap.episode_spans_dropped,
-    ));
-
-    // SLO.
-    out.push(gauge(
-        "cg_slo_objective_micros",
-        "Configured step-latency objective (0 = disabled).",
-        snap.slo.objective_micros as f64,
-    ));
-    out.push(gauge(
-        "cg_slo_target",
-        "Configured availability target.",
-        snap.slo.target,
-    ));
-    out.push(counter(
-        "cg_slo_good_total",
-        "Steps meeting the latency objective.",
-        snap.slo.good,
-    ));
-    out.push(counter(
-        "cg_slo_bad_total",
-        "Steps missing the latency objective.",
-        snap.slo.bad,
-    ));
-    out.push(gauge(
-        "cg_slo_compliance",
-        "Fraction of steps meeting the objective.",
-        snap.slo.compliance,
-    ));
-    out.push(gauge(
-        "cg_slo_burn_rate",
-        "Error-budget burn rate (1.0 = at budget).",
-        snap.slo.burn_rate,
-    ));
-
+    snap.export("", &mut out);
     out
 }
 
@@ -690,7 +201,7 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
         out.push_str(&format!("# HELP {} {}\n", family.name, family.help));
         out.push_str(&format!("# TYPE {} {}\n", family.name, family.kind));
         for s in &family.samples {
-            out.push_str(&family.name);
+            out.push_str(family.name);
             out.push_str(s.suffix);
             if !s.labels.is_empty() {
                 out.push('{');
@@ -811,51 +322,156 @@ mod tests {
         t.snapshot()
     }
 
+    /// Parses one sample line, `name[{k="v",...}] value`, into its metric
+    /// name, or says what is wrong with it.
+    fn parse_sample(line: &str) -> Result<&str, String> {
+        let name_end = line
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+            .ok_or("no value")?;
+        let (name, mut rest) = line.split_at(name_end);
+        if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
+            return Err("bad metric name".into());
+        }
+        if let Some(mut labels) = rest.strip_prefix('{') {
+            loop {
+                let eq = labels.find("=\"").ok_or("label without =\"")?;
+                let key = &labels[..eq];
+                if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+                    return Err(format!("bad label name {key:?}"));
+                }
+                let mut chars = labels[eq + 2..].char_indices();
+                let close = loop {
+                    match chars.next().ok_or("unterminated label value")? {
+                        (_, '\\') => match chars.next() {
+                            Some((_, '\\' | '"' | 'n')) => {}
+                            other => return Err(format!("bad escape {other:?}")),
+                        },
+                        (at, '"') => break eq + 2 + at,
+                        _ => {}
+                    }
+                };
+                labels = &labels[close + 1..];
+                if let Some(more) = labels.strip_prefix(',') {
+                    labels = more;
+                } else {
+                    rest = labels.strip_prefix('}').ok_or("labels not closed")?;
+                    break;
+                }
+            }
+        }
+        let value = rest.strip_prefix(' ').ok_or("no space before value")?;
+        if value.parse::<f64>().is_err() {
+            return Err(format!("bad value {value:?}"));
+        }
+        Ok(name)
+    }
+
+    /// Checks the text exposition grammar (v0.0.4) and its TYPE/HELP
+    /// consistency: every family is typed once, with a known type, before
+    /// its first sample, and every typed family has help text. Returns the
+    /// typed family names.
+    fn check_exposition(text: &str) -> std::collections::HashSet<String> {
+        let mut types = std::collections::HashMap::new();
+        let mut helped = std::collections::HashSet::new();
+        for (n, line) in text.lines().enumerate().map(|(i, l)| (i + 1, l)) {
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let (name, help) = rest.split_once(' ').expect("HELP has text");
+                assert!(!help.trim().is_empty(), "line {n}: empty HELP");
+                helped.insert(name.to_string());
+            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let parts: Vec<&str> = rest.split(' ').collect();
+                assert!(
+                    parts.len() == 2
+                        && ["counter", "gauge", "summary", "histogram", "untyped"]
+                            .contains(&parts[1]),
+                    "line {n}: malformed TYPE: {line}"
+                );
+                let dup = types.insert(parts[0].to_string(), parts[1].to_string());
+                assert!(dup.is_none(), "line {n}: duplicate TYPE for {}", parts[0]);
+            } else {
+                assert!(!line.starts_with('#'), "line {n}: stray comment: {line}");
+                let name = parse_sample(line).unwrap_or_else(|e| panic!("line {n}: {e}: {line}"));
+                assert!(name.starts_with("cg_"), "line {n}: unprefixed {name}");
+                let family = ["_sum", "_count", "_bucket"]
+                    .iter()
+                    .find_map(|s| name.strip_suffix(s).filter(|f| types.contains_key(*f)))
+                    .unwrap_or(name);
+                assert!(types.contains_key(family), "line {n}: {name} has no TYPE");
+            }
+        }
+        for family in types.keys() {
+            assert!(helped.contains(family), "{family} has no HELP");
+        }
+        types.into_keys().collect()
+    }
+
     #[test]
     fn prometheus_text_is_well_formed() {
-        let text = prometheus_text(&sample_snapshot());
-        let mut seen = std::collections::HashSet::new();
-        for line in text.lines() {
-            assert!(!line.is_empty());
-            if let Some(rest) = line.strip_prefix("# ") {
-                assert!(
-                    rest.starts_with("HELP ") || rest.starts_with("TYPE "),
-                    "bad comment: {line}"
-                );
-                continue;
-            }
-            // Sample line: name[{labels}] value
-            let (series, value) = line.rsplit_once(' ').expect("sample has value");
-            assert!(value.parse::<f64>().is_ok(), "bad value in: {line}");
-            let name = series.split('{').next().unwrap();
-            assert!(
-                name.starts_with("cg_")
-                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-                "bad metric name in: {line}"
-            );
-            seen.insert(
-                name.trim_end_matches("_sum")
-                    .trim_end_matches("_count")
-                    .to_string(),
-            );
-        }
-        for required in [
-            "cg_requests_total",
-            "cg_request_latency_micros",
-            "cg_episodes_total",
-            "cg_steps_total",
-            "cg_step_latency_micros",
-            "cg_restarts_total",
-            "cg_recoveries_total",
-            "cg_reconnects_total",
-            "cg_pass_calls_total",
-            "cg_trace_spans",
-            "cg_trace_dropped_total",
-            "cg_slo_good_total",
-            "cg_slo_bad_total",
-            "cg_slo_burn_rate",
+        let snap = sample_snapshot();
+        let typed = check_exposition(&prometheus_text(&snap));
+        assert_eq!(typed.len(), collect(&snap).len());
+        for bad in [
+            "cg_x",
+            "cg_x{k=\"v} 1",
+            "cg_x{k=\"\\q\"} 1",
+            "cg_x{=\"v\"} 1",
+            "cg_x one",
         ] {
-            assert!(seen.contains(required), "missing metric {required}");
+            assert!(parse_sample(bad).is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(
+            parse_sample("cg_x{k=\"a\\\"b,c\",q=\"0.5\"} 1.5"),
+            Ok("cg_x")
+        );
+    }
+
+    /// Every field of the snapshot, and so of `cg stats --json`, is declared
+    /// with at least one family, and every declared family is exported
+    /// under its own `cg_` name with HELP and TYPE lines.
+    #[test]
+    fn every_declared_metric_is_exported() {
+        fn uncovered(
+            v: &serde::value::Value,
+            path: String,
+            sources: &[String],
+            out: &mut Vec<String>,
+        ) {
+            if sources.contains(&path) {
+                return;
+            }
+            match v.as_object() {
+                Some(fields) if !fields.is_empty() => {
+                    for (key, v) in fields {
+                        let sep = if path.is_empty() { "" } else { "." };
+                        uncovered(v, format!("{path}{sep}{key}"), sources, out);
+                    }
+                }
+                _ => out.push(path),
+            }
+        }
+        let snap = sample_snapshot();
+        let families = collect(&snap);
+        let sources: Vec<String> = families.iter().map(|f| f.source.clone()).collect();
+        let mut missing = Vec::new();
+        uncovered(
+            &serde::Serialize::to_value(&snap),
+            String::new(),
+            &sources,
+            &mut missing,
+        );
+        assert!(
+            missing.is_empty(),
+            "recorded but never exported: {missing:?}"
+        );
+
+        let text = prometheus_text(&Telemetry::new().snapshot());
+        let mut names = std::collections::HashSet::new();
+        for f in &families {
+            assert!(f.name.starts_with("cg_"), "{} lacks the cg_ prefix", f.name);
+            assert!(names.insert(f.name), "{} is declared twice", f.name);
+            for line in [format!("# HELP {} ", f.name), format!("# TYPE {} ", f.name)] {
+                assert!(text.contains(&line), "{} has no `{line}` line", f.name);
+            }
         }
     }
 
@@ -896,7 +512,8 @@ mod tests {
             .expect("send request");
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read response");
-        assert!(response.starts_with("HTTP/1.1 200 OK"), "got: {response}");
-        assert!(response.contains("cg_steps_total"));
+        let (head, body) = response.split_once("\r\n\r\n").expect("headers end");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "got: {head}");
+        assert!(check_exposition(body).contains("cg_steps_total"));
     }
 }

@@ -16,6 +16,10 @@
 //!   and instruction-count deltas.
 //! - [`TraceBuffer`] — a bounded ring of structured [`TraceEvent`]s with
 //!   JSON-lines export.
+//! - [`Metric`] — what every live metric snapshots to and how it resets.
+//!   Each metric group ([`PoolStats`], [`StdbStats`], ...) is written once
+//!   as a `metrics!` declaration that yields its live struct, its
+//!   `*Snapshot`, `snapshot()`, `reset()` and its exported families.
 //! - [`Telemetry`] — the registry tying the above together, with a process
 //!   [`global`] instance, [`Telemetry::snapshot`] into the serializable
 //!   [`TelemetrySnapshot`], and [`Telemetry::reset`].
@@ -370,6 +374,154 @@ impl<T: Default> Family<T> {
 }
 
 // ---------------------------------------------------------------------------
+// Declared metrics
+// ---------------------------------------------------------------------------
+
+/// A live metric: what it captures into a snapshot and how it zeroes. The
+/// scalars, keyed [`Family`]s, [`PassStats`] and every group declared with
+/// `metrics!` implement it, so a group's `snapshot()` and `reset()` are a
+/// walk over its fields.
+pub trait Metric {
+    /// The serializable capture.
+    type Snap;
+    /// Captures the current value.
+    fn snap(&self) -> Self::Snap;
+    /// Zeroes the metric.
+    fn reset(&self);
+}
+
+macro_rules! scalar_metrics {
+    ($($ty:ident => $snap:ty, $get:ident;)*) => {$(
+        impl Metric for $ty {
+            type Snap = $snap;
+            fn snap(&self) -> $snap {
+                self.$get()
+            }
+            fn reset(&self) {
+                $ty::reset(self)
+            }
+        }
+    )*};
+}
+
+scalar_metrics! {
+    Counter => u64, get;
+    Gauge => i64, get;
+    FloatSum => f64, get;
+    Histogram => HistogramSnapshot, snapshot;
+}
+
+impl<T: Metric + Default> Metric for Family<T> {
+    type Snap = BTreeMap<String, T::Snap>;
+    fn snap(&self) -> Self::Snap {
+        let mut out = BTreeMap::new();
+        self.for_each(|k, m| {
+            out.insert(k.to_string(), m.snap());
+        });
+        out
+    }
+    fn reset(&self) {
+        self.for_each(|_, m| m.reset());
+    }
+}
+
+/// Evaluates a `derived` entry's getter on its live group.
+fn derived<T, S>(live: &T, get: impl FnOnce(&T) -> S) -> S {
+    get(live)
+}
+
+/// Declares a group of metrics once. An entry is a field, its kind (the live
+/// metric type) and, in brackets, what it exports:
+///
+/// - `["cg_name" "help"]`: one family, typed by its snapshot value (a `u64`
+///   is a counter, an `i64` or `f64` a gauge, a histogram a summary); a
+///   leading `gauge` overrides the type;
+/// - `[by "label" "cg_name" "help" = |v| &v.column; ...]`: keyed families,
+///   one per column of each key's snapshot;
+/// - `[]`: a nested group, which exports its own declarations.
+///
+/// The macro turns them into the live struct, a snapshot struct with the
+/// same field names, `snapshot()`, `reset()`, [`Metric`] and the group's
+/// exported families. `derived` entries are snapshot fields computed from
+/// the live struct; `hidden` entries are live fields outside the snapshot,
+/// reset by the function given, if any.
+macro_rules! metrics {
+    (@family [] $out:ident, $source:expr, $v:expr) => {
+        export::Exported::export($v, &format!("{}.", $source), $out)
+    };
+    (@family [by $label:literal $($name:literal $help:literal = $col:expr);+]
+        $out:ident, $source:expr, $v:expr) => {
+        $(export::labeled($out, $source, $name, $help, $label, $v, $col);)+
+    };
+    (@family [$name:literal $help:literal] $out:ident, $source:expr, $v:expr) => {
+        export::scalar($out, $source, $name, $help, None, $v)
+    };
+    (@family [$kind:ident $name:literal $help:literal] $out:ident, $source:expr, $v:expr) => {
+        export::scalar($out, $source, $name, $help, Some(stringify!($kind)), $v)
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $live:ident => $snap:ident {
+            $($(#[$fmeta:meta])* $field:ident: $ty:ty [$($spec:tt)*],)*
+        }
+        $(derived {
+            $($dfield:ident: $dty:ty [$($dspec:tt)*] = $get:expr,)*
+        })?
+        $(hidden {
+            $($(#[$hmeta:meta])* $hvis:vis $hfield:ident: $hty:ty $(= $hreset:expr)?,)*
+        })?
+    ) => {
+        $(#[$meta])*
+        pub struct $live {
+            $($(#[$fmeta])* pub $field: $ty,)*
+            $($($(#[$hmeta])* $hvis $hfield: $hty,)*)?
+        }
+
+        #[doc = concat!("Serializable form of [`", stringify!($live), "`].")]
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        pub struct $snap {
+            $(pub $field: <$ty as Metric>::Snap,)*
+            $($(pub $dfield: $dty,)*)?
+        }
+
+        impl $live {
+            /// Captures the summary.
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $($field: Metric::snap(&self.$field),)*
+                    $($($dfield: derived(self, $get),)*)?
+                }
+            }
+
+            /// Zeroes every metric of the group.
+            pub fn reset(&self) {
+                $(Metric::reset(&self.$field);)*
+                $($($(($hreset)(&self.$hfield);)?)*)?
+            }
+        }
+
+        impl Metric for $live {
+            type Snap = $snap;
+            fn snap(&self) -> $snap {
+                self.snapshot()
+            }
+            fn reset(&self) {
+                $live::reset(self)
+            }
+        }
+
+        impl export::Exported for $snap {
+            fn export(&self, path: &str, out: &mut Vec<export::MetricFamily>) {
+                $(metrics!(@family [$($spec)*] out,
+                    format!("{}{}", path, stringify!($field)), &self.$field);)*
+                $($(metrics!(@family [$($dspec)*] out,
+                    format!("{}{}", path, stringify!($dfield)), &self.$dfield);)*)?
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
 // Per-pass profiling
 // ---------------------------------------------------------------------------
 
@@ -419,6 +571,16 @@ impl PassStats {
     }
 }
 
+impl Metric for PassStats {
+    type Snap = PassSnapshot;
+    fn snap(&self) -> PassSnapshot {
+        self.snapshot()
+    }
+    fn reset(&self) {
+        PassStats::reset(self)
+    }
+}
+
 /// Summary of one pass in a [`TelemetrySnapshot`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PassSnapshot {
@@ -440,74 +602,35 @@ pub type PassTable = Family<PassStats>;
 // Differential-fuzzing statistics
 // ---------------------------------------------------------------------------
 
-/// Counters for the differential pass-pipeline fuzzer (`cg fuzz`).
-///
-/// `blame` attributes divergences to individual passes: every pass that
-/// survives pipeline shrinking (i.e. is a member of a minimal failing
-/// subsequence) gets one count, so persistent offenders surface in
-/// `cg stats` even across many fuzz runs.
-#[derive(Debug, Default)]
-pub struct FuzzStats {
-    /// Fuzz cases executed (one generated module + one sampled pipeline).
-    pub cases: Counter,
-    /// Cases whose oracle comparison diverged (miscompilations found).
-    pub divergences: Counter,
-    /// Divergences successfully shrunk to a minimal reproducer.
-    pub shrunk: Counter,
-    /// Cases where the IR verifier rejected the module after a pass.
-    pub verifier_rejects: Counter,
-    /// Cases where a pass panicked.
-    pub pass_panics: Counter,
-    /// Oracle executions (reference + optimized runs, all corpus inputs).
-    pub oracle_runs: Counter,
-    /// Per-pass blame counts (membership in a minimal failing pipeline).
-    pub blame: Family<Counter>,
-    /// Wall time per fuzz case, including shrinking.
-    pub case_wall: Histogram,
-}
-
-impl FuzzStats {
-    /// Captures the summary.
-    pub fn snapshot(&self) -> FuzzSnapshot {
-        let mut blame = BTreeMap::new();
-        self.blame.for_each(|k, c| {
-            blame.insert(k.to_string(), c.get());
-        });
-        FuzzSnapshot {
-            cases: self.cases.get(),
-            divergences: self.divergences.get(),
-            shrunk: self.shrunk.get(),
-            verifier_rejects: self.verifier_rejects.get(),
-            pass_panics: self.pass_panics.get(),
-            oracle_runs: self.oracle_runs.get(),
-            blame,
-            case_wall: self.case_wall.snapshot(),
-        }
+metrics! {
+    /// Counters for the differential pass-pipeline fuzzer (`cg fuzz`).
+    ///
+    /// `blame` attributes divergences to individual passes: every pass that
+    /// survives pipeline shrinking (i.e. is a member of a minimal failing
+    /// subsequence) gets one count, so persistent offenders surface in
+    /// `cg stats` even across many fuzz runs.
+    #[derive(Debug, Default)]
+    pub struct FuzzStats => FuzzSnapshot {
+        /// Fuzz cases executed (one generated module + one sampled pipeline).
+        cases: Counter ["cg_fuzz_cases_total" "Fuzz cases executed."],
+        /// Cases whose oracle comparison diverged (miscompilations found).
+        divergences: Counter ["cg_fuzz_divergences_total" "Fuzz divergences found."],
+        /// Divergences successfully shrunk to a minimal reproducer.
+        shrunk: Counter ["cg_fuzz_shrunk_total" "Divergences shrunk to a minimal reproducer."],
+        /// Cases where the IR verifier rejected the module after a pass.
+        verifier_rejects: Counter
+            ["cg_fuzz_verifier_rejects_total" "Cases the IR verifier rejected after a pass."],
+        /// Cases where a pass panicked.
+        pass_panics: Counter ["cg_fuzz_pass_panics_total" "Cases where a pass panicked."],
+        /// Oracle executions (reference + optimized runs, all corpus inputs).
+        oracle_runs: Counter ["cg_fuzz_oracle_runs_total" "Oracle executions, reference and optimized."],
+        /// Per-pass blame counts (membership in a minimal failing pipeline).
+        blame: Family<Counter> [by "pass"
+            "cg_fuzz_blame_total" "Memberships in a minimal failing pipeline, by pass." = |c| c],
+        /// Wall time per fuzz case, including shrinking.
+        case_wall: Histogram
+            ["cg_fuzz_case_latency_micros" "Fuzz case wall time in microseconds, including shrinking."],
     }
-
-    fn reset(&self) {
-        self.cases.reset();
-        self.divergences.reset();
-        self.shrunk.reset();
-        self.verifier_rejects.reset();
-        self.pass_panics.reset();
-        self.oracle_runs.reset();
-        self.blame.for_each(|_, c| c.reset());
-        self.case_wall.reset();
-    }
-}
-
-/// Serializable form of [`FuzzStats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FuzzSnapshot {
-    pub cases: u64,
-    pub divergences: u64,
-    pub shrunk: u64,
-    pub verifier_rejects: u64,
-    pub pass_panics: u64,
-    pub oracle_runs: u64,
-    pub blame: BTreeMap<String, u64>,
-    pub case_wall: HistogramSnapshot,
 }
 
 // ---------------------------------------------------------------------------
@@ -1170,16 +1293,32 @@ impl TraceBuffer {
 // SLO tracking
 // ---------------------------------------------------------------------------
 
-/// A step-latency service-level objective: steps at or under the objective
-/// are "good", the rest "bad". Disabled until [`StepSlo::configure`] sets a
-/// non-zero objective.
-#[derive(Debug)]
-pub struct StepSlo {
-    objective_micros: AtomicU64,
-    /// Availability target (e.g. 0.99) as `f64` bits.
-    target_bits: AtomicU64,
-    good: Counter,
-    bad: Counter,
+metrics! {
+    /// A step-latency service-level objective: steps at or under the objective
+    /// are "good", the rest "bad". Disabled until [`StepSlo::configure`] sets a
+    /// non-zero objective. [`StepSlo::reset`] zeroes the counts and keeps the
+    /// configuration.
+    #[derive(Debug)]
+    pub struct StepSlo => SloSnapshot {}
+    derived {
+        objective_micros: u64 [gauge
+            "cg_slo_objective_micros" "Configured step-latency objective (0 = disabled)."]
+            = StepSlo::objective_micros,
+        target: f64 ["cg_slo_target" "Configured availability target."] = StepSlo::target,
+        good: u64 ["cg_slo_good_total" "Steps meeting the latency objective."] = StepSlo::good,
+        bad: u64 ["cg_slo_bad_total" "Steps missing the latency objective."] = StepSlo::bad,
+        compliance: f64 ["cg_slo_compliance" "Fraction of steps meeting the objective."]
+            = StepSlo::compliance,
+        burn_rate: f64 ["cg_slo_burn_rate" "Error-budget burn rate (1.0 = at budget)."]
+            = StepSlo::burn_rate,
+    }
+    hidden {
+        objective_micros: AtomicU64,
+        /// Availability target (e.g. 0.99) as `f64` bits.
+        target_bits: AtomicU64,
+        good: Counter = Counter::reset,
+        bad: Counter = Counter::reset,
+    }
 }
 
 impl Default for StepSlo {
@@ -1260,506 +1399,306 @@ impl StepSlo {
         let allowed = (1.0 - self.target()).max(1e-9);
         (bad as f64 / total as f64) / allowed
     }
-
-    /// Captures the summary.
-    pub fn snapshot(&self) -> SloSnapshot {
-        SloSnapshot {
-            objective_micros: self.objective_micros(),
-            target: self.target(),
-            good: self.good(),
-            bad: self.bad(),
-            compliance: self.compliance(),
-            burn_rate: self.burn_rate(),
-        }
-    }
-
-    /// Zeroes the good/bad counters, keeping the configuration.
-    pub fn reset(&self) {
-        self.good.reset();
-        self.bad.reset();
-    }
-}
-
-/// Serializable form of [`StepSlo`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SloSnapshot {
-    pub objective_micros: u64,
-    pub target: f64,
-    pub good: u64,
-    pub bad: u64,
-    pub compliance: f64,
-    pub burn_rate: f64,
 }
 
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
-/// Episode-level environment statistics.
-#[derive(Debug, Default)]
-pub struct EpisodeStats {
-    /// Completed `reset()` calls.
-    pub episodes: Counter,
-    /// Completed `step()` calls.
-    pub steps: Counter,
-    /// Actions applied (one step may apply several).
-    pub actions_total: Counter,
-    /// Actions that actually mutated the program state.
-    pub actions_changed: Counter,
-    /// Sum of all step rewards.
-    pub reward_sum: FloatSum,
-    /// `reset()` wall time.
-    pub reset_wall: Histogram,
-    /// `step()` wall time.
-    pub step_wall: Histogram,
-    /// `fork()` wall time.
-    pub fork_wall: Histogram,
-}
-
-impl EpisodeStats {
-    /// Captures the summary.
-    pub fn snapshot(&self) -> EpisodeSnapshot {
-        EpisodeSnapshot {
-            episodes: self.episodes.get(),
-            steps: self.steps.get(),
-            actions_total: self.actions_total.get(),
-            actions_changed: self.actions_changed.get(),
-            reward_sum: self.reward_sum.get(),
-            reset_wall: self.reset_wall.snapshot(),
-            step_wall: self.step_wall.snapshot(),
-            fork_wall: self.fork_wall.snapshot(),
-        }
-    }
-
-    fn reset(&self) {
-        self.episodes.reset();
-        self.steps.reset();
-        self.actions_total.reset();
-        self.actions_changed.reset();
-        self.reward_sum.reset();
-        self.reset_wall.reset();
-        self.step_wall.reset();
-        self.fork_wall.reset();
-    }
-}
-
-/// Serializable form of [`EpisodeStats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EpisodeSnapshot {
-    pub episodes: u64,
-    pub steps: u64,
-    pub actions_total: u64,
-    pub actions_changed: u64,
-    pub reward_sum: f64,
-    pub reset_wall: HistogramSnapshot,
-    pub step_wall: HistogramSnapshot,
-    pub fork_wall: HistogramSnapshot,
-}
-
-/// Parallel-evaluation statistics: the `EnvPool` worker fleet and the
-/// shared evaluation cache (exact hits plus prefix-trie reuse).
-#[derive(Debug, Default)]
-pub struct PoolStats {
-    /// Evaluation jobs completed (hit or miss, success or error).
-    pub jobs: Counter,
-    /// Jobs that finished with an error outcome (after recovery gave up).
-    pub job_errors: Counter,
-    /// Worker panics caught mid-job (the worker's env is rebuilt).
-    pub job_panics: Counter,
-    /// Exact evaluation-cache hits: the full `(benchmark, sequence)` pair
-    /// was already evaluated, so zero passes ran.
-    pub cache_hits: Counter,
-    /// Cache lookups that found no exact entry.
-    pub cache_misses: Counter,
-    /// Prefix-trie hits: a stored snapshot covered a proper prefix of the
-    /// sequence, so only the novel suffix was executed.
-    pub prefix_hits: Counter,
-    /// Raw pass applications actually executed by pool workers.
-    pub actions_executed: Counter,
-    /// Pass applications skipped thanks to exact or prefix cache reuse.
-    pub actions_saved: Counter,
-    /// Cache entries discarded to respect the capacity bound.
-    pub evictions: Counter,
-    /// Worker threads currently alive across all pools.
-    pub workers: Gauge,
-    /// Jobs queued but not yet picked up by a worker.
-    pub queue_depth: Gauge,
-    /// Wall time of whole `evaluate_batch` calls.
-    pub batch_wall: Histogram,
-    /// Wall time of individual evaluation jobs.
-    pub job_wall: Histogram,
-}
-
-impl PoolStats {
-    /// Captures the summary.
-    pub fn snapshot(&self) -> PoolSnapshot {
-        PoolSnapshot {
-            jobs: self.jobs.get(),
-            job_errors: self.job_errors.get(),
-            job_panics: self.job_panics.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            prefix_hits: self.prefix_hits.get(),
-            actions_executed: self.actions_executed.get(),
-            actions_saved: self.actions_saved.get(),
-            evictions: self.evictions.get(),
-            workers: self.workers.get(),
-            queue_depth: self.queue_depth.get(),
-            batch_wall: self.batch_wall.snapshot(),
-            job_wall: self.job_wall.snapshot(),
-        }
-    }
-
-    fn reset(&self) {
-        self.jobs.reset();
-        self.job_errors.reset();
-        self.job_panics.reset();
-        self.cache_hits.reset();
-        self.cache_misses.reset();
-        self.prefix_hits.reset();
-        self.actions_executed.reset();
-        self.actions_saved.reset();
-        self.evictions.reset();
-        self.workers.reset();
-        self.queue_depth.reset();
-        self.batch_wall.reset();
-        self.job_wall.reset();
-    }
-}
-
-/// Serializable form of [`PoolStats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PoolSnapshot {
-    pub jobs: u64,
-    pub job_errors: u64,
-    pub job_panics: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub prefix_hits: u64,
-    pub actions_executed: u64,
-    pub actions_saved: u64,
-    pub evictions: u64,
-    pub workers: i64,
-    pub queue_depth: i64,
-    pub batch_wall: HistogramSnapshot,
-    pub job_wall: HistogramSnapshot,
-}
-
-/// Session-broker front-door statistics: admission control, per-tenant
-/// quotas, queueing, load shedding, and graceful drain.
-#[derive(Debug, Default)]
-pub struct BrokerStats {
-    /// Sessions admitted through the front door (quota reserved).
-    pub admitted: Counter,
-    /// Requests refused by the admission ladder (capacity or drain), each
-    /// answered with a typed in-band `Overloaded` carrying `retry_after_ms`.
-    pub refused: Counter,
-    /// Queued work shed under queue pressure (newest non-established first).
-    pub shed: Counter,
-    /// Refusals attributable to a per-tenant quota (concurrent sessions or
-    /// actions-per-second), a subset of `refused`.
-    pub quota_refusals: Counter,
-    /// Graceful drains initiated.
-    pub drains: Counter,
-    /// Live sessions checkpointed during drain.
-    pub drained_checkpoints: Counter,
-    /// Live sessions across all broker workers (including reservations for
-    /// admitted-but-not-yet-started sessions).
-    pub sessions: Gauge,
-    /// Requests queued in tenant FIFOs, not yet dispatched to a worker.
-    pub queue_depth: Gauge,
-    /// Open front-door TCP connections.
-    pub connections: Gauge,
-    /// Time requests spend queued before a worker picks them up.
-    pub queue_wait: Histogram,
-}
-
-impl BrokerStats {
-    /// Captures the summary.
-    pub fn snapshot(&self) -> BrokerSnapshot {
-        BrokerSnapshot {
-            admitted: self.admitted.get(),
-            refused: self.refused.get(),
-            shed: self.shed.get(),
-            quota_refusals: self.quota_refusals.get(),
-            drains: self.drains.get(),
-            drained_checkpoints: self.drained_checkpoints.get(),
-            sessions: self.sessions.get(),
-            queue_depth: self.queue_depth.get(),
-            connections: self.connections.get(),
-            queue_wait: self.queue_wait.snapshot(),
-        }
-    }
-
-    fn reset(&self) {
-        self.admitted.reset();
-        self.refused.reset();
-        self.shed.reset();
-        self.quota_refusals.reset();
-        self.drains.reset();
-        self.drained_checkpoints.reset();
-        self.sessions.reset();
-        self.queue_depth.reset();
-        self.connections.reset();
-        self.queue_wait.reset();
-    }
-}
-
-/// Serializable form of [`BrokerStats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BrokerSnapshot {
-    pub admitted: u64,
-    pub refused: u64,
-    pub shed: u64,
-    pub quota_refusals: u64,
-    pub drains: u64,
-    pub drained_checkpoints: u64,
-    pub sessions: i64,
-    pub queue_depth: i64,
-    pub connections: i64,
-    pub queue_wait: HistogramSnapshot,
-}
-
-/// Transition-store (`cg-stdb`) statistics: WAL ingest, backpressure,
-/// recovery, scrub/compaction, and the replay environment's hit rate.
-#[derive(Debug, Default)]
-pub struct StdbStats {
-    /// Records durably appended to the write-ahead log.
-    pub ingest_records: Counter,
-    /// Payload bytes appended to the write-ahead log.
-    pub ingest_bytes: Counter,
-    /// Records dropped by the bounded ingest queue's backpressure policy
-    /// (or abandoned after an unrecoverable append error). Every drop is
-    /// counted — the store never loses a record silently.
-    pub dropped_records: Counter,
-    /// Appends retried after an in-process torn write was rolled back.
-    pub append_retries: Counter,
-    /// Replay-environment steps answered straight from the store.
-    pub replay_hits: Counter,
-    /// Replay-environment requests that fell through to the live compiler
-    /// (missing or quarantined transition; traced as `stdb:miss`).
-    pub replay_misses: Counter,
-    /// Corrupt records quarantined during recovery or scrub (never
-    /// silently skipped).
-    pub quarantined_records: Counter,
-    /// Torn tails truncated during recovery-on-open.
-    pub torn_tails: Counter,
-    /// Records whose checksum verified clean during scrub.
-    pub scrub_ok: Counter,
-    /// Checksum failures found by scrub.
-    pub scrub_corrupt: Counter,
-    /// Corrupt records repaired from an intact duplicate elsewhere in the
-    /// log (content-addressed by the record checksum).
-    pub scrub_repaired: Counter,
-    /// Checkpoint files rejected at load time (bad checksum or torn JSON),
-    /// quarantined and answered by the in-memory ring fallback.
-    pub checkpoint_rejects: Counter,
-    /// Compactions completed.
-    pub compactions: Counter,
-    /// Live WAL segment files.
-    pub segments: Gauge,
-    /// Bytes across live WAL segment files.
-    pub store_bytes: Gauge,
-    /// Wall time of individual WAL appends (writer thread side).
-    pub append_wall: Histogram,
-}
-
-impl StdbStats {
-    /// Captures the summary.
-    pub fn snapshot(&self) -> StdbSnapshot {
-        StdbSnapshot {
-            ingest_records: self.ingest_records.get(),
-            ingest_bytes: self.ingest_bytes.get(),
-            dropped_records: self.dropped_records.get(),
-            append_retries: self.append_retries.get(),
-            replay_hits: self.replay_hits.get(),
-            replay_misses: self.replay_misses.get(),
-            quarantined_records: self.quarantined_records.get(),
-            torn_tails: self.torn_tails.get(),
-            scrub_ok: self.scrub_ok.get(),
-            scrub_corrupt: self.scrub_corrupt.get(),
-            scrub_repaired: self.scrub_repaired.get(),
-            checkpoint_rejects: self.checkpoint_rejects.get(),
-            compactions: self.compactions.get(),
-            segments: self.segments.get(),
-            store_bytes: self.store_bytes.get(),
-            append_wall: self.append_wall.snapshot(),
-        }
-    }
-
-    fn reset(&self) {
-        self.ingest_records.reset();
-        self.ingest_bytes.reset();
-        self.dropped_records.reset();
-        self.append_retries.reset();
-        self.replay_hits.reset();
-        self.replay_misses.reset();
-        self.quarantined_records.reset();
-        self.torn_tails.reset();
-        self.scrub_ok.reset();
-        self.scrub_corrupt.reset();
-        self.scrub_repaired.reset();
-        self.checkpoint_rejects.reset();
-        self.compactions.reset();
-        self.segments.reset();
-        self.store_bytes.reset();
-        self.append_wall.reset();
-    }
-}
-
-/// Serializable form of [`StdbStats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StdbSnapshot {
-    pub ingest_records: u64,
-    pub ingest_bytes: u64,
-    pub dropped_records: u64,
-    pub append_retries: u64,
-    pub replay_hits: u64,
-    pub replay_misses: u64,
-    pub quarantined_records: u64,
-    pub torn_tails: u64,
-    pub scrub_ok: u64,
-    pub scrub_corrupt: u64,
-    pub scrub_repaired: u64,
-    pub checkpoint_rejects: u64,
-    pub compactions: u64,
-    pub segments: i64,
-    pub store_bytes: i64,
-    pub append_wall: HistogramSnapshot,
-}
-
-/// Wire-protocol statistics: bytes on the wire per direction, frame
-/// counts, handshakes, encode/decode latency, and the pipelined in-flight
-/// window depth.
-#[derive(Debug, Default)]
-pub struct WireStats {
-    /// Payload bytes written as frames (request + response bodies,
-    /// excluding the 4-byte length prefix).
-    pub tx_bytes: Counter,
-    /// Payload bytes read as frames.
-    pub rx_bytes: Counter,
-    /// Frames moved in either direction.
-    pub frames: Counter,
-    /// Frames that failed to decode (answered in band as typed errors).
-    pub decode_errors: Counter,
-    /// Calls issued through the pipelined (multi-in-flight) path.
-    pub pipelined_calls: Counter,
-    /// `Hello`/`HelloAck` handshakes the server completed.
-    pub negotiations: Counter,
-    /// Requests currently in flight on pipelined sockets.
-    pub in_flight: Gauge,
-    /// Wall time spent encoding frames.
-    pub encode_wall: Histogram,
-    /// Wall time spent decoding frames.
-    pub decode_wall: Histogram,
-}
-
-impl WireStats {
-    /// Captures the summary.
-    pub fn snapshot(&self) -> WireSnapshot {
-        WireSnapshot {
-            tx_bytes: self.tx_bytes.get(),
-            rx_bytes: self.rx_bytes.get(),
-            frames: self.frames.get(),
-            decode_errors: self.decode_errors.get(),
-            pipelined_calls: self.pipelined_calls.get(),
-            negotiations: self.negotiations.get(),
-            in_flight: self.in_flight.get(),
-            encode_wall: self.encode_wall.snapshot(),
-            decode_wall: self.decode_wall.snapshot(),
-        }
-    }
-
-    fn reset(&self) {
-        self.tx_bytes.reset();
-        self.rx_bytes.reset();
-        self.frames.reset();
-        self.decode_errors.reset();
-        self.pipelined_calls.reset();
-        self.negotiations.reset();
-        self.in_flight.reset();
-        self.encode_wall.reset();
-        self.decode_wall.reset();
-    }
-}
-
-/// Serializable form of [`WireStats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WireSnapshot {
-    pub tx_bytes: u64,
-    pub rx_bytes: u64,
-    pub frames: u64,
-    pub decode_errors: u64,
-    pub pipelined_calls: u64,
-    pub negotiations: u64,
-    pub in_flight: i64,
-    pub encode_wall: HistogramSnapshot,
-    pub decode_wall: HistogramSnapshot,
-}
-
-/// The telemetry registry for one process.
-///
-/// Most code uses the shared [`global`] instance; tests may build private
-/// instances with [`Telemetry::new`].
-#[derive(Debug, Default)]
-pub struct Telemetry {
-    /// Per-request-kind service latency (`Ping`, `Step`, ...).
-    pub requests: Family<Histogram>,
-    /// Per-request-kind error responses.
-    pub request_errors: Family<Counter>,
-    /// Service requests currently being processed.
-    pub in_flight: Gauge,
-    /// Requests that hit the client deadline.
-    pub timeouts: Counter,
-    /// Session panics caught by the service runtime.
-    pub panics: Counter,
-    /// Service restarts (explicit or transparent-recovery).
-    pub restarts: Counter,
-    /// Episodes transparently restored mid-flight by action replay after a
-    /// service fault.
-    pub recoveries: Counter,
-    /// Replays whose reward metric diverged from the pre-fault value
-    /// (surfaced to callers as a typed error rather than silent corruption).
-    pub replay_divergences: Counter,
-    /// TCP client reconnects after an I/O error on the service socket.
-    pub reconnects: Counter,
-    /// Session checkpoints serialized by the service worker.
-    pub checkpoints_taken: Counter,
-    /// Recoveries that restored from a checkpoint (suffix replay) instead of
-    /// replaying the full action history.
-    pub checkpoint_restores: Counter,
-    /// Sessions destroyed in-service for exceeding a resource budget
-    /// (wall-clock or state-size), answered with a typed in-band error.
-    pub budget_kills: Counter,
-    /// Services proactively restarted by the watchdog after missed
-    /// heartbeats.
-    pub watchdog_restarts: Counter,
-    /// Circuit-breaker transitions to the open state.
-    pub breaker_trips: Counter,
-    /// Calls rejected fast because a circuit was open.
-    pub breaker_fast_fails: Counter,
-    /// Circuit-breaker transitions from open to half-open (probe allowed).
-    pub breaker_half_opens: Counter,
+metrics! {
     /// Episode-level environment statistics.
-    pub episode: EpisodeStats,
-    /// Per-observation-space computation latency.
-    pub observations: Family<Histogram>,
-    /// Per-pass profiling table.
-    pub passes: PassTable,
-    /// Differential-fuzzer statistics (`cg fuzz`).
-    pub fuzz: FuzzStats,
-    /// Parallel-evaluation pool and evaluation-cache statistics.
-    pub pool: PoolStats,
-    /// Multi-tenant session-broker front-door statistics.
-    pub broker: BrokerStats,
-    /// Transition-store (WAL ingest, scrub, replay) statistics.
-    pub stdb: StdbStats,
-    /// Wire-protocol (frames + pipelining) statistics.
-    pub wire: WireStats,
-    /// Structured trace ring with the embedded episode flight recorder.
-    pub trace: TraceBuffer,
-    /// Step-latency service-level objective tracking.
-    pub slo: StepSlo,
+    #[derive(Debug, Default)]
+    pub struct EpisodeStats => EpisodeSnapshot {
+        /// Completed `reset()` calls.
+        episodes: Counter ["cg_episodes_total" "Completed reset() calls."],
+        /// Completed `step()` calls.
+        steps: Counter ["cg_steps_total" "Completed step() calls."],
+        /// Actions applied (one step may apply several).
+        actions_total: Counter ["cg_actions_total" "Actions applied."],
+        /// Actions that actually mutated the program state.
+        actions_changed: Counter ["cg_actions_changed_total" "Actions that mutated program state."],
+        /// Sum of all step rewards.
+        reward_sum: FloatSum ["cg_reward_sum" "Sum of all step rewards."],
+        /// `reset()` wall time.
+        reset_wall: Histogram ["cg_reset_latency_micros" "reset() wall time in microseconds."],
+        /// `step()` wall time.
+        step_wall: Histogram ["cg_step_latency_micros" "step() wall time in microseconds."],
+        /// `fork()` wall time.
+        fork_wall: Histogram ["cg_fork_latency_micros" "fork() wall time in microseconds."],
+    }
+}
+
+metrics! {
+    /// Parallel-evaluation statistics: the `EnvPool` worker fleet and the
+    /// shared evaluation cache (exact hits plus prefix-trie reuse).
+    #[derive(Debug, Default)]
+    pub struct PoolStats => PoolSnapshot {
+        /// Evaluation jobs completed (hit or miss, success or error).
+        jobs: Counter ["cg_pool_jobs_total" "Evaluation jobs completed."],
+        /// Jobs that finished with an error outcome (after recovery gave up).
+        job_errors: Counter ["cg_pool_job_errors_total" "Jobs that finished with an error."],
+        /// Worker panics caught mid-job (the worker's env is rebuilt).
+        job_panics: Counter ["cg_pool_job_panics_total" "Worker panics caught mid-job."],
+        /// Exact evaluation-cache hits: the full `(benchmark, sequence)` pair
+        /// was already evaluated, so zero passes ran.
+        cache_hits: Counter ["cg_cache_hits_total" "Exact evaluation-cache hits."],
+        /// Cache lookups that found no exact entry.
+        cache_misses: Counter ["cg_cache_misses_total" "Evaluation-cache misses."],
+        /// Prefix-trie hits: a stored snapshot covered a proper prefix of the
+        /// sequence, so only the novel suffix was executed.
+        prefix_hits: Counter ["cg_cache_prefix_hits_total" "Prefix-trie snapshot hits."],
+        /// Raw pass applications actually executed by pool workers.
+        actions_executed: Counter
+            ["cg_actions_executed_total" "Pass applications executed by workers."],
+        /// Pass applications skipped thanks to exact or prefix cache reuse.
+        actions_saved: Counter
+            ["cg_actions_saved_total" "Pass applications skipped via cache reuse."],
+        /// Cache entries discarded to respect the capacity bound.
+        evictions: Counter ["cg_cache_evictions_total" "Cache entries evicted."],
+        /// Worker threads currently alive across all pools.
+        workers: Gauge ["cg_pool_workers" "Worker threads alive."],
+        /// Jobs queued but not yet picked up by a worker.
+        queue_depth: Gauge ["cg_pool_queue_depth" "Jobs queued, not yet running."],
+        /// Wall time of whole `evaluate_batch` calls.
+        batch_wall: Histogram
+            ["cg_pool_batch_latency_micros" "evaluate_batch wall time in microseconds."],
+        /// Wall time of individual evaluation jobs.
+        job_wall: Histogram
+            ["cg_pool_job_latency_micros" "Evaluation job wall time in microseconds."],
+    }
+}
+
+metrics! {
+    /// Session-broker front-door statistics: admission control, per-tenant
+    /// quotas, queueing, load shedding, and graceful drain.
+    #[derive(Debug, Default)]
+    pub struct BrokerStats => BrokerSnapshot {
+        /// Sessions admitted through the front door (quota reserved).
+        admitted: Counter
+            ["cg_broker_admitted_total" "Sessions admitted through the front door."],
+        /// Requests refused by the admission ladder (capacity or drain), each
+        /// answered with a typed in-band `Overloaded` carrying `retry_after_ms`.
+        refused: Counter ["cg_broker_refused_total"
+            "Requests refused by admission control with a typed Overloaded."],
+        /// Queued work shed under queue pressure (newest non-established first).
+        shed: Counter ["cg_broker_shed_total" "Queued work shed under overload."],
+        /// Refusals attributable to a per-tenant quota (concurrent sessions or
+        /// actions-per-second), a subset of `refused`.
+        quota_refusals: Counter
+            ["cg_broker_quota_refusals_total" "Refusals due to a per-tenant quota."],
+        /// Graceful drains initiated.
+        drains: Counter ["cg_broker_drains_total" "Graceful drains initiated."],
+        /// Live sessions checkpointed during drain.
+        drained_checkpoints: Counter
+            ["cg_broker_drained_checkpoints_total" "Live sessions checkpointed during drain."],
+        /// Live sessions across all broker workers (including reservations for
+        /// admitted-but-not-yet-started sessions).
+        sessions: Gauge ["cg_broker_sessions" "Live broker sessions."],
+        /// Requests queued in tenant FIFOs, not yet dispatched to a worker.
+        queue_depth: Gauge ["cg_broker_queue_depth" "Requests queued in tenant FIFOs."],
+        /// Open front-door TCP connections.
+        connections: Gauge ["cg_broker_connections" "Open front-door TCP connections."],
+        /// Time requests spend queued before a worker picks them up.
+        queue_wait: Histogram ["cg_broker_queue_wait_micros"
+            "Time requests spend queued before dispatch, in microseconds."],
+    }
+}
+
+metrics! {
+    /// Transition-store (`cg-stdb`) statistics: WAL ingest, backpressure,
+    /// recovery, scrub/compaction, and the replay environment's hit rate.
+    #[derive(Debug, Default)]
+    pub struct StdbStats => StdbSnapshot {
+        /// Records durably appended to the write-ahead log.
+        ingest_records: Counter ["cg_stdb_ingest_records_total"
+            "Records durably appended to the transition-store WAL."],
+        /// Payload bytes appended to the write-ahead log.
+        ingest_bytes: Counter ["cg_stdb_ingest_bytes_total"
+            "Payload bytes appended to the transition-store WAL."],
+        /// Records dropped by the bounded ingest queue's backpressure policy
+        /// (or abandoned after an unrecoverable append error). Every drop is
+        /// counted — the store never loses a record silently.
+        dropped_records: Counter ["cg_stdb_dropped_records_total"
+            "Records dropped by ingest backpressure or append failure."],
+        /// Appends retried after an in-process torn write was rolled back.
+        append_retries: Counter
+            ["cg_stdb_append_retries_total" "Appends retried after a rolled-back torn write."],
+        /// Replay-environment steps answered straight from the store.
+        replay_hits: Counter
+            ["cg_stdb_replay_hits_total" "Replay-env steps answered from the store."],
+        /// Replay-environment requests that fell through to the live compiler
+        /// (missing or quarantined transition; traced as `stdb:miss`).
+        replay_misses: Counter ["cg_stdb_replay_misses_total"
+            "Replay-env requests that fell through to the live compiler."],
+        /// Corrupt records quarantined during recovery or scrub (never
+        /// silently skipped).
+        quarantined_records: Counter ["cg_stdb_quarantined_records_total"
+            "Corrupt records quarantined by recovery or scrub."],
+        /// Torn tails truncated during recovery-on-open.
+        torn_tails: Counter
+            ["cg_stdb_torn_tails_total" "Torn WAL tails truncated during recovery-on-open."],
+        /// Records whose checksum verified clean during scrub.
+        scrub_ok: Counter
+            ["cg_stdb_scrub_ok_total" "Records whose checksum verified clean during scrub."],
+        /// Checksum failures found by scrub.
+        scrub_corrupt: Counter ["cg_stdb_scrub_corrupt_total" "Checksum failures found by scrub."],
+        /// Corrupt records repaired from an intact duplicate elsewhere in the
+        /// log (content-addressed by the record checksum).
+        scrub_repaired: Counter ["cg_stdb_scrub_repaired_total"
+            "Corrupt records repaired from intact duplicates."],
+        /// Checkpoint files rejected at load time (bad checksum or torn JSON),
+        /// quarantined and answered by the in-memory ring fallback.
+        checkpoint_rejects: Counter ["cg_stdb_checkpoint_rejects_total"
+            "Checkpoint files rejected at load (bad checksum or torn)."],
+        /// Compactions completed.
+        compactions: Counter
+            ["cg_stdb_compactions_total" "Transition-store compactions completed."],
+        /// Live WAL segment files.
+        segments: Gauge ["cg_stdb_segments" "Live transition-store WAL segments."],
+        /// Bytes across live WAL segment files.
+        store_bytes: Gauge
+            ["cg_stdb_store_bytes" "Bytes across live transition-store WAL segments."],
+        /// Wall time of individual WAL appends (writer thread side).
+        append_wall: Histogram
+            ["cg_stdb_append_wall_micros" "WAL append wall time in microseconds."],
+    }
+}
+
+metrics! {
+    /// Wire-protocol statistics: bytes on the wire per direction, frame
+    /// counts, handshakes, encode/decode latency, and the pipelined in-flight
+    /// window depth.
+    #[derive(Debug, Default)]
+    pub struct WireStats => WireSnapshot {
+        /// Payload bytes written as frames (request + response bodies,
+        /// excluding the 4-byte length prefix).
+        tx_bytes: Counter ["cg_wire_tx_bytes_total" "Payload bytes written as CGB1 frames."],
+        /// Payload bytes read as frames.
+        rx_bytes: Counter ["cg_wire_rx_bytes_total" "Payload bytes read as CGB1 frames."],
+        /// Frames moved in either direction.
+        frames: Counter ["cg_wire_frames_total" "Frames moved in either direction."],
+        /// Frames that failed to decode (answered in band as typed errors).
+        decode_errors: Counter
+            ["cg_wire_decode_errors_total" "Frames that failed to decode (answered in band)."],
+        /// Calls issued through the pipelined (multi-in-flight) path.
+        pipelined_calls: Counter
+            ["cg_wire_pipelined_calls_total" "Calls issued through the pipelined path."],
+        /// `Hello`/`HelloAck` handshakes the server completed.
+        negotiations: Counter
+            ["cg_wire_negotiations_total" "Hello/HelloAck handshakes the server completed."],
+        /// Requests currently in flight on pipelined sockets.
+        in_flight: Gauge
+            ["cg_wire_in_flight" "Requests currently in flight on pipelined sockets."],
+        /// Wall time spent encoding frames.
+        encode_wall: Histogram
+            ["cg_wire_encode_micros" "Frame encode wall time in microseconds."],
+        /// Wall time spent decoding frames.
+        decode_wall: Histogram
+            ["cg_wire_decode_micros" "Frame decode wall time in microseconds."],
+    }
+}
+
+metrics! {
+    /// The telemetry registry for one process.
+    ///
+    /// Most code uses the shared [`global`] instance; tests may build private
+    /// instances with [`Telemetry::new`]. [`Telemetry::snapshot`] captures
+    /// every metric with deterministic (sorted) key order, and
+    /// [`Telemetry::reset`] zeroes them and clears the trace ring.
+    #[derive(Debug, Default)]
+    pub struct Telemetry => TelemetrySnapshot {
+        /// Per-request-kind service latency (`Ping`, `Step`, ...).
+        requests: Family<Histogram> [by "kind"
+            "cg_requests_total" "Service requests handled, by request kind." = |h| &h.count;
+            "cg_request_latency_micros"
+            "Service request latency in microseconds, by request kind." = |h| h],
+        /// Per-request-kind error responses.
+        request_errors: Family<Counter>
+            [by "kind" "cg_request_errors_total" "Error responses, by request kind." = |c| c],
+        /// Service requests currently being processed.
+        in_flight: Gauge ["cg_in_flight" "Service requests currently being processed."],
+        /// Requests that hit the client deadline.
+        timeouts: Counter ["cg_timeouts_total" "Requests that hit the client deadline."],
+        /// Session panics caught by the service runtime.
+        panics: Counter ["cg_panics_total" "Session panics caught by the service runtime."],
+        /// Service restarts (explicit or transparent-recovery).
+        restarts: Counter ["cg_restarts_total" "Service restarts."],
+        /// Episodes transparently restored mid-flight by action replay after a
+        /// service fault.
+        recoveries: Counter ["cg_recoveries_total" "Episodes transparently recovered by replay."],
+        /// Replays whose reward metric diverged from the pre-fault value
+        /// (surfaced to callers as a typed error rather than silent corruption).
+        replay_divergences: Counter
+            ["cg_replay_divergences_total" "Replays whose reward metric diverged."],
+        /// TCP client reconnects after an I/O error on the service socket.
+        reconnects: Counter ["cg_reconnects_total" "TCP client reconnects."],
+        /// Session checkpoints serialized by the service worker.
+        checkpoints_taken: Counter
+            ["cg_checkpoints_taken_total" "Session checkpoints serialized."],
+        /// Recoveries that restored from a checkpoint (suffix replay) instead of
+        /// replaying the full action history.
+        checkpoint_restores: Counter
+            ["cg_checkpoint_restores_total" "Recoveries restored from a checkpoint."],
+        /// Sessions destroyed in-service for exceeding a resource budget
+        /// (wall-clock or state-size), answered with a typed in-band error.
+        budget_kills: Counter
+            ["cg_budget_kills_total" "Sessions killed in-band by a resource budget."],
+        /// Services proactively restarted by the watchdog after missed
+        /// heartbeats.
+        watchdog_restarts: Counter ["cg_watchdog_restarts_total" "Watchdog-initiated restarts."],
+        /// Circuit-breaker transitions to the open state.
+        breaker_trips: Counter ["cg_breaker_trips_total" "Circuit-breaker open transitions."],
+        /// Calls rejected fast because a circuit was open.
+        breaker_fast_fails: Counter
+            ["cg_breaker_fast_fails_total" "Calls rejected by an open circuit."],
+        /// Circuit-breaker transitions from open to half-open (probe allowed).
+        breaker_half_opens: Counter
+            ["cg_breaker_half_opens_total" "Circuit-breaker half-open probes."],
+        /// Episode-level environment statistics.
+        episode: EpisodeStats [],
+        /// Per-observation-space computation latency.
+        observations: Family<Histogram> [by "space" "cg_observation_latency_micros"
+            "Observation computation latency in microseconds, by space." = |h| h],
+        /// Per-pass profiling table.
+        passes: PassTable [by "pass"
+            "cg_pass_calls_total" "Pass invocations, by pass." = |p| &p.calls;
+            "cg_pass_wall_micros_total"
+            "Cumulative pass wall time in microseconds, by pass." = |p| &p.total_micros;
+            "cg_pass_changed_total" "Invocations that changed the module, by pass." = |p| &p.changed;
+            "cg_pass_inst_delta"
+            "Cumulative signed instruction-count delta, by pass." = |p| &p.inst_delta;
+            "cg_pass_latency_micros" "Pass invocation wall time in microseconds, by pass." = |p| p],
+        /// Differential-fuzzer statistics (`cg fuzz`).
+        fuzz: FuzzStats [],
+        /// Parallel-evaluation pool and evaluation-cache statistics.
+        pool: PoolStats [],
+        /// Multi-tenant session-broker front-door statistics.
+        broker: BrokerStats [],
+        /// Transition-store (WAL ingest, scrub, replay) statistics.
+        stdb: StdbStats [],
+        /// Wire-protocol (frames + pipelining) statistics.
+        wire: WireStats [],
+    }
+    derived {
+        trace_events: u64 [gauge "cg_trace_spans" "Span records currently buffered."]
+            = |t| t.trace.len() as u64,
+        trace_dropped: u64 ["cg_trace_dropped_total" "Span records evicted from the ring."]
+            = |t| t.trace.dropped(),
+        episodes_recorded: u64 ["cg_episodes_recorded_total" "Flight-recorder episodes opened."]
+            = |t| t.trace.recorder().recorded(),
+        episodes_dropped: u64 ["cg_episodes_evicted_total" "Flight-recorder episodes evicted."]
+            = |t| t.trace.recorder().dropped_episodes(),
+        episode_spans_dropped: u64
+            ["cg_episode_spans_dropped_total" "Spans dropped by per-episode caps."]
+            = |t| t.trace.recorder().dropped_spans(),
+        slo: SloSnapshot [] = |t| t.slo.snapshot(),
+    }
+    hidden {
+        /// Structured trace ring with the embedded episode flight recorder.
+        pub trace: TraceBuffer = TraceBuffer::clear,
+        /// Step-latency service-level objective tracking.
+        pub slo: StepSlo = StepSlo::reset,
+    }
 }
 
 impl Telemetry {
@@ -1767,124 +1706,6 @@ impl Telemetry {
     pub fn new() -> Telemetry {
         Telemetry::default()
     }
-
-    /// Captures every metric into a serializable snapshot with deterministic
-    /// (sorted) key order.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut requests = BTreeMap::new();
-        self.requests.for_each(|k, h| {
-            requests.insert(k.to_string(), h.snapshot());
-        });
-        let mut request_errors = BTreeMap::new();
-        self.request_errors.for_each(|k, c| {
-            request_errors.insert(k.to_string(), c.get());
-        });
-        let mut observations = BTreeMap::new();
-        self.observations.for_each(|k, h| {
-            observations.insert(k.to_string(), h.snapshot());
-        });
-        let mut passes = BTreeMap::new();
-        self.passes.for_each(|k, p| {
-            passes.insert(k.to_string(), p.snapshot());
-        });
-        TelemetrySnapshot {
-            requests,
-            request_errors,
-            in_flight: self.in_flight.get(),
-            timeouts: self.timeouts.get(),
-            panics: self.panics.get(),
-            restarts: self.restarts.get(),
-            recoveries: self.recoveries.get(),
-            replay_divergences: self.replay_divergences.get(),
-            reconnects: self.reconnects.get(),
-            checkpoints_taken: self.checkpoints_taken.get(),
-            checkpoint_restores: self.checkpoint_restores.get(),
-            budget_kills: self.budget_kills.get(),
-            watchdog_restarts: self.watchdog_restarts.get(),
-            breaker_trips: self.breaker_trips.get(),
-            breaker_fast_fails: self.breaker_fast_fails.get(),
-            breaker_half_opens: self.breaker_half_opens.get(),
-            episode: self.episode.snapshot(),
-            observations,
-            passes,
-            fuzz: self.fuzz.snapshot(),
-            pool: self.pool.snapshot(),
-            broker: self.broker.snapshot(),
-            stdb: self.stdb.snapshot(),
-            wire: self.wire.snapshot(),
-            trace_events: self.trace.len() as u64,
-            trace_dropped: self.trace.dropped(),
-            episodes_recorded: self.trace.recorder().recorded(),
-            episodes_dropped: self.trace.recorder().dropped_episodes(),
-            episode_spans_dropped: self.trace.recorder().dropped_spans(),
-            slo: self.slo.snapshot(),
-        }
-    }
-
-    /// Zeroes every metric and clears the trace ring.
-    pub fn reset(&self) {
-        self.requests.for_each(|_, h| h.reset());
-        self.request_errors.for_each(|_, c| c.reset());
-        self.in_flight.reset();
-        self.timeouts.reset();
-        self.panics.reset();
-        self.restarts.reset();
-        self.recoveries.reset();
-        self.replay_divergences.reset();
-        self.reconnects.reset();
-        self.checkpoints_taken.reset();
-        self.checkpoint_restores.reset();
-        self.budget_kills.reset();
-        self.watchdog_restarts.reset();
-        self.breaker_trips.reset();
-        self.breaker_fast_fails.reset();
-        self.breaker_half_opens.reset();
-        self.episode.reset();
-        self.observations.for_each(|_, h| h.reset());
-        self.passes.for_each(|_, p| p.reset());
-        self.fuzz.reset();
-        self.pool.reset();
-        self.broker.reset();
-        self.stdb.reset();
-        self.wire.reset();
-        self.trace.clear();
-        self.slo.reset();
-    }
-}
-
-/// Point-in-time capture of a [`Telemetry`] registry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TelemetrySnapshot {
-    pub requests: BTreeMap<String, HistogramSnapshot>,
-    pub request_errors: BTreeMap<String, u64>,
-    pub in_flight: i64,
-    pub timeouts: u64,
-    pub panics: u64,
-    pub restarts: u64,
-    pub recoveries: u64,
-    pub replay_divergences: u64,
-    pub reconnects: u64,
-    pub checkpoints_taken: u64,
-    pub checkpoint_restores: u64,
-    pub budget_kills: u64,
-    pub watchdog_restarts: u64,
-    pub breaker_trips: u64,
-    pub breaker_fast_fails: u64,
-    pub breaker_half_opens: u64,
-    pub episode: EpisodeSnapshot,
-    pub observations: BTreeMap<String, HistogramSnapshot>,
-    pub passes: BTreeMap<String, PassSnapshot>,
-    pub fuzz: FuzzSnapshot,
-    pub pool: PoolSnapshot,
-    pub broker: BrokerSnapshot,
-    pub stdb: StdbSnapshot,
-    pub wire: WireSnapshot,
-    pub trace_events: u64,
-    pub trace_dropped: u64,
-    pub episodes_recorded: u64,
-    pub episodes_dropped: u64,
-    pub episode_spans_dropped: u64,
-    pub slo: SloSnapshot,
 }
 
 /// The process-wide registry.
@@ -2286,6 +2107,43 @@ mod tests {
         assert_eq!(snap.requests["Step"].count, 0);
         assert_eq!(snap.passes["gvn"].calls, 0);
         assert_eq!(snap.trace_events, 0);
+    }
+
+    /// `cg stats --json` prints a serialized [`TelemetrySnapshot`]; these
+    /// are the keys its consumers read.
+    #[test]
+    fn stats_json_keeps_its_schema() {
+        let t = Telemetry::new();
+        t.slo.configure(Duration::from_millis(250), 0.99);
+        t.slo.record(Duration::from_millis(1));
+        let v = serde_json::parse_value(&serde_json::to_string(&t.snapshot()).unwrap()).unwrap();
+        for key in [
+            "requests",
+            "restarts",
+            "recoveries",
+            "episode",
+            "pool",
+            "trace_events",
+            "trace_dropped",
+            "episodes_recorded",
+            "episodes_dropped",
+            "episode_spans_dropped",
+            "slo",
+        ] {
+            assert!(v.get(key).is_some(), "cg stats --json lost `{key}`");
+        }
+        let slo = v.get("slo").unwrap();
+        for key in [
+            "objective_micros",
+            "target",
+            "good",
+            "bad",
+            "compliance",
+            "burn_rate",
+        ] {
+            assert!(slo.get(key).is_some(), "cg stats --json lost `slo.{key}`");
+        }
+        assert_eq!(t.snapshot().slo.good, 1, "SLO recorded no steps");
     }
 
     #[test]
