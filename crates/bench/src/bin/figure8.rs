@@ -13,19 +13,22 @@ fn main() {
         .map(|i| format!("benchmark://csmith-v0/{}", 1000 + i))
         .collect();
     eprintln!("generating state transition database over {n_bench} benchmarks…");
-    let db = cg_stdb::generate_database(&benchmarks, episodes, steps, 1).unwrap();
+    let dir = std::env::temp_dir().join(format!("cg-figure8-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = cg_stdb::TransitionStore::open(&dir, cg_stdb::StoreConfig::default()).unwrap();
+    let total = (n_bench * episodes) as u64;
+    cg_stdb::generate(&store, &benchmarks, total, steps as u64, 1).unwrap();
+    let stats = store.stats();
     eprintln!(
         "database: {} steps, {} unique states",
-        db.steps.len(),
-        db.unique_states()
+        stats.steps, stats.observations
     );
 
     // Build (graph encoding, instruction count) pairs per unique state:
     // parse the stored IR back into modules, build the ProGraML graphs, and
     // encode them with the GGNN — exactly the paper's (graph, count) pairs.
-    let mut rows: Vec<&cg_stdb::ObservationRow> = db.observations.values().collect();
-    rows.sort_by_key(|o| o.state);
-    let data: Vec<(Vec<f32>, f32)> = rows
+    let data: Vec<(Vec<f32>, f32)> = store
+        .observations()
         .iter()
         .map(|obs| {
             let m = cg_ir::parser::parse_module(&obs.ir_text).expect("stored IR parses");
@@ -33,6 +36,8 @@ fn main() {
             (ggnn::encode(&g), obs.ir_instruction_count as f32)
         })
         .collect();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
     let split = data.len() * 8 / 10;
     let (train, val) = data.split_at(split);
     let scale = train.iter().map(|(_, t)| *t).fold(1.0f32, f32::max);

@@ -205,22 +205,20 @@ fn install_stdb_sink(
     Ok(store)
 }
 
-/// Runs one deterministic episode (the same action schedule `cg chaos`
-/// uses), returning the episode reward. Live and replay environments fed
-/// the same `(seed, ep, steps)` walk identical trajectories, which is what
-/// makes the replay-vs-live comparison meaningful.
+/// Runs one deterministic episode ([`cg_stdb::seeded_action`]'s schedule),
+/// returning the episode reward. Live and replay environments fed the same
+/// `(seed, ep, steps)` walk identical trajectories, which is what makes the
+/// replay-vs-live comparison meaningful.
 fn seeded_episode(
     env: &mut cg_core::CompilerEnv,
     seed: u64,
     ep: u64,
     steps: u64,
 ) -> Result<f64, cg_core::CgError> {
-    use cg_core::retry::splitmix64;
     env.reset()?;
-    let n = env.action_space().len() as u64;
+    let n = env.action_space().len();
     for s in 0..steps {
-        let a = (splitmix64(seed ^ (ep * 1_000 + s).wrapping_mul(0x9E37)) % n) as usize;
-        if env.step(a)?.done {
+        if env.step(cg_stdb::seeded_action(seed, ep, s, n))?.done {
             break;
         }
     }
@@ -470,7 +468,6 @@ fn stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         + sdb.replay_hits
         + sdb.replay_misses
         + sdb.quarantined_records
-        + sdb.checkpoint_rejects
         > 0
     {
         println!("\ntransition store:");
@@ -494,13 +491,12 @@ fn stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         println!(
             "  integrity: torn-tails={} quarantined={} scrub ok={} corrupt={} repaired={} \
-             checkpoint-rejects={} compactions={}",
+             compactions={}",
             sdb.torn_tails,
             sdb.quarantined_records,
             sdb.scrub_ok,
             sdb.scrub_corrupt,
             sdb.scrub_repaired,
-            sdb.checkpoint_rejects,
             sdb.compactions
         );
         println!("  wal: segments={} bytes={}", sdb.segments, sdb.store_bytes);
@@ -1006,7 +1002,6 @@ fn fuzz(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// non-zero when any episode failed in a way recovery should have absorbed.
 fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use cg_core::chaos::FaultPlan;
-    use cg_core::retry::splitmix64;
     use std::time::Duration;
 
     let mut episodes: u64 = 20;
@@ -1217,10 +1212,10 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             unrecovered.push(format!("episode {ep}: reset: {e}"));
             continue;
         }
-        let n = env.action_space().len() as u64;
+        let n = env.action_space().len();
         let mut ok = true;
         for s in 0..steps {
-            let a = (splitmix64(seed ^ (ep * 1_000 + s).wrapping_mul(0x9E37)) % n) as usize;
+            let a = cg_stdb::seeded_action(seed, ep, s, n);
             match env.step(a) {
                 Ok(step) if step.done => break,
                 Ok(_) => {}
@@ -1653,16 +1648,10 @@ fn stdb_generate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let dir = stdb_dir_arg(&positional, "generate")?;
-    let store = install_stdb_sink(dir)?;
-    let mut env = cg_core::make("llvm-v0")?;
-    for ep in 0..episodes {
-        env.set_benchmark(SOAK_BENCHMARKS[(ep % SOAK_BENCHMARKS.len() as u64) as usize]);
-        seeded_episode(&mut env, seed, ep, steps)?;
-    }
-    drop(env);
-    store.flush();
+    let store =
+        cg_stdb::TransitionStore::open(std::path::Path::new(dir), cg_stdb::StoreConfig::default())?;
+    cg_stdb::generate(&store, &SOAK_BENCHMARKS, episodes, steps, seed)?;
     let stats = store.stats();
-    cg_core::clear_transition_sink();
     if json {
         println!("{}", serde_json::to_string_pretty(&stats)?);
     } else {
@@ -1784,8 +1773,8 @@ fn stdb_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         println!("transition store {}", stats.dir);
         println!(
-            "  index: steps={} edges={} observations={} benchmarks={}",
-            stats.steps, stats.edges, stats.observations, stats.benchmarks
+            "  index: steps={} edges={} observations={} benchmarks={} checkpoints={}",
+            stats.steps, stats.edges, stats.observations, stats.benchmarks, stats.checkpoints
         );
         println!(
             "  wal: segments={} bytes={} recovered-records={}",

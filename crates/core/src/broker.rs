@@ -35,8 +35,12 @@
 //! * **Graceful drain.** [`Broker::drain`] stops admitting new sessions,
 //!   lets queued work finish within a grace period, sheds the remainder
 //!   (typed refusals, not silence), then stops the fleet — each worker
-//!   parks its live sessions into the [`CheckpointStore`] so episodes
-//!   survive restarts.
+//!   parks its live sessions into the [`CheckpointStore`]. Parked episodes
+//!   survive a worker restart and a broker rebuilt in the same process
+//!   over the same store; they survive a *process* restart only when the
+//!   embedder passes a durable ring, cg-stdb's
+//!   `TransitionStore::checkpoint_store`, as [`BrokerConfig::checkpoints`].
+//!   `cg serve` uses the default in-memory ring, which exits with it.
 //!   A `Shutdown` request over TCP triggers the same path.
 //! * **Connection-scoped sessions.** Over TCP a session belongs to the
 //!   connection that created it: when the socket closes — client crash,

@@ -36,8 +36,9 @@
 //! it serves: under load a session's checkpoint may be evicted before it is
 //! needed, and recovery then replays the whole history — slower, never
 //! wrong. An optional [`CheckpointSink`] callback
-//! mirrors every checkpoint, encoded, to external storage (cg-stdb
-//! provides a crash-safe temp-file+rename disk sink).
+//! mirrors every checkpoint, encoded, to external storage: cg-stdb's
+//! `TransitionStore::checkpoint_store` appends each one to the transition
+//! store's write-ahead log and seeds its ring from the log at open.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -123,7 +124,7 @@ impl From<Checkpoint> for RingCheckpoint {
 }
 
 /// Destination for mirroring checkpoints outside the in-memory ring
-/// (e.g. cg-stdb's crash-safe disk sink). Failures are the sink's problem:
+/// (e.g. cg-stdb's write-ahead log). Failures are the sink's problem:
 /// checkpointing must never fail the step that triggered it.
 pub type CheckpointSink = Arc<dyn Fn(&Checkpoint) + Send + Sync>;
 

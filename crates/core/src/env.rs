@@ -669,18 +669,23 @@ impl CompilerEnv {
     /// at least the server-advised `retry_after_ms` (the policy's jittered
     /// backoff never rounds below it) and re-issue the identical request.
     /// Replay and restart are never involved: overload is not a fault.
-    fn call_patient(&self, req: Request) -> Result<Response, CgError> {
+    ///
+    /// The request is built afresh only for a retry, so the first attempt
+    /// sends what `build` made without a copy.
+    fn call_patient(&self, sid: u64, build: &impl Fn(u64) -> Request) -> Result<Response, CgError> {
         let policy = self.link.policy().clone();
         let attempts = policy.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
-            match self.link.call(req.clone()) {
+            let req = build(sid);
+            let kind = req.kind();
+            match self.link.call(req) {
                 Err(CgError::Overloaded {
                     retry_after_ms,
                     reason,
                 }) if attempt + 1 < attempts => {
                     attempt += 1;
-                    policy.record_retry(req.kind(), attempt, &reason);
+                    policy.record_retry(kind, attempt, &reason);
                     std::thread::sleep(
                         policy.backoff_with_floor(attempt, Duration::from_millis(retry_after_ms)),
                     );
@@ -730,7 +735,7 @@ impl CompilerEnv {
         let sid = self
             .session
             .ok_or_else(|| CgError::Usage("no active episode; call reset()".into()))?;
-        let mut last = match self.call_patient(build(sid)) {
+        let mut last = match self.call_patient(sid, &build) {
             Err(e) if Self::recoverable(&e) => {
                 record_faults(&breaker, &self.benchmark, fault_actions);
                 e
@@ -765,7 +770,7 @@ impl CompilerEnv {
             let restart =
                 Self::needs_restart(&last) && self.link.restarts() == self.session_generation;
             match self.replay_episode(restart) {
-                Ok(new_sid) => match self.call_patient(build(new_sid)) {
+                Ok(new_sid) => match self.call_patient(new_sid, &build) {
                     Err(e) if Self::recoverable(&e) => {
                         self.session = None;
                         record_faults(&breaker, &self.benchmark, fault_actions);
@@ -1036,10 +1041,9 @@ impl CompilerEnv {
         if sink.is_some() {
             spaces.push("Ir".to_string());
         }
-        let actions_owned = actions.to_vec();
         let resp = self.call_recovering(actions, |sid| Request::Step {
             session_id: sid,
-            actions: actions_owned.clone(),
+            actions: actions.to_vec(),
             observation_spaces: spaces.clone(),
         })?;
         let Response::Stepped {
@@ -1311,6 +1315,7 @@ impl Drop for CompilerEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 
     #[test]
     fn make_llvm_and_reduce_size() {
@@ -1466,6 +1471,103 @@ mod tests {
         })
         .join()
         .expect("the episode fits a default thread stack");
+    }
+
+    /// A link that refuses the next `refusals` action-applying `Step`s with
+    /// a typed overload and forwards everything else to an inline service,
+    /// counting the sessions it is asked to start or resume.
+    #[derive(Debug)]
+    struct Refusing {
+        inner: InlineLink,
+        refusals: Arc<AtomicU32>,
+        sessions: Arc<AtomicU32>,
+    }
+
+    impl Link for Refusing {
+        fn call(&self, req: Request) -> Result<Response, CgError> {
+            match &req {
+                Request::Step { actions, .. }
+                    if !actions.is_empty()
+                        && (self.refusals)
+                            .fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1))
+                            .is_ok() =>
+                {
+                    return Err(CgError::Overloaded {
+                        retry_after_ms: 1,
+                        reason: "busy".into(),
+                    });
+                }
+                Request::StartSession { .. } | Request::Resume { .. } => {
+                    self.sessions.fetch_add(1, SeqCst);
+                }
+                _ => {}
+            }
+            self.inner.call(req)
+        }
+        fn call_teardown(&self, req: Request) -> Result<Response, CgError> {
+            self.inner.call_teardown(req)
+        }
+        fn restart(&self) {
+            self.inner.restart();
+        }
+        fn restarts(&self) -> u64 {
+            self.inner.restarts()
+        }
+        fn policy(&self) -> &RetryPolicy {
+            self.inner.policy()
+        }
+        fn set_policy(&mut self, policy: RetryPolicy) {
+            self.inner.set_policy(policy);
+        }
+        fn resource_budget(&self) -> ResourceBudget {
+            self.inner.resource_budget()
+        }
+        fn set_resource_budget(&self, budget: ResourceBudget) -> Result<(), CgError> {
+            self.inner.set_resource_budget(budget)
+        }
+        fn clone_link(&self) -> Box<dyn Link> {
+            unimplemented!("the test never forks")
+        }
+    }
+
+    #[test]
+    fn overload_is_retried_in_place_without_restart_or_replay() {
+        let refusals = Arc::new(AtomicU32::new(0));
+        let sessions = Arc::new(AtomicU32::new(0));
+        let link = Refusing {
+            inner: InlineLink::new(session_factory("llvm-v0").unwrap()),
+            refusals: Arc::clone(&refusals),
+            sessions: Arc::clone(&sessions),
+        };
+        let mut env = CompilerEnv::with_link(
+            "llvm-v0",
+            Box::new(link),
+            "benchmark://cbench-v1/crc32",
+            "Autophase",
+            "IrInstructionCount",
+        )
+        .unwrap();
+        env.reset().unwrap();
+        let a = env.action_space().index_of("mem2reg").unwrap();
+
+        refusals.store(1, SeqCst);
+        assert!(env.step(a).unwrap().reward > 0.0, "the retry stepped");
+        assert_eq!(refusals.load(SeqCst), 0, "the first Step was refused");
+        assert_eq!(env.actions(), &[a]);
+        let no_restart_no_replay = (0, 1);
+        assert_eq!(
+            (env.service_restarts(), sessions.load(SeqCst)),
+            no_restart_no_replay
+        );
+
+        refusals.store(env.retry_policy().max_attempts, SeqCst);
+        assert!(matches!(env.step(a), Err(CgError::Overloaded { .. })));
+        assert_eq!(refusals.load(SeqCst), 0, "every attempt was refused");
+        assert_eq!(env.actions(), &[a], "a refused step applies nothing");
+        assert_eq!(
+            (env.service_restarts(), sessions.load(SeqCst)),
+            no_restart_no_replay
+        );
     }
 
     fn watchdog_config() -> WatchdogConfig {

@@ -1,21 +1,22 @@
 //! # cg-stdb: the state transition database (§III-F, Figure 4)
 //!
-//! A relational store of environment trajectories: a `Steps` table records
-//! every action sequence and the hash of the state it reaches; an
-//! `Observations` table stores representations per unique state; a
-//! `StateTransitions` table encodes the deduplicated `(state, action) →
-//! (state', reward)` edges. A wrapper environment populates `Steps` and
-//! `Observations` asynchronously on every step; [`Database::post_process`]
-//! fills `StateTransitions`. The paper releases a 50+ GB instance with >1M
-//! states for offline learning; [`generate_database`] builds instances of
-//! any size on demand, and §VII-F's cost model (Figure 8) trains from them.
+//! One durable store of environment trajectories: a [`TransitionStore`]
+//! indexing a checksummed write-ahead log ([`log`]). The paper's three
+//! tables are views of that index: `Steps` counts every [`StepRow`] logged,
+//! `Observations` holds one [`ObservationRow`] per unique state, and
+//! `StateTransitions` is the deduplicated `(state, action) → (state',
+//! reward)` edge set ([`TransitionStore::edges`]). A [`StoreSink`] populates
+//! the log from every environment step in the process. The paper releases a
+//! 50+ GB instance with >1M states for offline learning; [`generate`] builds
+//! instances of any size on demand, and §VII-F's cost model (Figure 8)
+//! trains from them.
 //!
-//! The [`checkpoints`] module is the durable half of session checkpointing:
-//! a crash-safe (temp-file + rename) on-disk mirror of the in-memory
-//! checkpoint ring, so episodes can resume across *process* crashes, not
-//! just service-worker crashes.
+//! Session checkpoints are a fourth record kind in the same log:
+//! [`TransitionStore::checkpoint_store`] hands out a checkpoint ring seeded
+//! from the checkpoints found at open, whose sink appends every new one, so
+//! episodes can resume across *process* crashes, not just service-worker
+//! crashes, under the log's one recovery ladder.
 
-pub mod checkpoints;
 pub mod log;
 pub mod replay;
 pub mod store;
@@ -27,11 +28,6 @@ pub use store::{
     TransitionStore, WalRecord,
 };
 
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// One row of the `Steps` table: an action sequence on a benchmark and the
@@ -67,355 +63,108 @@ pub struct ObservationRow {
     pub ir_text: String,
 }
 
-/// One row of the `StateTransitions` table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct TransitionRow {
-    /// Source state hash.
-    pub from_state: u64,
-    /// Action name.
-    pub action: String,
-    /// Destination state hash.
-    pub to_state: u64,
-    /// Reward in milli-units (fixed point, so the row is hashable).
-    pub reward_milli: i64,
+/// The action index step `step` of seeded episode `episode` takes out of
+/// `n`: the one deterministic schedule [`generate`], `cg chaos` and the
+/// replay-vs-live comparisons share, so the same `(seed, episode, steps)`
+/// walks the same trajectory everywhere.
+#[must_use]
+pub fn seeded_action(seed: u64, episode: u64, step: u64, n: usize) -> usize {
+    let mix = cg_core::retry::splitmix64(seed ^ (episode * 1_000 + step).wrapping_mul(0x9E37));
+    (mix % n as u64) as usize
 }
 
-/// The in-memory database with JSON persistence.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct Database {
-    /// The `Steps` table.
-    pub steps: Vec<StepRow>,
-    /// The `Observations` table, keyed by state hash.
-    pub observations: HashMap<u64, ObservationRow>,
-    /// The `StateTransitions` table (after [`Database::post_process`]).
-    pub transitions: Vec<TransitionRow>,
-}
-
-impl Database {
-    /// An empty database.
-    pub fn new() -> Database {
-        Database::default()
-    }
-
-    /// Deduplicates steps and populates the `StateTransitions` table (the
-    /// paper's post-processing script).
-    pub fn post_process(&mut self) {
-        let mut seen: HashSet<TransitionRow> = HashSet::new();
-        for s in &self.steps {
-            if let Some(action) = s.actions.last() {
-                seen.insert(TransitionRow {
-                    from_state: s.from_state,
-                    action: action.clone(),
-                    to_state: s.state,
-                    reward_milli: (s.reward * 1000.0).round() as i64,
-                });
-            }
-        }
-        let mut v: Vec<TransitionRow> = seen.into_iter().collect();
-        v.sort_by(|a, b| {
-            (a.from_state, &a.action, a.to_state).cmp(&(b.from_state, &b.action, b.to_state))
-        });
-        self.transitions = v;
-    }
-
-    /// Number of unique states observed.
-    pub fn unique_states(&self) -> usize {
-        self.observations.len()
-    }
-
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("database serializes")
-    }
-
-    /// Parses from JSON.
-    ///
-    /// # Errors
-    /// Returns the serde error message.
-    pub fn from_json(s: &str) -> Result<Database, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
-    }
-}
-
-/// One message on the logger's channel: steps and observations are
-/// distinct rows in distinct tables, so they travel as distinct messages
-/// (an observation is *not* a degenerate step).
-#[derive(Debug, Clone)]
-pub enum LogMessage {
-    /// A `Steps` table row.
-    Step(StepRow),
-    /// An `Observations` table row.
-    Observation(ObservationRow),
-}
-
-/// Asynchronously populates a shared [`Database`] from environment steps: a
-/// writer thread drains a *bounded* channel so logging never blocks the
-/// environment loop for long (the paper's wrapper "asynchronously
-/// populates the Steps and Observations tables ... upon every step").
+/// Populates `store` with `episodes` seeded llvm-v0 episodes of up to
+/// `steps` actions each, rotating through `benchmarks` one episode at a
+/// time (the process that produced the paper's released instance, at
+/// configurable scale), then flushes it.
 ///
-/// The queue is bounded; [`Backpressure`] picks the full-queue policy
-/// (block, or drop-and-count). Every dropped message increments
-/// [`AsyncLogger::dropped_records`] and the process-wide
-/// `cg_stdb_dropped_records_total` counter — drops are never silent.
-pub struct AsyncLogger {
-    tx: Option<mpsc::SyncSender<LogMessage>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    db: Arc<Mutex<Database>>,
-    dropped: Arc<std::sync::atomic::AtomicU64>,
-    backpressure: Backpressure,
-}
-
-impl AsyncLogger {
-    /// Default queue depth for [`AsyncLogger::new`].
-    pub const DEFAULT_CAPACITY: usize = 1024;
-
-    /// Starts the writer thread over a shared database with the default
-    /// bounded queue and lossless (blocking) backpressure.
-    pub fn new(db: Arc<Mutex<Database>>) -> AsyncLogger {
-        AsyncLogger::with_capacity(db, AsyncLogger::DEFAULT_CAPACITY, Backpressure::Block)
-    }
-
-    /// Starts the writer with an explicit queue depth and full-queue
-    /// policy.
-    pub fn with_capacity(
-        db: Arc<Mutex<Database>>,
-        capacity: usize,
-        backpressure: Backpressure,
-    ) -> AsyncLogger {
-        let (tx, rx) = mpsc::sync_channel::<LogMessage>(capacity.max(1));
-        let db2 = Arc::clone(&db);
-        let handle = std::thread::spawn(move || {
-            while let Ok(msg) = rx.recv() {
-                let mut d = db2.lock();
-                match msg {
-                    LogMessage::Step(step) => d.steps.push(step),
-                    LogMessage::Observation(o) => {
-                        d.observations.entry(o.state).or_insert(o);
-                    }
-                }
-            }
-        });
-        AsyncLogger {
-            tx: Some(tx),
-            handle: Some(handle),
-            db,
-            dropped: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-            backpressure,
-        }
-    }
-
-    fn enqueue(&self, msg: LogMessage) {
-        let Some(tx) = &self.tx else {
-            self.count_drop();
-            return;
-        };
-        let lost = match self.backpressure {
-            Backpressure::Block => tx.send(msg).is_err(),
-            Backpressure::DropNewest => tx.try_send(msg).is_err(),
-        };
-        if lost {
-            self.count_drop();
-        }
-    }
-
-    fn count_drop(&self) {
-        self.dropped
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        cg_telemetry::global().stdb.dropped_records.inc();
-    }
-
-    /// Enqueues one step row.
-    pub fn log_step(&self, step: StepRow) {
-        self.enqueue(LogMessage::Step(step));
-    }
-
-    /// Enqueues one observation row.
-    pub fn log_observation(&self, obs: ObservationRow) {
-        self.enqueue(LogMessage::Observation(obs));
-    }
-
-    /// Messages dropped by the full-queue policy so far.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Flushes and stops the writer, returning the shared database handle.
-    pub fn finish(mut self) -> Arc<Mutex<Database>> {
-        self.tx.take();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        Arc::clone(&self.db)
-    }
-}
-
-impl Drop for AsyncLogger {
-    fn drop(&mut self) {
-        self.tx.take();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Generates a state-transition database by running seeded random
-/// trajectories of `steps` actions over `benchmarks` (the process that
-/// produced the paper's released instance, at configurable scale).
+/// The environment logs straight into `store`, never through the
+/// process-global transition sink, so concurrent generators into different
+/// stores cannot cross-feed.
 ///
 /// # Errors
 /// Propagates environment failures.
-pub fn generate_database(
-    benchmarks: &[String],
-    episodes_per_benchmark: usize,
-    steps: usize,
+pub fn generate(
+    store: &TransitionStore,
+    benchmarks: &[impl AsRef<str>],
+    episodes: u64,
+    steps: u64,
     seed: u64,
-) -> Result<Database, cg_core::CgError> {
-    use rand::{Rng, SeedableRng};
-    let db = Arc::new(Mutex::new(Database::new()));
-    let logger = AsyncLogger::new(Arc::clone(&db));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+) -> Result<(), cg_core::CgError> {
     let mut env = cg_core::make("llvm-v0")?;
-    for bench in benchmarks {
-        env.set_benchmark(bench);
-        for _ in 0..episodes_per_benchmark {
-            env.reset()?;
-            let mut actions: Vec<String> = Vec::new();
-            let mut prev_hash = state_hash(&mut env)?;
-            log_observation(&mut env, prev_hash, &logger)?;
-            for _ in 0..steps {
-                let a = rng.gen_range(0..env.action_space().len());
-                let name = env.action_space().actions[a].clone();
-                let r = env.step(a)?;
-                actions.push(name);
-                let h = state_hash(&mut env)?;
-                log_observation(&mut env, h, &logger)?;
-                logger.log_step(StepRow {
-                    benchmark: bench.clone(),
-                    actions: actions.clone(),
-                    from_state: prev_hash,
-                    state: h,
-                    reward: r.reward,
-                });
-                prev_hash = h;
+    env.set_transition_logging(false);
+    for ep in 0..episodes {
+        let benchmark = benchmarks[(ep % benchmarks.len() as u64) as usize].as_ref();
+        env.set_benchmark(benchmark);
+        env.reset()?;
+        let names = env.action_space().actions.clone();
+        let mut state = store.log_reset(benchmark, env.observe("Ir")?.as_text().unwrap_or(""));
+        let mut history = Vec::new();
+        for s in 0..steps {
+            let a = seeded_action(seed, ep, s, names.len());
+            let (ir, step) = env.step_lazy(&[a], &["Ir"])?;
+            history.push(names[a].clone());
+            let ir = ir[0].as_text().unwrap_or("");
+            state = store.log_step(benchmark, &history, state, ir, step.reward);
+            if step.done {
+                break;
             }
         }
     }
-    let db = logger.finish();
-    let mut out = db.lock().clone();
-    out.post_process();
-    Ok(out)
-}
-
-fn state_hash(env: &mut cg_core::CompilerEnv) -> Result<u64, cg_core::CgError> {
-    let ir = env.observe("Ir")?;
-    Ok(cg_ir::fnv1a(ir.as_text().unwrap_or("").as_bytes()))
-}
-
-fn log_observation(
-    env: &mut cg_core::CompilerEnv,
-    state: u64,
-    logger: &AsyncLogger,
-) -> Result<(), cg_core::CgError> {
-    let autophase = env
-        .observe("Autophase")?
-        .as_int_vector()
-        .unwrap_or(&[])
-        .to_vec();
-    let inst_count = env
-        .observe("InstCount")?
-        .as_int_vector()
-        .unwrap_or(&[])
-        .to_vec();
-    let count = env
-        .observe("IrInstructionCount")?
-        .as_scalar()
-        .unwrap_or(0.0);
-    let ir_text = env.observe("Ir")?.as_text().unwrap_or("").to_string();
-    logger.log_observation(ObservationRow {
-        state,
-        autophase,
-        inst_count,
-        ir_instruction_count: count,
-        ir_text,
-    });
+    store.flush();
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::path::PathBuf;
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("cg-stdb-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
 
     #[test]
     fn generate_and_post_process() {
-        let db = generate_database(&["benchmark://cbench-v1/crc32".to_string()], 2, 5, 7).unwrap();
-        assert!(db.unique_states() >= 2, "states: {}", db.unique_states());
-        assert!(!db.transitions.is_empty());
-        // Transitions are deduplicated.
-        let set: HashSet<&TransitionRow> = db.transitions.iter().collect();
-        assert_eq!(set.len(), db.transitions.len());
+        let dir = tmpdir("generate");
+        let store = TransitionStore::open(&dir, StoreConfig::default()).unwrap();
+        generate(&store, &["benchmark://cbench-v1/crc32"], 2, 5, 7).unwrap();
+        let observations = store.observations();
+        assert!(observations.len() >= 2, "states: {}", observations.len());
+        let edges = store.edges();
+        assert!(!edges.is_empty());
+        // Transitions are deduplicated on (state, action).
+        let keys: HashSet<(u64, &str)> =
+            edges.iter().map(|(f, a, _, _)| (*f, a.as_str())).collect();
+        assert_eq!(keys.len(), edges.len());
         // Every transition's endpoints have observations.
-        for t in &db.transitions {
-            assert!(db.observations.contains_key(&t.from_state));
-            assert!(db.observations.contains_key(&t.to_state));
+        for (from, _, to, _) in &edges {
+            assert!(store.observation(*from).is_some());
+            assert!(store.observation(*to).is_some());
         }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn json_round_trip() {
-        let db = generate_database(&["benchmark://cbench-v1/sha".to_string()], 1, 3, 1).unwrap();
-        let j = db.to_json();
-        let back = Database::from_json(&j).unwrap();
-        assert_eq!(back.steps.len(), db.steps.len());
-        assert_eq!(back.unique_states(), db.unique_states());
-    }
-
-    fn step(i: u64) -> StepRow {
-        StepRow {
-            benchmark: "b".into(),
-            actions: vec!["a".into()],
-            from_state: i,
-            state: i + 1,
-            reward: 1.0,
-        }
-    }
-
-    #[test]
-    fn async_logger_is_lossless() {
-        let db = Arc::new(Mutex::new(Database::new()));
-        let logger = AsyncLogger::new(Arc::clone(&db));
-        for i in 0..100 {
-            logger.log_step(step(i));
-            logger.log_observation(ObservationRow {
-                state: i + 1,
-                autophase: vec![1],
-                inst_count: vec![2],
-                ir_instruction_count: 3.0,
-                ir_text: String::new(),
-            });
-        }
-        assert_eq!(logger.dropped_records(), 0);
-        let db = logger.finish();
-        assert_eq!(db.lock().steps.len(), 100);
-        assert_eq!(db.lock().observations.len(), 100);
-    }
-
-    #[test]
-    fn async_logger_drop_newest_counts_drops() {
-        let db = Arc::new(Mutex::new(Database::new()));
-        // Stall the writer by holding the database lock while flooding a
-        // 1-deep queue: overflow must drop and count, never block.
-        let logger = AsyncLogger::with_capacity(Arc::clone(&db), 1, Backpressure::DropNewest);
-        let sent = 500u64;
-        {
-            let _stall = db.lock();
-            for i in 0..sent {
-                logger.log_step(step(i));
-            }
-        }
-        let dropped = logger.dropped_records();
-        assert!(dropped > 0, "a 1-deep queue cannot absorb {sent} sends");
-        let db = logger.finish();
-        let kept = db.lock().steps.len() as u64;
-        assert_eq!(kept + dropped, sent, "every message is kept or counted");
+        // Every record is JSON in a log frame: reopening decodes the same tables.
+        let dir = tmpdir("json");
+        let (steps, edges, observations) = {
+            let store = TransitionStore::open(&dir, StoreConfig::default()).unwrap();
+            generate(&store, &["benchmark://cbench-v1/sha"], 1, 3, 1).unwrap();
+            (store.stats().steps, store.edges(), store.observations())
+        };
+        assert!(steps > 0);
+        let back = TransitionStore::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(back.stats().decode_failures, 0);
+        assert_eq!(back.stats().steps, steps);
+        assert_eq!(back.edges(), edges);
+        assert_eq!(back.observations(), observations);
+        drop(back);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

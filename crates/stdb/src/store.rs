@@ -16,24 +16,29 @@
 //!
 //! # Index
 //!
-//! Three maps, rebuilt from the log on open (recovery replays every intact
+//! Four maps, rebuilt from the log on open (recovery replays every intact
 //! record through the same code path):
 //!
 //! * `initial`: benchmark → initial-state hash (episode starts),
 //! * `edges`: `(state, action-name)` → `(state', reward)` — the paper's
 //!   deduplicated `StateTransitions` table,
 //! * `observations`: state → [`ObservationRow`] (the `Observations`
-//!   table).
+//!   table),
+//! * `checkpoints`: `(benchmark, action_space, actions)` → the session
+//!   checkpoint found at open. Checkpoints appended since open are written
+//!   to the log and counted, but their bytes are not kept: they reach a
+//!   ring by reopening ([`TransitionStore::checkpoint_store`]).
 //!
 //! # Maintenance
 //!
 //! [`scrub_dir`] verifies every checksum (optionally repairing from
 //! redundant copies); [`compact_dir`] rewrites the log keeping one
-//! canonical record per reset / edge / observation, committing crash-safely
-//! via the manifest protocol (new segments first, manifest rename second,
-//! stale deletion last — a crash at any point leaves a correct store).
+//! canonical record per reset / edge / observation / checkpoint, committing
+//! crash-safely via the manifest protocol (new segments first, manifest
+//! rename second, stale deletion last — a crash at any point leaves a
+//! correct store).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -47,6 +52,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use cg_core::chaos::IoFaultInjector;
+use cg_core::checkpoint::{Checkpoint, CheckpointStore};
 
 use crate::log::{self, ScrubReport, Wal, WalConfig};
 use crate::{ObservationRow, StepRow};
@@ -54,6 +60,7 @@ use crate::{ObservationRow, StepRow};
 const TAG_RESET: u8 = b'R';
 const TAG_STEP: u8 = b'S';
 const TAG_OBS: u8 = b'O';
+const TAG_CHECKPOINT: u8 = b'C';
 
 /// An episode start: the benchmark and the hash of its initial state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,6 +80,8 @@ pub enum WalRecord {
     Step(StepRow),
     /// Representations of a unique state.
     Observation(ObservationRow),
+    /// A session checkpoint (see [`TransitionStore::checkpoint_store`]).
+    Checkpoint(Checkpoint),
 }
 
 /// Encodes a record as `[tag byte][JSON]`.
@@ -82,6 +91,7 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
         WalRecord::Reset(r) => (TAG_RESET, serde_json::to_string(r)),
         WalRecord::Step(s) => (TAG_STEP, serde_json::to_string(s)),
         WalRecord::Observation(o) => (TAG_OBS, serde_json::to_string(o)),
+        WalRecord::Checkpoint(c) => (TAG_CHECKPOINT, serde_json::to_string(c)),
     };
     let body = body.expect("rows serialize");
     let mut out = Vec::with_capacity(1 + body.len());
@@ -106,6 +116,9 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
             .map_err(|e| e.to_string()),
         TAG_OBS => serde_json::from_str(body)
             .map(WalRecord::Observation)
+            .map_err(|e| e.to_string()),
+        TAG_CHECKPOINT => serde_json::from_str(body)
+            .map(WalRecord::Checkpoint)
             .map_err(|e| e.to_string()),
         other => Err(format!("unknown record tag {other:#x}")),
     }
@@ -141,12 +154,23 @@ impl Default for StoreConfig {
     }
 }
 
+/// What determines a deterministic session's state, and so names its
+/// checkpoint: `(benchmark, action_space, actions)`.
+type CheckpointKey = (String, usize, Vec<usize>);
+
+fn checkpoint_key(c: &Checkpoint) -> CheckpointKey {
+    (c.benchmark.clone(), c.action_space, c.actions.clone())
+}
+
 #[derive(Debug, Default)]
 struct Index {
     initial: HashMap<String, u64>,
     edges: HashMap<(u64, String), (u64, f64)>,
     observations: HashMap<u64, ObservationRow>,
     steps: u64,
+    /// `Some` for the checkpoints found at open, `None` for those appended
+    /// since. Ordered, so equally deep checkpoints seed a ring in one order.
+    checkpoints: BTreeMap<CheckpointKey, Option<Checkpoint>>,
 }
 
 fn apply_record(index: &mut Index, rec: WalRecord) {
@@ -164,6 +188,9 @@ fn apply_record(index: &mut Index, rec: WalRecord) {
         }
         WalRecord::Observation(o) => {
             index.observations.entry(o.state).or_insert(o);
+        }
+        WalRecord::Checkpoint(c) => {
+            index.checkpoints.insert(checkpoint_key(&c), Some(c));
         }
     }
 }
@@ -195,7 +222,36 @@ enum Ingest {
     Flush(mpsc::Sender<()>),
 }
 
-fn append_with_retry(wal: &mut Wal, payload: &[u8], dropped: &AtomicU64) {
+/// The callers' end of the writer's bounded queue. Checkpoint sinks share
+/// it with the store; dropping the store takes the sender out, so the
+/// writer stops even while a sink lives on (its later records count as
+/// drops).
+struct Ingestor {
+    tx: Mutex<Option<mpsc::SyncSender<Ingest>>>,
+    dropped: AtomicU64,
+    backpressure: Backpressure,
+}
+
+impl Ingestor {
+    fn enqueue(&self, msg: Ingest) {
+        let guard = self.tx.lock();
+        let sent = match (guard.as_ref(), self.backpressure) {
+            (Some(tx), Backpressure::Block) => tx.send(msg).is_ok(),
+            (Some(tx), Backpressure::DropNewest) => tx.try_send(msg).is_ok(),
+            (None, _) => false,
+        };
+        if !sent {
+            self.count_drop();
+        }
+    }
+
+    fn count_drop(&self) {
+        self.dropped.fetch_add(1, Ordering::Relaxed);
+        cg_telemetry::global().stdb.dropped_records.inc();
+    }
+}
+
+fn append_with_retry(wal: &mut Wal, payload: &[u8], ingest: &Ingestor) {
     let stdb = &cg_telemetry::global().stdb;
     let t0 = Instant::now();
     for attempt in 0..2 {
@@ -214,19 +270,18 @@ fn append_with_retry(wal: &mut Wal, payload: &[u8], dropped: &AtomicU64) {
             Err(_) => break,
         }
     }
-    dropped.fetch_add(1, Ordering::Relaxed);
-    stdb.dropped_records.inc();
+    ingest.count_drop();
 }
 
 fn writer_loop(
     mut wal: Wal,
     index: Arc<Mutex<Index>>,
     rx: mpsc::Receiver<Ingest>,
-    dropped: Arc<AtomicU64>,
+    ingest: Arc<Ingestor>,
 ) {
     while let Ok(msg) = rx.recv() {
         match msg {
-            Ingest::Append(rec) => append_with_retry(&mut wal, &encode_record(&rec), &dropped),
+            Ingest::Append(rec) => append_with_retry(&mut wal, &encode_record(&rec), &ingest),
             Ingest::Observe { state, ir_text } => {
                 if index.lock().observations.contains_key(&state) {
                     continue;
@@ -240,7 +295,7 @@ fn writer_loop(
                 append_with_retry(
                     &mut wal,
                     &encode_record(&WalRecord::Observation(row)),
-                    &dropped,
+                    &ingest,
                 );
             }
             Ingest::Flush(ack) => {
@@ -277,6 +332,8 @@ pub struct StoreStats {
     pub observations: u64,
     /// Benchmarks with a recorded initial state.
     pub benchmarks: u64,
+    /// Distinct session checkpoints in the log.
+    pub checkpoints: u64,
     /// Records dropped by backpressure or unrecoverable append errors.
     pub dropped_records: u64,
     /// Live segment files.
@@ -299,10 +356,8 @@ pub struct StoreStats {
 pub struct TransitionStore {
     dir: PathBuf,
     index: Arc<Mutex<Index>>,
-    tx: Mutex<Option<mpsc::SyncSender<Ingest>>>,
+    ingest: Arc<Ingestor>,
     handle: Mutex<Option<JoinHandle<()>>>,
-    dropped: Arc<AtomicU64>,
-    backpressure: Backpressure,
     recovery: log::RecoveryReport,
     decode_failures: u64,
 }
@@ -341,23 +396,25 @@ impl TransitionStore {
         update_size_gauges(dir);
 
         let index = Arc::new(Mutex::new(index));
-        let dropped = Arc::new(AtomicU64::new(0));
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
+        let ingest = Arc::new(Ingestor {
+            tx: Mutex::new(Some(tx)),
+            dropped: AtomicU64::new(0),
+            backpressure: cfg.backpressure,
+        });
         let handle = {
             let index = Arc::clone(&index);
-            let dropped = Arc::clone(&dropped);
+            let ingest = Arc::clone(&ingest);
             std::thread::Builder::new()
                 .name("stdb-writer".into())
-                .spawn(move || writer_loop(wal, index, rx, dropped))
+                .spawn(move || writer_loop(wal, index, rx, ingest))
                 .expect("spawn stdb writer")
         };
         Ok(TransitionStore {
             dir: dir.to_path_buf(),
             index,
-            tx: Mutex::new(Some(tx)),
+            ingest,
             handle: Mutex::new(Some(handle)),
-            dropped,
-            backpressure: cfg.backpressure,
             recovery,
             decode_failures,
         })
@@ -395,31 +452,6 @@ impl TransitionStore {
         &self.recovery
     }
 
-    fn enqueue(&self, msg: Ingest) {
-        let guard = self.tx.lock();
-        let Some(tx) = guard.as_ref() else {
-            self.count_drop();
-            return;
-        };
-        match self.backpressure {
-            Backpressure::Block => {
-                if tx.send(msg).is_err() {
-                    self.count_drop();
-                }
-            }
-            Backpressure::DropNewest => {
-                if tx.try_send(msg).is_err() {
-                    self.count_drop();
-                }
-            }
-        }
-    }
-
-    fn count_drop(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-        cg_telemetry::global().stdb.dropped_records.inc();
-    }
-
     /// Logs an episode start, returning the initial state's hash.
     pub fn log_reset(&self, benchmark: &str, ir_text: &str) -> u64 {
         let state = cg_ir::fnv1a(ir_text.as_bytes());
@@ -427,10 +459,11 @@ impl TransitionStore {
             .lock()
             .initial
             .insert(benchmark.to_string(), state);
-        self.enqueue(Ingest::Append(WalRecord::Reset(ResetRow {
-            benchmark: benchmark.to_string(),
-            state,
-        })));
+        self.ingest
+            .enqueue(Ingest::Append(WalRecord::Reset(ResetRow {
+                benchmark: benchmark.to_string(),
+                state,
+            })));
         self.observe_state(state, ir_text);
         state
     }
@@ -460,7 +493,7 @@ impl TransitionStore {
                 index.edges.insert((from_state, a.clone()), (state, reward));
             }
         }
-        self.enqueue(Ingest::Append(WalRecord::Step(StepRow {
+        self.ingest.enqueue(Ingest::Append(WalRecord::Step(StepRow {
             benchmark: benchmark.to_string(),
             actions: action_history.to_vec(),
             from_state,
@@ -475,7 +508,7 @@ impl TransitionStore {
         if self.index.lock().observations.contains_key(&state) {
             return;
         }
-        self.enqueue(Ingest::Observe {
+        self.ingest.enqueue(Ingest::Observe {
             state,
             ir_text: ir_text.to_string(),
         });
@@ -503,17 +536,67 @@ impl TransitionStore {
         self.index.lock().observations.get(&state).cloned()
     }
 
+    /// The `Observations` table, ordered by state hash.
+    #[must_use]
+    pub fn observations(&self) -> Vec<ObservationRow> {
+        let mut rows: Vec<ObservationRow> =
+            self.index.lock().observations.values().cloned().collect();
+        rows.sort_by_key(|o| o.state);
+        rows
+    }
+
+    /// The `StateTransitions` table: every deduplicated `(state, action,
+    /// state', reward)` edge, ordered by `(state, action)`.
+    #[must_use]
+    pub fn edges(&self) -> Vec<(u64, String, u64, f64)> {
+        let index = self.index.lock();
+        let mut edges: Vec<_> = (index.edges.iter())
+            .map(|((from, a), (to, reward))| (*from, a.clone(), *to, *reward))
+            .collect();
+        edges.sort_by(|x, y| (x.0, &x.1).cmp(&(y.0, &y.1)));
+        edges
+    }
+
+    /// A checkpoint ring (`capacity` entries, taken every `interval`
+    /// actions) whose sink appends each checkpoint to this store's log, so
+    /// checkpoints share its CRC frames, recovery, scrub, compaction and
+    /// [`crate::FsyncPolicy`]. The ring starts with the checkpoints found at
+    /// open, shallowest first so a bounded ring keeps the deepest; one
+    /// quarantined at open costs a longer replay, never an error. Pass it as
+    /// `BrokerConfig::checkpoints` to resume episodes across a process restart.
+    #[must_use]
+    pub fn checkpoint_store(&self, capacity: usize, interval: u64) -> CheckpointStore {
+        let ring = CheckpointStore::new(capacity, interval);
+        for c in self.found_checkpoints() {
+            ring.put(c);
+        }
+        let (index, ingest) = (Arc::clone(&self.index), Arc::clone(&self.ingest));
+        ring.with_sink(Arc::new(move |c: &Checkpoint| {
+            let key = checkpoint_key(c);
+            index.lock().checkpoints.entry(key).or_default();
+            ingest.enqueue(Ingest::Append(WalRecord::Checkpoint(c.clone())));
+        }))
+    }
+
+    /// The checkpoints found at open, shallowest first.
+    fn found_checkpoints(&self) -> Vec<Checkpoint> {
+        let index = self.index.lock();
+        let mut found: Vec<Checkpoint> = index.checkpoints.values().flatten().cloned().collect();
+        found.sort_by_key(Checkpoint::depth);
+        found
+    }
+
     /// Records dropped so far (backpressure + unrecoverable appends).
     #[must_use]
     pub fn dropped_records(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ingest.dropped.load(Ordering::Relaxed)
     }
 
     /// Blocks until everything enqueued so far is on disk (fsync'd).
     pub fn flush(&self) {
         let (ack_tx, ack_rx) = mpsc::channel();
         {
-            let guard = self.tx.lock();
+            let guard = self.ingest.tx.lock();
             let Some(tx) = guard.as_ref() else { return };
             if tx.send(Ingest::Flush(ack_tx)).is_err() {
                 return;
@@ -525,13 +608,14 @@ impl TransitionStore {
     /// Point-in-time counters.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        let (steps, edges, observations, benchmarks) = {
+        let (steps, edges, observations, benchmarks, checkpoints) = {
             let index = self.index.lock();
             (
                 index.steps,
                 index.edges.len() as u64,
                 index.observations.len() as u64,
                 index.initial.len() as u64,
+                index.checkpoints.len() as u64,
             )
         };
         StoreStats {
@@ -540,6 +624,7 @@ impl TransitionStore {
             edges,
             observations,
             benchmarks,
+            checkpoints,
             dropped_records: self.dropped_records(),
             segments: log::list_segments(&self.dir)
                 .map(|s| s.len() as u64)
@@ -555,7 +640,7 @@ impl TransitionStore {
 
 impl Drop for TransitionStore {
     fn drop(&mut self) {
-        self.tx.lock().take();
+        self.ingest.tx.lock().take();
         if let Some(h) = self.handle.lock().take() {
             let _ = h.join();
         }
@@ -632,7 +717,8 @@ pub struct CompactReport {
 }
 
 /// Rewrites the log keeping one canonical record per reset, per
-/// `(state, action)` edge (last write wins), and per observed state.
+/// `(state, action)` edge (last write wins), per observed state, and per
+/// checkpoint `(benchmark, action_space, actions)` (last write wins).
 /// Crash-safe: new segments are written and synced first, the manifest is
 /// renamed into place second, and stale segments are deleted last — a
 /// crash at any point leaves a store that opens correctly (duplicates are
@@ -651,6 +737,7 @@ pub fn compact_dir(dir: &Path, cfg: &WalConfig) -> io::Result<CompactReport> {
     let mut initial: HashMap<String, u64> = HashMap::new();
     let mut edges: HashMap<(u64, String), StepRow> = HashMap::new();
     let mut observations: HashMap<u64, ObservationRow> = HashMap::new();
+    let mut checkpoints: BTreeMap<CheckpointKey, Checkpoint> = BTreeMap::new();
     let (corrupt, _torn) = log::read_records(dir, cfg, |payload| {
         records_before += 1;
         match decode_record(payload) {
@@ -675,12 +762,15 @@ pub fn compact_dir(dir: &Path, cfg: &WalConfig) -> io::Result<CompactReport> {
             Ok(WalRecord::Observation(o)) => {
                 observations.entry(o.state).or_insert(o);
             }
+            Ok(WalRecord::Checkpoint(c)) => {
+                checkpoints.insert(checkpoint_key(&c), c);
+            }
             Err(_) => {}
         }
     })?;
 
-    // Deterministic output order: resets, then edges, then observations,
-    // each sorted by key.
+    // Deterministic output order: resets, edges, observations, then
+    // checkpoints, each sorted by key.
     let mut payloads: Vec<Vec<u8>> = Vec::new();
     let mut resets: Vec<(&String, &u64)> = initial.iter().collect();
     resets.sort();
@@ -701,6 +791,9 @@ pub fn compact_dir(dir: &Path, cfg: &WalConfig) -> io::Result<CompactReport> {
         payloads.push(encode_record(&WalRecord::Observation(
             observations[s].clone(),
         )));
+    }
+    for c in checkpoints.into_values() {
+        payloads.push(encode_record(&WalRecord::Checkpoint(c)));
     }
     let records_after = payloads.len() as u64;
 
@@ -771,6 +864,21 @@ mod tests {
         d
     }
 
+    const QSORT: &str = "benchmark://cbench-v1/qsort";
+
+    fn ck(actions: &[usize]) -> Checkpoint {
+        Checkpoint {
+            benchmark: QSORT.into(),
+            action_space: 0,
+            actions: actions.to_vec(),
+            state: actions.iter().map(|a| (*a as u8) ^ 0x5a).collect(),
+        }
+    }
+
+    fn open(dir: &Path) -> TransitionStore {
+        TransitionStore::open(dir, StoreConfig::default()).unwrap()
+    }
+
     const IR_A: &str =
         "module \"t\"\ndefine i64 @f(i64 %0) {\nbb0:\n  %1 = add i64 %0, 1\n  ret %1\n}\n";
     const IR_B: &str = "module \"t\"\ndefine i64 @f(i64 %0) {\nbb0:\n  ret %0\n}\n";
@@ -796,6 +904,7 @@ mod tests {
                 ir_instruction_count: 9.0,
                 ir_text: "define void @g() {\nentry:\n  ret void\n}\n".into(),
             }),
+            WalRecord::Checkpoint(ck(&[3, 1, 4, 1, 5])),
         ];
         for rec in rows {
             let enc = encode_record(&rec);
@@ -803,6 +912,7 @@ mod tests {
                 (WalRecord::Reset(a), WalRecord::Reset(b)) => assert_eq!(a, b),
                 (WalRecord::Step(a), WalRecord::Step(b)) => assert_eq!(a, b),
                 (WalRecord::Observation(a), WalRecord::Observation(b)) => assert_eq!(a, b),
+                (WalRecord::Checkpoint(a), WalRecord::Checkpoint(b)) => assert_eq!(a, b),
                 _ => panic!("tag changed in flight"),
             }
         }
@@ -898,6 +1008,181 @@ mod tests {
         let s1 = TransitionStore::open_shared(&dir, StoreConfig::default()).unwrap();
         let s2 = TransitionStore::open_shared(&dir, StoreConfig::default()).unwrap();
         assert!(Arc::ptr_eq(&s1, &s2));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_survives_flush_and_reopen_byte_for_byte() {
+        let dir = tmpdir("ckpt-reopen");
+        {
+            let store = open(&dir);
+            store.checkpoint_store(8, 5).put(ck(&[1, 2, 3, 4, 5]));
+            store.flush();
+            assert_eq!(store.stats().checkpoints, 1);
+        }
+        let store = open(&dir);
+        assert_eq!(store.found_checkpoints(), vec![ck(&[1, 2, 3, 4, 5])]);
+        let hit = (store.checkpoint_store(8, 5))
+            .latest_matching(QSORT, 0, &[1, 2, 3, 4, 5, 6, 7])
+            .expect("the checkpoint survived the 'crash'");
+        assert_eq!(hit.to_portable(), ck(&[1, 2, 3, 4, 5]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn seeding_the_ring_appends_nothing() {
+        let dir = tmpdir("ckpt-seed");
+        {
+            let store = open(&dir);
+            store.checkpoint_store(8, 5).put(ck(&[1, 2]));
+        }
+        let store = open(&dir);
+        let bytes = log::dir_bytes(&dir).unwrap();
+        for _ in 0..3 {
+            assert_eq!(store.checkpoint_store(8, 5).len(), 1);
+        }
+        store.flush();
+        assert_eq!(log::dir_bytes(&dir).unwrap(), bytes);
+        assert_eq!(store.stats().checkpoints, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_same_triple_twice_reopens_as_one_checkpoint() {
+        let dir = tmpdir("ckpt-twice");
+        {
+            let store = open(&dir);
+            let ring = store.checkpoint_store(8, 5);
+            ring.put(ck(&[7, 8]));
+            ring.put(ck(&[7, 8]));
+        }
+        let store = open(&dir);
+        assert_eq!(store.recovery().records, 2, "both puts were appended");
+        assert_eq!(store.stats().checkpoints, 1);
+        assert_eq!(store.checkpoint_store(8, 5).len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_checkpoint_is_quarantined_and_the_ring_falls_back() {
+        let dir = tmpdir("ckpt-corrupt");
+        let (shallow, deep) = (ck(&[1, 2, 3]), ck(&[1, 2, 3, 4, 5]));
+        {
+            let store = open(&dir);
+            let ring = store.checkpoint_store(8, 3);
+            ring.put(shallow.clone());
+            ring.put(deep.clone());
+            store.log_reset("benchmark://b/1", IR_A); // records after the frame
+        }
+        // Flip one byte in the middle of the deep checkpoint's payload.
+        let (_, path) = log::list_segments(&dir).unwrap().pop().unwrap();
+        let shallow_len = encode_record(&WalRecord::Checkpoint(shallow)).len();
+        let deep_len = encode_record(&WalRecord::Checkpoint(deep)).len();
+        let at = log::SEGMENT_MAGIC.len() + 2 * log::FRAME_HEADER as usize + shallow_len;
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[at + deep_len / 2] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+
+        let store = open(&dir);
+        assert_eq!(store.recovery().quarantined, 1);
+        assert!(store.initial_state("benchmark://b/1").is_some());
+        let hit = (store.checkpoint_store(8, 3))
+            .latest_matching(QSORT, 0, &[1, 2, 3, 4, 5, 6])
+            .expect("the shallow checkpoint survives");
+        assert_eq!(hit.depth(), 3, "fell back past the corrupt depth-5 frame");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_keeps_one_checkpoint_per_triple() {
+        let dir = tmpdir("ckpt-compact");
+        {
+            let store = open(&dir);
+            let ring = store.checkpoint_store(2, 1);
+            for actions in [&[1, 2][..], &[1, 2, 3], &[1, 2], &[7], &[1, 2, 3]] {
+                ring.put(ck(actions));
+            }
+        }
+        let seeded = open(&dir).found_checkpoints();
+        assert_eq!(seeded.len(), 3);
+        let rep = compact_dir(&dir, &WalConfig::default()).unwrap();
+        assert_eq!((rep.records_before, rep.records_after), (5, 3));
+        let store = open(&dir);
+        assert_eq!(store.found_checkpoints(), seeded);
+        let ring = store.checkpoint_store(2, 1);
+        assert_eq!(ring.len(), 2, "a bounded ring keeps the deepest");
+        let hit = ring.latest_matching(QSORT, 0, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(hit.to_portable(), ck(&[1, 2, 3]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The drain path end to end on the real backend: a broker parks a
+    /// live llvm-v0 session as a structural snapshot, the store's sink logs
+    /// its encoding, and a ring reopened from the log in a 'new process'
+    /// restores byte-identical state that evolves the same.
+    #[test]
+    fn broker_drain_parks_checkpoints_that_reopen_from_the_log() {
+        use cg_core::broker::{Broker, BrokerConfig};
+        use cg_core::service::{Request, Response};
+        use cg_core::session::CompilationSession;
+        use std::time::Duration;
+
+        const BENCH: &str = "benchmark://cbench-v1/crc32";
+        let mut straight = cg_core::envs::llvm::LlvmSession::new();
+        straight.init(BENCH, 0).unwrap();
+        let names = straight.action_spaces().remove(0).actions;
+        let index = |n: &str| names.iter().position(|a| a == n).unwrap();
+        let actions = vec![index("mem2reg"), index("instcombine"), index("gvn")];
+        let probe = index("simplifycfg");
+        for &a in &actions {
+            straight.apply_action(a).unwrap();
+        }
+        let want = straight.save_state().unwrap();
+
+        let dir = tmpdir("ckpt-drain");
+        {
+            let store = open(&dir);
+            let ring = store.checkpoint_store(8, 1000);
+            let broker = Broker::new(
+                cg_core::envs::session_factory("llvm-v0").unwrap(),
+                BrokerConfig {
+                    workers: 1,
+                    checkpoints: ring.clone(),
+                    ..BrokerConfig::default()
+                },
+            );
+            let start = Request::StartSession {
+                benchmark: BENCH.into(),
+                action_space: 0,
+            };
+            let Response::SessionStarted { session_id } = broker.call("t", start) else {
+                panic!("session did not start");
+            };
+            let step = Request::Step {
+                session_id,
+                actions: actions.clone(),
+                observation_spaces: vec![],
+            };
+            assert!(matches!(broker.call("t", step), Response::Stepped { .. }));
+            assert_eq!(broker.drain(Duration::from_secs(5)).checkpointed, 1);
+            let parked = ring.latest_matching(BENCH, 0, &actions).unwrap();
+            assert!(parked.state.is_live(), "the ring keeps the handle");
+            assert_eq!(parked.state.to_bytes(), &want[..]);
+            store.flush();
+        }
+
+        let seeded = (open(&dir).checkpoint_store(8, 1000))
+            .latest_matching(BENCH, 0, &actions)
+            .unwrap();
+        assert_eq!(seeded.depth(), 3);
+        assert!(!seeded.state.is_live(), "the log hands back bytes");
+        assert_eq!(seeded.state.to_bytes(), &want[..]);
+        let mut restored = cg_core::envs::llvm::LlvmSession::new();
+        restored.init(BENCH, 0).unwrap();
+        restored.restore(&seeded.state).unwrap();
+        straight.apply_action(probe).unwrap();
+        restored.apply_action(probe).unwrap();
+        assert_eq!(restored.save_state(), straight.save_state());
         let _ = fs::remove_dir_all(&dir);
     }
 }

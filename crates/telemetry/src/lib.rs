@@ -1546,10 +1546,6 @@ metrics! {
         /// log (content-addressed by the record checksum).
         scrub_repaired: Counter ["cg_stdb_scrub_repaired_total"
             "Corrupt records repaired from intact duplicates."],
-        /// Checkpoint files rejected at load time (bad checksum or torn JSON),
-        /// quarantined and answered by the in-memory ring fallback.
-        checkpoint_rejects: Counter ["cg_stdb_checkpoint_rejects_total"
-            "Checkpoint files rejected at load (bad checksum or torn)."],
         /// Compactions completed.
         compactions: Counter
             ["cg_stdb_compactions_total" "Transition-store compactions completed."],
