@@ -32,7 +32,7 @@ fn usage() -> ExitCode {
          cg stdb scrub <dir> [--repair] [--json]\n  \
          cg stdb compact <dir> [--json]\n  \
          cg stdb stats <dir> [--json]\n  \
-         cg stats [--json] [--slo-ms MS] [--no-analysis-cache] [--stdb DIR] <env> <benchmark> <steps>\n  \
+         cg stats [--json] [--slo-ms MS] [--stdb DIR] <env> <benchmark> <steps>\n  \
          cg trace [--episode ID|last] [--json] [--tcp] [--chaos-seed S]\n           \
          [<env> <benchmark> <steps>]\n  \
          cg export-metrics [--jsonl] [--slo-ms MS] [<env> <benchmark> <steps>]\n  \
@@ -299,7 +299,6 @@ fn stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--stdb" => {
                 stdb_dir = Some(it.next().ok_or("--stdb needs a directory")?.clone());
             }
-            "--no-analysis-cache" => cg_ir::am::set_cache_disabled(true),
             _ => positional.push(a),
         }
     }

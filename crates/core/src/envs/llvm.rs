@@ -1,4 +1,10 @@
 //! The LLVM phase-ordering session (§V-A).
+//!
+//! The session's state is one copy-on-write [`Module`]. Passes write only
+//! the functions they change, so a function no action has changed since
+//! `init` is still the cached benchmark's, and a snapshot is just
+//! `Arc::new(module.clone())`: consecutive snapshots share every function
+//! the actions between them left alone, with no bookkeeping here.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -6,7 +12,6 @@ use std::sync::Arc;
 use cg_ir::interp::ExecLimits;
 use cg_ir::Module;
 use cg_llvm::action_space::{autophase_subset, ActionSpace};
-use cg_llvm::pass::Touched;
 use cg_llvm::{observation, pipeline, reward};
 use parking_lot::Mutex;
 
@@ -89,14 +94,6 @@ pub struct LlvmSession {
     subset: &'static [usize],
     active_subset: bool,
     module: Option<Module>,
-    /// The immutable module this episode last coincided with — the cached
-    /// benchmark after `init`, else the latest snapshot taken or restored —
-    /// and which functions the actions since have touched. A snapshot hands
-    /// the untouched ones back to `base`'s copies, so consecutive snapshots
-    /// share every function no pass changed in between even though pass
-    /// sweeps un-share whatever they scan through `func_mut`.
-    base: Option<Arc<Module>>,
-    dirty: Touched,
     benchmark: String,
     measurement_counter: u64,
     /// Interpreter limits for runtime observations; the fuel cap is
@@ -112,7 +109,7 @@ pub struct LlvmSession {
     print_buf: std::cell::RefCell<String>,
     /// Analysis cache shared across the episode's actions: a pass reuses
     /// the dominator tree or loop forest of any function the previous
-    /// actions left untouched (stamp-checked, reconciled per pass effect).
+    /// actions left unchanged (stamp-checked).
     analyses: cg_ir::AnalysisManager,
 }
 
@@ -142,8 +139,6 @@ impl LlvmSession {
             subset,
             active_subset: false,
             module: None,
-            base: None,
-            dirty: Touched::None,
             benchmark: String::new(),
             measurement_counter: 0,
             limits: ExecLimits::default(),
@@ -163,14 +158,6 @@ impl LlvmSession {
     /// state-transition logger; not part of the RPC surface).
     pub fn module_ref(&self) -> Option<&Module> {
         self.module.as_ref()
-    }
-
-    /// Makes `base` the episode's state: the live module becomes a
-    /// copy-on-write clone of it and nothing is dirty.
-    fn adopt(&mut self, base: Arc<Module>) {
-        self.module = Some((*base).clone());
-        self.base = Some(base);
-        self.dirty = Touched::None;
     }
 }
 
@@ -250,7 +237,7 @@ impl CompilationSession for LlvmSession {
             ));
         }
         self.active_subset = action_space == 1;
-        self.adopt(cached_benchmark(benchmark)?);
+        self.module = Some((*cached_benchmark(benchmark)?).clone());
         self.benchmark = benchmark.to_string();
         self.measurement_counter = 0;
         self.features.clear();
@@ -276,7 +263,6 @@ impl CompilationSession for LlvmSession {
         let m = self.module.as_mut().ok_or("session not initialized")?;
         let effect = self.space.apply_with(m, index, &mut self.analyses);
         self.features.invalidate(&effect.touched);
-        self.dirty.merge(effect.touched);
         Ok(ActionOutcome {
             end_of_episode: false,
             action_space_changed: false,
@@ -353,8 +339,6 @@ impl CompilationSession for LlvmSession {
             subset: self.subset,
             active_subset: self.active_subset,
             module: self.module.clone(),
-            base: self.base.clone(),
-            dirty: self.dirty.clone(),
             benchmark: self.benchmark.clone(),
             measurement_counter: self.measurement_counter,
             limits: self.limits,
@@ -381,21 +365,7 @@ impl CompilationSession for LlvmSession {
     }
 
     fn snapshot(&mut self) -> Option<SessionSnapshot> {
-        let mut snap = self.module.as_ref()?.clone();
-        if let Some(base) = &self.base {
-            // Pass sweeps copied every function they scanned; the ones no
-            // pass reported touching still equal `base`'s, so the snapshot
-            // takes those (the live module keeps its own copies and with
-            // them its stamps and cached analyses).
-            for &fid in base.func_ids() {
-                if !self.dirty.contains(fid) && snap.func_exists(fid) {
-                    snap.share_func_from(base, fid);
-                }
-            }
-        }
-        let snap = Arc::new(snap);
-        self.base = Some(Arc::clone(&snap));
-        self.dirty = Touched::None;
+        let snap = Arc::new(self.module.as_ref()?.clone());
         Some(SessionSnapshot::from_live(snap))
     }
 
@@ -412,7 +382,7 @@ impl CompilationSession for LlvmSession {
                 Arc::new(m)
             }
         };
-        self.adopt(module);
+        self.module = Some((*module).clone());
         // The per-function caches are keyed by function id: a re-parsed
         // module numbers from zero and a structural one may come from
         // another episode, so drop everything.

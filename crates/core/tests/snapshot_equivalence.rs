@@ -12,10 +12,11 @@
 //! cache, between snapshots, between a fork and its parent) is exercised
 //! across threads throughout.
 //!
-//! Tests build in debug mode, so every snapshot also runs
-//! `Module::share_func_from`'s assertion that a function handed back to
-//! the previous snapshot's copy really equals it — the check on the
-//! passes' `Touched` reports that the sharing relies on.
+//! A snapshot is a plain copy-on-write clone of the live module, so the
+//! sharing checked here comes from passes writing only what they change.
+//! That invariant — a function's stamp moves exactly when it changes, and
+//! an unchanged function stays shared — is checked after every single
+//! application in `crates/llvm/tests/analysis_cache_soundness.rs`.
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -221,8 +222,7 @@ fn interleaved_snapshots_match_the_uninterrupted_run() {
 
 /// Consecutive snapshots of one episode share what the actions between
 /// them left alone: always the globals (no pass here rewrites them), and
-/// every function outside the touched set — although a pass sweep copies
-/// every function it scans through `func_mut` in the live module.
+/// every function no pass changed — passes scan without writing.
 #[test]
 fn consecutive_snapshots_share_globals_and_untouched_functions() {
     let mut s = LlvmSession::new();

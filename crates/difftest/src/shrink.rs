@@ -22,8 +22,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cg_ir::verify::verify_module;
-use cg_ir::Module;
-use cg_llvm::pass::find_pass;
+use cg_ir::{AnalysisManager, Module};
+use cg_llvm::pass::{find_pass, run_pass_with};
 
 use crate::oracle::{compare_modules, OracleConfig, OracleFailure};
 
@@ -60,17 +60,22 @@ impl std::fmt::Display for FailureKind {
 
 /// Applies `pipeline` to a clone of `base` with per-pass verification and
 /// panic containment, then runs the oracle. Returns the failure, if any.
+/// The passes share one [`AnalysisManager`], as in an environment session,
+/// so cached analyses and the no-op memo are under test too.
 ///
 /// This is *the* failure predicate: the fuzzer, both shrinking axes and the
 /// reproducer replayer all go through it, so "failing" means the same thing
 /// everywhere.
 pub fn run_case(base: &Module, pipeline: &[String], oracle: &OracleConfig) -> Option<FailureKind> {
     let mut opt = base.clone();
+    let mut am = AnalysisManager::new();
     for name in pipeline {
         // Unknown names (None → "no failure") cannot occur for fuzzer-sampled
         // pipelines; for replayed reproducers the loader reports them first.
         let pass = find_pass(name)?;
-        let result = catch_unwind(AssertUnwindSafe(|| pass.run(&mut opt)));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_pass_with(pass.as_ref(), &mut opt, &mut am)
+        }));
         if result.is_err() {
             return Some(FailureKind::PassPanic { pass: name.clone() });
         }

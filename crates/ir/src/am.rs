@@ -4,19 +4,22 @@
 //! loop forest, [`Liveness`] and [`DefUse`] per function, keyed by
 //! [`FuncId`] and validated by the owning function's modification [`Stamp`]:
 //! a cached entry is served only while its recorded stamp still equals the
-//! function's current one, so any structural mutation (which advances the
-//! stamp) transparently invalidates everything cached for that function.
-//!
-//! Pass runners refine this with two explicit operations:
+//! function's current one. A stamp moves exactly when its function changes,
+//! so a function no pass edited keeps everything cached for it, and an
+//! edited one loses everything — unless the pass runner, told what the pass
+//! preserves, keeps part of it:
 //!
 //! * [`AnalysisManager::revalidate`] — re-adopt the current stamp without
-//!   dropping anything. Sound when the function's content is known
-//!   unchanged (a pass reported it untouched) even though scanning bumped
-//!   its stamp via `block_mut`.
+//!   dropping anything. Sound for a pass that changes nothing analyses
+//!   depend on (it only flips function attributes).
 //! * [`AnalysisManager::preserve_cfg`] — keep the CFG-shape analyses (cfg,
 //!   dominators, frontiers, loops) but drop the value-level ones (liveness,
 //!   def-use). Sound for passes that rewrite instructions without touching
 //!   terminators or layout.
+//!
+//! The same stamps name module contents for the no-op pass memo
+//! ([`AnalysisManager::known_noop`]): an unchanged (function id, stamp)
+//! fingerprint proves every function is byte-identical.
 //!
 //! Results are returned as [`Arc`]s so callers can hold an analysis across
 //! subsequent mutations of the function (the cache entry is invalidated,
@@ -36,15 +39,6 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
 static NOOP_SKIPS: AtomicU64 = AtomicU64::new(0);
-static DISABLE_ALL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Process-wide kill switch: when set, [`AnalysisManager::new`] hands out
-/// disabled (always-recompute) managers. Backs the `--no-analysis-cache`
-/// CLI escape hatch, so a suspected caching bug can be ruled out in the
-/// field without a rebuild.
-pub fn set_cache_disabled(disabled: bool) {
-    DISABLE_ALL.store(disabled, Ordering::Relaxed);
-}
 
 /// Process-wide analysis cache totals (all managers combined).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -125,7 +119,7 @@ pub struct AnalysisManager {
     enabled: bool,
     /// Content generation for the no-op pass memo: bumped whenever the
     /// module's stamp fingerprint stops matching `gen_key`. Two moments
-    /// with the same generation hold byte-identical IR.
+    /// with the same generation hold byte-identical functions.
     gen: u64,
     /// The (function id, stamp) fingerprint at which `gen` was established.
     gen_key: Vec<(u32, Stamp)>,
@@ -137,13 +131,13 @@ impl AnalysisManager {
     /// A new, enabled manager.
     pub fn new() -> AnalysisManager {
         AnalysisManager {
-            enabled: !DISABLE_ALL.load(Ordering::Relaxed),
+            enabled: true,
             ..AnalysisManager::default()
         }
     }
 
-    /// A manager that never caches: every request recomputes. The control
-    /// arm for benchmarks and the `--no-analysis-cache` escape hatch.
+    /// A manager that never caches and never memoizes: every request
+    /// recomputes. The control arm for tests and benchmarks.
     pub fn disabled() -> AnalysisManager {
         AnalysisManager::default()
     }
@@ -281,18 +275,10 @@ impl AnalysisManager {
         self.entries.remove(&fid.0);
     }
 
-    /// Drops the entire cache.
-    pub fn invalidate_all(&mut self) {
-        for e in self.entries.values_mut() {
-            e.clear();
-        }
-        self.entries.clear();
-    }
-
     /// Re-adopts the function's current stamp without dropping cached
-    /// analyses. Only sound when the function's *content* is known
-    /// unchanged since the analyses were computed (e.g. a pass swept it
-    /// through `block_mut` but reported no change).
+    /// analyses. Only sound when nothing the analyses read has changed since
+    /// they were computed (a pass that preserves everything, like one that
+    /// only flips function attributes).
     pub fn revalidate(&mut self, fid: FuncId, f: &Function) {
         if let Some(e) = self.entries.get_mut(&fid.0) {
             if e.stamp.is_some() {
@@ -343,11 +329,13 @@ impl AnalysisManager {
     }
 
     /// The module's current content generation. Stamps are allocated from a
-    /// global monotonic counter and advance on every mutation, so an
-    /// unchanged (function id, stamp) fingerprint proves the IR is
-    /// byte-identical to when the generation was established; any mismatch
-    /// starts a new generation.
-    pub fn content_gen(&mut self, m: &crate::Module) -> u64 {
+    /// global monotonic counter and advance exactly when a function changes,
+    /// so an unchanged (function id, stamp) fingerprint proves every
+    /// function is byte-identical to when the generation was established;
+    /// any mismatch starts a new generation. The globals are left out:
+    /// `globalopt` is the only pass that reads them and the only one that
+    /// writes them, and a run that writes them is not a no-op.
+    fn content_gen(&mut self, m: &crate::Module) -> u64 {
         if !self.key_matches(m) {
             self.gen += 1;
             self.refresh_key(m);
@@ -372,18 +360,15 @@ impl AnalysisManager {
         }
     }
 
-    /// Records that `pass` just ran on the current content and reported no
-    /// change. The pass's read-modify sweeps may have renamed stamps, so
-    /// the fingerprint is re-adopted under the *same* generation — the memo
-    /// analogue of [`AnalysisManager::revalidate`], sound for the same
-    /// reason: a `changed = false` report vouches that content is
-    /// untouched.
+    /// Records that `pass` just ran on the current content and changed
+    /// nothing (no stamp moved, so the content generation is the one the
+    /// pass started from).
     pub fn note_noop(&mut self, pass: &str, m: &crate::Module) {
         if !self.enabled {
             return;
         }
-        self.refresh_key(m);
-        self.noop.insert(pass.to_string(), self.gen);
+        let gen = self.content_gen(m);
+        self.noop.insert(pass.to_string(), gen);
     }
 
     /// Compares every cached, stamp-current analysis against a from-scratch
@@ -393,8 +378,8 @@ impl AnalysisManager {
     /// request and cannot serve wrong data.
     ///
     /// This is the oracle behind the analysis-cache soundness property
-    /// test: a pass that over-claims `preserved()`, or a runner that
-    /// revalidates a genuinely changed function, surfaces here.
+    /// test: a pass that over-claims `preserved()`, or an edit that escapes
+    /// its function's stamp, surfaces here.
     pub fn audit(&self, m: &crate::Module) -> Vec<String> {
         let mut bad = Vec::new();
         for (&raw, e) in &self.entries {
@@ -465,13 +450,15 @@ mod tests {
     fn second_request_hits() {
         let (m, fid) = small_module();
         let mut am = AnalysisManager::new();
-        reset_cache_stats();
+        assert_eq!(am.cached_functions(), 0);
+        // By identity and by this manager's own entries, not by the
+        // process-wide counters, which tests running concurrently in this
+        // binary also move.
         let c1 = am.cfg(fid, m.func(fid));
+        assert_eq!(am.cached_functions(), 1);
         let c2 = am.cfg(fid, m.func(fid));
         assert!(Arc::ptr_eq(&c1, &c2));
-        let s = cache_stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
+        assert_eq!(am.cached_functions(), 1);
     }
 
     #[test]
@@ -493,8 +480,9 @@ mod tests {
         let (mut m, fid) = small_module();
         let mut am = AnalysisManager::new();
         let c1 = am.cfg(fid, m.func(fid));
-        let e = m.func(fid).entry();
-        let _ = m.func_mut(fid).block_mut(e); // stamp bumped, content unchanged
+        // An edit analyses do not read (what a pass preserving everything
+        // does): the stamp moves, the runner re-adopts it.
+        m.func_mut(fid).inline_hint = crate::InlineHint::Always;
         am.revalidate(fid, m.func(fid));
         let c2 = am.cfg(fid, m.func(fid));
         assert!(Arc::ptr_eq(&c1, &c2), "revalidation kept the entry live");
@@ -560,20 +548,12 @@ mod tests {
             !am.known_noop("gvn", &m),
             "other passes are not vouched for"
         );
-
-        // A pass that sweeps through block_mut but changes nothing renames
-        // stamps; note_noop re-adopts the fingerprint under the same
-        // generation, so earlier memos survive.
-        let gen = am.content_gen(&m);
-        let entry = m.func(fid).entry();
-        let _ = m.func_mut(fid).block_mut(entry); // stamp bump, no change
         am.note_noop("gvn", &m);
-        assert_eq!(am.content_gen(&m), gen, "no-op sweep keeps the generation");
-        assert!(am.known_noop("dce", &m), "dce memo survives gvn's sweep");
+        assert!(am.known_noop("dce", &m), "memos accumulate per generation");
 
-        // A real mutation (stamp moves without a no-change report) starts a
-        // new generation and disowns every memo.
-        let _ = m.func_mut(fid).block_mut(entry);
+        // An edit moves a stamp, which starts a new generation and disowns
+        // every memo — a write to a public field included.
+        m.func_mut(fid).inline_hint = crate::InlineHint::Always;
         assert!(!am.known_noop("dce", &m));
         assert!(!am.known_noop("gvn", &m));
 

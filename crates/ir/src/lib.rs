@@ -51,7 +51,8 @@ mod types;
 pub use am::AnalysisManager;
 pub use inst::{BinOp, CastKind, Inst, Op, Pred, Terminator};
 pub use module::{
-    Block, BlockId, FuncId, Function, Global, GlobalId, InlineHint, Module, Stamp, ValueId,
+    Block, BlockId, FuncEdit, FuncId, Function, Global, GlobalId, InlineHint, Module, Stamp,
+    ValueId,
 };
 pub use smallvec::SmallVec;
 pub use types::{Constant, Operand, Type};

@@ -8,25 +8,30 @@
 //! `Vec<Option<T>>` representation — but iteration walks contiguous memory
 //! and removal is `swap_remove` instead of leaving a hole.
 //!
-//! Every structural mutation of a [`Function`] advances its [`Stamp`], a
-//! globally unique modification counter. Analyses cached by
-//! [`crate::am::AnalysisManager`] record the stamp they were computed at and
-//! are discarded when it no longer matches, which makes cache invalidation a
-//! single integer compare instead of a guess.
+//! Every edit of a [`Function`] advances its [`Stamp`], a globally unique
+//! modification counter, and nothing else does: a stamp moves exactly when
+//! the function changes. Analyses cached by [`crate::am::AnalysisManager`]
+//! record the stamp they were computed at and are discarded when it no
+//! longer matches, and the pass runner derives which functions a pass
+//! changed from the stamps that moved. The module has a stamp of its own,
+//! which moves when the function set or the globals change.
 //!
 //! Ownership is **copy-on-write**: a [`Module`] holds each function behind
 //! its own `Arc` and all globals behind one, so [`Module::clone`] is
 //! O(functions) reference-count bumps and the clone shares every function
 //! and every global with the original until one side mutates it. The only
 //! ways to a `&mut Function` or `&mut Vec<Global>` ([`Module::func_mut`],
-//! [`Module::take_func`], [`Module::globals_mut`]) un-share first, so a
-//! clone — a session snapshot, a fork, a cached benchmark — can never be
-//! changed from under its holder. The rule for passes follows: read through
-//! [`Module::func`] / [`Module::globals`], and take the `_mut` accessor only
-//! to mutate.
+//! [`Module::take_func`], a write through a [`FuncEdit`],
+//! [`Module::globals_mut`]) un-share first and move the stamp, so a clone —
+//! a session snapshot, a fork, a cached benchmark — can never be changed
+//! from under its holder, and no edit escapes a stamp, not even a write to
+//! a public field. The rule for passes follows: read through
+//! [`Module::func`] / [`Module::globals`] or a [`FuncEdit`], and write only
+//! what really changes.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -69,20 +74,27 @@ const DEAD: u32 = u32::MAX;
 static STAMP_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 /// A globally unique modification stamp. Two equal stamps guarantee the
-/// function has not been structurally mutated in between; every mutation
-/// draws a fresh value from a process-wide counter, so stale analysis
-/// entries can never collide with a recomputed function state (no ABA).
+/// function (or, for [`Module::stamp`], the function set and globals) has
+/// not been mutated in between; every mutation draws a fresh value from a
+/// process-wide counter, so stale analysis entries can never collide with a
+/// recomputed function state (no ABA).
 ///
-/// Stamps are transient bookkeeping: cloning a function copies its stamp
-/// (same content ⇒ same analyses apply), while deserialization draws a
-/// fresh one (nothing cached can exist for it yet). Stamps never influence
-/// printed IR, hashing, or equality of functions.
+/// Stamps are transient bookkeeping: cloning copies the stamp (same content
+/// ⇒ same analyses apply), while deserialization draws a fresh one (nothing
+/// cached can exist for it yet). Stamps never influence printed IR, hashing,
+/// or equality.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Stamp(u64);
 
 impl Stamp {
     fn next() -> Stamp {
         Stamp(STAMP_COUNTER.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for Stamp {
+    fn default() -> Stamp {
+        Stamp::next()
     }
 }
 
@@ -328,10 +340,9 @@ impl Function {
         &self.blocks[dense as usize]
     }
 
-    /// Mutably borrows a block. Counts as a structural mutation: the
-    /// function's [`Stamp`] advances even if the caller changes nothing
-    /// (pass runners re-validate analyses for functions a pass reports
-    /// unchanged, recovering the cache for no-op sweeps).
+    /// Mutably borrows a block. Counts as a mutation: the function's
+    /// [`Stamp`] advances even if the caller changes nothing, so take it
+    /// only to change the block.
     ///
     /// # Panics
     /// Panics if the block has been removed.
@@ -430,10 +441,11 @@ pub struct Module {
     slot: Vec<u32>,
     order: Vec<FuncId>,
     globals: Arc<Vec<Global>>,
+    stamp: Stamp,
 }
 
 /// Structural equality over live functions in definition order, globals and
-/// the id watermark; internal dense order is ignored (history-dependent).
+/// the id watermark; internal dense order and stamps are ignored.
 impl PartialEq for Module {
     fn eq(&self, other: &Module) -> bool {
         self.name == other.name
@@ -456,7 +468,15 @@ impl Module {
             slot: Vec::new(),
             order: Vec::new(),
             globals: Arc::default(),
+            stamp: Stamp::next(),
         }
+    }
+
+    /// The module's stamp: it advances whenever the function set or the
+    /// globals change, and not on an edit inside a function (each function
+    /// has its own [`Function::stamp`]).
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
     }
 
     /// Adds a function, returning its id.
@@ -466,6 +486,7 @@ impl Module {
         self.functions.push(Arc::new(f));
         self.ids.push(id);
         self.order.push(id);
+        self.stamp = Stamp::next();
         id
     }
 
@@ -481,6 +502,7 @@ impl Module {
         }
         self.slot[id.0 as usize] = DEAD;
         self.order.retain(|o| *o != id);
+        self.stamp = Stamp::next();
         f
     }
 
@@ -508,24 +530,36 @@ impl Module {
     }
 
     /// Mutably borrows a function, first copying it if a clone of this
-    /// module still shares it (the copy keeps the [`Stamp`]: same content,
-    /// same analyses). Does *not* advance the function's stamp by itself —
-    /// only actual mutations through [`Function`] methods do — so
-    /// per-function pass sweeps that merely look at each function keep
-    /// their cached analyses. Take it only to mutate: on a shared function
-    /// even an unused `func_mut` costs the copy and ends the sharing.
+    /// module still shares it, and advances its [`Stamp`]: the borrow counts
+    /// as an edit whether or not the caller changes anything. Take it only
+    /// to change the function; to look first and write only if needed, use
+    /// [`Module::edit_func`].
     ///
     /// # Panics
     /// Panics if the function has been removed.
     pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
         let dense = self.slot[id.0 as usize];
         assert!(dense != DEAD, "function was removed");
-        Arc::make_mut(&mut self.functions[dense as usize])
+        write(&mut self.functions[dense as usize])
+    }
+
+    /// Opens function `id` for a pass that may or may not edit it; see
+    /// [`FuncEdit`].
+    ///
+    /// # Panics
+    /// Panics if the function has been removed.
+    pub fn edit_func(&mut self, id: FuncId) -> FuncEdit<'_> {
+        let dense = self.slot[id.0 as usize];
+        assert!(dense != DEAD, "function was removed");
+        FuncEdit {
+            id,
+            f: &mut self.functions[dense as usize],
+        }
     }
 
     /// True if `self` and `other` hold the *same* function object under
     /// `id` — neither has written to it since one was cloned from the
-    /// other (or since [`Module::share_func_from`]).
+    /// other.
     pub fn shares_func_with(&self, other: &Module, id: FuncId) -> bool {
         match (self.slot.get(id.0 as usize), other.slot.get(id.0 as usize)) {
             (Some(&a), Some(&b)) if a != DEAD && b != DEAD => {
@@ -538,27 +572,6 @@ impl Module {
     /// True if `self` and `other` hold the same globals object.
     pub fn shares_globals_with(&self, other: &Module) -> bool {
         Arc::ptr_eq(&self.globals, &other.globals)
-    }
-
-    /// Drops this module's copy of function `id` in favour of `donor`'s
-    /// handle to it, so the two share one object again. For snapshot
-    /// takers that know a function is unchanged since `donor` although a
-    /// read-modify sweep un-shared it. The caller vouches that the two
-    /// copies are equal; the adopted copy carries `donor`'s stamp.
-    ///
-    /// # Panics
-    /// Panics if `id` is not live in both modules.
-    pub fn share_func_from(&mut self, donor: &Module, id: FuncId) {
-        let dense = self.slot[id.0 as usize];
-        assert!(dense != DEAD, "function was removed");
-        let theirs = donor.slot[id.0 as usize];
-        assert!(theirs != DEAD, "function was removed from the donor");
-        debug_assert!(
-            self.functions[dense as usize] == donor.functions[theirs as usize],
-            "share_func_from: function {} differs from the donor's",
-            donor.functions[theirs as usize].name
-        );
-        self.functions[dense as usize] = Arc::clone(&donor.functions[theirs as usize]);
     }
 
     /// Live function ids in definition order. Borrows the internal order —
@@ -591,18 +604,22 @@ impl Module {
     /// [`Module::put_func`] restores it (used by the inliner to mutate one
     /// function while reading another). While taken, the function is absent
     /// from [`Module::func_ids`] and iteration. A function still shared
-    /// with a clone of this module is copied out (stamp included); the
-    /// clone keeps the original.
+    /// with a clone of this module is copied out; the clone keeps the
+    /// original. Taking and putting back move both the function's stamp and
+    /// the module's.
     pub fn take_func(&mut self, id: FuncId) -> Function {
-        Arc::unwrap_or_clone(self.detach_func(id))
+        let mut f = Arc::unwrap_or_clone(self.detach_func(id));
+        f.stamp = Stamp::next();
+        f
     }
 
     /// Puts a function back into its arena slot.
     ///
     /// # Panics
     /// Panics if the id is live.
-    pub fn put_func(&mut self, id: FuncId, f: Function) {
+    pub fn put_func(&mut self, id: FuncId, mut f: Function) {
         assert!(self.slot[id.0 as usize] == DEAD);
+        f.stamp = Stamp::next();
         self.slot[id.0 as usize] = self.functions.len() as u32;
         self.functions.push(Arc::new(f));
         self.ids.push(id);
@@ -610,12 +627,13 @@ impl Module {
         // definition order; reinsert at the sorted position.
         let pos = self.order.partition_point(|&o| o < id);
         self.order.insert(pos, id);
+        self.stamp = Stamp::next();
     }
 
     /// Adds a global, returning its id.
     pub fn add_global(&mut self, g: Global) -> GlobalId {
         let id = GlobalId(self.globals.len() as u32);
-        Arc::make_mut(&mut self.globals).push(g);
+        self.globals_mut().push(g);
         id
     }
 
@@ -630,9 +648,11 @@ impl Module {
     }
 
     /// Mutably borrows the globals, first copying them if a clone of this
-    /// module still shares them. Take it only to mutate (see
-    /// [`Module::func_mut`]): the initialisers are often most of a module.
+    /// module still shares them, and advances the module's [`Stamp`]. Take
+    /// it only to mutate (see [`Module::func_mut`]): the initialisers are
+    /// often most of a module.
     pub fn globals_mut(&mut self) -> &mut Vec<Global> {
+        self.stamp = Stamp::next();
         Arc::make_mut(&mut self.globals)
     }
 
@@ -646,6 +666,47 @@ impl Module {
     /// Number of live functions.
     pub fn num_functions(&self) -> usize {
         self.order.len()
+    }
+}
+
+/// The one way to write to a module's function: un-share it, then move its
+/// stamp.
+fn write(f: &mut Arc<Function>) -> &mut Function {
+    let f = Arc::make_mut(f);
+    f.stamp = Stamp::next();
+    f
+}
+
+/// One function of a module, opened by [`Module::edit_func`] for a pass
+/// that may or may not change it. Reads (`Deref`) go to the module's copy,
+/// which a snapshot may share; the first write (`DerefMut`: any `&mut self`
+/// method, or passing it where a `&mut Function` is expected) is a
+/// [`Module::func_mut`], un-sharing the function and moving its stamp. A
+/// function the pass only looks at therefore keeps both — which is what
+/// lets the pass runner read a pass's effect off the stamps.
+pub struct FuncEdit<'m> {
+    id: FuncId,
+    f: &'m mut Arc<Function>,
+}
+
+impl FuncEdit<'_> {
+    /// The function's id.
+    pub fn id(&self) -> FuncId {
+        self.id
+    }
+}
+
+impl Deref for FuncEdit<'_> {
+    type Target = Function;
+
+    fn deref(&self) -> &Function {
+        self.f
+    }
+}
+
+impl DerefMut for FuncEdit<'_> {
+    fn deref_mut(&mut self) -> &mut Function {
+        write(self.f)
     }
 }
 
@@ -837,18 +898,46 @@ mod tests {
     }
 
     #[test]
-    fn cow_copy_keeps_the_stamp_until_a_real_mutation() {
-        let (mut m, f, _) = two_function_module();
+    fn reads_through_an_edit_keep_sharing_and_the_first_write_moves_the_stamp() {
+        let (mut m, f, g) = two_function_module();
         let snap = m.clone();
         let s0 = snap.func(f).stamp();
-        // `func_mut` on a shared function copies it; the copy is the same
-        // content, so it keeps the stamp and the analyses cached under it.
-        let _ = m.func_mut(f);
-        assert!(!snap.shares_func_with(&m, f));
+        {
+            let edit = m.edit_func(f);
+            assert_eq!(edit.id(), f);
+            assert_eq!(edit.num_blocks(), 1);
+        }
+        assert!(snap.shares_func_with(&m, f), "a read does not copy");
+        assert!(!snap.shares_func_with(&m, FuncId(9)), "unknown id");
         assert_eq!(m.func(f).stamp(), s0);
-        rewrite_return(&mut m, f, 5);
+
+        // Any write — even to a public field — un-shares and moves the
+        // stamp; the clone keeps both.
+        m.edit_func(f).inline_hint = InlineHint::Always;
+        assert!(!snap.shares_func_with(&m, f));
         assert_ne!(m.func(f).stamp(), s0);
         assert_eq!(snap.func(f).stamp(), s0, "the clone's stamp never moves");
+        let s1 = m.func(f).stamp();
+        let _ = m.func_mut(g);
+        assert_eq!(m.func(f).stamp(), s1, "other functions keep theirs");
+        assert_ne!(m.func(g).stamp(), snap.func(g).stamp());
+    }
+
+    #[test]
+    fn the_module_stamp_moves_with_the_function_set_and_the_globals() {
+        let (mut m, f, _) = two_function_module();
+        let s0 = m.stamp();
+        rewrite_return(&mut m, f, 5);
+        assert_eq!(m.stamp(), s0, "a function edit is the function's");
+        let _ = m.globals_mut();
+        let s1 = m.stamp();
+        assert_ne!(s1, s0);
+        m.remove_function(f);
+        let s2 = m.stamp();
+        assert_ne!(s2, s1);
+        m.add_function(tiny_function());
+        assert_ne!(m.stamp(), s2);
+        assert_eq!(m.clone().stamp(), m.stamp());
     }
 
     #[test]
@@ -856,7 +945,7 @@ mod tests {
         let (mut m, f, g) = two_function_module();
         let snap = m.clone();
         let mut taken = m.take_func(f);
-        assert_eq!(taken.stamp(), snap.func(f).stamp());
+        assert_ne!(taken.stamp(), snap.func(f).stamp());
         let e = taken.entry();
         taken.block_mut(e).term = Terminator::Unreachable;
         m.put_func(f, taken);
@@ -867,19 +956,6 @@ mod tests {
         ));
         assert!(matches!(m.func(f).block(e).term, Terminator::Unreachable));
         assert!(snap.shares_func_with(&m, g));
-    }
-
-    #[test]
-    fn share_func_from_restores_sharing() {
-        let (mut m, f, g) = two_function_module();
-        let snap = m.clone();
-        let _ = m.func_mut(f); // a sweep that looked but changed nothing
-        rewrite_return(&mut m, g, 2);
-        assert!(!snap.shares_func_with(&m, f));
-        m.share_func_from(&snap, f);
-        assert!(snap.shares_func_with(&m, f));
-        assert!(!snap.shares_func_with(&m, g));
-        assert!(!snap.shares_func_with(&m, FuncId(9)), "unknown id");
     }
 
     #[test]

@@ -69,8 +69,9 @@ impl ActionSpace {
     }
 
     /// Like [`ActionSpace::apply`], but additionally reports which functions
-    /// the pass touched (the invalidation signal for incremental
-    /// observations). Same telemetry side effects as `apply`.
+    /// the pass touched, derived from the stamps that moved (the
+    /// invalidation signal for incremental observations). Same telemetry
+    /// side effects as `apply`.
     ///
     /// # Panics
     /// Panics if `i` is out of range.

@@ -459,8 +459,8 @@ pub fn autophase_func(m: &Module, fid: FuncId) -> Vec<i64> {
 }
 
 /// Per-function feature cache backing the incremental InstCount/Autophase
-/// observations. Passes report which functions they touched
-/// ([`Touched`]); only those functions are re-scanned on the next
+/// observations. The pass driver reports which functions each pass
+/// touched ([`Touched`]); only those functions are re-scanned on the next
 /// observation, so an action that rewrites one small function does not pay
 /// to re-featurize the whole module. Consistency with the monolithic
 /// [`inst_count`]/[`autophase`] scans is enforced by debug-assert
@@ -485,7 +485,7 @@ impl IncrementalFeatures {
         self.autophase.clear();
     }
 
-    /// Invalidates the functions a pass reported touching.
+    /// Invalidates the functions a pass touched.
     pub fn invalidate(&mut self, touched: &Touched) {
         match touched {
             Touched::None => {}

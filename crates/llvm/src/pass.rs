@@ -1,54 +1,34 @@
 //! The [`Pass`] abstraction and the pass registry.
+//!
+//! A pass edits the module and returns nothing. What it changed is read
+//! off the stamps by [`run_pass_with`]: every edit of a function moves that
+//! function's [`cg_ir::Stamp`] and nothing else does, and the module's own
+//! stamp moves when the function set or the globals change. So a pass
+//! borrows mutably only a function it is about to edit — through
+//! [`cg_ir::FuncEdit`] (see [`crate::util::for_each_function`]) or
+//! [`Module::func_mut`] — and a function it only looked at stays
+//! untouched: shared with every snapshot, its analyses cached, its
+//! features clean.
 
 use cg_ir::{AnalysisManager, FuncId, Module};
 use std::fmt;
 use std::sync::Arc;
 
-/// Which functions a pass invocation may have modified.
+/// Which functions a pass invocation modified.
 ///
 /// This is the contract behind incremental observations: per-function
 /// feature vectors (`InstCount`, `Autophase`) stay valid for every function
-/// *not* named here. A pass that cannot bound its effect must report
-/// [`Touched::All`]; over-approximation is always sound, under-approximation
-/// is a correctness bug (caught by the debug-assert cross-check against full
-/// recomputation).
+/// *not* named here. [`run_pass_with`] derives it from the stamps that
+/// moved, so it is exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Touched {
     /// No function was modified (the pass was a no-op).
     None,
-    /// Exactly these functions may have been modified. Function-local
-    /// passes report the precise set.
+    /// Exactly these functions were modified.
     Funcs(Vec<FuncId>),
-    /// Anything may have changed, including the set of functions itself
-    /// (inlining, function deletion, global rewrites).
+    /// The function set or the globals changed (function deletion, global
+    /// rewrites), so anything may differ.
     All,
-}
-
-impl Touched {
-    /// Whether `id` may have been modified.
-    pub fn contains(&self, id: FuncId) -> bool {
-        match self {
-            Touched::None => false,
-            Touched::Funcs(ids) => ids.contains(&id),
-            Touched::All => true,
-        }
-    }
-
-    /// Merges another effect into this one (set union, saturating at `All`).
-    pub fn merge(&mut self, other: Touched) {
-        match (&mut *self, other) {
-            (Touched::All, _) | (_, Touched::None) => {}
-            (_, Touched::All) => *self = Touched::All,
-            (Touched::None, o) => *self = o,
-            (Touched::Funcs(a), Touched::Funcs(b)) => {
-                for id in b {
-                    if !a.contains(&id) {
-                        a.push(id);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// The result of one tracked pass invocation.
@@ -56,42 +36,12 @@ impl Touched {
 pub struct PassEffect {
     /// Whether the module was changed at all.
     pub changed: bool,
-    /// Which functions may have been modified.
+    /// Which functions were modified.
     pub touched: Touched,
 }
 
-impl PassEffect {
-    /// An invocation that changed nothing.
-    pub fn unchanged() -> PassEffect {
-        PassEffect {
-            changed: false,
-            touched: Touched::None,
-        }
-    }
-
-    /// The conservative effect: if `changed`, anything may differ.
-    pub fn whole_module(changed: bool) -> PassEffect {
-        PassEffect {
-            changed,
-            touched: if changed { Touched::All } else { Touched::None },
-        }
-    }
-
-    /// A function-local effect touching exactly `funcs` (empty → unchanged).
-    pub fn funcs(funcs: Vec<FuncId>) -> PassEffect {
-        if funcs.is_empty() {
-            PassEffect::unchanged()
-        } else {
-            PassEffect {
-                changed: true,
-                touched: Touched::Funcs(funcs),
-            }
-        }
-    }
-}
-
 /// Which cached analyses a pass leaves valid for the functions it *did*
-/// modify. (Functions a pass reports untouched always keep their analyses.)
+/// modify. (Functions a pass did not edit always keep their analyses.)
 ///
 /// Over-claiming preservation is a soundness bug — the analysis-cache
 /// soundness property test compares every cached analysis against a fresh
@@ -119,29 +69,23 @@ pub enum Preserved {
 /// [`crate::passes::gvn::GvnSink`] is the one exception, mirroring the
 /// `-gvn-sink` nondeterminism bug the paper found in LLVM.
 ///
-/// Implement exactly one of `run` or `run_with` (the other is defaulted in
-/// terms of it). Function-local passes implement `run_with` to report the
-/// precise set of modified functions and to fetch CFG/dominator/loop
-/// analyses from the shared [`AnalysisManager`] instead of recomputing
-/// them; module-restructuring passes (inlining, global rewrites) implement
-/// `run` and inherit the conservative [`Touched::All`]-when-changed effect.
+/// [`Pass::run_with`] is the one required method. It may fetch CFG,
+/// dominator and loop analyses from the shared [`AnalysisManager`], and it
+/// must write to a function only to change it (see the module docs).
 pub trait Pass: Send + Sync {
     /// The pass name as it appears in the action space (kebab-case, possibly
     /// with a parameter suffix, e.g. `inline-250`).
     fn name(&self) -> String;
 
-    /// Runs the pass. Returns `true` if the module was changed.
-    fn run(&self, module: &mut Module) -> bool {
-        self.run_with(module, &mut AnalysisManager::new()).changed
-    }
+    /// Runs the pass against a shared analysis cache. The pass must not
+    /// reconcile the cache afterwards — [`run_pass_with`] does that from
+    /// the stamps that moved and [`Pass::preserved`].
+    fn run_with(&self, module: &mut Module, am: &mut AnalysisManager);
 
-    /// Runs the pass against a shared analysis cache. The pass may consume
-    /// cached analyses; it must not reconcile the cache afterwards — the
-    /// runner does that from the returned effect and [`Pass::preserved`]
-    /// (see [`run_pass_with`]).
-    fn run_with(&self, module: &mut Module, am: &mut AnalysisManager) -> PassEffect {
-        let _ = am;
-        PassEffect::whole_module(self.run(module))
+    /// Runs the pass with a fresh analysis cache. Returns `true` if the
+    /// module was changed.
+    fn run(&self, module: &mut Module) -> bool {
+        run_pass_with(self, module, &mut AnalysisManager::new()).changed
     }
 
     /// Which analyses survive this pass for the functions it modified.
@@ -155,60 +99,64 @@ pub trait Pass: Send + Sync {
     }
 }
 
-/// Runs `pass` against `am`, then reconciles the cache with the reported
-/// effect: analyses of untouched functions are revalidated (their stamps
-/// moved during scanning, their content did not), touched functions keep
-/// whatever [`Pass::preserved`] declares, and module-restructuring effects
-/// ([`Touched::All`]) flush the cache entirely.
-pub fn run_pass_with(pass: &dyn Pass, m: &mut Module, am: &mut AnalysisManager) -> PassEffect {
+/// Runs `pass` against `am` and derives its effect from the stamps: the
+/// functions whose stamp moved (or that are gone) were touched, and a moved
+/// module stamp means the function set or the globals changed
+/// ([`Touched::All`]). Each touched function keeps whatever analyses
+/// [`Pass::preserved`] declares; every other function keeps all of them.
+pub fn run_pass_with<P: Pass + ?Sized>(
+    pass: &P,
+    m: &mut Module,
+    am: &mut AnalysisManager,
+) -> PassEffect {
     let name = pass.name();
     // No-op memo: if this pass already ran on byte-identical content and
     // changed nothing, skip the whole application (scan included).
     if am.known_noop(&name, m) {
-        return PassEffect::unchanged();
+        return PassEffect {
+            changed: false,
+            touched: Touched::None,
+        };
     }
-    let effect = pass.run_with(m, am);
-    reconcile_analyses(m, am, &effect, pass.preserved());
-    if !effect.changed {
+    let module_stamp = m.stamp();
+    let before: Vec<_> = m
+        .func_ids()
+        .iter()
+        .map(|&f| (f, m.func(f).stamp()))
+        .collect();
+    pass.run_with(m, am);
+    let touched: Vec<FuncId> = before
+        .into_iter()
+        .filter(|&(fid, stamp)| !m.func_exists(fid) || m.func(fid).stamp() != stamp)
+        .map(|(fid, _)| fid)
+        .collect();
+    for &fid in &touched {
+        if !m.func_exists(fid) {
+            am.invalidate(fid);
+            continue;
+        }
+        match pass.preserved() {
+            Preserved::None => am.invalidate(fid),
+            Preserved::Cfg => am.preserve_cfg(fid, m.func(fid)),
+            Preserved::All => am.revalidate(fid, m.func(fid)),
+        }
+    }
+    if m.stamp() != module_stamp {
+        PassEffect {
+            changed: true,
+            touched: Touched::All,
+        }
+    } else if touched.is_empty() {
         am.note_noop(&name, m);
-    }
-    effect
-}
-
-/// The cache-reconciliation half of [`run_pass_with`].
-fn reconcile_analyses(
-    m: &Module,
-    am: &mut AnalysisManager,
-    effect: &PassEffect,
-    preserved: Preserved,
-) {
-    match &effect.touched {
-        Touched::None => {
-            for &fid in m.func_ids() {
-                am.revalidate(fid, m.func(fid));
-            }
+        PassEffect {
+            changed: false,
+            touched: Touched::None,
         }
-        Touched::Funcs(touched) => {
-            for &fid in m.func_ids() {
-                if touched.contains(&fid) {
-                    match preserved {
-                        Preserved::None => am.invalidate(fid),
-                        Preserved::Cfg => am.preserve_cfg(fid, m.func(fid)),
-                        Preserved::All => am.revalidate(fid, m.func(fid)),
-                    }
-                } else {
-                    am.revalidate(fid, m.func(fid));
-                }
-            }
+    } else {
+        PassEffect {
+            changed: true,
+            touched: Touched::Funcs(touched),
         }
-        Touched::All => match preserved {
-            Preserved::All => {
-                for &fid in m.func_ids() {
-                    am.revalidate(fid, m.func(fid));
-                }
-            }
-            _ => am.invalidate_all(),
-        },
     }
 }
 

@@ -4,22 +4,12 @@
 use std::collections::HashSet;
 
 use cg_ir::analysis::{unreachable_blocks, Cfg};
-use cg_ir::{BlockId, Constant, Function, Module, Op, Operand, Terminator};
+use cg_ir::{
+    AnalysisManager, BlockId, Constant, FuncEdit, Function, Module, Op, Operand, Terminator,
+};
 
-use crate::pass::{Pass, PassEffect};
-
-/// Runs a function-local transform over every function, recording exactly
-/// which functions changed (the invalidation set for incremental
-/// observations).
-fn for_each_function(m: &mut Module, mut f: impl FnMut(&mut Function) -> bool) -> PassEffect {
-    let mut touched = Vec::new();
-    for fid in m.func_ids_vec() {
-        if f(m.func_mut(fid)) {
-            touched.push(fid);
-        }
-    }
-    PassEffect::funcs(touched)
-}
+use crate::pass::Pass;
+use crate::util::for_each_function;
 
 /// Drops the φ incoming entries for `pred` in every φ of `block`.
 fn remove_phi_incoming(f: &mut Function, block: BlockId, pred: BlockId) {
@@ -49,7 +39,7 @@ pub struct RemoveUnreachable;
 
 impl RemoveUnreachable {
     /// Shared implementation, used by [`SimplifyCfg`] as a sub-step.
-    pub(crate) fn run_on(f: &mut Function) -> bool {
+    pub(crate) fn run_on(f: &mut FuncEdit<'_>) -> bool {
         let dead = unreachable_blocks(f);
         if dead.is_empty() {
             return false;
@@ -81,8 +71,10 @@ impl Pass for RemoveUnreachable {
         "delete blocks unreachable from the entry".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, RemoveUnreachable::run_on)
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
+            RemoveUnreachable::run_on(f);
+        });
     }
 }
 
@@ -92,7 +84,7 @@ impl Pass for RemoveUnreachable {
 pub struct FoldBranches;
 
 impl FoldBranches {
-    pub(crate) fn run_on(f: &mut Function) -> bool {
+    pub(crate) fn run_on(f: &mut FuncEdit<'_>) -> bool {
         let mut changed = false;
         for bid in f.block_ids_vec() {
             let term = f.block(bid).term.clone();
@@ -163,8 +155,10 @@ impl Pass for FoldBranches {
         "fold constant conditional branches and switches".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, FoldBranches::run_on)
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
+            FoldBranches::run_on(f);
+        });
     }
 }
 
@@ -174,7 +168,7 @@ impl Pass for FoldBranches {
 pub struct MergeBlocks;
 
 impl MergeBlocks {
-    pub(crate) fn run_on(f: &mut Function) -> bool {
+    pub(crate) fn run_on(f: &mut FuncEdit<'_>) -> bool {
         let mut changed = false;
         loop {
             let cfg = Cfg::compute(f);
@@ -240,8 +234,10 @@ impl Pass for MergeBlocks {
         "merge single-successor/single-predecessor block pairs".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, MergeBlocks::run_on)
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
+            MergeBlocks::run_on(f);
+        });
     }
 }
 
@@ -261,7 +257,7 @@ impl SimplifyCfg {
 
     /// Removes blocks that contain only `br T` by retargeting their
     /// predecessors straight to `T`.
-    fn forward_empty_blocks(f: &mut Function) -> bool {
+    fn forward_empty_blocks(f: &mut FuncEdit<'_>) -> bool {
         let mut changed = false;
         loop {
             let cfg = Cfg::compute(f);
@@ -338,25 +334,19 @@ impl Pass for SimplifyCfg {
         "canonicalize the CFG: fold branches, drop unreachable code, merge blocks".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
         let aggressive = self.aggressive;
-        for_each_function(m, |f| {
-            let mut changed = false;
-            loop {
-                let mut round = false;
-                round |= FoldBranches::run_on(f);
-                round |= RemoveUnreachable::run_on(f);
-                round |= MergeBlocks::run_on(f);
-                if aggressive {
-                    round |= SimplifyCfg::forward_empty_blocks(f);
-                }
-                changed |= round;
-                if !round {
-                    break;
-                }
+        for_each_function(m, am, |f, _| loop {
+            let mut round = FoldBranches::run_on(f);
+            round |= RemoveUnreachable::run_on(f);
+            round |= MergeBlocks::run_on(f);
+            if aggressive {
+                round |= SimplifyCfg::forward_empty_blocks(f);
             }
-            changed
-        })
+            if !round {
+                break;
+            }
+        });
     }
 }
 
@@ -375,9 +365,8 @@ impl Pass for LowerSwitch {
         "lower switches to conditional branch chains".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let mut changed = false;
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
             for bid in f.block_ids_vec() {
                 let Terminator::Switch {
                     value,
@@ -389,7 +378,6 @@ impl Pass for LowerSwitch {
                 };
                 if cases.is_empty() {
                     f.block_mut(bid).term = Terminator::Br { target: default };
-                    changed = true;
                     continue;
                 }
                 // Build the test chain: each link tests one case value.
@@ -444,10 +432,8 @@ impl Pass for LowerSwitch {
                         }
                     }
                 }
-                changed = true;
             }
-            changed
-        })
+        });
     }
 }
 
@@ -465,34 +451,29 @@ impl Pass for BreakCritEdges {
         "split critical CFG edges".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let mut changed = false;
-            loop {
-                let cfg = Cfg::compute(f);
-                let mut split: Option<(BlockId, BlockId)> = None;
-                'search: for a in f.block_ids_vec() {
-                    let succs = f.block(a).term.successors();
-                    if succs.len() < 2 {
-                        continue;
-                    }
-                    for b in succs {
-                        if cfg.preds(b).len() >= 2 {
-                            split = Some((a, b));
-                            break 'search;
-                        }
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| loop {
+            let cfg = Cfg::compute(f);
+            let mut split: Option<(BlockId, BlockId)> = None;
+            'search: for a in f.block_ids_vec() {
+                let succs = f.block(a).term.successors();
+                if succs.len() < 2 {
+                    continue;
+                }
+                for b in succs {
+                    if cfg.preds(b).len() >= 2 {
+                        split = Some((a, b));
+                        break 'search;
                     }
                 }
-                let Some((a, b)) = split else { break };
-                let mid = f.add_block();
-                f.block_mut(mid).term = Terminator::Br { target: b };
-                f.block_mut(a).term.replace_successor(b, mid);
-                rename_phi_pred(f, b, a, mid);
-                f.move_block_after(mid, a);
-                changed = true;
             }
-            changed
-        })
+            let Some((a, b)) = split else { break };
+            let mid = f.add_block();
+            f.block_mut(mid).term = Terminator::Br { target: b };
+            f.block_mut(a).term.replace_successor(b, mid);
+            rename_phi_pred(f, b, a, mid);
+            f.move_block_after(mid, a);
+        });
     }
 }
 
@@ -510,15 +491,15 @@ impl Pass for MergeReturn {
         "merge multiple returns into one exit block".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
             let rets: Vec<BlockId> = f
                 .block_ids_vec()
                 .into_iter()
                 .filter(|b| matches!(f.block(*b).term, Terminator::Ret { .. }))
                 .collect();
             if rets.len() < 2 {
-                return false;
+                return;
             }
             let unified = f.add_block();
             let mut incomings: Vec<(BlockId, Operand)> = Vec::new();
@@ -545,8 +526,7 @@ impl Pass for MergeReturn {
                     value: Some(Operand::Value(phi)),
                 };
             }
-            true
-        })
+        });
     }
 }
 
@@ -565,9 +545,8 @@ impl Pass for JumpThreading {
         "thread constant branch conditions through phi blocks".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let mut changed = false;
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
             loop {
                 let mut threaded = false;
                 for b in f.block_ids_vec() {
@@ -610,7 +589,6 @@ impl Pass for JumpThreading {
                     f.block_mut(pred).term.replace_successor(b, dest);
                     remove_phi_incoming(f, b, pred);
                     threaded = true;
-                    changed = true;
                     break;
                 }
                 if !threaded {
@@ -619,8 +597,7 @@ impl Pass for JumpThreading {
                 // Threading may strand b without predecessors.
                 RemoveUnreachable::run_on(f);
             }
-            changed
-        })
+        });
     }
 }
 

@@ -4,9 +4,10 @@
 
 use std::collections::HashMap;
 
-use cg_ir::{BlockId, Module, Op, Operand, ValueId};
+use cg_ir::{AnalysisManager, BlockId, Module, Op, Operand, ValueId};
 
-use crate::pass::{Pass, PassEffect};
+use crate::pass::Pass;
+use crate::util::{apply_substitutions, for_each_function};
 
 /// Dominator-based global value numbering. A pure expression computed in a
 /// dominating block replaces any later recomputation. The `with_loads`
@@ -41,12 +42,10 @@ impl Pass for Gvn {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
         let with_loads = self.with_loads;
-        let mut touched = Vec::new();
-        for fid in m.func_ids_vec() {
-            let dom = am.dom(fid, m.func(fid));
-            let f = m.func_mut(fid);
+        for_each_function(m, am, |f, am| {
+            let dom = am.dom(f.id(), f);
             let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
             for &b in dom.rpo() {
                 if let Some(p) = dom.idom(b) {
@@ -149,17 +148,12 @@ impl Pass for Gvn {
                     }
                 }
             }
-            if subs.is_empty() {
-                continue;
-            }
-            touched.push(fid);
             let final_subs: Vec<(ValueId, Operand)> = subs
                 .keys()
                 .map(|&k| (k, Operand::Value(resolve(&subs, k))))
                 .collect();
-            crate::util::apply_substitutions(f, final_subs);
-        }
-        PassEffect::funcs(touched)
+            apply_substitutions(f, final_subs);
+        });
     }
 }
 
@@ -181,8 +175,8 @@ impl Pass for NewGvnAlias {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        Gvn::default().run_with(m, am)
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        Gvn::default().run_with(m, am);
     }
 }
 
@@ -209,10 +203,8 @@ impl Pass for GvnSink {
         "UNSOUND: nondeterministic sinking (reproduces LLVM's -gvn-sink bug)".into()
     }
 
-    fn run(&self, m: &mut Module) -> bool {
-        let mut changed = false;
-        for fid in m.func_ids_vec() {
-            let f = m.func_mut(fid);
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
             // Candidate blocks: at least two stack allocations whose order
             // can be exchanged (alloca order is semantically free — only the
             // addresses shift). Like LLVM, the pass keeps per-candidate
@@ -275,11 +267,9 @@ impl Pass for GvnSink {
                 if !used_between && from < to {
                     let inst = f.block_mut(*b).insts.remove(from);
                     f.block_mut(*b).insts.insert(to, inst);
-                    changed = true;
                 }
             }
-        }
-        changed
+        });
     }
 }
 

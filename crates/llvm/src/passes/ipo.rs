@@ -4,10 +4,11 @@
 use std::collections::{HashMap, HashSet};
 
 use cg_ir::{
-    BlockId, FuncId, Function, InlineHint, Inst, Module, Op, Operand, Terminator, ValueId,
+    AnalysisManager, BlockId, FuncId, Function, InlineHint, Inst, Module, Op, Operand, Terminator,
+    ValueId,
 };
 
-use crate::pass::Pass;
+use crate::pass::{Pass, Preserved};
 use crate::util::call_counts;
 
 /// One call site: function, block, instruction index.
@@ -37,6 +38,15 @@ fn find_call_sites(m: &Module) -> Vec<CallSite> {
         }
     }
     sites
+}
+
+/// Whether `f` calls a function `callee` selects.
+fn calls(f: &Function, callee: impl Fn(FuncId) -> bool) -> bool {
+    f.blocks().any(|b| {
+        b.insts
+            .iter()
+            .any(|i| matches!(&i.op, Op::Call { callee: c, .. } if callee(*c)))
+    })
 }
 
 /// Inlines `site` (the call at `site.block[site.index]` in `site.caller`).
@@ -222,8 +232,7 @@ impl Pass for Inline {
         "inline call sites below a callee-size threshold".into()
     }
 
-    fn run(&self, m: &mut Module) -> bool {
-        let mut changed = false;
+    fn run_with(&self, m: &mut Module, _am: &mut AnalysisManager) {
         for _round in 0..4 {
             let sites = find_call_sites(m);
             let mut did = false;
@@ -243,14 +252,12 @@ impl Pass for Inline {
                 }
                 inline_site(m, site);
                 did = true;
-                changed = true;
                 break; // indices are stale; rescan
             }
             if !did {
                 break;
             }
         }
-        changed
     }
 }
 
@@ -267,22 +274,17 @@ impl Pass for AlwaysInline {
         "inline hint(always) call sites".into()
     }
 
-    fn run(&self, m: &mut Module) -> bool {
-        let mut changed = false;
+    fn run_with(&self, m: &mut Module, _am: &mut AnalysisManager) {
         for _round in 0..8 {
             let sites = find_call_sites(m);
             let site = sites.into_iter().find(|s| {
                 s.caller != s.callee && m.func(s.callee).inline_hint == InlineHint::Always
             });
             match site {
-                Some(s) => {
-                    inline_site(m, s);
-                    changed = true;
-                }
+                Some(s) => inline_site(m, s),
                 None => break,
             }
         }
-        changed
     }
 }
 
@@ -300,16 +302,17 @@ impl Pass for FunctionAttrs {
         "mark tiny functions hint(always)".into()
     }
 
-    fn run(&self, m: &mut Module) -> bool {
-        let mut changed = false;
+    fn preserved(&self) -> Preserved {
+        Preserved::All
+    }
+
+    fn run_with(&self, m: &mut Module, _am: &mut AnalysisManager) {
         for fid in m.func_ids_vec() {
             let f = m.func(fid);
             if f.inline_hint == InlineHint::None && f.inst_count() <= 4 && f.name != "main" {
                 m.func_mut(fid).inline_hint = InlineHint::Always;
-                changed = true;
             }
         }
-        changed
     }
 }
 
@@ -327,8 +330,7 @@ impl Pass for DeadArgElim {
         "drop parameters the callee never reads".into()
     }
 
-    fn run(&self, m: &mut Module) -> bool {
-        let mut changed = false;
+    fn run_with(&self, m: &mut Module, _am: &mut AnalysisManager) {
         // Entry points keep their signatures (nothing calls them, but their
         // ABI is externally visible; also `main` is invoked by the runner).
         let counts = call_counts(m);
@@ -360,6 +362,9 @@ impl Pass for DeadArgElim {
             }
             // Fix every call site.
             for caller in m.func_ids_vec() {
+                if !calls(m.func(caller), |c| c == fid) {
+                    continue;
+                }
                 let cf = m.func_mut(caller);
                 for bid in cf.block_ids_vec() {
                     for inst in &mut cf.block_mut(bid).insts {
@@ -376,9 +381,7 @@ impl Pass for DeadArgElim {
                     }
                 }
             }
-            changed = true;
         }
-        changed
     }
 }
 
@@ -396,8 +399,7 @@ impl Pass for GlobalDce {
         "remove never-called functions".into()
     }
 
-    fn run(&self, m: &mut Module) -> bool {
-        let mut changed = false;
+    fn run_with(&self, m: &mut Module, _am: &mut AnalysisManager) {
         loop {
             let counts = call_counts(m);
             let dead: Vec<FuncId> = m
@@ -410,10 +412,8 @@ impl Pass for GlobalDce {
             }
             for fid in dead {
                 m.remove_function(fid);
-                changed = true;
             }
         }
-        changed
     }
 }
 
@@ -432,7 +432,7 @@ impl Pass for MergeFunc {
         "deduplicate identical function bodies".into()
     }
 
-    fn run(&self, m: &mut Module) -> bool {
+    fn run_with(&self, m: &mut Module, _am: &mut AnalysisManager) {
         // Key: printed function with the name line stripped. Functions whose
         // bodies call themselves are skipped (their body text embeds their
         // own name).
@@ -465,10 +465,10 @@ impl Pass for MergeFunc {
                 }
             }
         }
-        if redirect.is_empty() {
-            return false;
-        }
         for caller in m.func_ids_vec() {
+            if !calls(m.func(caller), |c| redirect.contains_key(&c)) {
+                continue;
+            }
             let cf = m.func_mut(caller);
             for bid in cf.block_ids_vec() {
                 for inst in &mut cf.block_mut(bid).insts {
@@ -480,7 +480,6 @@ impl Pass for MergeFunc {
                 }
             }
         }
-        true
     }
 }
 

@@ -5,9 +5,13 @@
 use std::collections::{HashMap, HashSet};
 
 use cg_ir::analysis::{Cfg, Loop};
-use cg_ir::{BinOp, BlockId, Function, Inst, Module, Op, Operand, Pred, Terminator, Type, ValueId};
+use cg_ir::{
+    AnalysisManager, BinOp, Block, BlockId, Function, Inst, Module, Op, Operand, Pred, Terminator,
+    Type, ValueId,
+};
 
-use crate::pass::{Pass, PassEffect};
+use crate::pass::Pass;
+use crate::util::for_each_function;
 
 /// Values defined outside the loop (or constants/globals) are invariant.
 fn defs_in_loop(f: &Function, l: &Loop) -> HashSet<ValueId> {
@@ -20,6 +24,18 @@ fn defs_in_loop(f: &Function, l: &Loop) -> HashSet<ValueId> {
         }
     }
     defs
+}
+
+/// Whether an instruction or the terminator of `b` reads `v`.
+fn reads(b: &Block, v: ValueId) -> bool {
+    let mut found = false;
+    for inst in &b.insts {
+        inst.op
+            .for_each_operand(|o| found |= o.as_value() == Some(v));
+    }
+    b.term
+        .for_each_operand(|o| found |= o.as_value() == Some(v));
+    found
 }
 
 /// The unique predecessor of the loop header from outside the loop, if it
@@ -54,13 +70,11 @@ impl Pass for LoopSimplify {
         "insert dedicated loop preheaders".into()
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        crate::util::for_each_function_with(m, am, |fid, m, am| {
-            let mut changed = false;
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, am| {
             loop {
-                let cfg = am.cfg(fid, m.func(fid));
-                let loops = am.loops(fid, m.func(fid));
-                let f = m.func_mut(fid);
+                let cfg = am.cfg(f.id(), f);
+                let loops = am.loops(f.id(), f);
                 let mut did = false;
                 for l in loops.iter() {
                     if preheader(f, &cfg, l).is_some() {
@@ -119,15 +133,13 @@ impl Pass for LoopSimplify {
                     }
                     f.move_block_after(pre, outside[0]);
                     did = true;
-                    changed = true;
                     break; // CFG changed; recompute loops
                 }
                 if !did {
                     break;
                 }
             }
-            changed
-        })
+        });
     }
 }
 
@@ -146,12 +158,10 @@ impl Pass for Licm {
         "hoist loop-invariant computation to the preheader".into()
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        crate::util::for_each_function_with(m, am, |fid, m, am| {
-            let cfg = am.cfg(fid, m.func(fid));
-            let loops = am.loops(fid, m.func(fid));
-            let f = m.func_mut(fid);
-            let mut changed = false;
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, am| {
+            let cfg = am.cfg(f.id(), f);
+            let loops = am.loops(f.id(), f);
             for l in loops.iter() {
                 let Some(pre) = preheader(f, &cfg, l) else {
                     continue;
@@ -198,7 +208,6 @@ impl Pass for Licm {
                             let inst = f.block_mut(b).insts.remove(ii);
                             f.block_mut(pre).insts.push(inst);
                             hoisted = true;
-                            changed = true;
                             break;
                         }
                         if hoisted {
@@ -210,8 +219,7 @@ impl Pass for Licm {
                     }
                 }
             }
-            changed
-        })
+        });
     }
 }
 
@@ -555,58 +563,44 @@ impl Pass for LoopUnroll {
         "unroll counted loops (trading size for cycles)".into()
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        let mut touched = Vec::new();
-        for fid in m.func_ids_vec() {
-            let mut func_changed = false;
-            loop {
-                let cfg = am.cfg(fid, m.func(fid));
-                let loops = am.loops(fid, m.func(fid));
-                let f = m.func_mut(fid);
-                let mut did = false;
-                for l in loops.iter() {
-                    let Some(cl) = recognize_counted(f, &cfg, l) else {
-                        continue;
-                    };
-                    match self.factor {
-                        None => {
-                            let body_size = (f.block(cl.body).insts.len() + 1) as u64;
-                            if cl.trip * body_size > self.cap {
-                                continue;
-                            }
-                            LoopUnroll::unroll_full(f, &cl);
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, am| loop {
+            let cfg = am.cfg(f.id(), f);
+            let loops = am.loops(f.id(), f);
+            let mut did = false;
+            for l in loops.iter() {
+                let Some(cl) = recognize_counted(f, &cfg, l) else {
+                    continue;
+                };
+                match self.factor {
+                    None => {
+                        let body_size = (f.block(cl.body).insts.len() + 1) as u64;
+                        if cl.trip * body_size > self.cap {
+                            continue;
                         }
-                        Some(k) => {
-                            if k < 2
-                                || cl.trip == 0
-                                || cl.trip % k as u64 != 0
-                                || cl.trip == k as u64
-                            {
-                                continue;
-                            }
-                            let body_size = (f.block(cl.body).insts.len() + 1) as u64;
-                            if body_size * k as u64 > self.cap {
-                                continue;
-                            }
-                            // The compare limit stays valid because the trip
-                            // divides evenly; each latch pass advances k
-                            // steps.
-                            LoopUnroll::unroll_partial(f, &cl, k);
-                        }
+                        LoopUnroll::unroll_full(f, &cl);
                     }
-                    did = true;
-                    func_changed = true;
-                    break;
+                    Some(k) => {
+                        if k < 2 || cl.trip == 0 || cl.trip % k as u64 != 0 || cl.trip == k as u64 {
+                            continue;
+                        }
+                        let body_size = (f.block(cl.body).insts.len() + 1) as u64;
+                        if body_size * k as u64 > self.cap {
+                            continue;
+                        }
+                        // The compare limit stays valid because the trip
+                        // divides evenly; each latch pass advances k
+                        // steps.
+                        LoopUnroll::unroll_partial(f, &cl, k);
+                    }
                 }
-                if !did {
-                    break;
-                }
+                did = true;
+                break;
             }
-            if func_changed {
-                touched.push(fid);
+            if !did {
+                break;
             }
-        }
-        PassEffect::funcs(touched)
+        });
     }
 }
 
@@ -634,14 +628,11 @@ impl Pass for LoopPeel {
         "clone leading loop iterations into the preheader".into()
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
         let k = self.k as u64;
-        let mut touched = Vec::new();
-        for fid in m.func_ids_vec() {
-            let mut func_changed = false;
-            let cfg = am.cfg(fid, m.func(fid));
-            let loops = am.loops(fid, m.func(fid));
-            let f = m.func_mut(fid);
+        for_each_function(m, am, |f, am| {
+            let cfg = am.cfg(f.id(), f);
+            let loops = am.loops(f.id(), f);
             for l in loops.iter() {
                 let Some(cl) = recognize_counted(f, &cfg, l) else {
                     continue;
@@ -693,14 +684,9 @@ impl Pass for LoopPeel {
                         }
                     }
                 }
-                func_changed = true;
                 break; // analyses stale; one peel per function per run
             }
-            if func_changed {
-                touched.push(fid);
-            }
-        }
-        PassEffect::funcs(touched)
+        });
     }
 }
 
@@ -719,13 +705,11 @@ impl Pass for LoopDeletion {
         "delete effect-free loops whose values are unused outside".into()
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        crate::util::for_each_function_with(m, am, |fid, m, am| {
-            let mut changed = false;
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, am| {
             loop {
-                let cfg = am.cfg(fid, m.func(fid));
-                let loops = am.loops(fid, m.func(fid));
-                let f = m.func_mut(fid);
+                let cfg = am.cfg(f.id(), f);
+                let loops = am.loops(f.id(), f);
                 let mut did = false;
                 for l in loops.iter() {
                     let Some(pre) = preheader(f, &cfg, l) else {
@@ -800,15 +784,13 @@ impl Pass for LoopDeletion {
                         f.remove_block(b);
                     }
                     did = true;
-                    changed = true;
                     break;
                 }
                 if !did {
                     break;
                 }
             }
-            changed
-        })
+        });
     }
 }
 
@@ -826,12 +808,10 @@ impl Pass for IndVarSimplify {
         "replace post-loop uses of induction variables with final values".into()
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        crate::util::for_each_function_with(m, am, |fid, m, am| {
-            let cfg = am.cfg(fid, m.func(fid));
-            let loops = am.loops(fid, m.func(fid));
-            let f = m.func_mut(fid);
-            let mut changed = false;
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, am| {
+            let cfg = am.cfg(f.id(), f);
+            let loops = am.loops(f.id(), f);
             for l in loops.iter() {
                 let Some(cl) = recognize_counted(f, &cfg, l) else {
                     continue;
@@ -840,30 +820,25 @@ impl Pass for IndVarSimplify {
                 let _ = cl.limit;
                 // Replace uses of φ_i in blocks outside the loop.
                 for b in f.block_ids_vec() {
-                    if l.contains(b) {
+                    if l.contains(b) || !reads(f.block(b), cl.phi_i) {
                         continue;
                     }
                     let block = f.block_mut(b);
-                    let mut local = false;
                     for inst in &mut block.insts {
                         inst.op.for_each_operand_mut(|o| {
                             if o.as_value() == Some(cl.phi_i) {
                                 *o = Operand::const_int(fin);
-                                local = true;
                             }
                         });
                     }
                     block.term.for_each_operand_mut(|o| {
                         if o.as_value() == Some(cl.phi_i) {
                             *o = Operand::const_int(fin);
-                            local = true;
                         }
                     });
-                    changed |= local;
                 }
             }
-            changed
-        })
+        });
     }
 }
 

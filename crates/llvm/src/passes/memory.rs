@@ -4,22 +4,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cg_ir::{BlockId, Constant, Function, Inst, Module, Op, Operand, Type, ValueId};
+use cg_ir::{
+    AnalysisManager, BlockId, Constant, FuncEdit, Inst, Module, Op, Operand, Type, ValueId,
+};
 
-use crate::pass::{Pass, PassEffect};
-
-/// Runs a function-local transform over every function, recording exactly
-/// which functions changed (the invalidation set for incremental
-/// observations).
-fn for_each_function(m: &mut Module, mut f: impl FnMut(&mut Function) -> bool) -> PassEffect {
-    let mut touched = Vec::new();
-    for fid in m.func_ids_vec() {
-        if f(m.func_mut(fid)) {
-            touched.push(fid);
-        }
-    }
-    PassEffect::funcs(touched)
-}
+use crate::pass::Pass;
+use crate::util::{for_each_function, remove_insts};
 
 fn zero_of(ty: Type) -> Option<Constant> {
     match ty {
@@ -39,12 +29,7 @@ fn zero_of(ty: Type) -> Option<Constant> {
 pub struct Mem2Reg;
 
 impl Mem2Reg {
-    fn promote_function_with(
-        fid: cg_ir::FuncId,
-        m: &mut Module,
-        am: &mut cg_ir::AnalysisManager,
-    ) -> bool {
-        let f = m.func(fid);
+    fn promote(f: &mut FuncEdit<'_>, am: &mut AnalysisManager) {
         // 1. Find promotable allocas: single-slot, used only as the direct
         //    pointer of loads and stores (not stored *as a value*, no gep,
         //    no call, no escape), with a consistent access type.
@@ -71,7 +56,7 @@ impl Mem2Reg {
             }
         }
         if direct.is_empty() {
-            return false;
+            return;
         }
         for bid in f.block_ids_vec() {
             for inst in &f.block(bid).insts {
@@ -168,12 +153,11 @@ impl Mem2Reg {
         // replays actions and compares module hashes).
         cands.sort_by_key(|c| c.alloca);
         if cands.is_empty() {
-            return false;
+            return;
         }
 
-        let dom = am.dom(fid, m.func(fid));
-        let df = am.frontiers(fid, m.func(fid));
-        let f = m.func_mut(fid);
+        let dom = am.dom(f.id(), f);
+        let df = am.frontiers(f.id(), f);
 
         // 2. Insert φ placeholders at iterated dominance frontiers.
         // phi_site[(block, cand_idx)] = φ value id
@@ -365,7 +349,6 @@ impl Mem2Reg {
                 keep
             });
         }
-        true
     }
 }
 
@@ -382,8 +365,8 @@ impl Pass for Mem2Reg {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        crate::util::for_each_function_with(m, am, Mem2Reg::promote_function_with)
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, Mem2Reg::promote);
     }
 }
 
@@ -426,9 +409,9 @@ impl Pass for Sroa {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
         let max_slots = self.max_slots;
-        let effect = for_each_function(m, |f| {
+        for_each_function(m, am, |f, _| {
             // alloca -> slots, plus the geps that index it.
             let mut aggs: HashMap<ValueId, u32> = HashMap::new();
             let mut banned: HashSet<ValueId> = HashSet::new();
@@ -443,7 +426,7 @@ impl Pass for Sroa {
                 }
             }
             if aggs.is_empty() {
-                return false;
+                return;
             }
             for bid in f.block_ids_vec() {
                 for inst in &f.block(bid).insts {
@@ -520,7 +503,7 @@ impl Pass for Sroa {
                 .map(|(v, s)| (*v, *s))
                 .collect();
             if targets.is_empty() {
-                return false;
+                return;
             }
             // Rewrite: for each target aggregate, replace its alloca with
             // per-cell allocas (inserted at the same point), then point each
@@ -559,9 +542,7 @@ impl Pass for Sroa {
                     }
                 }
             }
-            true
         });
-        effect
     }
 }
 
@@ -584,9 +565,8 @@ impl Pass for Dse {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let mut changed = false;
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
             for bid in f.block_ids_vec() {
                 let block = f.block(bid);
                 let mut dead: HashSet<usize> = HashSet::new();
@@ -607,7 +587,6 @@ impl Pass for Dse {
                     }
                 }
                 if !dead.is_empty() {
-                    changed = true;
                     let mut i = 0;
                     f.block_mut(bid).insts.retain(|_| {
                         let keep = !dead.contains(&i);
@@ -616,8 +595,7 @@ impl Pass for Dse {
                     });
                 }
             }
-            changed
-        })
+        });
     }
 }
 
@@ -640,8 +618,8 @@ impl Pass for LoadElim {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
             let mut subs: Vec<(ValueId, Operand)> = Vec::new();
             for bid in f.block_ids_vec() {
                 let mut known: HashMap<Operand, Operand> = HashMap::new();
@@ -667,7 +645,7 @@ impl Pass for LoadElim {
                 }
             }
             if subs.is_empty() {
-                return false;
+                return;
             }
             // Resolve substitution chains: a forwarded load may itself be
             // the stored value backing a later forwarding (d3 -> d2 -> d1);
@@ -686,13 +664,8 @@ impl Pass for LoadElim {
             for (d, v) in subs {
                 f.replace_all_uses(d, resolve(v));
             }
-            for bid in f.block_ids_vec() {
-                f.block_mut(bid)
-                    .insts
-                    .retain(|i| i.dest.map(|d| !dead.contains(&d)).unwrap_or(true));
-            }
-            true
-        })
+            remove_insts(f, |i| i.dest.is_some_and(|d| dead.contains(&d)));
+        });
     }
 }
 
@@ -714,8 +687,7 @@ impl Pass for GlobalOpt {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        let mut changed = false;
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
         // 1. A global never stored through (directly or via gep) is constant.
         let mut stored: HashSet<u32> = HashSet::new();
         // Track geps of globals: gep value -> global index (per function).
@@ -777,7 +749,6 @@ impl Pass for GlobalOpt {
             for gi in promote {
                 globals[gi].constant = true;
             }
-            changed = true;
         }
         // 2. Fold loads of constant globals at constant offsets.
         let globals: Vec<(bool, Vec<i64>, u32)> = m
@@ -785,7 +756,7 @@ impl Pass for GlobalOpt {
             .iter()
             .map(|g| (g.constant, g.init.clone(), g.slots))
             .collect();
-        let fold = for_each_function(m, |f| {
+        for_each_function(m, am, |f, _| {
             // gep value -> (global, const offset)
             let mut gep_const: HashMap<ValueId, (u32, i64)> = HashMap::new();
             for bid in f.block_ids_vec() {
@@ -819,25 +790,14 @@ impl Pass for GlobalOpt {
                 }
             }
             if subs.is_empty() {
-                return false;
+                return;
             }
             let dead: HashSet<ValueId> = subs.iter().map(|(d, _)| *d).collect();
             for (d, c) in subs {
                 f.replace_all_uses(d, Operand::Const(c));
             }
-            for bid in f.block_ids_vec() {
-                f.block_mut(bid)
-                    .insts
-                    .retain(|i| i.dest.map(|d| !dead.contains(&d)).unwrap_or(true));
-            }
-            true
+            remove_insts(f, |i| i.dest.is_some_and(|d| dead.contains(&d)));
         });
-        // Constant-marking only mutates module-level global metadata, never
-        // a function body, so the touched set is exactly the fold step's.
-        PassEffect {
-            changed: changed || fold.changed,
-            touched: fold.touched,
-        }
     }
 }
 

@@ -4,23 +4,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cg_ir::{BinOp, BlockId, Constant, Function, Module, Op, Operand, Pred, Type, ValueId};
+use cg_ir::{
+    AnalysisManager, BinOp, BlockId, Constant, FuncEdit, Module, Op, Operand, Pred, Type, ValueId,
+};
 
-use crate::pass::{Pass, PassEffect};
-use crate::util::{fold_op, for_each_function_with, use_counts};
-
-/// Runs a function-local transform over every function, recording exactly
-/// which functions changed — the precise invalidation set for incremental
-/// observations.
-fn for_each_function(m: &mut Module, mut f: impl FnMut(&mut Function) -> bool) -> PassEffect {
-    let mut touched = Vec::new();
-    for fid in m.func_ids_vec() {
-        if f(m.func_mut(fid)) {
-            touched.push(fid);
-        }
-    }
-    PassEffect::funcs(touched)
-}
+use crate::pass::Pass;
+use crate::util::{apply_substitutions, fold_op, for_each_function, remove_insts, use_counts};
 
 /// Dead code elimination: iteratively removes pure instructions whose
 /// results are unused.
@@ -40,28 +29,8 @@ impl Pass for Dce {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let mut changed = false;
-            loop {
-                let uses = use_counts(f);
-                let mut removed = false;
-                for bid in f.block_ids_vec() {
-                    let block = f.block_mut(bid);
-                    let before = block.insts.len();
-                    block.insts.retain(|inst| match inst.dest {
-                        Some(d) => !(inst.is_removable_if_unused() && uses[d.0 as usize] == 0),
-                        None => true,
-                    });
-                    removed |= block.insts.len() != before;
-                }
-                changed |= removed;
-                if !removed {
-                    break;
-                }
-            }
-            changed
-        })
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| while die(f) {});
     }
 }
 
@@ -83,22 +52,21 @@ impl Pass for Die {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let uses = use_counts(f);
-            let mut removed = false;
-            for bid in f.block_ids_vec() {
-                let block = f.block_mut(bid);
-                let before = block.insts.len();
-                block.insts.retain(|inst| match inst.dest {
-                    Some(d) => !(inst.is_removable_if_unused() && uses[d.0 as usize] == 0),
-                    None => true,
-                });
-                removed |= block.insts.len() != before;
-            }
-            removed
-        })
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
+            die(f);
+        });
     }
+}
+
+/// One dead-instruction sweep: removes pure instructions whose results are
+/// unused. Returns whether it removed any.
+fn die(f: &mut FuncEdit<'_>) -> bool {
+    let uses = use_counts(f);
+    remove_insts(f, |inst| {
+        inst.dest
+            .is_some_and(|d| inst.is_removable_if_unused() && uses[d.0 as usize] == 0)
+    })
 }
 
 /// Aggressive DCE: assumes everything dead until proven live, so it also
@@ -119,8 +87,8 @@ impl Pass for Adce {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
             // Roots: operands of side-effecting instructions and terminators.
             let mut live: HashSet<ValueId> = HashSet::new();
             let mut work: Vec<ValueId> = Vec::new();
@@ -158,18 +126,11 @@ impl Pass for Adce {
                     }
                 }
             }
-            let mut removed = false;
-            for bid in f.block_ids_vec() {
-                let block = f.block_mut(bid);
-                let before = block.insts.len();
-                block.insts.retain(|inst| match inst.dest {
-                    Some(d) => !inst.is_removable_if_unused() || live.contains(&d),
-                    None => true,
-                });
-                removed |= block.insts.len() != before;
-            }
-            removed
-        })
+            remove_insts(f, |inst| {
+                inst.dest
+                    .is_some_and(|d| inst.is_removable_if_unused() && !live.contains(&d))
+            });
+        });
     }
 }
 
@@ -191,31 +152,20 @@ impl Pass for ConstFold {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let mut changed = false;
-            loop {
-                let mut subs: Vec<(ValueId, Constant)> = Vec::new();
-                for bid in f.block_ids_vec() {
-                    for inst in &f.block(bid).insts {
-                        if let (Some(d), Some(c)) = (inst.dest, fold_op(&inst.op)) {
-                            subs.push((d, c));
-                        }
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| loop {
+            let mut subs: Vec<(ValueId, Operand)> = Vec::new();
+            for b in f.blocks() {
+                for inst in &b.insts {
+                    if let (Some(d), Some(c)) = (inst.dest, fold_op(&inst.op)) {
+                        subs.push((d, Operand::Const(c)));
                     }
                 }
-                if subs.is_empty() {
-                    break;
-                }
-                changed = true;
-                crate::util::apply_substitutions(
-                    f,
-                    subs.into_iter()
-                        .map(|(d, c)| (d, Operand::Const(c)))
-                        .collect(),
-                );
             }
-            changed
-        })
+            if !apply_substitutions(f, subs) {
+                break;
+            }
+        });
     }
 }
 
@@ -395,12 +345,10 @@ impl Pass for InstCombine {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
         let rewrite = self.rewrite;
-        for_each_function(m, |f| {
-            let mut changed = false;
+        for_each_function(m, am, |f, _| {
             loop {
-                let mut round = false;
                 // Phase 1: simplifications (replace with existing operand).
                 let mut subs: Vec<(ValueId, Operand)> = Vec::new();
                 // Map value -> defining op for not(not x) / neg(neg x).
@@ -447,14 +395,12 @@ impl Pass for InstCombine {
                         }
                     }
                 }
-                if !subs.is_empty() {
-                    round = true;
-                    crate::util::apply_substitutions(f, subs);
-                }
+                let mut round = apply_substitutions(f, subs);
                 // Phase 2: rewrites that change the op in place.
                 if rewrite {
                     for bid in f.block_ids_vec() {
-                        for inst in &mut f.block_mut(bid).insts {
+                        for i in 0..f.block(bid).insts.len() {
+                            let inst = &f.block(bid).insts[i];
                             let new_op = match &inst.op {
                                 // 0 - x → neg x
                                 Op::Bin(BinOp::Sub, x, y) if x.as_const_int() == Some(0) => {
@@ -479,20 +425,18 @@ impl Pass for InstCombine {
                             };
                             if let Some(op) = new_op {
                                 if inst.op != op {
-                                    inst.op = op;
+                                    f.block_mut(bid).insts[i].op = op;
                                     round = true;
                                 }
                             }
                         }
                     }
                 }
-                changed |= round;
                 if !round {
                     break;
                 }
             }
-            changed
-        })
+        });
     }
 }
 
@@ -514,55 +458,55 @@ impl Pass for Reassociate {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let mut changed = false;
-            loop {
-                let mut defs: HashMap<ValueId, Op> = HashMap::new();
-                for bid in f.block_ids_vec() {
-                    for inst in &f.block(bid).insts {
-                        if let Some(d) = inst.dest {
-                            defs.insert(d, inst.op.clone());
-                        }
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| loop {
+            let mut defs: HashMap<ValueId, Op> = HashMap::new();
+            for bid in f.block_ids_vec() {
+                for inst in &f.block(bid).insts {
+                    if let Some(d) = inst.dest {
+                        defs.insert(d, inst.op.clone());
                     }
                 }
-                let mut round = false;
-                for bid in f.block_ids_vec() {
-                    for inst in &mut f.block_mut(bid).insts {
-                        let Op::Bin(b, x, y) = &inst.op else { continue };
-                        if !b.is_commutative() || b.ty() != Type::I64 {
-                            continue;
-                        }
-                        let Some(c2) = y.as_const_int() else { continue };
-                        let Some(xv) = x.as_value() else { continue };
-                        let Some(Op::Bin(b_in, x_in, y_in)) = defs.get(&xv) else {
-                            continue;
-                        };
-                        if b_in != b {
-                            continue;
-                        }
-                        let Some(c1) = y_in.as_const_int() else {
-                            continue;
-                        };
-                        let folded = match b {
-                            BinOp::Add => c1.wrapping_add(c2),
-                            BinOp::Mul => c1.wrapping_mul(c2),
-                            BinOp::And => c1 & c2,
-                            BinOp::Or => c1 | c2,
-                            BinOp::Xor => c1 ^ c2,
-                            _ => continue,
-                        };
-                        inst.op = Op::Bin(*b, *x_in, Operand::const_int(folded));
+            }
+            let mut round = false;
+            for bid in f.block_ids_vec() {
+                for i in 0..f.block(bid).insts.len() {
+                    let Op::Bin(b, x, y) = &f.block(bid).insts[i].op else {
+                        continue;
+                    };
+                    if !b.is_commutative() || b.ty() != Type::I64 {
+                        continue;
+                    }
+                    let Some(c2) = y.as_const_int() else { continue };
+                    let Some(xv) = x.as_value() else { continue };
+                    let Some(Op::Bin(b_in, x_in, y_in)) = defs.get(&xv) else {
+                        continue;
+                    };
+                    if b_in != b {
+                        continue;
+                    }
+                    let Some(c1) = y_in.as_const_int() else {
+                        continue;
+                    };
+                    let folded = match b {
+                        BinOp::Add => c1.wrapping_add(c2),
+                        BinOp::Mul => c1.wrapping_mul(c2),
+                        BinOp::And => c1 & c2,
+                        BinOp::Or => c1 | c2,
+                        BinOp::Xor => c1 ^ c2,
+                        _ => continue,
+                    };
+                    let op = Op::Bin(*b, *x_in, Operand::const_int(folded));
+                    if f.block(bid).insts[i].op != op {
+                        f.block_mut(bid).insts[i].op = op;
                         round = true;
                     }
                 }
-                changed |= round;
-                if !round {
-                    break;
-                }
             }
-            changed
-        })
+            if !round {
+                break;
+            }
+        });
     }
 }
 
@@ -584,10 +528,9 @@ impl Pass for EarlyCse {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function_with(m, am, |fid, m, am| {
-            let dom = am.dom(fid, m.func(fid));
-            let f = m.func_mut(fid);
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, am| {
+            let dom = am.dom(f.id(), f);
             // Dominator-tree preorder walk with a scoped table.
             let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
             for &b in dom.rpo() {
@@ -649,19 +592,14 @@ impl Pass for EarlyCse {
                 }
             }
             if subs.is_empty() {
-                return false;
+                return;
             }
             let dead: HashSet<ValueId> = subs.iter().map(|(d, _)| *d).collect();
             for (d, rep) in subs {
                 f.replace_all_uses(d, Operand::Value(rep));
             }
-            for bid in f.block_ids_vec() {
-                f.block_mut(bid)
-                    .insts
-                    .retain(|i| i.dest.map(|v| !dead.contains(&v)).unwrap_or(true));
-            }
-            true
-        })
+            remove_insts(f, |i| i.dest.is_some_and(|v| dead.contains(&v)));
+        });
     }
 }
 
@@ -683,12 +621,9 @@ impl Pass for EarlyCseMemssa {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        let mut a = EarlyCse.run_with(m, am);
-        let b = crate::passes::memory::LoadElim.run_with(m, am);
-        a.changed |= b.changed;
-        a.touched.merge(b.touched);
-        a
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        EarlyCse.run_with(m, am);
+        crate::passes::memory::LoadElim.run_with(m, am);
     }
 }
 
@@ -710,10 +645,9 @@ impl Pass for Sink {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function_with(m, am, |fid, m, am| {
-            let dom = am.dom(fid, m.func(fid));
-            let f = m.func_mut(fid);
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, am| {
+            let dom = am.dom(f.id(), f);
             let uses = use_counts(f);
             // Find, for each single-use value, the block and inst index of
             // its use (excluding φ uses and terminator uses).
@@ -730,7 +664,6 @@ impl Pass for Sink {
                     });
                 }
             }
-            let mut moved = false;
             for bid in f.block_ids_vec() {
                 let mut i = 0;
                 while i < f.block(bid).insts.len() {
@@ -751,7 +684,6 @@ impl Pass for Sink {
                                     // block position; indices in use_site
                                     // are now stale for ub, so re-run next
                                     // pass invocation for chained sinks.
-                                    moved = true;
                                     continue;
                                 }
                             }
@@ -760,8 +692,7 @@ impl Pass for Sink {
                     i += 1;
                 }
             }
-            moved
-        })
+        });
     }
 }
 
@@ -783,46 +714,40 @@ impl Pass for PhiSimplify {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let mut changed = false;
-            loop {
-                let mut subs: Vec<(ValueId, Operand)> = Vec::new();
-                for bid in f.block_ids_vec() {
-                    for inst in &f.block(bid).insts {
-                        let (Some(d), Op::Phi(incs)) = (inst.dest, &inst.op) else {
-                            continue;
-                        };
-                        let mut unique: Option<Operand> = None;
-                        let mut trivial = true;
-                        for (_, v) in incs {
-                            if v.as_value() == Some(d) {
-                                continue; // self-reference
-                            }
-                            match unique {
-                                None => unique = Some(*v),
-                                Some(u) if u == *v => {}
-                                Some(_) => {
-                                    trivial = false;
-                                    break;
-                                }
-                            }
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| loop {
+            let mut subs: Vec<(ValueId, Operand)> = Vec::new();
+            for b in f.blocks() {
+                for inst in &b.insts {
+                    let (Some(d), Op::Phi(incs)) = (inst.dest, &inst.op) else {
+                        continue;
+                    };
+                    let mut unique: Option<Operand> = None;
+                    let mut trivial = true;
+                    for (_, v) in incs {
+                        if v.as_value() == Some(d) {
+                            continue; // self-reference
                         }
-                        if trivial {
-                            if let Some(u) = unique {
-                                subs.push((d, u));
+                        match unique {
+                            None => unique = Some(*v),
+                            Some(u) if u == *v => {}
+                            Some(_) => {
+                                trivial = false;
+                                break;
                             }
                         }
                     }
+                    if trivial {
+                        if let Some(u) = unique {
+                            subs.push((d, u));
+                        }
+                    }
                 }
-                if subs.is_empty() {
-                    break;
-                }
-                changed = true;
-                crate::util::apply_substitutions(f, subs);
             }
-            changed
-        })
+            if !apply_substitutions(f, subs) {
+                break;
+            }
+        });
     }
 }
 
@@ -845,28 +770,33 @@ impl Pass for StrengthReduce {
         crate::pass::Preserved::Cfg
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        for_each_function(m, |f| {
-            let mut changed = false;
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
             for bid in f.block_ids_vec() {
-                for inst in &mut f.block_mut(bid).insts {
-                    if let Op::Bin(BinOp::Mul, x, y) = &inst.op {
-                        let (val, konst) = if let Some(c) = y.as_const_int() {
-                            (*x, c)
-                        } else if let Some(c) = x.as_const_int() {
-                            (*y, c)
-                        } else {
-                            continue;
-                        };
-                        if konst > 1 && (konst as u64).is_power_of_two() {
-                            let k = (konst as u64).trailing_zeros() as i64;
-                            inst.op = Op::Bin(BinOp::Shl, val, Operand::const_int(k));
-                            changed = true;
-                        }
+                for i in 0..f.block(bid).insts.len() {
+                    if let Some(op) = StrengthReduce::shift_for(&f.block(bid).insts[i].op) {
+                        f.block_mut(bid).insts[i].op = op;
                     }
                 }
             }
-            changed
+        });
+    }
+}
+
+impl StrengthReduce {
+    /// The shift replacing `op`, if it multiplies by a power of two above 1.
+    fn shift_for(op: &Op) -> Option<Op> {
+        let Op::Bin(BinOp::Mul, x, y) = op else {
+            return None;
+        };
+        let (val, konst) = match (x.as_const_int(), y.as_const_int()) {
+            (_, Some(c)) => (*x, c),
+            (Some(c), None) => (*y, c),
+            (None, None) => return None,
+        };
+        (konst > 1 && (konst as u64).is_power_of_two()).then(|| {
+            let k = (konst as u64).trailing_zeros() as i64;
+            Op::Bin(BinOp::Shl, val, Operand::const_int(k))
         })
     }
 }

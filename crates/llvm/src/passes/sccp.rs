@@ -3,10 +3,13 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use cg_ir::{BlockId, Constant, FuncId, Function, Module, Op, Operand, Terminator, ValueId};
+use cg_ir::{
+    AnalysisManager, BlockId, Constant, FuncEdit, FuncId, Function, Module, Op, Operand,
+    Terminator, ValueId,
+};
 
-use crate::pass::{Pass, PassEffect};
-use crate::util::fold_op;
+use crate::pass::Pass;
+use crate::util::{apply_substitutions, fold_op, for_each_function, use_counts};
 
 /// The SCCP lattice.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -185,29 +188,21 @@ fn sccp_solve(
 /// Applies a solved SCCP result to the function: proven constants replace
 /// their instructions, and branches into non-executable blocks are folded.
 fn sccp_apply(
-    f: &mut Function,
+    f: &mut FuncEdit<'_>,
     values: &HashMap<ValueId, Lattice>,
     executable: &HashSet<BlockId>,
-) -> bool {
-    let mut changed = false;
+) {
     // Replace constant values.
-    let consts: Vec<(ValueId, Constant)> = values
+    let consts: Vec<(ValueId, Operand)> = values
         .iter()
         .filter_map(|(v, l)| match l {
-            Lattice::Const(c) if !f.params.iter().any(|(p, _)| p == v) => Some((*v, *c)),
+            Lattice::Const(c) if !f.params.iter().any(|(p, _)| p == v) => {
+                Some((*v, Operand::Const(*c)))
+            }
             _ => None,
         })
         .collect();
-    if !consts.is_empty() {
-        crate::util::apply_substitutions(
-            f,
-            consts
-                .into_iter()
-                .map(|(v, c)| (v, Operand::Const(c)))
-                .collect(),
-        );
-        changed = true;
-    }
+    apply_substitutions(f, consts);
     // Fold branches leading into unexecutable blocks.
     for bid in f.block_ids_vec() {
         if !executable.contains(&bid) {
@@ -232,11 +227,9 @@ fn sccp_apply(
                         incs.retain(|(b, _)| *b != bid);
                     }
                 }
-                changed = true;
             }
         }
     }
-    changed
 }
 
 /// Intraprocedural sparse conditional constant propagation.
@@ -252,16 +245,11 @@ impl Pass for Sccp {
         "sparse conditional constant propagation".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
-        let mut touched = Vec::new();
-        for fid in m.func_ids_vec() {
-            let f = m.func_mut(fid);
+    fn run_with(&self, m: &mut Module, am: &mut AnalysisManager) {
+        for_each_function(m, am, |f, _| {
             let (values, executable) = sccp_solve(f, &HashMap::new());
-            if sccp_apply(f, &values, &executable) {
-                touched.push(fid);
-            }
-        }
-        PassEffect::funcs(touched)
+            sccp_apply(f, &values, &executable);
+        });
     }
 }
 
@@ -279,7 +267,7 @@ impl Pass for IpSccp {
         "interprocedural constant propagation into parameters".into()
     }
 
-    fn run_with(&self, m: &mut Module, _am: &mut cg_ir::AnalysisManager) -> PassEffect {
+    fn run_with(&self, m: &mut Module, _am: &mut AnalysisManager) {
         // Gather, per function parameter, the meet of all actual arguments.
         let mut param_lattice: HashMap<FuncId, Vec<Lattice>> = HashMap::new();
         let mut called: HashSet<FuncId> = HashSet::new();
@@ -302,7 +290,6 @@ impl Pass for IpSccp {
                 }
             }
         }
-        let mut touched = Vec::new();
         for fid in m.func_ids_vec() {
             // Entry points (uncalled functions, e.g. main) have unknown
             // external parameters — treat as Over.
@@ -316,22 +303,19 @@ impl Pass for IpSccp {
                     .collect(),
                 _ => HashMap::new(),
             };
-            let f = m.func_mut(fid);
-            let (values, executable) = sccp_solve(f, &seeds);
-            let mut func_changed = sccp_apply(f, &values, &executable);
+            let mut f = m.edit_func(fid);
+            let (values, executable) = sccp_solve(&f, &seeds);
+            sccp_apply(&mut f, &values, &executable);
             // Materialize proven-constant parameters inside the callee.
+            let uses = use_counts(&f);
             for (v, l) in &seeds {
                 if let Lattice::Const(c) = l {
-                    f.replace_all_uses(*v, Operand::Const(*c));
-                    let _ = values;
-                    func_changed = true;
+                    if uses[v.0 as usize] > 0 {
+                        f.replace_all_uses(*v, Operand::Const(*c));
+                    }
                 }
             }
-            if func_changed {
-                touched.push(fid);
-            }
         }
-        PassEffect::funcs(touched)
     }
 }
 

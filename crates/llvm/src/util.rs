@@ -3,29 +3,38 @@
 use std::collections::HashMap;
 
 use cg_ir::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp, Value};
-use cg_ir::{AnalysisManager, Constant, FuncId, Function, Module, Op, Operand, Type, ValueId};
+use cg_ir::{
+    AnalysisManager, Constant, FuncEdit, Function, Inst, Module, Op, Operand, Type, ValueId,
+};
 
-use crate::pass::PassEffect;
-
-/// Runs a function-local transform over every function with access to the
-/// shared analysis cache, recording exactly which functions changed — the
-/// precise invalidation set for incremental observations. The body fetches
-/// whatever analyses it needs via `am.cfg(fid, m.func(fid))` and friends
-/// *before* taking `m.func_mut(fid)`; a session-owned manager turns those
-/// fetches into cache hits whenever the preceding pass left the function
-/// (or its CFG shape) untouched.
-pub fn for_each_function_with(
+/// Runs a function-local transform over every function. The body reads the
+/// function through its [`FuncEdit`] and writes only what it changes: the
+/// first write un-shares the function and moves its stamp, which is how
+/// the pass runner learns the function changed. Analyses come from the
+/// shared cache (`am.dom(f.id(), f)` and friends); a session-owned manager
+/// turns those into hits whenever the preceding passes left the function
+/// (or its CFG shape) alone.
+pub fn for_each_function(
     m: &mut Module,
     am: &mut AnalysisManager,
-    mut body: impl FnMut(FuncId, &mut Module, &mut AnalysisManager) -> bool,
-) -> PassEffect {
-    let mut touched = Vec::new();
+    mut body: impl FnMut(&mut FuncEdit<'_>, &mut AnalysisManager),
+) {
     for fid in m.func_ids_vec() {
-        if body(fid, m, am) {
-            touched.push(fid);
+        body(&mut m.edit_func(fid), am);
+    }
+}
+
+/// Deletes every instruction `dead` selects, writing only the blocks that
+/// hold one. Returns whether any did.
+pub fn remove_insts(f: &mut FuncEdit<'_>, dead: impl Fn(&Inst) -> bool) -> bool {
+    let mut removed = false;
+    for bid in f.block_ids_vec() {
+        if f.block(bid).insts.iter().any(&dead) {
+            f.block_mut(bid).insts.retain(|inst| !dead(inst));
+            removed = true;
         }
     }
-    PassEffect::funcs(touched)
+    removed
 }
 
 /// Dense per-value use counts (indexed by `ValueId.0`), counting uses in
@@ -157,11 +166,9 @@ pub fn fold_op(op: &Op) -> Option<Constant> {
 /// is safe to delete — proven-redundant pure computations, or trapping ops
 /// proven non-trapping (e.g. a constant-folded division, which evaluated
 /// without trapping by construction). The definitions of all non-cyclic
-/// keys are removed.
-pub fn apply_substitutions(f: &mut Function, subs: Vec<(ValueId, Operand)>) {
-    if subs.is_empty() {
-        return;
-    }
+/// keys are removed. Returns whether anything was; when every key is
+/// cyclic the function is not written at all.
+pub fn apply_substitutions(f: &mut FuncEdit<'_>, subs: Vec<(ValueId, Operand)>) -> bool {
     let map: HashMap<ValueId, Operand> = subs.iter().cloned().collect();
     // Resolve each key's final replacement; keys whose chains form a cycle
     // (e.g. two mutually-trivial φs in a degenerate loop) are dropped — they
@@ -195,6 +202,9 @@ pub fn apply_substitutions(f: &mut Function, subs: Vec<(ValueId, Operand)>) {
         .filter(|k| !cyclic.contains(k))
         .collect();
     resolved.retain(|k, _| dead.contains(k));
+    if resolved.is_empty() {
+        return false;
+    }
     // One sweep over the function rewrites every use (per-substitution
     // `replace_all_uses` would be quadratic on large modules).
     for bid in f.block_ids_vec() {
@@ -220,6 +230,7 @@ pub fn apply_substitutions(f: &mut Function, subs: Vec<(ValueId, Operand)>) {
             None => true,
         });
     }
+    true
 }
 
 /// Counts the number of call sites of each function in the module, as a

@@ -1,7 +1,8 @@
 //! The incremental-observation contract: a feature cache driven by the
-//! `Touched` sets passes report must agree exactly with a from-scratch
-//! module scan, for any pipeline. This is the soundness condition that lets
-//! `InstCount`/`Autophase` skip clean functions after each action.
+//! `Touched` sets the pass runner derives from moved stamps must agree
+//! exactly with a from-scratch module scan, for any pipeline. This is the
+//! soundness condition that lets `InstCount`/`Autophase` skip clean
+//! functions after each action.
 
 use proptest::prelude::*;
 
@@ -42,7 +43,8 @@ fn check_pipeline(mut m: cg_ir::Module, actions: &[usize]) {
 }
 
 /// A fixed deep pipeline over a real benchmark, covering function-local,
-/// CFG and interprocedural passes (the latter report conservative `All`).
+/// CFG and interprocedural passes (`All` only when the function set or the
+/// globals change).
 #[test]
 fn incremental_matches_full_on_cbench() {
     let space = ActionSpace::new();
