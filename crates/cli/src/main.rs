@@ -40,7 +40,7 @@ fn usage() -> ExitCode {
          [--error P] [--corrupt P] [--wedge P] [--slow-growth P] [--faults LIST]\n           \
          (LIST kinds: panic,hang,error,corrupt,wedge,slow-growth,stampede,io)\n           \
          [--timeout-ms MS] [--checkpoint-k K] [--budget-wall-ms MS] [--max-growth F]\n           \
-         [--watchdog-ms MS] [--breaker N] [--breaker-cooldown-ms MS]\n           \
+         [--breaker N] [--breaker-cooldown-ms MS]\n           \
          [--serve-metrics ADDR] [--stdb DIR] [--linger-ms MS] [--json]\n  \
          cg fuzz [--seed-range A..B] [--jobs N] [--profile NAME] [--max-passes N]\n          \
          [--inputs N] [--corpus DIR] [--no-corpus] [--budget-secs N]\n          \
@@ -365,12 +365,11 @@ fn stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         snap.restarts, snap.panics, snap.timeouts, snap.in_flight
     );
     println!(
-        "containment: checkpoints={} restores={} budget-kills={} watchdog-restarts={} \
+        "containment: checkpoints={} restores={} budget-kills={} \
          breaker trips={} half-opens={} fast-fails={}",
         snap.checkpoints_taken,
         snap.checkpoint_restores,
         snap.budget_kills,
-        snap.watchdog_restarts,
         snap.breaker_trips,
         snap.breaker_half_opens,
         snap.breaker_fast_fails
@@ -1017,7 +1016,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut checkpoint_k: u64 = 10;
     let mut budget_wall_ms: u64 = 0;
     let mut max_growth: f64 = 0.0;
-    let mut watchdog_ms: u64 = 0;
     let mut breaker_threshold: u32 = 0;
     let mut breaker_cooldown_ms: u64 = 250;
     let mut serve_metrics_addr: Option<String> = None;
@@ -1071,7 +1069,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--checkpoint-k" => checkpoint_k = val("--checkpoint-k")?.parse()?,
             "--budget-wall-ms" => budget_wall_ms = val("--budget-wall-ms")?.parse()?,
             "--max-growth" => max_growth = val("--max-growth")?.parse()?,
-            "--watchdog-ms" => watchdog_ms = val("--watchdog-ms")?.parse()?,
             "--breaker" => breaker_threshold = val("--breaker")?.parse()?,
             "--breaker-cooldown-ms" => {
                 breaker_cooldown_ms = val("--breaker-cooldown-ms")?.parse()?;
@@ -1120,11 +1117,8 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if slow_growth_prob > 0.0 && max_growth == 0.0 {
         max_growth = 2.0;
     }
-    if hang_prob > 0.0 && budget_wall_ms == 0 {
+    if (hang_prob > 0.0 || wedge_prob > 0.0) && budget_wall_ms == 0 {
         budget_wall_ms = timeout_ms / 2;
-    }
-    if wedge_prob > 0.0 && watchdog_ms == 0 {
-        watchdog_ms = timeout_ms / 4;
     }
 
     // Injected panics are expected here; keep their default backtrace spew
@@ -1183,13 +1177,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             budget = budget.with_max_growth(max_growth);
         }
         env.set_resource_budget(budget)?;
-    }
-    if watchdog_ms > 0 {
-        env.enable_watchdog(cg_core::WatchdogConfig {
-            interval: Duration::from_millis(watchdog_ms),
-            probe_deadline: Duration::from_millis((watchdog_ms / 2).max(10)),
-            misses: 2,
-        })?;
     }
     let breaker = (breaker_threshold > 0).then(|| {
         cg_core::CircuitBreaker::new(
@@ -1278,7 +1265,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             checkpoints_taken: u64,
             checkpoint_restores: u64,
             budget_kills: u64,
-            watchdog_restarts: u64,
             breaker_trips: u64,
             breaker_half_opens: u64,
             breaker_fast_fails: u64,
@@ -1304,7 +1290,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             checkpoints_taken: snap.checkpoints_taken,
             checkpoint_restores: snap.checkpoint_restores,
             budget_kills: snap.budget_kills,
-            watchdog_restarts: snap.watchdog_restarts,
             breaker_trips: snap.breaker_trips,
             breaker_half_opens: snap.breaker_half_opens,
             breaker_fast_fails: snap.breaker_fast_fails,
@@ -1331,12 +1316,11 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             snap.recoveries, snap.restarts, snap.replay_divergences, snap.timeouts, snap.panics
         );
         println!(
-            "containment: checkpoints={} restores={} budget-kills={} watchdog-restarts={} \
+            "containment: checkpoints={} restores={} budget-kills={} \
              breaker trips={} half-opens={} fast-fails={}",
             snap.checkpoints_taken,
             snap.checkpoint_restores,
             snap.budget_kills,
-            snap.watchdog_restarts,
             snap.breaker_trips,
             snap.breaker_half_opens,
             snap.breaker_fast_fails

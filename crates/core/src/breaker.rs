@@ -15,9 +15,9 @@
 //! - **Half-open**: exactly one probe is in flight. Success closes the
 //!   circuit; another fault re-opens it and restarts the cooldown.
 //!
-//! The breaker observes *service kills* (panics, hangs, watchdog
-//! restarts), not legitimate `Err` results from the compiler — a compile
-//! failure is an answer, not a fault.
+//! The breaker observes *service kills* (panics, hangs, budget kills), not
+//! legitimate `Err` results from the compiler — a compile failure is an
+//! answer, not a fault.
 
 use std::collections::HashMap;
 use std::sync::Arc;

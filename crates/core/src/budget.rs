@@ -21,8 +21,9 @@ use serde::{Deserialize, Serialize};
 
 /// Resource limits enforced inside the service worker while it executes a
 /// `Step` request. Every limit is optional; the default budget enforces
-/// nothing (zero overhead on the happy path — the worker only spawns a
-/// supervised runner thread when a wall-clock limit is set).
+/// nothing (zero overhead on the happy path — the service spawns its one
+/// step runner thread on the first step under a wall-clock limit, and
+/// replaces it only after a wall-clock kill).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResourceBudget {
     /// Wall-clock deadline for one `Step` request (actions + observations)

@@ -4,8 +4,9 @@
 //! corrupt its replies on schedule or with configured probabilities.
 //!
 //! The wrapped factory is indistinguishable from a real backend to the rest
-//! of the stack, so the full recovery path — panic isolation, client
-//! deadlines, service restarts, and mid-episode action-replay restoration —
+//! of the stack, so the full recovery path — panic isolation, step wall
+//! budgets, client deadlines, service restarts, and mid-episode
+//! action-replay restoration —
 //! is exercised exactly as it would be by a genuinely crashing compiler.
 //! `cg chaos` drives whole episodes under an injected fault load and reports
 //! recovery statistics from the telemetry snapshot; the integration and
@@ -47,8 +48,7 @@ pub enum FaultKind {
     SlowGrowth,
     /// Stop answering forever: this and every later `apply_action` and
     /// `observe` on the session blocks indefinitely without panicking or
-    /// erroring. Caught only by the step wall budget or the watchdog
-    /// heartbeat.
+    /// erroring. Caught by the step wall budget or the client deadline.
     Wedge,
     /// A connection stampede: a burst of simultaneous TCP connects against
     /// the service's front door mid-soak (a fleet of clients restarting at

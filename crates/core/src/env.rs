@@ -41,8 +41,8 @@
 //!   backend errors and budget kills; a hung step only under a step wall
 //!   budget;
 //! * [`ServiceClient`] — a service thread per environment, adding a client
-//!   deadline on every request kind and the watchdog.
-//!   [`CompilerEnv::with_factory`] builds it;
+//!   deadline on every request kind. [`CompilerEnv::with_factory`] builds
+//!   it;
 //! * [`TcpTransport`] — a broker on another machine, with a socket
 //!   deadline and reconnects. [`CompilerEnv::connect_tcp`] builds it.
 //!
@@ -63,7 +63,6 @@ use crate::service::{InlineLink, Link, Request, Response, ServiceClient, TcpTran
 use crate::session::SessionSnapshot;
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 use crate::state::EnvState;
-use crate::watchdog::{Watchdog, WatchdogConfig};
 
 /// The result of one `step()`.
 #[derive(Debug, Clone)]
@@ -135,8 +134,6 @@ pub struct CompilerEnv {
     actions: Vec<usize>,
     /// Optional per-(benchmark, action) quarantine, shared between forks.
     breaker: Option<CircuitBreaker>,
-    /// Optional heartbeat supervisor for the backing service.
-    watchdog: Option<Watchdog>,
     /// The flight-recorder episode this env's steps bind their traces to.
     episode_id: Option<u64>,
     /// Whether this env opened `episode_id` (and must end it on close).
@@ -260,7 +257,7 @@ impl CompilerEnv {
     /// hand-off per request. Panics, backend errors and budget kills are
     /// contained as on every link; a hung step only under a step wall
     /// budget ([`CompilerEnv::set_resource_budget`]). For a client deadline
-    /// on every request, or a watchdog, use [`CompilerEnv::with_factory`].
+    /// on every request, use [`CompilerEnv::with_factory`].
     ///
     /// # Errors
     /// Unknown backends; a backend that cannot describe its spaces.
@@ -278,10 +275,9 @@ impl CompilerEnv {
 
     /// Builds an environment around an arbitrary session factory, served
     /// by a [`ServiceClient`]: a service thread whose every request is
-    /// bounded by `timeout`, and which can carry a watchdog. This is the
-    /// extension point for custom backends and for fault-injection
-    /// harnesses (see [`crate::chaos`]) that need a deliberately
-    /// misbehaving session.
+    /// bounded by `timeout`. This is the extension point for custom
+    /// backends and for fault-injection harnesses (see [`crate::chaos`])
+    /// that need a deliberately misbehaving session.
     ///
     /// # Errors
     /// Fails when the backend cannot describe its spaces.
@@ -363,7 +359,6 @@ impl CompilerEnv {
             episode_reward: 0.0,
             actions: Vec::new(),
             breaker: None,
-            watchdog: None,
             episode_id: None,
             owns_episode: false,
             log_transitions: true,
@@ -438,33 +433,6 @@ impl CompilerEnv {
     /// The attached circuit breaker, if any.
     pub fn circuit_breaker(&self) -> Option<&CircuitBreaker> {
         self.breaker.as_ref()
-    }
-
-    /// Starts a [`Watchdog`] heartbeating this environment's service:
-    /// silently-wedged workers are detected between calls and proactively
-    /// restarted (in-flight calls abort into the normal recovery path).
-    /// Replaces any previous watchdog. Only a [`ServiceClient`] has a
-    /// heartbeat to watch (see [`Link::watchdog`]), so build the
-    /// environment with [`CompilerEnv::with_factory`] or over a
-    /// `ServiceClient` for one.
-    ///
-    /// # Errors
-    /// [`CgError::Usage`] naming the link, when it is not a
-    /// `ServiceClient`; any previous watchdog keeps running.
-    pub fn enable_watchdog(&mut self, config: WatchdogConfig) -> Result<(), CgError> {
-        self.watchdog = Some(self.link.watchdog(config)?);
-        Ok(())
-    }
-
-    /// Stops the watchdog, if one is running.
-    pub fn disable_watchdog(&mut self) {
-        self.watchdog = None;
-    }
-
-    /// Number of restarts the watchdog has triggered (0 when none is
-    /// attached).
-    pub fn watchdog_restarts(&self) -> u64 {
-        self.watchdog.as_ref().map_or(0, Watchdog::restarts)
     }
 
     /// The active action space.
@@ -764,7 +732,7 @@ impl CompilerEnv {
             }
             std::thread::sleep(policy.backoff_for(attempt));
             // A link restarted since this session began — by a fork sharing
-            // it, or by the watchdog — has already lost the session: replay
+            // it — has already lost the session: replay
             // is enough, and restarting again would take the sibling's
             // fresh session down with it.
             let restart =
@@ -1183,7 +1151,6 @@ impl CompilerEnv {
             // Forks share the quarantine: a pair that kills services is
             // pathological for every episode that touches it.
             breaker: self.breaker.clone(),
-            watchdog: None,
             // The fork's steps keep binding to the parent's episode until
             // its own reset() opens a timeline of its own — borrowed, not
             // owned, so the fork's close never ends the parent's timeline.
@@ -1567,48 +1534,6 @@ mod tests {
         assert_eq!(
             (env.service_restarts(), sessions.load(SeqCst)),
             no_restart_no_replay
-        );
-    }
-
-    fn watchdog_config() -> WatchdogConfig {
-        WatchdogConfig {
-            interval: Duration::from_millis(20),
-            probe_deadline: Duration::from_millis(200),
-            misses: 2,
-        }
-    }
-
-    #[test]
-    fn watchdog_needs_a_service_client() {
-        let mut env = make("llvm-v0").unwrap();
-        match env.enable_watchdog(watchdog_config()) {
-            Err(CgError::Usage(e)) => {
-                assert!(e.contains("InlineLink"), "names the link: {e}");
-                assert!(e.contains("ServiceClient"), "says what to build: {e}");
-            }
-            other => panic!("expected a usage error, got {other:?}"),
-        }
-        assert_eq!(env.watchdog_restarts(), 0);
-    }
-
-    #[test]
-    fn watchdog_runs_over_a_service_client() {
-        let mut env = CompilerEnv::with_factory(
-            "llvm-v0",
-            session_factory("llvm-v0").unwrap(),
-            "benchmark://cbench-v1/crc32",
-            "Autophase",
-            "IrInstructionCount",
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        env.enable_watchdog(watchdog_config()).unwrap();
-        env.reset().unwrap();
-        env.step(0).unwrap();
-        assert_eq!(
-            env.watchdog_restarts(),
-            0,
-            "a healthy service is left alone"
         );
     }
 }

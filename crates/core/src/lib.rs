@@ -11,8 +11,8 @@
 //! * [`envs`] — the three shipped integrations: LLVM phase ordering, GCC
 //!   flag tuning, `loop_tool` CUDA loop nests
 //! * [`service`] — the compiler service runtime: session workers, the
-//!   [`service::Link`] clients reach them through (in-process and TCP),
-//!   timeouts, panic isolation, and the one retry loop
+//!   [`service::Link`] clients reach them through (inline, threaded and
+//!   TCP), deadlines, panic isolation, and the one retry loop
 //! * [`mod@env`] — the user-facing [`env::CompilerEnv`] with `reset`/`step`/
 //!   `fork`, batched and lazy stepping, and transparent mid-episode fault
 //!   recovery by action replay
@@ -22,9 +22,8 @@
 //!   ring, which outlives its workers and connections, making recovery
 //!   O(K) instead of O(episode)
 //! * [`budget`] — in-service resource budgets (step wall-clock, state-size
-//!   growth, interpreter fuel) answered as typed in-band errors
-//! * [`watchdog`] — a supervisor heartbeating the service and proactively
-//!   restarting silently-wedged workers
+//!   growth, interpreter fuel) answered as typed in-band errors; the step
+//!   wall budget is what contains a wedged compiler
 //! * [`breaker`] — a per-(benchmark, action) circuit breaker quarantining
 //!   pairs that repeatedly kill services
 //! * [`chaos`] — seeded fault injection for any session factory, used by
@@ -65,7 +64,6 @@ pub mod sink;
 pub mod space;
 pub mod state;
 pub mod validation;
-pub mod watchdog;
 pub mod wire;
 pub mod wrappers;
 
@@ -88,4 +86,3 @@ pub use session::{CompilationSession, SessionSnapshot};
 pub use sink::{clear_transition_sink, install_transition_sink, transition_sink, TransitionSink};
 pub use space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 pub use state::EnvState;
-pub use watchdog::{Watchdog, WatchdogConfig};

@@ -9,11 +9,10 @@
 //!   with no service thread and no hand-off per request. What
 //!   [`crate::make`], `replay://` and therefore every `EnvPool` worker
 //!   build (via [`crate::CompilerEnv::with_service`]);
-//! * **threaded** — [`ServiceClient`]: a dedicated service thread per
-//!   environment, reached over channels. The link that enforces a client
-//!   deadline on every request kind and the only one with a watchdog;
-//!   [`crate::CompilerEnv::with_factory`] and [`ServiceClient::spawn`]
-//!   build it;
+//! * **threaded** — [`ServiceClient`]: each request runs on a service
+//!   thread per environment, and the caller stops waiting at a client
+//!   deadline on every request kind. [`crate::CompilerEnv::with_factory`]
+//!   and [`ServiceClient::spawn`] build it;
 //! * **TCP** — [`TcpTransport`]: length-prefixed `CGB1` frames
 //!   ([`crate::wire`]) over a socket to a [`crate::broker::Broker`],
 //!   supporting compilation on a different machine than the frontend
@@ -37,12 +36,15 @@
 //!   from the deepest matching snapshot so recovery replays only the
 //!   ≤K-action suffix;
 //! * **resource budgets** — `Step` runs under a [`ResourceBudget`]
-//!   (wall-clock deadline via a supervised runner thread, state-size cap
-//!   checked after every action), answering a typed [`Response::Budget`]
-//!   in-band instead of hanging until the client deadline;
-//! * **watchdog hooks** — [`Link::restart`] takes `&self` and propagates
-//!   to all clones, and in-flight calls poll the restart generation so a
-//!   watchdog restart aborts them quickly (see `crate::watchdog`).
+//!   (wall-clock deadline, state-size cap checked after every action),
+//!   answering a typed [`Response::Budget`] in-band instead of hanging
+//!   until the client deadline.
+//!
+//! Every "run it elsewhere and stop waiting at a deadline" path — a
+//! budgeted step, a [`ServiceClient`] request — runs on one kind of
+//! thread, a `Runner`: persistent, fed by a job channel, and replaced only
+//! when a deadline abandons it. A service with no step wall budget spawns
+//! no runner of its own, so an inline step runs on the caller's thread.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -52,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cg_telemetry::{SpanStatus, TraceContext};
+use cg_telemetry::SpanStatus;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -63,7 +65,6 @@ use crate::error::CgError;
 use crate::retry::RetryPolicy;
 use crate::session::{CompilationSession, SessionSnapshot};
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
-use crate::watchdog::{Watchdog, WatchdogConfig};
 use crate::wire;
 
 /// A request to the compiler service.
@@ -143,7 +144,8 @@ pub enum Request {
         /// The new budget.
         budget: ResourceBudget,
     },
-    /// Stop the service.
+    /// Stop the service: drains a broker. In process it answers `Ok` and
+    /// stops nothing; the service stops with its last handle.
     Shutdown,
 }
 
@@ -246,9 +248,92 @@ pub enum Response {
 pub type SessionFactory = Arc<dyn Fn() -> Box<dyn CompilationSession> + Send + Sync>;
 
 /// Stack size of every thread this crate spawns to run compiler passes —
-/// service workers, step runners, broker workers and pool workers — since
-/// passes recurse deeply.
+/// runners, broker workers and pool workers — since passes recurse deeply.
 pub(crate) const PASS_THREAD_STACK: usize = 16 << 20;
+
+/// Work for a [`Runner`], boxed so one thread serves every kind of job.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The one way this module runs work elsewhere and stops waiting at a
+/// deadline: a persistent thread fed by a job channel. A job runs under
+/// the trace context of the thread that submitted it, so the spans it opens
+/// stay in the caller's tree.
+///
+/// When a deadline abandons a job, its runner is abandoned with it
+/// ([`Runner::abandon`]): detached, never joined, left to finish or wedge
+/// on its own; the owner's next job gets a fresh runner. Otherwise a
+/// dropped runner closes its channel and waits, bounded by `teardown`, for
+/// the thread to exit. Left to exit on its own, the thread can still be
+/// freeing what its jobs left behind when the owner's next thread starts,
+/// which then gets a fresh allocator arena while the old one's stays
+/// behind, free but resident.
+struct Runner {
+    jobs: Sender<Job>,
+    /// Disconnects once the thread has left its loop.
+    exited: Receiver<()>,
+    /// `None` once abandoned.
+    thread: Option<std::thread::JoinHandle<()>>,
+    teardown: Duration,
+}
+
+impl Runner {
+    fn spawn(name: &str, teardown: Duration) -> Runner {
+        let (jobs, queue) = unbounded::<Job>();
+        let (exited_tx, exited) = bounded::<()>(1);
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .stack_size(PASS_THREAD_STACK)
+            .spawn(move || {
+                let _exited = exited_tx;
+                while let Ok(job) = queue.recv() {
+                    job();
+                }
+            })
+            .expect("spawn runner thread");
+        Runner {
+            jobs,
+            exited,
+            thread: Some(thread),
+            teardown,
+        }
+    }
+
+    /// Queues `job` under the caller's trace context. Its result arrives on
+    /// the returned channel, which disconnects instead if the job panics or
+    /// the runner is gone; the caller waits on it up to its deadline.
+    fn submit<T: Send + 'static>(&self, job: impl FnOnce() -> T + Send + 'static) -> Receiver<T> {
+        let (done, result) = bounded(1);
+        let ctx = cg_telemetry::current_context();
+        // A closed queue hands the job back, and dropping it drops `done`.
+        let _ = self.jobs.send(Box::new(move || {
+            let _trace_guard = ctx.map(cg_telemetry::enter_context);
+            let _ = done.send(job());
+        }));
+        result
+    }
+
+    /// Detaches the thread: a deadline gave up on its job, which may never
+    /// return.
+    fn abandon(mut self) {
+        self.thread = None;
+    }
+}
+
+impl Drop for Runner {
+    fn drop(&mut self) {
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        // Close the queue first: the thread leaves its loop once it is idle.
+        drop(std::mem::replace(&mut self.jobs, unbounded().0));
+        if let Err(crossbeam::channel::RecvTimeoutError::Disconnected) =
+            self.exited.recv_timeout(self.teardown)
+        {
+            // Past its last statement: the join is immediate.
+            let _ = thread.join();
+        }
+    }
+}
 
 /// Book-keeping the worker holds alongside each session to drive
 /// checkpointing and budget enforcement.
@@ -292,8 +377,8 @@ struct StepRun {
 }
 
 /// Applies actions and computes observations under panic isolation and an
-/// optional state-size limit. Runs either inline on the worker thread or on
-/// an ephemeral runner thread when a wall-clock budget is set.
+/// optional state-size limit. Runs either on the dispatching thread or, when
+/// a wall-clock budget is set, on the service state's [`Runner`].
 fn execute_step(
     session: &mut Box<dyn CompilationSession>,
     actions: &[usize],
@@ -377,6 +462,10 @@ pub(crate) struct ServiceState {
     next_id: u64,
     budget: ResourceBudget,
     checkpoints: CheckpointStore,
+    /// Runs steps under a wall budget. Spawned by the first such step and
+    /// replaced after one misses its deadline, so a service with no wall
+    /// budget spawns no thread.
+    runner: Option<Runner>,
 }
 
 impl ServiceState {
@@ -392,6 +481,7 @@ impl ServiceState {
             next_id: 0,
             budget,
             checkpoints,
+            runner: None,
         }
     }
 
@@ -720,51 +810,47 @@ impl ServiceState {
                 // Panic isolation: a crashing pass must not take down the
                 // service (the paper's "resilient to failures, crashes").
                 let (session, run) = if let Some(wall) = self.budget.step_wall() {
-                    // Supervised path: run on an ephemeral thread so the
-                    // worker can abandon a pass that blows its deadline and
-                    // answer in-band instead of wedging the whole service.
-                    let (done_tx, done_rx) = bounded(1);
+                    // Supervised path: run on the runner so the service can
+                    // abandon a pass that blows its deadline and answer
+                    // in-band instead of wedging.
+                    let runner = self
+                        .runner
+                        .get_or_insert_with(|| Runner::spawn("cg-step-runner", wall));
                     let acts = actions.clone();
                     let spaces = observation_spaces.clone();
-                    // Thread-local trace context does not cross threads on
-                    // its own: hand the dispatch span to the runner so pass
-                    // and observation spans stay in the request's tree.
-                    let trace_ctx = cg_telemetry::current_context();
-                    std::thread::Builder::new()
-                        .name("cg-step-runner".into())
-                        .stack_size(PASS_THREAD_STACK)
-                        .spawn(move || {
-                            let _trace_guard = trace_ctx.map(cg_telemetry::enter_context);
-                            let run = execute_step(&mut session, &acts, &spaces, size_limit);
-                            let _ = done_tx.send((session, run));
-                        })
-                        .expect("spawn step runner thread");
-                    match done_rx.recv_timeout(wall) {
+                    let done = runner.submit(move || {
+                        let run = execute_step(&mut session, &acts, &spaces, size_limit);
+                        (session, run)
+                    });
+                    match done.recv_timeout(wall) {
                         Ok((session, run)) => (Some(session), run),
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                        Err(missed) => {
                             // The session stays with the abandoned runner and
                             // is dropped whenever (if ever) it finishes.
-                            let limit = wall.as_micros() as u64;
-                            let violation = BudgetViolation {
-                                kind: BudgetKind::Wall,
-                                limit,
-                                observed: limit,
-                                detail: format!(
-                                    "step of {} action(s) still running at the {wall:?} deadline",
-                                    actions.len()
-                                ),
-                            };
-                            self.budget_kill(session_id, &violation);
-                            return Response::Budget(violation);
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => (
-                            None,
-                            StepRun {
+                            if let Some(runner) = self.runner.take() {
+                                runner.abandon();
+                            }
+                            if missed == crossbeam::channel::RecvTimeoutError::Timeout {
+                                let limit = wall.as_micros() as u64;
+                                let violation = BudgetViolation {
+                                    kind: BudgetKind::Wall,
+                                    limit,
+                                    observed: limit,
+                                    detail: format!(
+                                        "step of {} action(s) still running at the {wall:?} deadline",
+                                        actions.len()
+                                    ),
+                                };
+                                self.budget_kill(session_id, &violation);
+                                return Response::Budget(violation);
+                            }
+                            let run = StepRun {
                                 applied: 0,
                                 poisoned: true,
                                 verdict: StepVerdict::Panicked,
-                            },
-                        ),
+                            };
+                            (None, run)
+                        }
                     }
                 } else {
                     let run = execute_step(&mut session, &actions, &observation_spaces, size_limit);
@@ -910,23 +996,6 @@ pub trait Link: Send + Sync + std::fmt::Debug {
     /// environment drives.
     fn clone_link(&self) -> Box<dyn Link>;
 
-    /// Starts a [`Watchdog`] heartbeating the service behind the link.
-    /// Only [`ServiceClient`] has a heartbeat: an inline session has no
-    /// service to probe between calls, a socket's liveness already surfaces
-    /// through its read deadline, and a heartbeat sharing the connection
-    /// would interleave with real replies.
-    ///
-    /// # Errors
-    /// [`CgError::Usage`] naming the link, for every other link.
-    fn watchdog(&self, _config: WatchdogConfig) -> Result<Watchdog, CgError> {
-        let kind = std::any::type_name::<Self>().rsplit("::").next();
-        Err(CgError::Usage(format!(
-            "{} has no heartbeat to watch; build the environment over a \
-             ServiceClient (CompilerEnv::with_factory) for a watchdog",
-            kind.unwrap_or("this link")
-        )))
-    }
-
     /// Issues a request under the recovery policy — the runtime's one retry
     /// loop. On service failure the link is restarted and the call retried
     /// after an exponential, deterministically jittered backoff; a session
@@ -1024,12 +1093,12 @@ fn traced<T>(name: String, call: impl FnOnce() -> Result<T, CgError>) -> Result<
 
 /// A handle to a running in-process compiler service.
 ///
-/// Clones share the service: the worker channel, restart generation,
-/// checkpoint store, and budget all live behind `Arc`s, so a restart issued
-/// through any clone (including the watchdog's) is seen by all of them.
+/// Clones share the service: its runner and state, the restart generation,
+/// the checkpoint store and the budget all live behind `Arc`s, so a restart
+/// issued through any clone is seen by all of them.
 #[derive(Clone)]
 pub struct ServiceClient {
-    worker: Arc<Mutex<Worker>>,
+    service: Arc<Mutex<Service>>,
     factory: SessionFactory,
     timeout: Duration,
     policy: RetryPolicy,
@@ -1047,83 +1116,21 @@ impl std::fmt::Debug for ServiceClient {
     }
 }
 
-/// Granularity at which in-flight calls notice a concurrent restart.
-const GENERATION_POLL: Duration = Duration::from_millis(50);
-
-/// The worker's request channel: each request travels with the caller's
-/// trace context (so service-side spans parent under the client call) and
-/// its reply sender.
-type RequestSender = Sender<(Request, Option<TraceContext>, Sender<Response>)>;
-
-/// The worker thread behind a client and its clones. Dropping it closes
-/// the request channel (`tx` is declared, so dropped, first) and then
-/// reaps the thread.
-struct Worker {
-    tx: RequestSender,
-    reaper: Reaper,
+/// One generation of a [`ServiceClient`]'s service: the runner its
+/// requests run on and the state they run against. Dropped with the last
+/// client, the runner is reaped (declared first, it goes first) and then
+/// the state frees its sessions.
+struct Service {
+    runner: Runner,
+    state: Arc<Mutex<ServiceState>>,
 }
 
-/// Waits, bounded, for a worker thread whose channel has just closed.
-///
-/// The thread frees what it holds — its sessions, and the checkpoint ring
-/// if the client's handle went first — on its way out. Left to finish on
-/// its own it can still be doing so when the caller's next service starts,
-/// and that thread then gets a fresh allocator arena while the old one's
-/// stays behind, free but resident. A worker that is wedged in a pass never
-/// reports back and is left detached after `teardown`.
-struct Reaper {
-    /// Disconnects once the thread has dropped its state.
-    exited: Receiver<()>,
-    /// `None` once detached ([`ServiceClient::restart`] replaces workers it
-    /// has reason to think are hung, and must not wait for them).
-    thread: Option<std::thread::JoinHandle<()>>,
-    teardown: Duration,
-}
-
-impl Drop for Reaper {
-    fn drop(&mut self) {
-        let Some(thread) = self.thread.take() else {
-            return;
-        };
-        if let Err(crossbeam::channel::RecvTimeoutError::Disconnected) =
-            self.exited.recv_timeout(self.teardown)
-        {
-            // Past its last statement: the join is immediate, and a panic
-            // that killed the worker was reported when it happened.
-            let _ = thread.join();
+impl Service {
+    fn spawn(state: ServiceState, teardown: Duration) -> Service {
+        Service {
+            runner: Runner::spawn("cg-compiler-service", teardown),
+            state: Arc::new(Mutex::new(state)),
         }
-    }
-}
-
-/// Spawns a worker thread serving `state`.
-fn spawn_worker(state: ServiceState, teardown: Duration) -> Worker {
-    let (tx, rx): (RequestSender, Receiver<_>) = unbounded();
-    let (exited_tx, exited) = bounded::<()>(1);
-    let thread = std::thread::Builder::new()
-        .name("cg-compiler-service".into())
-        .stack_size(PASS_THREAD_STACK)
-        .spawn(move || {
-            // Declared before `state`, so dropped after it.
-            let _exited = exited_tx;
-            let mut state = state;
-            while let Ok((req, ctx, reply)) = rx.recv() {
-                let _trace_guard = ctx.map(cg_telemetry::enter_context);
-                let shutdown = matches!(req, Request::Shutdown);
-                let resp = state.handle(req);
-                let _ = reply.send(resp);
-                if shutdown {
-                    break;
-                }
-            }
-        })
-        .expect("spawn service thread");
-    Worker {
-        tx,
-        reaper: Reaper {
-            exited,
-            thread: Some(thread),
-            teardown,
-        },
     }
 }
 
@@ -1143,12 +1150,12 @@ impl ServiceClient {
     ) -> ServiceClient {
         let checkpoints = CheckpointStore::default();
         let budget = ResourceBudget::default();
-        let worker = spawn_worker(
+        let service = Service::spawn(
             ServiceState::generation(Arc::clone(&factory), budget.clone(), checkpoints.clone(), 0),
             policy.teardown_deadline,
         );
         ServiceClient {
-            worker: Arc::new(Mutex::new(worker)),
+            service: Arc::new(Mutex::new(service)),
             factory,
             timeout,
             policy,
@@ -1158,20 +1165,28 @@ impl ServiceClient {
         }
     }
 
-    /// The checkpoint ring this service's workers write into. It is held
-    /// here, not by a worker, so it survives worker restarts — that is the
-    /// point — and [`Request::Resume`] finds a replaced worker's snapshots
-    /// in it.
+    /// The checkpoint ring this service writes into. It is held here, not
+    /// by the service state, so it survives restarts — that is the point —
+    /// and [`Request::Resume`] finds a replaced state's snapshots in it.
     pub fn checkpoint_store(&self) -> &CheckpointStore {
         &self.checkpoints
     }
 
     /// Replaces the checkpoint store (interval, capacity, disk sink): where
     /// the in-process checkpoint interval K is set. The service restarts so
-    /// its worker writes to the new store; call before starting sessions.
+    /// it writes to the new store; call before starting sessions.
     pub fn set_checkpoint_store(&mut self, store: CheckpointStore) {
         self.checkpoints = store;
         self.restart();
+    }
+
+    /// Queues `req` on the current generation's runner. A restart while
+    /// it is queued or running does not end the wait for its reply; the
+    /// caller's deadline does.
+    fn submit(&self, req: Request) -> Receiver<Result<Response, CgError>> {
+        let service = self.service.lock();
+        let state = Arc::clone(&service.state);
+        service.runner.submit(move || handle_contained(&state, req))
     }
 
     fn call_inner(
@@ -1180,40 +1195,19 @@ impl ServiceClient {
         deadline: Duration,
         count_timeout: bool,
     ) -> Result<Response, CgError> {
-        let generation = self.generation.load(Ordering::SeqCst);
-        let (reply_tx, reply_rx) = bounded(1);
-        let tx = self.worker.lock().tx.clone();
-        tx.send((req, cg_telemetry::current_context(), reply_tx))
-            .map_err(|_| CgError::ServiceFailure("service disconnected".into()))?;
-        let start = std::time::Instant::now();
-        loop {
-            let remaining = deadline.saturating_sub(start.elapsed());
-            if remaining.is_zero() {
+        match self.submit(req).recv_timeout(deadline) {
+            Ok(reply) => reply,
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
                 if count_timeout {
                     cg_telemetry::global().timeouts.inc();
                 }
-                return Err(CgError::ServiceFailure(format!(
+                Err(CgError::ServiceFailure(format!(
                     "service call exceeded {deadline:?} (hung or crashed)"
-                )));
+                )))
             }
-            match reply_rx.recv_timeout(remaining.min(GENERATION_POLL)) {
-                Ok(resp) => return settle(resp),
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(CgError::ServiceFailure(
-                        "service worker died (reply channel closed)".into(),
-                    ));
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    // A restart (e.g. by the watchdog) abandoned the worker
-                    // this call was sent to: abort now rather than waiting
-                    // out the full deadline for a reply that cannot come.
-                    if self.generation.load(Ordering::SeqCst) != generation {
-                        return Err(CgError::ServiceFailure(
-                            "service restarted while the call was in flight".into(),
-                        ));
-                    }
-                }
-            }
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(
+                CgError::ServiceFailure("service worker died (reply channel closed)".into()),
+            ),
         }
     }
 
@@ -1229,18 +1223,6 @@ impl ServiceClient {
             self.call_inner(req, deadline, true)
         })
     }
-
-    /// Liveness probe: a `Ping` bounded by `deadline`, not counted as a
-    /// timeout in telemetry. Used by the watchdog heartbeat. Note that a
-    /// worker busy with a long legitimate request also misses heartbeats —
-    /// pick a probe deadline comfortably above the expected step time, or
-    /// set a step wall budget so no request can hold the worker that long.
-    pub fn probe(&self, deadline: Duration) -> bool {
-        matches!(
-            self.call_inner(Request::Ping, deadline, false),
-            Ok(Response::Pong)
-        )
-    }
 }
 
 impl Link for ServiceClient {
@@ -1255,18 +1237,14 @@ impl Link for ServiceClient {
         })
     }
 
-    /// Abandons the (possibly hung) service thread and spawns a fresh one.
-    /// Propagates through all clones, so a supervisor (the watchdog) can
-    /// restart a service other threads are using; their in-flight calls
-    /// notice the generation change and abort with
-    /// [`CgError::ServiceFailure`].
+    /// Abandons the (possibly hung) runner and state and spawns fresh ones,
+    /// for every clone.
     fn restart(&self) {
-        // Under the worker lock, so concurrent restarts (the watchdog's and
-        // an environment's) each get a generation, and an id range, of
-        // their own.
-        let mut worker = self.worker.lock();
+        // Under the service lock, so concurrent restarts each get a
+        // generation, and an id range, of their own.
+        let mut service = self.service.lock();
         let generation = self.generation.load(Ordering::SeqCst) + 1;
-        let fresh = spawn_worker(
+        let fresh = Service::spawn(
             ServiceState::generation(
                 Arc::clone(&self.factory),
                 self.budget.lock().clone(),
@@ -1275,11 +1253,11 @@ impl Link for ServiceClient {
             ),
             self.policy.teardown_deadline,
         );
-        let mut old = std::mem::replace(&mut *worker, fresh);
+        let old = std::mem::replace(&mut *service, fresh);
         self.generation.store(generation, Ordering::SeqCst);
-        drop(worker);
-        // Detached, not reaped: it is being replaced because it may hang.
-        old.reaper.thread = None;
+        drop(service);
+        // Abandoned, not reaped: it is being replaced because it may hang.
+        old.runner.abandon();
         record_restart(format!("generation {generation}"));
     }
 
@@ -1299,8 +1277,8 @@ impl Link for ServiceClient {
         self.budget.lock().clone()
     }
 
-    /// Configures the live worker and remembers the budget, so every
-    /// restarted worker inherits it.
+    /// Configures the live state and remembers the budget, so every
+    /// restarted state inherits it.
     fn set_resource_budget(&self, budget: ResourceBudget) -> Result<(), CgError> {
         *self.budget.lock() = budget.clone();
         self.call(Request::Configure { budget }).map(|_| ())
@@ -1308,10 +1286,6 @@ impl Link for ServiceClient {
 
     fn clone_link(&self) -> Box<dyn Link> {
         Box::new(self.clone())
-    }
-
-    fn watchdog(&self, config: WatchdogConfig) -> Result<Watchdog, CgError> {
-        Ok(Watchdog::spawn(self.clone(), config))
     }
 }
 
@@ -1331,20 +1305,21 @@ fn record_restart(detail: String) {
 /// A request is one dispatch under a lock — no service thread, no channel,
 /// no hand-off. Containment is what the dispatcher gives every link: each
 /// session call runs under `catch_unwind`, the [`ResourceBudget`] is
-/// enforced in band (a step wall budget runs the step on a runner thread,
-/// so it still contains a hung step), and one more `catch_unwind` turns a
-/// panic that escapes the dispatcher into [`CgError::ServiceFailure`],
-/// after which [`Link::restart`] swaps in a fresh service state.
+/// enforced in band (a step wall budget runs the step on the state's
+/// runner, so it still contains a hung step), and one more `catch_unwind`
+/// turns a panic that escapes the dispatcher into
+/// [`CgError::ServiceFailure`], after which [`Link::restart`] swaps in a
+/// fresh service state.
 ///
 /// There is no client deadline: without a step wall budget a hung step
 /// hangs the caller, and the [`RetryPolicy`]'s per-kind deadlines do not
 /// apply. A restart cannot preempt a step already running on another
 /// handle's thread; it waits for it. Build a [`ServiceClient`] for a
-/// deadline on every request kind, or for a watchdog.
+/// deadline on every request kind.
 ///
 /// Clones share the service state, the restart generation, the checkpoint
 /// store and the budget, as [`ServiceClient`]'s do; their calls serialize
-/// on the state's lock, as they would on one worker thread.
+/// on the state's lock, as they would on one runner.
 #[derive(Clone)]
 pub struct InlineLink {
     state: Arc<Mutex<ServiceState>>,
@@ -1389,36 +1364,39 @@ impl InlineLink {
         self.state.lock().checkpoints = store.clone();
         self.checkpoints = store;
     }
+}
 
-    /// Runs one request on this thread. A panic that escapes the
-    /// dispatcher — session code it calls outside the per-session
-    /// `catch_unwind`, such as `fork` — is a service failure, as it would
-    /// be for a worker thread it killed.
-    fn handle(&self, req: Request) -> Result<Response, CgError> {
-        let mut state = self.state.lock();
-        match std::panic::catch_unwind(AssertUnwindSafe(|| state.handle(req))) {
-            Ok(resp) => settle(resp),
-            Err(_) => {
-                let tel = cg_telemetry::global();
-                tel.panics.inc();
-                tel.trace
-                    .emit("service:panic", "inline dispatch panicked", Duration::ZERO);
-                Err(CgError::ServiceFailure(
-                    "the compiler service panicked outside a session call".into(),
-                ))
-            }
+/// Runs one request against `state` on this thread. A panic that escapes
+/// the dispatcher — session code it calls outside the per-session
+/// `catch_unwind`, such as `fork` — is a service failure.
+fn handle_contained(state: &Mutex<ServiceState>, req: Request) -> Result<Response, CgError> {
+    let mut state = state.lock();
+    match std::panic::catch_unwind(AssertUnwindSafe(|| state.handle(req))) {
+        Ok(resp) => settle(resp),
+        Err(_) => {
+            let tel = cg_telemetry::global();
+            tel.panics.inc();
+            tel.trace
+                .emit("service:panic", "dispatch panicked", Duration::ZERO);
+            Err(CgError::ServiceFailure(
+                "the compiler service panicked outside a session call".into(),
+            ))
         }
     }
 }
 
 impl Link for InlineLink {
     fn call(&self, req: Request) -> Result<Response, CgError> {
-        traced(format!("rpc:{}", req.kind()), || self.handle(req))
+        traced(format!("rpc:{}", req.kind()), || {
+            handle_contained(&self.state, req)
+        })
     }
 
     /// There is no deadline to shorten: the teardown runs like any call.
     fn call_teardown(&self, req: Request) -> Result<Response, CgError> {
-        traced(format!("rpc:teardown:{}", req.kind()), || self.handle(req))
+        traced(format!("rpc:teardown:{}", req.kind()), || {
+            handle_contained(&self.state, req)
+        })
     }
 
     /// Swaps in a fresh service state, numbering sessions from the next
@@ -2095,10 +2073,10 @@ mod tests {
         Arc::new(|| Box::new(CountingSession { steps: 0 }))
     }
 
-    /// The last client to go takes its worker with it: once `drop` returns
-    /// the thread has freed its sessions and exited, whichever clone went
-    /// last. A worker stuck in a pass is given the teardown deadline and
-    /// then left behind.
+    /// The last client to go takes its service with it: once `drop` returns
+    /// the runner thread has exited and the sessions are freed, whichever
+    /// clone went last. A runner stuck in a pass is given the teardown
+    /// deadline and then left behind.
     #[test]
     fn dropping_the_last_client_reaps_the_worker() {
         struct Tracked(CountingSession, Arc<AtomicU64>);
@@ -2159,18 +2137,11 @@ mod tests {
         // A worker busy past the deadline does not hold the caller up.
         let client = ServiceClient::spawn_with_policy(factory, Duration::from_secs(30), policy);
         let sid = start(&client);
-        let (reply_tx, _reply_rx) = bounded(1);
-        let step = Request::Step {
+        let _reply = client.submit(Request::Step {
             session_id: sid,
             actions: vec![7],
             observation_spaces: vec![],
-        };
-        client
-            .worker
-            .lock()
-            .tx
-            .send((step, None, reply_tx))
-            .unwrap();
+        });
         let started = std::time::Instant::now();
         drop(client);
         assert!(started.elapsed() < Duration::from_secs(1), "drop waited");
@@ -2285,22 +2256,12 @@ mod tests {
         let mut client = ServiceClient::spawn(factory, Duration::from_secs(30));
         client.set_policy(RetryPolicy::default().with_teardown_deadline(Duration::from_millis(50)));
         let sid = start(&client);
-        // Wedge the worker without waiting for the (long) call deadline.
-        let (reply_tx, _reply_rx) = bounded(1);
-        client
-            .worker
-            .lock()
-            .tx
-            .send((
-                Request::Step {
-                    session_id: sid,
-                    actions: vec![0],
-                    observation_spaces: vec![],
-                },
-                None,
-                reply_tx,
-            ))
-            .unwrap();
+        // Wedge the runner without waiting for the (long) call deadline.
+        let _reply = client.submit(Request::Step {
+            session_id: sid,
+            actions: vec![0],
+            observation_spaces: vec![],
+        });
         let timeouts_before = cg_telemetry::global().timeouts.get();
         let t = std::time::Instant::now();
         let e = client

@@ -18,7 +18,7 @@ use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
-use cg_core::{Broker, BrokerConfig, CgError, CompilerEnv, RetryPolicy};
+use cg_core::{Broker, BrokerConfig, CgError, CompilerEnv, ResourceBudget, RetryPolicy};
 use common::{Via, ALL};
 
 const BENCH: &str = "benchmark://cbench-v1/crc32";
@@ -121,31 +121,61 @@ fn panic_at_step_5_of_10_over(via: Via) {
 #[test]
 fn hang_at_step_5_of_10_is_recovered_transparently() {
     for via in ALL {
-        hang_at_step_5_of_10_over(via);
+        hang_at_step_5_of_10_over(via, FaultKind::Hang);
     }
 }
 
-fn hang_at_step_5_of_10_over(via: Via) {
+/// A wedged compiler never answers again. A step wall budget on every link
+/// kills the step in band, under the client deadline, and the episode is
+/// replayed onto a fresh session of the same service.
+#[test]
+fn wedge_at_step_5_of_10_is_killed_in_band() {
+    for via in ALL {
+        hang_at_step_5_of_10_over(via, FaultKind::Wedge);
+    }
+}
+
+/// `kind` is [`FaultKind::Hang`] or [`FaultKind::Wedge`].
+fn hang_at_step_5_of_10_over(via: Via, kind: FaultKind) {
     const TIMEOUT: Duration = Duration::from_millis(500);
     let (ref_reward, ref_obs) = reference_run();
     let (factory, stats) = FaultPlan::seeded(12)
-        .schedule(4, FaultKind::Hang)
+        .schedule(4, kind)
         .with_hang_duration(Duration::from_secs(3))
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut env = llvm_env_via(via, factory, TIMEOUT);
-    common::contain_hangs(via, &mut env, TIMEOUT);
+    let wedge = kind == FaultKind::Wedge;
+    // A wedge is left to the wall budget alone, so the client deadline stays
+    // well above it.
+    let deadline = if wedge { TIMEOUT * 4 } else { TIMEOUT };
+    let mut env = llvm_env_via(via, factory, deadline);
+    if wedge {
+        // `Configure` reaches every broker worker, so this holds over TCP
+        // whichever worker the replay lands on.
+        env.set_resource_budget(ResourceBudget::default().with_step_wall(TIMEOUT))
+            .unwrap();
+    } else {
+        common::contain_hangs(via, &mut env, TIMEOUT);
+    }
     let kills_before = cg_telemetry::global().budget_kills.get();
     env.reset().unwrap();
     for name in RECIPE {
         let a = env.action_space().index_of(name).unwrap();
         env.step(a).unwrap();
     }
-    assert_eq!(
-        stats.hangs(),
-        1,
-        "{via:?}: exactly the scheduled hang fired"
-    );
-    if via == Via::Inline {
+    if wedge {
+        assert_eq!(
+            stats.wedges(),
+            1,
+            "{via:?}: exactly the scheduled wedge fired"
+        );
+    } else {
+        assert_eq!(
+            stats.hangs(),
+            1,
+            "{via:?}: exactly the scheduled hang fired"
+        );
+    }
+    if via == Via::Inline || wedge {
         // Killed in band by the wall budget: the session is lost, the
         // service is not.
         assert!(cg_telemetry::global().budget_kills.get() > kills_before);
@@ -672,4 +702,148 @@ fn stale_fork_id_never_steps_another_session_over(via: Via) {
         fault_free(&["sroa", "mem2reg", "gvn", "dce"]),
         "{via:?}"
     );
+}
+
+/// The action [`ThreadRecorder`] hangs on, past any wall budget below.
+const HANG: usize = 3;
+
+/// A session that records the thread every action but [`HANG`] is applied
+/// on.
+struct ThreadRecorder {
+    threads: Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+}
+
+impl CompilationSession for ThreadRecorder {
+    fn action_spaces(&self) -> Vec<ActionSpaceInfo> {
+        vec![ActionSpaceInfo {
+            name: "threads".into(),
+            actions: vec!["a".into(); 4],
+        }]
+    }
+    fn observation_spaces(&self) -> Vec<ObservationSpaceInfo> {
+        vec![]
+    }
+    fn reward_spaces(&self) -> Vec<RewardSpaceInfo> {
+        vec![]
+    }
+    fn init(&mut self, _b: &str, _s: usize) -> Result<(), String> {
+        Ok(())
+    }
+    fn apply_action(&mut self, a: usize) -> Result<ActionOutcome, String> {
+        if a == HANG {
+            std::thread::sleep(Duration::from_millis(1500));
+        } else {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+        }
+        Ok(ActionOutcome {
+            end_of_episode: false,
+            action_space_changed: false,
+            changed: true,
+        })
+    }
+    fn observe(&mut self, s: &str) -> Result<Observation, String> {
+        Err(format!("no observation space {s}"))
+    }
+    fn fork(&self) -> Box<dyn CompilationSession> {
+        Box::new(ThreadRecorder {
+            threads: Arc::clone(&self.threads),
+        })
+    }
+}
+
+/// Starts a session over `link`, steps it `n` times with action 0, and
+/// returns the session and the threads the steps ran on.
+fn step_and_record(
+    link: &dyn Link,
+    threads: &std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    n: usize,
+) -> (u64, std::collections::HashSet<std::thread::ThreadId>) {
+    let session_id = match link.call(Request::StartSession {
+        benchmark: "b".into(),
+        action_space: 0,
+    }) {
+        Ok(Response::SessionStarted { session_id }) => session_id,
+        other => panic!("{other:?}"),
+    };
+    threads.lock().unwrap().clear();
+    for _ in 0..n {
+        link.call(Request::Step {
+            session_id,
+            actions: vec![0],
+            observation_spaces: vec![],
+        })
+        .unwrap();
+    }
+    let ran_on = threads.lock().unwrap().drain(..).collect();
+    (session_id, ran_on)
+}
+
+/// Steps under a wall budget run on one persistent runner, on every link,
+/// and never on the caller's thread; a wall kill abandons that runner and
+/// the next steps get exactly one fresh one. Without a budget an inline
+/// step runs on the caller's thread.
+#[test]
+fn budgeted_steps_share_one_runner_until_a_wall_kill_replaces_it() {
+    let caller = std::thread::current().id();
+    let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let factory: SessionFactory = {
+        let threads = Arc::clone(&threads);
+        Arc::new(move || {
+            Box::new(ThreadRecorder {
+                threads: Arc::clone(&threads),
+            })
+        })
+    };
+    for via in ALL {
+        let (link, _) = common::link(
+            via,
+            Arc::clone(&factory),
+            DEFAULT_CHECKPOINT_INTERVAL,
+            Duration::from_secs(10),
+        );
+        link.set_resource_budget(
+            ResourceBudget::default().with_step_wall(Duration::from_millis(300)),
+        )
+        .unwrap();
+        let (session_id, first) = step_and_record(&*link, &threads, 20);
+        assert_eq!(
+            first.len(),
+            1,
+            "{via:?}: 20 budgeted steps ran on {first:?}"
+        );
+        assert!(
+            !first.contains(&caller),
+            "{via:?}: ran on the caller's thread"
+        );
+
+        match link.call(Request::Step {
+            session_id,
+            actions: vec![HANG],
+            observation_spaces: vec![],
+        }) {
+            Err(CgError::BudgetExceeded(v)) => assert_eq!(v.kind, cg_core::BudgetKind::Wall),
+            other => panic!("{via:?}: expected a wall kill, got {other:?}"),
+        }
+        let (_, second) = step_and_record(&*link, &threads, 20);
+        assert_eq!(
+            second.len(),
+            1,
+            "{via:?}: 20 steps after the kill ran on {second:?}"
+        );
+        assert!(
+            first.is_disjoint(&second),
+            "{via:?}: the abandoned runner was reused"
+        );
+        assert!(
+            !second.contains(&caller),
+            "{via:?}: ran on the caller's thread"
+        );
+    }
+
+    let inline = InlineLink::new(factory);
+    let (_, unbudgeted) = step_and_record(&inline, &threads, 20);
+    assert_eq!(unbudgeted, [caller].into_iter().collect());
 }

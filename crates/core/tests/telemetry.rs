@@ -64,7 +64,7 @@ fn llvm_steps_populate_request_and_pass_telemetry() {
     // And exports as one JSON object per line.
     let jsonl = tel.trace.export_jsonl();
     let first = jsonl.lines().next().unwrap();
-    serde_json::from_str::<cg_telemetry::TraceEvent>(first).unwrap();
+    serde_json::from_str::<cg_telemetry::SpanRecord>(first).unwrap();
 
     // The snapshot sees the same data.
     let snap = tel.snapshot();

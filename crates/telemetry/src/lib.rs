@@ -14,8 +14,8 @@
 //! - [`Family`] — name-keyed lazily-created metric instances.
 //! - [`PassTable`] — per-compiler-pass call counts, cumulative wall time,
 //!   and instruction-count deltas.
-//! - [`TraceBuffer`] — a bounded ring of structured [`TraceEvent`]s with
-//!   JSON-lines export.
+//! - [`TraceBuffer`] — a bounded ring of [`SpanRecord`]s with JSON-lines
+//!   export.
 //! - [`Metric`] — what every live metric snapshots to and how it resets.
 //!   Each metric group ([`PoolStats`], [`StdbStats`], ...) is written once
 //!   as a `metrics!` declaration that yields its live struct, its
@@ -637,25 +637,6 @@ metrics! {
 // Structured tracing: spans, context propagation, flight recorder
 // ---------------------------------------------------------------------------
 
-/// One flat trace record, kept for wire compatibility with pre-span tooling.
-///
-/// [`SpanRecord`]'s serialized field set is a superset of this one, so JSONL
-/// produced by the current [`TraceBuffer`] still parses as `TraceEvent` (the
-/// extra keys are ignored), and old `TraceEvent` lines parse as `SpanRecord`
-/// (the missing span fields default).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Microseconds since process start when the span *ended*.
-    pub ts_micros: u64,
-    /// Span name, e.g. `step`, `observation:Autophase`, `pass:gvn`,
-    /// `service:restart`.
-    pub span: String,
-    /// Free-form context (benchmark id, action name, error text, ...).
-    pub detail: String,
-    /// Span duration in microseconds (0 for instantaneous events).
-    pub dur_micros: u64,
-}
-
 /// Typed outcome of a span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SpanStatus {
@@ -685,9 +666,8 @@ pub struct TraceContext {
     pub span_id: u64,
 }
 
-/// One completed span. Field names are a superset of [`TraceEvent`] so the
-/// two formats interparse (see `TraceEvent` docs).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// One completed span: one line of [`TraceBuffer::export_jsonl`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Microseconds since process start when the span ended.
     pub ts_micros: u64,
@@ -711,35 +691,6 @@ pub struct SpanRecord {
     pub attrs: Vec<(String, String)>,
     /// Global record sequence number (total order across shards).
     pub seq: u64,
-}
-
-// Hand-written so legacy [`TraceEvent`] lines (no span identity) still parse:
-// every post-`TraceEvent` field falls back to its default when absent.
-impl serde::Deserialize for SpanRecord {
-    fn from_value(v: &serde::value::Value) -> Result<SpanRecord, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::new(format!("expected object, got {}", v.kind())))?;
-        fn opt<T: serde::Deserialize>(
-            obj: &[(String, serde::value::Value)],
-            key: &str,
-        ) -> Result<Option<T>, serde::DeError> {
-            serde::field(obj, key)
-        }
-        Ok(SpanRecord {
-            ts_micros: serde::field(obj, "ts_micros")?,
-            span: serde::field(obj, "span")?,
-            detail: serde::field(obj, "detail")?,
-            dur_micros: serde::field(obj, "dur_micros")?,
-            trace_id: opt(obj, "trace_id")?.unwrap_or(0),
-            span_id: opt(obj, "span_id")?.unwrap_or(0),
-            parent_id: opt(obj, "parent_id")?,
-            start_micros: opt(obj, "start_micros")?.unwrap_or(0),
-            status: opt::<SpanStatus>(obj, "status")?.unwrap_or_default(),
-            attrs: opt(obj, "attrs")?.unwrap_or_default(),
-            seq: opt(obj, "seq")?.unwrap_or(0),
-        })
-    }
 }
 
 /// Process-wide id allocator for trace and span ids (never zero).
@@ -1247,8 +1198,7 @@ impl TraceBuffer {
         out
     }
 
-    /// Serializes the buffer as JSON lines (one record per line). Lines also
-    /// parse as the legacy [`TraceEvent`] (extra keys are ignored).
+    /// Serializes the buffer as JSON lines, one [`SpanRecord`] per line.
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in self.events() {
@@ -1639,9 +1589,6 @@ metrics! {
         /// (wall-clock or state-size), answered with a typed in-band error.
         budget_kills: Counter
             ["cg_budget_kills_total" "Sessions killed in-band by a resource budget."],
-        /// Services proactively restarted by the watchdog after missed
-        /// heartbeats.
-        watchdog_restarts: Counter ["cg_watchdog_restarts_total" "Watchdog-initiated restarts."],
         /// Circuit-breaker transitions to the open state.
         breaker_trips: Counter ["cg_breaker_trips_total" "Circuit-breaker open transitions."],
         /// Calls rejected fast because a circuit was open.
@@ -1890,24 +1837,6 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 4);
         let back: SpanRecord = serde_json::from_str(jsonl.lines().next().unwrap()).unwrap();
         assert_eq!(back, events[0]);
-    }
-
-    #[test]
-    fn span_jsonl_parses_as_legacy_trace_event() {
-        let t = TraceBuffer::with_capacity(8);
-        t.emit("step", "x", Duration::from_micros(7));
-        let line = t.export_jsonl();
-        let legacy: TraceEvent = serde_json::from_str(line.lines().next().unwrap()).unwrap();
-        assert_eq!(legacy.span, "step");
-        assert_eq!(legacy.detail, "x");
-        assert_eq!(legacy.dur_micros, 7);
-        // And the reverse: an old flat event parses as a span record with
-        // defaulted span identity.
-        let old = serde_json::to_string(&legacy).unwrap();
-        let rec: SpanRecord = serde_json::from_str(&old).unwrap();
-        assert_eq!(rec.span, "step");
-        assert_eq!(rec.parent_id, None);
-        assert_eq!(rec.status, SpanStatus::Ok);
     }
 
     #[test]
