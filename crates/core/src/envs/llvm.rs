@@ -163,18 +163,16 @@ impl LlvmSession {
 
 impl CompilationSession for LlvmSession {
     fn action_spaces(&self) -> Vec<ActionSpaceInfo> {
+        let names = self.space.names();
+        let subset = self.subset.iter().map(|&i| names[i].clone()).collect();
         vec![
             ActionSpaceInfo {
                 name: "PassPipeline".into(),
-                actions: self.space.names(),
+                actions: names,
             },
             ActionSpaceInfo {
                 name: "AutophaseSubset".into(),
-                actions: self
-                    .subset
-                    .iter()
-                    .map(|&i| self.space.names()[i].clone())
-                    .collect(),
+                actions: subset,
             },
         ]
     }

@@ -368,7 +368,12 @@ impl AnalysisManager {
             return;
         }
         let gen = self.content_gen(m);
-        self.noop.insert(pass.to_string(), gen);
+        match self.noop.get_mut(pass) {
+            Some(g) => *g = gen,
+            None => {
+                self.noop.insert(pass.to_string(), gen);
+            }
+        }
     }
 
     /// Compares every cached, stamp-current analysis against a from-scratch

@@ -6,13 +6,16 @@
 //! space, matching the paper's removal of `-gvn-sink` after state
 //! validation exposed it.
 
-use crate::pass::{registry, run_pass_with, PassEffect, PassRef};
+use crate::pass::{named_registry, run_named, PassEffect, PassRef};
 use cg_ir::AnalysisManager;
 
-/// The discrete action space: an indexed list of passes.
+/// The discrete action space: an indexed list of passes, with their names
+/// and `pass:<name>` span names computed once.
 #[derive(Debug, Clone)]
 pub struct ActionSpace {
     passes: Vec<PassRef>,
+    names: Vec<String>,
+    span_names: Vec<String>,
 }
 
 impl Default for ActionSpace {
@@ -24,7 +27,13 @@ impl Default for ActionSpace {
 impl ActionSpace {
     /// Builds the full 124-action space.
     pub fn new() -> ActionSpace {
-        ActionSpace { passes: registry() }
+        let (names, passes): (Vec<String>, Vec<PassRef>) = named_registry().iter().cloned().unzip();
+        let span_names = names.iter().map(|n| format!("pass:{n}")).collect();
+        ActionSpace {
+            passes,
+            names,
+            span_names,
+        }
     }
 
     /// Number of actions.
@@ -47,12 +56,12 @@ impl ActionSpace {
 
     /// Action names, in index order.
     pub fn names(&self) -> Vec<String> {
-        self.passes.iter().map(|p| p.name()).collect()
+        self.names.clone()
     }
 
     /// The index of a named action.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.passes.iter().position(|p| p.name() == name)
+        self.names.iter().position(|n| n == name)
     }
 
     /// Applies action `i` to the module, returning whether it changed.
@@ -83,7 +92,7 @@ impl ActionSpace {
     /// [`AnalysisManager`]. A session that keeps one manager across actions
     /// lets each pass reuse CFG/dominator/loop analyses computed by its
     /// predecessors, and skips a pass already known to be a no-op on this
-    /// content ([`run_pass_with`] does both).
+    /// content ([`crate::pass::run_pass_with`] does both).
     ///
     /// # Panics
     /// Panics if `i` is out of range.
@@ -93,25 +102,23 @@ impl ActionSpace {
         i: usize,
         am: &mut AnalysisManager,
     ) -> PassEffect {
-        let pass = &self.passes[i];
+        let name = &self.names[i];
         let before = module.inst_count() as i64;
         // A real span (not a flat emit): when the application runs under a
         // service dispatch span, the per-pass timing lands in the step's
         // span tree, attributable across the RPC boundary.
         let mut span = cg_telemetry::global()
             .trace
-            .span(format!("pass:{}", pass.name()));
+            .span(self.span_names[i].as_str());
         let timer = cg_telemetry::Timer::start();
-        let effect = run_pass_with(pass.as_ref(), module, am);
+        let effect = run_named(self.passes[i].as_ref(), name, module, am);
         let dur = timer.elapsed();
         let delta = module.inst_count() as i64 - before;
         span.set_detail(format!("delta={delta}"));
         span.attr("changed", effect.changed.to_string());
         span.finish();
         let tel = cg_telemetry::global();
-        tel.passes
-            .get(&pass.name())
-            .record(dur, effect.changed, delta);
+        tel.passes.get(name).record(dur, effect.changed, delta);
         effect
     }
 }

@@ -109,10 +109,19 @@ pub fn run_pass_with<P: Pass + ?Sized>(
     m: &mut Module,
     am: &mut AnalysisManager,
 ) -> PassEffect {
-    let name = pass.name();
+    run_named(pass, &pass.name(), m, am)
+}
+
+/// [`run_pass_with`] for a caller that already holds `pass.name()`.
+pub(crate) fn run_named<P: Pass + ?Sized>(
+    pass: &P,
+    name: &str,
+    m: &mut Module,
+    am: &mut AnalysisManager,
+) -> PassEffect {
     // No-op memo: if this pass already ran on byte-identical content and
     // changed nothing, skip the whole application (scan included).
-    if am.known_noop(&name, m) {
+    if am.known_noop(name, m) {
         return PassEffect {
             changed: false,
             touched: Touched::None,
@@ -147,7 +156,7 @@ pub fn run_pass_with<P: Pass + ?Sized>(
             touched: Touched::All,
         }
     } else if touched.is_empty() {
-        am.note_noop(&name, m);
+        am.note_noop(name, m);
         PassEffect {
             changed: false,
             touched: Touched::None,
@@ -250,9 +259,18 @@ pub fn registry() -> Vec<PassRef> {
     v
 }
 
+/// The registry with each pass's name, built once per process.
+pub(crate) fn named_registry() -> &'static [(String, PassRef)] {
+    static NAMED: std::sync::OnceLock<Vec<(String, PassRef)>> = std::sync::OnceLock::new();
+    NAMED.get_or_init(|| registry().into_iter().map(|p| (p.name(), p)).collect())
+}
+
 /// Looks up a pass by name in the registry.
 pub fn find_pass(name: &str) -> Option<PassRef> {
-    registry().into_iter().find(|p| p.name() == name)
+    named_registry()
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, p)| Arc::clone(p))
 }
 
 #[cfg(test)]

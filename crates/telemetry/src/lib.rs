@@ -854,17 +854,39 @@ pub struct EpisodeSummary {
     pub dropped_spans: u64,
 }
 
+/// A retained episode: its record with `spans` left empty, and the spans
+/// themselves as the very records the trace ring holds.
+#[derive(Debug)]
+struct Recorded {
+    meta: EpisodeRecord,
+    spans: Vec<Arc<SpanRecord>>,
+}
+
 #[derive(Debug, Default)]
 struct RecorderInner {
-    episodes: std::collections::VecDeque<EpisodeRecord>,
+    episodes: std::collections::VecDeque<Recorded>,
     /// trace_id → episode_id routing table.
     bindings: HashMap<u64, u64>,
     next_id: u64,
 }
 
+impl RecorderInner {
+    fn find(&mut self, episode_id: u64) -> Option<&mut Recorded> {
+        self.episodes
+            .iter_mut()
+            .find(|e| e.meta.episode_id == episode_id)
+    }
+}
+
 /// Last-N-episodes ring. Spans are routed here (in addition to the flat
 /// ring) when their trace id has been bound to an episode, so a whole
 /// episode's span trees can be reconstructed after the fact.
+///
+/// A routed span is not copied: the episode holds another handle to the
+/// `Arc<SpanRecord>` the ring holds, and [`EpisodeRecorder::episode`]
+/// copies the records out when it is read. An episode evicted by `begin`
+/// is dropped after the lock is released, so freeing it never stalls span
+/// routing on other threads.
 #[derive(Debug)]
 pub struct EpisodeRecorder {
     inner: Mutex<RecorderInner>,
@@ -901,24 +923,32 @@ impl EpisodeRecorder {
         let mut inner = self.inner.lock();
         inner.next_id += 1;
         let id = inner.next_id;
-        if inner.episodes.len() == self.capacity {
-            if let Some(old) = inner.episodes.pop_front() {
-                for t in &old.trace_ids {
-                    inner.bindings.remove(t);
-                }
-                self.dropped_episodes.inc();
+        let evicted = if inner.episodes.len() == self.capacity {
+            inner.episodes.pop_front()
+        } else {
+            None
+        };
+        if let Some(old) = &evicted {
+            for t in &old.meta.trace_ids {
+                inner.bindings.remove(t);
             }
+            self.dropped_episodes.inc();
         }
-        inner.episodes.push_back(EpisodeRecord {
-            episode_id: id,
-            env_id: env_id.to_string(),
-            benchmark: benchmark.to_string(),
-            started_micros: now_micros(),
-            ended_micros: 0,
-            trace_ids: Vec::new(),
+        inner.episodes.push_back(Recorded {
+            meta: EpisodeRecord {
+                episode_id: id,
+                env_id: env_id.to_string(),
+                benchmark: benchmark.to_string(),
+                started_micros: now_micros(),
+                ended_micros: 0,
+                trace_ids: Vec::new(),
+                spans: Vec::new(),
+                dropped_spans: 0,
+            },
             spans: Vec::new(),
-            dropped_spans: 0,
         });
+        drop(inner);
+        drop(evicted);
         self.recorded.inc();
         id
     }
@@ -927,63 +957,51 @@ impl EpisodeRecorder {
     /// the episode has been evicted.
     pub fn bind(&self, trace_id: u64, episode_id: u64) {
         let mut inner = self.inner.lock();
-        let Some(ep) = inner
-            .episodes
-            .iter_mut()
-            .find(|e| e.episode_id == episode_id)
-        else {
+        let Some(ep) = inner.find(episode_id) else {
             return;
         };
-        ep.trace_ids.push(trace_id);
+        ep.meta.trace_ids.push(trace_id);
         inner.bindings.insert(trace_id, episode_id);
     }
 
     /// Marks an episode ended (it keeps receiving late spans until evicted).
     pub fn end(&self, episode_id: u64) {
-        let mut inner = self.inner.lock();
-        if let Some(ep) = inner
-            .episodes
-            .iter_mut()
-            .find(|e| e.episode_id == episode_id)
-        {
-            ep.ended_micros = now_micros();
+        if let Some(ep) = self.inner.lock().find(episode_id) {
+            ep.meta.ended_micros = now_micros();
         }
     }
 
-    fn route(&self, rec: &SpanRecord) {
+    fn route(&self, rec: &Arc<SpanRecord>) {
         let mut inner = self.inner.lock();
         let Some(&episode_id) = inner.bindings.get(&rec.trace_id) else {
             return;
         };
         let span_capacity = self.span_capacity;
-        let Some(ep) = inner
-            .episodes
-            .iter_mut()
-            .find(|e| e.episode_id == episode_id)
-        else {
+        let Some(ep) = inner.find(episode_id) else {
             return;
         };
         if ep.spans.len() >= span_capacity {
-            ep.dropped_spans += 1;
+            ep.meta.dropped_spans += 1;
             self.dropped_spans.inc();
         } else {
-            ep.spans.push(rec.clone());
+            ep.spans.push(Arc::clone(rec));
         }
     }
 
-    /// Copies out one episode.
+    /// Copies out one episode, its spans included.
     pub fn episode(&self, episode_id: u64) -> Option<EpisodeRecord> {
-        self.inner
-            .lock()
-            .episodes
-            .iter()
-            .find(|e| e.episode_id == episode_id)
-            .cloned()
+        let (mut out, spans) = {
+            let mut inner = self.inner.lock();
+            let ep = inner.find(episode_id)?;
+            (ep.meta.clone(), ep.spans.clone())
+        };
+        out.spans = spans.iter().map(|s| SpanRecord::clone(s)).collect();
+        Some(out)
     }
 
     /// Id of the most recently opened episode.
     pub fn last_episode_id(&self) -> Option<u64> {
-        self.inner.lock().episodes.back().map(|e| e.episode_id)
+        self.inner.lock().episodes.back().map(|e| e.meta.episode_id)
     }
 
     /// Listing of retained episodes, oldest first.
@@ -992,13 +1010,13 @@ impl EpisodeRecorder {
             .lock()
             .episodes
             .iter()
-            .map(|e| EpisodeSummary {
+            .map(|Recorded { meta: e, spans }| EpisodeSummary {
                 episode_id: e.episode_id,
                 env_id: e.env_id.clone(),
                 benchmark: e.benchmark.clone(),
                 started_micros: e.started_micros,
                 ended_micros: e.ended_micros,
-                spans: e.spans.len() as u64,
+                spans: spans.len() as u64,
                 dropped_spans: e.dropped_spans,
             })
             .collect()
@@ -1043,9 +1061,10 @@ const TRACE_SHARDS: usize = 8;
 ///
 /// Records are spread across shards round-robin by sequence number, so
 /// concurrent recorders contend on different locks; `events()` re-sorts by
-/// the global sequence.
+/// the global sequence. Each record is stored once, as an `Arc` that the
+/// ring and a bound episode share; `events()` copies records out.
 pub struct TraceBuffer {
-    shards: Vec<Mutex<std::collections::VecDeque<SpanRecord>>>,
+    shards: Vec<Mutex<std::collections::VecDeque<Arc<SpanRecord>>>>,
     capacity: usize,
     seq: AtomicU64,
     dropped: Counter,
@@ -1088,6 +1107,7 @@ impl TraceBuffer {
     /// an episode.
     pub fn record(&self, mut rec: SpanRecord) {
         rec.seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let rec = Arc::new(rec);
         self.recorder.route(&rec);
         let shards = self.shards.len();
         let shard = (rec.seq as usize) % shards;
@@ -1190,12 +1210,12 @@ impl TraceBuffer {
 
     /// Copies out the buffered records in global record order.
     pub fn events(&self) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> = Vec::with_capacity(self.len());
+        let mut shared: Vec<Arc<SpanRecord>> = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            out.extend(shard.lock().iter().cloned());
+            shared.extend(shard.lock().iter().cloned());
         }
-        out.sort_by_key(|r| r.seq);
-        out
+        shared.sort_by_key(|r| r.seq);
+        shared.iter().map(|r| SpanRecord::clone(r)).collect()
     }
 
     /// Serializes the buffer as JSON lines, one [`SpanRecord`] per line.
@@ -1932,7 +1952,7 @@ mod tests {
         let id = small.begin("llvm-v0", "b");
         small.bind(42, id);
         for i in 0..5 {
-            small.route(&SpanRecord {
+            small.route(&Arc::new(SpanRecord {
                 ts_micros: i,
                 span: "s".to_string(),
                 detail: String::new(),
@@ -1944,7 +1964,7 @@ mod tests {
                 status: SpanStatus::Ok,
                 attrs: Vec::new(),
                 seq: i,
-            });
+            }));
         }
         let got = small.episode(id).unwrap();
         assert_eq!(got.spans.len(), 3);
@@ -1958,7 +1978,7 @@ mod tests {
         assert_eq!(small.dropped_episodes(), 1);
         assert!(small.episode(id2).is_some() && small.episode(id3).is_some());
         // Spans of the evicted episode's trace no longer route anywhere.
-        small.route(&SpanRecord {
+        small.route(&Arc::new(SpanRecord {
             ts_micros: 0,
             span: "late".to_string(),
             detail: String::new(),
@@ -1970,8 +1990,41 @@ mod tests {
             status: SpanStatus::Ok,
             attrs: Vec::new(),
             seq: 99,
-        });
+        }));
         assert!(small.episode(id2).unwrap().spans.is_empty());
+    }
+
+    #[test]
+    fn ring_and_episode_share_one_record() {
+        let mut t = TraceBuffer::with_capacity(4);
+        t.recorder = EpisodeRecorder::new(1, 8);
+        let ep = t.begin_episode("llvm-v0", "b");
+        let root = t.root_span("env:step");
+        t.bind_episode(root.context().trace_id, ep);
+        drop(root);
+        // One allocation, two holders: the ring's shard and the episode.
+        let ring = Arc::clone(&t.shards[0].lock()[0]);
+        let held = Arc::clone(&t.recorder.inner.lock().episodes[0].spans[0]);
+        assert!(Arc::ptr_eq(&ring, &held), "the episode holds a copy");
+        drop((ring, held));
+
+        // Evicting the episode leaves the ring's record as it was.
+        let before = t.events();
+        let ep2 = t.begin_episode("llvm-v0", "b2");
+        assert!(t.recorder().episode(ep).is_none());
+        assert_eq!(t.events(), before);
+        assert_eq!(Arc::strong_count(&t.shards[0].lock()[0]), 1);
+
+        // A record the ring drops lives on in its episode, unchanged.
+        let root = t.root_span("env:step");
+        t.bind_episode(root.context().trace_id, ep2);
+        drop(root);
+        let recorded = t.events().pop().unwrap();
+        for i in 0..4 {
+            t.emit("unrelated", format!("i={i}"), Duration::ZERO);
+        }
+        assert!(t.events().iter().all(|e| e.span == "unrelated"));
+        assert_eq!(t.recorder().episode(ep2).unwrap().spans, vec![recorded]);
     }
 
     #[test]
