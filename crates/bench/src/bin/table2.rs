@@ -4,10 +4,9 @@
 //! OpenTuner-style architectures.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use cg_bench::{rng, scaled, WallStats};
-use cg_core::service::{Request, ServiceClient};
+use cg_core::service::{InlineLink, Link, Request};
 use rand::Rng as _;
 
 fn main() {
@@ -24,8 +23,8 @@ fn main() {
         startup.time(|| {
             let factory: cg_core::service::SessionFactory =
                 Arc::new(|| cg_core::envs::create_session("llvm-v0").unwrap());
-            let c = ServiceClient::spawn(factory, Duration::from_secs(60));
-            c.call(Request::Ping).unwrap();
+            let link = InlineLink::new(factory);
+            Link::call(&link, Request::Ping).unwrap();
         });
     }
 

@@ -665,15 +665,17 @@ fn run_traced_episode(
             timeout,
         )?
     } else {
-        let mut service = cg_core::service::ServiceClient::spawn(factory, timeout);
-        service.set_checkpoint_store(checkpoints);
-        cg_core::CompilerEnv::with_link(
+        let mut link = cg_core::service::InlineLink::new(factory);
+        link.set_checkpoint_store(checkpoints);
+        let mut env = cg_core::CompilerEnv::with_link(
             env_id,
-            Box::new(service),
+            Box::new(link),
             benchmark,
             "Autophase",
             "IrInstructionCount",
-        )?
+        )?;
+        env.set_resource_budget(cg_core::ResourceBudget::default().with_step_wall(timeout))?;
+        env
     };
     env.set_retry_policy(
         cg_core::RetryPolicy::default()
@@ -1135,8 +1137,8 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("serving metrics on http://{bound}/metrics");
     }
     let timeout = Duration::from_millis(timeout_ms.max(50));
-    // Hangs must exceed the client deadline to register as faults; the
-    // budget guarantees an adversarial plan eventually lets recovery win.
+    // Hangs outlast the wall budget to register as faults; the fault cap
+    // guarantees an adversarial plan eventually lets recovery win.
     let plan = FaultPlan::seeded(seed)
         .with_panic_prob(panic_prob)
         .with_hang_prob(hang_prob)
@@ -1148,17 +1150,11 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .with_max_faults(episodes.saturating_mul(2).max(4));
     let inner = cg_core::envs::session_factory("llvm-v0").map_err(cg_core::CgError::Unknown)?;
     let (factory, stats) = plan.wrap(inner);
-    let mut service = cg_core::service::ServiceClient::spawn(factory, timeout);
-    // Containment wiring. The default checkpoint interval is already K=10;
-    // only replace the store for a non-default K (replacing restarts the
-    // service, which would pollute the restart counters below).
-    if checkpoint_k != cg_core::checkpoint::DEFAULT_CHECKPOINT_INTERVAL {
-        service
-            .set_checkpoint_store(cg_core::CheckpointStore::default().with_interval(checkpoint_k));
-    }
+    let mut link = cg_core::service::InlineLink::new(factory);
+    link.set_checkpoint_store(cg_core::CheckpointStore::default().with_interval(checkpoint_k));
     let mut env = cg_core::CompilerEnv::with_link(
         "llvm-v0",
-        Box::new(service),
+        Box::new(link),
         "benchmark://cbench-v1/qsort",
         "Autophase",
         "IrInstructionCount",
@@ -1265,6 +1261,7 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             checkpoints_taken: u64,
             checkpoint_restores: u64,
             budget_kills: u64,
+            abandoned_runners_live: i64,
             breaker_trips: u64,
             breaker_half_opens: u64,
             breaker_fast_fails: u64,
@@ -1290,6 +1287,7 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             checkpoints_taken: snap.checkpoints_taken,
             checkpoint_restores: snap.checkpoint_restores,
             budget_kills: snap.budget_kills,
+            abandoned_runners_live: snap.runner_abandoned_live,
             breaker_trips: snap.breaker_trips,
             breaker_half_opens: snap.breaker_half_opens,
             breaker_fast_fails: snap.breaker_fast_fails,
@@ -1317,10 +1315,11 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         );
         println!(
             "containment: checkpoints={} restores={} budget-kills={} \
-             breaker trips={} half-opens={} fast-fails={}",
+             abandoned-runners={} breaker trips={} half-opens={} fast-fails={}",
             snap.checkpoints_taken,
             snap.checkpoint_restores,
             snap.budget_kills,
+            snap.runner_abandoned_live,
             snap.breaker_trips,
             snap.breaker_half_opens,
             snap.breaker_fast_fails

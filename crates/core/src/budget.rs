@@ -11,27 +11,30 @@
 //! bounds runtime observations the same way.
 //!
 //! Budgets are carried by [`ResourceBudget`], configured per service via
-//! `ServiceClient::set_resource_budget` / `Request::Configure`, and survive
-//! service restarts (the client re-applies its copy to every worker it
-//! spawns).
+//! `Link::set_resource_budget` / `Request::Configure`, and survive service
+//! restarts (the link re-applies its copy to every service state it
+//! builds).
 
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-/// Resource limits enforced inside the service worker while it executes a
-/// `Step` request. Every limit is optional; the default budget enforces
-/// nothing (zero overhead on the happy path — the service spawns its one
-/// step runner thread on the first step under a wall-clock limit, and
-/// replaces it only after a wall-clock kill).
+/// Resource limits enforced inside the service while it runs session code.
+/// Every limit is optional; the default budget enforces nothing (zero
+/// overhead on the happy path — the service spawns its one runner thread on
+/// the first session call under a wall-clock limit, and replaces it only
+/// after a wall-clock kill).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResourceBudget {
-    /// Wall-clock deadline for one `Step` request (actions + observations)
-    /// in microseconds (the vendored serde has no `Duration` impls; use
-    /// [`ResourceBudget::step_wall`] / [`ResourceBudget::with_step_wall`]
-    /// for `Duration`-typed access). When exceeded, the worker abandons the
-    /// in-flight session and answers a typed [`BudgetKind::Wall`] violation
-    /// instead of letting the client deadline fire.
+    /// Wall-clock deadline, in microseconds, for every session-scoped
+    /// request: `StartSession`, `RestoreSession` and `Resume` (`init` and
+    /// `restore`), `Step` (actions and observations), `Fork` and
+    /// `ExportState`. The name predates that reach and stays because the
+    /// wire field is unchanged. (The vendored serde has no `Duration`
+    /// impls; use [`ResourceBudget::step_wall`] /
+    /// [`ResourceBudget::with_step_wall`] for `Duration`-typed access.)
+    /// When exceeded, the service abandons the call with its session and
+    /// answers a typed [`BudgetKind::Wall`] violation instead of hanging.
     pub step_wall_us: Option<u64>,
     /// Absolute cap on the session's state size (for LLVM sessions, the IR
     /// instruction count), checked after every applied action.
@@ -61,14 +64,14 @@ impl ResourceBudget {
             && self.interp_fuel.is_none()
     }
 
-    /// Sets the per-`Step` wall-clock deadline.
+    /// Sets the wall-clock deadline on every session-scoped request.
     #[must_use]
     pub fn with_step_wall(mut self, wall: Duration) -> ResourceBudget {
         self.step_wall_us = Some(wall.as_micros().min(u128::from(u64::MAX)) as u64);
         self
     }
 
-    /// The per-`Step` wall-clock deadline, if set.
+    /// The wall-clock deadline on session-scoped requests, if set.
     #[must_use]
     pub fn step_wall(&self) -> Option<Duration> {
         self.step_wall_us.map(Duration::from_micros)
@@ -113,7 +116,7 @@ impl ResourceBudget {
 /// Which budget a request exceeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BudgetKind {
-    /// The `Step` wall-clock deadline.
+    /// The wall-clock deadline on a session-scoped request.
     Wall,
     /// The state-size cap (absolute or growth-derived).
     Growth,

@@ -4,8 +4,8 @@
 //! corrupt its replies on schedule or with configured probabilities.
 //!
 //! The wrapped factory is indistinguishable from a real backend to the rest
-//! of the stack, so the full recovery path — panic isolation, step wall
-//! budgets, client deadlines, service restarts, and mid-episode
+//! of the stack, so the full recovery path — panic isolation, wall
+//! budgets, socket deadlines, service restarts, and mid-episode
 //! action-replay restoration —
 //! is exercised exactly as it would be by a genuinely crashing compiler.
 //! `cg chaos` drives whole episodes under an injected fault load and reports
@@ -31,8 +31,9 @@ pub enum FaultKind {
     /// Panic inside `apply_action` (a compiler crash; the service destroys
     /// the session and answers `Fatal`).
     Panic,
-    /// Sleep for the plan's hang duration inside `apply_action` (a wedged
-    /// compiler; the client deadline expires and the service is restarted).
+    /// Sleep for the plan's hang duration inside `apply_action` (a hung
+    /// compiler; the wall budget kills it in band, or over TCP the socket
+    /// deadline expires and the connection is restarted).
     Hang,
     /// Return an error from `apply_action` (a compile failure; surfaced to
     /// the caller as a session error, by design not recovered).
@@ -48,7 +49,7 @@ pub enum FaultKind {
     SlowGrowth,
     /// Stop answering forever: this and every later `apply_action` and
     /// `observe` on the session blocks indefinitely without panicking or
-    /// erroring. Caught by the step wall budget or the client deadline.
+    /// erroring. Caught by the wall budget.
     Wedge,
     /// A connection stampede: a burst of simultaneous TCP connects against
     /// the service's front door mid-soak (a fleet of clients restarting at
@@ -325,8 +326,8 @@ pub struct FaultPlan {
     pub slow_growth_prob: f64,
     /// Per-apply probability of wedging the session.
     pub wedge_prob: f64,
-    /// How long an injected hang sleeps. Must exceed the client deadline to
-    /// be observable as a fault.
+    /// How long an injected hang sleeps. Must exceed the wall budget (or
+    /// the socket deadline) to be observable as a fault.
     pub hang: Duration,
     /// How much each `SlowGrowth` fault inflates the session's reported
     /// state size.

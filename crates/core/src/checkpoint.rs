@@ -4,7 +4,7 @@
 //! actions (configurable, default 10) into a [`CheckpointStore`] that lives
 //! with the service yet outlives its workers — its whole purpose is
 //! surviving worker death. In process the
-//! [`crate::service::ServiceClient`] keeps one across worker restarts; a
+//! [`crate::service::InlineLink`] keeps one across service restarts; a
 //! [`crate::broker::Broker`] shares one
 //! ([`crate::broker::BrokerConfig::checkpoints`]) between its workers and
 //! every connection. On recovery the environment sends

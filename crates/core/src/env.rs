@@ -34,15 +34,12 @@
 //!    that keep killing services so later episodes fail fast.
 //!
 //! The ladder is written once, against [`Link`], and runs unchanged over
-//! its three implementations:
+//! its two implementations:
 //!
-//! * [`InlineLink`] — the compiler runs on the caller's thread. [`make`]
-//!   and [`CompilerEnv::with_service`] build it. It contains panics,
-//!   backend errors and budget kills; a hung step only under a step wall
-//!   budget;
-//! * [`ServiceClient`] — a service thread per environment, adding a client
-//!   deadline on every request kind. [`CompilerEnv::with_factory`] builds
-//!   it;
+//! * [`InlineLink`] — the compiler runs in process. [`make`],
+//!   [`CompilerEnv::with_service`] and [`CompilerEnv::with_factory`] build
+//!   it. It contains panics, backend errors and budget kills, and a hung
+//!   compiler under a wall budget, which `with_factory` always sets;
 //! * [`TcpTransport`] — a broker on another machine, with a socket
 //!   deadline and reconnects. [`CompilerEnv::connect_tcp`] builds it.
 //!
@@ -59,7 +56,7 @@ use crate::budget::ResourceBudget;
 use crate::envs::session_factory;
 use crate::error::CgError;
 use crate::retry::RetryPolicy;
-use crate::service::{InlineLink, Link, Request, Response, ServiceClient, TcpTransport};
+use crate::service::{InlineLink, Link, Request, Response, TcpTransport};
 use crate::session::SessionSnapshot;
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 use crate::state::EnvState;
@@ -255,9 +252,9 @@ impl CompilerEnv {
     /// Builds an environment whose `backend` compiler runs inline, on the
     /// calling thread, over an [`InlineLink`]: no service thread and no
     /// hand-off per request. Panics, backend errors and budget kills are
-    /// contained as on every link; a hung step only under a step wall
-    /// budget ([`CompilerEnv::set_resource_budget`]). For a client deadline
-    /// on every request, use [`CompilerEnv::with_factory`].
+    /// contained as on every link; a hung compiler only under a wall budget
+    /// ([`CompilerEnv::set_resource_budget`]), which
+    /// [`CompilerEnv::with_factory`] sets from the start.
     ///
     /// # Errors
     /// Unknown backends; a backend that cannot describe its spaces.
@@ -274,10 +271,13 @@ impl CompilerEnv {
     }
 
     /// Builds an environment around an arbitrary session factory, served
-    /// by a [`ServiceClient`]: a service thread whose every request is
-    /// bounded by `timeout`. This is the extension point for custom
-    /// backends and for fault-injection harnesses (see [`crate::chaos`])
-    /// that need a deliberately misbehaving session.
+    /// in process by an [`InlineLink`] whose every session-scoped request —
+    /// start, step, fork, export — runs under a wall budget of `timeout`
+    /// and is answered [`CgError::BudgetExceeded`] in band if it overruns.
+    /// This is the extension point for custom backends and for
+    /// fault-injection harnesses (see [`crate::chaos`]) that need a
+    /// deliberately misbehaving session. A later
+    /// [`CompilerEnv::set_resource_budget`] replaces the wall.
     ///
     /// # Errors
     /// Fails when the backend cannot describe its spaces.
@@ -289,7 +289,8 @@ impl CompilerEnv {
         reward_space: &str,
         timeout: Duration,
     ) -> Result<CompilerEnv, CgError> {
-        let link = Box::new(ServiceClient::spawn(factory, timeout));
+        let budget = ResourceBudget::default().with_step_wall(timeout);
+        let link = Box::new(InlineLink::with_budget(factory, budget));
         Self::with_link(env_id, link, benchmark, observation_space, reward_space)
     }
 
@@ -315,8 +316,8 @@ impl CompilerEnv {
         Self::with_link(env_id, link, benchmark, observation_space, reward_space)
     }
 
-    /// Builds an environment over an already-established [`Link`] — a
-    /// [`ServiceClient`] whose checkpoint store was set, say, or a
+    /// Builds an environment over an already-established [`Link`] — an
+    /// [`InlineLink`] whose checkpoint store was set, say, or a
     /// [`TcpTransport`] named for a tenant.
     ///
     /// # Errors
@@ -399,16 +400,16 @@ impl CompilerEnv {
         self.link.policy()
     }
 
-    /// Replaces the recovery policy (attempts, backoff, deadlines) governing
+    /// Replaces the recovery policy (attempts, backoff, budget) governing
     /// transparent fault recovery.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.link.set_policy(policy);
     }
 
     /// Sets the in-service [`ResourceBudget`] (rung 1 of the recovery
-    /// ladder): runaway steps are killed inside the worker and answered
-    /// with a typed [`CgError::BudgetExceeded`] instead of hanging until
-    /// the client deadline. The budget survives service restarts.
+    /// ladder): runaway session calls are killed inside the service and
+    /// answered with a typed [`CgError::BudgetExceeded`] instead of
+    /// hanging. The budget survives service restarts.
     ///
     /// # Errors
     /// Service failure delivering the new budget to the live worker (the

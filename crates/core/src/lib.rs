@@ -11,13 +11,13 @@
 //! * [`envs`] — the three shipped integrations: LLVM phase ordering, GCC
 //!   flag tuning, `loop_tool` CUDA loop nests
 //! * [`service`] — the compiler service runtime: session workers, the
-//!   [`service::Link`] clients reach them through (inline, threaded and
-//!   TCP), deadlines, panic isolation, and the one retry loop
+//!   [`service::Link`] clients reach them through (inline and TCP),
+//!   deadlines, panic isolation, and the one retry loop
 //! * [`mod@env`] — the user-facing [`env::CompilerEnv`] with `reset`/`step`/
 //!   `fork`, batched and lazy stepping, and transparent mid-episode fault
 //!   recovery by action replay
 //! * [`retry`] — the [`retry::RetryPolicy`] governing attempts, backoff
-//!   with deterministic jitter, per-request deadlines, and budgets
+//!   with deterministic jitter, and budgets
 //! * [`checkpoint`] — session snapshots every K actions into the service's
 //!   ring, which outlives its workers and connections, making recovery
 //!   O(K) instead of O(episode)

@@ -10,13 +10,10 @@
 //! * **attempts** — how many times a logical call may be issued in total;
 //! * **backoff** — exponential delay between attempts, with *deterministic*
 //!   jitter derived from a seed (reproducible runs stay reproducible);
-//! * **deadlines** — per-request-kind overrides of the client timeout, so a
-//!   cheap `Ping` fails fast while a `Step` may legitimately take long;
 //! * **budget** — an optional wall-clock cap across all attempts;
 //! * **teardown deadline** — a short bound for best-effort cleanup calls
 //!   (ending a session on a possibly-dead service must not stall an episode).
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// SplitMix64: a tiny, high-quality 64-bit mixer. Used for deterministic
@@ -37,8 +34,7 @@ pub(crate) fn unit_f64(bits: u64) -> f64 {
 }
 
 /// How a client recovers from service failures: attempt count, exponential
-/// backoff with deterministic jitter, per-request-kind deadlines, and an
-/// overall wall-clock budget.
+/// backoff with deterministic jitter, and an overall wall-clock budget.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts per logical call, including the first (min 1).
@@ -55,9 +51,6 @@ pub struct RetryPolicy {
     /// Optional wall-clock cap across all attempts of one logical call.
     /// When exceeded, the in-flight attempt becomes the last.
     pub budget: Option<Duration>,
-    /// Per-request-kind deadline overrides (keyed by `Request::kind()`),
-    /// taking precedence over the client's default timeout.
-    pub deadlines: HashMap<String, Duration>,
     /// Deadline for best-effort teardown calls (e.g. `EndSession` against a
     /// service that may already be dead). Expiry is not a failure and is not
     /// counted as a timeout.
@@ -75,7 +68,6 @@ impl Default for RetryPolicy {
             jitter: 0.25,
             seed: 0x5EED,
             budget: None,
-            deadlines: HashMap::new(),
             teardown_deadline: Duration::from_millis(250),
         }
     }
@@ -121,24 +113,11 @@ impl RetryPolicy {
         self
     }
 
-    /// Overrides the deadline for one request kind (e.g. `"Step"`).
-    #[must_use]
-    pub fn with_deadline(mut self, kind: &str, deadline: Duration) -> RetryPolicy {
-        self.deadlines.insert(kind.to_string(), deadline);
-        self
-    }
-
     /// Sets the best-effort teardown deadline.
     #[must_use]
     pub fn with_teardown_deadline(mut self, deadline: Duration) -> RetryPolicy {
         self.teardown_deadline = deadline;
         self
-    }
-
-    /// The deadline override for a request kind, if any.
-    #[must_use]
-    pub fn deadline_for(&self, kind: &str) -> Option<Duration> {
-        self.deadlines.get(kind).copied()
     }
 
     /// Records one retry decision as a `Retried`-status trace span under
@@ -225,16 +204,6 @@ mod tests {
             .with_jitter(0.5, 43);
         // Different seeds almost surely differ (fixed seeds: this is exact).
         assert_ne!(a, q.backoff_for(1));
-    }
-
-    #[test]
-    fn per_kind_deadlines() {
-        let p = RetryPolicy::default()
-            .with_deadline("Ping", Duration::from_millis(50))
-            .with_deadline("Step", Duration::from_secs(30));
-        assert_eq!(p.deadline_for("Ping"), Some(Duration::from_millis(50)));
-        assert_eq!(p.deadline_for("Step"), Some(Duration::from_secs(30)));
-        assert_eq!(p.deadline_for("Fork"), None);
     }
 
     #[test]

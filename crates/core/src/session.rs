@@ -140,11 +140,12 @@ pub struct ActionOutcome {
 ///
 /// Implementations may panic, hang, or return errors; the runtime absorbs
 /// all three. A panic destroys only the session (the service survives and
-/// answers `Fatal`); a hang trips the client deadline and the service is
-/// restarted. In both cases the environment transparently restores the
-/// episode by replaying its action history on a fresh session — which is
-/// sound only if the implementation is **deterministic**: the same
-/// `init` + action sequence must reproduce the same state and metrics.
+/// answers `Fatal`); a hang past the wall budget is killed in band, which
+/// destroys the session too. In both cases the environment transparently
+/// restores the episode by replaying its action history on a fresh
+/// session — which is sound only if the implementation is
+/// **deterministic**: the same `init` + action sequence must reproduce the
+/// same state and metrics.
 /// Nondeterministic compilers are detected at recovery time by the replay
 /// consistency check and surfaced as `CgError::ReplayDivergence`. `Err`
 /// returns from `apply_action`/`observe` are ordinary results (compile

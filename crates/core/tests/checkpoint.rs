@@ -201,7 +201,8 @@ fn fault_recovery_without_checkpoints_replays_everything() {
             panic_at: FAULT_AT,
         }))
     });
-    let (mut env, store) = count_env(Via::InProcess, factory, DEFAULT_CHECKPOINT_INTERVAL);
+    let (mut env, store) = count_env(Via::Inline, factory, DEFAULT_CHECKPOINT_INTERVAL);
+    common::contain_hangs(Via::Inline, &mut env, Duration::from_secs(10));
     env.reset().unwrap();
     for s in 0..30 {
         env.step((s % 8) as usize).unwrap();
@@ -218,8 +219,8 @@ fn fault_recovery_without_checkpoints_replays_everything() {
 #[test]
 fn budget_violation_is_typed_and_prompt_without_restart() {
     const WALL: Duration = Duration::from_millis(100);
-    // Every apply hangs far past the wall budget; the client deadline is
-    // far past both, so only the in-service budget can answer quickly.
+    // Every apply hangs far past the wall budget, which replaces the
+    // environment's 60 s one: only the in-service budget can answer quickly.
     let (factory, _stats) = FaultPlan::seeded(21)
         .with_hang_prob(1.0)
         .with_hang_duration(Duration::from_secs(5))
@@ -312,7 +313,7 @@ fn llvm_env_on(factory: SessionFactory) -> CompilerEnv {
 /// An in-process llvm-v0 environment whose service checkpoints every
 /// `interval` actions, and the ring it checkpoints into.
 fn llvm_env_with_ring(factory: SessionFactory, interval: u64) -> (CompilerEnv, CheckpointStore) {
-    let (link, store) = common::link(Via::InProcess, factory, interval, Duration::from_secs(60));
+    let (link, store) = common::link(Via::Inline, factory, interval, Duration::from_secs(60));
     let mut env = CompilerEnv::with_link(
         "llvm-v0",
         link,
@@ -321,6 +322,7 @@ fn llvm_env_with_ring(factory: SessionFactory, interval: u64) -> (CompilerEnv, C
         "IrInstructionCount",
     )
     .unwrap();
+    common::contain_hangs(Via::Inline, &mut env, Duration::from_secs(60));
     env.set_retry_policy(
         RetryPolicy::default().with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
     );

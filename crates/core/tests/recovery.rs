@@ -126,7 +126,7 @@ fn hang_at_step_5_of_10_is_recovered_transparently() {
 }
 
 /// A wedged compiler never answers again. A step wall budget on every link
-/// kills the step in band, under the client deadline, and the episode is
+/// kills the step in band, under the socket deadline, and the episode is
 /// replayed onto a fresh session of the same service.
 #[test]
 fn wedge_at_step_5_of_10_is_killed_in_band() {
@@ -144,7 +144,7 @@ fn hang_at_step_5_of_10_over(via: Via, kind: FaultKind) {
         .with_hang_duration(Duration::from_secs(3))
         .wrap(session_factory("llvm-v0").unwrap());
     let wedge = kind == FaultKind::Wedge;
-    // A wedge is left to the wall budget alone, so the client deadline stays
+    // A wedge is left to the wall budget alone, so the socket deadline stays
     // well above it.
     let deadline = if wedge { TIMEOUT * 4 } else { TIMEOUT };
     let mut env = llvm_env_via(via, factory, deadline);
@@ -212,7 +212,7 @@ fn hang_on_replay_over(via: Via) {
         .with_hang_duration(Duration::from_secs(3))
         .wrap(session_factory("llvm-v0").unwrap());
     let mut env = match via {
-        Via::InProcess | Via::Inline => llvm_env_via(via, factory, TIMEOUT),
+        Via::Inline => llvm_env_via(via, factory, TIMEOUT),
         // A reconnect cannot unwedge a broker worker: the broker needs a
         // third, idle one for the second recovery to land on.
         Via::Tcp => {
@@ -264,9 +264,10 @@ fn hang_on_replay_over(via: Via) {
 }
 
 /// With structural snapshots a checkpoint after *every* action is cheap.
-/// A hang then loses nothing: the wedged worker is abandoned — still
-/// holding a module that shares functions with the depth-4 snapshot — the
-/// episode resumes from that snapshot, and only the failed action re-runs.
+/// A hang then loses nothing: the wall budget abandons the hung runner —
+/// still holding a module that shares functions with the depth-4 snapshot
+/// — the episode resumes from that snapshot, and only the failed action
+/// re-runs.
 #[test]
 fn hang_with_per_action_snapshots_resumes_from_the_previous_step() {
     let (ref_reward, ref_obs) = reference_run();
@@ -274,9 +275,11 @@ fn hang_with_per_action_snapshots_resumes_from_the_previous_step() {
         .schedule(4, FaultKind::Hang)
         .with_hang_duration(Duration::from_secs(3))
         .wrap(session_factory("llvm-v0").unwrap());
-    let (link, store) = common::link(Via::InProcess, factory, 1, Duration::from_millis(500));
+    let (link, store) = common::link(Via::Inline, factory, 1, Duration::from_millis(500));
     let mut env =
         CompilerEnv::with_link("llvm-v0", link, BENCH, "Autophase", "IrInstructionCount").unwrap();
+    common::contain_hangs(Via::Inline, &mut env, Duration::from_millis(500));
+    let kills_before = cg_telemetry::global().budget_kills.get();
     env.reset().unwrap();
     let mut actions = Vec::new();
     for name in RECIPE {
@@ -285,7 +288,8 @@ fn hang_with_per_action_snapshots_resumes_from_the_previous_step() {
         actions.push(a);
     }
     assert_eq!(stats.hangs(), 1, "exactly the scheduled hang fired");
-    assert!(env.service_restarts() >= 1);
+    assert!(cg_telemetry::global().budget_kills.get() > kills_before);
+    assert_eq!(env.service_restarts(), 0, "killed in band: no restart");
     assert_eq!(store.restores(), 1, "resumed from a snapshot, not a replay");
     assert!(store.checkpoints_taken() >= RECIPE.len() as u64);
     let at_fault = store.latest_matching(BENCH, 0, &actions[..4]).unwrap();
@@ -457,17 +461,18 @@ fn unrecovered_failure_leaves_no_stale_session() {
     env.reset().unwrap();
 }
 
-/// `Request::Fork` calls `fork()` outside the per-session `catch_unwind`, so
-/// a session whose `fork()` panics unwinds out of the dispatcher itself.
-/// Inline, that is the caller's own thread: the link catches it and
-/// answers a service failure, and after a restart the fresh service state
-/// numbers its sessions from a range the old one never used.
+/// `Request::GetSpaces` asks a probe session for its spaces outside the
+/// dispatcher's containment, so a session whose `action_spaces()` panics
+/// unwinds out of the dispatcher itself. Inline, that is the caller's own
+/// thread: the link catches it and answers a service failure, and after a
+/// restart the fresh service state numbers its sessions from a range the
+/// old one never used.
 #[test]
 fn inline_panic_outside_a_session_call_is_a_service_failure() {
-    struct ForkPanics(GenSession);
-    impl CompilationSession for ForkPanics {
+    struct SpacesPanic(GenSession);
+    impl CompilationSession for SpacesPanic {
         fn action_spaces(&self) -> Vec<ActionSpaceInfo> {
-            self.0.action_spaces()
+            panic!("chaos: space description panicked")
         }
         fn observation_spaces(&self) -> Vec<ObservationSpaceInfo> {
             self.0.observation_spaces()
@@ -485,11 +490,11 @@ fn inline_panic_outside_a_session_call_is_a_service_failure() {
             self.0.observe(s)
         }
         fn fork(&self) -> Box<dyn CompilationSession> {
-            panic!("chaos: fork panicked")
+            unimplemented!("not forked in this test")
         }
     }
     let factory: SessionFactory = Arc::new(|| {
-        Box::new(ForkPanics(GenSession {
+        Box::new(SpacesPanic(GenSession {
             gen: 0,
             gen_scale: 0,
             steps: 0,
@@ -513,8 +518,8 @@ fn inline_panic_outside_a_session_call_is_a_service_failure() {
     let panics_before = cg_telemetry::global().panics.get();
     let stale = start();
     let err = link
-        .call(Request::Fork { session_id: stale })
-        .expect_err("the fork panicked");
+        .call(Request::GetSpaces)
+        .expect_err("the space description panicked");
     // Still here: the panic stopped at the link, not at this thread.
     assert!(matches!(err, CgError::ServiceFailure(_)), "{err:?}");
     assert!(cg_telemetry::global().panics.get() > panics_before);
@@ -561,48 +566,55 @@ fn fault_free(recipe: &[&str]) -> (Vec<usize>, Observation, f64) {
     outcome(&mut env)
 }
 
-/// The two in-process links: a fork shares its parent's worker thread or
-/// its parent's inline service state.
-const IN_PROCESS: [Via; 2] = [Via::InProcess, Via::Inline];
+/// In process a fork shares its parent's service state, with and without a
+/// wall budget (under one, every session call runs on the state's runner).
+fn in_process_env(factory: SessionFactory, walled: bool) -> CompilerEnv {
+    let mut env = llvm_env_via(Via::Inline, factory, Duration::from_secs(30));
+    if walled {
+        common::contain_hangs(Via::Inline, &mut env, Duration::from_secs(30));
+    }
+    env
+}
 
-/// In process, the parent's panic restarts the worker the child's session
-/// lived on too. The child's next step recovers by replay — it is not
-/// answered "no session" by a worker that never held it — and does not
-/// restart the service a second time.
+/// In process, the parent's panic restarts the service the child's
+/// session lived on too. The child's next step recovers by replay — it is
+/// not answered "no session" by a service that never held it — and does
+/// not restart the service a second time.
 #[test]
 fn fork_survives_its_parents_recovery_in_process() {
-    for via in IN_PROCESS {
-        fork_survives_its_parents_recovery_over(via);
+    for walled in [true, false] {
+        fork_survives_its_parents_recovery_over(walled);
     }
 }
 
-fn fork_survives_its_parents_recovery_over(via: Via) {
+fn fork_survives_its_parents_recovery_over(walled: bool) {
+    let via = format!("walled={walled}");
     let (factory, stats) = FaultPlan::seeded(31)
         .schedule(2, FaultKind::Panic)
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut parent = llvm_env_via(via, factory, Duration::from_secs(30));
+    let mut parent = in_process_env(factory, walled);
     parent.reset().unwrap();
     for name in ["sroa", "mem2reg"] {
         parent.step(act(&parent, name)).unwrap();
     }
     let mut child = parent.fork().unwrap();
     parent.step(act(&parent, "gvn")).unwrap(); // apply 2 panics
-    assert_eq!(stats.panics(), 1, "{via:?}: the scheduled panic fired");
+    assert_eq!(stats.panics(), 1, "{via}: the scheduled panic fired");
     child.step(act(&child, "dce")).unwrap();
     assert_eq!(
         child.service_restarts(),
         1,
-        "{via:?}: one restart, shared by both"
+        "{via}: one restart, shared by both"
     );
     assert_eq!(
         outcome(&mut parent),
         fault_free(&["sroa", "mem2reg", "gvn"]),
-        "{via:?}"
+        "{via}"
     );
     assert_eq!(
         outcome(&mut child),
         fault_free(&["sroa", "mem2reg", "dce"]),
-        "{via:?}"
+        "{via}"
     );
 }
 
@@ -675,32 +687,33 @@ fn fork_survives_its_siblings_reconnect_over_tcp() {
 /// the stale child's action while its own history stays unchanged.
 #[test]
 fn stale_fork_id_never_steps_another_session() {
-    for via in IN_PROCESS {
-        stale_fork_id_never_steps_another_session_over(via);
+    for walled in [true, false] {
+        stale_fork_id_never_steps_another_session_over(walled);
     }
 }
 
-fn stale_fork_id_never_steps_another_session_over(via: Via) {
+fn stale_fork_id_never_steps_another_session_over(walled: bool) {
+    let via = format!("walled={walled}");
     let (factory, stats) = FaultPlan::seeded(33)
         .schedule(3, FaultKind::Panic)
         .wrap(session_factory("llvm-v0").unwrap());
-    let mut parent = llvm_env_via(via, factory, Duration::from_secs(30));
+    let mut parent = in_process_env(factory, walled);
     parent.reset().unwrap();
     for name in ["sroa", "mem2reg", "gvn"] {
         parent.step(act(&parent, name)).unwrap();
     }
     let mut stale = parent.fork().unwrap();
     parent.step(act(&parent, "instcombine")).unwrap(); // apply 3 panics
-    assert_eq!(stats.panics(), 1, "{via:?}: the scheduled panic fired");
+    assert_eq!(stats.panics(), 1, "{via}: the scheduled panic fired");
     let mut fresh = parent.fork().unwrap();
     stale.step(act(&stale, "dce")).unwrap();
     let recovered = ["sroa", "mem2reg", "gvn", "instcombine"];
-    assert_eq!(outcome(&mut fresh), fault_free(&recovered), "{via:?}");
-    assert_eq!(outcome(&mut parent), fault_free(&recovered), "{via:?}");
+    assert_eq!(outcome(&mut fresh), fault_free(&recovered), "{via}");
+    assert_eq!(outcome(&mut parent), fault_free(&recovered), "{via}");
     assert_eq!(
         outcome(&mut stale),
         fault_free(&["sroa", "mem2reg", "gvn", "dce"]),
-        "{via:?}"
+        "{via}"
     );
 }
 
@@ -846,4 +859,135 @@ fn budgeted_steps_share_one_runner_until_a_wall_kill_replaces_it() {
     let inline = InlineLink::new(factory);
     let (_, unbudgeted) = step_and_record(&inline, &threads, 20);
     assert_eq!(unbudgeted, [caller].into_iter().collect());
+}
+
+/// How long a [`HangsIn`] session hangs: far past the wall budget below.
+const HANG_FOR: Duration = Duration::from_secs(3);
+
+/// A session that hangs in `init`, `fork` or `snapshot` when its benchmark
+/// names that call, and otherwise counts its applies.
+struct HangsIn {
+    benchmark: String,
+    steps: u64,
+}
+
+impl HangsIn {
+    fn hang_in(&self, call: &str) {
+        if self.benchmark == call {
+            std::thread::sleep(HANG_FOR);
+        }
+    }
+}
+
+impl CompilationSession for HangsIn {
+    fn action_spaces(&self) -> Vec<ActionSpaceInfo> {
+        vec![ActionSpaceInfo {
+            name: "hangs".into(),
+            actions: vec!["a".into()],
+        }]
+    }
+    fn observation_spaces(&self) -> Vec<ObservationSpaceInfo> {
+        vec![]
+    }
+    fn reward_spaces(&self) -> Vec<RewardSpaceInfo> {
+        vec![]
+    }
+    fn init(&mut self, benchmark: &str, _s: usize) -> Result<(), String> {
+        self.benchmark = benchmark.to_string();
+        self.hang_in("init");
+        Ok(())
+    }
+    fn apply_action(&mut self, _a: usize) -> Result<ActionOutcome, String> {
+        self.steps += 1;
+        Ok(ActionOutcome {
+            end_of_episode: false,
+            action_space_changed: false,
+            changed: true,
+        })
+    }
+    fn observe(&mut self, _s: &str) -> Result<Observation, String> {
+        Ok(Observation::Scalar(self.steps as f64))
+    }
+    fn fork(&self) -> Box<dyn CompilationSession> {
+        self.hang_in("fork");
+        Box::new(HangsIn {
+            benchmark: self.benchmark.clone(),
+            steps: self.steps,
+        })
+    }
+    fn snapshot(&mut self) -> Option<cg_core::session::SessionSnapshot> {
+        self.hang_in("snapshot");
+        None
+    }
+}
+
+/// Every session-scoped request runs under the wall budget, on every link:
+/// a session that hangs in `init`, in `fork` or in `snapshot` is answered
+/// with a typed wall violation within a few walls, and the link goes on
+/// serving. Each call runs on a helper thread, so a call that is not
+/// contained fails this test instead of hanging it.
+#[test]
+fn every_session_scoped_request_is_contained() {
+    const WALL: Duration = Duration::from_millis(200);
+    let factory: SessionFactory = Arc::new(|| {
+        Box::new(HangsIn {
+            benchmark: String::new(),
+            steps: 0,
+        })
+    });
+    for via in ALL {
+        let (link, _) = common::link(
+            via,
+            Arc::clone(&factory),
+            DEFAULT_CHECKPOINT_INTERVAL,
+            Duration::from_secs(30),
+        );
+        link.set_resource_budget(ResourceBudget::default().with_step_wall(WALL))
+            .unwrap();
+        let link: Arc<dyn Link> = Arc::from(link);
+        let call = |req: Request| {
+            let kind = req.kind();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let link = Arc::clone(&link);
+            std::thread::spawn(move || tx.send(link.call(req)));
+            rx.recv_timeout(WALL * 5)
+                .unwrap_or_else(|_| panic!("{via:?}: {kind} not answered within 5 walls"))
+        };
+        let start = |benchmark: &str| match call(Request::StartSession {
+            benchmark: benchmark.into(),
+            action_space: 0,
+        }) {
+            Ok(Response::SessionStarted { session_id }) => session_id,
+            other => panic!("{via:?}: start on {benchmark}: {other:?}"),
+        };
+        let wall_killed = |what: &str, reply: Result<Response, CgError>| match reply {
+            Err(CgError::BudgetExceeded(v)) => {
+                assert_eq!(v.kind, cg_core::BudgetKind::Wall, "{via:?}: {what}");
+            }
+            other => panic!("{via:?}: {what} was not wall-killed: {other:?}"),
+        };
+
+        let hung_init = Request::StartSession {
+            benchmark: "init".into(),
+            action_space: 0,
+        };
+        wall_killed("init", call(hung_init));
+        let session_id = start("fork");
+        wall_killed("fork", call(Request::Fork { session_id }));
+        let session_id = start("snapshot");
+        wall_killed("snapshot", call(Request::ExportState { session_id }));
+
+        assert!(matches!(call(Request::Ping), Ok(Response::Pong)), "{via:?}");
+        let session_id = start("fresh");
+        match call(Request::Step {
+            session_id,
+            actions: vec![0],
+            observation_spaces: vec!["steps".into()],
+        }) {
+            Ok(Response::Stepped { observations, .. }) => {
+                assert_eq!(observations, vec![Observation::Scalar(1.0)], "{via:?}");
+            }
+            other => panic!("{via:?}: a fresh session did not step: {other:?}"),
+        }
+    }
 }

@@ -8,12 +8,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cg_core::service::SessionFactory;
+use cg_core::service::{InlineLink, Link, Request, Response, SessionFactory};
 use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
-use cg_core::{CgError, CompilerEnv};
+use cg_core::{BudgetKind, CgError, CompilerEnv, ResourceBudget};
 
 #[test]
 fn llvm_steps_populate_request_and_pass_telemetry() {
@@ -166,8 +166,11 @@ fn panicking_session_is_counted_and_traced() {
     env.step(0).unwrap();
 }
 
+/// A session that hangs in `init` is killed in band by the wall budget:
+/// `reset` answers a typed wall violation, counted as a budget kill, and
+/// the service neither restarts nor stops answering.
 #[test]
-fn hung_service_restart_is_counted() {
+fn hung_init_is_a_counted_budget_kill() {
     struct HangOnInit;
     impl CompilationSession for HangOnInit {
         fn action_spaces(&self) -> Vec<ActionSpaceInfo> {
@@ -209,32 +212,35 @@ fn hung_service_restart_is_counted() {
     }
 
     let tel = cg_telemetry::global();
-    let restarts_before = tel.restarts.get();
-    let timeouts_before = tel.timeouts.get();
+    let kills_before = tel.budget_kills.get();
 
     let factory: SessionFactory = Arc::new(|| Box::new(HangOnInit));
-    let mut env = CompilerEnv::with_factory(
+    let link = InlineLink::new(factory);
+    link.set_resource_budget(ResourceBudget::default().with_step_wall(Duration::from_millis(100)))
+        .unwrap();
+    let mut env = CompilerEnv::with_link(
         "hang-v0",
-        factory,
+        Box::new(link.clone()),
         "benchmark://none",
         "Zero",
         "Zero",
-        Duration::from_millis(100),
     )
     .unwrap();
-    // Every retry hangs too, so reset ultimately fails — but each failed
-    // attempt restarts the service and is recorded.
-    let err = env.reset().unwrap_err();
-    assert!(matches!(err, CgError::ServiceFailure(_)));
+    let started = std::time::Instant::now();
+    match env.reset().unwrap_err() {
+        CgError::BudgetExceeded(v) => assert_eq!(v.kind, BudgetKind::Wall),
+        other => panic!("expected a wall budget kill, got {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(5), "not in band");
     assert!(
-        tel.restarts.get() >= restarts_before + 2,
-        "transparent restarts not counted"
+        tel.budget_kills.get() > kills_before,
+        "budget kill not counted"
     );
-    assert!(tel.timeouts.get() > timeouts_before, "timeout not counted");
-    assert!(env.service_restarts() >= 2);
+    assert_eq!(env.service_restarts(), 0, "a budget kill restarts nothing");
+    assert!(matches!(link.call(Request::Ping), Ok(Response::Pong)));
     assert!(tel
         .trace
         .events()
         .iter()
-        .any(|e| e.span == "service:restart"));
+        .any(|e| e.span == "service:budget-kill"));
 }

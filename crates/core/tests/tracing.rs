@@ -323,19 +323,25 @@ fn tcp_episode_through_a_hang_and_a_panic_matches_the_fault_free_run() {
     assert_eq!(got, expected);
 }
 
+/// In process, with and without a wall budget: under one, every session
+/// call runs on a runner thread, which must carry the caller's context.
 #[test]
 fn checkpoint_restore_recovery_spans_stay_connected_in_process() {
-    for via in [Via::InProcess, Via::Inline] {
-        checkpoint_restore_recovery_spans_stay_connected_over(via);
+    for walled in [true, false] {
+        checkpoint_restore_recovery_spans_stay_connected_over(walled);
     }
 }
 
-fn checkpoint_restore_recovery_spans_stay_connected_over(via: Via) {
+fn checkpoint_restore_recovery_spans_stay_connected_over(walled: bool) {
+    let via = Via::Inline;
     let plan = FaultPlan::seeded(7).schedule(7, FaultKind::Panic);
     let (factory, _stats) = plan.wrap(rec_factory());
-    let bench = &format!("benchmark://tracing-v0/checkpoint-restore-{via:?}");
+    let bench = &format!("benchmark://tracing-v0/checkpoint-restore-walled-{walled}");
     let (link, _) = common::link(via, factory, 2, Duration::from_secs(5));
     let mut env = CompilerEnv::with_link("cp-trace-v0", link, bench, "Count", "Count").unwrap();
+    if walled {
+        common::contain_hangs(via, &mut env, Duration::from_secs(5));
+    }
     env.reset().unwrap();
     // The 8th apply (global index 7) panics: the session is destroyed, the
     // service restarts, checkpoint depth 6 restores, the 1-action suffix
@@ -354,12 +360,12 @@ fn checkpoint_restore_recovery_spans_stay_connected_over(via: Via) {
         assert_eq!(
             span.status,
             SpanStatus::Recovered,
-            "{via:?}: `{name}` not marked recovered"
+            "walled={walled}: `{name}` not marked recovered"
         );
     }
     assert!(
         spans_named(&ep, "env:step").any(|s| s.status == SpanStatus::Recovered),
-        "{via:?}: no env:step root carries the recovered status"
+        "walled={walled}: no env:step root carries the recovered status"
     );
     // Context reached the service, across the channel or on this thread:
     // service dispatch spans parent under the client's rpc spans.
@@ -371,10 +377,14 @@ fn checkpoint_restore_recovery_spans_stay_connected_over(via: Via) {
         .collect();
     assert!(
         spans_named(&ep, "service:Step").any(|s| s.parent_id.is_some_and(|p| rpc_ids.contains(&p))),
-        "{via:?}: no service:Step span parented under a client rpc span"
+        "walled={walled}: no service:Step span parented under a client rpc span"
     );
     // One trace per step: 8 steps → 8 distinct step traces, each also
     // carrying its own `step` summary event.
     let step_traces: HashSet<u64> = spans_named(&ep, "env:step").map(|s| s.trace_id).collect();
-    assert_eq!(step_traces.len(), 8, "{via:?}: expected one trace per step");
+    assert_eq!(
+        step_traces.len(),
+        8,
+        "walled={walled}: expected one trace per step"
+    );
 }

@@ -1583,6 +1583,8 @@ metrics! {
             [by "kind" "cg_request_errors_total" "Error responses, by request kind." = |c| c],
         /// Service requests currently being processed.
         in_flight: Gauge ["cg_in_flight" "Service requests currently being processed."],
+        /// Runner threads a wall deadline gave up on that have not exited.
+        runner_abandoned_live: Gauge ["cg_runner_abandoned_live" "Abandoned runners still live."],
         /// Requests that hit the client deadline.
         timeouts: Counter ["cg_timeouts_total" "Requests that hit the client deadline."],
         /// Session panics caught by the service runtime.

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cg_core::service::{Request, Response, ServiceClient};
+use cg_core::service::{InlineLink, Link, Request, Response};
 use cg_core::session::{ActionOutcome, CompilationSession};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
@@ -106,7 +106,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             program: String::new(),
         })
     });
-    let client = ServiceClient::spawn(factory, Duration::from_secs(10));
+    let client = InlineLink::new(factory);
+    // A wall budget bounds every session call: a hung pass is answered in
+    // band instead of hanging this thread.
+    client.set_resource_budget(
+        cg_core::ResourceBudget::default().with_step_wall(Duration::from_secs(10)),
+    )?;
 
     let sid = match client.call(Request::StartSession {
         benchmark: "((()))()((x))".into(),
