@@ -152,7 +152,7 @@ fn random(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             _ => positional.push(a),
         }
     }
-    let ep = episode_args(&positional);
+    let ep = episode_args(&positional)?;
     let store = stdb_dir.as_deref().map(install_stdb_sink).transpose()?;
     let mut env = cg_core::make(&ep.env)?;
     env.set_benchmark(&ep.bench);
@@ -266,20 +266,16 @@ struct EpisodeArgs {
     steps: usize,
 }
 
-fn episode_args(positional: &[&String]) -> EpisodeArgs {
-    EpisodeArgs {
-        env: positional
-            .first()
-            .map(|s| s.as_str())
-            .unwrap_or("llvm-v0")
-            .to_string(),
-        bench: positional
-            .get(1)
-            .map(|s| s.as_str())
-            .unwrap_or("benchmark://cbench-v1/qsort")
-            .to_string(),
-        steps: positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(50),
-    }
+/// A malformed `<steps>` is a usage error naming it, never a silent default.
+fn episode_args(positional: &[&String]) -> Result<EpisodeArgs, String> {
+    let arg = |i: usize, default: &str| positional.get(i).map_or(default, |s| s).to_string();
+    let steps = arg(2, "50");
+    Ok(EpisodeArgs {
+        env: arg(0, "llvm-v0"),
+        bench: arg(1, "benchmark://cbench-v1/qsort"),
+        steps: (steps.parse())
+            .map_err(|_| format!("usage: <steps> must be a non-negative integer, got `{steps}`"))?,
+    })
 }
 
 fn stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -302,7 +298,7 @@ fn stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             _ => positional.push(a),
         }
     }
-    let ep_args = episode_args(&positional);
+    let ep_args = episode_args(&positional)?;
     let (env_id, benchmark, steps) = (&ep_args.env, &ep_args.bench, ep_args.steps);
 
     let tel = cg_telemetry::global();
@@ -570,7 +566,7 @@ fn trace(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             _ => positional.push(a),
         }
     }
-    let ep_args = episode_args(&positional);
+    let ep_args = episode_args(&positional)?;
 
     let tel = cg_telemetry::global();
     tel.reset();
@@ -787,7 +783,7 @@ fn export_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             _ => positional.push(a),
         }
     }
-    let ep_args = episode_args(&positional);
+    let ep_args = episode_args(&positional)?;
 
     let tel = cg_telemetry::global();
     tel.reset();
@@ -1846,14 +1842,12 @@ impl cg_core::CompilationSession for SpinSession {
         })
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(self.steps.to_le_bytes().to_vec())
+    fn snapshot(&self) -> Option<cg_core::session::SessionSnapshot> {
+        let bytes = self.steps.to_le_bytes().to_vec();
+        Some(cg_core::session::SessionSnapshot::from_bytes(bytes))
     }
-
-    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let bytes: [u8; 8] = state
-            .try_into()
-            .map_err(|_| "bad spin-session snapshot".to_string())?;
+    fn restore(&mut self, snapshot: &cg_core::session::SessionSnapshot) -> Result<(), String> {
+        let bytes: [u8; 8] = snapshot.to_bytes().try_into().map_err(|_| "bad snapshot")?;
         self.steps = u64::from_le_bytes(bytes);
         Ok(())
     }
@@ -2284,5 +2278,29 @@ fn chaos_stampede(opts: StampedeOpts) -> Result<(), Box<dyn std::error::Error>> 
         Ok(())
     } else {
         Err(failures.join("; ").into())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn episode_args_reject_a_malformed_step_count() {
+        let args: Vec<String> = ["llvm-v0", "benchmark://cbench-v1/qsort", "abc"]
+            .map(String::from)
+            .into();
+        let positional: Vec<&String> = args.iter().collect();
+        let err = episode_args(&positional)
+            .err()
+            .expect("`abc` is not a step count");
+        assert!(err.contains("`abc`"), "the error names the argument: {err}");
+        assert!(episode_args(&positional[..2]).is_ok_and(|ep| ep.steps == 50));
+        let args: Vec<String> = ["gcc-v0", "benchmark://chstone-v0/adpcm", "7"]
+            .map(String::from)
+            .into();
+        let positional: Vec<&String> = args.iter().collect();
+        let ep = episode_args(&positional).unwrap();
+        assert_eq!((ep.env.as_str(), ep.steps), ("gcc-v0", 7));
     }
 }

@@ -1351,7 +1351,7 @@ fn merge_replies(mut responses: Vec<Response>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{ActionOutcome, CompilationSession};
+    use crate::session::{ActionOutcome, CompilationSession, SessionSnapshot};
     use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 
     /// A deterministic session: counts applied actions, snapshots the
@@ -1432,11 +1432,12 @@ mod tests {
                 panic_on: self.panic_on,
             })
         }
-        fn save_state(&self) -> Option<Vec<u8>> {
-            Some(self.steps.to_le_bytes().to_vec())
+        fn snapshot(&self) -> Option<SessionSnapshot> {
+            let bytes = self.steps.to_le_bytes().to_vec();
+            Some(SessionSnapshot::from_bytes(bytes))
         }
-        fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-            let bytes: [u8; 8] = state.try_into().map_err(|_| "bad snapshot".to_string())?;
+        fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+            let bytes: [u8; 8] = snapshot.to_bytes().try_into().map_err(|_| "bad snapshot")?;
             self.steps = u64::from_le_bytes(bytes);
             Ok(())
         }

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use crate::retry::{splitmix64, unit_f64};
 use crate::service::SessionFactory;
-use crate::session::{ActionOutcome, CompilationSession};
+use crate::session::{ActionOutcome, CompilationSession, SessionSnapshot};
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 
 /// The kinds of fault the injector can produce.
@@ -601,7 +601,7 @@ struct ChaosSession {
     inner: Box<dyn CompilationSession>,
     shared: Arc<ChaosShared>,
     /// Extra state size reported on top of the inner session's, accumulated
-    /// by `SlowGrowth` faults. Not captured by `save_state`, so a session
+    /// by `SlowGrowth` faults. Not captured by `snapshot`, so a session
     /// restored from a checkpoint (or started fresh) is uninflated — the
     /// recovery path escapes the growth.
     inflation: u64,
@@ -729,24 +729,14 @@ impl CompilationSession for ChaosSession {
         })
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        // Inflation is deliberately not captured: restoring a checkpoint
-        // (like starting fresh) sheds the injected growth, which is exactly
-        // how a real module-inflating pass behaves under recovery.
-        self.inner.save_state()
-    }
-
-    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        self.inner.load_state(state)
-    }
-
-    fn snapshot(&mut self) -> Option<crate::session::SessionSnapshot> {
-        // The inner session's own snapshot (structural where it has one);
-        // like `save_state`, it leaves the inflation behind.
+    fn snapshot(&self) -> Option<SessionSnapshot> {
+        // The inner session's own, leaving the inflation behind on purpose:
+        // a restored checkpoint (like a fresh start) sheds injected growth,
+        // as a real module-inflating pass does under recovery.
         self.inner.snapshot()
     }
 
-    fn restore(&mut self, snapshot: &crate::session::SessionSnapshot) -> Result<(), String> {
+    fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
         self.inner.restore(snapshot)
     }
 
@@ -822,11 +812,12 @@ mod tests {
         fn state_size(&self) -> Option<u64> {
             Some(self.steps as u64)
         }
-        fn save_state(&self) -> Option<Vec<u8>> {
-            Some((self.steps as u64).to_le_bytes().to_vec())
+        fn snapshot(&self) -> Option<SessionSnapshot> {
+            let bytes = (self.steps as u64).to_le_bytes().to_vec();
+            Some(SessionSnapshot::from_bytes(bytes))
         }
-        fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-            let bytes: [u8; 8] = state.try_into().map_err(|_| "bad snapshot".to_string())?;
+        fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+            let bytes: [u8; 8] = snapshot.to_bytes().try_into().map_err(|_| "bad snapshot")?;
             self.steps = u64::from_le_bytes(bytes) as usize;
             Ok(())
         }
@@ -910,15 +901,15 @@ mod tests {
         assert_eq!(s.state_size(), Some(2 + 500), "reported size is inflated");
         assert_eq!(stats.slow_growths(), 1);
         // A snapshot round trip sheds the inflation: recovery escapes it.
-        let snap = s.save_state().unwrap();
+        let snap = s.snapshot().unwrap().to_bytes().to_vec();
         let mut fresh = factory();
         fresh.init("x", 0).unwrap();
-        fresh.load_state(&snap).unwrap();
+        fresh.restore(&SessionSnapshot::from_bytes(snap)).unwrap();
         assert_eq!(fresh.state_size(), Some(2));
         // The wrapper hands out the inner session's own snapshot: the same
         // state, the same bytes, and no inflation either.
         let snap = s.snapshot().unwrap();
-        assert_eq!(snap.to_bytes(), &s.save_state().unwrap()[..]);
+        assert_eq!(snap.to_bytes(), s.snapshot().unwrap().to_bytes());
         let mut fresh = factory();
         fresh.init("x", 0).unwrap();
         fresh.restore(&snap).unwrap();
@@ -937,7 +928,10 @@ mod tests {
         let mut fresh = factory();
         fresh.init("benchmark://cbench-v1/crc32", 0).unwrap();
         fresh.restore(&snap).unwrap();
-        assert_eq!(fresh.save_state(), s.save_state());
+        assert_eq!(
+            fresh.snapshot().unwrap().to_bytes(),
+            s.snapshot().unwrap().to_bytes()
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 10;
 pub const DEFAULT_RING_CAPACITY: usize = 16;
 
 /// One serialized session snapshot — the portable form, for sinks, disk
-/// and callers that hold `save_state` bytes. Self-describing: the
+/// and callers that hold a snapshot's bytes. Self-describing: the
 /// `(benchmark, action_space, actions)` triple fully determines the state
 /// for a deterministic session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,7 +66,7 @@ pub struct Checkpoint {
     pub action_space: usize,
     /// The full action prefix applied before this snapshot was taken.
     pub actions: Vec<usize>,
-    /// The serialized session state (`CompilationSession::save_state`).
+    /// The serialized session state (`SessionSnapshot::to_bytes`).
     pub state: Vec<u8>,
 }
 
@@ -209,7 +209,7 @@ impl CheckpointStore {
     }
 
     /// Records a checkpoint whose state is already bytes (a caller holding
-    /// `save_state` output, a disk store seeding the ring); see
+    /// a snapshot's encoding, a disk store seeding the ring); see
     /// [`CheckpointStore::put_snapshot`].
     pub fn put(&self, checkpoint: Checkpoint) {
         self.put_snapshot(checkpoint.into());

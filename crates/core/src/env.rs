@@ -12,7 +12,8 @@
 //! diverges from the pre-fault value, the typed
 //! [`CgError::ReplayDivergence`] is surfaced (with a trace event and a
 //! self-contained JSON reproducer) instead of silently continuing on corrupt
-//! state. Recovery effort is governed by the client's [`RetryPolicy`].
+//! state. A non-deterministic (noisy) reward space skips the check.
+//! Recovery effort is governed by the client's [`RetryPolicy`].
 //!
 //! # Recovery ladder
 //!
@@ -763,7 +764,8 @@ impl CompilerEnv {
     /// matching checkpoint from its own ring, or starts the session fresh —
     /// and replays only the unreplayed action suffix, falling back to a
     /// full-history replay when the restored state diverges. Checks that
-    /// the restored reward metric matches the pre-fault `prev_metric`.
+    /// the restored reward metric matches the pre-fault `prev_metric`,
+    /// when the reward space is deterministic.
     fn replay_episode(&mut self, restart: bool) -> Result<u64, CgError> {
         let tel = cg_telemetry::global();
         let timer = cg_telemetry::Timer::start();
@@ -820,7 +822,7 @@ impl CompilerEnv {
                         "missing metric during replay".into(),
                     ))?;
             let tolerance = 1e-6 * self.prev_metric.abs().max(1.0);
-            if (metric - self.prev_metric).abs() <= tolerance {
+            if !reward_info.deterministic || (metric - self.prev_metric).abs() <= tolerance {
                 self.session = Some(sid);
                 self.session_generation = self.link.restarts();
                 if replay_from > 0 {

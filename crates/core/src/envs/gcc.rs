@@ -4,7 +4,7 @@ use cg_gcc::{compile, CompileOutput, FlatAction, GccSpec, OptionSpace};
 use cg_ir::Module;
 
 use crate::envs::llvm::cached_benchmark;
-use crate::session::{ActionOutcome, CompilationSession};
+use crate::session::{ActionOutcome, CompilationSession, SessionSnapshot};
 use crate::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
@@ -225,6 +225,19 @@ impl CompilationSession for GccSession {
             cached_output: self.cached_output.clone(),
             baseline_os: self.baseline_os,
         })
+    }
+
+    /// The choice vector is the whole episode state (outputs recompile).
+    fn snapshot(&self) -> Option<SessionSnapshot> {
+        self.module.as_ref()?;
+        let bytes = serde_json::to_vec(&self.choices).ok()?;
+        Some(SessionSnapshot::from_bytes(bytes))
+    }
+
+    fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+        let choices: Vec<usize> = serde_json::from_slice(snapshot.to_bytes())
+            .map_err(|e| format!("checkpoint does not decode: {e}"))?;
+        self.set_choices(&choices)
     }
 }
 

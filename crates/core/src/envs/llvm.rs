@@ -103,10 +103,8 @@ pub struct LlvmSession {
     /// applied pass reports, so `InstCount`/`Autophase` only re-scan dirty
     /// functions.
     features: observation::IncrementalFeatures,
-    /// Reusable IR-print buffer for `Ir` observations and `save_state`
-    /// (interior mutability because `save_state` takes `&self`; sessions
-    /// are `Send` but never shared, so `RefCell` suffices).
-    print_buf: std::cell::RefCell<String>,
+    /// Reusable IR-print buffer for `Ir` observations.
+    print_buf: String,
     /// Analysis cache shared across the episode's actions: a pass reuses
     /// the dominator tree or loop forest of any function the previous
     /// actions left unchanged (stamp-checked).
@@ -143,7 +141,7 @@ impl LlvmSession {
             measurement_counter: 0,
             limits: ExecLimits::default(),
             features: observation::IncrementalFeatures::new(),
-            print_buf: std::cell::RefCell::new(String::new()),
+            print_buf: String::new(),
             analyses: cg_ir::AnalysisManager::new(),
         }
     }
@@ -270,10 +268,15 @@ impl CompilationSession for LlvmSession {
 
     fn observe(&mut self, space: &str) -> Result<Observation, String> {
         let uri = self.benchmark.clone();
-        // The feature spaces go through the per-function cache (mutable)
-        // alongside the module, so handle them on disjoint field borrows
-        // before the read-only arms.
+        // The feature spaces go through the per-function cache and `Ir`
+        // through the print buffer (both mutable) alongside the module, so
+        // handle them on disjoint field borrows before the read-only arms.
         match space {
+            "Ir" => {
+                let m = self.module.as_ref().ok_or("session not initialized")?;
+                observation::ir_text_into(&mut self.print_buf, m);
+                return Ok(Observation::Text(self.print_buf.clone()));
+            }
             "InstCount" => {
                 let m = self.module.as_ref().ok_or("session not initialized")?;
                 let v = self.features.inst_count(m);
@@ -298,11 +301,6 @@ impl CompilationSession for LlvmSession {
         }
         let m = self.module()?;
         Ok(match space {
-            "Ir" => {
-                let mut buf = self.print_buf.borrow_mut();
-                observation::ir_text_into(&mut buf, m);
-                Observation::Text(buf.clone())
-            }
             "Inst2vec" => Observation::FloatVector(observation::inst2vec(m)),
             "Programl" => Observation::Graph(observation::programl(m)),
             "IrInstructionCount" => Observation::Scalar(reward::ir_instruction_count(m) as f64),
@@ -341,28 +339,14 @@ impl CompilationSession for LlvmSession {
             measurement_counter: self.measurement_counter,
             limits: self.limits,
             features: self.features.clone(),
-            print_buf: std::cell::RefCell::new(String::new()),
+            print_buf: String::new(),
             // Forks start with an empty cache: entries repopulate on first
             // use, and the parent keeps its own.
             analyses: cg_ir::AnalysisManager::new(),
         })
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        // The portable form (`SnapshotState::encode`'s bytes), printed into
-        // the session's reusable buffer.
-        self.module.as_ref().map(|m| {
-            let mut buf = self.print_buf.borrow_mut();
-            cg_ir::printer::print_module_into(&mut buf, m);
-            buf.as_bytes().to_vec()
-        })
-    }
-
-    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        self.restore(&SessionSnapshot::from_bytes(state.to_vec()))
-    }
-
-    fn snapshot(&mut self) -> Option<SessionSnapshot> {
+    fn snapshot(&self) -> Option<SessionSnapshot> {
         let snap = Arc::new(self.module.as_ref()?.clone());
         Some(SessionSnapshot::from_live(snap))
     }

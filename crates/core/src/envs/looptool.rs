@@ -2,7 +2,7 @@
 
 use cg_looptool::{Action, LoopNest, Mode};
 
-use crate::session::{ActionOutcome, CompilationSession};
+use crate::session::{ActionOutcome, CompilationSession, SessionSnapshot};
 use crate::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
@@ -169,6 +169,28 @@ impl CompilationSession for LoopToolSession {
             extended: self.extended,
             measurement_counter: self.measurement_counter,
         })
+    }
+
+    /// What `fork` copies: the nest, and the counter seeding `Flops` noise.
+    fn snapshot(&self) -> Option<SessionSnapshot> {
+        let state = (self.nest.as_ref()?, self.measurement_counter);
+        let bytes = serde_json::to_vec(&state).ok()?;
+        Some(SessionSnapshot::from_bytes(bytes))
+    }
+
+    fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+        let current = self.nest.as_ref().ok_or("session not initialized")?;
+        let (nest, counter): (LoopNest, u64) = serde_json::from_slice(snapshot.to_bytes())
+            .map_err(|e| format!("checkpoint does not decode: {e}"))?;
+        let (n, cursor, want) = (nest.n, nest.cursor, current.n);
+        if n != want || cursor >= nest.loops.len() {
+            return Err(format!(
+                "checkpoint of problem size {n}, cursor {cursor}, does not fit {want}"
+            ));
+        }
+        self.nest = Some(nest);
+        self.measurement_counter = counter;
+        Ok(())
     }
 }
 

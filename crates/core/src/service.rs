@@ -1858,11 +1858,12 @@ mod tests {
         fn fork(&self) -> Box<dyn CompilationSession> {
             Box::new(CountingSession { steps: self.steps })
         }
-        fn save_state(&self) -> Option<Vec<u8>> {
-            Some((self.steps as u64).to_le_bytes().to_vec())
+        fn snapshot(&self) -> Option<SessionSnapshot> {
+            let bytes = (self.steps as u64).to_le_bytes().to_vec();
+            Some(SessionSnapshot::from_bytes(bytes))
         }
-        fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-            let bytes: [u8; 8] = state.try_into().map_err(|_| "bad snapshot".to_string())?;
+        fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+            let bytes: [u8; 8] = snapshot.to_bytes().try_into().map_err(|_| "bad snapshot")?;
             self.steps = u64::from_le_bytes(bytes) as usize;
             Ok(())
         }

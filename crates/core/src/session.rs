@@ -11,8 +11,7 @@ use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpa
 
 /// The in-memory form of a session's state, as an integration hands it to
 /// [`SessionSnapshot::from_live`]: immutable, shareable across threads, and
-/// able to produce the portable bytes [`CompilationSession::save_state`]
-/// would have produced for the same state.
+/// able to produce its portable bytes ([`SessionSnapshot::to_bytes`]).
 pub trait SnapshotState: Any + Send + Sync {
     /// The portable encoding of this state. Called at most once per
     /// snapshot, and only when a wire codec, a disk sink or a byte-wise
@@ -30,17 +29,18 @@ struct SnapshotInner {
 ///
 /// A snapshot is either **live** — a handle to the integration's own
 /// immutable in-memory state, which [`CompilationSession::restore`] adopts
-/// without decoding anything — or **bytes** that arrived from a wire or a
-/// disk. A live snapshot encodes itself to the same bytes lazily, once, on
-/// the first [`SessionSnapshot::to_bytes`]; nothing in-process ever asks.
-/// Serialized (JSON, CGB1, disk) it is exactly the byte string a
-/// `Vec<u8>` state was, so peers that know only bytes interoperate.
+/// without decoding anything — or **bytes**, the portable form that gcc-v0
+/// and loop_tool-v0 capture directly and a wire or a disk carries. A live
+/// snapshot encodes itself to the same bytes lazily, once, on the first
+/// [`SessionSnapshot::to_bytes`]; nothing in-process ever asks. Serialized
+/// (JSON, CGB1, disk) it is exactly the byte string a `Vec<u8>` state was,
+/// so peers that know only bytes interoperate.
 #[derive(Clone)]
 pub struct SessionSnapshot(Arc<SnapshotInner>);
 
 impl SessionSnapshot {
-    /// Wraps portable state bytes ([`CompilationSession::save_state`]
-    /// output, or bytes decoded from a wire or a file).
+    /// Wraps portable state bytes (an integration's own encoding, or
+    /// bytes decoded from a wire or a file).
     pub fn from_bytes(bytes: Vec<u8>) -> SessionSnapshot {
         SessionSnapshot(Arc::new(SnapshotInner {
             live: None,
@@ -147,7 +147,9 @@ pub struct ActionOutcome {
 /// **deterministic**: the same `init` + action sequence must reproduce the
 /// same state and metrics.
 /// Nondeterministic compilers are detected at recovery time by the replay
-/// consistency check and surfaced as `CgError::ReplayDivergence`. `Err`
+/// consistency check and surfaced as `CgError::ReplayDivergence` (a check
+/// skipped for a reward space declared non-deterministic, whose metric
+/// differs between measurements by design). `Err`
 /// returns from `apply_action`/`observe` are ordinary results (compile
 /// failures, invalid actions): they are reported to the caller and never
 /// retried. See `crate::chaos` for injecting these fault classes in tests.
@@ -188,60 +190,40 @@ pub trait CompilationSession: Send {
 
     // --- Optional containment hooks (server-side fault tolerance) ---
     //
-    // Sessions that can serialize their state participate in checkpointing
-    // (O(K) recovery instead of O(episode) replay); sessions that can
-    // measure their state participate in growth budgets. The defaults opt
-    // out: the runtime falls back to full-history replay and skips size
-    // checks, so existing integrations keep working unchanged.
+    // Checkpointing (O(K) recovery instead of O(episode) replay) and growth
+    // budgets. The defaults opt out: the runtime replays the full history
+    // and skips size checks, so integrations work unchanged without them.
 
-    /// Serializes the episode state to a portable byte string, or `None` if
-    /// this integration does not support checkpointing.
+    /// Captures the episode state, or `None` to be replayed instead: as
+    /// portable bytes, or as a live handle where the state is cheap to
+    /// share in memory (so in-process checkpoints, prefix caches and forks
+    /// never encode). The contract is round-trip fidelity: [`restore`] of
+    /// the snapshot, or of its bytes, must leave a state whose next
+    /// snapshot encodes byte-identically and that behaves identically for
+    /// all future actions and observations.
     ///
-    /// The contract is round-trip fidelity: `load_state(save_state())` must
-    /// restore a state that is *byte-identical under re-serialization* and
-    /// behaviorally identical for all future actions and observations.
-    fn save_state(&self) -> Option<Vec<u8>> {
+    /// [`restore`]: CompilationSession::restore
+    fn snapshot(&self) -> Option<SessionSnapshot> {
         None
     }
 
-    /// Restores the episode state previously produced by [`save_state`]
-    /// on a session that has been `init`-ed on the same benchmark and
-    /// action space.
+    /// Restores a state captured by [`snapshot`] — from this process or,
+    /// as bytes, from another — on a session that has been `init`-ed on
+    /// the same benchmark and action space.
     ///
-    /// [`save_state`]: CompilationSession::save_state
+    /// [`snapshot`]: CompilationSession::snapshot
     ///
     /// # Errors
     /// Returns a message when the snapshot cannot be decoded or this
     /// integration does not support checkpointing.
-    fn load_state(&mut self, _state: &[u8]) -> Result<(), String> {
+    fn restore(&mut self, _snapshot: &SessionSnapshot) -> Result<(), String> {
         Err("this session does not support checkpoint restore".into())
     }
 
-    /// Captures the episode state as a [`SessionSnapshot`]. The default
-    /// wraps [`save_state`]'s bytes; integrations whose state is cheap to
-    /// share in memory override it (and [`restore`]) to hand out a live
-    /// handle instead, so in-process checkpoints, prefix caches and forks
-    /// never pay for an encoding. Takes `&mut self` so an integration may
-    /// tidy its own sharing while it captures; the observable state must
-    /// not change.
-    ///
-    /// [`save_state`]: CompilationSession::save_state
-    /// [`restore`]: CompilationSession::restore
-    fn snapshot(&mut self) -> Option<SessionSnapshot> {
-        self.save_state().map(SessionSnapshot::from_bytes)
-    }
-
-    /// Restores a state captured by [`snapshot`] — from this process or,
-    /// as bytes, from another — under the same contract as [`load_state`].
-    /// The default decodes the snapshot's bytes with [`load_state`].
-    ///
-    /// [`snapshot`]: CompilationSession::snapshot
-    /// [`load_state`]: CompilationSession::load_state
-    ///
-    /// # Errors
-    /// See [`CompilationSession::load_state`].
-    fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
-        self.load_state(snapshot.to_bytes())
+    #[doc(hidden)]
+    // pinned by benchmark/src/layers/ladder.rs; item 1a deletes
+    fn save_state(&self) -> Option<Vec<u8>> {
+        self.snapshot().map(|s| s.to_bytes().to_vec())
     }
 
     /// The current size of the episode state in integration-defined units

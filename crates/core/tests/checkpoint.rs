@@ -10,14 +10,16 @@ use std::time::{Duration, Instant};
 
 use cg_core::chaos::{FaultKind, FaultPlan};
 use cg_core::checkpoint::DEFAULT_CHECKPOINT_INTERVAL;
-use cg_core::envs::llvm::LlvmSession;
-use cg_core::envs::session_factory;
+use cg_core::envs::gcc::GccSession;
+use cg_core::envs::looptool::LoopToolSession;
+use cg_core::envs::{create_session, session_factory};
 use cg_core::service::SessionFactory;
-use cg_core::session::{ActionOutcome, CompilationSession};
+use cg_core::session::{ActionOutcome, CompilationSession, SessionSnapshot};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
 use cg_core::{CgError, CheckpointStore, CompilerEnv, ResourceBudget, RetryPolicy};
+use cg_gcc::GccSpec;
 use common::{Via, ALL};
 
 use proptest::prelude::*;
@@ -81,11 +83,12 @@ impl CompilationSession for CountingSession {
             panic_at: self.panic_at,
         })
     }
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(self.steps.to_le_bytes().to_vec())
+    fn snapshot(&self) -> Option<SessionSnapshot> {
+        let bytes = self.steps.to_le_bytes().to_vec();
+        Some(SessionSnapshot::from_bytes(bytes))
     }
-    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let bytes: [u8; 8] = state.try_into().map_err(|_| "bad checkpoint".to_string())?;
+    fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+        let bytes: [u8; 8] = snapshot.to_bytes().try_into().map_err(|_| "bad snapshot")?;
         self.steps = u64::from_le_bytes(bytes);
         Ok(())
     }
@@ -163,7 +166,42 @@ fn fault_at_step_195_of_200_over(via: Via) {
     );
 }
 
-/// Without checkpoint support (`save_state` returns `None`) the same fault
+/// Every environment resumes from its own checkpoint: a panic at apply 15
+/// of a 20-step episode, with K = 10, restores the depth-10 snapshot and
+/// replays the 5-action suffix (as `fault_at_step_195_of_200` counts), over
+/// every link. loop_tool-v0's noisy `Flops` reward recovers without a
+/// replay divergence.
+#[test]
+fn every_environment_resumes_from_a_checkpoint() {
+    for (env_id, benchmark, observation, reward) in common::ENVS {
+        for via in ALL {
+            let (factory, stats) = FaultPlan::seeded(1)
+                .schedule(15, FaultKind::Panic)
+                .wrap(session_factory(env_id).unwrap());
+            let (link, store) = common::link(via, factory, 10, Duration::from_secs(60));
+            let mut env =
+                CompilerEnv::with_link(env_id, link, benchmark, observation, reward).unwrap();
+            env.set_retry_policy(
+                RetryPolicy::default()
+                    .with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
+            );
+            env.reset().unwrap();
+            let n = env.action_space().actions.len();
+            for s in 0..20 {
+                if let Err(e) = env.step(s * 7 % n) {
+                    panic!("{env_id} over {via:?}: step {s} failed: {e}");
+                }
+            }
+            assert_eq!(stats.panics(), 1, "{env_id} over {via:?}");
+            assert_eq!(store.restores(), 1, "{env_id} over {via:?}: restores");
+            // 15 clean applies + the panic + the 5-action suffix + the
+            // retried action + 4 remaining.
+            assert_eq!(stats.applies(), 26, "{env_id} over {via:?}: applies");
+        }
+    }
+}
+
+/// Without checkpoint support (`snapshot` returns `None`) the same fault
 /// is still recovered — by full replay.
 #[test]
 fn fault_recovery_without_checkpoints_replays_everything() {
@@ -381,38 +419,87 @@ fn panic_right_after_a_snapshot_restores_from_it_intact() {
     );
 }
 
+/// gcc-v0 restores a choice vector only through `set_choices`, which
+/// checks its length.
+#[test]
+fn gcc_restore_goes_through_set_choices() {
+    let mut s = GccSession::new(GccSpec::v11_2());
+    s.init("benchmark://chstone-v0/sha", 0).unwrap();
+    s.set_choices(&s.option_space().choices_for_level(2))
+        .unwrap();
+    let snap = s.snapshot().unwrap();
+    let mut fresh = GccSession::new(GccSpec::v11_2());
+    assert!(fresh.restore(&snap).is_err(), "not initialized");
+    fresh.init("benchmark://chstone-v0/sha", 0).unwrap();
+    fresh.restore(&snap).unwrap();
+    assert_eq!(fresh.choices(), s.choices());
+    let short = SessionSnapshot::from_bytes(b"[0,1]".to_vec());
+    assert!(fresh.restore(&short).unwrap_err().contains("expected"));
+}
+
+/// loop_tool-v0 restores only a nest of the initialised problem size whose
+/// cursor is inside its loops.
+#[test]
+fn loop_tool_restore_rejects_a_foreign_nest() {
+    let mut s = LoopToolSession::new();
+    s.init("benchmark://loop_tool-v0/1024", 1).unwrap();
+    s.apply_action(4).unwrap(); // split
+    let snap = s.snapshot().unwrap();
+    let mut other = LoopToolSession::new();
+    other.init("benchmark://loop_tool-v0/2048", 1).unwrap();
+    assert!(other.restore(&snap).unwrap_err().contains("problem size"));
+    other.init("benchmark://loop_tool-v0/1024", 1).unwrap();
+    other.restore(&snap).unwrap();
+    assert_eq!(other.nest(), s.nest());
+    let mut nest = s.nest().unwrap().clone();
+    nest.cursor = nest.loops.len();
+    let bytes = serde_json::to_vec(&(&nest, 0u64)).unwrap();
+    let outside = SessionSnapshot::from_bytes(bytes);
+    assert!(other.restore(&outside).unwrap_err().contains("cursor"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// The checkpoint contract for the LLVM backend: `save_state` →
-    /// `load_state` into a *fresh* session re-serializes byte-identically
-    /// and behaves identically, for arbitrary action prefixes.
+    /// The checkpoint contract, for every environment: `snapshot` →
+    /// `to_bytes` → `from_bytes` → `restore` into a *fresh* session
+    /// re-encodes byte-identically and behaves identically, for arbitrary
+    /// action prefixes.
     #[test]
-    fn llvm_save_load_round_trips_byte_identical(
-        actions in proptest::collection::vec(0usize..124, 0..6),
-        probe in 0usize..124,
+    fn snapshot_bytes_round_trip_byte_identical(
+        actions in proptest::collection::vec(0usize..4096, 0..6),
+        probe in 0usize..4096,
     ) {
-        let mut s = LlvmSession::new();
-        s.init("benchmark://cbench-v1/crc32", 0).unwrap();
-        for &a in &actions {
-            let _ = s.apply_action(a);
+        for (env_id, benchmark, _, reward) in common::ENVS {
+            let fresh = || {
+                let mut s = create_session(env_id).unwrap();
+                s.init(benchmark, 0).unwrap();
+                s
+            };
+            let mut s = fresh();
+            let n = s.action_spaces()[0].actions.len();
+            for &a in &actions {
+                let _ = s.apply_action(a % n);
+            }
+            let snap = s.snapshot().expect("every environment supports checkpoints");
+            let bytes = snap.to_bytes().to_vec();
+
+            let mut restored = fresh();
+            restored.restore(&SessionSnapshot::from_bytes(bytes.clone())).unwrap();
+            let resnap = restored.snapshot().unwrap();
+            prop_assert_eq!(
+                &bytes[..],
+                resnap.to_bytes(),
+                "{}: re-encoding must be byte-identical",
+                env_id
+            );
+            prop_assert_eq!(s.state_size(), restored.state_size());
+
+            // Behaviorally identical: one more arbitrary action lands both
+            // sessions on the same metric.
+            let _ = s.apply_action(probe % n);
+            let _ = restored.apply_action(probe % n);
+            prop_assert_eq!(s.observe(reward).unwrap(), restored.observe(reward).unwrap());
         }
-        let snap = s.save_state().expect("llvm sessions support checkpoints");
-
-        let mut restored = LlvmSession::new();
-        restored.init("benchmark://cbench-v1/crc32", 0).unwrap();
-        restored.load_state(&snap).unwrap();
-        let resnap = restored.save_state().unwrap();
-        prop_assert_eq!(&snap, &resnap, "re-serialization must be byte-identical");
-        prop_assert_eq!(s.state_size(), restored.state_size());
-
-        // Behaviorally identical: one more arbitrary action lands both
-        // sessions on the same metric.
-        let _ = s.apply_action(probe);
-        let _ = restored.apply_action(probe);
-        prop_assert_eq!(
-            s.observe("IrInstructionCount").unwrap(),
-            restored.observe("IrInstructionCount").unwrap()
-        );
     }
 }

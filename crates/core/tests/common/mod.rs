@@ -1,6 +1,7 @@
-//! The two links a recovery-ladder test runs over. Such tests are written
-//! once and run against the inline service and a broker on loopback, so
-//! neither link can drift from the other.
+//! The two links a recovery-ladder test runs over, and the three
+//! environments. Such tests are written once and run against the inline
+//! service and a broker on loopback, so neither link can drift from the
+//! other.
 
 // Each test binary compiles its own copy and uses a subset of it.
 #![allow(dead_code)]
@@ -22,6 +23,29 @@ pub enum Via {
 
 /// Every link, in the order tests run them.
 pub const ALL: [Via; 2] = [Via::Tcp, Via::Inline];
+
+/// One episode on each shipped environment: `(env, benchmark, observation,
+/// reward)`.
+pub const ENVS: [(&str, &str, &str, &str); 3] = [
+    (
+        "llvm-v0",
+        "benchmark://cbench-v1/crc32",
+        "Autophase",
+        "IrInstructionCount",
+    ),
+    (
+        "gcc-v0",
+        "benchmark://chstone-v0/adpcm",
+        "InstructionCounts",
+        "ObjSize",
+    ),
+    (
+        "loop_tool-v0",
+        "benchmark://loop_tool-v0/1048576",
+        "ActionState",
+        "Flops",
+    ),
+];
 
 /// A link to a fresh service over `factory` that checkpoints every
 /// `interval` actions, and a handle on the ring it checkpoints into: the

@@ -299,11 +299,13 @@ fn hang_with_per_action_snapshots_resumes_from_the_previous_step() {
     assert_eq!(env.observe("Autophase").unwrap(), ref_obs);
 }
 
-/// A deterministic session whose metric depends on which factory invocation
-/// built it: metric = construction_index * `gen_scale` + applies. With
-/// `gen_scale > 0` it models a nondeterministic compiler (every restart
-/// produces different numbers); with `gen_scale == 0` it is fully
-/// deterministic across restarts.
+/// A session whose metric depends on which factory invocation built it:
+/// metric = construction_index * `gen_scale` + applies. It always declares
+/// its spaces deterministic. With `gen_scale > 0` it models a compiler
+/// whose claim is false (every restart produces different numbers), which
+/// is what the replay check exists to catch; a reward space declared
+/// non-deterministic is exempt from that check. With `gen_scale == 0` it is
+/// fully deterministic across restarts.
 struct GenSession {
     gen: u64,
     gen_scale: u64,
@@ -321,7 +323,7 @@ impl CompilationSession for GenSession {
         vec![ObservationSpaceInfo {
             name: "Metric".into(),
             kind: ObservationKind::Scalar,
-            deterministic: self.gen_scale == 0,
+            deterministic: true,
             platform_dependent: false,
         }]
     }
@@ -331,7 +333,7 @@ impl CompilationSession for GenSession {
             metric: "Metric".into(),
             sign: 1.0,
             baseline: None,
-            deterministic: self.gen_scale == 0,
+            deterministic: true,
         }]
     }
     fn init(&mut self, _b: &str, _s: usize) -> Result<(), String> {
@@ -915,7 +917,7 @@ impl CompilationSession for HangsIn {
             steps: self.steps,
         })
     }
-    fn snapshot(&mut self) -> Option<cg_core::session::SessionSnapshot> {
+    fn snapshot(&self) -> Option<cg_core::session::SessionSnapshot> {
         self.hang_in("snapshot");
         None
     }

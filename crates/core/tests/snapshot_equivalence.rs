@@ -6,8 +6,9 @@
 //! thread interleaved at random points — while the session a snapshot was
 //! taken from keeps mutating its own module. At every step the interrupted
 //! run must show byte-identical printed IR and identical values in all
-//! five observation spaces and the reward metric; at the environment level
-//! the per-step rewards must match bit for bit. The programs run on
+//! five observation spaces and the reward metric; at the environment level,
+//! on all three environments, the per-step rewards must match bit for bit.
+//! The programs run on
 //! parallel threads, so the copy-on-write sharing (with the benchmark
 //! cache, between snapshots, between a fork and its parent) is exercised
 //! across threads throughout.
@@ -17,6 +18,8 @@
 //! That invariant — a function's stamp moves exactly when it changes, and
 //! an unchanged function stays shared — is checked after every single
 //! application in `crates/llvm/tests/analysis_cache_soundness.rs`.
+
+mod common;
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -285,30 +288,44 @@ fn consecutive_snapshots_share_globals_and_untouched_functions() {
     assert!(second.shares_globals_with(&pristine));
 }
 
-fn llvm_env(benchmark: &str) -> CompilerEnv {
+/// The environment-level episodes, `(env, benchmark, observation,
+/// reward)`: four llvm-v0 programs, then gcc-v0's and loop_tool-v0's.
+fn episodes() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
+    let (env, _, observation, reward) = common::ENVS[0];
+    PROGRAMS[..4]
+        .iter()
+        .map(|&benchmark| (env, benchmark, observation, reward))
+        .chain(common::ENVS[1..].iter().copied())
+        .collect()
+}
+
+fn env_on(env: &str, benchmark: &str, observation: &str, reward: &str) -> CompilerEnv {
     CompilerEnv::with_factory(
-        "llvm-v0",
-        session_factory("llvm-v0").unwrap(),
+        env,
+        session_factory(env).unwrap(),
         benchmark,
-        "Autophase",
-        "IrInstructionCount",
+        observation,
+        reward,
         Duration::from_secs(30),
     )
     .unwrap()
 }
 
-/// The same property one layer up, where rewards live: `fork`,
-/// `episode_snapshot` → `restore_snapshot` into an environment with its own
-/// service thread, and the byte form of the same snapshot, against the
-/// per-step rewards and observations of an uninterrupted episode.
+/// The same property one layer up, where rewards live, on every
+/// environment: `fork`, `episode_snapshot` → `restore_snapshot` into an
+/// environment with its own service, and the byte form of the same
+/// snapshot, against the per-step rewards and observations of an
+/// uninterrupted episode. Only llvm-v0's in-process snapshots are live
+/// handles; the other two capture bytes.
 #[test]
 fn environment_rewards_survive_snapshot_restore_and_fork() {
-    for (p, benchmark) in PROGRAMS.iter().enumerate().take(4) {
+    for (p, (id, benchmark, observation, reward)) in episodes().into_iter().enumerate() {
+        let make = || env_on(id, benchmark, observation, reward);
         let mut rng = StdRng::seed_from_u64(0xE7 + p as u64);
-        let actions: Vec<usize> = (0..12).map(|_| rng.gen_range(0..NUM_ACTIONS)).collect();
-
-        let mut straight = llvm_env(benchmark);
+        let mut straight = make();
         straight.reset().unwrap();
+        let n = straight.action_space().actions.len();
+        let actions: Vec<usize> = (0..12).map(|_| rng.gen_range(0..n)).collect();
         let want: Vec<(u64, Observation)> = actions
             .iter()
             .map(|&a| {
@@ -316,23 +333,27 @@ fn environment_rewards_survive_snapshot_restore_and_fork() {
                 (st.reward.to_bits(), st.observation)
             })
             .collect();
-        let want_ir = straight.observe("Ir").unwrap();
+        let want_state = straight.episode_snapshot().unwrap().state;
 
-        let mut env = llvm_env(benchmark);
-        let mut other = llvm_env(benchmark);
+        let mut env = make();
+        let mut other = make();
         env.reset().unwrap();
         for (depth, &a) in actions.iter().enumerate() {
             match rng.gen_range(0..4) {
                 0 => {
                     let child = env.fork().unwrap();
-                    env.step(rng.gen_range(0..NUM_ACTIONS)).unwrap();
+                    env.step(rng.gen_range(0..n)).unwrap();
                     env = child;
                 }
                 1 => {
                     let snap = env.episode_snapshot().unwrap();
-                    assert!(snap.state.is_live(), "in-process snapshots are handles");
+                    assert_eq!(
+                        snap.state.is_live(),
+                        id == "llvm-v0",
+                        "{id}: in-process snapshots are handles for llvm-v0 only"
+                    );
                     other.restore_snapshot(&snap).unwrap();
-                    env.step(rng.gen_range(0..NUM_ACTIONS)).unwrap();
+                    env.step(rng.gen_range(0..n)).unwrap();
                     std::mem::swap(&mut env, &mut other);
                 }
                 2 => {
@@ -350,10 +371,14 @@ fn environment_rewards_survive_snapshot_restore_and_fork() {
             assert_eq!(
                 (st.reward.to_bits(), &st.observation),
                 (want[depth].0, &want[depth].1),
-                "{benchmark}: step {depth} diverged"
+                "{id} {benchmark}: step {depth} diverged"
             );
         }
-        assert_eq!(env.observe("Ir").unwrap(), want_ir, "{benchmark}: final IR");
+        assert_eq!(
+            env.episode_snapshot().unwrap().state,
+            want_state,
+            "{id} {benchmark}: final state"
+        );
         assert_eq!(
             env.episode_reward().to_bits(),
             straight.episode_reward().to_bits()

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use cg_core::chaos::{FaultKind, FaultPlan};
 use cg_core::service::SessionFactory;
-use cg_core::session::{ActionOutcome, CompilationSession};
+use cg_core::session::{ActionOutcome, CompilationSession, SessionSnapshot};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
@@ -72,11 +72,12 @@ impl CompilationSession for RecSession {
     fn fork(&self) -> Box<dyn CompilationSession> {
         Box::new(RecSession { steps: self.steps })
     }
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some((self.steps as u64).to_le_bytes().to_vec())
+    fn snapshot(&self) -> Option<SessionSnapshot> {
+        let bytes = (self.steps as u64).to_le_bytes().to_vec();
+        Some(SessionSnapshot::from_bytes(bytes))
     }
-    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let bytes: [u8; 8] = state.try_into().map_err(|_| "bad snapshot".to_string())?;
+    fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+        let bytes: [u8; 8] = snapshot.to_bytes().try_into().map_err(|_| "bad snapshot")?;
         self.steps = u64::from_le_bytes(bytes) as usize;
         Ok(())
     }

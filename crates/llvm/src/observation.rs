@@ -479,7 +479,7 @@ impl IncrementalFeatures {
     }
 
     /// Drops everything. Call on reset or whenever the module is replaced
-    /// wholesale (e.g. `load_state`).
+    /// wholesale (e.g. `restore`).
     pub fn clear(&mut self) {
         self.inst_count.clear();
         self.autophase.clear();

@@ -72,7 +72,7 @@ fn incremental_matches_full_on_cbench() {
 }
 
 /// The cache survives `clear` mid-episode (what a session does on
-/// `load_state`) without drifting.
+/// `restore`) without drifting.
 #[test]
 fn clear_resets_to_cold_state() {
     let space = ActionSpace::new();

@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cg_core::service::{InlineLink, SessionFactory};
-use cg_core::session::{ActionOutcome, CompilationSession};
+use cg_core::session::{ActionOutcome, CompilationSession, SessionSnapshot};
 use cg_core::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 use cg_core::{CgError, CompilerEnv};
 
@@ -353,10 +353,10 @@ impl CompilationSession for ReplaySession {
         })
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
+    fn snapshot(&self) -> Option<SessionSnapshot> {
         if self.live.is_some() {
-            // Live sessions delegate checkpointing to the inner
-            // integration's own episode; replaying history is cheaper than
+            // A session that went live opts out of checkpointing, so it is
+            // replayed in full: replaying history is cheaper than
             // snapshotting a store cursor that may no longer resolve.
             return None;
         }
@@ -367,10 +367,11 @@ impl CompilationSession for ReplaySession {
         for &a in &self.actions {
             out.extend_from_slice(&(a as u32).to_le_bytes());
         }
-        Some(out)
+        Some(SessionSnapshot::from_bytes(out))
     }
 
-    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
+    fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), String> {
+        let state = snapshot.to_bytes();
         if state.len() < 13 || state[0] != 1 {
             return Err("bad replay snapshot".into());
         }

@@ -1137,7 +1137,7 @@ mod tests {
         for &a in &actions {
             straight.apply_action(a).unwrap();
         }
-        let want = straight.save_state().unwrap();
+        let want = straight.snapshot().unwrap().to_bytes().to_vec();
 
         let dir = tmpdir("ckpt-drain");
         {
@@ -1182,7 +1182,10 @@ mod tests {
         restored.restore(&seeded.state).unwrap();
         straight.apply_action(probe).unwrap();
         restored.apply_action(probe).unwrap();
-        assert_eq!(restored.save_state(), straight.save_state());
+        assert_eq!(
+            restored.snapshot().unwrap().to_bytes(),
+            straight.snapshot().unwrap().to_bytes()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }
