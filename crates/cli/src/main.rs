@@ -670,7 +670,7 @@ fn run_traced_episode(
             "Autophase",
             "IrInstructionCount",
         )?;
-        env.set_resource_budget(cg_core::ResourceBudget::default().with_step_wall(timeout))?;
+        env.set_resource_budget(cg_core::ResourceBudget::default().with_wall(timeout))?;
         env
     };
     env.set_retry_policy(
@@ -1163,7 +1163,7 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if budget_wall_ms > 0 || max_growth > 0.0 {
         let mut budget = cg_core::ResourceBudget::default();
         if budget_wall_ms > 0 {
-            budget = budget.with_step_wall(Duration::from_millis(budget_wall_ms));
+            budget = budget.with_wall(Duration::from_millis(budget_wall_ms));
         }
         if max_growth > 0.0 {
             budget = budget.with_max_growth(max_growth);

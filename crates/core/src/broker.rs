@@ -70,7 +70,7 @@ use serde::{Deserialize, Serialize};
 use crate::budget::ResourceBudget;
 use crate::checkpoint::CheckpointStore;
 use crate::service::{
-    account_rx, account_tx, write_frame, FrameReader, Request, Response, ServiceState,
+    account_rx, account_tx, write_frame, Classes, FrameReader, Request, Response, ServiceState,
     SessionFactory, PASS_THREAD_STACK,
 };
 use crate::wire;
@@ -200,12 +200,8 @@ struct Job {
     owner: Owner,
     /// DRR cost in action units: `max(1, actions.len())`.
     cost: u64,
-    /// Reserves a session slot (`StartSession`/`RestoreSession`/`Resume`/
-    /// `Fork`).
-    creates: bool,
-    /// Releases a session slot on completion (`EndSession`).
-    ends: bool,
-    /// Global session id the request addresses, if any.
+    /// Global session id the request names, if any (`req` carries the
+    /// worker-local one).
     target: Option<u64>,
     /// Worker index this job was placed on (for per-worker accounting
     /// when a queued creation is shed before running).
@@ -294,7 +290,7 @@ impl WorkerQueues {
     /// the shed-newest-non-established-first eviction victim.
     fn evict_newest_create(&mut self, tenant: &str) -> Option<Job> {
         let queue = self.queues.get_mut(tenant)?;
-        let at = queue.iter().rposition(|job| job.creates)?;
+        let at = queue.iter().rposition(|job| job.req.classes().creates)?;
         queue.remove(at)
     }
 }
@@ -411,8 +407,6 @@ impl Core {
             reply,
             owner,
             cost: 1,
-            creates: false,
-            ends: true,
             target: Some(gid),
             placed: worker,
             enqueued: Instant::now(),
@@ -427,7 +421,7 @@ impl Core {
             state.queued = state.queued.saturating_sub(1);
         }
         self.queued_total = self.queued_total.saturating_sub(1);
-        if job.creates {
+        if job.req.classes().creates {
             self.release_reservation(&job.owner.tenant, job.placed);
         }
         let tel = cg_telemetry::global();
@@ -589,21 +583,9 @@ impl Broker {
             return refuse(false, base, "broker stopped".to_string());
         }
 
-        let creates = matches!(
-            req,
-            Request::StartSession { .. }
-                | Request::RestoreSession { .. }
-                | Request::Resume { .. }
-                | Request::Fork { .. }
-        );
-        let ends = matches!(req, Request::EndSession { .. });
-        let target = match &req {
-            Request::Step { session_id, .. }
-            | Request::Fork { session_id }
-            | Request::EndSession { session_id }
-            | Request::ExportState { session_id } => Some(*session_id),
-            _ => None,
-        };
+        let classes = req.classes();
+        let creates = classes.creates;
+        let target = req.session_id();
         // Tenant isolation: a session id names work owned by exactly one
         // tenant; anyone else is rejected outright (not an overload — the
         // client must not retry).
@@ -673,11 +655,7 @@ impl Broker {
             state.tokens -= need;
         }
 
-        let fanout = if matches!(req, Request::Configure { .. }) {
-            cfg.workers
-        } else {
-            1
-        };
+        let fanout = if classes.fanout { cfg.workers } else { 1 };
         let queued = core.tenants.get(tenant).map_or(0, |t| t.queued);
         if queued + fanout > cfg.max_queue_depth.max(1) {
             if established {
@@ -750,8 +728,6 @@ impl Broker {
                     reply: tx.clone(),
                     owner: owner.clone(),
                     cost: 1,
-                    creates: false,
-                    ends: false,
                     target: None,
                     placed: worker,
                     enqueued: now,
@@ -761,15 +737,17 @@ impl Broker {
         } else {
             let worker = placed.expect("single-target submissions are always placed");
             let mut req = req;
-            rewrite_to_local(&mut req, workers);
+            // The owning worker knows the session by its local id, the
+            // inverse of the `gid = local * workers + index` bijection.
+            if let Some(session_id) = req.session_id_mut() {
+                *session_id /= workers;
+            }
             let job = Job {
                 req,
                 ctx,
                 reply: tx,
                 owner,
                 cost: actions.max(1),
-                creates,
-                ends,
                 target,
                 placed: worker,
                 enqueued: now,
@@ -1177,8 +1155,6 @@ fn worker_loop(inner: Arc<Inner>, index: usize, factory: SessionFactory) {
             reply,
             owner,
             cost: _,
-            creates,
-            ends,
             target,
             enqueued,
             placed: _,
@@ -1194,6 +1170,7 @@ fn worker_loop(inner: Arc<Inner>, index: usize, factory: SessionFactory) {
             ),
             wait,
         );
+        let classes = req.classes();
         let resp = match std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _trace_guard = ctx.map(cg_telemetry::enter_context);
             state.handle(req)
@@ -1204,7 +1181,7 @@ fn worker_loop(inner: Arc<Inner>, index: usize, factory: SessionFactory) {
                 Response::Fatal("broker worker panicked handling request".to_string())
             }
         };
-        let resp = settle(&inner, index, owner, creates, ends, target, resp);
+        let resp = settle(&inner, index, owner, classes, target, resp);
         let _ = reply.send(resp);
         inner.idle_cv.notify_all();
     }
@@ -1253,18 +1230,15 @@ fn settle(
     inner: &Inner,
     index: usize,
     owner: Owner,
-    creates: bool,
-    ends: bool,
+    classes: Classes,
     target: Option<u64>,
     mut resp: Response,
 ) -> Response {
     let workers = inner.cfg.workers as u64;
     let mut core = inner.lock_core();
-    if creates {
-        match &mut resp {
-            Response::SessionStarted { session_id }
-            | Response::Forked { session_id }
-            | Response::Resumed { session_id, .. } => {
+    if classes.creates {
+        match resp.session_id_mut() {
+            Some(session_id) => {
                 let gid = *session_id * workers + index as u64;
                 *session_id = gid;
                 // The connection closed while its create was in flight:
@@ -1276,28 +1250,16 @@ fn settle(
                     inner.work_cv.notify_all();
                 }
             }
-            _ => core.release_reservation(&owner.tenant, index),
+            None => core.release_reservation(&owner.tenant, index),
         }
     }
     let destroyed = matches!(resp, Response::Fatal(_) | Response::Budget(_));
     if let Some(gid) = target {
-        if ends || destroyed {
+        if classes.ends || destroyed {
             core.release_session(gid);
         }
     }
     resp
-}
-
-/// Rewrites an incoming global session id to the owning worker's local id
-/// (the inverse of the `gid = local * workers + index` bijection).
-fn rewrite_to_local(req: &mut Request, workers: u64) {
-    match req {
-        Request::Step { session_id, .. }
-        | Request::Fork { session_id }
-        | Request::EndSession { session_id }
-        | Request::ExportState { session_id } => *session_id /= workers,
-        _ => {}
-    }
 }
 
 /// A ladder refusal: typed, counted, and traced.

@@ -17,25 +17,22 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Resource limits enforced inside the service while it runs session code.
 /// Every limit is optional; the default budget enforces nothing (zero
 /// overhead on the happy path — the service spawns its one runner thread on
 /// the first session call under a wall-clock limit, and replaces it only
 /// after a wall-clock kill).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceBudget {
     /// Wall-clock deadline, in microseconds, for every session-scoped
-    /// request: `StartSession`, `RestoreSession` and `Resume` (`init` and
-    /// `restore`), `Step` (actions and observations), `Fork` and
-    /// `ExportState`. The name predates that reach and stays because the
-    /// wire field is unchanged. (The vendored serde has no `Duration`
-    /// impls; use [`ResourceBudget::step_wall`] /
-    /// [`ResourceBudget::with_step_wall`] for `Duration`-typed access.)
-    /// When exceeded, the service abandons the call with its session and
-    /// answers a typed [`BudgetKind::Wall`] violation instead of hanging.
-    pub step_wall_us: Option<u64>,
+    /// request ([`crate::service::Classes::session_scoped`]): `StartSession`,
+    /// `RestoreSession` and `Resume` (`init` and `restore`), `Step`
+    /// (actions and observations), `Fork` and `ExportState`. Use
+    /// [`ResourceBudget::wall`] / [`ResourceBudget::with_wall`] for
+    /// `Duration`-typed access. When exceeded, the service abandons the
+    /// call with its session and answers a typed [`BudgetKind::Wall`]
+    /// violation instead of hanging.
+    pub wall_us: Option<u64>,
     /// Absolute cap on the session's state size (for LLVM sessions, the IR
     /// instruction count), checked after every applied action.
     pub max_state_size: Option<u64>,
@@ -58,7 +55,7 @@ impl ResourceBudget {
     /// Whether any limit is configured.
     #[must_use]
     pub fn is_unlimited(&self) -> bool {
-        self.step_wall_us.is_none()
+        self.wall_us.is_none()
             && self.max_state_size.is_none()
             && self.max_growth.is_none()
             && self.interp_fuel.is_none()
@@ -66,15 +63,15 @@ impl ResourceBudget {
 
     /// Sets the wall-clock deadline on every session-scoped request.
     #[must_use]
-    pub fn with_step_wall(mut self, wall: Duration) -> ResourceBudget {
-        self.step_wall_us = Some(wall.as_micros().min(u128::from(u64::MAX)) as u64);
+    pub fn with_wall(mut self, wall: Duration) -> ResourceBudget {
+        self.wall_us = Some(wall.as_micros().min(u128::from(u64::MAX)) as u64);
         self
     }
 
     /// The wall-clock deadline on session-scoped requests, if set.
     #[must_use]
-    pub fn step_wall(&self) -> Option<Duration> {
-        self.step_wall_us.map(Duration::from_micros)
+    pub fn wall(&self) -> Option<Duration> {
+        self.wall_us.map(Duration::from_micros)
     }
 
     /// Sets the absolute state-size cap.
@@ -114,7 +111,7 @@ impl ResourceBudget {
 }
 
 /// Which budget a request exceeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
     /// The wall-clock deadline on a session-scoped request.
     Wall,
@@ -134,7 +131,7 @@ impl std::fmt::Display for BudgetKind {
 /// A typed in-band budget violation: the session that exceeded its budget
 /// was destroyed by the service worker (a "budget kill"), the service
 /// itself kept serving, and this reply came back instead of a hang.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetViolation {
     /// Which limit was exceeded.
     pub kind: BudgetKind,
@@ -168,8 +165,8 @@ mod tests {
         assert!(!ResourceBudget::default()
             .with_max_growth(2.0)
             .is_unlimited());
-        let b = ResourceBudget::default().with_step_wall(Duration::from_millis(250));
-        assert_eq!(b.step_wall(), Some(Duration::from_millis(250)));
+        let b = ResourceBudget::default().with_wall(Duration::from_millis(250));
+        assert_eq!(b.wall(), Some(Duration::from_millis(250)));
     }
 
     #[test]
@@ -190,18 +187,5 @@ mod tests {
         );
         let g = ResourceBudget::default().with_max_growth(3.0);
         assert_eq!(g.size_limit(None), None, "growth cap needs an initial size");
-    }
-
-    #[test]
-    fn violation_round_trips_through_json() {
-        let v = BudgetViolation {
-            kind: BudgetKind::Growth,
-            limit: 100,
-            observed: 250,
-            detail: "action 7".into(),
-        };
-        let json = serde_json::to_string(&v).unwrap();
-        let back: BudgetViolation = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
     }
 }

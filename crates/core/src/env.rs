@@ -290,7 +290,7 @@ impl CompilerEnv {
         reward_space: &str,
         timeout: Duration,
     ) -> Result<CompilerEnv, CgError> {
-        let budget = ResourceBudget::default().with_step_wall(timeout);
+        let budget = ResourceBudget::default().with_wall(timeout);
         let link = Box::new(InlineLink::with_budget(factory, budget));
         Self::with_link(env_id, link, benchmark, observation_space, reward_space)
     }

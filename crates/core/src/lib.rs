@@ -57,6 +57,7 @@ pub mod env;
 pub mod envs;
 pub mod evalcache;
 pub mod pool;
+mod protocol;
 pub mod retry;
 pub mod service;
 pub mod session;

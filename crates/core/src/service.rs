@@ -54,192 +54,16 @@ use std::time::Duration;
 use cg_telemetry::SpanStatus;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::budget::{BudgetKind, BudgetViolation, ResourceBudget};
 use crate::checkpoint::{CheckpointStore, RingCheckpoint};
 use crate::error::CgError;
 use crate::retry::RetryPolicy;
 use crate::session::{CompilationSession, SessionSnapshot};
-use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
+use crate::space::Observation;
 use crate::wire;
 
-/// A request to the compiler service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Request {
-    /// Liveness check.
-    Ping,
-    /// Describe the environment's spaces.
-    GetSpaces,
-    /// Start a session on a benchmark.
-    StartSession {
-        /// Benchmark URI.
-        benchmark: String,
-        /// Index into the advertised action spaces.
-        action_space: usize,
-    },
-    /// Apply actions and compute observations in one round trip. Supports
-    /// the batched (§III-B5: multiple actions per step) and lazy (chosen
-    /// observation spaces per step) extensions.
-    Step {
-        /// Session to drive.
-        session_id: u64,
-        /// Actions to apply, in order (may be empty for observation-only).
-        actions: Vec<usize>,
-        /// Observation spaces to compute after the last action.
-        observation_spaces: Vec<String>,
-    },
-    /// Deep-copy a session.
-    Fork {
-        /// Session to copy.
-        session_id: u64,
-    },
-    /// Discard a session.
-    EndSession {
-        /// Session to end.
-        session_id: u64,
-    },
-    /// Rebuild a session from a checkpoint: `init` on the benchmark, then
-    /// `CompilationSession::restore`. The recovery fast path — restoring
-    /// replaces replaying the `actions` prefix the snapshot captured.
-    RestoreSession {
-        /// Benchmark URI.
-        benchmark: String,
-        /// Index into the advertised action spaces.
-        action_space: usize,
-        /// The action prefix the snapshot captured (becomes the restored
-        /// session's history for subsequent checkpoints).
-        actions: Vec<usize>,
-        /// State from `CompilationSession::snapshot`. The in-process
-        /// channel moves the handle; the wire codec carries its bytes.
-        state: SessionSnapshot,
-    },
-    /// Re-establish an episode after a fault: the service restores the
-    /// deepest checkpoint in its own ring whose `(benchmark, action_space,
-    /// actions)` is a prefix of this episode, or starts the session fresh,
-    /// and answers [`Response::Resumed`] with the depth the caller must
-    /// replay from.
-    Resume {
-        /// Benchmark URI.
-        benchmark: String,
-        /// Index into the advertised action spaces.
-        action_space: usize,
-        /// The episode's full action history.
-        actions: Vec<usize>,
-    },
-    /// Capture a session's current state (`CompilationSession::snapshot`)
-    /// without disturbing it. The dual of [`Request::RestoreSession`]: export
-    /// here, restore elsewhere — how an `EnvPool` seeds a worker's session
-    /// from a cached search-tree prefix instead of replaying actions.
-    ExportState {
-        /// Session to snapshot.
-        session_id: u64,
-    },
-    /// Update the service's resource budget; applies to existing sessions
-    /// and everything started afterwards.
-    Configure {
-        /// The new budget.
-        budget: ResourceBudget,
-    },
-    /// Stop the service: drains a broker. In process it answers `Ok` and
-    /// stops nothing; the service stops with its last handle.
-    Shutdown,
-}
-
-impl Request {
-    /// The variant name, used to key per-request telemetry.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Ping => "Ping",
-            Request::GetSpaces => "GetSpaces",
-            Request::StartSession { .. } => "StartSession",
-            Request::Step { .. } => "Step",
-            Request::Fork { .. } => "Fork",
-            Request::EndSession { .. } => "EndSession",
-            Request::RestoreSession { .. } => "RestoreSession",
-            Request::Resume { .. } => "Resume",
-            Request::ExportState { .. } => "ExportState",
-            Request::Configure { .. } => "Configure",
-            Request::Shutdown => "Shutdown",
-        }
-    }
-}
-
-/// A response from the compiler service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Response {
-    /// Ping reply.
-    Pong,
-    /// Space description.
-    Spaces {
-        /// Action spaces.
-        action_spaces: Vec<ActionSpaceInfo>,
-        /// Observation spaces.
-        observation_spaces: Vec<ObservationSpaceInfo>,
-        /// Reward spaces.
-        reward_spaces: Vec<RewardSpaceInfo>,
-    },
-    /// Session created.
-    SessionStarted {
-        /// Handle for subsequent requests.
-        session_id: u64,
-    },
-    /// Step result.
-    Stepped {
-        /// Episode ended.
-        end_of_episode: bool,
-        /// Any action changed the state.
-        changed: bool,
-        /// Requested observations, in request order.
-        observations: Vec<Observation>,
-    },
-    /// Fork created.
-    Forked {
-        /// The new session's handle.
-        session_id: u64,
-    },
-    /// Episode re-established by [`Request::Resume`].
-    Resumed {
-        /// Handle for subsequent requests.
-        session_id: u64,
-        /// Actions already applied: the restored checkpoint's depth, `0`
-        /// for a fresh session.
-        depth: usize,
-    },
-    /// Session ended / shutdown acknowledged.
-    Ok,
-    /// Exported session state; `None` when the session has nothing to
-    /// snapshot (e.g. uninitialized).
-    State {
-        /// The state, loadable via [`Request::RestoreSession`].
-        state: Option<SessionSnapshot>,
-    },
-    /// The session exceeded its resource budget and was destroyed by the
-    /// worker (a "budget kill"); the service itself survives. Surfaced to
-    /// clients as [`CgError::BudgetExceeded`] — a fast typed in-band error
-    /// replacing the hang → client timeout → restart cascade.
-    Budget(BudgetViolation),
-    /// The front door refused this request under overload — admission
-    /// control, a per-tenant quota, queue-pressure shedding, or a draining
-    /// server. A fast typed in-band refusal (surfaced to clients as
-    /// [`CgError::Overloaded`]) instead of a hang or a dropped connection;
-    /// any session the request addressed is untouched.
-    Overloaded {
-        /// Server-advised minimum delay before retrying, in milliseconds.
-        retry_after_ms: u64,
-        /// Which rung of the admission ladder refused.
-        reason: String,
-    },
-    /// The request failed; the session (if any) is still usable.
-    Error(String),
-    /// The request failed fatally: the session it addressed was destroyed
-    /// (e.g. a compiler panic) or is not held by this service at all (a
-    /// stale id from before a restart), so its id is no longer valid. The
-    /// service itself survives. Surfaced to clients as
-    /// [`CgError::SessionLost`] so the environment can restore the episode
-    /// by action replay.
-    Fatal(String),
-}
+pub use crate::protocol::{Classes, Request, Response};
 
 /// Factory producing fresh sessions for this service's environment.
 pub type SessionFactory = Arc<dyn Fn() -> Box<dyn CompilationSession> + Send + Sync>;
@@ -654,7 +478,7 @@ impl ServiceState {
             checkpointed_at: depth,
         };
         let id = self.insert_session((self.factory)(), meta);
-        let started = self.contain(id, self.budget.step_wall(), move |s| {
+        let started = self.contain(id, self.budget.wall(), move |s| {
             s.init(&bench, action_space)?;
             s.apply_budget(&budget);
             // The growth baseline is the *episode-initial* size — measured
@@ -829,7 +653,7 @@ impl ServiceState {
                 Response::Resumed { session_id, depth }
             }
             Request::ExportState { session_id } => {
-                match self.contain(session_id, self.budget.step_wall(), |s| s.snapshot()) {
+                match self.contain(session_id, self.budget.wall(), |s| s.snapshot()) {
                     Ok(state) => Response::State { state },
                     Err(fault) => self.fault(session_id, "snapshot", fault),
                 }
@@ -851,7 +675,7 @@ impl ServiceState {
                 let size_limit = self
                     .budget
                     .size_limit(self.meta.get(&session_id).and_then(|m| m.initial_size));
-                let stepped = self.contain(session_id, self.budget.step_wall(), move |s| {
+                let stepped = self.contain(session_id, self.budget.wall(), move |s| {
                     let run = execute_step(s, &actions, &observation_spaces, size_limit);
                     (run, actions)
                 });
@@ -892,7 +716,7 @@ impl ServiceState {
                 }
             }
             Request::Fork { session_id } => {
-                let copy = match self.contain(session_id, self.budget.step_wall(), |s| s.fork()) {
+                let copy = match self.contain(session_id, self.budget.wall(), |s| s.fork()) {
                     Ok(copy) => copy,
                     Err(fault) => return self.fault(session_id, "fork", fault),
                 };
@@ -1081,7 +905,7 @@ fn record_restart(detail: String) {
 ///
 /// Containment is what the dispatcher gives every link: each session call
 /// runs under `catch_unwind`, and the [`ResourceBudget`] is enforced in
-/// band. Under a wall budget ([`ResourceBudget::with_step_wall`]) every
+/// band. Under a wall budget ([`ResourceBudget::with_wall`]) every
 /// session-scoped request — start, restore, resume, step, fork, export —
 /// runs on the state's runner and is answered [`CgError::BudgetExceeded`]
 /// at the deadline, so a hung compiler never hangs the caller. One more
@@ -1141,7 +965,7 @@ impl InlineLink {
     #[doc(hidden)]
     pub fn spawn(factory: SessionFactory, timeout: Duration) -> InlineLink {
         // pinned by benchmark/src/layers/mod.rs; item 1a deletes
-        Self::with_budget(factory, ResourceBudget::default().with_step_wall(timeout))
+        Self::with_budget(factory, ResourceBudget::default().with_wall(timeout))
     }
 
     /// [`Link::call`], callable without the trait in scope.
@@ -1777,6 +1601,7 @@ mod tests {
     use crate::broker::{Broker, BrokerConfig};
     use crate::chaos::{FaultKind, FaultPlan};
     use crate::session::ActionOutcome;
+    use crate::space::{ActionSpaceInfo, ObservationSpaceInfo, RewardSpaceInfo};
     use std::net::TcpListener;
 
     /// A writer that takes at most `cap` bytes per call, exercising the
@@ -2089,9 +1914,7 @@ mod tests {
             .wrap(counting_factory());
         let client = InlineLink::new(factory);
         client
-            .set_resource_budget(
-                ResourceBudget::default().with_step_wall(Duration::from_millis(100)),
-            )
+            .set_resource_budget(ResourceBudget::default().with_wall(Duration::from_millis(100)))
             .unwrap();
         let sid = start(&client);
         let kills_before = cg_telemetry::global().budget_kills.get();

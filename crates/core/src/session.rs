@@ -5,8 +5,6 @@ use std::any::Any;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
 
 /// The in-memory form of a session's state, as an integration hands it to
@@ -32,9 +30,9 @@ struct SnapshotInner {
 /// without decoding anything — or **bytes**, the portable form that gcc-v0
 /// and loop_tool-v0 capture directly and a wire or a disk carries. A live
 /// snapshot encodes itself to the same bytes lazily, once, on the first
-/// [`SessionSnapshot::to_bytes`]; nothing in-process ever asks. Serialized
-/// (JSON, CGB1, disk) it is exactly the byte string a `Vec<u8>` state was,
-/// so peers that know only bytes interoperate.
+/// [`SessionSnapshot::to_bytes`]; nothing in-process ever asks. On a wire or
+/// a disk it is exactly that byte string, so peers that know only bytes
+/// interoperate.
 #[derive(Clone)]
 pub struct SessionSnapshot(Arc<SnapshotInner>);
 
@@ -100,19 +98,6 @@ impl fmt::Debug for SessionSnapshot {
 impl PartialEq for SessionSnapshot {
     fn eq(&self, other: &SessionSnapshot) -> bool {
         Arc::ptr_eq(&self.0, &other.0) || self.to_bytes() == other.to_bytes()
-    }
-}
-
-/// The same byte array a `Vec<u8>` state serializes as.
-impl Serialize for SessionSnapshot {
-    fn to_value(&self) -> serde::value::Value {
-        self.to_bytes().to_value()
-    }
-}
-
-impl Deserialize for SessionSnapshot {
-    fn from_value(v: &serde::value::Value) -> Result<SessionSnapshot, serde::DeError> {
-        Vec::<u8>::from_value(v).map(SessionSnapshot::from_bytes)
     }
 }
 
@@ -286,17 +271,6 @@ mod tests {
         assert!(bytes.live::<Counted>().is_none());
         assert_eq!(bytes, SessionSnapshot::from_live(counted(b"abc")));
         assert_ne!(bytes, SessionSnapshot::from_live(counted(b"abd")));
-    }
-
-    #[test]
-    fn serializes_as_the_byte_array_a_vec_does() {
-        let payload = vec![0u8, 1, 255, 128];
-        let snap = SessionSnapshot::from_live(counted(&payload));
-        assert_eq!(snap.to_value(), payload.to_value());
-        let back = SessionSnapshot::from_value(&payload.to_value()).unwrap();
-        assert!(!back.is_live());
-        assert_eq!(back.to_bytes(), &payload[..]);
-        assert!(SessionSnapshot::from_value(&"text".to_value()).is_err());
     }
 
     #[test]

@@ -35,27 +35,27 @@
 //!
 //! # Body encoding
 //!
-//! Tag-based enums (one leading byte per variant), little-endian
-//! fixed-width scalars, `u32`-length-prefixed strings and byte slices, and
-//! observation vectors written as raw element runs (`i64`/`f32` × count)
-//! that decode with a single `memcpy` instead of a JSON number parse per
-//! element. Decoding reads borrowed `&[u8]`/`&str` views out of the frame
-//! buffer ([`WireReader`]) and copies only at the owned
-//! `Request`/`Response` construction edge; encoding appends into a
-//! caller-owned scratch buffer reused across frames (no per-frame `Vec`
-//! churn).
+//! A body is its variant's tag byte, then its fields in declaration order
+//! (see `protocol.rs`), each written by its type's `Field` impl:
+//! little-endian fixed-width scalars, `u32`-length-prefixed strings, byte
+//! slices and vectors, and a `0`/`1` byte before an optional value. Integer
+//! observations are width-tagged runs (the narrowest of 1, 2, 4 or 8 bytes
+//! that fits every element, decoded element by element), and ProGraML
+//! graphs carry width-tagged edge endpoints. Decoding reads borrowed
+//! `&[u8]`/`&str` views out of the frame buffer ([`WireReader`]) and copies
+//! only into the owned values it returns; encoding appends into a
+//! caller-owned scratch buffer reused across frames.
 
+use cg_llvm::observation::{EdgeKind, GraphNode, NodeKind};
 use cg_telemetry::TraceContext;
 
 use crate::budget::{BudgetKind, BudgetViolation, ResourceBudget};
+use crate::service::{Request, Response};
 use crate::session::SessionSnapshot;
 use crate::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, ProgramGraph,
     RewardSpaceInfo,
 };
-use cg_llvm::observation::{EdgeKind, GraphNode, NodeKind};
-
-use crate::service::{Request, Response};
 
 /// The frame magic: `0xC9 'G' 'B' '1'`. Invalid UTF-8 by construction (a
 /// `0xC9` lead byte must be followed by a continuation byte, `'G'` is not),
@@ -95,10 +95,6 @@ pub fn is_binary_frame(frame: &[u8]) -> bool {
     frame.len() >= 4 && frame[..4] == WIRE_MAGIC
 }
 
-// ---------------------------------------------------------------------------
-// Zero-copy reader
-// ---------------------------------------------------------------------------
-
 /// A bounds-checked cursor over a received frame, yielding borrowed views
 /// (`&'a str`, `&'a [u8]`) into the frame buffer — decoding copies nothing
 /// until an owned `Request`/`Response` is constructed from the views.
@@ -131,105 +127,73 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     /// A length-prefixed byte slice, borrowed from the frame.
     fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let n = self.u32()? as usize;
+        let n = u32::read(self)? as usize;
         self.take(n)
     }
 
-    /// A length-prefixed UTF-8 string, borrowed from the frame.
-    fn str(&mut self) -> Result<&'a str, WireError> {
-        let raw = self.bytes()?;
-        std::str::from_utf8(raw).map_err(|e| WireError(format!("invalid UTF-8 in string: {e}")))
+    /// A count, and a vector to decode that many elements into. Its
+    /// pre-allocation is capped at what the rest of the frame could hold
+    /// at `width` bytes an element, so a hostile count cannot OOM the
+    /// server.
+    fn vec_for<T>(&mut self, width: usize) -> Result<(usize, Vec<T>), WireError> {
+        let n = u32::read(self)? as usize;
+        Ok((n, Vec::with_capacity(n.min(self.remaining() / width + 1))))
     }
+}
 
-    /// A raw `i64` run: count-prefixed, one `memcpy`-friendly pass.
-    /// A width-tagged `i64` run: count, a width byte (1|2|4|8), then the
-    /// values as sign-extended little-endian integers of that width. Most
-    /// feature vectors (instruction counts, Autophase) are small counts, so
-    /// narrowing beats a fixed 8-byte lane by 4x on typical payloads.
-    fn i64_run(&mut self) -> Result<Vec<i64>, WireError> {
-        let n = self.u32()? as usize;
-        let width = self.u8()? as usize;
-        if !matches!(width, 1 | 2 | 4 | 8) {
-            return err(format!("bad int run width {width}"));
+fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
+    (v.len() as u32).put(buf);
+    buf.extend_from_slice(v);
+}
+
+/// A value with a `CGB1` encoding. The request and response codecs are
+/// built from these, one impl per field type.
+pub(crate) trait Field: Sized {
+    /// Appends the encoding to `buf`.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// Reads one value.
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+}
+
+macro_rules! le_field {
+    ($($T:ty),*) => {$(
+        impl Field for $T {
+            #[inline]
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                let raw = r.take(std::mem::size_of::<$T>())?;
+                Ok(<$T>::from_le_bytes(raw.try_into().expect("took its size")))
+            }
         }
-        let raw = self.take(
-            n.checked_mul(width)
-                .ok_or(WireError("run overflow".into()))?,
-        )?;
-        Ok(raw
-            .chunks_exact(width)
-            .map(|c| match width {
-                1 => c[0] as i8 as i64,
-                2 => i16::from_le_bytes(c.try_into().unwrap()) as i64,
-                4 => i32::from_le_bytes(c.try_into().unwrap()) as i64,
-                _ => i64::from_le_bytes(c.try_into().unwrap()),
-            })
-            .collect())
-    }
+    )*};
+}
 
-    /// A raw `f32` run.
-    fn f32_run(&mut self) -> Result<Vec<f32>, WireError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n.checked_mul(4).ok_or(WireError("run overflow".into()))?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
+le_field!(u8, u16, u32, u64, f32, f64);
 
-    /// A count-prefixed run of `u64`-encoded action indices.
-    fn action_run(&mut self) -> Result<Vec<usize>, WireError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n.checked_mul(8).ok_or(WireError("run overflow".into()))?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
-            .collect())
+impl Field for usize {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u64).put(buf);
     }
-
-    fn str_list(&mut self) -> Result<Vec<String>, WireError> {
-        let n = self.u32()? as usize;
-        // Cap the pre-allocation by what the frame could possibly hold (one
-        // length prefix per entry) so a hostile count cannot OOM the server.
-        let mut out = Vec::with_capacity(n.min(self.remaining() / 4 + 1));
-        for _ in 0..n {
-            out.push(self.str()?.to_owned());
-        }
-        Ok(out)
+    #[inline]
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(u64::read(r)? as usize)
     }
+}
 
-    fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => err(format!("bad option tag {t}")),
-        }
+impl Field for bool {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
     }
-
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
+    #[inline]
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match u8::read(r)? {
             0 => Ok(false),
             1 => Ok(true),
             t => err(format!("bad bool {t}")),
@@ -237,103 +201,270 @@ impl<'a> WireReader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Writer primitives (append into a reusable scratch buffer)
-// ---------------------------------------------------------------------------
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
-    put_u32(buf, v.len() as u32);
-    buf.extend_from_slice(v);
-}
-
-fn put_str(buf: &mut Vec<u8>, v: &str) {
-    put_bytes(buf, v.as_bytes());
-}
-
-fn put_i64_run(buf: &mut Vec<u8>, v: &[i64]) {
-    put_u32(buf, v.len() as u32);
-    // Narrowest width that fits every value; see `WireReader::i64_run`.
-    let width: u8 = v
-        .iter()
-        .map(|&x| {
-            if i64::from(x as i8) == x {
-                1
-            } else if i64::from(x as i16) == x {
-                2
-            } else if i64::from(x as i32) == x {
-                4
-            } else {
-                8
-            }
-        })
-        .max()
-        .unwrap_or(1);
-    buf.push(width);
-    buf.reserve(v.len() * width as usize);
-    for x in v {
-        buf.extend_from_slice(&x.to_le_bytes()[..width as usize]);
+impl Field for String {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.as_bytes());
     }
-}
-
-fn put_f32_run(buf: &mut Vec<u8>, v: &[f32]) {
-    put_u32(buf, v.len() as u32);
-    buf.reserve(v.len() * 4);
-    for x in v {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_action_run(buf: &mut Vec<u8>, v: &[usize]) {
-    put_u32(buf, v.len() as u32);
-    buf.reserve(v.len() * 8);
-    for x in v {
-        buf.extend_from_slice(&(*x as u64).to_le_bytes());
-    }
-}
-
-fn put_str_list(buf: &mut Vec<u8>, v: &[String]) {
-    put_u32(buf, v.len() as u32);
-    for s in v {
-        put_str(buf, s);
-    }
-}
-
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => buf.push(0),
-        Some(x) => {
-            buf.push(1);
-            put_u64(buf, x);
+    #[inline]
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match std::str::from_utf8(r.bytes()?) {
+            Ok(s) => Ok(s.to_owned()),
+            Err(e) => err(format!("invalid UTF-8 in string: {e}")),
         }
     }
 }
 
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(u8::from(v));
+impl<T: Field> Field for Vec<T> {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for x in self {
+            x.put(buf);
+        }
+    }
+    #[inline]
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        // No more memory up front than the frame's own remaining bytes.
+        let (n, mut out) = r.vec_for(std::mem::size_of::<T>().max(1))?;
+        for _ in 0..n {
+            out.push(T::read(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => buf.push(0),
+            Some(x) => {
+                buf.push(1);
+                x.put(buf);
+            }
+        }
+    }
+    #[inline]
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match u8::read(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::read(r)?)),
+            t => err(format!("bad option tag {t}")),
+        }
+    }
+}
+
+impl Field for SessionSnapshot {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.to_bytes());
+    }
+    #[inline]
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(SessionSnapshot::from_bytes(r.bytes()?.to_owned()))
+    }
+}
+
+/// `Field` for a struct: its fields in order.
+macro_rules! record {
+    ($($T:ident { $($f:ident),* })*) => {$(
+        impl Field for $T {
+            #[inline]
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$f.put(buf);)*
+            }
+            #[inline]
+            fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                Ok($T { $($f: Field::read(r)?),* })
+            }
+        }
+
+        #[cfg(test)]
+        impl tests::Arb for $T {
+            fn arb(rng: &mut proptest::TestRng) -> Self {
+                $T { $($f: tests::Arb::arb(rng)),* }
+            }
+        }
+    )*};
+}
+
+record! {
+    ActionSpaceInfo { name, actions }
+    ObservationSpaceInfo { name, kind, deterministic, platform_dependent }
+    RewardSpaceInfo { name, metric, sign, baseline, deterministic }
+    ResourceBudget { wall_us, max_state_size, max_growth, interp_fuel }
+    BudgetViolation { kind, limit, observed, detail }
+    GraphNode { kind, label, opcode }
+    TraceContext { trace_id, span_id }
+}
+
+/// `Field` for a fieldless enum: one tag byte.
+macro_rules! tags {
+    ($($T:ident { $($V:ident = $tag:literal),* })*) => {$(
+        impl Field for $T {
+            #[inline]
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.push(match self { $($T::$V => $tag),* });
+            }
+            #[inline]
+            fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                match u8::read(r)? {
+                    $($tag => Ok($T::$V),)*
+                    t => err(format!("unknown {} tag {t}", stringify!($T))),
+                }
+            }
+        }
+
+        #[cfg(test)]
+        impl tests::Arb for $T {
+            fn arb(rng: &mut proptest::TestRng) -> Self {
+                let all = [$($T::$V),*];
+                all[rng.below(all.len() as u64) as usize]
+            }
+        }
+    )*};
+}
+
+tags! {
+    ObservationKind { Text = 0, IntVector = 1, FloatVector = 2, Scalar = 3, Graph = 4, Bytes = 5 }
+    BudgetKind { Wall = 0, Growth = 1 }
+    NodeKind { Instruction = 0, Variable = 1, Constant = 2, Function = 3 }
+    EdgeKind { Control = 0, Data = 1, Call = 2 }
+}
+
+/// Integer vectors are width-tagged runs: a count, a width byte (1, 2, 4
+/// or 8), then the values as sign-extended little-endian integers of that
+/// width. Most feature vectors (instruction counts, Autophase) are small
+/// counts, so narrowing beats a fixed 8-byte lane by 4x on typical
+/// payloads.
+impl Field for Observation {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Observation::Text(t) => {
+                buf.push(0);
+                t.put(buf);
+            }
+            Observation::IntVector(v) => {
+                buf.push(1);
+                (v.len() as u32).put(buf);
+                let width = v.iter().map(|&x| int_width(x)).max().unwrap_or(1);
+                buf.push(width as u8);
+                buf.reserve(v.len() * width);
+                for x in v {
+                    buf.extend_from_slice(&x.to_le_bytes()[..width]);
+                }
+            }
+            Observation::FloatVector(v) => {
+                buf.push(2);
+                v.put(buf);
+            }
+            Observation::Scalar(x) => {
+                buf.push(3);
+                x.put(buf);
+            }
+            Observation::Graph(g) => {
+                buf.push(4);
+                g.put(buf);
+            }
+            Observation::Bytes(b) => {
+                buf.push(5);
+                put_bytes(buf, b);
+            }
+        }
+    }
+
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(match u8::read(r)? {
+            0 => Observation::Text(String::read(r)?),
+            1 => {
+                let n = u32::read(r)? as usize;
+                let width = u8::read(r)? as usize;
+                if !matches!(width, 1 | 2 | 4 | 8) {
+                    return err(format!("bad int run width {width}"));
+                }
+                let len = n.checked_mul(width);
+                let raw = r.take(len.ok_or(WireError("run overflow".into()))?)?;
+                let run = raw.chunks_exact(width).map(|x| match *x {
+                    [a] => i64::from(a as i8),
+                    [a, b] => i64::from(i16::from_le_bytes([a, b])),
+                    [a, b, c, d] => i64::from(i32::from_le_bytes([a, b, c, d])),
+                    _ => i64::from_le_bytes(x.try_into().expect("an 8-byte chunk")),
+                });
+                Observation::IntVector(run.collect())
+            }
+            2 => Observation::FloatVector(Vec::read(r)?),
+            3 => Observation::Scalar(f64::read(r)?),
+            4 => Observation::Graph(ProgramGraph::read(r)?),
+            5 => Observation::Bytes(r.bytes()?.to_owned()),
+            t => return err(format!("unknown observation tag {t}")),
+        })
+    }
+}
+
+/// The narrowest of 1, 2, 4 and 8 bytes that holds `x` sign-extended.
+fn int_width(x: i64) -> usize {
+    if i64::from(x as i8) == x {
+        1
+    } else if i64::from(x as i16) == x {
+        2
+    } else if i64::from(x as i32) == x {
+        4
+    } else {
+        8
+    }
+}
+
+/// ProGraML graphs are encoded natively (5 bytes per edge on graphs under
+/// 64k nodes, a tag byte plus label per node) rather than as embedded JSON:
+/// graphs are the bulkiest routinely-shipped observation, and the JSON form
+/// spends ~5× the bytes on key names and quoted edge kinds. Edge endpoints
+/// are width-tagged — 2-byte indices when the node count fits `u16`, 4-byte
+/// otherwise — since per-function graphs rarely clear a few thousand nodes.
+impl Field for ProgramGraph {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.nodes.put(buf);
+        (self.edges.len() as u32).put(buf);
+        let wide = self.nodes.len() > usize::from(u16::MAX);
+        buf.push(if wide { 4 } else { 2 });
+        buf.reserve(self.edges.len() * if wide { 9 } else { 5 });
+        for (src, dst, kind) in &self.edges {
+            if wide {
+                src.put(buf);
+                dst.put(buf);
+            } else {
+                (*src as u16).put(buf);
+                (*dst as u16).put(buf);
+            }
+            kind.put(buf);
+        }
+    }
+
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let nodes = Vec::read(r)?;
+        let (n, mut edges) = r.vec_for(5)?;
+        let width = u8::read(r)?;
+        if !matches!(width, 2 | 4) {
+            return err(format!("bad edge index width {width}"));
+        }
+        for _ in 0..n {
+            let (src, dst) = if width == 4 {
+                (u32::read(r)?, u32::read(r)?)
+            } else {
+                (u16::read(r)?.into(), u16::read(r)?.into())
+            };
+            edges.push((src, dst, EdgeKind::read(r)?));
+        }
+        Ok(ProgramGraph { nodes, edges })
+    }
 }
 
 fn header(buf: &mut Vec<u8>, kind: u8, corr: u64) {
     buf.clear();
     buf.extend_from_slice(&WIRE_MAGIC);
     buf.push(kind);
-    put_u64(buf, corr);
+    corr.put(buf);
 }
-
-// ---------------------------------------------------------------------------
-// Frames
-// ---------------------------------------------------------------------------
 
 /// A decoded frame header with its borrowed body.
 pub enum Frame<'a> {
@@ -402,22 +533,6 @@ pub fn encode_hello_ack(buf: &mut Vec<u8>) {
     buf.push(WIRE_VERSION);
 }
 
-// ---------------------------------------------------------------------------
-// Request bodies
-// ---------------------------------------------------------------------------
-
-const REQ_PING: u8 = 0;
-const REQ_GET_SPACES: u8 = 1;
-const REQ_START_SESSION: u8 = 2;
-const REQ_STEP: u8 = 3;
-const REQ_FORK: u8 = 4;
-const REQ_END_SESSION: u8 = 5;
-const REQ_RESTORE_SESSION: u8 = 6;
-const REQ_EXPORT_STATE: u8 = 7;
-const REQ_CONFIGURE: u8 = 8;
-const REQ_SHUTDOWN: u8 = 9;
-const REQ_RESUME: u8 = 10;
-
 /// Request metadata flag: a trace context follows.
 const META_TRACE: u8 = 1;
 /// Request metadata flag: a tenant identity follows.
@@ -456,73 +571,12 @@ pub fn encode_request_frame(
     }
     buf.push(flags);
     if let Some(ctx) = ctx {
-        put_u64(buf, ctx.trace_id);
-        put_u64(buf, ctx.span_id);
+        ctx.put(buf);
     }
     if let Some(tenant) = tenant {
-        put_str(buf, tenant);
+        put_bytes(buf, tenant.as_bytes());
     }
-    match req {
-        Request::Ping => buf.push(REQ_PING),
-        Request::GetSpaces => buf.push(REQ_GET_SPACES),
-        Request::StartSession {
-            benchmark,
-            action_space,
-        } => {
-            buf.push(REQ_START_SESSION);
-            put_str(buf, benchmark);
-            put_u64(buf, *action_space as u64);
-        }
-        Request::Step {
-            session_id,
-            actions,
-            observation_spaces,
-        } => {
-            buf.push(REQ_STEP);
-            put_u64(buf, *session_id);
-            put_action_run(buf, actions);
-            put_str_list(buf, observation_spaces);
-        }
-        Request::Fork { session_id } => {
-            buf.push(REQ_FORK);
-            put_u64(buf, *session_id);
-        }
-        Request::EndSession { session_id } => {
-            buf.push(REQ_END_SESSION);
-            put_u64(buf, *session_id);
-        }
-        Request::RestoreSession {
-            benchmark,
-            action_space,
-            actions,
-            state,
-        } => {
-            buf.push(REQ_RESTORE_SESSION);
-            put_str(buf, benchmark);
-            put_u64(buf, *action_space as u64);
-            put_action_run(buf, actions);
-            put_bytes(buf, state.to_bytes());
-        }
-        Request::Resume {
-            benchmark,
-            action_space,
-            actions,
-        } => {
-            buf.push(REQ_RESUME);
-            put_str(buf, benchmark);
-            put_u64(buf, *action_space as u64);
-            put_action_run(buf, actions);
-        }
-        Request::ExportState { session_id } => {
-            buf.push(REQ_EXPORT_STATE);
-            put_u64(buf, *session_id);
-        }
-        Request::Configure { budget } => {
-            buf.push(REQ_CONFIGURE);
-            put_budget(buf, budget);
-        }
-        Request::Shutdown => buf.push(REQ_SHUTDOWN),
-    }
+    req.put(buf);
     cg_telemetry::global()
         .wire
         .encode_wall
@@ -537,58 +591,14 @@ pub fn encode_request_frame(
 pub fn decode_request_body(corr: u64, body: &[u8]) -> Result<RequestFrame, WireError> {
     let timer = cg_telemetry::Timer::start();
     let mut r = WireReader::new(body);
-    let flags = r.u8()?;
-    let ctx = if flags & META_TRACE != 0 {
-        Some(TraceContext {
-            trace_id: r.u64()?,
-            span_id: r.u64()?,
-        })
-    } else {
-        None
-    };
-    let tenant = if flags & META_TENANT != 0 {
-        Some(r.str()?.to_owned())
-    } else {
-        None
-    };
-    let req = match r.u8()? {
-        REQ_PING => Request::Ping,
-        REQ_GET_SPACES => Request::GetSpaces,
-        REQ_START_SESSION => Request::StartSession {
-            benchmark: r.str()?.to_owned(),
-            action_space: r.u64()? as usize,
-        },
-        REQ_STEP => Request::Step {
-            session_id: r.u64()?,
-            actions: r.action_run()?,
-            observation_spaces: r.str_list()?,
-        },
-        REQ_FORK => Request::Fork {
-            session_id: r.u64()?,
-        },
-        REQ_END_SESSION => Request::EndSession {
-            session_id: r.u64()?,
-        },
-        REQ_RESTORE_SESSION => Request::RestoreSession {
-            benchmark: r.str()?.to_owned(),
-            action_space: r.u64()? as usize,
-            actions: r.action_run()?,
-            state: SessionSnapshot::from_bytes(r.bytes()?.to_owned()),
-        },
-        REQ_RESUME => Request::Resume {
-            benchmark: r.str()?.to_owned(),
-            action_space: r.u64()? as usize,
-            actions: r.action_run()?,
-        },
-        REQ_EXPORT_STATE => Request::ExportState {
-            session_id: r.u64()?,
-        },
-        REQ_CONFIGURE => Request::Configure {
-            budget: read_budget(&mut r)?,
-        },
-        REQ_SHUTDOWN => Request::Shutdown,
-        t => return err(format!("unknown request tag {t}")),
-    };
+    let flags = u8::read(&mut r)?;
+    let ctx = (flags & META_TRACE != 0)
+        .then(|| TraceContext::read(&mut r))
+        .transpose()?;
+    let tenant = (flags & META_TENANT != 0)
+        .then(|| String::read(&mut r))
+        .transpose()?;
+    let req = Request::read(&mut r)?;
     if r.remaining() != 0 {
         return err(format!("{} trailing bytes after request", r.remaining()));
     }
@@ -604,134 +614,12 @@ pub fn decode_request_body(corr: u64, body: &[u8]) -> Result<RequestFrame, WireE
     })
 }
 
-// ---------------------------------------------------------------------------
-// Response bodies
-// ---------------------------------------------------------------------------
-
-const RESP_PONG: u8 = 0;
-const RESP_SPACES: u8 = 1;
-const RESP_SESSION_STARTED: u8 = 2;
-const RESP_STEPPED: u8 = 3;
-const RESP_FORKED: u8 = 4;
-const RESP_OK: u8 = 5;
-const RESP_STATE: u8 = 6;
-const RESP_BUDGET: u8 = 7;
-const RESP_OVERLOADED: u8 = 8;
-const RESP_ERROR: u8 = 9;
-const RESP_FATAL: u8 = 10;
-const RESP_RESUMED: u8 = 11;
-
-const OBS_TEXT: u8 = 0;
-const OBS_INT_VECTOR: u8 = 1;
-const OBS_FLOAT_VECTOR: u8 = 2;
-const OBS_SCALAR: u8 = 3;
-const OBS_GRAPH: u8 = 4;
-const OBS_BYTES: u8 = 5;
-
 /// Encodes a response frame into `buf` (cleared first), echoing the
 /// request's correlation id.
 pub fn encode_response_frame(buf: &mut Vec<u8>, corr: u64, resp: &Response) {
     let timer = cg_telemetry::Timer::start();
     header(buf, KIND_RESPONSE, corr);
-    match resp {
-        Response::Pong => buf.push(RESP_PONG),
-        Response::Spaces {
-            action_spaces,
-            observation_spaces,
-            reward_spaces,
-        } => {
-            buf.push(RESP_SPACES);
-            put_u32(buf, action_spaces.len() as u32);
-            for s in action_spaces {
-                put_str(buf, &s.name);
-                put_str_list(buf, &s.actions);
-            }
-            put_u32(buf, observation_spaces.len() as u32);
-            for s in observation_spaces {
-                put_str(buf, &s.name);
-                buf.push(obs_kind_tag(s.kind));
-                put_bool(buf, s.deterministic);
-                put_bool(buf, s.platform_dependent);
-            }
-            put_u32(buf, reward_spaces.len() as u32);
-            for s in reward_spaces {
-                put_str(buf, &s.name);
-                put_str(buf, &s.metric);
-                put_f64(buf, s.sign);
-                match &s.baseline {
-                    None => buf.push(0),
-                    Some(b) => {
-                        buf.push(1);
-                        put_str(buf, b);
-                    }
-                }
-                put_bool(buf, s.deterministic);
-            }
-        }
-        Response::SessionStarted { session_id } => {
-            buf.push(RESP_SESSION_STARTED);
-            put_u64(buf, *session_id);
-        }
-        Response::Stepped {
-            end_of_episode,
-            changed,
-            observations,
-        } => {
-            buf.push(RESP_STEPPED);
-            put_bool(buf, *end_of_episode);
-            put_bool(buf, *changed);
-            put_u32(buf, observations.len() as u32);
-            for obs in observations {
-                put_observation(buf, obs);
-            }
-        }
-        Response::Forked { session_id } => {
-            buf.push(RESP_FORKED);
-            put_u64(buf, *session_id);
-        }
-        Response::Resumed { session_id, depth } => {
-            buf.push(RESP_RESUMED);
-            put_u64(buf, *session_id);
-            put_u64(buf, *depth as u64);
-        }
-        Response::Ok => buf.push(RESP_OK),
-        Response::State { state } => {
-            buf.push(RESP_STATE);
-            match state {
-                None => buf.push(0),
-                Some(s) => {
-                    buf.push(1);
-                    put_bytes(buf, s.to_bytes());
-                }
-            }
-        }
-        Response::Budget(v) => {
-            buf.push(RESP_BUDGET);
-            buf.push(match v.kind {
-                BudgetKind::Wall => 0,
-                BudgetKind::Growth => 1,
-            });
-            put_u64(buf, v.limit);
-            put_u64(buf, v.observed);
-            put_str(buf, &v.detail);
-        }
-        Response::Overloaded {
-            retry_after_ms,
-            reason,
-        } => {
-            buf.push(RESP_OVERLOADED);
-            put_u64(buf, *retry_after_ms);
-            put_str(buf, reason);
-        }
-        Response::Error(e) => {
-            buf.push(RESP_ERROR);
-            put_str(buf, e);
-        }
-        Response::Fatal(e) => {
-            buf.push(RESP_FATAL);
-            put_str(buf, e);
-        }
-    }
+    resp.put(buf);
     cg_telemetry::global()
         .wire
         .encode_wall
@@ -745,98 +633,7 @@ pub fn encode_response_frame(buf: &mut Vec<u8>, corr: u64, resp: &Response) {
 pub fn decode_response_body(body: &[u8]) -> Result<Response, WireError> {
     let timer = cg_telemetry::Timer::start();
     let mut r = WireReader::new(body);
-    let resp = match r.u8()? {
-        RESP_PONG => Response::Pong,
-        RESP_SPACES => {
-            let n = r.u32()? as usize;
-            let mut action_spaces = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                action_spaces.push(ActionSpaceInfo {
-                    name: r.str()?.to_owned(),
-                    actions: r.str_list()?,
-                });
-            }
-            let n = r.u32()? as usize;
-            let mut observation_spaces = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                observation_spaces.push(ObservationSpaceInfo {
-                    name: r.str()?.to_owned(),
-                    kind: obs_kind_from_tag(r.u8()?)?,
-                    deterministic: r.bool()?,
-                    platform_dependent: r.bool()?,
-                });
-            }
-            let n = r.u32()? as usize;
-            let mut reward_spaces = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                reward_spaces.push(RewardSpaceInfo {
-                    name: r.str()?.to_owned(),
-                    metric: r.str()?.to_owned(),
-                    sign: r.f64()?,
-                    baseline: match r.u8()? {
-                        0 => None,
-                        1 => Some(r.str()?.to_owned()),
-                        t => return err(format!("bad option tag {t}")),
-                    },
-                    deterministic: r.bool()?,
-                });
-            }
-            Response::Spaces {
-                action_spaces,
-                observation_spaces,
-                reward_spaces,
-            }
-        }
-        RESP_SESSION_STARTED => Response::SessionStarted {
-            session_id: r.u64()?,
-        },
-        RESP_STEPPED => {
-            let end_of_episode = r.bool()?;
-            let changed = r.bool()?;
-            let n = r.u32()? as usize;
-            let mut observations = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                observations.push(read_observation(&mut r)?);
-            }
-            Response::Stepped {
-                end_of_episode,
-                changed,
-                observations,
-            }
-        }
-        RESP_FORKED => Response::Forked {
-            session_id: r.u64()?,
-        },
-        RESP_RESUMED => Response::Resumed {
-            session_id: r.u64()?,
-            depth: r.u64()? as usize,
-        },
-        RESP_OK => Response::Ok,
-        RESP_STATE => Response::State {
-            state: match r.u8()? {
-                0 => None,
-                1 => Some(SessionSnapshot::from_bytes(r.bytes()?.to_owned())),
-                t => return err(format!("bad option tag {t}")),
-            },
-        },
-        RESP_BUDGET => Response::Budget(BudgetViolation {
-            kind: match r.u8()? {
-                0 => BudgetKind::Wall,
-                1 => BudgetKind::Growth,
-                t => return err(format!("bad budget kind {t}")),
-            },
-            limit: r.u64()?,
-            observed: r.u64()?,
-            detail: r.str()?.to_owned(),
-        }),
-        RESP_OVERLOADED => Response::Overloaded {
-            retry_after_ms: r.u64()?,
-            reason: r.str()?.to_owned(),
-        },
-        RESP_ERROR => Response::Error(r.str()?.to_owned()),
-        RESP_FATAL => Response::Fatal(r.str()?.to_owned()),
-        t => return err(format!("unknown response tag {t}")),
-    };
+    let resp = Response::read(&mut r)?;
     if r.remaining() != 0 {
         return err(format!("{} trailing bytes after response", r.remaining()));
     }
@@ -847,181 +644,119 @@ pub fn decode_response_body(body: &[u8]) -> Result<Response, WireError> {
     Ok(resp)
 }
 
-fn obs_kind_tag(kind: ObservationKind) -> u8 {
-    match kind {
-        ObservationKind::Text => OBS_TEXT,
-        ObservationKind::IntVector => OBS_INT_VECTOR,
-        ObservationKind::FloatVector => OBS_FLOAT_VECTOR,
-        ObservationKind::Scalar => OBS_SCALAR,
-        ObservationKind::Graph => OBS_GRAPH,
-        ObservationKind::Bytes => OBS_BYTES,
-    }
-}
-
-fn obs_kind_from_tag(tag: u8) -> Result<ObservationKind, WireError> {
-    Ok(match tag {
-        OBS_TEXT => ObservationKind::Text,
-        OBS_INT_VECTOR => ObservationKind::IntVector,
-        OBS_FLOAT_VECTOR => ObservationKind::FloatVector,
-        OBS_SCALAR => ObservationKind::Scalar,
-        OBS_GRAPH => ObservationKind::Graph,
-        OBS_BYTES => ObservationKind::Bytes,
-        t => return err(format!("unknown observation kind {t}")),
-    })
-}
-
-fn put_observation(buf: &mut Vec<u8>, obs: &Observation) {
-    match obs {
-        Observation::Text(t) => {
-            buf.push(OBS_TEXT);
-            put_str(buf, t);
-        }
-        Observation::IntVector(v) => {
-            buf.push(OBS_INT_VECTOR);
-            put_i64_run(buf, v);
-        }
-        Observation::FloatVector(v) => {
-            buf.push(OBS_FLOAT_VECTOR);
-            put_f32_run(buf, v);
-        }
-        Observation::Scalar(x) => {
-            buf.push(OBS_SCALAR);
-            put_f64(buf, *x);
-        }
-        Observation::Graph(g) => {
-            buf.push(OBS_GRAPH);
-            put_graph(buf, g);
-        }
-        Observation::Bytes(b) => {
-            buf.push(OBS_BYTES);
-            put_bytes(buf, b);
-        }
-    }
-}
-
-fn read_observation(r: &mut WireReader<'_>) -> Result<Observation, WireError> {
-    Ok(match r.u8()? {
-        OBS_TEXT => Observation::Text(r.str()?.to_owned()),
-        OBS_INT_VECTOR => Observation::IntVector(r.i64_run()?),
-        OBS_FLOAT_VECTOR => Observation::FloatVector(r.f32_run()?),
-        OBS_SCALAR => Observation::Scalar(r.f64()?),
-        OBS_GRAPH => Observation::Graph(read_graph(r)?),
-        OBS_BYTES => Observation::Bytes(r.bytes()?.to_owned()),
-        t => return err(format!("unknown observation tag {t}")),
-    })
-}
-
-/// ProGraML graphs are encoded natively (5 bytes per edge on graphs under
-/// 64k nodes, a tag byte plus label per node) rather than as embedded JSON:
-/// graphs are the bulkiest routinely-shipped observation, and the JSON form
-/// spends ~5× the bytes on key names and quoted edge kinds. Edge endpoints
-/// are width-tagged — 2-byte indices when the node count fits `u16`, 4-byte
-/// otherwise — since per-function graphs rarely clear a few thousand nodes.
-fn put_graph(buf: &mut Vec<u8>, g: &ProgramGraph) {
-    put_u32(buf, g.nodes.len() as u32);
-    for n in &g.nodes {
-        buf.push(match n.kind {
-            NodeKind::Instruction => 0,
-            NodeKind::Variable => 1,
-            NodeKind::Constant => 2,
-            NodeKind::Function => 3,
-        });
-        put_str(buf, &n.label);
-        put_u32(buf, n.opcode);
-    }
-    put_u32(buf, g.edges.len() as u32);
-    let wide = g.nodes.len() > usize::from(u16::MAX);
-    let width: u8 = if wide { 4 } else { 2 };
-    buf.push(width);
-    buf.reserve(g.edges.len() * (2 * width as usize + 1));
-    for (src, dst, kind) in &g.edges {
-        if wide {
-            put_u32(buf, *src);
-            put_u32(buf, *dst);
-        } else {
-            buf.extend_from_slice(&(*src as u16).to_le_bytes());
-            buf.extend_from_slice(&(*dst as u16).to_le_bytes());
-        }
-        buf.push(match kind {
-            EdgeKind::Control => 0,
-            EdgeKind::Data => 1,
-            EdgeKind::Call => 2,
-        });
-    }
-}
-
-fn read_graph(r: &mut WireReader<'_>) -> Result<ProgramGraph, WireError> {
-    let n = r.u32()? as usize;
-    let mut nodes = Vec::with_capacity(n.min(r.remaining() / 6 + 1));
-    for _ in 0..n {
-        let kind = match r.u8()? {
-            0 => NodeKind::Instruction,
-            1 => NodeKind::Variable,
-            2 => NodeKind::Constant,
-            3 => NodeKind::Function,
-            t => return err(format!("unknown node kind {t}")),
-        };
-        nodes.push(GraphNode {
-            kind,
-            label: r.str()?.to_owned(),
-            opcode: r.u32()?,
-        });
-    }
-    let n = r.u32()? as usize;
-    let width = r.u8()?;
-    if !matches!(width, 2 | 4) {
-        return err(format!("bad edge index width {width}"));
-    }
-    let mut edges = Vec::with_capacity(n.min(r.remaining() / 5 + 1));
-    for _ in 0..n {
-        let (src, dst) = if width == 4 {
-            (r.u32()?, r.u32()?)
-        } else {
-            (r.u16()?.into(), r.u16()?.into())
-        };
-        let kind = match r.u8()? {
-            0 => EdgeKind::Control,
-            1 => EdgeKind::Data,
-            2 => EdgeKind::Call,
-            t => return err(format!("unknown edge kind {t}")),
-        };
-        edges.push((src, dst, kind));
-    }
-    Ok(ProgramGraph { nodes, edges })
-}
-
-fn put_budget(buf: &mut Vec<u8>, b: &ResourceBudget) {
-    put_opt_u64(buf, b.step_wall_us);
-    put_opt_u64(buf, b.max_state_size);
-    match b.max_growth {
-        None => buf.push(0),
-        Some(x) => {
-            buf.push(1);
-            put_f64(buf, x);
-        }
-    }
-    put_opt_u64(buf, b.interp_fuel);
-}
-
-fn read_budget(r: &mut WireReader<'_>) -> Result<ResourceBudget, WireError> {
-    Ok(ResourceBudget {
-        step_wall_us: r.opt_u64()?,
-        max_state_size: r.opt_u64()?,
-        max_growth: match r.u8()? {
-            0 => None,
-            1 => Some(r.f64()?),
-            t => return err(format!("bad option tag {t}")),
-        },
-        interp_fuel: r.opt_u64()?,
-    })
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::TestRng;
-    use serde::Serialize as _;
+    use std::collections::BTreeSet;
+
+    /// A random value of a protocol field type, for the property tests.
+    /// `protocol!`, `record!` and `tags!` derive it for what they declare;
+    /// the leaves, `Observation` and the types with an invariant are
+    /// written here.
+    pub(crate) trait Arb {
+        fn arb(rng: &mut TestRng) -> Self;
+    }
+
+    macro_rules! arb_bits {
+        ($($T:ty),*) => {$(
+            impl Arb for $T {
+                fn arb(rng: &mut TestRng) -> Self {
+                    rng.next_u64() as $T
+                }
+            }
+        )*};
+    }
+
+    arb_bits!(u8, u32, u64, usize);
+
+    impl Arb for i64 {
+        /// Every magnitude, so integer runs take every width.
+        fn arb(rng: &mut TestRng) -> Self {
+            (rng.next_u64() as i64) >> rng.below(64)
+        }
+    }
+
+    impl Arb for bool {
+        fn arb(rng: &mut TestRng) -> Self {
+            rng.below(2) == 1
+        }
+    }
+
+    /// Finite, so that a decoded value equals the encoded one.
+    impl Arb for f32 {
+        fn arb(rng: &mut TestRng) -> Self {
+            Some(f32::from_bits(rng.next_u64() as u32))
+                .filter(|f| f.is_finite())
+                .unwrap_or(0.5)
+        }
+    }
+
+    /// Finite, so that a decoded value equals the encoded one.
+    impl Arb for f64 {
+        fn arb(rng: &mut TestRng) -> Self {
+            (rng.next_u64() as i64 as f64) / 7.0
+        }
+    }
+
+    impl Arb for String {
+        /// ASCII mixed with multi-byte and escape-hostile characters.
+        fn arb(rng: &mut TestRng) -> Self {
+            (0..rng.below(20))
+                .map(|_| match rng.below(6) {
+                    0 => '\n',
+                    1 => '"',
+                    2 => '\\',
+                    3 => 'λ',
+                    _ => (b'a' + rng.below(26) as u8) as char,
+                })
+                .collect()
+        }
+    }
+
+    impl<T: Arb> Arb for Vec<T> {
+        fn arb(rng: &mut TestRng) -> Self {
+            (0..rng.below(6)).map(|_| T::arb(rng)).collect()
+        }
+    }
+
+    impl<T: Arb> Arb for Option<T> {
+        fn arb(rng: &mut TestRng) -> Self {
+            (rng.below(2) == 1).then(|| T::arb(rng))
+        }
+    }
+
+    impl Arb for SessionSnapshot {
+        fn arb(rng: &mut TestRng) -> Self {
+            SessionSnapshot::from_bytes(Arb::arb(rng))
+        }
+    }
+
+    impl Arb for Observation {
+        fn arb(rng: &mut TestRng) -> Self {
+            match rng.below(6) {
+                0 => Observation::Text(Arb::arb(rng)),
+                1 => Observation::IntVector(Arb::arb(rng)),
+                2 => Observation::FloatVector(Arb::arb(rng)),
+                3 => Observation::Scalar(Arb::arb(rng)),
+                4 => Observation::Graph(Arb::arb(rng)),
+                _ => Observation::Bytes(Arb::arb(rng)),
+            }
+        }
+    }
+
+    /// Every edge joins two of the graph's nodes.
+    impl Arb for ProgramGraph {
+        fn arb(rng: &mut TestRng) -> Self {
+            let nodes: Vec<GraphNode> = Arb::arb(rng);
+            let n = nodes.len() as u64;
+            let edges = (0..if n == 0 { 0 } else { rng.below(20) })
+                .map(|_| (rng.below(n) as u32, rng.below(n) as u32, EdgeKind::arb(rng)))
+                .collect();
+            ProgramGraph { nodes, edges }
+        }
+    }
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1052,7 +787,7 @@ mod tests {
             Request::ExportState { session_id: 11 },
             Request::Configure {
                 budget: ResourceBudget {
-                    step_wall_us: Some(1000),
+                    wall_us: Some(1000),
                     max_state_size: None,
                     max_growth: Some(1.5),
                     interp_fuel: Some(u64::MAX),
@@ -1136,6 +871,21 @@ mod tests {
         ]
     }
 
+    #[test]
+    fn samples_cover_every_declared_kind() {
+        fn kinds<'a>(kinds: impl Iterator<Item = &'a str>) -> BTreeSet<&'a str> {
+            kinds.collect()
+        }
+        assert_eq!(
+            kinds(sample_requests().iter().map(Request::kind)),
+            kinds(Request::DECLARED.iter().map(|(kind, _)| *kind)),
+        );
+        assert_eq!(
+            kinds(sample_responses().iter().map(Response::kind)),
+            kinds(Response::DECLARED.iter().map(|(kind, _)| *kind)),
+        );
+    }
+
     fn req_roundtrip(req: &Request, ctx: Option<TraceContext>, tenant: Option<&str>) {
         let mut buf = Vec::new();
         encode_request_frame(&mut buf, 77, req, ctx, tenant);
@@ -1147,11 +897,7 @@ mod tests {
         let decoded = decode_request_body(corr, body).unwrap();
         assert_eq!(decoded.ctx, ctx);
         assert_eq!(decoded.tenant.as_deref(), tenant);
-        // Request has no PartialEq: compare through `to_value()`.
-        assert_eq!(
-            serde_json::to_string(&decoded.req.to_value()).unwrap(),
-            serde_json::to_string(&req.to_value()).unwrap(),
-        );
+        assert_eq!(&decoded.req, req);
     }
 
     #[test]
@@ -1178,33 +924,81 @@ mod tests {
                 panic!("not a response frame");
             };
             assert_eq!(corr, u64::MAX);
-            let decoded = decode_response_body(body).unwrap();
-            assert_eq!(
-                serde_json::to_string(&decoded.to_value()).unwrap(),
-                serde_json::to_string(&resp.to_value()).unwrap(),
-            );
+            assert_eq!(&decode_response_body(body).unwrap(), resp);
         }
     }
 
-    /// The wire codec and the serde derives (stdb records, CLI `--json`
-    /// output) describe the same value space: a response decoded from its
-    /// frame equals, through `to_value()`, the one serde round-trips.
+    /// The `CGB1` bytes of every sample request, bare and then with a
+    /// trace context and a tenant.
+    const GOLDEN_REQUESTS: &[&str] = &[
+        "c9474231024d000000000000000000",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d6100",
+        "c9474231024d000000000000000001",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d6101",
+        "c9474231024d0000000000000000021b00000062656e63686d61726b3a2f2f6362656e63682d76312f63726333320100000000000000",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d61021b00000062656e63686d61726b3a2f2f6362656e63682d76312f63726333320100000000000000",
+        "c9474231024d0000000000000000032a000000000000000300000000000000000000000700000000000000ffffffffffffffff02000000090000004175746f7068617365020000004972",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d61032a000000000000000300000000000000000000000700000000000000ffffffffffffffff02000000090000004175746f7068617365020000004972",
+        "c9474231024d0000000000000000040300000000000000",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d61040300000000000000",
+        "c9474231024d0000000000000000050900000000000000",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d61050900000000000000",
+        "c9474231024d0000000000000000060100000062000000000000000003000000010000000000000002000000000000000300000000000000040000000001ff80",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d61060100000062000000000000000003000000010000000000000002000000000000000300000000000000040000000001ff80",
+        "c9474231024d00000000000000000a0100000062010000000000000003000000040000000000000000000000000000000400000000000000",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d610a0100000062010000000000000003000000040000000000000000000000000000000400000000000000",
+        "c9474231024d0000000000000000070b00000000000000",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d61070b00000000000000",
+        "c9474231024d00000000000000000801e8030000000000000001000000000000f83f01ffffffffffffffff",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d610801e8030000000000000001000000000000f83f01ffffffffffffffff",
+        "c9474231024d000000000000000009",
+        "c9474231024d0000000000000003ffffffffffffffff39300000000000000800000074656e616e742d6109",
+    ];
+
+    /// The `CGB1` bytes of every sample response.
+    const GOLDEN_RESPONSES: &[&str] = &[
+        "c947423103ffffffffffffffff00",
+        "c947423103ffffffffffffffff01010000000c00000050617373506970656c696e6502000000070000006d656d327265670300000067766e01000000090000004175746f706861736501010001000000140000004972496e737472756374696f6e436f756e744f7a120000004972496e737472756374696f6e436f756e74000000000000f03f01140000004972496e737472756374696f6e436f756e744f7a01",
+        "c947423103ffffffffffffffff021100000000000000",
+        "c947423103ffffffffffffffff03010006000000001f000000646566696e652069333220406628290a20207265742c202271756f746564220105000000080000000000000080ffffffffffffffff00000000000000000100000000000000ffffffffffffff7f0203000000344dd33d0000e8c0ffff7f7f030000000000707e40040200000000030000006164640d0000000102000000257800000000020000000200000100010100000000050400000000ff8007",
+        "c947423103ffffffffffffffff040500000000000000",
+        "c947423103ffffffffffffffff0b0c000000000000001400000000000000",
+        "c947423103ffffffffffffffff05",
+        "c947423103ffffffffffffffff0600",
+        "c947423103ffffffffffffffff060103000000090807",
+        "c947423103ffffffffffffffff070119000000000000001e000000000000000a00000073746174652067726577",
+        "c947423103ffffffffffffffff08640000000000000018000000636f6e6e656374696f6e2063617020312072656163686564",
+        "c947423103ffffffffffffffff090c0000006e6f2073657373696f6e2033",
+        "c947423103ffffffffffffffff0a1200000073657373696f6e20332070616e69636b6564",
+    ];
+
+    /// The samples encode to exactly these bytes. They change only with a
+    /// new `WIRE_VERSION`: a peer of this version decodes them as they are.
     #[test]
-    fn cross_codec_agreement() {
-        let mut buf = Vec::new();
-        for resp in &sample_responses() {
-            encode_response_frame(&mut buf, 0, resp);
-            let Frame::Response { body, .. } = decode_frame(&buf).unwrap() else {
-                panic!("not a response frame");
-            };
-            let from_binary = decode_response_body(body).unwrap();
-            let json = serde_json::to_vec(resp).unwrap();
-            let from_json: Response = serde_json::from_slice(&json).unwrap();
-            assert_eq!(
-                serde_json::to_string(&from_binary.to_value()).unwrap(),
-                serde_json::to_string(&from_json.to_value()).unwrap(),
-            );
+    fn sample_frames_match_their_golden_bytes() {
+        fn hex(frame: &[u8]) -> String {
+            frame.iter().map(|b| format!("{b:02x}")).collect()
         }
+        let ctx = Some(TraceContext {
+            trace_id: u64::MAX,
+            span_id: 12345,
+        });
+        let mut buf = Vec::new();
+        let mut requests = Vec::new();
+        for req in &sample_requests() {
+            encode_request_frame(&mut buf, 77, req, None, None);
+            requests.push(hex(&buf));
+            encode_request_frame(&mut buf, 77, req, ctx, Some("tenant-a"));
+            requests.push(hex(&buf));
+        }
+        assert_eq!(requests, GOLDEN_REQUESTS);
+        let mut responses = Vec::new();
+        for resp in &sample_responses() {
+            encode_response_frame(&mut buf, u64::MAX, resp);
+            responses.push(hex(&buf));
+        }
+        assert_eq!(responses, GOLDEN_RESPONSES);
+        assert_eq!((WIRE_MAGIC, WIRE_VERSION), ([0xC9, b'G', b'B', b'1'], 1));
     }
 
     #[test]
@@ -1277,206 +1071,15 @@ mod tests {
         assert_eq!(buf.capacity(), cap, "scratch must be reused, not regrown");
     }
 
-    // ------------------------------------------------------------------
-    // Property tests: encode→decode identity over arbitrary values,
-    // compared through `to_value()`, and agreement with the serde derives.
-    // ------------------------------------------------------------------
-
-    fn arb_string(rng: &mut TestRng) -> String {
-        let len = rng.below(20) as usize;
-        (0..len)
-            .map(|_| {
-                // Mix ASCII with multi-byte chars and escape-hostile ones.
-                match rng.below(6) {
-                    0 => '\n',
-                    1 => '"',
-                    2 => '\\',
-                    3 => 'λ',
-                    _ => (b'a' + rng.below(26) as u8) as char,
-                }
-            })
-            .collect()
-    }
-
-    fn arb_observation(rng: &mut TestRng) -> Observation {
-        match rng.below(6) {
-            0 => Observation::Text(arb_string(rng)),
-            1 => {
-                Observation::IntVector((0..rng.below(80)).map(|_| rng.next_u64() as i64).collect())
-            }
-            2 => Observation::FloatVector(
-                (0..rng.below(80))
-                    .map(|_| f32::from_bits(rng.next_u64() as u32))
-                    .filter(|f| f.is_finite())
-                    .collect(),
-            ),
-            3 => Observation::Scalar((rng.next_u64() as i64 as f64) / 7.0),
-            4 => {
-                let nodes: Vec<GraphNode> = (0..rng.below(12))
-                    .map(|_| GraphNode {
-                        kind: match rng.below(4) {
-                            0 => NodeKind::Instruction,
-                            1 => NodeKind::Variable,
-                            2 => NodeKind::Constant,
-                            _ => NodeKind::Function,
-                        },
-                        label: arb_string(rng),
-                        opcode: rng.below(70) as u32,
-                    })
-                    .collect();
-                let n = nodes.len().max(1) as u64;
-                let edges = (0..rng.below(20))
-                    .map(|_| {
-                        (
-                            rng.below(n) as u32,
-                            rng.below(n) as u32,
-                            match rng.below(3) {
-                                0 => EdgeKind::Control,
-                                1 => EdgeKind::Data,
-                                _ => EdgeKind::Call,
-                            },
-                        )
-                    })
-                    .collect();
-                Observation::Graph(ProgramGraph { nodes, edges })
-            }
-            _ => Observation::Bytes((0..rng.below(64)).map(|_| rng.next_u64() as u8).collect()),
-        }
-    }
-
-    fn arb_request(rng: &mut TestRng) -> Request {
-        match rng.below(11) {
-            0 => Request::Ping,
-            1 => Request::GetSpaces,
-            2 => Request::StartSession {
-                benchmark: arb_string(rng),
-                action_space: rng.below(4) as usize,
-            },
-            3 => Request::Step {
-                session_id: rng.next_u64(),
-                actions: (0..rng.below(16))
-                    .map(|_| rng.below(1 << 20) as usize)
-                    .collect(),
-                observation_spaces: (0..rng.below(4)).map(|_| arb_string(rng)).collect(),
-            },
-            4 => Request::Fork {
-                session_id: rng.next_u64(),
-            },
-            5 => Request::EndSession {
-                session_id: rng.next_u64(),
-            },
-            6 => Request::RestoreSession {
-                benchmark: arb_string(rng),
-                action_space: rng.below(4) as usize,
-                actions: (0..rng.below(16))
-                    .map(|_| rng.below(1 << 20) as usize)
-                    .collect(),
-                state: SessionSnapshot::from_bytes(
-                    (0..rng.below(128)).map(|_| rng.next_u64() as u8).collect(),
-                ),
-            },
-            7 => Request::ExportState {
-                session_id: rng.next_u64(),
-            },
-            8 => Request::Configure {
-                budget: ResourceBudget {
-                    step_wall_us: (rng.below(2) == 1).then(|| rng.next_u64()),
-                    max_state_size: (rng.below(2) == 1).then(|| rng.next_u64()),
-                    max_growth: (rng.below(2) == 1).then(|| rng.below(1000) as f64 / 8.0),
-                    interp_fuel: (rng.below(2) == 1).then(|| rng.next_u64()),
-                },
-            },
-            9 => Request::Resume {
-                benchmark: arb_string(rng),
-                action_space: rng.below(4) as usize,
-                actions: (0..rng.below(16))
-                    .map(|_| rng.below(1 << 20) as usize)
-                    .collect(),
-            },
-            _ => Request::Shutdown,
-        }
-    }
-
-    fn arb_response(rng: &mut TestRng) -> Response {
-        match rng.below(12) {
-            0 => Response::Pong,
-            1 => Response::SessionStarted {
-                session_id: rng.next_u64(),
-            },
-            2 => Response::Stepped {
-                end_of_episode: rng.below(2) == 1,
-                changed: rng.below(2) == 1,
-                observations: (0..rng.below(4)).map(|_| arb_observation(rng)).collect(),
-            },
-            3 => Response::Forked {
-                session_id: rng.next_u64(),
-            },
-            4 => Response::Ok,
-            5 => Response::State {
-                state: (rng.below(2) == 1)
-                    .then(|| (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect())
-                    .map(SessionSnapshot::from_bytes),
-            },
-            6 => Response::Budget(BudgetViolation {
-                kind: if rng.below(2) == 1 {
-                    BudgetKind::Wall
-                } else {
-                    BudgetKind::Growth
-                },
-                limit: rng.next_u64(),
-                observed: rng.next_u64(),
-                detail: arb_string(rng),
-            }),
-            7 => Response::Overloaded {
-                retry_after_ms: rng.next_u64(),
-                reason: arb_string(rng),
-            },
-            8 => Response::Error(arb_string(rng)),
-            9 => Response::Fatal(arb_string(rng)),
-            10 => Response::Resumed {
-                session_id: rng.next_u64(),
-                depth: rng.below(1 << 20) as usize,
-            },
-            _ => Response::Spaces {
-                action_spaces: (0..rng.below(3))
-                    .map(|_| ActionSpaceInfo {
-                        name: arb_string(rng),
-                        actions: (0..rng.below(6)).map(|_| arb_string(rng)).collect(),
-                    })
-                    .collect(),
-                observation_spaces: (0..rng.below(3))
-                    .map(|_| ObservationSpaceInfo {
-                        name: arb_string(rng),
-                        kind: obs_kind_from_tag(rng.below(6) as u8).unwrap(),
-                        deterministic: rng.below(2) == 1,
-                        platform_dependent: rng.below(2) == 1,
-                    })
-                    .collect(),
-                reward_spaces: (0..rng.below(3))
-                    .map(|_| RewardSpaceInfo {
-                        name: arb_string(rng),
-                        metric: arb_string(rng),
-                        sign: if rng.below(2) == 1 { 1.0 } else { -1.0 },
-                        baseline: (rng.below(2) == 1).then(|| arb_string(rng)),
-                        deterministic: rng.below(2) == 1,
-                    })
-                    .collect(),
-            },
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
         #[test]
-        fn prop_request_binary_roundtrip_and_json_agreement(seed in 0u64..u64::MAX) {
+        fn prop_request_binary_roundtrip(seed in 0u64..u64::MAX) {
             let mut rng = TestRng::new(seed);
-            let req = arb_request(&mut rng);
-            let ctx = (rng.below(2) == 1).then(|| TraceContext {
-                trace_id: rng.next_u64(),
-                span_id: rng.next_u64(),
-            });
-            let tenant = (rng.below(2) == 1).then(|| arb_string(&mut rng));
+            let req = Request::arb(&mut rng);
+            let ctx = Option::<TraceContext>::arb(&mut rng);
+            let tenant = Option::<String>::arb(&mut rng);
             let mut buf = Vec::new();
             encode_request_frame(&mut buf, seed, &req, ctx, tenant.as_deref());
             let Frame::Request { corr, body } = decode_frame(&buf).unwrap() else {
@@ -1486,47 +1089,26 @@ mod tests {
             let decoded = decode_request_body(corr, body).unwrap();
             prop_assert_eq!(decoded.ctx, ctx);
             prop_assert_eq!(decoded.tenant, tenant);
-            // Binary round trip, compared through `to_value()`.
-            let via_binary = serde_json::to_string(&decoded.req.to_value()).unwrap();
-            let direct = serde_json::to_string(&req.to_value()).unwrap();
-            prop_assert_eq!(via_binary, direct);
-            // The serde derives describe the same value.
-            let via_json: Request =
-                serde_json::from_slice(&serde_json::to_vec(&req).unwrap()).unwrap();
-            prop_assert_eq!(
-                serde_json::to_string(&via_json.to_value()).unwrap(),
-                serde_json::to_string(&req.to_value()).unwrap()
-            );
+            prop_assert_eq!(decoded.req, req);
         }
 
         #[test]
-        fn prop_response_binary_roundtrip_and_json_agreement(seed in 0u64..u64::MAX) {
+        fn prop_response_binary_roundtrip(seed in 0u64..u64::MAX) {
             let mut rng = TestRng::new(seed);
-            let resp = arb_response(&mut rng);
+            let resp = Response::arb(&mut rng);
             let mut buf = Vec::new();
             encode_response_frame(&mut buf, seed ^ 0xABCD, &resp);
             let Frame::Response { corr, body } = decode_frame(&buf).unwrap() else {
                 panic!("not a response frame");
             };
             prop_assert_eq!(corr, seed ^ 0xABCD);
-            let decoded = decode_response_body(body).unwrap();
-            // Binary round trip, compared through `to_value()`.
-            let via_binary = serde_json::to_string(&decoded.to_value()).unwrap();
-            let direct = serde_json::to_string(&resp.to_value()).unwrap();
-            prop_assert_eq!(via_binary, direct);
-            // The serde derives describe the same value.
-            let via_json: Response =
-                serde_json::from_slice(&serde_json::to_vec(&resp).unwrap()).unwrap();
-            prop_assert_eq!(
-                serde_json::to_string(&via_json.to_value()).unwrap(),
-                serde_json::to_string(&resp.to_value()).unwrap()
-            );
+            prop_assert_eq!(decode_response_body(body).unwrap(), resp);
         }
 
         #[test]
         fn prop_decoder_never_panics_on_corrupt_bytes(seed in 0u64..u64::MAX) {
             let mut rng = TestRng::new(seed);
-            let resp = arb_response(&mut rng);
+            let resp = Response::arb(&mut rng);
             let mut buf = Vec::new();
             encode_response_frame(&mut buf, 1, &resp);
             // Flip a few bytes and truncate: the decoder must return a typed

@@ -277,7 +277,7 @@ fn budget_violation_is_typed_and_prompt_without_restart() {
             .with_max_attempts(2)
             .with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
     );
-    env.set_resource_budget(ResourceBudget::default().with_step_wall(WALL))
+    env.set_resource_budget(ResourceBudget::default().with_wall(WALL))
         .unwrap();
     env.reset().unwrap();
     let started = Instant::now();
@@ -312,7 +312,7 @@ fn budget_kill_recovers_via_checkpoint_without_restart() {
         .with_hang_duration(Duration::from_secs(5))
         .wrap(session_factory("llvm-v0").unwrap());
     let (mut env, store) = llvm_env_with_ring(factory, DEFAULT_CHECKPOINT_INTERVAL);
-    env.set_resource_budget(ResourceBudget::default().with_step_wall(Duration::from_millis(250)))
+    env.set_resource_budget(ResourceBudget::default().with_wall(Duration::from_millis(250)))
         .unwrap();
     env.reset().unwrap();
     let pool = ["instcombine", "dce", "gvn", "sroa"];

@@ -89,7 +89,7 @@ pub fn link(
 /// none, so it gets a wall budget, which kills the call in band.
 pub fn contain_hangs(via: Via, env: &mut CompilerEnv, deadline: Duration) {
     if via == Via::Inline {
-        env.set_resource_budget(ResourceBudget::default().with_step_wall(deadline))
+        env.set_resource_budget(ResourceBudget::default().with_wall(deadline))
             .unwrap();
     }
 }

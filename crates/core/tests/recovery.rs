@@ -6,6 +6,7 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,11 +15,13 @@ use cg_core::chaos::{FaultKind, FaultPlan};
 use cg_core::checkpoint::DEFAULT_CHECKPOINT_INTERVAL;
 use cg_core::envs::session_factory;
 use cg_core::service::{InlineLink, Link, Request, Response, SessionFactory};
-use cg_core::session::{ActionOutcome, CompilationSession};
+use cg_core::session::{ActionOutcome, CompilationSession, SessionSnapshot};
 use cg_core::space::{
     ActionSpaceInfo, Observation, ObservationKind, ObservationSpaceInfo, RewardSpaceInfo,
 };
-use cg_core::{Broker, BrokerConfig, CgError, CompilerEnv, ResourceBudget, RetryPolicy};
+use cg_core::{
+    Broker, BrokerConfig, CgError, CompilerEnv, ResourceBudget, RetryPolicy, RingCheckpoint,
+};
 use common::{Via, ALL};
 
 const BENCH: &str = "benchmark://cbench-v1/crc32";
@@ -151,7 +154,7 @@ fn hang_at_step_5_of_10_over(via: Via, kind: FaultKind) {
     if wedge {
         // `Configure` reaches every broker worker, so this holds over TCP
         // whichever worker the replay lands on.
-        env.set_resource_budget(ResourceBudget::default().with_step_wall(TIMEOUT))
+        env.set_resource_budget(ResourceBudget::default().with_wall(TIMEOUT))
             .unwrap();
     } else {
         common::contain_hangs(via, &mut env, TIMEOUT);
@@ -819,10 +822,8 @@ fn budgeted_steps_share_one_runner_until_a_wall_kill_replaces_it() {
             DEFAULT_CHECKPOINT_INTERVAL,
             Duration::from_secs(10),
         );
-        link.set_resource_budget(
-            ResourceBudget::default().with_step_wall(Duration::from_millis(300)),
-        )
-        .unwrap();
+        link.set_resource_budget(ResourceBudget::default().with_wall(Duration::from_millis(300)))
+            .unwrap();
         let (session_id, first) = step_and_record(&*link, &threads, 20);
         assert_eq!(
             first.len(),
@@ -866,8 +867,8 @@ fn budgeted_steps_share_one_runner_until_a_wall_kill_replaces_it() {
 /// How long a [`HangsIn`] session hangs: far past the wall budget below.
 const HANG_FOR: Duration = Duration::from_secs(3);
 
-/// A session that hangs in `init`, `fork` or `snapshot` when its benchmark
-/// names that call, and otherwise counts its applies.
+/// A session that hangs in `init`, `step`, `fork`, `snapshot` or `restore`
+/// when its benchmark names that call, and otherwise counts its applies.
 struct HangsIn {
     benchmark: String,
     steps: u64,
@@ -900,6 +901,7 @@ impl CompilationSession for HangsIn {
         Ok(())
     }
     fn apply_action(&mut self, _a: usize) -> Result<ActionOutcome, String> {
+        self.hang_in("step");
         self.steps += 1;
         Ok(ActionOutcome {
             end_of_episode: false,
@@ -917,17 +919,24 @@ impl CompilationSession for HangsIn {
             steps: self.steps,
         })
     }
-    fn snapshot(&self) -> Option<cg_core::session::SessionSnapshot> {
+    fn snapshot(&self) -> Option<SessionSnapshot> {
         self.hang_in("snapshot");
         None
+    }
+    fn restore(&mut self, _state: &SessionSnapshot) -> Result<(), String> {
+        self.hang_in("restore");
+        Ok(())
     }
 }
 
 /// Every session-scoped request runs under the wall budget, on every link:
-/// a session that hangs in `init`, in `fork` or in `snapshot` is answered
-/// with a typed wall violation within a few walls, and the link goes on
-/// serving. Each call runs on a helper thread, so a call that is not
-/// contained fails this test instead of hanging it.
+/// a session that hangs in `init`, `step`, `fork`, `snapshot` or `restore`
+/// is answered with a typed wall violation within a few walls, and the link
+/// goes on serving. `Resume` falls back to a fresh session when its
+/// checkpoint's `restore` is wall-killed. Each call runs on a helper
+/// thread, so a call that is not contained fails this test instead of
+/// hanging it. The kinds it hangs are exactly the declared session-scoped
+/// ones, so a new session-scoped request fails it until it is added here.
 #[test]
 fn every_session_scoped_request_is_contained() {
     const WALL: Duration = Duration::from_millis(200);
@@ -938,13 +947,13 @@ fn every_session_scoped_request_is_contained() {
         })
     });
     for via in ALL {
-        let (link, _) = common::link(
+        let (link, ring) = common::link(
             via,
             Arc::clone(&factory),
             DEFAULT_CHECKPOINT_INTERVAL,
             Duration::from_secs(30),
         );
-        link.set_resource_budget(ResourceBudget::default().with_step_wall(WALL))
+        link.set_resource_budget(ResourceBudget::default().with_wall(WALL))
             .unwrap();
         let link: Arc<dyn Link> = Arc::from(link);
         let call = |req: Request| {
@@ -969,15 +978,64 @@ fn every_session_scoped_request_is_contained() {
             other => panic!("{via:?}: {what} was not wall-killed: {other:?}"),
         };
 
+        let mut hung = BTreeSet::new();
+        let mut hang = |req: Request| {
+            hung.insert(req.kind());
+            call(req)
+        };
+
         let hung_init = Request::StartSession {
             benchmark: "init".into(),
             action_space: 0,
         };
-        wall_killed("init", call(hung_init));
+        wall_killed("init", hang(hung_init));
+        let session_id = start("step");
+        wall_killed(
+            "step",
+            hang(Request::Step {
+                session_id,
+                actions: vec![0],
+                observation_spaces: vec![],
+            }),
+        );
         let session_id = start("fork");
-        wall_killed("fork", call(Request::Fork { session_id }));
+        wall_killed("fork", hang(Request::Fork { session_id }));
         let session_id = start("snapshot");
-        wall_killed("snapshot", call(Request::ExportState { session_id }));
+        wall_killed("snapshot", hang(Request::ExportState { session_id }));
+        let state = SessionSnapshot::from_bytes(vec![1]);
+        let hung_restore = Request::RestoreSession {
+            benchmark: "restore".into(),
+            action_space: 0,
+            actions: vec![0],
+            state: state.clone(),
+        };
+        wall_killed("restore", hang(hung_restore));
+        ring.put_snapshot(RingCheckpoint {
+            benchmark: "restore".into(),
+            action_space: 0,
+            actions: vec![0],
+            state,
+        });
+        let kills = cg_telemetry::global().budget_kills.get();
+        let resumed = hang(Request::Resume {
+            benchmark: "restore".into(),
+            action_space: 0,
+            actions: vec![0, 0],
+        });
+        assert!(
+            matches!(resumed, Ok(Response::Resumed { depth: 0, .. })),
+            "{via:?}: a resume whose restore hangs must start over: {resumed:?}"
+        );
+        assert!(
+            cg_telemetry::global().budget_kills.get() > kills,
+            "{via:?}: the hung restore was not wall-killed"
+        );
+        let scoped: BTreeSet<&str> = Request::DECLARED
+            .iter()
+            .filter(|(_, classes)| classes.session_scoped())
+            .map(|(kind, _)| *kind)
+            .collect();
+        assert_eq!(hung, scoped, "{via:?}");
 
         assert!(matches!(call(Request::Ping), Ok(Response::Pong)), "{via:?}");
         let session_id = start("fresh");

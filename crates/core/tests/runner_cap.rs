@@ -68,7 +68,7 @@ fn abandoned_runners_are_capped() {
     let live = || cg_telemetry::global().runner_abandoned_live.get();
     let cap = MAX_ABANDONED_RUNNERS as i64;
     let link = InlineLink::new(Arc::new(|| Box::new(Stuck)));
-    link.set_resource_budget(ResourceBudget::default().with_step_wall(WALL))
+    link.set_resource_budget(ResourceBudget::default().with_wall(WALL))
         .unwrap();
     // Every session starts up front, on the first runner.
     let sessions: Vec<u64> = (0..=MAX_ABANDONED_RUNNERS)

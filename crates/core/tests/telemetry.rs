@@ -216,7 +216,7 @@ fn hung_init_is_a_counted_budget_kill() {
 
     let factory: SessionFactory = Arc::new(|| Box::new(HangOnInit));
     let link = InlineLink::new(factory);
-    link.set_resource_budget(ResourceBudget::default().with_step_wall(Duration::from_millis(100)))
+    link.set_resource_budget(ResourceBudget::default().with_wall(Duration::from_millis(100)))
         .unwrap();
     let mut env = CompilerEnv::with_link(
         "hang-v0",

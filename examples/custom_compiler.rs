@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A wall budget bounds every session call: a hung pass is answered in
     // band instead of hanging this thread.
     client.set_resource_budget(
-        cg_core::ResourceBudget::default().with_step_wall(Duration::from_secs(10)),
+        cg_core::ResourceBudget::default().with_wall(Duration::from_secs(10)),
     )?;
 
     let sid = match client.call(Request::StartSession {
