@@ -85,6 +85,43 @@ impl SnapshotState for Module {
     }
 }
 
+/// A module observation: its name, how the session serves it from its
+/// table, and the reference function it must equal.
+type ModuleSpace = (
+    &'static str,
+    fn(&mut observation::IncrementalFeatures, &Module) -> Observation,
+    fn(&Module) -> Observation,
+);
+
+/// The five module observations.
+const MODULE_SPACES: [ModuleSpace; 5] = [
+    (
+        "Ir",
+        |t, m| Observation::Text(t.ir_text(m)),
+        |m| Observation::Text(observation::ir_text(m)),
+    ),
+    (
+        "InstCount",
+        |t, m| Observation::IntVector(t.inst_count(m)),
+        |m| Observation::IntVector(observation::inst_count(m)),
+    ),
+    (
+        "Autophase",
+        |t, m| Observation::IntVector(t.autophase(m)),
+        |m| Observation::IntVector(observation::autophase(m)),
+    ),
+    (
+        "Inst2vec",
+        |t, m| Observation::FloatVector(t.inst2vec(m)),
+        |m| Observation::FloatVector(observation::inst2vec(m)),
+    ),
+    (
+        "Programl",
+        |t, m| Observation::Graph(t.programl(m)),
+        |m| Observation::Graph(observation::programl(m)),
+    ),
+];
+
 /// The LLVM phase-ordering compilation session: holds the module being
 /// optimized and applies one pass per action ("After initially reading and
 /// parsing the bitcode file, the server incrementally applies an individual
@@ -99,12 +136,11 @@ pub struct LlvmSession {
     /// Interpreter limits for runtime observations; the fuel cap is
     /// tightened by `apply_budget` (in-service resource budgets).
     limits: ExecLimits,
-    /// Per-function feature cache; invalidated by the `Touched` set each
-    /// applied pass reports, so `InstCount`/`Autophase` only re-scan dirty
-    /// functions.
+    /// The per-function table the five module observations are served
+    /// from, keyed by function stamp: an observation re-derives only the
+    /// functions that changed since one was last served. Only `observe`
+    /// fills it; a fork shares its entries.
     features: observation::IncrementalFeatures,
-    /// Reusable IR-print buffer for `Ir` observations.
-    print_buf: String,
     /// Analysis cache shared across the episode's actions: a pass reuses
     /// the dominator tree or loop forest of any function the previous
     /// actions left unchanged (stamp-checked).
@@ -141,7 +177,6 @@ impl LlvmSession {
             measurement_counter: 0,
             limits: ExecLimits::default(),
             features: observation::IncrementalFeatures::new(),
-            print_buf: String::new(),
             analyses: cg_ir::AnalysisManager::new(),
         }
     }
@@ -236,7 +271,6 @@ impl CompilationSession for LlvmSession {
         self.module = Some((*cached_benchmark(benchmark)?).clone());
         self.benchmark = benchmark.to_string();
         self.measurement_counter = 0;
-        self.features.clear();
         self.analyses = cg_ir::AnalysisManager::new();
         Ok(())
     }
@@ -258,7 +292,6 @@ impl CompilationSession for LlvmSession {
         };
         let m = self.module.as_mut().ok_or("session not initialized")?;
         let effect = self.space.apply_with(m, index, &mut self.analyses);
-        self.features.invalidate(&effect.touched);
         Ok(ActionOutcome {
             end_of_episode: false,
             action_space_changed: false,
@@ -268,41 +301,20 @@ impl CompilationSession for LlvmSession {
 
     fn observe(&mut self, space: &str) -> Result<Observation, String> {
         let uri = self.benchmark.clone();
-        // The feature spaces go through the per-function cache and `Ir`
-        // through the print buffer (both mutable) alongside the module, so
-        // handle them on disjoint field borrows before the read-only arms.
-        match space {
-            "Ir" => {
-                let m = self.module.as_ref().ok_or("session not initialized")?;
-                observation::ir_text_into(&mut self.print_buf, m);
-                return Ok(Observation::Text(self.print_buf.clone()));
-            }
-            "InstCount" => {
-                let m = self.module.as_ref().ok_or("session not initialized")?;
-                let v = self.features.inst_count(m);
-                debug_assert_eq!(
-                    v,
-                    observation::inst_count(m),
-                    "incremental InstCount diverged from full recompute"
-                );
-                return Ok(Observation::IntVector(v));
-            }
-            "Autophase" => {
-                let m = self.module.as_ref().ok_or("session not initialized")?;
-                let v = self.features.autophase(m);
-                debug_assert_eq!(
-                    v,
-                    observation::autophase(m),
-                    "incremental Autophase diverged from full recompute"
-                );
-                return Ok(Observation::IntVector(v));
-            }
-            _ => {}
+        // The module spaces are served from the per-function table (mutable)
+        // alongside the module, on disjoint field borrows.
+        if let Some((_, serve, reference)) = MODULE_SPACES.iter().find(|s| s.0 == space) {
+            let m = self.module.as_ref().ok_or("session not initialized")?;
+            let obs = serve(&mut self.features, m);
+            debug_assert_eq!(
+                obs,
+                reference(m),
+                "{space} from the per-function table diverged from a full recompute"
+            );
+            return Ok(obs);
         }
         let m = self.module()?;
         Ok(match space {
-            "Inst2vec" => Observation::FloatVector(observation::inst2vec(m)),
-            "Programl" => Observation::Graph(observation::programl(m)),
             "IrInstructionCount" => Observation::Scalar(reward::ir_instruction_count(m) as f64),
             "ObjectTextSizeBytes" => Observation::Scalar(reward::binary_size(m) as f64),
             "IrInstructionCountOz" => {
@@ -339,7 +351,6 @@ impl CompilationSession for LlvmSession {
             measurement_counter: self.measurement_counter,
             limits: self.limits,
             features: self.features.clone(),
-            print_buf: String::new(),
             // Forks start with an empty cache: entries repopulate on first
             // use, and the parent keeps its own.
             analyses: cg_ir::AnalysisManager::new(),
@@ -365,10 +376,10 @@ impl CompilationSession for LlvmSession {
             }
         };
         self.module = Some((*module).clone());
-        // The per-function caches are keyed by function id: a re-parsed
-        // module numbers from zero and a structural one may come from
-        // another episode, so drop everything.
-        self.features.clear();
+        // A re-parsed module numbers its functions from zero and a
+        // structural one may come from another episode: the analysis
+        // manager starts over. The observation table needs nothing: its
+        // entries are keyed by stamp.
         self.analyses = cg_ir::AnalysisManager::new();
         Ok(())
     }
@@ -453,6 +464,67 @@ mod tests {
             .as_scalar()
             .unwrap();
         assert!(orig < forked, "fork kept the pre-action module");
+    }
+
+    /// Every module observation the session serves equals its reference
+    /// on the session's module.
+    fn assert_observations_fresh(s: &mut dyn CompilationSession, what: &str) {
+        let m = s.snapshot().unwrap().live::<Module>().unwrap();
+        for (space, _, reference) in &MODULE_SPACES {
+            assert_eq!(s.observe(space).unwrap(), reference(&m), "{space} {what}");
+        }
+    }
+
+    fn step(s: &mut LlvmSession, pass: &str) {
+        s.apply_action(s.space.index_of(pass).unwrap()).unwrap();
+    }
+
+    #[test]
+    fn observations_are_fresh_after_fork_and_every_kind_of_restore() {
+        let mut s = LlvmSession::new();
+        s.init("benchmark://cbench-v1/qsort", 0).unwrap();
+        assert_observations_fresh(&mut s, "after init");
+        let snap = s.snapshot().unwrap();
+        let bytes = SessionSnapshot::from_bytes(snap.to_bytes().to_vec());
+
+        // A fork shares the table and each side moves on alone.
+        let mut f = s.fork();
+        step(&mut s, "mem2reg");
+        assert_observations_fresh(&mut s, "after a step");
+        assert_observations_fresh(f.as_mut(), "on the fork");
+
+        step(&mut s, "inline-225");
+        s.restore(&snap).unwrap();
+        assert_observations_fresh(&mut s, "after a live restore");
+        step(&mut s, "globaldce");
+        s.restore(&bytes).unwrap();
+        assert_observations_fresh(&mut s, "after a byte restore");
+
+        let mut other = LlvmSession::new();
+        other.init("benchmark://cbench-v1/crc32", 0).unwrap();
+        step(&mut other, "mem2reg");
+        s.restore(&other.snapshot().unwrap()).unwrap();
+        assert_observations_fresh(&mut s, "after restoring another benchmark");
+        step(&mut s, "simplifycfg");
+        assert_observations_fresh(&mut s, "after stepping the restored state");
+    }
+
+    #[test]
+    fn stepping_without_observing_fills_nothing() {
+        let mut s = LlvmSession::new();
+        s.init("benchmark://cbench-v1/qsort", 0).unwrap();
+        for pass in ["mem2reg", "instcombine", "inline-225", "globaldce"] {
+            step(&mut s, pass);
+        }
+        let fork = s.fork();
+        let snap = s.snapshot().unwrap();
+        s.restore(&snap).unwrap();
+        s.observe("IrInstructionCount").unwrap();
+        assert_eq!(s.features.cached_functions(), [0; 5]);
+        drop(fork);
+        s.observe("Autophase").unwrap();
+        let n = s.module_ref().unwrap().num_functions();
+        assert_eq!(s.features.cached_functions(), [0, 0, n, 0, 0]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Replaying the actions must reproduce the same final state and reward —
 //! if it does not, the underlying compiler has a reproducibility bug (this
 //! is exactly how the paper caught LLVM's `-gvn-sink`; see the
-//! `validation_catches_gvn_sink_bug` integration test).
+//! `validation_catches_gvn_sink_nondeterminism` test in
+//! `tests/end_to_end.rs`).
 
 use serde::{Deserialize, Serialize};
 

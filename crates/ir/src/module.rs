@@ -479,8 +479,12 @@ impl Module {
         self.stamp
     }
 
-    /// Adds a function, returning its id.
-    pub fn add_function(&mut self, f: Function) -> FuncId {
+    /// Adds a function, returning its id. The function gets a fresh
+    /// [`Stamp`], as [`Module::put_func`] gives one: it may be a detached
+    /// clone whose public fields were edited, which must not share a stamp
+    /// with the function it was cloned from.
+    pub fn add_function(&mut self, mut f: Function) -> FuncId {
+        f.stamp = Stamp::next();
         let id = FuncId(self.slot.len() as u32);
         self.slot.push(self.functions.len() as u32);
         self.functions.push(Arc::new(f));
@@ -938,6 +942,20 @@ mod tests {
         m.add_function(tiny_function());
         assert_ne!(m.stamp(), s2);
         assert_eq!(m.clone().stamp(), m.stamp());
+    }
+
+    #[test]
+    fn an_added_function_gets_a_fresh_stamp() {
+        let (m, f, _) = two_function_module();
+        // A detached clone, renamed through a public field: no stamp moved.
+        let mut copy = m.func(f).clone();
+        copy.name = "renamed".into();
+        assert_eq!(copy.stamp(), m.func(f).stamp());
+        // Added to a module at the same id, it must not alias the original.
+        let mut other = Module::new("m");
+        let id = other.add_function(copy);
+        assert_eq!(id, f);
+        assert_ne!(other.func(id).stamp(), m.func(f).stamp());
     }
 
     #[test]

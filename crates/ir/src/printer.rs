@@ -29,9 +29,18 @@ pub fn print_module(m: &Module) -> String {
 
 /// Prints a whole module into a caller-supplied buffer, clearing it first.
 /// Reusing one buffer across prints avoids re-growing a fresh `String` for
-/// every IR observation or checkpoint.
+/// every print.
 pub fn print_module_into(out: &mut String, m: &Module) {
     out.clear();
+    print_header(out, m);
+    for &fid in m.func_ids() {
+        print_function(out, m, m.func(fid));
+    }
+}
+
+/// Prints the module line and the globals into `out`: everything
+/// [`print_module`] emits before the first function.
+pub fn print_header(out: &mut String, m: &Module) {
     let _ = writeln!(out, "module \"{}\"", m.name);
     for g in m.globals() {
         let _ = write!(out, "global @{} {}", g.name, g.slots);
@@ -46,9 +55,6 @@ pub fn print_module_into(out: &mut String, m: &Module) {
             let _ = write!(out, "{v}");
         }
         out.push_str("]\n");
-    }
-    for &fid in m.func_ids() {
-        print_function(out, m, m.func(fid));
     }
 }
 

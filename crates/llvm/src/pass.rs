@@ -14,12 +14,9 @@ use cg_ir::{AnalysisManager, FuncId, Module};
 use std::fmt;
 use std::sync::Arc;
 
-/// Which functions a pass invocation modified.
-///
-/// This is the contract behind incremental observations: per-function
-/// feature vectors (`InstCount`, `Autophase`) stay valid for every function
-/// *not* named here. [`run_pass_with`] derives it from the stamps that
-/// moved, so it is exact.
+/// Which functions a pass invocation modified. [`run_pass_with`] derives
+/// it from the stamps that moved, so it is exact. Per-function caches do
+/// not need it: they check the stamps themselves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Touched {
     /// No function was modified (the pass was a no-op).

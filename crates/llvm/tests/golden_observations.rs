@@ -7,10 +7,14 @@
 //!
 //! Full vectors are pinned for the small spaces (InstCount-70, Autophase-56)
 //! and FNV-1a content hashes for the large ones (IR text, inst2vec-200
-//! little-endian bytes) plus node/edge counts for ProGraML.
+//! little-endian bytes) plus node/edge counts and a layout hash for
+//! ProGraML: every node's `(kind, label, opcode)` and every edge's
+//! `(src, dst, kind)`, in order, so that a change of node numbering or edge
+//! order is caught, not only a change of size.
 
 use cg_llvm::observation::{
-    autophase, inst2vec, inst_count, ir_text, programl, AUTOPHASE_DIM, INST2VEC_DIM, INST_COUNT_DIM,
+    autophase, inst2vec, inst_count, ir_text, programl, ProgramGraph, AUTOPHASE_DIM, INST2VEC_DIM,
+    INST_COUNT_DIM,
 };
 
 struct Golden {
@@ -22,6 +26,7 @@ struct Golden {
     inst2vec_hash: u64,
     programl_nodes: usize,
     programl_edges: usize,
+    programl_layout: u64,
 }
 
 const CRC32: Golden = Golden {
@@ -40,6 +45,7 @@ const CRC32: Golden = Golden {
     inst2vec_hash: 0x08abf846e3b7046f,
     programl_nodes: 125,
     programl_edges: 196,
+    programl_layout: 0xf807c146d2818f24,
 };
 
 const CSMITH_12345: Golden = Golden {
@@ -59,7 +65,27 @@ const CSMITH_12345: Golden = Golden {
     inst2vec_hash: 0x67bc3e96ef854f57,
     programl_nodes: 1917,
     programl_edges: 3179,
+    programl_layout: 0x9499216e56420d5d,
 };
+
+/// FNV-1a over the graph's layout: each node as its kind's index, its label
+/// bytes, a 0xFF terminator and its opcode (LE), then each edge as source,
+/// target (LE) and its kind's index.
+fn programl_layout_hash(g: &ProgramGraph) -> u64 {
+    let mut bytes = Vec::new();
+    for n in &g.nodes {
+        bytes.push(n.kind as u8);
+        bytes.extend_from_slice(n.label.as_bytes());
+        bytes.push(0xFF);
+        bytes.extend_from_slice(&n.opcode.to_le_bytes());
+    }
+    for &(src, dst, kind) in &g.edges {
+        bytes.extend_from_slice(&src.to_le_bytes());
+        bytes.extend_from_slice(&dst.to_le_bytes());
+        bytes.push(kind as u8);
+    }
+    cg_ir::fnv1a(&bytes)
+}
 
 fn check(golden: &Golden) {
     let m = cg_datasets::benchmark(golden.uri).unwrap();
@@ -110,6 +136,12 @@ fn check(golden: &Golden) {
         g.edge_count(),
         golden.programl_edges,
         "{}: ProGraML edge count drifted",
+        golden.uri
+    );
+    assert_eq!(
+        programl_layout_hash(&g),
+        golden.programl_layout,
+        "{}: ProGraML layout drifted",
         golden.uri
     );
 }
