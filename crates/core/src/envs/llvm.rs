@@ -400,6 +400,8 @@ impl CompilationSession for LlvmSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::ProgramGraph;
+    use cg_llvm::observation::{GraphNode, NodeKind};
 
     #[test]
     fn init_step_observe() {
@@ -525,6 +527,103 @@ mod tests {
         s.observe("Autophase").unwrap();
         let n = s.module_ref().unwrap().num_functions();
         assert_eq!(s.features.cached_functions(), [0, 0, n, 0, 0]);
+    }
+
+    fn graph(s: &mut LlvmSession) -> ProgramGraph {
+        match s.observe("Programl").unwrap() {
+            Observation::Graph(g) => g,
+            other => panic!("Programl is a graph, got {other:?}"),
+        }
+    }
+
+    /// Each function's run of nodes in a graph, in function order. The
+    /// graph opens with one node per function; each function's own nodes
+    /// follow in turn, starting at its entry instruction, which its
+    /// function node's one outgoing edge points to.
+    fn runs(g: &ProgramGraph, functions: usize) -> Vec<std::ops::Range<usize>> {
+        let mut starts = vec![None; functions];
+        for &(src, dst, _) in g.edges.iter().filter(|e| (e.0 as usize) < functions) {
+            starts[src as usize] = Some(dst as usize);
+        }
+        let mut end = g.node_count();
+        let mut runs = vec![0..0; functions];
+        for (run, start) in runs.iter_mut().zip(&starts).rev() {
+            if let Some(start) = *start {
+                *run = start..end;
+                end = start;
+            }
+        }
+        runs
+    }
+
+    /// The constant nodes of a run, and the others.
+    fn split_constants(run: &[GraphNode]) -> (Vec<&GraphNode>, Vec<&GraphNode>) {
+        run.iter().partition(|n| n.kind == NodeKind::Constant)
+    }
+
+    /// A warm `Programl` observation copies the cached nodes, labels
+    /// included: it shares every label with the graph before it, and after
+    /// a step, every label of the functions the step left alone.
+    #[test]
+    fn programl_labels_are_shared() {
+        let ptr_eq = |a: &GraphNode, b: &GraphNode| Arc::ptr_eq(&a.label, &b.label);
+        let mut s = LlvmSession::new();
+        s.init("benchmark://cbench-v1/ghostscript", 0).unwrap();
+        let a = graph(&mut s);
+        let b = graph(&mut s);
+        assert_eq!(a, b);
+        assert!(a.nodes.iter().zip(&b.nodes).all(|(x, y)| ptr_eq(x, y)));
+
+        let stamps = |s: &LlvmSession| {
+            let m = s.module_ref().unwrap();
+            (m.func_ids().iter())
+                .map(|&f| m.func(f).stamp())
+                .collect::<Vec<_>>()
+        };
+        let before = stamps(&s);
+        step(&mut s, "sccp");
+        let changed: Vec<bool> = before
+            .iter()
+            .zip(stamps(&s))
+            .map(|(x, y)| *x != y)
+            .collect();
+        assert_eq!(changed.len(), before.len(), "sccp keeps every function");
+        assert_eq!(changed.iter().filter(|&&c| c).count(), 1, "and changes one");
+        let c = graph(&mut s);
+        let n = changed.len();
+        let (runs_b, runs_c) = (runs(&b, n), runs(&c, n));
+        for f in 0..n {
+            // A changed function's fragment is rebuilt: its name is a new
+            // allocation. An unchanged one is a copy of the cached fragment.
+            assert_eq!(
+                ptr_eq(&b.nodes[f], &c.nodes[f]),
+                !changed[f],
+                "function {f}"
+            );
+            if changed[f] {
+                continue;
+            }
+            // A constant appears in the run of the first function that uses
+            // it, which a changed function before this one may have moved;
+            // every other node sits at the same place in the run.
+            let (consts_b, rest_b) = split_constants(&b.nodes[runs_b[f].clone()]);
+            let (consts_c, rest_c) = split_constants(&c.nodes[runs_c[f].clone()]);
+            assert_eq!(rest_b.len(), rest_c.len(), "function {f}");
+            assert!(rest_b.iter().zip(&rest_c).all(|(x, y)| ptr_eq(x, y)));
+            for x in consts_c {
+                if let Some(y) = consts_b.iter().find(|y| y.label == x.label) {
+                    assert!(ptr_eq(x, y), "constant {} of function {f}", x.label);
+                }
+            }
+        }
+
+        // One allocation per mnemonic, across functions.
+        let mut by_label: std::collections::HashMap<&str, &Arc<str>> = Default::default();
+        for node in c.nodes.iter().filter(|n| n.kind == NodeKind::Instruction) {
+            let first = by_label.entry(&node.label).or_insert(&node.label);
+            assert!(Arc::ptr_eq(first, &node.label), "{}", node.label);
+        }
+        assert!(by_label.contains_key("load") && by_label.contains_key("ret"));
     }
 
     #[test]

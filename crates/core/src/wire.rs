@@ -46,6 +46,8 @@
 //! only into the owned values it returns; encoding appends into a
 //! caller-owned scratch buffer reused across frames.
 
+use std::sync::Arc;
+
 use cg_llvm::observation::{EdgeKind, GraphNode, NodeKind};
 use cg_telemetry::TraceContext;
 
@@ -133,6 +135,11 @@ impl<'a> WireReader<'a> {
         self.take(n)
     }
 
+    /// A length-prefixed UTF-8 string, borrowed from the frame.
+    fn str(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.bytes()?).or_else(|e| err(format!("invalid UTF-8 in string: {e}")))
+    }
+
     /// A count, and a vector to decode that many elements into. Its
     /// pre-allocation is capped at what the rest of the frame could hold
     /// at `width` bytes an element, so a hostile count cannot OOM the
@@ -208,10 +215,20 @@ impl Field for String {
     }
     #[inline]
     fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match std::str::from_utf8(r.bytes()?) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(e) => err(format!("invalid UTF-8 in string: {e}")),
-        }
+        r.str().map(str::to_owned)
+    }
+}
+
+/// The same bytes as a `String`: sharing is not on the wire, and a decoded
+/// label is a fresh allocation.
+impl Field for Arc<str> {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.as_bytes());
+    }
+    #[inline]
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.str().map(Arc::from)
     }
 }
 
@@ -421,6 +438,8 @@ fn int_width(x: i64) -> usize {
 /// spends ~5× the bytes on key names and quoted edge kinds. Edge endpoints
 /// are width-tagged — 2-byte indices when the node count fits `u16`, 4-byte
 /// otherwise — since per-function graphs rarely clear a few thousand nodes.
+/// Every endpoint names one of the graph's nodes: the decoder refuses a
+/// graph with an edge past its node list.
 impl Field for ProgramGraph {
     fn put(&self, buf: &mut Vec<u8>) {
         self.nodes.put(buf);
@@ -429,6 +448,11 @@ impl Field for ProgramGraph {
         buf.push(if wide { 4 } else { 2 });
         buf.reserve(self.edges.len() * if wide { 9 } else { 5 });
         for (src, dst, kind) in &self.edges {
+            debug_assert!(
+                (*src as usize) < self.nodes.len() && (*dst as usize) < self.nodes.len(),
+                "edge ({src}, {dst}) past {} nodes",
+                self.nodes.len()
+            );
             if wide {
                 src.put(buf);
                 dst.put(buf);
@@ -441,7 +465,7 @@ impl Field for ProgramGraph {
     }
 
     fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let nodes = Vec::read(r)?;
+        let nodes: Vec<GraphNode> = Vec::read(r)?;
         let (n, mut edges) = r.vec_for(5)?;
         let width = u8::read(r)?;
         if !matches!(width, 2 | 4) {
@@ -453,6 +477,12 @@ impl Field for ProgramGraph {
             } else {
                 (u16::read(r)?.into(), u16::read(r)?.into())
             };
+            if src.max(dst) as usize >= nodes.len() {
+                return err(format!(
+                    "edge ({src}, {dst}) past the graph's {} nodes",
+                    nodes.len()
+                ));
+            }
             edges.push((src, dst, EdgeKind::read(r)?));
         }
         Ok(ProgramGraph { nodes, edges })
@@ -712,6 +742,12 @@ pub(crate) mod tests {
                     _ => (b'a' + rng.below(26) as u8) as char,
                 })
                 .collect()
+        }
+    }
+
+    impl Arb for Arc<str> {
+        fn arb(rng: &mut TestRng) -> Self {
+            String::arb(rng).into()
         }
     }
 
@@ -1058,6 +1094,52 @@ pub(crate) mod tests {
             panic!();
         };
         assert!(decode_response_body(body).is_err());
+    }
+
+    /// A graph whose edge names a node it does not have is a typed error,
+    /// not a graph that panics the client that indexes it.
+    #[test]
+    fn graph_edges_past_the_node_list_are_refused() {
+        let node = |label: &str| GraphNode {
+            kind: NodeKind::Variable,
+            label: label.into(),
+            opcode: 0,
+        };
+        let graph = |edges| {
+            Observation::Graph(ProgramGraph {
+                nodes: vec![node("%0"), node("%1")],
+                edges,
+            })
+        };
+        let mut buf = Vec::new();
+        graph(vec![(0, 1, EdgeKind::Data)]).put(&mut buf);
+        // The last edge's target is the third byte from the end (u16 LE,
+        // then the kind byte); point it at node 2.
+        let at = buf.len() - 3;
+        assert_eq!(buf[at..], [1, 0, 1]);
+        buf[at] = 2;
+        let e = Observation::read(&mut WireReader::new(&buf)).unwrap_err();
+        assert!(e.0.contains("edge (0, 2) past the graph's 2 nodes"), "{e}");
+        buf[at] = 1;
+        assert_eq!(
+            Observation::read(&mut WireReader::new(&buf)).unwrap(),
+            graph(vec![(0, 1, EdgeKind::Data)])
+        );
+    }
+
+    /// stdb observation records are this JSON, so a store written before
+    /// labels were shared opens unchanged: the sample graph's JSON is
+    /// pinned, and reads back equal.
+    #[test]
+    fn sample_graph_json_is_pinned() {
+        const PINNED: &str = r#"{"Graph":{"nodes":[{"kind":"Instruction","label":"add","opcode":13},{"kind":"Variable","label":"%x","opcode":0}],"edges":[[0,1,"Data"],[1,0,"Control"]]}}"#;
+        let Response::Stepped { observations, .. } = &sample_responses()[3] else {
+            panic!("sample 3 is a step reply");
+        };
+        let graph = &observations[4];
+        assert!(matches!(graph, Observation::Graph(_)));
+        assert_eq!(serde_json::to_string(graph).unwrap(), PINNED);
+        assert_eq!(&serde_json::from_str::<Observation>(PINNED).unwrap(), graph);
     }
 
     #[test]

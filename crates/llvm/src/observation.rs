@@ -589,7 +589,7 @@ impl IncrementalFeatures {
                     .get_or_init(|| programl_fragment(m, fid))
             })
             .collect();
-        stitch(m, &frags)
+        stitch(m.func_ids(), &frags)
     }
 }
 
@@ -640,8 +640,11 @@ pub enum EdgeKind {
 pub struct GraphNode {
     /// The node's kind.
     pub kind: NodeKind,
-    /// A short text label (opcode mnemonic, value id, constant text).
-    pub label: String,
+    /// A short text label (opcode mnemonic, value id, constant text,
+    /// function name). Labels are shared, not owned: nodes of one mnemonic,
+    /// or of one value id, point at one allocation, and cloning a node
+    /// never allocates.
+    pub label: Arc<str>,
     /// The opcode index for instruction nodes (0 otherwise); the GGNN cost
     /// model embeds nodes by this index.
     pub opcode: u32,
@@ -670,30 +673,58 @@ impl ProgramGraph {
 }
 
 /// Builds the ProGraML-style graph of a module: the function nodes, then
-/// each function's fragment (its own nodes and edges, with constants and
-/// callees left symbolic) in turn, stitched. The most expensive
-/// observation (graph construction allocates per instruction, value and
-/// edge), matching its position in Table III; [`IncrementalFeatures::programl`]
-/// keeps the fragments and only stitches.
+/// each function's fragment (its own finished nodes and edges, with
+/// constants and callees left to the stitch) in turn, stitched. The most
+/// expensive observation (graph construction visits every instruction,
+/// operand and CFG edge), matching its position in Table III;
+/// [`IncrementalFeatures::programl`] keeps the fragments and only
+/// stitches, which copies nodes without allocating: node labels are
+/// shared `Arc<str>`s.
 pub fn programl(m: &Module) -> ProgramGraph {
     let frags: Vec<ProgramlFragment> = m
         .func_ids()
         .iter()
         .map(|&f| programl_fragment(m, f))
         .collect();
-    stitch(m, &frags.iter().collect::<Vec<_>>())
+    stitch(m.func_ids(), &frags.iter().collect::<Vec<_>>())
 }
 
-/// A node of a [`ProgramlFragment`].
-#[derive(Clone, Copy, Debug)]
-enum FragNode {
-    /// An instruction or terminator: its mnemonic and opcode.
-    Inst(&'static str, u32),
-    /// An SSA value, by id.
-    Var(u32),
-    /// The function's first use of a constant. The stitch emits a node only
-    /// for the module's first, and points later uses at it.
-    Const(Constant),
+/// How many `%N` labels [`value_label`] keeps process-wide. Like the
+/// inst2vec memo's bound, it caps what a flood of value ids can pin; real
+/// functions stay far below it.
+const VALUE_LABELS: usize = 1 << 16;
+
+/// The shared label of an instruction or terminator node, by its graph
+/// opcode, filled from `mnemonic` the first time the process sees the
+/// opcode. A graph opcode names exactly one mnemonic, and opcodes of one
+/// mnemonic (`icmp`'s predicates, say) share its label.
+fn mnemonic_label(opcode: u32, mnemonic: &'static str) -> Arc<str> {
+    static TABLE: [OnceLock<Arc<str>>; 49] = [const { OnceLock::new() }; 49];
+    let label = TABLE[opcode as usize].get_or_init(|| {
+        (TABLE.iter().filter_map(OnceLock::get))
+            .find(|l| ***l == *mnemonic)
+            .map_or_else(|| mnemonic.into(), Arc::clone)
+    });
+    debug_assert_eq!(&**label, mnemonic, "graph opcode {opcode}");
+    Arc::clone(label)
+}
+
+/// The label `%v` of a variable node: shared process-wide for the first
+/// [`VALUE_LABELS`] ids, made for the caller past them. The table is
+/// allocated 256 slots at a time, as ids are first seen.
+fn value_label(v: u32) -> Arc<str> {
+    type Chunk = [OnceLock<Arc<str>>; 256];
+    static TABLE: [OnceLock<Box<Chunk>>; VALUE_LABELS / 256] =
+        [const { OnceLock::new() }; VALUE_LABELS / 256];
+    let fresh = || format!("%{v}").into();
+    let (chunk, slot) = (v as usize / 256, v as usize % 256);
+    match TABLE.get(chunk) {
+        Some(chunk) => {
+            let chunk = chunk.get_or_init(|| Box::new([const { OnceLock::new() }; 256]));
+            Arc::clone(chunk[slot].get_or_init(fresh))
+        }
+        None => fresh(),
+    }
 }
 
 /// An edge endpoint in a [`ProgramlFragment`].
@@ -705,13 +736,19 @@ enum End {
     Func(FuncId),
 }
 
-/// One function's part of [`programl`]: its instruction, variable and
-/// constant nodes in the order the graph numbers them, and its edges in
-/// graph order, with no reference to anything outside the function but
-/// by [`End::Func`] and [`FragNode::Const`].
-#[derive(Clone, Debug, Default)]
+/// One function's part of [`programl`]: its function node, its finished
+/// instruction, variable and constant nodes in the order the graph numbers
+/// them, and its edges in graph order, with no reference to anything
+/// outside the function but by [`End::Func`] and the constants listed in
+/// `consts`.
+#[derive(Clone, Debug)]
 struct ProgramlFragment {
-    nodes: Vec<FragNode>,
+    func: GraphNode,
+    nodes: Vec<GraphNode>,
+    /// Each constant node's index in `nodes` (ascending) and its constant:
+    /// the function's first use of it. The stitch keeps only the module's
+    /// first node per constant and points later uses at it.
+    consts: Vec<(u32, Constant)>,
     edges: Vec<(End, End, EdgeKind)>,
 }
 
@@ -719,8 +756,12 @@ struct ProgramlFragment {
 const NO_NODE: u32 = u32::MAX;
 
 impl ProgramlFragment {
-    fn push(&mut self, n: FragNode) -> u32 {
-        self.nodes.push(n);
+    fn push(&mut self, kind: NodeKind, label: Arc<str>, opcode: u32) -> u32 {
+        self.nodes.push(GraphNode {
+            kind,
+            label,
+            opcode,
+        });
         self.nodes.len() as u32 - 1
     }
 
@@ -735,15 +776,33 @@ impl ProgramlFragment {
             nodes.resize(i + 1, NO_NODE);
         }
         if nodes[i] == NO_NODE {
-            nodes[i] = self.push(FragNode::Var(v.0));
+            nodes[i] = self.push(NodeKind::Variable, value_label(v.0), 0);
         }
         nodes[i]
+    }
+
+    /// The node of constant `c`, made at its first use.
+    fn constant(&mut self, consts: &mut HashMap<Constant, u32>, c: Constant) -> u32 {
+        *consts.entry(c).or_insert_with(|| {
+            let i = self.push(NodeKind::Constant, c.to_string().into(), 0);
+            self.consts.push((i, c));
+            i
+        })
     }
 }
 
 fn programl_fragment(m: &Module, fid: FuncId) -> ProgramlFragment {
     let f = m.func(fid);
-    let mut fr = ProgramlFragment::default();
+    let mut fr = ProgramlFragment {
+        func: GraphNode {
+            kind: NodeKind::Function,
+            label: f.name.as_str().into(),
+            opcode: 0,
+        },
+        nodes: Vec::new(),
+        consts: Vec::new(),
+        edges: Vec::new(),
+    };
     let mut values = vec![NO_NODE; f.value_bound() as usize];
     let mut consts: HashMap<Constant, u32> = HashMap::new();
     // Each block's first and last node, for control edges.
@@ -752,10 +811,9 @@ fn programl_fragment(m: &Module, fid: FuncId) -> ProgramlFragment {
     for b in f.blocks() {
         let mut prev: Option<u32> = None;
         for inst in &b.insts {
-            let idx = fr.push(FragNode::Inst(
-                inst.op.mnemonic(),
-                inst.op.opcode_index() as u32 + 1,
-            ));
+            let opcode = inst.op.opcode_index() as u32 + 1;
+            let label = mnemonic_label(opcode, inst.op.mnemonic());
+            let idx = fr.push(NodeKind::Instruction, label, opcode);
             if let Some(p) = prev {
                 fr.edge(p, idx, EdgeKind::Control);
             }
@@ -770,9 +828,7 @@ fn programl_fragment(m: &Module, fid: FuncId) -> ProgramlFragment {
                     fr.edge(vn, idx, EdgeKind::Data);
                 }
                 Operand::Const(c) => {
-                    let cn = *consts
-                        .entry(*c)
-                        .or_insert_with(|| fr.push(FragNode::Const(*c)));
+                    let cn = fr.constant(&mut consts, *c);
                     fr.edge(cn, idx, EdgeKind::Data);
                 }
                 _ => {}
@@ -794,7 +850,7 @@ fn programl_fragment(m: &Module, fid: FuncId) -> ProgramlFragment {
             Terminator::Ret { .. } => ("ret", 3),
             Terminator::Unreachable => ("unreachable", 4),
         };
-        let tidx = fr.push(FragNode::Inst(label, 44 + k));
+        let tidx = fr.push(NodeKind::Instruction, mnemonic_label(44 + k, label), 44 + k);
         if let Some(p) = prev {
             fr.edge(p, tidx, EdgeKind::Control);
         }
@@ -828,53 +884,47 @@ fn programl_fragment(m: &Module, fid: FuncId) -> ProgramlFragment {
     fr
 }
 
-/// Lays out the function nodes in definition order, then each live
-/// function's fragment: constants shared module-wide at their first use,
-/// function endpoints resolved to the function's node, and edges to
-/// functions no longer in the module dropped.
-fn stitch(m: &Module, frags: &[&ProgramlFragment]) -> ProgramGraph {
-    let live = m.func_ids();
-    let nodes = live.len() + frags.iter().map(|f| f.nodes.len()).sum::<usize>();
+/// Lays out the function nodes of `live` (one fragment each, in order),
+/// then each fragment's nodes: constants shared module-wide at their first
+/// use, function endpoints resolved to the function's node, and edges to
+/// functions no longer in the module dropped. Every node is a clone of a
+/// fragment's, so the stitch allocates only the graph's buffers and its
+/// own bookkeeping.
+fn stitch(live: &[FuncId], frags: &[&ProgramlFragment]) -> ProgramGraph {
+    debug_assert_eq!(live.len(), frags.len());
+    let nodes = frags.iter().map(|f| 1 + f.nodes.len()).sum();
     let edges = frags.iter().map(|f| f.edges.len()).sum();
     let mut g = ProgramGraph {
         nodes: Vec::with_capacity(nodes),
         edges: Vec::with_capacity(edges),
     };
-    for &fid in live {
-        g.nodes.push(GraphNode {
-            kind: NodeKind::Function,
-            label: m.func(fid).name.clone(),
-            opcode: 0,
-        });
-    }
-    let mut consts: HashMap<Constant, u32> = HashMap::new();
+    g.nodes.extend(frags.iter().map(|fr| fr.func.clone()));
+    let mut consts: HashMap<Constant, u32> =
+        HashMap::with_capacity(frags.iter().map(|f| f.consts.len()).sum());
     // Graph index of each fragment node.
-    let mut at: Vec<u32> = Vec::new();
+    let mut at: Vec<u32> =
+        Vec::with_capacity(frags.iter().map(|f| f.nodes.len()).max().unwrap_or(0));
+    // Appends a run of fragment nodes as they are.
+    let copy = |g: &mut ProgramGraph, at: &mut Vec<u32>, run: &[GraphNode]| {
+        let base = g.nodes.len() as u32;
+        at.extend(base..base + run.len() as u32);
+        g.nodes.extend_from_slice(run);
+    };
     for fr in frags {
         at.clear();
-        for node in &fr.nodes {
+        let mut from = 0;
+        for &(i, c) in &fr.consts {
+            let i = i as usize;
+            copy(&mut g, &mut at, &fr.nodes[from..i]);
             let idx = g.nodes.len() as u32;
-            let (kind, label, opcode) = match *node {
-                FragNode::Inst(label, opcode) => (NodeKind::Instruction, label.to_string(), opcode),
-                FragNode::Var(v) => (NodeKind::Variable, format!("%{v}"), 0),
-                FragNode::Const(c) => match consts.get(&c) {
-                    Some(&shared) => {
-                        at.push(shared);
-                        continue;
-                    }
-                    None => {
-                        consts.insert(c, idx);
-                        (NodeKind::Constant, c.to_string(), 0)
-                    }
-                },
-            };
-            g.nodes.push(GraphNode {
-                kind,
-                label,
-                opcode,
-            });
-            at.push(idx);
+            let shared = *consts.entry(c).or_insert(idx);
+            if shared == idx {
+                g.nodes.push(fr.nodes[i].clone());
+            }
+            at.push(shared);
+            from = i + 1;
         }
+        copy(&mut g, &mut at, &fr.nodes[from..]);
         let resolve = |end: End| match end {
             End::Node(i) => Some(at[i as usize]),
             End::Func(f) => live.binary_search(&f).ok().map(|p| p as u32),
