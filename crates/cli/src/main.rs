@@ -40,7 +40,6 @@ fn usage() -> ExitCode {
          [--error P] [--corrupt P] [--wedge P] [--slow-growth P] [--faults LIST]\n           \
          (LIST kinds: panic,hang,error,corrupt,wedge,slow-growth,stampede,io)\n           \
          [--timeout-ms MS] [--checkpoint-k K] [--budget-wall-ms MS] [--max-growth F]\n           \
-         [--breaker N] [--breaker-cooldown-ms MS]\n           \
          [--serve-metrics ADDR] [--stdb DIR] [--linger-ms MS] [--json]\n  \
          cg fuzz [--seed-range A..B] [--jobs N] [--profile NAME] [--max-passes N]\n          \
          [--inputs N] [--corpus DIR] [--no-corpus] [--budget-secs N]\n          \
@@ -361,14 +360,8 @@ fn stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         snap.restarts, snap.panics, snap.timeouts, snap.in_flight
     );
     println!(
-        "containment: checkpoints={} restores={} budget-kills={} \
-         breaker trips={} half-opens={} fast-fails={}",
-        snap.checkpoints_taken,
-        snap.checkpoint_restores,
-        snap.budget_kills,
-        snap.breaker_trips,
-        snap.breaker_half_opens,
-        snap.breaker_fast_fails
+        "containment: checkpoints={} restores={} budget-kills={}",
+        snap.checkpoints_taken, snap.checkpoint_restores, snap.budget_kills
     );
     let ep = &snap.episode;
     let changed_pct = if ep.actions_total == 0 {
@@ -1014,8 +1007,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut checkpoint_k: u64 = 10;
     let mut budget_wall_ms: u64 = 0;
     let mut max_growth: f64 = 0.0;
-    let mut breaker_threshold: u32 = 0;
-    let mut breaker_cooldown_ms: u64 = 250;
     let mut serve_metrics_addr: Option<String> = None;
     let mut linger_ms: u64 = 0;
     let mut stampede = false;
@@ -1067,10 +1058,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--checkpoint-k" => checkpoint_k = val("--checkpoint-k")?.parse()?,
             "--budget-wall-ms" => budget_wall_ms = val("--budget-wall-ms")?.parse()?,
             "--max-growth" => max_growth = val("--max-growth")?.parse()?,
-            "--breaker" => breaker_threshold = val("--breaker")?.parse()?,
-            "--breaker-cooldown-ms" => {
-                breaker_cooldown_ms = val("--breaker-cooldown-ms")?.parse()?;
-            }
             "--serve-metrics" => serve_metrics_addr = Some(val("--serve-metrics")?.clone()),
             "--stdb" => stdb_dir = Some(val("--stdb")?.clone()),
             "--linger-ms" => linger_ms = val("--linger-ms")?.parse()?,
@@ -1170,19 +1157,9 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         env.set_resource_budget(budget)?;
     }
-    let breaker = (breaker_threshold > 0).then(|| {
-        cg_core::CircuitBreaker::new(
-            breaker_threshold,
-            Duration::from_millis(breaker_cooldown_ms),
-        )
-    });
-    if let Some(br) = &breaker {
-        env.set_circuit_breaker(br.clone());
-    }
 
     let mut completed = 0u64;
     let mut session_errors = 0u64;
-    let mut circuit_rejections = 0u64;
     let mut unrecovered: Vec<String> = Vec::new();
     for ep in 0..episodes {
         env.set_benchmark(SOAK_BENCHMARKS[(ep % SOAK_BENCHMARKS.len() as u64) as usize]);
@@ -1204,11 +1181,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     ok = false;
                     break;
                 }
-                // A quarantined pair fast-failing is the breaker doing its
-                // job, not a recovery failure: skip the action and go on.
-                Err(cg_core::CgError::CircuitOpen { .. }) => {
-                    circuit_rejections += 1;
-                }
                 Err(e) => {
                     unrecovered.push(format!("episode {ep} step {s}: {e}"));
                     ok = false;
@@ -1220,19 +1192,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             completed += 1;
         }
     }
-    // The breaker contract requires open circuits to eventually allow a
-    // half-open probe. If the soak never demonstrated it, drive it: wait
-    // out the cooldown and probe every quarantined pair.
-    let mut breaker_never_half_opened = false;
-    if let Some(br) = &breaker {
-        if br.trips() > 0 && br.half_opens() == 0 {
-            std::thread::sleep(Duration::from_millis(breaker_cooldown_ms + 50));
-            for (b, a) in br.open_circuits() {
-                let _ = br.admit(&b, a);
-            }
-            breaker_never_half_opened = br.half_opens() == 0;
-        }
-    }
     let snap = tel.snapshot();
 
     if json {
@@ -1241,7 +1200,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             episodes: u64,
             completed: u64,
             session_errors: u64,
-            circuit_rejections: u64,
             unrecovered: Vec<String>,
             injected_panics: u64,
             injected_hangs: u64,
@@ -1258,16 +1216,11 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             checkpoint_restores: u64,
             budget_kills: u64,
             abandoned_runners_live: i64,
-            breaker_trips: u64,
-            breaker_half_opens: u64,
-            breaker_fast_fails: u64,
-            breaker_never_half_opened: bool,
         }
         let report = ChaosReport {
             episodes,
             completed,
             session_errors,
-            circuit_rejections,
             unrecovered: unrecovered.clone(),
             injected_panics: stats.panics(),
             injected_hangs: stats.hangs(),
@@ -1284,10 +1237,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             checkpoint_restores: snap.checkpoint_restores,
             budget_kills: snap.budget_kills,
             abandoned_runners_live: snap.runner_abandoned_live,
-            breaker_trips: snap.breaker_trips,
-            breaker_half_opens: snap.breaker_half_opens,
-            breaker_fast_fails: snap.breaker_fast_fails,
-            breaker_never_half_opened,
         };
         println!("{}", serde_json::to_string_pretty(&report)?);
     } else {
@@ -1310,26 +1259,19 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             snap.recoveries, snap.restarts, snap.replay_divergences, snap.timeouts, snap.panics
         );
         println!(
-            "containment: checkpoints={} restores={} budget-kills={} \
-             abandoned-runners={} breaker trips={} half-opens={} fast-fails={}",
+            "containment: checkpoints={} restores={} budget-kills={} abandoned-runners={}",
             snap.checkpoints_taken,
             snap.checkpoint_restores,
             snap.budget_kills,
-            snap.runner_abandoned_live,
-            snap.breaker_trips,
-            snap.breaker_half_opens,
-            snap.breaker_fast_fails
+            snap.runner_abandoned_live
         );
         println!(
             "episodes: completed={completed}/{episodes} session-errors={session_errors} \
-             circuit-rejections={circuit_rejections} unrecovered={}",
+             unrecovered={}",
             unrecovered.len()
         );
         for line in &unrecovered {
             println!("  UNRECOVERED {line}");
-        }
-        if breaker_never_half_opened {
-            println!("  BREAKER tripped but never reached half-open");
         }
     }
     if serve_metrics_addr.is_some() && linger_ms > 0 {
@@ -1337,9 +1279,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if !unrecovered.is_empty() {
         return Err(format!("{} unrecovered failure(s)", unrecovered.len()).into());
-    }
-    if breaker_never_half_opened {
-        return Err("breaker tripped but never allowed a half-open probe".into());
     }
     Ok(())
 }

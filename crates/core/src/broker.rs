@@ -531,21 +531,14 @@ impl Broker {
         self.inner.lock_core().live_total
     }
 
-    /// Whether the broker has stopped admitting new sessions.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.inner.lock_core().draining
-    }
-
     /// Whether a drain completed (fleet stopped, report available).
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
+    fn is_finished(&self) -> bool {
         self.inner.lock_core().finished
     }
 
     /// Stops admitting session-creating work; established sessions keep
     /// being served. Idempotent; [`Broker::drain`] completes the shutdown.
-    pub fn begin_drain(&self) {
+    fn begin_drain(&self) {
         let mut core = self.inner.lock_core();
         if !core.draining {
             core.draining = true;
@@ -1913,7 +1906,6 @@ mod tests {
         );
         let gid = start(&broker, "alice");
         broker.begin_drain();
-        assert!(broker.is_draining());
         match broker.call(
             "alice",
             Request::StartSession {

@@ -46,21 +46,6 @@ pub struct ResourceBudget {
 }
 
 impl ResourceBudget {
-    /// A budget that enforces nothing.
-    #[must_use]
-    pub fn unlimited() -> ResourceBudget {
-        ResourceBudget::default()
-    }
-
-    /// Whether any limit is configured.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.wall_us.is_none()
-            && self.max_state_size.is_none()
-            && self.max_growth.is_none()
-            && self.interp_fuel.is_none()
-    }
-
     /// Sets the wall-clock deadline on every session-scoped request.
     #[must_use]
     pub fn with_wall(mut self, wall: Duration) -> ResourceBudget {
@@ -85,13 +70,6 @@ impl ResourceBudget {
     #[must_use]
     pub fn with_max_growth(mut self, factor: f64) -> ResourceBudget {
         self.max_growth = Some(factor.max(1.0));
-        self
-    }
-
-    /// Sets the interpreter-fuel cap for runtime observations.
-    #[must_use]
-    pub fn with_interp_fuel(mut self, fuel: u64) -> ResourceBudget {
-        self.interp_fuel = Some(fuel);
         self
     }
 
@@ -161,10 +139,9 @@ mod tests {
 
     #[test]
     fn default_budget_is_unlimited() {
-        assert!(ResourceBudget::default().is_unlimited());
-        assert!(!ResourceBudget::default()
-            .with_max_growth(2.0)
-            .is_unlimited());
+        let d = ResourceBudget::default();
+        assert_eq!((d.wall(), d.size_limit(Some(100))), (None, None));
+        assert_eq!(d.interp_fuel, None);
         let b = ResourceBudget::default().with_wall(Duration::from_millis(250));
         assert_eq!(b.wall(), Some(Duration::from_millis(250)));
     }

@@ -421,13 +421,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the per-fault state-size inflation of `SlowGrowth`.
-    #[must_use]
-    pub fn with_growth_increment(mut self, increment: u64) -> FaultPlan {
-        self.growth_increment = increment;
-        self
-    }
-
     /// Schedules a one-shot fault at a global apply index.
     #[must_use]
     pub fn schedule(mut self, apply_index: u64, kind: FaultKind) -> FaultPlan {
@@ -450,11 +443,25 @@ impl FaultPlan {
     }
 
     /// Wraps a session factory so every session it produces injects this
-    /// plan's faults. Returns the wrapped factory and a shared [`ChaosStats`]
-    /// handle counting what was actually injected.
+    /// plan's faults. All sessions (across service restarts, and their
+    /// forks) share one fault schedule and one [`ChaosStats`], returned
+    /// with the wrapped factory to count what was actually injected.
     #[must_use]
     pub fn wrap(self, inner: SessionFactory) -> (SessionFactory, Arc<ChaosStats>) {
-        chaos_factory(inner, self)
+        let stats = Arc::new(ChaosStats::default());
+        let shared = Arc::new(ChaosShared {
+            plan: self,
+            stats: Arc::clone(&stats),
+        });
+        let factory: SessionFactory = Arc::new(move || {
+            Box::new(ChaosSession {
+                inner: (inner)(),
+                shared: Arc::clone(&shared),
+                inflation: 0,
+                wedged: false,
+            })
+        });
+        (factory, stats)
     }
 }
 
@@ -749,27 +756,6 @@ impl CompilationSession for ChaosSession {
     }
 }
 
-/// Wraps `inner` so every session it produces injects `plan`'s faults.
-/// All sessions (across service restarts, and their forks) share one fault
-/// schedule and one [`ChaosStats`].
-#[must_use]
-pub fn chaos_factory(inner: SessionFactory, plan: FaultPlan) -> (SessionFactory, Arc<ChaosStats>) {
-    let stats = Arc::new(ChaosStats::default());
-    let shared = Arc::new(ChaosShared {
-        plan,
-        stats: Arc::clone(&stats),
-    });
-    let factory: SessionFactory = Arc::new(move || {
-        Box::new(ChaosSession {
-            inner: (inner)(),
-            shared: Arc::clone(&shared),
-            inflation: 0,
-            wedged: false,
-        })
-    });
-    (factory, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -889,9 +875,12 @@ mod tests {
 
     #[test]
     fn slow_growth_inflates_reported_size_but_not_snapshots() {
-        let (factory, stats) = FaultPlan::seeded(5)
+        let plan = FaultPlan {
+            growth_increment: 500,
+            ..FaultPlan::seeded(5)
+        };
+        let (factory, stats) = plan
             .schedule(1, FaultKind::SlowGrowth)
-            .with_growth_increment(500)
             .wrap(count_factory());
         let mut s = factory();
         s.init("x", 0).unwrap();

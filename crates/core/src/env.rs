@@ -30,17 +30,15 @@
 //!    session fresh) or the restored state diverges, the whole action
 //!    history is replayed;
 //! 4. **hard failure** — replay divergence or retry exhaustion surfaces as
-//!    a typed error; the per-(benchmark, action)
-//!    [`crate::breaker::CircuitBreaker`] (if attached) quarantines pairs
-//!    that keep killing services so later episodes fail fast.
+//!    a typed error.
 //!
 //! The ladder is written once, against [`Link`], and runs unchanged over
 //! its two implementations:
 //!
-//! * [`InlineLink`] — the compiler runs in process. [`make`],
-//!   [`CompilerEnv::with_service`] and [`CompilerEnv::with_factory`] build
-//!   it. It contains panics, backend errors and budget kills, and a hung
-//!   compiler under a wall budget, which `with_factory` always sets;
+//! * [`InlineLink`] — the compiler runs in process. [`make`] and
+//!   [`CompilerEnv::with_factory`] build it. It contains panics, backend
+//!   errors and budget kills, and a hung compiler under a wall budget,
+//!   which `with_factory` always sets;
 //! * [`TcpTransport`] — a broker on another machine, with a socket
 //!   deadline and reconnects. [`CompilerEnv::connect_tcp`] builds it.
 //!
@@ -52,7 +50,6 @@ use std::time::Duration;
 
 use cg_telemetry::SpanStatus;
 
-use crate::breaker::{Admission, CircuitBreaker};
 use crate::budget::ResourceBudget;
 use crate::envs::session_factory;
 use crate::error::CgError;
@@ -130,8 +127,6 @@ pub struct CompilerEnv {
     baseline_metric: Option<f64>,
     episode_reward: f64,
     actions: Vec<usize>,
-    /// Optional per-(benchmark, action) quarantine, shared between forks.
-    breaker: Option<CircuitBreaker>,
     /// The flight-recorder episode this env's steps bind their traces to.
     episode_id: Option<u64>,
     /// Whether this env opened `episode_id` (and must end it on close).
@@ -170,15 +165,6 @@ pub fn register_env_scheme(scheme: &str, factory: SchemeFactory) {
         .insert(scheme.to_string(), factory);
 }
 
-/// Records a service-kill fault against every action in the faulting step.
-fn record_faults(breaker: &Option<CircuitBreaker>, benchmark: &str, actions: &[usize]) {
-    if let Some(br) = breaker {
-        for &action in actions {
-            br.record_fault(benchmark, action);
-        }
-    }
-}
-
 /// Instantiates a registered environment:
 ///
 /// * `"llvm-v0"` — LLVM phase ordering (Autophase observation,
@@ -189,8 +175,11 @@ fn record_faults(breaker: &Option<CircuitBreaker>, benchmark: &str, actions: &[u
 ///   tuning
 /// * `"loop_tool-v0"` — CUDA loop-nest tuning
 ///
-/// The compiler runs inline, on the calling thread (see
-/// [`CompilerEnv::with_service`]).
+/// The compiler runs inline, on the calling thread, over an
+/// [`InlineLink`]: no service thread and no hand-off per request. Panics,
+/// backend errors and budget kills are contained as on every link; a hung
+/// compiler only under a wall budget
+/// ([`CompilerEnv::set_resource_budget`]).
 ///
 /// # Errors
 /// [`CgError::Unknown`] for unregistered ids.
@@ -235,7 +224,9 @@ pub fn make(env_id: &str) -> Result<CompilerEnv, CgError> {
         ),
         other => return Err(CgError::Unknown(format!("environment `{other}`"))),
     };
-    CompilerEnv::with_service(env_id, &backend, benchmark, obs, rew)
+    let factory = session_factory(&backend).map_err(CgError::Unknown)?;
+    let link = Box::new(InlineLink::new(factory));
+    CompilerEnv::with_link(env_id, link, benchmark, obs, rew)
 }
 
 /// Like [`make`], but with an explicit recovery policy instead of the
@@ -250,27 +241,6 @@ pub fn make_with_policy(env_id: &str, policy: RetryPolicy) -> Result<CompilerEnv
 }
 
 impl CompilerEnv {
-    /// Builds an environment whose `backend` compiler runs inline, on the
-    /// calling thread, over an [`InlineLink`]: no service thread and no
-    /// hand-off per request. Panics, backend errors and budget kills are
-    /// contained as on every link; a hung compiler only under a wall budget
-    /// ([`CompilerEnv::set_resource_budget`]), which
-    /// [`CompilerEnv::with_factory`] sets from the start.
-    ///
-    /// # Errors
-    /// Unknown backends; a backend that cannot describe its spaces.
-    pub fn with_service(
-        env_id: &str,
-        backend: &str,
-        benchmark: &str,
-        observation_space: &str,
-        reward_space: &str,
-    ) -> Result<CompilerEnv, CgError> {
-        let factory = session_factory(backend).map_err(CgError::Unknown)?;
-        let link = Box::new(InlineLink::new(factory));
-        Self::with_link(env_id, link, benchmark, observation_space, reward_space)
-    }
-
     /// Builds an environment around an arbitrary session factory, served
     /// in process by an [`InlineLink`] whose every session-scoped request —
     /// start, step, fork, export — runs under a wall budget of `timeout`
@@ -360,7 +330,6 @@ impl CompilerEnv {
             baseline_metric: None,
             episode_reward: 0.0,
             actions: Vec::new(),
-            breaker: None,
             episode_id: None,
             owns_episode: false,
             log_transitions: true,
@@ -396,11 +365,6 @@ impl CompilerEnv {
         &self.env_id
     }
 
-    /// The recovery policy in effect for this environment's service client.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        self.link.policy()
-    }
-
     /// Replaces the recovery policy (attempts, backoff, budget) governing
     /// transparent fault recovery.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
@@ -424,19 +388,6 @@ impl CompilerEnv {
         self.link.resource_budget()
     }
 
-    /// Attaches a per-(benchmark, action) [`CircuitBreaker`]: pairs that
-    /// repeatedly kill compiler services fail fast with
-    /// [`CgError::CircuitOpen`] instead of burning a retry budget per
-    /// episode. Forked environments share the breaker (and its quarantine).
-    pub fn set_circuit_breaker(&mut self, breaker: CircuitBreaker) {
-        self.breaker = Some(breaker);
-    }
-
-    /// The attached circuit breaker, if any.
-    pub fn circuit_breaker(&self) -> Option<&CircuitBreaker> {
-        self.breaker.as_ref()
-    }
-
     /// The active action space.
     pub fn action_space(&self) -> &ActionSpaceInfo {
         &self.action_spaces[self.action_space_index]
@@ -455,12 +406,6 @@ impl CompilerEnv {
     /// The advertised reward spaces.
     pub fn reward_spaces(&self) -> &[RewardSpaceInfo] {
         &self.reward_spaces
-    }
-
-    /// Selects the action space used by subsequent episodes (by advertised
-    /// index).
-    pub fn set_action_space(&mut self, index: usize) {
-        self.action_space_index = index.min(self.action_spaces.len().saturating_sub(1));
     }
 
     /// Sets the benchmark for subsequent episodes.
@@ -672,55 +617,13 @@ impl CompilerEnv {
     /// checkpoint (or from scratch), the unreplayed action suffix is
     /// replayed (with a consistency check), and the failed call is retried
     /// — up to the policy's attempt count and budget.
-    ///
-    /// `fault_actions` attributes faults for the circuit breaker: the
-    /// actions this request applies. Rejected pairs fail fast with
-    /// [`CgError::CircuitOpen`] before touching the service.
-    fn call_recovering(
-        &mut self,
-        fault_actions: &[usize],
-        build: impl Fn(u64) -> Request,
-    ) -> Result<Response, CgError> {
-        let breaker = self.breaker.clone();
-        if let Some(br) = &breaker {
-            for &action in fault_actions {
-                if let Admission::Reject { retry_in } = br.admit(&self.benchmark, action) {
-                    cg_telemetry::global().trace.emit_status(
-                        "env:circuit-open",
-                        format!(
-                            "{} action {action} quarantined; retry in {retry_in:?}",
-                            self.benchmark
-                        ),
-                        Duration::ZERO,
-                        SpanStatus::CircuitOpen,
-                    );
-                    return Err(CgError::CircuitOpen {
-                        benchmark: self.benchmark.clone(),
-                        action,
-                        retry_in_ms: retry_in.as_millis().min(u128::from(u64::MAX)) as u64,
-                    });
-                }
-            }
-        }
+    fn call_recovering(&mut self, build: impl Fn(u64) -> Request) -> Result<Response, CgError> {
         let sid = self
             .session
             .ok_or_else(|| CgError::Usage("no active episode; call reset()".into()))?;
         let mut last = match self.call_patient(sid, &build) {
-            Err(e) if Self::recoverable(&e) => {
-                record_faults(&breaker, &self.benchmark, fault_actions);
-                e
-            }
-            other => {
-                if other.is_ok() {
-                    // A clean call: close half-open probes, reset counts.
-                    if let Some(br) = &breaker {
-                        for &action in fault_actions {
-                            br.record_success(&self.benchmark, action);
-                        }
-                    }
-                }
-                return other;
-            }
+            Err(e) if Self::recoverable(&e) => e,
+            other => return other,
         };
         // The session id now points into a dead, wedged, or budget-killed
         // worker session: drop it immediately so nothing can address the
@@ -743,7 +646,6 @@ impl CompilerEnv {
                 Ok(new_sid) => match self.call_patient(new_sid, &build) {
                     Err(e) if Self::recoverable(&e) => {
                         self.session = None;
-                        record_faults(&breaker, &self.benchmark, fault_actions);
                         last = e;
                     }
                     other => return other,
@@ -975,16 +877,6 @@ impl CompilerEnv {
                 span.set_status(SpanStatus::BudgetExceeded);
                 span.set_detail(v.to_string());
             }
-            Err(CgError::CircuitOpen {
-                benchmark,
-                action,
-                retry_in_ms,
-            }) => {
-                span.set_status(SpanStatus::CircuitOpen);
-                span.set_detail(format!(
-                    "{benchmark} action {action} retry in {retry_in_ms}ms"
-                ));
-            }
             Err(e) => {
                 span.set_status(SpanStatus::Error);
                 span.set_detail(e.to_string());
@@ -1012,7 +904,7 @@ impl CompilerEnv {
         if sink.is_some() {
             spaces.push("Ir".to_string());
         }
-        let resp = self.call_recovering(actions, |sid| Request::Step {
+        let resp = self.call_recovering(|sid| Request::Step {
             session_id: sid,
             actions: actions.to_vec(),
             observation_spaces: spaces.clone(),
@@ -1098,7 +990,7 @@ impl CompilerEnv {
     /// See [`CompilerEnv::step`].
     pub fn observe(&mut self, space: &str) -> Result<Observation, CgError> {
         let space_owned = space.to_string();
-        let resp = self.call_recovering(&[], |sid| Request::Step {
+        let resp = self.call_recovering(|sid| Request::Step {
             session_id: sid,
             actions: vec![],
             observation_spaces: vec![space_owned.clone()],
@@ -1127,7 +1019,7 @@ impl CompilerEnv {
         if let Some(ep) = self.episode_id {
             tel.trace.bind_episode(span.context().trace_id, ep);
         }
-        let forked = match self.call_recovering(&[], |sid| Request::Fork { session_id: sid })? {
+        let forked = match self.call_recovering(|sid| Request::Fork { session_id: sid })? {
             Response::Forked { session_id } => session_id,
             r => return Err(CgError::ServiceFailure(format!("bad Fork reply: {r:?}"))),
         };
@@ -1153,7 +1045,6 @@ impl CompilerEnv {
             actions: self.actions.clone(),
             // Forks share the quarantine: a pair that kills services is
             // pathological for every episode that touches it.
-            breaker: self.breaker.clone(),
             // The fork's steps keep binding to the parent's episode until
             // its own reset() opens a timeline of its own — borrowed, not
             // owned, so the fork's close never ends the parent's timeline.
@@ -1177,7 +1068,7 @@ impl CompilerEnv {
     /// [`CgError::Usage`] before `reset`; service failures; backends
     /// without state serialization.
     pub fn episode_snapshot(&mut self) -> Result<EpisodeSnapshot, CgError> {
-        let resp = self.call_recovering(&[], |sid| Request::ExportState { session_id: sid })?;
+        let resp = self.call_recovering(|sid| Request::ExportState { session_id: sid })?;
         let Response::State { state } = resp else {
             return Err(CgError::ServiceFailure(format!(
                 "bad ExportState reply: {resp:?}"
@@ -1530,7 +1421,7 @@ mod tests {
             no_restart_no_replay
         );
 
-        refusals.store(env.retry_policy().max_attempts, SeqCst);
+        refusals.store(RetryPolicy::default().max_attempts, SeqCst);
         assert!(matches!(env.step(a), Err(CgError::Overloaded { .. })));
         assert_eq!(refusals.load(SeqCst), 0, "every attempt was refused");
         assert_eq!(env.actions(), &[a], "a refused step applies nothing");

@@ -186,12 +186,6 @@ impl LlvmSession {
             .as_ref()
             .ok_or_else(|| "session not initialized".to_string())
     }
-
-    /// Direct access to the module (used by in-process tooling like the
-    /// state-transition logger; not part of the RPC surface).
-    pub fn module_ref(&self) -> Option<&Module> {
-        self.module.as_ref()
-    }
 }
 
 impl CompilationSession for LlvmSession {
@@ -525,7 +519,7 @@ mod tests {
         assert_eq!(s.features.cached_functions(), [0; 5]);
         drop(fork);
         s.observe("Autophase").unwrap();
-        let n = s.module_ref().unwrap().num_functions();
+        let n = s.module().unwrap().num_functions();
         assert_eq!(s.features.cached_functions(), [0, 0, n, 0, 0]);
     }
 
@@ -575,7 +569,7 @@ mod tests {
         assert!(a.nodes.iter().zip(&b.nodes).all(|(x, y)| ptr_eq(x, y)));
 
         let stamps = |s: &LlvmSession| {
-            let m = s.module_ref().unwrap();
+            let m = s.module().unwrap();
             (m.func_ids().iter())
                 .map(|&f| m.func(f).stamp())
                 .collect::<Vec<_>>()

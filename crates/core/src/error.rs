@@ -39,18 +39,6 @@ pub enum CgError {
     /// The service itself survived; the episode is recoverable by
     /// checkpoint restore / replay like [`CgError::SessionLost`].
     BudgetExceeded(crate::budget::BudgetViolation),
-    /// The per-(benchmark, action) circuit breaker is open: this pair has
-    /// repeatedly killed compiler services and is quarantined until the
-    /// cooldown allows a half-open probe. Fail-fast — the service was not
-    /// contacted.
-    CircuitOpen {
-        /// The quarantined benchmark.
-        benchmark: String,
-        /// The quarantined action.
-        action: usize,
-        /// Milliseconds until a probe will be allowed.
-        retry_in_ms: u64,
-    },
     /// The service's front door refused the request under overload
     /// (admission control, a per-tenant quota, or queue-pressure shedding)
     /// with a typed in-band answer instead of hanging or dying. The session
@@ -96,15 +84,6 @@ impl fmt::Display for CgError {
                 }
             }
             CgError::BudgetExceeded(v) => write!(f, "resource budget exceeded: {v}"),
-            CgError::CircuitOpen {
-                benchmark,
-                action,
-                retry_in_ms,
-            } => write!(
-                f,
-                "circuit open for {benchmark} action {action}: this pair repeatedly \
-                 killed compiler services; next probe allowed in ~{retry_in_ms}ms"
-            ),
             CgError::Overloaded {
                 retry_after_ms,
                 reason,

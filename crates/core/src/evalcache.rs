@@ -36,7 +36,7 @@ use crate::env::EpisodeSnapshot;
 /// Default bound on cached exact entries (and trie snapshots).
 pub const DEFAULT_CAPACITY: usize = 100_000;
 
-/// Default depth interval between prefix snapshots.
+/// Depth interval between prefix snapshots.
 pub const DEFAULT_SNAPSHOT_INTERVAL: usize = 4;
 
 /// A finished evaluation: the sequence it belongs to (kept to rule out
@@ -92,7 +92,6 @@ impl Inner {
 pub struct EvalCache {
     inner: Mutex<Inner>,
     capacity: usize,
-    snapshot_interval: usize,
     enabled: bool,
 }
 
@@ -120,7 +119,6 @@ impl EvalCache {
         EvalCache {
             inner: Mutex::new(Inner::default()),
             capacity: capacity.max(1),
-            snapshot_interval: DEFAULT_SNAPSHOT_INTERVAL,
             enabled: true,
         }
     }
@@ -135,15 +133,10 @@ impl EvalCache {
         c
     }
 
-    /// Overrides the prefix-snapshot interval (in actions).
-    pub fn with_snapshot_interval(mut self, every: usize) -> EvalCache {
-        self.snapshot_interval = every.max(1);
-        self
-    }
-
-    /// Depth interval at which evaluators should deposit prefix snapshots.
+    /// Depth interval at which evaluators should deposit prefix snapshots:
+    /// [`DEFAULT_SNAPSHOT_INTERVAL`].
     pub fn snapshot_interval(&self) -> usize {
-        self.snapshot_interval
+        DEFAULT_SNAPSHOT_INTERVAL
     }
 
     /// Looks up a finished evaluation. Counts a pool cache hit or miss.

@@ -24,8 +24,6 @@
 //! * [`budget`] — in-service resource budgets (step wall-clock, state-size
 //!   growth, interpreter fuel) answered as typed in-band errors; the step
 //!   wall budget is what contains a wedged compiler
-//! * [`breaker`] — a per-(benchmark, action) circuit breaker quarantining
-//!   pairs that repeatedly kill services
 //! * [`chaos`] — seeded fault injection for any session factory, used by
 //!   the `cg chaos` soak harness
 //! * [`wrappers`] — TimeLimit, CycleOverBenchmarks, action subsets, and
@@ -48,7 +46,6 @@
 //! # Ok::<(), cg_core::CgError>(())
 //! ```
 
-pub mod breaker;
 pub mod broker;
 pub mod budget;
 pub mod chaos;
@@ -70,7 +67,6 @@ pub mod wrappers;
 
 mod error;
 
-pub use breaker::{Admission, BreakerState, CircuitBreaker};
 pub use broker::{Broker, BrokerConfig, DrainReport, Submitted, TenantQuota, ANONYMOUS_TENANT};
 pub use budget::{BudgetKind, BudgetViolation, ResourceBudget};
 pub use chaos::{IoFaultInjector, IoFaultKind, IoFaultPlan, IoFaultStats};

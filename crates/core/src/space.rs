@@ -99,14 +99,6 @@ impl Observation {
         }
     }
 
-    /// The float vector content, if present.
-    pub fn as_float_vector(&self) -> Option<&[f32]> {
-        match self {
-            Observation::FloatVector(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The text content, if present.
     pub fn as_text(&self) -> Option<&str> {
         match self {

@@ -33,67 +33,33 @@ pub enum SemanticsVerdict {
     NotRunnable(String),
 }
 
-/// Why validation failed, in machine-matchable form.
-///
-/// Wraps the oracle's typed failure so environment code can distinguish a
-/// verifier rejection (broken IR) from a behavioural divergence (miscompile)
-/// from a resource divergence (optimized program stopped terminating).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValidationFailure {
-    /// The underlying oracle verdict.
-    pub failure: OracleFailure,
-}
-
-impl ValidationFailure {
-    /// True if the failure is a sanitizer-style finding: the optimized
-    /// program trapped or failed to finish where the reference ran cleanly.
-    pub fn is_runtime_error(&self) -> bool {
-        matches!(
-            self.failure,
-            OracleFailure::TrapIntroduced { .. } | OracleFailure::FuelDiverged { .. }
-        )
-    }
-}
-
 /// Differentially tests `optimized` against `reference` with the shared
-/// difftest oracle and reports a typed verdict.
+/// difftest oracle.
 ///
 /// # Errors
-/// The typed [`ValidationFailure`] describing the divergence.
-pub fn validate_semantics_typed(
+/// [`CgError::Validation`] describing the divergence. A sanitizer-style
+/// finding — the optimized program trapped or failed to finish where the
+/// reference ran cleanly — is reported as a logic error.
+pub fn validate_semantics(
     reference: &Module,
     optimized: &Module,
-) -> Result<SemanticsVerdict, ValidationFailure> {
+) -> Result<SemanticsVerdict, CgError> {
     // Benchmarks without a runnable entry point (no nullary `main`, or a
     // reference that itself traps on the base input) cannot be judged.
     if let Err(e) = run_main(reference, &ExecLimits::default()) {
         return Ok(SemanticsVerdict::NotRunnable(e.to_string()));
     }
-    match compare_modules(reference, optimized, &OracleConfig::default()) {
-        Ok(runs) => Ok(SemanticsVerdict::Ok { runs }),
-        Err(failure) => Err(ValidationFailure { failure }),
-    }
-}
-
-/// Differentially tests `optimized` against `reference`.
-///
-/// Convenience wrapper over [`validate_semantics_typed`] for callers that
-/// only need an error string.
-///
-/// # Errors
-/// [`CgError::Validation`] describing the divergence.
-pub fn validate_semantics(
-    reference: &Module,
-    optimized: &Module,
-) -> Result<SemanticsVerdict, CgError> {
-    validate_semantics_typed(reference, optimized).map_err(|vf| {
-        let prefix = if vf.is_runtime_error() {
+    let failure = match compare_modules(reference, optimized, &OracleConfig::default()) {
+        Ok(runs) => return Ok(SemanticsVerdict::Ok { runs }),
+        Err(failure) => failure,
+    };
+    let prefix = match failure {
+        OracleFailure::TrapIntroduced { .. } | OracleFailure::FuelDiverged { .. } => {
             "sanitizer-detected logic error"
-        } else {
-            "differential test failed"
-        };
-        CgError::Validation(format!("{prefix}: {}", vf.failure))
-    })
+        }
+        _ => "differential test failed",
+    };
+    Err(CgError::Validation(format!("{prefix}: {failure}")))
 }
 
 #[cfg(test)]
@@ -156,8 +122,11 @@ mod tests {
         fb.ret(Some(v));
         fb.finish();
         let optimized = mb.finish();
-        let err = validate_semantics_typed(&reference, &optimized).unwrap_err();
-        assert!(err.is_runtime_error(), "{err:?}");
+        let err = validate_semantics(&reference, &optimized).unwrap_err();
+        assert!(
+            err.to_string().contains("sanitizer-detected logic error"),
+            "{err:?}"
+        );
     }
 
     #[test]

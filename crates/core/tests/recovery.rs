@@ -443,7 +443,7 @@ fn nondeterministic_replay_surfaces_typed_divergence() {
 fn unrecovered_failure_leaves_no_stale_session() {
     // Every apply panics, forever: recovery replays succeed (empty history)
     // but the retried step always dies, so the failure ultimately surfaces.
-    let (factory, _) = FaultPlan::seeded(6)
+    let (factory, stats) = FaultPlan::seeded(6)
         .with_panic_prob(1.0)
         .wrap(gen_factory(0));
     let mut env = gen_env(factory);
@@ -455,6 +455,9 @@ fn unrecovered_failure_leaves_no_stale_session() {
     env.reset().unwrap();
     let err = env.step(0).unwrap_err();
     assert!(matches!(err, CgError::SessionLost(_)), "got {err:?}");
+    // A deterministic killer costs exactly `max_attempts` faulting calls:
+    // the retry policy alone bounds the work before the error surfaces.
+    assert_eq!(stats.panics(), 2, "one injected panic per attempt");
     // The dead worker's session id must not be retained: the next call is a
     // clean usage error, not a request addressed to a ghost session.
     let err2 = env.step(0).unwrap_err();

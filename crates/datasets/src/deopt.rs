@@ -21,7 +21,7 @@ pub fn deoptimize(m: &mut Module) {
 }
 
 /// Demotes scalar SSA values of one function to stack slots.
-pub fn deoptimize_function(f: &mut Function) {
+fn deoptimize_function(f: &mut Function) {
     // Types of every value (params + defs).
     let mut types: HashMap<ValueId, Type> = HashMap::new();
     for (v, t) in &f.params {

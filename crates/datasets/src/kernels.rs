@@ -30,7 +30,7 @@ fn fill(seed: u64, n: usize, modulus: i64) -> Vec<i64> {
 /// Builds `for i in 0..trip { accs = body(i, accs) }` and returns the final
 /// accumulator values (valid after the loop). `trip` must be a value or
 /// constant available before the loop.
-pub fn counted_loop(
+fn counted_loop(
     fb: &mut FunctionBuilder<'_>,
     trip: Operand,
     inits: &[(Type, Operand)],

@@ -65,12 +65,15 @@ impl SplitMix64 {
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.index(xs.len())]
     }
+}
 
+#[cfg(test)]
+impl SplitMix64 {
     /// Picks an index according to integer weights.
     ///
     /// # Panics
     /// Panics if weights sum to zero.
-    pub fn pick_weighted(&mut self, weights: &[u32]) -> usize {
+    fn pick_weighted(&mut self, weights: &[u32]) -> usize {
         let total: u64 = weights.iter().map(|w| *w as u64).sum();
         assert!(total > 0, "all weights zero");
         let mut x = self.below(total);

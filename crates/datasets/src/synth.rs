@@ -75,7 +75,7 @@ impl Profile {
 
     /// Deep counted-loop nests with long bodies: stresses the loop
     /// pipeline (licm, unroll, peel, indvars) and fuel accounting.
-    pub fn deep_loops() -> Profile {
+    fn deep_loops() -> Profile {
         Profile {
             functions: (1, 3),
             stmts: (14, 30),
@@ -139,7 +139,7 @@ impl Profile {
 
     /// Many small helpers calling each other densely: stresses the inliner
     /// thresholds, deadargelim, globaldce and ipsccp.
-    pub fn call_web() -> Profile {
+    fn call_web() -> Profile {
         Profile {
             functions: (6, 12),
             stmts: (6, 16),

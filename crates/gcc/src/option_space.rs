@@ -32,7 +32,7 @@ impl GccSpec {
     }
 
     /// GCC 8.
-    pub fn v8() -> GccSpec {
+    fn v8() -> GccSpec {
         GccSpec {
             version: "8.5.0".into(),
             num_flags: 210,
@@ -448,14 +448,6 @@ impl OptionSpace {
         self.options.len()
     }
 
-    /// log10 of the number of distinct configurations.
-    pub fn log10_size(&self) -> f64 {
-        self.options
-            .iter()
-            .map(|o| (o.cardinality as f64).log10())
-            .sum()
-    }
-
     /// The all-default configuration (every option unspecified).
     pub fn default_choices(&self) -> Vec<usize> {
         vec![0; self.options.len()]
@@ -566,13 +558,22 @@ pub enum FlatAction {
 mod tests {
     use super::*;
 
+    /// log10 of the number of distinct configurations.
+    fn log10_size(space: &OptionSpace) -> f64 {
+        space
+            .options()
+            .iter()
+            .map(|o| (o.cardinality as f64).log10())
+            .sum()
+    }
+
     #[test]
     fn v11_has_502_options_and_huge_space() {
         let space = OptionSpace::for_version(&GccSpec::v11_2());
         assert_eq!(space.num_options(), 502);
         // Paper: "a modest size of approximately 10^4461". Ours lands in the
         // same order-of-magnitude band (hundreds–thousands of digits).
-        let digits = space.log10_size();
+        let digits = log10_size(&space);
         assert!(digits > 400.0, "space too small: 10^{digits:.0}");
     }
 
@@ -581,7 +582,7 @@ mod tests {
         let v11 = OptionSpace::for_version(&GccSpec::v11_2());
         let v5 = OptionSpace::for_version(&GccSpec::v5());
         assert!(v5.num_options() < v11.num_options());
-        assert!(v5.log10_size() < v11.log10_size());
+        assert!(log10_size(&v5) < log10_size(&v11));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The per-function analysis cache.
 //!
 //! [`AnalysisManager`] caches [`Cfg`], [`DomTree`], dominance frontiers, the
-//! loop forest, [`Liveness`] and [`DefUse`] per function, keyed by
+//! loop forest and [`Liveness`] per function, keyed by
 //! [`FuncId`] and validated by the owning function's modification [`Stamp`]:
 //! a cached entry is served only while its recorded stamp still equals the
 //! function's current one. A stamp moves exactly when its function changes,
@@ -13,9 +13,9 @@
 //!   dropping anything. Sound for a pass that changes nothing analyses
 //!   depend on (it only flips function attributes).
 //! * [`AnalysisManager::preserve_cfg`] — keep the CFG-shape analyses (cfg,
-//!   dominators, frontiers, loops) but drop the value-level ones (liveness,
-//!   def-use). Sound for passes that rewrite instructions without touching
-//!   terminators or layout.
+//!   dominators, frontiers, loops) but drop the value-level one
+//!   (liveness). Sound for passes that rewrite instructions without
+//!   touching terminators or layout.
 //!
 //! The same stamps name module contents for the no-op pass memo
 //! ([`AnalysisManager::known_noop`]): an unchanged (function id, stamp)
@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::analysis::{find_loops, Cfg, DefUse, DomTree, Liveness, Loop};
+use crate::analysis::{find_loops, Cfg, DomTree, Liveness, Loop};
 use crate::module::{BlockId, FuncId, Function, Stamp};
 
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -93,7 +93,6 @@ struct FuncEntry {
     frontiers: Option<Arc<Vec<Vec<BlockId>>>>,
     loops: Option<Arc<Vec<Loop>>>,
     liveness: Option<Arc<Liveness>>,
-    defuse: Option<Arc<DefUse>>,
 }
 
 impl FuncEntry {
@@ -103,7 +102,6 @@ impl FuncEntry {
             + self.frontiers.is_some() as u64
             + self.loops.is_some() as u64
             + self.liveness.is_some() as u64
-            + self.defuse.is_some() as u64
     }
 
     fn clear(&mut self) {
@@ -140,11 +138,6 @@ impl AnalysisManager {
     /// recomputes. The control arm for tests and benchmarks.
     pub fn disabled() -> AnalysisManager {
         AnalysisManager::default()
-    }
-
-    /// True if this manager caches at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The entry for `fid`, cleared first if its stamp is stale.
@@ -250,23 +243,6 @@ impl AnalysisManager {
         live
     }
 
-    /// The def-use maps of `f` (cached).
-    pub fn defuse(&mut self, fid: FuncId, f: &Function) -> Arc<DefUse> {
-        if !self.enabled {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(DefUse::compute(f));
-        }
-        let e = self.entry(fid, f);
-        if let Some(du) = &e.defuse {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(du);
-        }
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        let du = Arc::new(DefUse::compute(f));
-        e.defuse = Some(Arc::clone(&du));
-        du
-    }
-
     /// Drops everything cached for `fid`.
     pub fn invalidate(&mut self, fid: FuncId) {
         if let Some(e) = self.entries.get_mut(&fid.0) {
@@ -288,18 +264,14 @@ impl AnalysisManager {
     }
 
     /// Keeps the CFG-shape analyses (cfg, dominators, frontiers, loops) and
-    /// re-adopts the current stamp, but drops the value-level ones
-    /// (liveness, def-use). Only sound when terminators, layout and the
-    /// block set are known unchanged.
+    /// re-adopts the current stamp, but drops the value-level one
+    /// (liveness). Only sound when terminators, layout and the block set
+    /// are known unchanged.
     pub fn preserve_cfg(&mut self, fid: FuncId, f: &Function) {
         if let Some(e) = self.entries.get_mut(&fid.0) {
             if e.stamp.is_some() {
-                INVALIDATIONS.fetch_add(
-                    e.liveness.is_some() as u64 + e.defuse.is_some() as u64,
-                    Ordering::Relaxed,
-                );
+                INVALIDATIONS.fetch_add(e.liveness.is_some() as u64, Ordering::Relaxed);
                 e.liveness = None;
-                e.defuse = None;
                 e.stamp = Some(f.stamp());
             }
         }
@@ -423,11 +395,6 @@ impl AnalysisManager {
                     bad.push(format!("fn {}: cached Liveness diverged", f.name));
                 }
             }
-            if let Some(du) = &e.defuse {
-                if **du != DefUse::compute(f) {
-                    bad.push(format!("fn {}: cached DefUse diverged", f.name));
-                }
-            }
         }
         bad
     }
@@ -535,8 +502,6 @@ mod tests {
         assert_eq!(*loops, find_loops(f, &cfg, &dom));
         let live = am.liveness(fid, f);
         assert_eq!(*live, Liveness::compute(f, &cfg));
-        let du = am.defuse(fid, f);
-        assert_eq!(*du, DefUse::compute(f));
         assert_eq!(am.cached_functions(), 1);
     }
 

@@ -307,19 +307,6 @@ fn grow_loop(f: &Function, cfg: &Cfg, header: BlockId, latch: BlockId, blocks: &
     }
 }
 
-/// Loop-nesting depth per block, as a dense table indexed by `BlockId.0`
-/// (0 = not in any loop). Useful for spill-cost weighting in register
-/// allocation and for feature extraction.
-pub fn loop_depths(f: &Function, loops: &[Loop]) -> Vec<usize> {
-    let mut depth = vec![0usize; f.block_bound() as usize];
-    for l in loops {
-        for &b in &l.blocks {
-            depth[b.0 as usize] = depth[b.0 as usize].max(l.depth);
-        }
-    }
-    depth
-}
-
 /// Per-block liveness of SSA values (live-in and live-out sets), computed by
 /// iterative backward dataflow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -398,14 +385,17 @@ impl Liveness {
         }
         Liveness { live_in, live_out }
     }
+}
 
+#[cfg(test)]
+impl Liveness {
     /// Values live on entry to `b`.
-    pub fn live_in(&self, b: BlockId) -> &HashSet<ValueId> {
+    fn live_in(&self, b: BlockId) -> &HashSet<ValueId> {
         &self.live_in[b.0 as usize]
     }
 
     /// Values live on exit from `b`.
-    pub fn live_out(&self, b: BlockId) -> &HashSet<ValueId> {
+    fn live_out(&self, b: BlockId) -> &HashSet<ValueId> {
         &self.live_out[b.0 as usize]
     }
 }
@@ -467,16 +457,6 @@ impl DefUse {
             .get(v.0 as usize)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Number of uses of `v`.
-    pub fn use_count(&self, v: ValueId) -> usize {
-        self.uses(v).len()
-    }
-
-    /// True if nothing reads `v`.
-    pub fn is_unused(&self, v: ValueId) -> bool {
-        self.uses(v).is_empty()
     }
 }
 
@@ -586,9 +566,6 @@ mod tests {
         assert_eq!(loops[0].latches, vec![body]);
         assert_eq!(loops[0].exits, vec![exit]);
         assert_eq!(loops[0].depth, 1);
-        let depths = loop_depths(f, &loops);
-        assert_eq!(depths[header.0 as usize], 1);
-        assert_eq!(depths[exit.0 as usize], 0);
     }
 
     #[test]
@@ -599,7 +576,7 @@ mod tests {
         // The parameter has no def site but is used in both arms and the
         // compare.
         assert_eq!(du.def(ValueId(0)), None);
-        assert!(du.use_count(ValueId(0)) >= 3);
+        assert!(du.uses(ValueId(0)).len() >= 3);
         // Every non-param value with a destination has a def site.
         for b in f.blocks() {
             for (i, inst) in b.insts.iter().enumerate() {
@@ -613,7 +590,6 @@ mod tests {
         let join = ids[3];
         let phi_dest = f.block(join).insts[0].dest.unwrap();
         assert_eq!(du.uses(phi_dest), &[(join, TERM_INDEX)]);
-        assert!(!du.is_unused(phi_dest));
     }
 
     #[test]

@@ -107,15 +107,6 @@ impl<'a> FunctionBuilder<'a> {
         Operand::Value(f.params[i].0)
     }
 
-    /// Number of parameters.
-    pub fn param_count(&self) -> usize {
-        self.func
-            .as_ref()
-            .expect("function already finished")
-            .params
-            .len()
-    }
-
     /// Marks the function with an inline hint.
     pub fn set_inline_hint(&mut self, hint: InlineHint) {
         self.f().inline_hint = hint;

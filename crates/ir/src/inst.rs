@@ -67,7 +67,7 @@ impl BinOp {
     }
 
     /// True for operations that can trap at runtime (integer div/rem).
-    pub fn can_trap(&self) -> bool {
+    fn can_trap(&self) -> bool {
         matches!(self, BinOp::Div | BinOp::Rem)
     }
 

@@ -127,7 +127,7 @@ pub struct ExecOutcome {
     /// Dynamic instruction count.
     pub dyn_insts: u64,
     /// Weighted cycle estimate (the deterministic core of the runtime
-    /// reward; see [`cycle_cost`]).
+    /// reward; see `cycle_cost`).
     pub cycles: u64,
     /// FNV-1a hash of the final global memory region. Together with `ret`
     /// this is the observable behaviour compared by differential testing.
@@ -138,7 +138,7 @@ pub struct ExecOutcome {
 /// loosely calibrated to a modern out-of-order core and are what makes
 /// "runtime" a *different* optimization target from "code size": e.g.
 /// replacing a multiply with shifts wins cycles but may lose size.
-pub fn cycle_cost(op: &Op) -> u64 {
+fn cycle_cost(op: &Op) -> u64 {
     match op {
         Op::Bin(b, _, _) => match b {
             BinOp::Mul => 3,

@@ -23,19 +23,11 @@ use crate::types::Operand;
 /// Prints a whole module to its canonical textual form.
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
-    print_module_into(&mut out, m);
-    out
-}
-
-/// Prints a whole module into a caller-supplied buffer, clearing it first.
-/// Reusing one buffer across prints avoids re-growing a fresh `String` for
-/// every print.
-pub fn print_module_into(out: &mut String, m: &Module) {
-    out.clear();
-    print_header(out, m);
+    print_header(&mut out, m);
     for &fid in m.func_ids() {
-        print_function(out, m, m.func(fid));
+        print_function(&mut out, m, m.func(fid));
     }
+    out
 }
 
 /// Prints the module line and the globals into `out`: everything
@@ -106,7 +98,7 @@ fn operand(out: &mut String, m: &Module, o: &Operand) {
 }
 
 /// Prints a single instruction (no trailing newline) into `out`.
-pub fn print_inst(out: &mut String, m: &Module, inst: &Inst) {
+fn print_inst(out: &mut String, m: &Module, inst: &Inst) {
     if let Some(d) = inst.dest {
         let _ = write!(out, "{d} = ");
     }
@@ -198,7 +190,7 @@ pub fn print_inst(out: &mut String, m: &Module, inst: &Inst) {
 }
 
 /// Prints a terminator (no trailing newline) into `out`.
-pub fn print_terminator(out: &mut String, t: &Terminator) {
+fn print_terminator(out: &mut String, t: &Terminator) {
     match t {
         Terminator::Br { target } => {
             let _ = write!(out, "br {target}");
@@ -254,13 +246,6 @@ pub fn print_terminator(out: &mut String, t: &Terminator) {
         },
         Terminator::Unreachable => out.push_str("unreachable"),
     }
-}
-
-/// Convenience: prints one instruction to a fresh string.
-pub fn inst_to_string(m: &Module, inst: &Inst) -> String {
-    let mut s = String::new();
-    print_inst(&mut s, m, inst);
-    s
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ fn default_operand(m: &Module, ty: Type) -> Option<Operand> {
 
 /// Removes φ-incomings that no longer correspond to a CFG predecessor, for
 /// every block of `f`. Needed after any terminator rewrite.
-pub fn prune_phi_incomings(f: &mut crate::module::Function) {
+fn prune_phi_incomings(f: &mut crate::module::Function) {
     let cfg = Cfg::compute(f);
     for bid in f.block_ids_vec() {
         let preds: Vec<BlockId> = cfg.preds(bid).to_vec();
@@ -67,7 +67,7 @@ pub fn prune_phi_incomings(f: &mut crate::module::Function) {
 
 /// Deletes every block unreachable from the entry, fixing up φ-incomings in
 /// the survivors. Safe to call on any function.
-pub fn prune_unreachable_blocks(f: &mut crate::module::Function) {
+fn prune_unreachable_blocks(f: &mut crate::module::Function) {
     let dead = crate::analysis::unreachable_blocks(f);
     if dead.is_empty() {
         return;
@@ -108,7 +108,7 @@ mod candidates {
 
     /// Drops function `fid` entirely, replacing every call to it (in any
     /// other function) with the callee's zero value.
-    pub fn drop_function(m: &mut Module, fid: FuncId) -> bool {
+    pub(super) fn drop_function(m: &mut Module, fid: FuncId) -> bool {
         // `main` is the differential entry point; never drop it.
         if m.func(fid).name == "main" {
             return false;
@@ -148,7 +148,7 @@ mod candidates {
 
     /// Rewrites a conditional terminator of `bid` into an unconditional
     /// branch to successor `which`, then prunes newly unreachable blocks.
-    pub fn fold_terminator(m: &mut Module, fid: FuncId, bid: BlockId, which: usize) -> bool {
+    pub(super) fn fold_terminator(m: &mut Module, fid: FuncId, bid: BlockId, which: usize) -> bool {
         let f = m.func_mut(fid);
         if !f.block_exists(bid) {
             return false;
@@ -170,7 +170,7 @@ mod candidates {
     /// successor and rehoming the successor's φ-incomings from `bid` to each
     /// predecessor. Generated IR (and branch folding) leaves long `br`-only
     /// chains that the other candidates cannot touch.
-    pub fn thread_empty_block(m: &mut Module, fid: FuncId, bid: BlockId) -> bool {
+    pub(super) fn thread_empty_block(m: &mut Module, fid: FuncId, bid: BlockId) -> bool {
         let f = m.func_mut(fid);
         if !f.block_exists(bid) || bid == f.entry() || !f.block(bid).insts.is_empty() {
             return false;
@@ -220,7 +220,7 @@ mod candidates {
 
     /// Deletes instruction `idx` of block `bid`, replacing its result (if
     /// any) with a zero constant.
-    pub fn drop_inst(m: &mut Module, fid: FuncId, bid: BlockId, idx: usize) -> bool {
+    pub(super) fn drop_inst(m: &mut Module, fid: FuncId, bid: BlockId, idx: usize) -> bool {
         let mut f = m.take_func(fid);
         let ok = (|| {
             if !f.block_exists(bid) || idx >= f.block(bid).insts.len() {

@@ -56,7 +56,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 ///
 /// # Errors
 /// See [`verify_module`].
-pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
+fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
     let err = |block: Option<BlockId>, message: String| VerifyError {
         function: f.name.clone(),
         block,

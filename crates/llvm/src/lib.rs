@@ -2,10 +2,9 @@
 //!
 //! Reproduces the substrate behind CompilerGym's LLVM phase-ordering
 //! environment: a library of real optimization passes over [`cg_ir`]
-//! modules, the `-O0`/`-O1`/`-O2`/`-O3`/`-Oz` pipelines used as reward
-//! baselines, a 124-entry discrete action space, and the five observation
-//! spaces of Table III (LLVM-IR text, InstCount, Autophase, inst2vec,
-//! ProGraML).
+//! modules, the `-O3`/`-Oz` pipelines used as reward baselines, a
+//! 124-entry discrete action space, and the five observation spaces of
+//! Table III (LLVM-IR text, InstCount, Autophase, inst2vec, ProGraML).
 //!
 //! Passes are genuine program transformations — dead-code elimination
 //! enables nothing until `mem2reg` has created dead loads, inlining feeds

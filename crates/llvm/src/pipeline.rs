@@ -1,180 +1,96 @@
-//! Fixed optimization pipelines: the `-O0`/`-O1`/`-O2`/`-O3`/`-Oz`
-//! orderings that serve as reward baselines (§V-A: rewards "can optionally
-//! be scaled against the gains achieved by the compiler's default phase
-//! orderings, -Oz for size reduction and -O3 for runtime").
+//! Fixed optimization pipelines: the `-O3` and `-Oz` orderings that serve
+//! as reward baselines (§V-A: rewards "can optionally be scaled against the
+//! gains achieved by the compiler's default phase orderings, -Oz for size
+//! reduction and -O3 for runtime").
 
 use cg_ir::Module;
 
 use crate::pass::find_pass;
 
-/// Pass sequences by optimization level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptLevel {
-    /// No optimization.
-    O0,
-    /// Light cleanup.
-    O1,
-    /// Standard optimization.
-    O2,
-    /// Aggressive, runtime-focused optimization.
-    O3,
-    /// Size-focused optimization.
-    Oz,
-}
+/// The `-O3` pipeline, in order: aggressive, runtime-focused.
+const O3: &[&str] = &[
+    "function-attrs",
+    "always-inline",
+    "inline-250",
+    "sroa",
+    "mem2reg",
+    "early-cse-memssa",
+    "instcombine",
+    "reassociate",
+    "simplifycfg",
+    "ipsccp",
+    "sccp",
+    "jump-threading",
+    "loop-simplify",
+    "licm",
+    "indvars",
+    "loop-unroll-full-256",
+    "loop-unroll-4",
+    "strength-reduce",
+    "gvn-pre",
+    "dse",
+    "load-elim",
+    "instcombine",
+    "adce",
+    "loop-deletion",
+    "simplifycfg-aggressive",
+    "globaldce",
+];
 
-impl OptLevel {
-    /// The pass names of this level's pipeline, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        match self {
-            OptLevel::O0 => vec![],
-            OptLevel::O1 => vec![
-                "mem2reg",
-                "instcombine",
-                "simplifycfg",
-                "early-cse",
-                "sccp",
-                "dce",
-                "simplifycfg",
-            ],
-            OptLevel::O2 => vec![
-                "function-attrs",
-                "always-inline",
-                "inline-100",
-                "sroa",
-                "mem2reg",
-                "early-cse-memssa",
-                "instcombine",
-                "simplifycfg",
-                "sccp",
-                "jump-threading",
-                "loop-simplify",
-                "licm",
-                "gvn",
-                "dse",
-                "load-elim",
-                "instcombine",
-                "adce",
-                "simplifycfg-aggressive",
-            ],
-            OptLevel::O3 => vec![
-                "function-attrs",
-                "always-inline",
-                "inline-250",
-                "sroa",
-                "mem2reg",
-                "early-cse-memssa",
-                "instcombine",
-                "reassociate",
-                "simplifycfg",
-                "ipsccp",
-                "sccp",
-                "jump-threading",
-                "loop-simplify",
-                "licm",
-                "indvars",
-                "loop-unroll-full-256",
-                "loop-unroll-4",
-                "strength-reduce",
-                "gvn-pre",
-                "dse",
-                "load-elim",
-                "instcombine",
-                "adce",
-                "loop-deletion",
-                "simplifycfg-aggressive",
-                "globaldce",
-            ],
-            OptLevel::Oz => vec![
-                "function-attrs",
-                "always-inline",
-                "inline-25",
-                "sroa",
-                "mem2reg",
-                "instcombine",
-                "early-cse-memssa",
-                "ipsccp",
-                "sccp",
-                "gvn",
-                "reassociate",
-                "instcombine",
-                "dse",
-                "load-elim",
-                "adce",
-                "phi-simplify",
-                "loop-deletion",
-                "jump-threading",
-                "simplifycfg-aggressive",
-                "mergefunc",
-                "deadargelim",
-                "globalopt",
-                "globaldce",
-                "instcombine",
-                "adce",
-                "simplifycfg-aggressive",
-            ],
-        }
-    }
-}
+/// The `-Oz` pipeline, in order: size-focused.
+const OZ: &[&str] = &[
+    "function-attrs",
+    "always-inline",
+    "inline-25",
+    "sroa",
+    "mem2reg",
+    "instcombine",
+    "early-cse-memssa",
+    "ipsccp",
+    "sccp",
+    "gvn",
+    "reassociate",
+    "instcombine",
+    "dse",
+    "load-elim",
+    "adce",
+    "phi-simplify",
+    "loop-deletion",
+    "jump-threading",
+    "simplifycfg-aggressive",
+    "mergefunc",
+    "deadargelim",
+    "globalopt",
+    "globaldce",
+    "instcombine",
+    "adce",
+    "simplifycfg-aggressive",
+];
 
-/// Runs a sequence of named passes over a module. Unknown names panic (the
-/// pipelines only reference registry passes, checked by tests).
+/// Runs a pipeline over a module. Unknown pass names panic (the pipelines
+/// only reference registry passes, checked by tests).
 ///
 /// One [`cg_ir::AnalysisManager`] persists across the whole sequence, so a
 /// pass whose predecessor left a function (or its CFG shape) unchanged
 /// reuses the cached dominator tree and loop forest instead of recomputing.
-pub fn run_passes(module: &mut Module, names: &[&str]) -> bool {
+fn run_pipeline(module: &mut Module, names: &[&str]) -> bool {
     let mut am = cg_ir::AnalysisManager::new();
-    run_passes_with(module, names, &mut am)
-}
-
-/// Like [`run_passes`], but against a caller-supplied analysis manager.
-///
-/// Callers that run several pipelines over the same module (searchers,
-/// benchmark harnesses) can keep one manager alive across calls; passing
-/// [`cg_ir::AnalysisManager::disabled`] instead measures the
-/// always-recompute cost.
-pub fn run_passes_with(
-    module: &mut Module,
-    names: &[&str],
-    am: &mut cg_ir::AnalysisManager,
-) -> bool {
     let mut changed = false;
     for name in names {
         let pass = find_pass(name).unwrap_or_else(|| panic!("unknown pass `{name}`"));
-        changed |= crate::pass::run_pass_with(pass.as_ref(), module, am).changed;
+        changed |= crate::pass::run_pass_with(pass.as_ref(), module, &mut am).changed;
     }
     changed
 }
 
-/// Runs a sequence of named passes, failing fast instead of panicking.
-///
-/// Used by reproducer replay (`cg-difftest`), where pipelines come from
-/// checked-in JSON files rather than compile-time constants: an unknown pass
-/// name (e.g. after a registry rename) must surface as an error the
-/// regression runner can report, not a panic.
-pub fn try_run_passes(module: &mut Module, names: &[String]) -> Result<bool, String> {
-    let mut am = cg_ir::AnalysisManager::new();
-    let mut changed = false;
-    for name in names {
-        let pass = find_pass(name).ok_or_else(|| format!("unknown pass `{name}`"))?;
-        changed |= crate::pass::run_pass_with(pass.as_ref(), module, &mut am).changed;
-    }
-    Ok(changed)
-}
-
-/// Runs the pipeline for `level` over a module.
-pub fn run_level(module: &mut Module, level: OptLevel) -> bool {
-    run_passes(module, &level.pass_names())
-}
-
 /// Runs the `-Oz` size pipeline (the baseline for size rewards).
 pub fn run_oz(module: &mut Module) -> bool {
-    run_level(module, OptLevel::Oz)
+    run_pipeline(module, OZ)
 }
 
 /// Runs the `-O3` pipeline (the baseline for runtime rewards).
 pub fn run_o3(module: &mut Module) -> bool {
-    run_level(module, OptLevel::O3)
+    run_pipeline(module, O3)
 }
 
 #[cfg(test)]
@@ -185,17 +101,11 @@ mod tests {
 
     #[test]
     fn all_pipeline_pass_names_resolve() {
-        for level in [
-            OptLevel::O0,
-            OptLevel::O1,
-            OptLevel::O2,
-            OptLevel::O3,
-            OptLevel::Oz,
-        ] {
-            for name in level.pass_names() {
+        for (level, names) in [("O3", O3), ("Oz", OZ)] {
+            for name in names {
                 assert!(
                     find_pass(name).is_some(),
-                    "{level:?} references unknown `{name}`"
+                    "{level} references unknown `{name}`"
                 );
             }
         }
@@ -245,13 +155,13 @@ mod tests {
         for name in cg_datasets::CBENCH {
             let m = cg_datasets::benchmark(&format!("cbench-v1/{name}")).unwrap();
             let reference = run_main(&m, &limits).unwrap();
-            for level in [OptLevel::O1, OptLevel::O2, OptLevel::Oz] {
+            for (level, names) in [("O3", O3), ("Oz", OZ)] {
                 let mut opt = m.clone();
-                run_level(&mut opt, level);
-                verify_module(&opt).unwrap_or_else(|e| panic!("{name} under {level:?}: {e}"));
+                run_pipeline(&mut opt, names);
+                verify_module(&opt).unwrap_or_else(|e| panic!("{name} under {level}: {e}"));
                 let out = run_main(&opt, &limits)
-                    .unwrap_or_else(|e| panic!("{name} under {level:?} trapped: {e}"));
-                assert_eq!(out.ret, reference.ret, "{name} under {level:?}");
+                    .unwrap_or_else(|e| panic!("{name} under {level} trapped: {e}"));
+                assert_eq!(out.ret, reference.ret, "{name} under {level}");
             }
         }
     }

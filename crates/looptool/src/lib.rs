@@ -265,7 +265,7 @@ impl GpuModel {
     }
 
     /// Deterministic FLOPs for a nest configuration.
-    pub fn flops_raw(&self, nest: &LoopNest) -> f64 {
+    fn flops_raw(&self, nest: &LoopNest) -> f64 {
         let n = nest.n as f64;
         let threads = nest.threads();
         let t = threads as f64;

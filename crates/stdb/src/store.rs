@@ -85,8 +85,7 @@ pub enum WalRecord {
 }
 
 /// Encodes a record as `[tag byte][JSON]`.
-#[must_use]
-pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
+fn encode_record(rec: &WalRecord) -> Vec<u8> {
     let (tag, body) = match rec {
         WalRecord::Reset(r) => (TAG_RESET, serde_json::to_string(r)),
         WalRecord::Step(s) => (TAG_STEP, serde_json::to_string(s)),
@@ -104,7 +103,7 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
 ///
 /// # Errors
 /// Returns a description of the framing or JSON problem.
-pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
+fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
     let (&tag, body) = payload.split_first().ok_or("empty record")?;
     let body = std::str::from_utf8(body).map_err(|e| e.to_string())?;
     match tag {
@@ -362,6 +361,21 @@ pub struct TransitionStore {
     decode_failures: u64,
 }
 
+/// The stores [`TransitionStore::open_shared`] has handed out, by
+/// canonical directory.
+fn shared_registry() -> &'static Mutex<HashMap<PathBuf, Weak<TransitionStore>>> {
+    static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Weak<TransitionStore>>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// Registry entries, live or dead, for directories under `root`.
+#[cfg(test)]
+fn shared_registry_len(root: &Path) -> usize {
+    let root = fs::canonicalize(root).unwrap();
+    let map = shared_registry().lock();
+    map.keys().filter(|k| k.starts_with(&root)).count()
+}
+
 impl TransitionStore {
     /// Opens (creating if needed) the store at `dir`, running WAL recovery
     /// and rebuilding the index from every intact record.
@@ -427,15 +441,16 @@ impl TransitionStore {
     /// # Errors
     /// Propagates I/O failures.
     pub fn open_shared(dir: &Path, cfg: StoreConfig) -> io::Result<Arc<TransitionStore>> {
-        static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Weak<TransitionStore>>>> = OnceLock::new();
         fs::create_dir_all(dir)?;
         let key = fs::canonicalize(dir)?;
-        let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = registry.lock();
+        let mut map = shared_registry().lock();
         if let Some(live) = map.get(&key).and_then(Weak::upgrade) {
             return Ok(live);
         }
         let store = Arc::new(TransitionStore::open(dir, cfg)?);
+        // A dead entry would keep its store's allocation alive for the
+        // life of the process: drop them as new ones arrive.
+        map.retain(|_, w| w.strong_count() > 0);
         map.insert(key, Arc::downgrade(&store));
         Ok(store)
     }
@@ -470,7 +485,7 @@ impl TransitionStore {
 
     /// Registers a state without an edge or reset marker (an environment
     /// resuming from a restored snapshot), returning its hash.
-    pub fn log_state(&self, ir_text: &str) -> u64 {
+    fn log_state(&self, ir_text: &str) -> u64 {
         let state = cg_ir::fnv1a(ir_text.as_bytes());
         self.observe_state(state, ir_text);
         state
@@ -1008,6 +1023,14 @@ mod tests {
         let s1 = TransitionStore::open_shared(&dir, StoreConfig::default()).unwrap();
         let s2 = TransitionStore::open_shared(&dir, StoreConfig::default()).unwrap();
         assert!(Arc::ptr_eq(&s1, &s2));
+        drop((s1, s2));
+        // Opening and dropping stores in distinct directories leaves one
+        // entry at most: each insert prunes the entries of dropped stores.
+        for i in 0..8 {
+            let sub = dir.join(format!("d{i}"));
+            drop(TransitionStore::open_shared(&sub, StoreConfig::default()).unwrap());
+            assert_eq!(shared_registry_len(&dir), 1, "after {} directories", i + 1);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

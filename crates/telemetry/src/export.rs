@@ -269,7 +269,7 @@ pub fn spawn_metrics_server(addr: &str) -> std::io::Result<SocketAddr> {
 
 /// Serves Prometheus scrapes on `listener` forever: every request is
 /// answered with a fresh render of the global registry, regardless of path.
-pub fn serve_metrics(listener: TcpListener) {
+fn serve_metrics(listener: TcpListener) {
     for conn in listener.incoming() {
         let Ok(mut stream) = conn else { continue };
         let _ = handle_scrape(&mut stream);

@@ -651,8 +651,6 @@ pub enum SpanStatus {
     Recovered,
     /// Terminated in-band by a resource budget.
     BudgetExceeded,
-    /// Rejected fast because a circuit breaker was open.
-    CircuitOpen,
 }
 
 /// The identity a span propagates to its children — across threads via
@@ -1028,7 +1026,7 @@ impl EpisodeRecorder {
     }
 
     /// Episodes evicted by the capacity bound.
-    pub fn dropped_episodes(&self) -> u64 {
+    fn dropped_episodes(&self) -> u64 {
         self.dropped_episodes.get()
     }
 
@@ -1167,11 +1165,6 @@ impl TraceBuffer {
     /// Opens a root span of a brand-new trace, ignoring any ambient context.
     pub fn root_span(&self, name: impl Into<String>) -> Span<'_> {
         self.span_impl(name.into(), None)
-    }
-
-    /// Opens a span under an explicit (e.g. remote) parent context.
-    pub fn span_with_parent(&self, name: impl Into<String>, parent: TraceContext) -> Span<'_> {
-        self.span_impl(name.into(), Some(parent))
     }
 
     fn span_impl(&self, name: String, parent: Option<TraceContext>) -> Span<'_> {
@@ -1611,14 +1604,6 @@ metrics! {
         /// (wall-clock or state-size), answered with a typed in-band error.
         budget_kills: Counter
             ["cg_budget_kills_total" "Sessions killed in-band by a resource budget."],
-        /// Circuit-breaker transitions to the open state.
-        breaker_trips: Counter ["cg_breaker_trips_total" "Circuit-breaker open transitions."],
-        /// Calls rejected fast because a circuit was open.
-        breaker_fast_fails: Counter
-            ["cg_breaker_fast_fails_total" "Calls rejected by an open circuit."],
-        /// Circuit-breaker transitions from open to half-open (probe allowed).
-        breaker_half_opens: Counter
-            ["cg_breaker_half_opens_total" "Circuit-breaker half-open probes."],
         /// Episode-level environment statistics.
         episode: EpisodeStats [],
         /// Per-observation-space computation latency.
@@ -1680,7 +1665,7 @@ pub fn global() -> &'static Telemetry {
 }
 
 /// Microseconds elapsed since the first telemetry call in this process.
-pub fn now_micros() -> u64 {
+fn now_micros() -> u64 {
     static START: OnceLock<Instant> = OnceLock::new();
     START
         .get_or_init(Instant::now)
