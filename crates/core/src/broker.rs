@@ -1,65 +1,23 @@
 //! Multi-tenant front door: the session broker (admission control,
 //! per-tenant quotas, fair scheduling, backpressure, graceful drain).
 //!
-//! The broker is the only TCP server: one researcher driving one
-//! environment and a shared service fronting many tenants go through the
-//! same bounded front door, so no client has an unbounded right to spawn
-//! work, overload is answered typed rather than by hangs or dropped
-//! connections, and shutdown does not lose live episodes.
-//!
-//! * **Fixed worker fleet.** `workers` threads each own one service state
-//!   (the [`crate::pool::EnvPool`] ownership pattern: sessions are sharded,
-//!   never shared, no locks around compiler state). Session ids returned to
-//!   clients are *global*: `gid = local_id * workers + worker_index`, a
-//!   stateless bijection that routes any follow-up request to its owning
-//!   worker (`gid % workers`) without a shared allocator.
-//! * **Per-tenant FIFO queues, deficit-round-robin service.** Each worker
-//!   keeps one FIFO per tenant and serves them DRR-fair with a configurable
-//!   quantum, so a tenant's throughput share is bounded by scheduling, not
-//!   by how fast it can enqueue. A request's cost is its action count
-//!   (`max(1, actions.len())`) — batching buys efficiency, not priority.
-//! * **Explicit admission control.** Before any work is queued, a request
-//!   climbs the admission ladder: broker stopped → draining (new sessions
-//!   only) → global session cap → per-tenant concurrent-session quota →
-//!   per-tenant actions/second token bucket → per-tenant queue depth.
-//!   Every refusal is a *typed, in-band* [`Response::Overloaded`] carrying
-//!   `retry_after_ms` — never a hang, never a dropped connection. Clients
-//!   surface it as [`crate::CgError::Overloaded`] and
-//!   [`crate::retry::RetryPolicy::backoff_with_floor`] honors the server's
-//!   delay as a floor under the client's own jittered backoff.
-//! * **Graceful degradation.** Under queue pressure the broker sheds the
-//!   *newest non-established* work first: a request addressing a live
-//!   session may evict a queued session-creation job, so established
-//!   episodes keep progressing at fair share while speculative new work is
-//!   pushed back with `Overloaded`.
-//! * **Graceful drain.** [`Broker::drain`] stops admitting new sessions,
-//!   lets queued work finish within a grace period, sheds the remainder
-//!   (typed refusals, not silence), then stops the fleet — each worker
-//!   parks its live sessions into the [`CheckpointStore`]. Parked episodes
-//!   survive a worker restart and a broker rebuilt in the same process
-//!   over the same store; they survive a *process* restart only when the
-//!   embedder passes a durable ring, cg-stdb's
-//!   `TransitionStore::checkpoint_store`, as [`BrokerConfig::checkpoints`].
-//!   `cg serve` uses the default in-memory ring, which exits with it.
-//!   A `Shutdown` request over TCP triggers the same path.
-//! * **Connection-scoped sessions.** Over TCP a session belongs to the
-//!   connection that created it: when the socket closes — client crash,
-//!   reconnect-recovery abandoning a ghost session, plain disconnect — the
-//!   broker ends that connection's still-live sessions through the normal
-//!   queue, so their quota slots come back without an `EndSession`.
-//!   In-process callers ([`Broker::call`]) have no connection; their
-//!   sessions live until ended or drained.
-//!
-//! Everything the front door decides is observable: `broker:admit`,
-//! `broker:queue`, `broker:shed`, and `broker:drain` trace spans, plus the
-//! `cg_broker_*` Prometheus families (admitted/refused/shed/quota
-//! counters, session/queue-depth/connection gauges, queue-wait histogram).
+//! The only TCP server, and the bounded front door every tenant shares:
+//! overload is answered typed rather than by hangs, and a drain parks live
+//! episodes. `workers` threads each own one `ServiceState` (sessions are
+//! sharded, never shared); a session's global id is `local * workers +
+//! worker`. Every admission, fairness and drain decision is made by the
+//! sans-IO `core` state machine (DESIGN.md §12). This file is its shell:
+//! the one clock, the threads and their wake-ups, and the sockets. Nothing
+//! polls: a worker waits until the core names it, a drainer until the
+//! queues empty or its grace ends, and `serve` in a blocking accept that a
+//! finished drain wakes with one connect. Decisions show as the
+//! `broker:{admit,queue,shed,drain}` spans and `cg_broker_*` metrics.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::{TcpListener, TcpStream};
+mod core;
+
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,10 +25,11 @@ use cg_telemetry::{SpanStatus, TraceContext};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 
+use self::core::{BrokerCore, Refusal, Rung, Shed};
 use crate::budget::ResourceBudget;
 use crate::checkpoint::CheckpointStore;
 use crate::service::{
-    account_rx, account_tx, write_frame, Classes, FrameReader, Request, Response, ServiceState,
+    account_rx, account_tx, write_frame, FrameReader, Request, Response, ServiceState,
     SessionFactory, PASS_THREAD_STACK,
 };
 use crate::wire;
@@ -83,16 +42,12 @@ pub const ANONYMOUS_TENANT: &str = "anonymous";
 /// broker isolates tenants from each other, it does not rank them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantQuota {
-    /// Concurrent sessions one tenant may hold (`0` = unlimited). The
-    /// N+1-th `StartSession`/`Fork`/`RestoreSession`/`Resume` is refused
-    /// typed.
+    /// Concurrent sessions (and creation reservations) per tenant; `0` =
+    /// unlimited.
     pub max_sessions: usize,
-    /// Sustained actions/second one tenant may apply (`0.0` = unlimited),
-    /// enforced by a token bucket; refusals advise `retry_after_ms` equal
-    /// to the bucket's refill time for the request's cost.
+    /// Sustained actions/second per tenant, a token bucket; `0.0` = unlimited.
     pub actions_per_sec: f64,
-    /// Token-bucket capacity in actions: the burst a tenant may spend
-    /// instantly before the sustained rate gates it.
+    /// Token-bucket capacity: the burst of actions spent before the rate gates.
     pub burst: f64,
 }
 
@@ -118,25 +73,18 @@ pub struct BrokerConfig {
     pub max_queue_depth: usize,
     /// Cap on concurrent TCP connections through [`Broker::serve`].
     pub max_connections: usize,
-    /// DRR quantum in action units added to a tenant's deficit per
-    /// scheduling round. Small values interleave tenants finely; large
-    /// values favor batch throughput.
+    /// DRR quantum: action units added to a tenant's deficit per round.
     pub quantum: u64,
-    /// Baseline `retry_after_ms` advised on refusals that have no better
-    /// estimate (caps, queue pressure). Rate-quota refusals advise the
-    /// actual token-bucket refill time instead.
+    /// `retry_after_ms` advised on refusals other than the rate quota's.
     pub retry_after_ms: u64,
-    /// How long [`Broker::drain`] lets queued work finish before shedding
-    /// the remainder (the TCP `Shutdown` path uses this value).
+    /// How long [`Broker::drain`] lets queued work finish before shedding.
     pub drain_grace: Duration,
     /// The uniform per-tenant quota.
     pub quota: TenantQuota,
     /// Resource budget installed in every worker.
     pub budget: ResourceBudget,
-    /// Checkpoint store shared by all workers — interval snapshots during
-    /// service, the park-everything sweep on drain — and the ring
-    /// `Request::Resume` restores from. Its interval is the TCP checkpoint
-    /// interval K.
+    /// Checkpoint store shared by all workers (interval snapshots, the
+    /// sweep on drain) and the ring `Request::Resume` restores from.
     pub checkpoints: CheckpointStore,
 }
 
@@ -186,283 +134,43 @@ pub enum Submitted {
         /// Which rung refused.
         reason: String,
     },
-    /// Rejected outright with a non-overload reply (e.g. a tenant
-    /// addressing another tenant's session). Not an overload signal: the
-    /// client must not retry.
+    /// Rejected with a non-overload reply (a tenant addressing another
+    /// tenant's session): the client must not retry.
     Rejected(Response),
-}
-
-/// One admitted unit of work waiting in a per-tenant queue.
-struct Job {
-    req: Request,
-    ctx: Option<TraceContext>,
-    reply: Sender<Response>,
-    owner: Owner,
-    /// DRR cost in action units: `max(1, actions.len())`.
-    cost: u64,
-    /// Global session id the request names, if any (`req` carries the
-    /// worker-local one).
-    target: Option<u64>,
-    /// Worker index this job was placed on (for per-worker accounting
-    /// when a queued creation is shed before running).
-    placed: usize,
-    enqueued: Instant,
-}
-
-/// Who submitted a job, and so who owns any session it creates.
-#[derive(Clone)]
-struct Owner {
-    tenant: String,
-    /// The TCP connection it arrived on, `None` in process. A session is
-    /// ended when the connection that created it closes.
-    conn: Option<u64>,
-}
-
-/// Token bucket and occupancy for one tenant.
-struct TenantState {
-    /// Live sessions plus in-flight creation reservations.
-    live: usize,
-    /// Jobs admitted but not yet picked up by a worker.
-    queued: usize,
-    tokens: f64,
-    refilled: Instant,
-}
-
-/// One worker's per-tenant FIFOs under deficit-round-robin.
-#[derive(Default)]
-struct WorkerQueues {
-    queues: HashMap<String, VecDeque<Job>>,
-    /// Round-robin order of tenants with backlog on this worker.
-    order: VecDeque<String>,
-    deficits: HashMap<String, u64>,
-}
-
-impl WorkerQueues {
-    fn push(&mut self, job: Job) {
-        let tenant = job.owner.tenant.clone();
-        let queue = self.queues.entry(tenant.clone()).or_default();
-        if queue.is_empty() && !self.order.iter().any(|t| t == &tenant) {
-            self.order.push_back(tenant);
-        }
-        queue.push_back(job);
-    }
-
-    /// Pops the next job under DRR: each rotation tops every backlogged
-    /// tenant's deficit up by `quantum`; a tenant serves from its FIFO
-    /// while its deficit covers the head job's cost. Terminates because
-    /// every full rotation strictly grows some nonempty tenant's deficit.
-    fn pop_drr(&mut self, quantum: u64) -> Option<Job> {
-        let quantum = quantum.max(1);
-        loop {
-            // Retire tenants whose queue drained (their deficit resets:
-            // an idle tenant does not bank scheduling credit).
-            while let Some(front) = self.order.front() {
-                if self.queues.get(front).is_some_and(|q| !q.is_empty()) {
-                    break;
-                }
-                let t = self.order.pop_front().expect("front checked");
-                self.queues.remove(&t);
-                self.deficits.remove(&t);
-            }
-            let tenant = self.order.front()?.clone();
-            let cost = self.queues[&tenant].front().expect("nonempty queue").cost;
-            let deficit = self.deficits.entry(tenant.clone()).or_insert(0);
-            if *deficit >= cost {
-                *deficit -= cost;
-                let job = self
-                    .queues
-                    .get_mut(&tenant)
-                    .expect("queue exists")
-                    .pop_front()?;
-                if self.queues[&tenant].is_empty() {
-                    self.order.pop_front();
-                    self.queues.remove(&tenant);
-                    self.deficits.remove(&tenant);
-                }
-                return Some(job);
-            }
-            *deficit += quantum;
-            self.order.rotate_left(1);
-        }
-    }
-
-    /// Removes this tenant's newest queued session-creation job, if any —
-    /// the shed-newest-non-established-first eviction victim.
-    fn evict_newest_create(&mut self, tenant: &str) -> Option<Job> {
-        let queue = self.queues.get_mut(tenant)?;
-        let at = queue.iter().rposition(|job| job.req.classes().creates)?;
-        queue.remove(at)
-    }
-}
-
-/// Broker state behind the single mutex: queues, tenant accounting, and
-/// the session → tenant ownership map.
-struct Core {
-    draining: bool,
-    stopped: bool,
-    drain_claimed: bool,
-    finished: bool,
-    report: Option<DrainReport>,
-    tenants: HashMap<String, TenantState>,
-    /// Global session id → owning tenant and connection.
-    sessions: HashMap<u64, Owner>,
-    /// Ids of the TCP connections currently being served. A session whose
-    /// creating connection is no longer here is ended as soon as it lands.
-    open_conns: HashSet<u64>,
-    next_conn: u64,
-    /// Live sessions plus reservations, across all tenants.
-    live_total: usize,
-    queued_total: usize,
-    /// Live sessions plus reservations per worker, indexed by worker;
-    /// drives least-loaded placement of new sessions.
-    live_per_worker: Vec<usize>,
-    next_worker: usize,
-    workers: Vec<WorkerQueues>,
-    /// A fresh tenant's initial token balance (the configured burst).
-    initial_tokens: f64,
-    /// Jobs shed while stopping, carried to the drain report.
-    pending_shed: usize,
-}
-
-impl Core {
-    fn tenant_mut(&mut self, tenant: &str) -> &mut TenantState {
-        let initial = self.initial_tokens;
-        self.tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantState {
-                live: 0,
-                queued: 0,
-                tokens: initial,
-                refilled: Instant::now(),
-            })
-    }
-
-    /// The worker carrying the fewest live sessions and reservations.
-    /// Ties break at a rotating start index, so an idle fleet still
-    /// spreads consecutive creates instead of piling onto worker 0.
-    fn least_loaded_worker(&mut self) -> usize {
-        let n = self.live_per_worker.len().max(1);
-        let start = self.next_worker;
-        self.next_worker = (start + 1) % n;
-        (0..n)
-            .map(|i| (start + i) % n)
-            .min_by_key(|&w| self.live_per_worker[w])
-            .unwrap_or(0)
-    }
-
-    /// Returns a session-creation reservation that did not become a live
-    /// session (failed create, evicted queued create, shed on drain).
-    fn release_reservation(&mut self, tenant: &str, worker: usize) {
-        if let Some(state) = self.tenants.get_mut(tenant) {
-            state.live = state.live.saturating_sub(1);
-        }
-        self.live_total = self.live_total.saturating_sub(1);
-        if let Some(load) = self.live_per_worker.get_mut(worker) {
-            *load = load.saturating_sub(1);
-        }
-        cg_telemetry::global().broker.sessions.dec();
-    }
-
-    /// Forgets a live session (ended, destroyed by fault or budget kill).
-    fn release_session(&mut self, gid: u64) {
-        if let Some(owner) = self.sessions.remove(&gid) {
-            if let Some(state) = self.tenants.get_mut(&owner.tenant) {
-                state.live = state.live.saturating_sub(1);
-            }
-            self.live_total = self.live_total.saturating_sub(1);
-            let worker = (gid % self.live_per_worker.len().max(1) as u64) as usize;
-            if let Some(load) = self.live_per_worker.get_mut(worker) {
-                *load = load.saturating_sub(1);
-            }
-            cg_telemetry::global().broker.sessions.dec();
-        }
-    }
-
-    fn enqueue(&mut self, worker: usize, job: Job) {
-        self.tenant_mut(&job.owner.tenant).queued += 1;
-        self.queued_total += 1;
-        cg_telemetry::global().broker.queue_depth.inc();
-        self.workers[worker].push(job);
-    }
-
-    /// Queues an `EndSession` for a session whose connection is gone. It
-    /// bypasses the admission ladder — cleanup must not be refused — and
-    /// nobody waits for the reply; `settle` releases the quota slot. After
-    /// a stop the exiting workers park the session instead.
-    fn end_orphan(&mut self, gid: u64) {
-        let Some(owner) = self.sessions.get(&gid).cloned() else {
-            return;
-        };
-        if self.stopped {
-            return;
-        }
-        let workers = self.workers.len() as u64;
-        let worker = (gid % workers) as usize;
-        let (reply, _) = bounded(1);
-        let job = Job {
-            req: Request::EndSession {
-                session_id: gid / workers,
-            },
-            ctx: None,
-            reply,
-            owner,
-            cost: 1,
-            target: Some(gid),
-            placed: worker,
-            enqueued: Instant::now(),
-        };
-        self.enqueue(worker, job);
-    }
-
-    /// Drops one queued job with a typed `Overloaded` reply and full
-    /// accounting (queue counters, creation reservation, shed telemetry).
-    fn shed_job(&mut self, job: Job, retry_after_ms: u64, reason: &str) {
-        if let Some(state) = self.tenants.get_mut(&job.owner.tenant) {
-            state.queued = state.queued.saturating_sub(1);
-        }
-        self.queued_total = self.queued_total.saturating_sub(1);
-        if job.req.classes().creates {
-            self.release_reservation(&job.owner.tenant, job.placed);
-        }
-        let tel = cg_telemetry::global();
-        tel.broker.queue_depth.dec();
-        tel.broker.shed.inc();
-        tel.trace.emit_status(
-            "broker:shed",
-            format!(
-                "tenant {}: queued {} shed: {reason}",
-                job.owner.tenant,
-                job.req.kind()
-            ),
-            Duration::ZERO,
-            SpanStatus::Error,
-        );
-        let _ = job.reply.send(Response::Overloaded {
-            retry_after_ms,
-            reason: reason.to_string(),
-        });
-    }
 }
 
 struct Inner {
     cfg: BrokerConfig,
-    core: Mutex<Core>,
-    /// Signals workers that queues gained work or the broker stopped.
-    work_cv: Condvar,
-    /// Signals drainers that a worker finished a job (queues may be empty)
-    /// or that the drain report is ready.
+    /// The one clock: the core reads time as `epoch.elapsed()`.
+    epoch: Instant,
+    core: Mutex<BrokerCore<Reply>>,
+    /// One per worker, all under the core's mutex: a worker is woken only
+    /// when the core queued work for it.
+    work: Vec<Condvar>,
+    /// Wakes drainers: the queues emptied, or the drain report is ready.
     idle_cv: Condvar,
-    connections: AtomicUsize,
-    /// Sessions checkpointed by exiting workers, summed for the report.
-    drained: AtomicUsize,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Where `serve` accepts: a finished drain connects to each once.
+    listeners: Mutex<Vec<SocketAddr>>,
+    /// The workers; each returns how many sessions it parked.
+    handles: Mutex<Vec<JoinHandle<usize>>>,
+}
+
+/// How a job is answered: its reply channel and trace context.
+type Reply = (Sender<Response>, Option<TraceContext>);
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Inner {
-    fn lock_core(&self) -> MutexGuard<'_, Core> {
-        self.core
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn now(&self) -> Duration {
+        self.epoch.elapsed()
+    }
+
+    fn wake(&self, workers: impl IntoIterator<Item = usize>) {
+        for w in workers {
+            self.work[w].notify_one();
+        }
     }
 }
 
@@ -479,638 +187,332 @@ impl Broker {
     pub fn new(factory: SessionFactory, cfg: BrokerConfig) -> Broker {
         let workers = cfg.workers.max(1);
         let cfg = BrokerConfig { workers, ..cfg };
-        let initial_tokens = cfg.quota.burst.max(1.0);
         let inner = Arc::new(Inner {
-            core: Mutex::new(Core {
-                draining: false,
-                stopped: false,
-                drain_claimed: false,
-                finished: false,
-                report: None,
-                tenants: HashMap::new(),
-                sessions: HashMap::new(),
-                open_conns: HashSet::new(),
-                next_conn: 0,
-                live_total: 0,
-                queued_total: 0,
-                live_per_worker: vec![0; workers],
-                next_worker: 0,
-                workers: (0..workers).map(|_| WorkerQueues::default()).collect(),
-                initial_tokens,
-                pending_shed: 0,
-            }),
-            work_cv: Condvar::new(),
+            epoch: Instant::now(),
+            core: Mutex::new(BrokerCore::new(cfg.clone())),
+            work: (0..workers).map(|_| Condvar::new()).collect(),
             idle_cv: Condvar::new(),
-            connections: AtomicUsize::new(0),
-            drained: AtomicUsize::new(0),
+            listeners: Mutex::new(Vec::new()),
             handles: Mutex::new(Vec::new()),
             cfg,
         });
-        let mut handles = Vec::with_capacity(workers);
-        for index in 0..workers {
-            let inner_w = Arc::clone(&inner);
-            let factory = Arc::clone(&factory);
-            handles.push(
+        *lock(&inner.handles) = (0..workers)
+            .map(|index| {
+                let (inner, factory) = (Arc::clone(&inner), Arc::clone(&factory));
                 std::thread::Builder::new()
                     .name(format!("cg-broker-{index}"))
                     .stack_size(PASS_THREAD_STACK)
-                    .spawn(move || worker_loop(inner_w, index, factory))
-                    .expect("spawn broker worker"),
-            );
-        }
-        *inner
-            .handles
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = handles;
+                    .spawn(move || worker_loop(&inner, index, factory))
+                    .expect("spawn broker worker")
+            })
+            .collect();
         Broker { inner }
     }
 
     /// Live sessions plus in-flight creation reservations.
     #[must_use]
     pub fn live_sessions(&self) -> usize {
-        self.inner.lock_core().live_total
+        lock(&self.inner.core).live_sessions()
     }
 
     /// Whether a drain completed (fleet stopped, report available).
     fn is_finished(&self) -> bool {
-        self.inner.lock_core().finished
+        lock(&self.inner.core).report().is_some()
     }
 
     /// Stops admitting session-creating work; established sessions keep
     /// being served. Idempotent; [`Broker::drain`] completes the shutdown.
     fn begin_drain(&self) {
-        let mut core = self.inner.lock_core();
-        if !core.draining {
-            core.draining = true;
+        if lock(&self.inner.core).begin_drain() {
             let tel = cg_telemetry::global();
             tel.broker.drains.inc();
-            tel.trace.emit(
-                "broker:drain",
-                "admissions closed to new sessions; draining",
-                Duration::ZERO,
-            );
+            let detail = "admissions closed to new sessions; draining";
+            tel.trace.emit("broker:drain", detail, Duration::ZERO);
         }
     }
 
     /// Runs the admission ladder and, if the request survives it, queues
     /// the work on its owning worker. See [`Submitted`] for the outcomes.
     pub fn submit(&self, tenant: &str, req: Request, ctx: Option<TraceContext>) -> Submitted {
-        self.submit_from(None, tenant, req, ctx)
+        match self.submit_from(None, tenant, req, ctx) {
+            Ok((rx, replies)) => Submitted::Queued { rx, replies },
+            Err(Response::Overloaded {
+                retry_after_ms,
+                reason,
+            }) => Submitted::Refused {
+                retry_after_ms,
+                reason,
+            },
+            Err(resp) => Submitted::Rejected(resp),
+        }
     }
 
     /// [`Broker::submit`] on behalf of TCP connection `conn`, which will
-    /// own any session the request creates.
+    /// own any session the request creates: the reply channel and its
+    /// reply count, or the in-band answer to a refused request.
     fn submit_from(
         &self,
         conn: Option<u64>,
         tenant: &str,
         req: Request,
         ctx: Option<TraceContext>,
-    ) -> Submitted {
-        let cfg = &self.inner.cfg;
-        let workers = cfg.workers as u64;
-        let base = cfg.retry_after_ms.max(1);
-        let mut core = self.inner.lock_core();
-
-        if core.stopped {
-            return refuse(false, base, "broker stopped".to_string());
+    ) -> Result<(Receiver<Response>, usize), Response> {
+        let (kind, classes) = (req.kind(), req.classes());
+        // Room for a fan-out's replies, so no worker ever blocks on a send.
+        let (tx, rx) = bounded(self.inner.cfg.workers);
+        let now = self.inner.now();
+        let admitted = lock(&self.inner.core).submit(now, conn, tenant, req, (tx, ctx));
+        let queued = admitted.map_err(refused)?;
+        self.inner.wake(queued.wake);
+        queued.evicted.into_iter().for_each(answer);
+        if classes.creates {
+            let tel = cg_telemetry::global();
+            tel.broker.admitted.inc();
+            let detail = format!("tenant {tenant}: {kind} admitted");
+            tel.trace.emit("broker:admit", detail, Duration::ZERO);
         }
-
-        let classes = req.classes();
-        let creates = classes.creates;
-        let target = req.session_id();
-        // Tenant isolation: a session id names work owned by exactly one
-        // tenant; anyone else is rejected outright (not an overload — the
-        // client must not retry).
-        if let Some(gid) = target {
-            if let Some(owner) = core.sessions.get(&gid) {
-                if owner.tenant != tenant {
-                    return Submitted::Rejected(Response::Error(format!(
-                        "session {gid} is not owned by tenant {tenant}"
-                    )));
-                }
-            }
-        }
-        let established = target.is_some_and(|gid| core.sessions.contains_key(&gid));
-
-        if core.draining && creates {
-            return refuse(
-                false,
-                base.saturating_mul(4),
-                "draining: new sessions refused".to_string(),
-            );
-        }
-        if creates && core.live_total >= cfg.max_sessions {
-            return refuse(
-                false,
-                base,
-                format!("global session cap {} reached", cfg.max_sessions),
-            );
-        }
-        let quota = &cfg.quota;
-        if creates && quota.max_sessions > 0 {
-            let live = core.tenants.get(tenant).map_or(0, |t| t.live);
-            if live >= quota.max_sessions {
-                return refuse(
-                    true,
-                    base,
-                    format!(
-                        "tenant {tenant}: session quota {} reached",
-                        quota.max_sessions
-                    ),
-                );
-            }
-        }
-        let actions = if let Request::Step { actions, .. } = &req {
-            actions.len() as u64
-        } else {
-            0
-        };
-        if actions > 0 && quota.actions_per_sec > 0.0 {
-            let rate = quota.actions_per_sec;
-            let burst = quota.burst.max(1.0);
-            let now = Instant::now();
-            let state = core.tenant_mut(tenant);
-            let elapsed = now.duration_since(state.refilled).as_secs_f64();
-            state.tokens = (state.tokens + rate * elapsed).min(burst);
-            state.refilled = now;
-            // Batches larger than the bucket drain it fully instead of
-            // being forever unpayable.
-            let need = (actions as f64).min(burst);
-            if state.tokens < need {
-                let wait_ms = (((need - state.tokens) / rate) * 1000.0).ceil() as u64;
-                return refuse(
-                    true,
-                    wait_ms.max(1),
-                    format!("tenant {tenant}: rate quota {rate} actions/s exceeded"),
-                );
-            }
-            state.tokens -= need;
-        }
-
-        let fanout = if classes.fanout { cfg.workers } else { 1 };
-        let queued = core.tenants.get(tenant).map_or(0, |t| t.queued);
-        if queued + fanout > cfg.max_queue_depth.max(1) {
-            if established {
-                // Established sessions outrank speculative new work: evict
-                // this tenant's newest queued session-creation job to make
-                // room, shedding it with a typed refusal.
-                let evicted = (0..core.workers.len())
-                    .find_map(|w| core.workers[w].evict_newest_create(tenant));
-                match evicted {
-                    Some(job) => core.shed_job(
-                        job,
-                        base,
-                        "evicted: queue pressure favors established sessions",
-                    ),
-                    None => {
-                        return refuse_shed(
-                            base,
-                            format!(
-                                "tenant {tenant}: queue depth {} reached, nothing evictable",
-                                cfg.max_queue_depth
-                            ),
-                        )
-                    }
-                }
-            } else {
-                return refuse_shed(
-                    base,
-                    format!(
-                        "tenant {tenant}: queue depth {} reached",
-                        cfg.max_queue_depth
-                    ),
-                );
-            }
-        }
-
-        // Placement happens before the reservation so the per-worker live
-        // accounting can include it: new sessions go to the least-loaded
-        // worker, targeted work is pinned by its session id.
-        let placed = if fanout > 1 {
-            None
-        } else {
-            Some(match target {
-                Some(gid) => (gid % workers) as usize,
-                None => core.least_loaded_worker(),
-            })
-        };
-        if creates {
-            core.tenant_mut(tenant).live += 1;
-            core.live_total += 1;
-            if let Some(worker) = placed {
-                core.live_per_worker[worker] += 1;
-            }
-            cg_telemetry::global().broker.sessions.inc();
-        }
-
-        let kind = req.kind();
-        let (tx, rx) = bounded(fanout.max(1));
-        let now = Instant::now();
-        let owner = Owner {
-            tenant: tenant.to_string(),
-            conn,
-        };
-        if fanout > 1 {
-            // Fan the request out to every worker (budgets apply to all
-            // shards); the caller collects `fanout` replies.
-            for worker in 0..cfg.workers {
-                let job = Job {
-                    req: req.clone(),
-                    ctx,
-                    reply: tx.clone(),
-                    owner: owner.clone(),
-                    cost: 1,
-                    target: None,
-                    placed: worker,
-                    enqueued: now,
-                };
-                core.enqueue(worker, job);
-            }
-        } else {
-            let worker = placed.expect("single-target submissions are always placed");
-            let mut req = req;
-            // The owning worker knows the session by its local id, the
-            // inverse of the `gid = local * workers + index` bijection.
-            if let Some(session_id) = req.session_id_mut() {
-                *session_id /= workers;
-            }
-            let job = Job {
-                req,
-                ctx,
-                reply: tx,
-                owner,
-                cost: actions.max(1),
-                target,
-                placed: worker,
-                enqueued: now,
-            };
-            core.enqueue(worker, job);
-        }
-        if creates {
-            cg_telemetry::global().broker.admitted.inc();
-            cg_telemetry::global().trace.emit(
-                "broker:admit",
-                format!("tenant {tenant}: {kind} admitted"),
-                Duration::ZERO,
-            );
-        }
-        drop(core);
-        self.inner.work_cv.notify_all();
-        Submitted::Queued {
-            rx,
-            replies: fanout,
-        }
+        Ok((rx, queued.replies))
     }
 
     /// Submits under the caller's current trace context and blocks for the
     /// reply — the in-process client surface.
     pub fn call(&self, tenant: &str, req: Request) -> Response {
-        match self.submit(tenant, req, cg_telemetry::current_context()) {
-            Submitted::Refused {
-                retry_after_ms,
-                reason,
-            } => Response::Overloaded {
-                retry_after_ms,
-                reason,
-            },
-            Submitted::Rejected(resp) => resp,
-            Submitted::Queued { rx, replies } => {
-                let mut responses = Vec::with_capacity(replies);
-                for _ in 0..replies {
-                    responses.push(rx.recv().unwrap_or_else(|_| {
-                        Response::Error("broker worker unavailable".to_string())
-                    }));
-                }
-                merge_replies(responses)
-            }
+        match self.submit_from(None, tenant, req, cg_telemetry::current_context()) {
+            Ok((rx, replies)) => collect(&rx, replies),
+            Err(resp) => resp,
         }
     }
 
-    /// Drains the broker: stops admitting new sessions, waits up to
-    /// `grace` for queued work to complete, sheds the remainder with typed
-    /// refusals, then stops the fleet — every worker parks its live
-    /// sessions into the checkpoint store on the way out. Idempotent:
-    /// concurrent callers all receive the same report.
+    /// Drains the broker: stops admitting new sessions, gives queued work
+    /// `grace` to finish, sheds the rest, then stops the fleet, whose
+    /// workers park their live sessions. Concurrent callers share one report.
     pub fn drain(&self, grace: Duration) -> DrainReport {
-        let started = Instant::now();
+        let (inner, started) = (&self.inner, self.inner.now());
         self.begin_drain();
-        {
-            let mut core = self.inner.lock_core();
-            if core.drain_claimed {
-                // Another caller owns the drain; wait for its report.
-                while core.report.is_none() {
-                    let (guard, _) = self
-                        .inner
-                        .idle_cv
-                        .wait_timeout(core, Duration::from_millis(50))
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    core = guard;
-                }
-                return core.report.clone().expect("report set");
-            }
-            core.drain_claimed = true;
-            // Let queued work finish within the grace period.
-            while core.queued_total > 0 && started.elapsed() < grace {
-                let (guard, _) = self
-                    .inner
-                    .idle_cv
-                    .wait_timeout(core, Duration::from_millis(25))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                core = guard;
-            }
-            // Shed whatever the grace period did not cover, then stop.
-            let mut shed_queued = 0usize;
-            for worker in 0..core.workers.len() {
-                while let Some(front) = core.workers[worker].order.front() {
-                    let tenant = front.clone();
-                    let job = core.workers[worker]
-                        .queues
-                        .get_mut(&tenant)
-                        .and_then(VecDeque::pop_front);
-                    match job {
-                        Some(job) => {
-                            core.shed_job(
-                                job,
-                                self.inner.cfg.retry_after_ms.max(1),
-                                "drain grace expired",
-                            );
-                            shed_queued += 1;
-                        }
-                        None => {
-                            core.workers[worker].order.pop_front();
-                            core.workers[worker].queues.remove(&tenant);
-                            core.workers[worker].deficits.remove(&tenant);
-                        }
-                    }
-                }
-            }
-            core.stopped = true;
-            core.pending_shed = shed_queued;
+        let mut core = lock(&inner.core);
+        if !core.claim_drain(started + grace) {
+            // Another caller owns the drain; wait for its report.
+            let done = inner.idle_cv.wait_while(core, |c| c.report().is_none());
+            let core = done.unwrap_or_else(PoisonError::into_inner);
+            return core.report().cloned().expect("report set");
         }
-        self.inner.work_cv.notify_all();
-        let handles: Vec<JoinHandle<()>> = self
-            .inner
-            .handles
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain(..)
-            .collect();
-        for handle in handles {
-            let _ = handle.join();
+        while let Some(left) = core.drain_wait(inner.now()) {
+            let waited = inner.idle_cv.wait_timeout(core, left);
+            core = waited.unwrap_or_else(PoisonError::into_inner).0;
         }
-        let report = {
-            let mut core = self.inner.lock_core();
-            let report = DrainReport {
-                checkpointed: self.inner.drained.load(Ordering::SeqCst),
-                shed_queued: core.pending_shed,
-                waited_ms: started.elapsed().as_millis() as u64,
-            };
-            core.finished = true;
-            core.report = Some(report.clone());
-            report
+        let expired = core.stop();
+        drop(core);
+        let shed_queued = expired.len();
+        expired.into_iter().for_each(answer);
+        inner.wake(0..inner.cfg.workers);
+        let handles = std::mem::take(&mut *lock(&inner.handles));
+        let checkpointed = handles.into_iter().map(|h| h.join().unwrap_or(0)).sum();
+        let waited = inner.now().saturating_sub(started);
+        let report = DrainReport {
+            checkpointed,
+            shed_queued,
+            waited_ms: waited.as_millis() as u64,
         };
-        self.inner.idle_cv.notify_all();
-        cg_telemetry::global().trace.emit(
-            "broker:drain",
-            format!(
-                "drained: {} sessions checkpointed, {} queued jobs shed",
-                report.checkpointed, report.shed_queued
-            ),
-            started.elapsed(),
-        );
+        lock(&inner.core).finish(report.clone());
+        inner.idle_cv.notify_all();
+        for addr in lock(&inner.listeners).iter() {
+            let _ = TcpStream::connect(addr);
+        }
+        let (parked, shed) = (report.checkpointed, report.shed_queued);
+        let detail = format!("drained: {parked} sessions checkpointed, {shed} queued jobs shed");
+        let trace = &cg_telemetry::global().trace;
+        trace.emit("broker:drain", detail, waited);
         report
     }
 
-    /// Serves the broker over TCP: length-prefixed `CGB1` frames, one
-    /// handler thread per connection (bounded by
-    /// [`BrokerConfig::max_connections`] — excess connects receive one
-    /// typed `Overloaded` frame and are closed). A `Shutdown` request
-    /// triggers [`Broker::drain`]; `serve` returns once the drain
-    /// completes.
+    /// Serves the broker over TCP, one handler thread per connection up to
+    /// [`BrokerConfig::max_connections`] (an excess connect gets one
+    /// `Overloaded` frame). Returns once a drain (or `Shutdown`) completes.
     ///
     /// # Errors
     /// Propagates listener configuration failures.
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
-        // Non-blocking accept so the loop can observe drain completion —
-        // with no signal handling available, a `Shutdown` frame from a
-        // connection thread is what ends the server.
-        listener.set_nonblocking(true)?;
-        loop {
-            if self.is_finished() {
-                return Ok(());
-            }
+        listener.set_nonblocking(false)?;
+        lock(&self.inner.listeners).push(listener.local_addr()?);
+        while !self.is_finished() {
             match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    self.accept_connection(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+                Ok(_) if self.is_finished() => {}
+                Ok((stream, _)) => self.accept_connection(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                // Out of descriptors or similar: back off, then retry.
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
+        Ok(())
     }
 
     fn accept_connection(&self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
-        let tel = cg_telemetry::global();
-        let cap = self.inner.cfg.max_connections.max(1);
-        // `fetch_add` before the check keeps the cap exact under
-        // concurrent accepts; the slot is released when the handler exits.
-        if self.inner.connections.fetch_add(1, Ordering::SeqCst) >= cap {
-            self.inner.connections.fetch_sub(1, Ordering::SeqCst);
-            tel.broker.refused.inc();
-            tel.trace.emit_status(
-                "broker:shed",
-                format!("broker at connection cap {cap}"),
-                Duration::ZERO,
-                SpanStatus::Error,
-            );
-            // Written before the client has spoken: its handshake reads
-            // this frame where it expected the `HelloAck`.
-            let resp = Response::Overloaded {
-                retry_after_ms: self.inner.cfg.retry_after_ms.max(1),
-                reason: format!("connection cap {cap} reached"),
-            };
-            reply(&Mutex::new(stream), 0, &resp);
-            return;
-        }
-        tel.broker.connections.inc();
+        let conn = lock(&self.inner.core).open_conn();
+        let conn = match conn {
+            Ok(conn) => conn,
+            Err(refusal) => {
+                // Written before the client has spoken: its handshake reads
+                // this frame where it expected the `HelloAck`.
+                reply(&Mutex::new(stream), 0, &refused(refusal));
+                return;
+            }
+        };
         let broker = self.clone();
-        let _ = std::thread::Builder::new()
-            .name("cg-broker-conn".to_string())
-            .spawn(move || {
-                let conn = {
-                    let mut core = broker.inner.lock_core();
-                    core.next_conn += 1;
-                    let conn = core.next_conn;
-                    core.open_conns.insert(conn);
-                    conn
-                };
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    handle_connection(&broker, conn, stream);
-                }));
-                broker.end_connection(conn);
-                broker.inner.connections.fetch_sub(1, Ordering::SeqCst);
+        let handler = move || {
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                handle_connection(&broker, conn, stream);
+            }));
+            broker.close(conn);
+            if outcome.is_err() {
                 let tel = cg_telemetry::global();
-                tel.broker.connections.dec();
-                if outcome.is_err() {
-                    tel.panics.inc();
-                    tel.trace.emit(
-                        "service:panic",
-                        "broker connection handler panicked; connection dropped",
-                        Duration::ZERO,
-                    );
-                }
-            });
+                tel.panics.inc();
+                let detail = "broker connection handler panicked; connection dropped";
+                tel.trace.emit("service:panic", detail, Duration::ZERO);
+            }
+        };
+        let thread = std::thread::Builder::new().name("cg-broker-conn".to_string());
+        if thread.spawn(handler).is_err() {
+            self.close(conn);
+        }
     }
 
-    /// Closes the books on TCP connection `conn`, however it ended: the
-    /// sessions it created and never ended are ended now, so a crashed or
-    /// reconnecting client cannot strand its tenant's quota.
-    fn end_connection(&self, conn: u64) {
-        let mut core = self.inner.lock_core();
-        core.open_conns.remove(&conn);
-        let orphans: Vec<u64> = core
-            .sessions
-            .iter()
-            .filter_map(|(gid, owner)| (owner.conn == Some(conn)).then_some(*gid))
-            .collect();
-        for gid in orphans {
-            core.end_orphan(gid);
-        }
-        drop(core);
-        self.inner.work_cv.notify_all();
+    /// Closes the books on TCP connection `conn`: the core ends the
+    /// sessions it left live.
+    fn close(&self, conn: u64) {
+        let now = self.inner.now();
+        let wake = lock(&self.inner.core).close_conn(conn, now);
+        self.inner.wake(wake);
     }
 }
 
-/// Encodes and writes one response frame through the connection's shared
-/// writer (the reader loop and the demux forwarder threads all funnel
-/// through the same mutex, so frames never interleave mid-write).
+/// Sends a shed job the refusal it is owed.
+fn answer((reply, refusal): Shed<Reply>) {
+    let resp = refused(refusal);
+    if let Some((tx, _)) = reply {
+        let _ = tx.send(resp);
+    }
+}
+
+/// Counts and traces a refusal by its rung and turns it into the in-band
+/// answer. A queue-pressure refusal is itself the shed.
+fn refused(refusal: Refusal) -> Response {
+    let (tel, reason) = (cg_telemetry::global(), refusal.reason);
+    let (span, counters) = match refusal.rung {
+        Rung::Rejected => return Response::Error(reason),
+        Rung::Shed => ("broker:shed", vec![&tel.broker.shed]),
+        Rung::Closed => ("broker:admit", vec![&tel.broker.refused]),
+        Rung::Quota => (
+            "broker:admit",
+            vec![&tel.broker.refused, &tel.broker.quota_refusals],
+        ),
+    };
+    counters.iter().for_each(|c| c.inc());
+    let status = SpanStatus::Error;
+    (tel.trace).emit_status(span, reason.clone(), Duration::ZERO, status);
+    let retry_after_ms = refusal.retry_after_ms;
+    Response::Overloaded {
+        retry_after_ms,
+        reason,
+    }
+}
+
+/// Collects a job's `replies` responses: the first failure, otherwise the
+/// last reply.
+fn collect(rx: &Receiver<Response>, replies: usize) -> Response {
+    let mut folded = Response::Ok;
+    for _ in 0..replies {
+        let lost = |_| Response::Error("broker worker unavailable".to_string());
+        let resp = rx.recv().unwrap_or_else(lost);
+        if matches!(folded, Response::Ok | Response::Pong) {
+            folded = resp;
+        }
+    }
+    folded
+}
+
+/// Writes one response frame through the connection's shared writer.
 fn reply(writer: &Mutex<TcpStream>, corr: u64, resp: &Response) -> bool {
     let mut buf = Vec::new();
     wire::encode_response_frame(&mut buf, corr, resp);
     send(writer, &buf)
 }
 
-/// Writes one encoded frame through the shared writer.
 fn send(writer: &Mutex<TcpStream>, frame: &[u8]) -> bool {
     account_tx(frame.len());
-    let mut w = writer
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    write_frame(&mut *w, frame).is_ok()
+    write_frame(&mut *lock(writer), frame).is_ok()
 }
 
-/// Routes each per-connection request through the broker with a sticky
-/// tenant identity (the last tenant metadata seen on this connection).
-///
-/// Requests pipeline: the reader submits each frame as it arrives
-/// (admission and queueing happen in receipt order, and session→worker
-/// pinning plus per-tenant FIFOs keep per-session execution ordered), while
-/// a short-lived forwarder thread per in-flight request collects the
-/// worker's reply and writes it back stamped with the request's correlation
-/// id — responses may leave out of order, the client demuxes.
-///
-/// Everything on the socket is outside input. A frame without the `CGB1`
-/// magic, or a `Hello` carrying another protocol version, is answered with
-/// one typed error naming what was expected, and the connection is closed:
-/// the peer is not speaking this protocol, so nothing after it can be
-/// trusted to be a frame boundary.
+/// Routes a connection's requests through the broker under the last tenant
+/// it named. Requests pipeline: a forwarder thread per request writes the
+/// reply under its correlation id, and the client demuxes. A non-`CGB1`
+/// frame or a `Hello` of another version gets one typed error and a close.
 fn handle_connection(broker: &Broker, conn: u64, stream: TcpStream) {
+    let tel = cg_telemetry::global();
     let mut tenant = ANONYMOUS_TENANT.to_string();
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
+    let Ok(writer) = stream.try_clone().map(|w| Arc::new(Mutex::new(w))) else {
+        return;
     };
-    let mut stream = stream;
-    let mut reader = FrameReader::new();
+    let foreign = || {
+        let (magic, version) = (wire::WIRE_MAGIC, wire::WIRE_VERSION);
+        let what = format!(
+            "not a CGB1 peer: frames start with magic {magic:02x?} and `Hello` carries \
+             protocol version {version}"
+        );
+        (0, what, true)
+    };
+    let (mut stream, mut reader) = (stream, FrameReader::new());
     while let Ok(frame) = reader.read(&mut stream) {
         account_rx(frame.len());
-        let (corr, req, ctx) = match wire::decode_frame(frame) {
+        // A bad frame is answered with one typed error: (corr, what, close).
+        let decoded = match wire::decode_frame(frame) {
             Ok(wire::Frame::Hello { version }) if version == wire::WIRE_VERSION => {
-                cg_telemetry::global().wire.negotiations.inc();
+                tel.wire.negotiations.inc();
                 let mut buf = Vec::new();
                 wire::encode_hello_ack(&mut buf);
-                if !send(&writer, &buf) {
-                    break;
+                if send(&writer, &buf) {
+                    continue;
                 }
-                continue;
+                break;
             }
-            Ok(wire::Frame::Request { corr, body }) => {
-                match wire::decode_request_body(corr, body) {
-                    Ok(rf) => {
-                        if let Some(t) = rf.tenant {
-                            tenant = t;
-                        }
-                        (rf.corr, rf.req, rf.ctx)
-                    }
-                    Err(e) => {
-                        cg_telemetry::global().wire.decode_errors.inc();
-                        let resp = Response::Error(format!("bad request frame: {e}"));
-                        if !reply(&writer, corr, &resp) {
-                            break;
-                        }
-                        continue;
-                    }
-                }
+            Ok(wire::Frame::Request { corr, body }) => wire::decode_request_body(corr, body)
+                .map_err(|e| (corr, format!("bad request frame: {e}"), false)),
+            // A `Hello` reaching this arm carries another version.
+            Ok(wire::Frame::Hello { .. }) => Err(foreign()),
+            _ if wire::is_binary_frame(frame) => {
+                Err((0, "unexpected frame kind".to_string(), false))
             }
-            other => {
-                cg_telemetry::global().wire.decode_errors.inc();
-                // A `Hello` reaching this arm carries another version.
-                let foreign =
-                    matches!(other, Ok(wire::Frame::Hello { .. })) || !wire::is_binary_frame(frame);
-                let resp = Response::Error(if foreign {
-                    format!(
-                        "not a CGB1 peer: frames start with magic {:02x?} and `Hello` \
-                         carries protocol version {}",
-                        wire::WIRE_MAGIC,
-                        wire::WIRE_VERSION
-                    )
-                } else {
-                    "unexpected frame kind".to_string()
-                });
-                if !reply(&writer, 0, &resp) || foreign {
+            _ => Err(foreign()),
+        };
+        let rf = match decoded {
+            Ok(rf) => rf,
+            Err((corr, what, close)) => {
+                tel.wire.decode_errors.inc();
+                if !reply(&writer, corr, &Response::Error(what)) || close {
                     break;
                 }
                 continue;
             }
         };
-        if matches!(req, Request::Shutdown) {
+        tenant = rf.tenant.unwrap_or(tenant);
+        let corr = rf.corr;
+        if matches!(rf.req, Request::Shutdown) {
             // The drain path: stop admissions, park live sessions, stop
             // the fleet — then acknowledge, so `cg serve --drain` blocks
             // until the server is actually safe to kill.
-            let grace = broker.inner.cfg.drain_grace;
-            let _report = broker.drain(grace);
+            let _report = broker.drain(broker.inner.cfg.drain_grace);
             let _ = reply(&writer, corr, &Response::Ok);
             break;
         }
-        let resp = match broker.submit_from(Some(conn), &tenant, req, ctx) {
-            Submitted::Refused {
-                retry_after_ms,
-                reason,
-            } => Response::Overloaded {
-                retry_after_ms,
-                reason,
-            },
-            Submitted::Rejected(resp) => resp,
-            Submitted::Queued { rx, replies } => {
-                cg_telemetry::global().wire.in_flight.inc();
+        let resp = match broker.submit_from(Some(conn), &tenant, rf.req, rf.ctx) {
+            Err(resp) => resp,
+            Ok((rx, replies)) => {
+                tel.wire.in_flight.inc();
                 let demux_writer = Arc::clone(&writer);
                 let spawned = std::thread::Builder::new()
                     .name("cg-broker-demux".to_string())
                     .spawn(move || {
-                        let mut responses = Vec::with_capacity(replies);
-                        for _ in 0..replies {
-                            responses.push(rx.recv().unwrap_or_else(|_| {
-                                Response::Error("broker worker unavailable".to_string())
-                            }));
-                        }
-                        let resp = merge_replies(responses);
-                        reply(&demux_writer, corr, &resp);
+                        reply(&demux_writer, corr, &collect(&rx, replies));
                         cg_telemetry::global().wire.in_flight.dec();
                     });
                 if spawned.is_ok() {
@@ -1118,7 +520,7 @@ fn handle_connection(broker: &Broker, conn: u64, stream: TcpStream) {
                 }
                 // Out of threads: answer in band rather than hang the
                 // client's window.
-                cg_telemetry::global().wire.in_flight.dec();
+                tel.wire.in_flight.dec();
                 Response::Overloaded {
                     retry_after_ms: broker.inner.cfg.retry_after_ms.max(1),
                     reason: "broker demux thread unavailable".to_string(),
@@ -1131,176 +533,53 @@ fn handle_connection(broker: &Broker, conn: u64, stream: TcpStream) {
     }
 }
 
-/// The worker fleet body: pop jobs DRR-fair, dispatch through the owned
-/// [`ServiceState`], rewrite session ids to global form, keep quota
-/// accounting truthful, and park live sessions on the way out.
-fn worker_loop(inner: Arc<Inner>, index: usize, factory: SessionFactory) {
+/// The worker fleet body: take the jobs the core hands this worker,
+/// dispatch them through the owned [`ServiceState`], let the core book the
+/// outcome, and park live sessions once the broker stopped.
+fn worker_loop(inner: &Inner, index: usize, factory: SessionFactory) -> usize {
     let tel = cg_telemetry::global();
-    let mut state = ServiceState::new(
-        factory,
-        inner.cfg.budget.clone(),
-        inner.cfg.checkpoints.clone(),
-    );
-    while let Some(job) = pop_job(&inner, index) {
-        let Job {
-            req,
-            ctx,
-            reply,
-            owner,
-            cost: _,
-            target,
-            enqueued,
-            placed: _,
-        } = job;
-        let wait = enqueued.elapsed();
-        tel.broker.queue_wait.record_duration(wait);
-        tel.trace.emit(
-            "broker:queue",
-            format!(
-                "tenant {}: {} dequeued by worker {index}",
-                owner.tenant,
-                req.kind()
-            ),
-            wait,
-        );
-        let classes = req.classes();
-        let resp = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _trace_guard = ctx.map(cg_telemetry::enter_context);
-            state.handle(req)
-        })) {
-            Ok(resp) => resp,
-            Err(_) => {
-                tel.panics.inc();
-                Response::Fatal("broker worker panicked handling request".to_string())
-            }
+    let (budget, checkpoints) = (inner.cfg.budget.clone(), inner.cfg.checkpoints.clone());
+    let mut state = ServiceState::new(factory, budget, checkpoints);
+    let mut core = lock(&inner.core);
+    while !core.stopped() {
+        let Some((job, waited, wake_drainer)) = core.pop(index, inner.now()) else {
+            core = (inner.work[index].wait(core)).unwrap_or_else(PoisonError::into_inner);
+            continue;
         };
-        let resp = settle(&inner, index, owner, classes, target, resp);
-        let _ = reply.send(resp);
-        inner.idle_cv.notify_all();
+        if wake_drainer {
+            inner.idle_cv.notify_all();
+        }
+        drop(core);
+        tel.broker.queue_wait.record_duration(waited);
+        let (tenant, kind) = (&job.owner.tenant, job.req.kind());
+        let detail = format!("tenant {tenant}: {kind} dequeued by worker {index}");
+        tel.trace.emit("broker:queue", detail, waited);
+        let classes = job.req.classes();
+        let (tx, ctx) = job.reply.unzip();
+        let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _trace_guard = ctx.flatten().map(cg_telemetry::enter_context);
+            state.handle(job.req)
+        }));
+        let mut resp = handled.unwrap_or_else(|_| {
+            tel.panics.inc();
+            Response::Fatal("broker worker panicked handling request".to_string())
+        });
+        let now = inner.now();
+        core = lock(&inner.core);
+        core.settle(index, now, job.owner, classes, job.target, &mut resp);
+        if let Some(tx) = tx {
+            let _ = tx.send(resp);
+        }
     }
-    // Stopped: park everything live so episodes survive the restart.
+    drop(core);
     let live = state.session_count();
     let saved = state.checkpoint_all();
     if saved > 0 {
-        inner.drained.fetch_add(saved, Ordering::SeqCst);
         tel.broker.drained_checkpoints.add(saved as u64);
-        tel.trace.emit(
-            "broker:drain",
-            format!("worker {index} checkpointed {saved} of {live} live sessions"),
-            Duration::ZERO,
-        );
+        let detail = format!("worker {index} checkpointed {saved} of {live} live sessions");
+        tel.trace.emit("broker:drain", detail, Duration::ZERO);
     }
-}
-
-/// Blocks until this worker has a job (DRR order) or the broker stops.
-fn pop_job(inner: &Inner, index: usize) -> Option<Job> {
-    let mut core = inner.lock_core();
-    loop {
-        if core.stopped {
-            return None;
-        }
-        if let Some(job) = core.workers[index].pop_drr(inner.cfg.quantum) {
-            if let Some(state) = core.tenants.get_mut(&job.owner.tenant) {
-                state.queued = state.queued.saturating_sub(1);
-            }
-            core.queued_total = core.queued_total.saturating_sub(1);
-            cg_telemetry::global().broker.queue_depth.dec();
-            return Some(job);
-        }
-        let (guard, _) = inner
-            .work_cv
-            .wait_timeout(core, Duration::from_millis(50))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        core = guard;
-    }
-}
-
-/// Post-dispatch accounting: rewrites worker-local session ids to global
-/// ids, records new sessions against their tenant and connection, and
-/// releases quota on every path that destroys one (end, fault, budget kill,
-/// failed create).
-fn settle(
-    inner: &Inner,
-    index: usize,
-    owner: Owner,
-    classes: Classes,
-    target: Option<u64>,
-    mut resp: Response,
-) -> Response {
-    let workers = inner.cfg.workers as u64;
-    let mut core = inner.lock_core();
-    if classes.creates {
-        match resp.session_id_mut() {
-            Some(session_id) => {
-                let gid = *session_id * workers + index as u64;
-                *session_id = gid;
-                // The connection closed while its create was in flight:
-                // nobody can address the session, so end it now.
-                let orphan = owner.conn.is_some_and(|c| !core.open_conns.contains(&c));
-                core.sessions.insert(gid, owner);
-                if orphan {
-                    core.end_orphan(gid);
-                    inner.work_cv.notify_all();
-                }
-            }
-            None => core.release_reservation(&owner.tenant, index),
-        }
-    }
-    let destroyed = matches!(resp, Response::Fatal(_) | Response::Budget(_));
-    if let Some(gid) = target {
-        if classes.ends || destroyed {
-            core.release_session(gid);
-        }
-    }
-    resp
-}
-
-/// A ladder refusal: typed, counted, and traced.
-fn refuse(quota: bool, retry_after_ms: u64, reason: String) -> Submitted {
-    let tel = cg_telemetry::global();
-    tel.broker.refused.inc();
-    if quota {
-        tel.broker.quota_refusals.inc();
-    }
-    tel.trace.emit_status(
-        "broker:admit",
-        reason.clone(),
-        Duration::ZERO,
-        SpanStatus::Error,
-    );
-    Submitted::Refused {
-        retry_after_ms,
-        reason,
-    }
-}
-
-/// A queue-pressure refusal: the incoming request itself is the newest
-/// non-established work, so refusing it *is* the shed.
-fn refuse_shed(retry_after_ms: u64, reason: String) -> Submitted {
-    let tel = cg_telemetry::global();
-    tel.broker.shed.inc();
-    tel.trace.emit_status(
-        "broker:shed",
-        reason.clone(),
-        Duration::ZERO,
-        SpanStatus::Error,
-    );
-    Submitted::Refused {
-        retry_after_ms,
-        reason,
-    }
-}
-
-/// Folds a fan-out's replies into one: the first failure wins, otherwise
-/// the last reply stands in for the set.
-fn merge_replies(mut responses: Vec<Response>) -> Response {
-    let failed = responses
-        .iter()
-        .position(|r| !matches!(r, Response::Ok | Response::Pong));
-    match failed {
-        Some(at) => responses.swap_remove(at),
-        None => responses.pop().unwrap_or(Response::Ok),
-    }
+    saved
 }
 
 #[cfg(test)]
@@ -1308,6 +587,7 @@ mod tests {
     use super::*;
     use crate::session::{ActionOutcome, CompilationSession, SessionSnapshot};
     use crate::space::{ActionSpaceInfo, Observation, ObservationSpaceInfo, RewardSpaceInfo};
+    use std::sync::atomic::Ordering;
 
     /// A deterministic session: counts applied actions, snapshots the
     /// count, and (optionally) sleeps or spins per action to model work.

@@ -1,21 +1,15 @@
 //! The per-function analysis cache.
 //!
-//! [`AnalysisManager`] caches [`Cfg`], [`DomTree`], dominance frontiers, the
-//! loop forest and [`Liveness`] per function, keyed by
-//! [`FuncId`] and validated by the owning function's modification [`Stamp`]:
-//! a cached entry is served only while its recorded stamp still equals the
-//! function's current one. A stamp moves exactly when its function changes,
-//! so a function no pass edited keeps everything cached for it, and an
-//! edited one loses everything — unless the pass runner, told what the pass
-//! preserves, keeps part of it:
-//!
-//! * [`AnalysisManager::revalidate`] — re-adopt the current stamp without
-//!   dropping anything. Sound for a pass that changes nothing analyses
-//!   depend on (it only flips function attributes).
-//! * [`AnalysisManager::preserve_cfg`] — keep the CFG-shape analyses (cfg,
-//!   dominators, frontiers, loops) but drop the value-level one
-//!   (liveness). Sound for passes that rewrite instructions without
-//!   touching terminators or layout.
+//! [`AnalysisManager`] caches [`Cfg`], [`DomTree`], dominance frontiers and
+//! the loop forest per function, keyed by [`FuncId`] and validated by the
+//! owning function's modification [`Stamp`]: a cached entry is served only
+//! while its recorded stamp still equals the function's current one. A
+//! stamp moves exactly when its function changes, so a function no pass
+//! edited keeps everything cached for it, and an edited one loses
+//! everything — unless the pass runner, told that the pass preserves the
+//! CFG shape, calls [`AnalysisManager::revalidate`] to re-adopt the current
+//! stamp. Every cached analysis reads only the CFG shape, so that is sound
+//! for any pass that leaves terminators, layout and the block set alone.
 //!
 //! The same stamps name module contents for the no-op pass memo
 //! ([`AnalysisManager::known_noop`]): an unchanged (function id, stamp)
@@ -32,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::analysis::{find_loops, Cfg, DomTree, Liveness, Loop};
+use crate::analysis::{find_loops, Cfg, DomTree, Loop};
 use crate::module::{BlockId, FuncId, Function, Stamp};
 
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -92,7 +86,6 @@ struct FuncEntry {
     dom: Option<Arc<DomTree>>,
     frontiers: Option<Arc<Vec<Vec<BlockId>>>>,
     loops: Option<Arc<Vec<Loop>>>,
-    liveness: Option<Arc<Liveness>>,
 }
 
 impl FuncEntry {
@@ -101,7 +94,6 @@ impl FuncEntry {
             + self.dom.is_some() as u64
             + self.frontiers.is_some() as u64
             + self.loops.is_some() as u64
-            + self.liveness.is_some() as u64
     }
 
     fn clear(&mut self) {
@@ -225,24 +217,6 @@ impl AnalysisManager {
         loops
     }
 
-    /// The liveness of `f` (cached).
-    pub fn liveness(&mut self, fid: FuncId, f: &Function) -> Arc<Liveness> {
-        if !self.enabled {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            let cfg = self.cfg(fid, f);
-            return Arc::new(Liveness::compute(f, &cfg));
-        }
-        if let Some(live) = &self.entry(fid, f).liveness {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(live);
-        }
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        let cfg = self.cfg(fid, f);
-        let live = Arc::new(Liveness::compute(f, &cfg));
-        self.entry(fid, f).liveness = Some(Arc::clone(&live));
-        live
-    }
-
     /// Drops everything cached for `fid`.
     pub fn invalidate(&mut self, fid: FuncId) {
         if let Some(e) = self.entries.get_mut(&fid.0) {
@@ -252,26 +226,11 @@ impl AnalysisManager {
     }
 
     /// Re-adopts the function's current stamp without dropping cached
-    /// analyses. Only sound when nothing the analyses read has changed since
-    /// they were computed (a pass that preserves everything, like one that
-    /// only flips function attributes).
+    /// analyses. Only sound when the CFG shape — terminators, layout and the
+    /// block set, all any cached analysis reads — is known unchanged.
     pub fn revalidate(&mut self, fid: FuncId, f: &Function) {
         if let Some(e) = self.entries.get_mut(&fid.0) {
             if e.stamp.is_some() {
-                e.stamp = Some(f.stamp());
-            }
-        }
-    }
-
-    /// Keeps the CFG-shape analyses (cfg, dominators, frontiers, loops) and
-    /// re-adopts the current stamp, but drops the value-level one
-    /// (liveness). Only sound when terminators, layout and the block set
-    /// are known unchanged.
-    pub fn preserve_cfg(&mut self, fid: FuncId, f: &Function) {
-        if let Some(e) = self.entries.get_mut(&fid.0) {
-            if e.stamp.is_some() {
-                INVALIDATIONS.fetch_add(e.liveness.is_some() as u64, Ordering::Relaxed);
-                e.liveness = None;
                 e.stamp = Some(f.stamp());
             }
         }
@@ -390,11 +349,6 @@ impl AnalysisManager {
                     bad.push(format!("fn {}: cached loop forest diverged", f.name));
                 }
             }
-            if let Some(live) = &e.liveness {
-                if **live != Liveness::compute(f, &fresh_cfg) {
-                    bad.push(format!("fn {}: cached Liveness diverged", f.name));
-                }
-            }
         }
         bad
     }
@@ -461,23 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn preserve_cfg_keeps_shape_drops_values() {
-        let (mut m, fid) = small_module();
-        let mut am = AnalysisManager::new();
-        let c1 = am.cfg(fid, m.func(fid));
-        let l1 = am.liveness(fid, m.func(fid));
-        let e = m.func(fid).entry();
-        let _ = m.func_mut(fid).block_mut(e);
-        am.preserve_cfg(fid, m.func(fid));
-        let c2 = am.cfg(fid, m.func(fid));
-        assert!(Arc::ptr_eq(&c1, &c2));
-        // By identity, not by the process-wide miss counter, which tests
-        // running concurrently in this binary also move.
-        let l2 = am.liveness(fid, m.func(fid));
-        assert!(!Arc::ptr_eq(&l1, &l2), "liveness was dropped");
-    }
-
-    #[test]
     fn disabled_manager_always_recomputes() {
         let (m, fid) = small_module();
         let mut am = AnalysisManager::disabled();
@@ -500,8 +437,6 @@ mod tests {
         assert_eq!(*df, dom.dominance_frontiers(&cfg));
         let loops = am.loops(fid, f);
         assert_eq!(*loops, find_loops(f, &cfg, &dom));
-        let live = am.liveness(fid, f);
-        assert_eq!(*live, Liveness::compute(f, &cfg));
         assert_eq!(am.cached_functions(), 1);
     }
 

@@ -1,14 +1,13 @@
 //! Control-flow analyses: predecessor/successor maps, reverse postorder,
-//! dominator trees (Cooper–Harvey–Kennedy), dominance frontiers, natural
-//! loops, and per-block liveness.
+//! dominator trees (Cooper–Harvey–Kennedy), dominance frontiers and natural
+//! loops.
 //!
 //! All side tables are dense vectors indexed by `BlockId.0`, sized by
 //! [`Function::block_bound`]; slots for deleted blocks are simply unused.
 
 use std::collections::HashSet;
 
-use crate::inst::Op;
-use crate::module::{BlockId, Function, ValueId};
+use crate::module::{BlockId, Function};
 
 /// Predecessor/successor maps for a function's CFG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -307,159 +306,6 @@ fn grow_loop(f: &Function, cfg: &Cfg, header: BlockId, latch: BlockId, blocks: &
     }
 }
 
-/// Per-block liveness of SSA values (live-in and live-out sets), computed by
-/// iterative backward dataflow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Liveness {
-    live_in: Vec<HashSet<ValueId>>,
-    live_out: Vec<HashSet<ValueId>>,
-}
-
-impl Liveness {
-    /// Computes liveness for `f`.
-    pub fn compute(f: &Function, cfg: &Cfg) -> Liveness {
-        let n = f.block_bound() as usize;
-        // Per block: use (read before any local def) and def sets.
-        let mut uses = vec![HashSet::new(); n];
-        let mut defs = vec![HashSet::new(); n];
-        // φ inputs are treated as uses at the end of the predecessor block,
-        // which is the standard SSA liveness convention.
-        let mut phi_uses: Vec<HashSet<ValueId>> = vec![HashSet::new(); n];
-        for &id in f.block_ids() {
-            let b = f.block(id);
-            let i = id.0 as usize;
-            for inst in &b.insts {
-                if let Op::Phi(incs) = &inst.op {
-                    for (pred, v) in incs {
-                        if let Some(v) = v.as_value() {
-                            phi_uses[pred.0 as usize].insert(v);
-                        }
-                    }
-                } else {
-                    inst.op.for_each_operand(|o| {
-                        if let Some(v) = o.as_value() {
-                            if !defs[i].contains(&v) {
-                                uses[i].insert(v);
-                            }
-                        }
-                    });
-                }
-                if let Some(d) = inst.dest {
-                    defs[i].insert(d);
-                }
-            }
-            b.term.for_each_operand(|o| {
-                if let Some(v) = o.as_value() {
-                    if !defs[i].contains(&v) {
-                        uses[i].insert(v);
-                    }
-                }
-            });
-        }
-
-        let mut live_in: Vec<HashSet<ValueId>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<ValueId>> = vec![HashSet::new(); n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &id in f.block_ids().iter().rev() {
-                let i = id.0 as usize;
-                let mut out: HashSet<ValueId> = phi_uses[i].clone();
-                for &s in cfg.succs(id) {
-                    for v in &live_in[s.0 as usize] {
-                        out.insert(*v);
-                    }
-                }
-                let mut inn: HashSet<ValueId> = uses[i].clone();
-                for v in &out {
-                    if !defs[i].contains(v) {
-                        inn.insert(*v);
-                    }
-                }
-                if out != live_out[i] || inn != live_in[i] {
-                    live_out[i] = out;
-                    live_in[i] = inn;
-                    changed = true;
-                }
-            }
-        }
-        Liveness { live_in, live_out }
-    }
-}
-
-#[cfg(test)]
-impl Liveness {
-    /// Values live on entry to `b`.
-    fn live_in(&self, b: BlockId) -> &HashSet<ValueId> {
-        &self.live_in[b.0 as usize]
-    }
-
-    /// Values live on exit from `b`.
-    fn live_out(&self, b: BlockId) -> &HashSet<ValueId> {
-        &self.live_out[b.0 as usize]
-    }
-}
-
-/// Instruction index marking a use inside a block's terminator (terminators
-/// have no index in `Block::insts`).
-pub const TERM_INDEX: u32 = u32::MAX;
-
-/// Def-use maps: for every SSA value, where it is defined and every site
-/// that reads it, with O(1) lookup per value. Built in one sweep; use sites
-/// within a φ record the φ's own position (not the predecessor edge — see
-/// [`Liveness`] for edge-accurate φ semantics).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DefUse {
-    /// Defining site per value, indexed by `ValueId.0`. `None` for function
-    /// parameters (defined on entry) and never-defined ids.
-    def: Vec<Option<(BlockId, u32)>>,
-    /// Use sites per value, indexed by `ValueId.0`, in layout/program order.
-    /// The `u32` is the instruction index, or [`TERM_INDEX`] for a use in
-    /// the block's terminator.
-    uses: Vec<Vec<(BlockId, u32)>>,
-}
-
-impl DefUse {
-    /// Computes def-use maps for `f`.
-    pub fn compute(f: &Function) -> DefUse {
-        let n = f.value_bound() as usize;
-        let mut def: Vec<Option<(BlockId, u32)>> = vec![None; n];
-        let mut uses: Vec<Vec<(BlockId, u32)>> = vec![Vec::new(); n];
-        for &bid in f.block_ids() {
-            let b = f.block(bid);
-            for (i, inst) in b.insts.iter().enumerate() {
-                if let Some(d) = inst.dest {
-                    def[d.0 as usize] = Some((bid, i as u32));
-                }
-                inst.op.for_each_operand(|o| {
-                    if let Some(v) = o.as_value() {
-                        uses[v.0 as usize].push((bid, i as u32));
-                    }
-                });
-            }
-            b.term.for_each_operand(|o| {
-                if let Some(v) = o.as_value() {
-                    uses[v.0 as usize].push((bid, TERM_INDEX));
-                }
-            });
-        }
-        DefUse { def, uses }
-    }
-
-    /// The defining site of `v`, or `None` for parameters/undefined ids.
-    pub fn def(&self, v: ValueId) -> Option<(BlockId, u32)> {
-        self.def.get(v.0 as usize).copied().flatten()
-    }
-
-    /// All use sites of `v` in layout/program order.
-    pub fn uses(&self, v: ValueId) -> &[(BlockId, u32)] {
-        self.uses
-            .get(v.0 as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,21 +358,6 @@ mod tests {
         assert!(df[entry.0 as usize].is_empty());
     }
 
-    #[test]
-    fn diamond_liveness() {
-        let (m, fid) = diamond();
-        let f = m.func(fid);
-        let cfg = Cfg::compute(f);
-        let live = Liveness::compute(f, &cfg);
-        let ids = f.block_ids();
-        // The parameter %0 is live into both arms.
-        assert!(live.live_in(ids[1]).contains(&ValueId(0)));
-        assert!(live.live_in(ids[2]).contains(&ValueId(0)));
-        // The φ destination is defined in join; arms' results are live out of
-        // the arms (φ-use convention).
-        assert!(live.live_out(ids[1]).iter().count() >= 1);
-    }
-
     fn looped() -> (crate::Module, crate::FuncId) {
         let mut mb = ModuleBuilder::new("t");
         let mut fb = mb.begin_function("f", &[Type::I64], Type::I64);
@@ -566,30 +397,6 @@ mod tests {
         assert_eq!(loops[0].latches, vec![body]);
         assert_eq!(loops[0].exits, vec![exit]);
         assert_eq!(loops[0].depth, 1);
-    }
-
-    #[test]
-    fn def_use_maps() {
-        let (m, fid) = diamond();
-        let f = m.func(fid);
-        let du = DefUse::compute(f);
-        // The parameter has no def site but is used in both arms and the
-        // compare.
-        assert_eq!(du.def(ValueId(0)), None);
-        assert!(du.uses(ValueId(0)).len() >= 3);
-        // Every non-param value with a destination has a def site.
-        for b in f.blocks() {
-            for (i, inst) in b.insts.iter().enumerate() {
-                if let Some(d) = inst.dest {
-                    assert_eq!(du.def(d), Some((b.id, i as u32)));
-                }
-            }
-        }
-        // The φ result is used only by the return terminator.
-        let ids = f.block_ids();
-        let join = ids[3];
-        let phi_dest = f.block(join).insts[0].dest.unwrap();
-        assert_eq!(du.uses(phi_dest), &[(join, TERM_INDEX)]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * a fuel-limited [`interp`]-reter used for runtime rewards and
 //!   differential testing of optimizations
 //! * CFG [`analysis`]: predecessors/successors, reverse postorder,
-//!   dominator trees, dominance frontiers, natural loops, liveness, def-use
+//!   dominator trees, dominance frontiers, natural loops
 //! * an [`am::AnalysisManager`] caching per-function analyses, invalidated
 //!   by function modification stamps (see [`Stamp`])
 //!

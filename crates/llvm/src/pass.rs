@@ -49,14 +49,11 @@ pub enum Preserved {
     /// Always sound; the default.
     #[default]
     None,
-    /// CFG shape: the pass rewrites instructions but never terminators,
-    /// layout order or the block set, so `Cfg`, dominators, frontiers and
-    /// the loop forest stay valid; value-level analyses (liveness, def-use)
-    /// are dropped.
+    /// CFG shape: the pass rewrites instructions (or only flips function
+    /// attributes) but never terminators, layout order or the block set, so
+    /// every cached analysis — `Cfg`, dominators, frontiers and the loop
+    /// forest — stays valid.
     Cfg,
-    /// Everything: the pass changes no IR structure analyses depend on
-    /// (e.g. it only flips function attributes).
-    All,
 }
 
 /// An optimization pass: a named module transformation.
@@ -143,8 +140,7 @@ pub(crate) fn run_named<P: Pass + ?Sized>(
         }
         match pass.preserved() {
             Preserved::None => am.invalidate(fid),
-            Preserved::Cfg => am.preserve_cfg(fid, m.func(fid)),
-            Preserved::All => am.revalidate(fid, m.func(fid)),
+            Preserved::Cfg => am.revalidate(fid, m.func(fid)),
         }
     }
     if m.stamp() != module_stamp {

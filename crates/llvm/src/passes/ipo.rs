@@ -303,7 +303,7 @@ impl Pass for FunctionAttrs {
     }
 
     fn preserved(&self) -> Preserved {
-        Preserved::All
+        Preserved::Cfg
     }
 
     fn run_with(&self, m: &mut Module, _am: &mut AnalysisManager) {

@@ -112,9 +112,9 @@ proptest! {
 }
 
 /// One deterministic long walk through analysis-heavy passes (the ones
-/// declaring `Preserved::Cfg` plus CFG restructurers), so the preserve /
-/// revalidate / invalidate paths are all exercised even if the sampled
-/// cases above land elsewhere.
+/// declaring `Preserved::Cfg` plus CFG restructurers), so the revalidate
+/// and invalidate paths are both exercised even if the sampled cases above
+/// land elsewhere.
 #[test]
 fn deterministic_analysis_heavy_walk() {
     let space = ActionSpace::new();

@@ -24,8 +24,8 @@ pub mod store;
 pub use log::{FsyncPolicy, RecoveryReport, ScrubReport, WalConfig};
 pub use replay::{install, make_replay};
 pub use store::{
-    compact_dir, scrub_dir, Backpressure, CompactReport, StoreConfig, StoreSink, StoreStats,
-    TransitionStore, WalRecord,
+    compact_dir, scrub_dir, CompactReport, StoreConfig, StoreSink, StoreStats, TransitionStore,
+    WalRecord,
 };
 
 use serde::{Deserialize, Serialize};

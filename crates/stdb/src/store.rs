@@ -9,10 +9,12 @@
 //! writer thread owns the WAL and drains the queue: it encodes records,
 //! appends them (retrying once after a rolled-back torn write), and runs
 //! feature extraction (Autophase, InstCount, instruction count) for states
-//! it has not seen before. The [`Backpressure`] policy decides what
-//! happens when the queue is full: `Block` (lossless, applies backpressure
-//! to the environment loop) or `DropNewest` (lossy, never blocks); every
-//! dropped record is counted — nothing is lost silently.
+//! it has not seen before. A full queue blocks the caller until the writer
+//! catches up, so nothing is dropped for want of room; records that are
+//! dropped (an append that fails twice, a sink logging after its store
+//! closed) are counted — nothing is lost silently. A state is queued for
+//! feature extraction once, however often it is logged before the writer
+//! indexes it.
 //!
 //! # Index
 //!
@@ -38,7 +40,7 @@
 //! rename second, stale deletion last — a crash at any point leaves a
 //! correct store).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -123,35 +125,15 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
     }
 }
 
-/// What a full ingest queue does to new records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Block the caller until the writer catches up (lossless).
-    Block,
-    /// Drop the new record and count it (never blocks).
-    DropNewest,
-}
-
 /// Tuning knobs for a [`TransitionStore`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StoreConfig {
     /// Write-ahead log settings.
     pub wal: WalConfig,
-    /// Bounded ingest-queue depth.
-    pub queue_capacity: usize,
-    /// Full-queue policy.
-    pub backpressure: Backpressure,
 }
 
-impl Default for StoreConfig {
-    fn default() -> StoreConfig {
-        StoreConfig {
-            wal: WalConfig::default(),
-            queue_capacity: 4096,
-            backpressure: Backpressure::Block,
-        }
-    }
-}
+/// Depth of the writer's ingest queue; a full queue blocks the caller.
+const INGEST_QUEUE_DEPTH: usize = 4096;
 
 /// What determines a deterministic session's state, and so names its
 /// checkpoint: `(benchmark, action_space, actions)`.
@@ -166,6 +148,9 @@ struct Index {
     initial: HashMap<String, u64>,
     edges: HashMap<(u64, String), (u64, f64)>,
     observations: HashMap<u64, ObservationRow>,
+    /// States queued for feature extraction that the writer has not
+    /// indexed yet: logging one again does not copy its text again.
+    observing: HashSet<u64>,
     steps: u64,
     /// `Some` for the checkpoints found at open, `None` for those appended
     /// since. Ordered, so equally deep checkpoints seed a ring in one order.
@@ -228,17 +213,19 @@ enum Ingest {
 struct Ingestor {
     tx: Mutex<Option<mpsc::SyncSender<Ingest>>>,
     dropped: AtomicU64,
-    backpressure: Backpressure,
+    /// `Observe` messages enqueued, for the tests.
+    #[cfg(test)]
+    observes: AtomicU64,
 }
 
 impl Ingestor {
     fn enqueue(&self, msg: Ingest) {
+        #[cfg(test)]
+        if matches!(msg, Ingest::Observe { .. }) {
+            self.observes.fetch_add(1, Ordering::Relaxed);
+        }
         let guard = self.tx.lock();
-        let sent = match (guard.as_ref(), self.backpressure) {
-            (Some(tx), Backpressure::Block) => tx.send(msg).is_ok(),
-            (Some(tx), Backpressure::DropNewest) => tx.try_send(msg).is_ok(),
-            (None, _) => false,
-        };
+        let sent = guard.as_ref().is_some_and(|tx| tx.send(msg).is_ok());
         if !sent {
             self.count_drop();
         }
@@ -282,15 +269,22 @@ fn writer_loop(
         match msg {
             Ingest::Append(rec) => append_with_retry(&mut wal, &encode_record(&rec), &ingest),
             Ingest::Observe { state, ir_text } => {
-                if index.lock().observations.contains_key(&state) {
-                    continue;
+                {
+                    let mut index = index.lock();
+                    if index.observations.contains_key(&state) {
+                        index.observing.remove(&state);
+                        continue;
+                    }
                 }
                 let row = extract_observation(state, &ir_text);
-                index
-                    .lock()
-                    .observations
-                    .entry(state)
-                    .or_insert_with(|| row.clone());
+                {
+                    let mut index = index.lock();
+                    index.observing.remove(&state);
+                    index
+                        .observations
+                        .entry(state)
+                        .or_insert_with(|| row.clone());
+                }
                 append_with_retry(
                     &mut wal,
                     &encode_record(&WalRecord::Observation(row)),
@@ -333,7 +327,8 @@ pub struct StoreStats {
     pub benchmarks: u64,
     /// Distinct session checkpoints in the log.
     pub checkpoints: u64,
-    /// Records dropped by backpressure or unrecoverable append errors.
+    /// Records dropped: unrecoverable append errors, or logged through a
+    /// sink after its store closed.
     pub dropped_records: u64,
     /// Live segment files.
     pub segments: u64,
@@ -410,11 +405,12 @@ impl TransitionStore {
         update_size_gauges(dir);
 
         let index = Arc::new(Mutex::new(index));
-        let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
+        let (tx, rx) = mpsc::sync_channel(INGEST_QUEUE_DEPTH);
         let ingest = Arc::new(Ingestor {
             tx: Mutex::new(Some(tx)),
             dropped: AtomicU64::new(0),
-            backpressure: cfg.backpressure,
+            #[cfg(test)]
+            observes: AtomicU64::new(0),
         });
         let handle = {
             let index = Arc::clone(&index);
@@ -520,8 +516,11 @@ impl TransitionStore {
     }
 
     fn observe_state(&self, state: u64, ir_text: &str) {
-        if self.index.lock().observations.contains_key(&state) {
-            return;
+        {
+            let mut index = self.index.lock();
+            if index.observations.contains_key(&state) || !index.observing.insert(state) {
+                return;
+            }
         }
         self.ingest.enqueue(Ingest::Observe {
             state,
@@ -601,7 +600,8 @@ impl TransitionStore {
         found
     }
 
-    /// Records dropped so far (backpressure + unrecoverable appends).
+    /// Records dropped so far: unrecoverable appends, and records logged
+    /// through a sink after its store closed.
     #[must_use]
     pub fn dropped_records(&self) -> u64 {
         self.ingest.dropped.load(Ordering::Relaxed)
@@ -963,26 +963,22 @@ mod tests {
     }
 
     #[test]
-    fn drop_newest_counts_instead_of_blocking() {
-        let dir = tmpdir("backpressure");
-        let cfg = StoreConfig {
-            queue_capacity: 1,
-            backpressure: Backpressure::DropNewest,
-            ..StoreConfig::default()
-        };
-        let store = TransitionStore::open(&dir, cfg).unwrap();
-        // Hammer the 1-deep queue; some records must drop, all drops must
-        // be counted, and nothing may block.
-        for i in 0..200u64 {
-            let ir = format!("define void @f{i}() {{\nentry:\n  ret void\n}}\n");
-            store.log_step("benchmark://b/1", &["a".into()], i, &ir, 0.0);
+    fn a_state_logged_again_before_the_writer_indexes_it_is_queued_once() {
+        let dir = tmpdir("observe-once");
+        let store = TransitionStore::open(&dir, StoreConfig::default()).unwrap();
+        let a = store.log_reset("benchmark://b/1", IR_A);
+        // No-op steps: the same state, and so the same text, again and again.
+        for _ in 0..50 {
+            store.log_step("benchmark://b/1", &["dce".into()], a, IR_A, 0.0);
         }
         store.flush();
-        let persisted = cg_telemetry::global().stdb.ingest_records.get();
-        let _ = persisted;
-        // The in-memory index is always complete (it is updated
-        // synchronously); only WAL persistence is lossy under DropNewest.
-        assert_eq!(store.stats().steps, 200);
+        assert_eq!(store.ingest.observes.load(Ordering::Relaxed), 1);
+        assert_eq!(store.stats().observations, 1);
+        assert_eq!(store.stats().steps, 50);
+        assert!(
+            store.index.lock().observing.is_empty(),
+            "indexed states leave the queue set"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
