@@ -18,7 +18,7 @@
 //! cg serve [flags]                          multi-tenant TCP front door
 //! ```
 //!
-//! Commands that evaluate environments accept `--stdb DIR` to stream every
+//! `cg random`, `cg stats` and `cg fuzz` accept `--stdb DIR` to stream every
 //! transition into the durable store at `DIR`; `replay://<env>?dir=DIR`
 //! then serves those episodes back at zero compiler cost.
 
@@ -38,9 +38,9 @@ fn usage() -> ExitCode {
          cg export-metrics [--jsonl] [--slo-ms MS] [<env> <benchmark> <steps>]\n  \
          cg chaos [--episodes N] [--steps N] [--seed S] [--panic P] [--hang P]\n           \
          [--error P] [--corrupt P] [--wedge P] [--slow-growth P] [--faults LIST]\n           \
-         (LIST kinds: panic,hang,error,corrupt,wedge,slow-growth,stampede,io)\n           \
+         (LIST kinds: panic,hang,error,corrupt,wedge,slow-growth)\n           \
          [--timeout-ms MS] [--checkpoint-k K] [--budget-wall-ms MS] [--max-growth F]\n           \
-         [--serve-metrics ADDR] [--stdb DIR] [--linger-ms MS] [--json]\n  \
+         [--serve-metrics ADDR] [--linger-ms MS] [--json]\n  \
          cg fuzz [--seed-range A..B] [--jobs N] [--profile NAME] [--max-passes N]\n          \
          [--inputs N] [--corpus DIR] [--no-corpus] [--budget-secs N]\n          \
          [--reduce-budget N] [--stdb DIR] [--smoke] [--json]\n  \
@@ -202,26 +202,6 @@ fn install_stdb_sink(
         std::sync::Arc::clone(&store),
     )));
     Ok(store)
-}
-
-/// Runs one deterministic episode ([`cg_stdb::seeded_action`]'s schedule),
-/// returning the episode reward. Live and replay environments fed the same
-/// `(seed, ep, steps)` walk identical trajectories, which is what makes the
-/// replay-vs-live comparison meaningful.
-fn seeded_episode(
-    env: &mut cg_core::CompilerEnv,
-    seed: u64,
-    ep: u64,
-    steps: u64,
-) -> Result<f64, cg_core::CgError> {
-    env.reset()?;
-    let n = env.action_space().len();
-    for s in 0..steps {
-        if env.step(cg_stdb::seeded_action(seed, ep, s, n))?.done {
-            break;
-        }
-    }
-    Ok(env.episode_reward())
 }
 
 /// Drives one random episode so the telemetry layer has something to report.
@@ -1009,11 +989,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut max_growth: f64 = 0.0;
     let mut serve_metrics_addr: Option<String> = None;
     let mut linger_ms: u64 = 0;
-    let mut stampede = false;
-    let mut io_faults = false;
-    let mut stdb_dir: Option<String> = None;
-    let mut stampede_size: usize = 32;
-    let mut soak_ms: u64 = 1_500;
     let mut json = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -1048,8 +1023,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                         "corrupt" => corrupt_prob = 0.04,
                         "wedge" => wedge_prob = 0.03,
                         "slow-growth" => slow_growth_prob = 0.10,
-                        "stampede" => stampede = true,
-                        "io" => io_faults = true,
                         other => return Err(format!("unknown fault kind `{other}`").into()),
                     }
                 }
@@ -1059,10 +1032,7 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--budget-wall-ms" => budget_wall_ms = val("--budget-wall-ms")?.parse()?,
             "--max-growth" => max_growth = val("--max-growth")?.parse()?,
             "--serve-metrics" => serve_metrics_addr = Some(val("--serve-metrics")?.clone()),
-            "--stdb" => stdb_dir = Some(val("--stdb")?.clone()),
             "--linger-ms" => linger_ms = val("--linger-ms")?.parse()?,
-            "--stampede-size" => stampede_size = val("--stampede-size")?.parse()?,
-            "--soak-ms" => soak_ms = val("--soak-ms")?.parse()?,
             "--json" => json = true,
             other => {
                 usage();
@@ -1070,33 +1040,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    // `--faults stampede` switches to the front-door soak: a broker-mode
-    // server with established tenants, hit by bursts of simultaneous
-    // connects. Per-apply fault kinds don't exist there.
-    if stampede {
-        return chaos_stampede(StampedeOpts {
-            soak_ms,
-            stampede_size,
-            seed,
-            json,
-            serve_metrics_addr,
-            linger_ms,
-        });
-    }
-    // `--faults io` targets the transition store's disk path instead of the
-    // compiler service: torn writes and ENOSPC during ingest, short reads
-    // and bit flips during recovery, then a replay pass over the damaged
-    // store. Per-apply fault kinds don't exist there either.
-    if io_faults {
-        return chaos_io(IoSoakOpts {
-            episodes,
-            steps,
-            seed,
-            json,
-            dir: stdb_dir,
-        });
-    }
-
     // Each fault kind needs its matching containment rung; wire the default
     // when the user selected the fault but no explicit limit.
     if slow_growth_prob > 0.0 && max_growth == 0.0 {
@@ -1276,243 +1219,6 @@ fn chaos(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if serve_metrics_addr.is_some() && linger_ms > 0 {
         std::thread::sleep(Duration::from_millis(linger_ms));
-    }
-    if !unrecovered.is_empty() {
-        return Err(format!("{} unrecovered failure(s)", unrecovered.len()).into());
-    }
-    Ok(())
-}
-
-struct IoSoakOpts {
-    episodes: u64,
-    steps: u64,
-    seed: u64,
-    json: bool,
-    dir: Option<String>,
-}
-
-/// The `--faults io` soak: drive real episodes into a transition store
-/// whose WAL is wired to a seeded disk-fault injector, damage the files
-/// the way a crash would, then prove the recovery ladder holds — reopen
-/// truncates the torn tail and quarantines (never skips) corrupt frames,
-/// scrub repairs or excises them, and the replay environment degrades to
-/// the live compiler instead of erroring. Exits non-zero on any episode
-/// the store should have absorbed or any silent corruption.
-fn chaos_io(opts: IoSoakOpts) -> Result<(), Box<dyn std::error::Error>> {
-    use cg_core::chaos::IoFaultPlan;
-    use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-    use std::sync::Arc;
-
-    let tel = cg_telemetry::global();
-    tel.reset();
-    let dir = match &opts.dir {
-        Some(d) => std::path::PathBuf::from(d),
-        None => {
-            let d = std::env::temp_dir().join(format!("cg-chaos-io-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&d);
-            d
-        }
-    };
-    let mut unrecovered: Vec<String> = Vec::new();
-
-    // Phase A: ingest under write faults. Torn writes roll back and retry;
-    // ENOSPC drops the record with a typed error and a counted drop. The
-    // episodes themselves must never fail — the sink is asynchronous and
-    // disk trouble is its problem, not the caller's.
-    let inj_a = IoFaultPlan::seeded(opts.seed)
-        .with_torn_write_prob(0.08)
-        .with_enospc_prob(0.05)
-        .with_max_faults(opts.episodes.max(4))
-        .injector();
-    let write_stats = inj_a.stats();
-    let store = Arc::new(cg_stdb::TransitionStore::open_with_faults(
-        &dir,
-        cg_stdb::StoreConfig::default(),
-        Some(inj_a),
-    )?);
-    cg_core::install_transition_sink(Arc::new(cg_stdb::StoreSink(Arc::clone(&store))));
-    let mut env = cg_core::make("llvm-v0")?;
-    let mut completed = 0u64;
-    for ep in 0..opts.episodes {
-        env.set_benchmark(SOAK_BENCHMARKS[(ep % SOAK_BENCHMARKS.len() as u64) as usize]);
-        match seeded_episode(&mut env, opts.seed, ep, opts.steps) {
-            Ok(_) => completed += 1,
-            Err(e) => unrecovered.push(format!("ingest episode {ep}: {e}")),
-        }
-    }
-    drop(env);
-    store.flush();
-    let ingest = store.stats();
-    cg_core::clear_transition_sink();
-    drop(store);
-
-    // Crash damage, applied deterministically: flip a byte mid-segment
-    // (checksum corruption) and cut the last segment short (torn tail).
-    let mut damaged = false;
-    let segments = cg_stdb::log::list_segments(&dir)?;
-    if let Some((_, first)) = segments.first() {
-        let len = std::fs::metadata(first)?.len();
-        if len > 64 {
-            let offset = 8 + (len - 8) / 2;
-            let mut f = std::fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(first)?;
-            f.seek(SeekFrom::Start(offset))?;
-            let mut byte = [0u8; 1];
-            f.read_exact(&mut byte)?;
-            f.seek(SeekFrom::Start(offset))?;
-            f.write_all(&[byte[0] ^ 0x40])?;
-            damaged = true;
-        }
-    }
-    if let Some((_, last)) = segments.last() {
-        let len = std::fs::metadata(last)?.len();
-        if len > 32 {
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(last)?
-                .set_len(len - 7)?;
-            damaged = true;
-        }
-    }
-
-    // Phase B: recovery and scrub under read faults. Injected short reads
-    // and bit flips are transient — one trusted re-read heals them; the
-    // real damage above must surface as torn tails and quarantined
-    // records, then come out clean after `scrub --repair`.
-    let inj_b = IoFaultPlan::seeded(opts.seed ^ 0xB17E)
-        .with_short_read_prob(0.25)
-        .with_bit_flip_prob(0.25)
-        .with_max_faults(4)
-        .injector();
-    let read_stats = inj_b.stats();
-    let reopened = cg_stdb::TransitionStore::open_with_faults(
-        &dir,
-        cg_stdb::StoreConfig::default(),
-        Some(inj_b.clone()),
-    )?;
-    let recovery = reopened.recovery().clone();
-    drop(reopened);
-    let scrub = cg_stdb::scrub_dir(&dir, &cg_stdb::WalConfig::default(), true, Some(&inj_b))?;
-    let verify = cg_stdb::scrub_dir(&dir, &cg_stdb::WalConfig::default(), false, None)?;
-    if !verify.is_clean() {
-        unrecovered.push(format!(
-            "store still dirty after repair: {} corrupt record(s), {} torn tail(s)",
-            verify.records_corrupt, verify.torn_tails
-        ));
-    }
-    if damaged
-        && recovery.torn_tails + recovery.quarantined + scrub.records_corrupt + scrub.torn_tails
-            == 0
-    {
-        unrecovered.push("injected disk damage was never detected (silent corruption)".into());
-    }
-
-    // Phase C: replay over the damaged-then-repaired store. Seen
-    // trajectories serve from the log; anything recovery had to drop falls
-    // through to the live compiler — gracefully, never as an error.
-    let uri = format!("replay://llvm-v0?dir={}", dir.display());
-    let mut renv = cg_core::make(&uri)?;
-    let replay_eps = opts.episodes.clamp(1, 2);
-    for ep in 0..replay_eps {
-        renv.set_benchmark(SOAK_BENCHMARKS[(ep % SOAK_BENCHMARKS.len() as u64) as usize]);
-        match seeded_episode(&mut renv, opts.seed, ep, opts.steps) {
-            Ok(_) => completed += 1,
-            Err(e) => unrecovered.push(format!("replay episode {ep}: {e}")),
-        }
-    }
-    // An unseen trajectory: every step is a miss and must still complete.
-    renv.set_benchmark(SOAK_BENCHMARKS[0]);
-    match seeded_episode(&mut renv, opts.seed ^ 0xD00D, 0, opts.steps) {
-        Ok(_) => completed += 1,
-        Err(e) => unrecovered.push(format!("replay fall-through episode: {e}")),
-    }
-    drop(renv);
-
-    let snap = tel.snapshot();
-    if opts.json {
-        #[derive(serde::Serialize)]
-        struct IoChaosReport {
-            episodes: u64,
-            completed: u64,
-            injected_torn_writes: u64,
-            injected_enospcs: u64,
-            injected_short_reads: u64,
-            injected_bit_flips: u64,
-            ingest_records: u64,
-            append_retries: u64,
-            dropped_records: u64,
-            recovery: cg_stdb::RecoveryReport,
-            scrub: cg_stdb::ScrubReport,
-            verify_clean: bool,
-            replay_hits: u64,
-            replay_misses: u64,
-            unrecovered: Vec<String>,
-        }
-        let report = IoChaosReport {
-            episodes: opts.episodes,
-            completed,
-            injected_torn_writes: write_stats.torn_writes(),
-            injected_enospcs: write_stats.enospcs(),
-            injected_short_reads: read_stats.short_reads(),
-            injected_bit_flips: read_stats.bit_flips(),
-            ingest_records: ingest.steps + ingest.observations,
-            append_retries: snap.stdb.append_retries,
-            dropped_records: snap.stdb.dropped_records,
-            recovery: recovery.clone(),
-            scrub: scrub.clone(),
-            verify_clean: verify.is_clean(),
-            replay_hits: snap.stdb.replay_hits,
-            replay_misses: snap.stdb.replay_misses,
-            unrecovered: unrecovered.clone(),
-        };
-        println!("{}", serde_json::to_string_pretty(&report)?);
-    } else {
-        println!(
-            "io chaos soak: seed={} episodes={} steps={} store={}",
-            opts.seed,
-            opts.episodes,
-            opts.steps,
-            dir.display()
-        );
-        println!(
-            "injected faults: torn-writes={} enospc={} short-reads={} bit-flips={}",
-            write_stats.torn_writes(),
-            write_stats.enospcs(),
-            read_stats.short_reads(),
-            read_stats.bit_flips()
-        );
-        println!(
-            "ingest: steps={} observations={} retries={} dropped={}",
-            ingest.steps, ingest.observations, snap.stdb.append_retries, snap.stdb.dropped_records
-        );
-        println!(
-            "recovery: records={} torn-tails={} quarantined={} transient-heals={}",
-            recovery.records,
-            recovery.torn_tails,
-            recovery.quarantined,
-            recovery.transient_read_faults
-        );
-        println!(
-            "scrub: ok={} corrupt={} repaired={} quarantined={} → clean={}",
-            scrub.records_ok,
-            scrub.records_corrupt,
-            scrub.repaired,
-            scrub.quarantined,
-            verify.is_clean()
-        );
-        println!(
-            "replay: hits={} misses={} (fall-through is graceful, not an error)",
-            snap.stdb.replay_hits, snap.stdb.replay_misses
-        );
-        println!(
-            "episodes: completed={completed} unrecovered={}",
-            unrecovered.len()
-        );
-        for line in &unrecovered {
-            println!("  UNRECOVERED {line}");
-        }
     }
     if !unrecovered.is_empty() {
         return Err(format!("{} unrecovered failure(s)", unrecovered.len()).into());
@@ -1723,120 +1429,6 @@ fn replay(path: Option<&str>, validate: bool) -> Result<(), Box<dyn std::error::
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// The multi-tenant front door: `cg serve` and the `stampede` chaos mode.
-// Both drive `cg_core::Broker` — the bounded worker fleet with admission
-// control — over real TCP connections.
-// ---------------------------------------------------------------------------
-
-/// A synthetic compilation session that busy-spins a fixed duration per
-/// applied action. Service time is constant and CPU-bound, so the stampede
-/// soak exercises the broker, not compiler noise.
-struct SpinSession {
-    steps: u64,
-    spin: std::time::Duration,
-}
-
-impl cg_core::CompilationSession for SpinSession {
-    fn action_spaces(&self) -> Vec<cg_core::ActionSpaceInfo> {
-        vec![cg_core::ActionSpaceInfo {
-            name: "Spin".into(),
-            actions: (0..16).map(|i| format!("spin-{i}")).collect(),
-        }]
-    }
-
-    fn observation_spaces(&self) -> Vec<cg_core::ObservationSpaceInfo> {
-        Vec::new()
-    }
-
-    fn reward_spaces(&self) -> Vec<cg_core::RewardSpaceInfo> {
-        Vec::new()
-    }
-
-    fn init(&mut self, _benchmark: &str, _action_space: usize) -> Result<(), String> {
-        Ok(())
-    }
-
-    fn apply_action(&mut self, _action: usize) -> Result<cg_core::session::ActionOutcome, String> {
-        let until = std::time::Instant::now() + self.spin;
-        while std::time::Instant::now() < until {
-            std::hint::spin_loop();
-        }
-        self.steps += 1;
-        Ok(cg_core::session::ActionOutcome {
-            end_of_episode: false,
-            action_space_changed: false,
-            changed: true,
-        })
-    }
-
-    fn observe(&mut self, _space: &str) -> Result<cg_core::Observation, String> {
-        Ok(cg_core::Observation::Scalar(self.steps as f64))
-    }
-
-    fn fork(&self) -> Box<dyn cg_core::CompilationSession> {
-        Box::new(SpinSession {
-            steps: self.steps,
-            spin: self.spin,
-        })
-    }
-
-    fn snapshot(&self) -> Option<cg_core::session::SessionSnapshot> {
-        let bytes = self.steps.to_le_bytes().to_vec();
-        Some(cg_core::session::SessionSnapshot::from_bytes(bytes))
-    }
-    fn restore(&mut self, snapshot: &cg_core::session::SessionSnapshot) -> Result<(), String> {
-        let bytes: [u8; 8] = snapshot.to_bytes().try_into().map_err(|_| "bad snapshot")?;
-        self.steps = u64::from_le_bytes(bytes);
-        Ok(())
-    }
-}
-
-/// A factory of [`SpinSession`]s with the given per-action cost.
-fn spin_factory(spin_us: u64) -> cg_core::service::SessionFactory {
-    let spin = std::time::Duration::from_micros(spin_us);
-    std::sync::Arc::new(move || Box::new(SpinSession { steps: 0, spin }))
-}
-
-/// Calls through a raw [`cg_core::service::TcpTransport`], absorbing typed
-/// `Overloaded` refusals in place: count the refusal, sleep at least the
-/// server-advised `retry_after_ms` (the policy's jittered exponential
-/// backoff applies on top), and re-issue — up to the policy's attempt
-/// count. Every other outcome is returned as-is. This is the well-behaved
-/// tenant the front door is designed for.
-fn call_absorbing_overload(
-    client: &cg_core::service::TcpTransport,
-    req: &cg_core::service::Request,
-    policy: &cg_core::RetryPolicy,
-    refusals: &mut u64,
-) -> Result<cg_core::service::Response, cg_core::CgError> {
-    let mut attempt = 0u32;
-    loop {
-        match client.call(req.clone()) {
-            Err(cg_core::CgError::Overloaded {
-                retry_after_ms,
-                reason,
-            }) => {
-                *refusals += 1;
-                if attempt + 1 >= policy.max_attempts.max(1) {
-                    return Err(cg_core::CgError::Overloaded {
-                        retry_after_ms,
-                        reason,
-                    });
-                }
-                attempt += 1;
-                std::thread::sleep(
-                    policy.backoff_with_floor(
-                        attempt,
-                        std::time::Duration::from_millis(retry_after_ms),
-                    ),
-                );
-            }
-            other => return other,
-        }
-    }
-}
-
 /// `cg serve`: run the broker front door on a TCP address; with `--drain`,
 /// ask an already-running server to checkpoint its sessions and exit.
 fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -1920,306 +1512,6 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Inputs to the stampede front-door soak, carved off `cg chaos` flags.
-struct StampedeOpts {
-    soak_ms: u64,
-    stampede_size: usize,
-    seed: u64,
-    json: bool,
-    serve_metrics_addr: Option<String>,
-    linger_ms: u64,
-}
-
-/// What happened to one stampeding connect.
-enum StampedeFate {
-    /// Refused with a typed in-band `Overloaded` frame — the contract.
-    TypedRefusal,
-    /// Admitted under the connection cap and served a `Ping`.
-    Admitted,
-    /// Anything else: a hang, a dropped connection, a garbled frame.
-    Untyped(String),
-}
-
-/// One stampeding connect, as a real client makes it: a connection refused
-/// at the cap finds the server's `Overloaded` frame where its handshake
-/// expected the `HelloAck`; an admitted one proves it is actually served by
-/// round-tripping a Ping.
-fn stampede_connect(addr: &str) -> StampedeFate {
-    use cg_core::service::{Request, Response, TcpTransport};
-
-    let timeout = std::time::Duration::from_secs(5);
-    let client =
-        match TcpTransport::connect_with_policy(addr, timeout, cg_core::RetryPolicy::none()) {
-            Ok(client) => client,
-            Err(e) => return StampedeFate::Untyped(format!("connect: {e}")),
-        };
-    match client.call(Request::Ping) {
-        Ok(Response::Pong) => StampedeFate::Admitted,
-        Err(cg_core::CgError::Overloaded { .. }) => StampedeFate::TypedRefusal,
-        Ok(other) => StampedeFate::Untyped(format!("ping answered {other:?}")),
-        Err(e) => StampedeFate::Untyped(format!("ping: {e}")),
-    }
-}
-
-/// The `stampede` front-door fault (`cg chaos --faults stampede`): a
-/// broker server with established tenant sessions is hit mid-soak by
-/// bursts of simultaneous connects. Passes when every established session
-/// keeps stepping through the bursts, every excess connect is refused with
-/// a typed `Overloaded` (no hangs, no dropped connections), and the server
-/// drains cleanly afterwards.
-fn chaos_stampede(opts: StampedeOpts) -> Result<(), Box<dyn std::error::Error>> {
-    use cg_core::service::{Request, Response, TcpTransport};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    const TENANTS: usize = 2;
-    const CLIENTS: usize = 4;
-
-    let tel = cg_telemetry::global();
-    tel.reset();
-    if let Some(maddr) = &opts.serve_metrics_addr {
-        let bound = cg_telemetry::export::spawn_metrics_server(maddr)?;
-        eprintln!("serving metrics on http://{bound}/metrics");
-    }
-
-    // Sized so every burst *must* shed: room for the established
-    // connections plus a couple of stampede survivors.
-    let cfg = cg_core::BrokerConfig {
-        workers: 2,
-        max_connections: CLIENTS + 2,
-        retry_after_ms: 25,
-        quota: cg_core::TenantQuota {
-            max_sessions: 2,
-            ..cg_core::TenantQuota::default()
-        },
-        ..cg_core::BrokerConfig::default()
-    };
-    let plan = cg_core::chaos::FaultPlan::seeded(opts.seed).with_stampede_size(opts.stampede_size);
-    let burst_size = plan.stampede_size;
-    let (factory, stats) = plan.wrap(spin_factory(200));
-    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?.to_string();
-    let broker = cg_core::Broker::new(factory, cfg);
-    let server = {
-        let broker = broker.clone();
-        std::thread::spawn(move || broker.serve(listener))
-    };
-
-    // Established tenants: CLIENTS long-lived sessions stepping for the
-    // whole soak, counting progress into shared counters.
-    let stop = Arc::new(AtomicBool::new(false));
-    let counters: Vec<Arc<AtomicU64>> = (0..CLIENTS).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    let drivers: Vec<_> = (0..CLIENTS)
-        .map(|i| {
-            let addr = addr.clone();
-            let stop = Arc::clone(&stop);
-            let count = Arc::clone(&counters[i]);
-            std::thread::spawn(move || -> Result<(), String> {
-                let mut refusals = 0u64;
-                let policy = cg_core::RetryPolicy::default()
-                    .with_max_attempts(20)
-                    .with_backoff(Duration::from_millis(5), Duration::from_millis(100))
-                    .with_jitter(0.25, 0xE57 + i as u64);
-                let client = TcpTransport::connect_with_policy(
-                    &addr,
-                    Duration::from_secs(5),
-                    cg_core::RetryPolicy::none(),
-                )
-                .map_err(|e| format!("client {i}: connect: {e}"))?;
-                client.set_tenant(&format!("tenant-{}", i % TENANTS));
-                let start = Request::StartSession {
-                    benchmark: "benchmark://spin/soak".into(),
-                    action_space: 0,
-                };
-                let sid = match call_absorbing_overload(&client, &start, &policy, &mut refusals)
-                    .map_err(|e| format!("client {i}: start: {e}"))?
-                {
-                    Response::SessionStarted { session_id } => session_id,
-                    other => return Err(format!("client {i}: start answered {other:?}")),
-                };
-                while !stop.load(Ordering::Relaxed) {
-                    let step = Request::Step {
-                        session_id: sid,
-                        actions: vec![0],
-                        observation_spaces: Vec::new(),
-                    };
-                    match call_absorbing_overload(&client, &step, &policy, &mut refusals) {
-                        Ok(Response::Stepped { .. }) => {
-                            count.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(other) => return Err(format!("client {i}: step answered {other:?}")),
-                        Err(e) => return Err(format!("client {i}: established session: {e}")),
-                    }
-                }
-                let _ = client.call(Request::EndSession { session_id: sid });
-                Ok(())
-            })
-        })
-        .collect();
-
-    // Two bursts of simultaneous connects, a third of the soak apart.
-    let soak = Duration::from_millis(opts.soak_ms.max(300));
-    let started = Instant::now();
-    let mut typed_refusals = 0u64;
-    let mut admitted_connects = 0u64;
-    let mut untyped: Vec<String> = Vec::new();
-    let mut before_bursts: Vec<u64> = Vec::new();
-    for (burst, at) in [soak / 3, soak * 2 / 3].into_iter().enumerate() {
-        std::thread::sleep(at.saturating_sub(started.elapsed()));
-        if burst == 0 {
-            before_bursts = counters.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        }
-        stats.record_stampede();
-        eprintln!(
-            "stampede: burst {} — {burst_size} simultaneous connects",
-            burst + 1
-        );
-        let barrier = Arc::new(std::sync::Barrier::new(burst_size));
-        let connects: Vec<_> = (0..burst_size)
-            .map(|_| {
-                let addr = addr.clone();
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    stampede_connect(&addr)
-                })
-            })
-            .collect();
-        for handle in connects {
-            match handle
-                .join()
-                .unwrap_or_else(|_| StampedeFate::Untyped("connect thread panicked".into()))
-            {
-                StampedeFate::TypedRefusal => typed_refusals += 1,
-                StampedeFate::Admitted => admitted_connects += 1,
-                StampedeFate::Untyped(e) => untyped.push(e),
-            }
-        }
-    }
-    std::thread::sleep(soak.saturating_sub(started.elapsed()));
-    let after_bursts: Vec<u64> = counters.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-    stop.store(true, Ordering::Relaxed);
-    let mut driver_errors: Vec<String> = Vec::new();
-    for driver in drivers {
-        match driver.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => driver_errors.push(e),
-            Err(_) => driver_errors.push("established client panicked".into()),
-        }
-    }
-    let drain = broker.drain(Duration::from_secs(2));
-    let _ = server.join();
-
-    let stalled: Vec<usize> = before_bursts
-        .iter()
-        .zip(after_bursts.iter())
-        .enumerate()
-        .filter(|(_, (before, after))| after <= before)
-        .map(|(i, _)| i)
-        .collect();
-    let steps_total: u64 = after_bursts.iter().sum();
-    let min_steps_during_bursts = before_bursts
-        .iter()
-        .zip(after_bursts.iter())
-        .map(|(before, after)| after.saturating_sub(*before))
-        .min()
-        .unwrap_or(0);
-
-    #[derive(serde::Serialize)]
-    struct StampedeReport {
-        soak_ms: u64,
-        bursts: u64,
-        burst_size: usize,
-        established_clients: usize,
-        steps_total: u64,
-        min_steps_during_bursts: u64,
-        typed_refusals: u64,
-        admitted_connects: u64,
-        untyped_failures: Vec<String>,
-        driver_errors: Vec<String>,
-        stalled_clients: Vec<usize>,
-        drain_checkpointed: usize,
-        drain_shed_queued: usize,
-    }
-    let report = StampedeReport {
-        soak_ms: opts.soak_ms,
-        bursts: stats.stampedes(),
-        burst_size,
-        established_clients: CLIENTS,
-        steps_total,
-        min_steps_during_bursts,
-        typed_refusals,
-        admitted_connects,
-        untyped_failures: untyped,
-        driver_errors,
-        stalled_clients: stalled,
-        drain_checkpointed: drain.checkpointed,
-        drain_shed_queued: drain.shed_queued,
-    };
-    if opts.json {
-        println!("{}", serde_json::to_string_pretty(&report)?);
-    } else {
-        println!(
-            "stampede: {} bursts × {} connects over {}ms soak",
-            report.bursts, report.burst_size, report.soak_ms
-        );
-        println!(
-            "  established: {} clients, {} steps total, min {} steps during the burst window",
-            report.established_clients, report.steps_total, report.min_steps_during_bursts
-        );
-        println!(
-            "  connects: {} typed refusals, {} admitted, {} untyped failures",
-            report.typed_refusals,
-            report.admitted_connects,
-            report.untyped_failures.len()
-        );
-        println!(
-            "  drain: {} checkpointed, {} shed",
-            report.drain_checkpointed, report.drain_shed_queued
-        );
-        for e in report
-            .untyped_failures
-            .iter()
-            .chain(report.driver_errors.iter())
-        {
-            println!("    ! {e}");
-        }
-    }
-
-    if opts.linger_ms > 0 {
-        std::thread::sleep(Duration::from_millis(opts.linger_ms));
-    }
-
-    let mut failures = Vec::new();
-    if report.typed_refusals == 0 {
-        failures.push("stampede produced no typed refusals (cap never engaged)".to_string());
-    }
-    if !report.untyped_failures.is_empty() {
-        failures.push(format!(
-            "{} connects failed without a typed refusal",
-            report.untyped_failures.len()
-        ));
-    }
-    if !report.driver_errors.is_empty() {
-        failures.push(format!(
-            "{} established clients failed",
-            report.driver_errors.len()
-        ));
-    }
-    if !report.stalled_clients.is_empty() {
-        failures.push(format!(
-            "established clients {:?} made no progress through the bursts",
-            report.stalled_clients
-        ));
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; ").into())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2241,5 +1533,22 @@ mod tests {
         let positional: Vec<&String> = args.iter().collect();
         let ep = episode_args(&positional).unwrap();
         assert_eq!((ep.env.as_str(), ep.steps), ("gcc-v0", 7));
+    }
+
+    /// The retired soak modes and their flags are parse errors, returned
+    /// before the first episode (an episode never fails with these words).
+    #[test]
+    fn chaos_rejects_retired_and_unknown_flags_before_running() {
+        for (args, expected) in [
+            (["--faults", "stampede"], "unknown fault kind `stampede`"),
+            (["--faults", "io"], "unknown fault kind `io`"),
+            (["--faults", "panic,bogus"], "unknown fault kind `bogus`"),
+            (["--stdb", "d"], "unknown chaos flag `--stdb`"),
+            (["--soak-ms", "1"], "unknown chaos flag `--soak-ms`"),
+        ] {
+            let args = args.map(String::from);
+            let err = chaos(&args).expect_err("a parse error").to_string();
+            assert_eq!(err, expected, "cg chaos {args:?}");
+        }
     }
 }

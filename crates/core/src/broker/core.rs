@@ -100,7 +100,12 @@ struct Lane<R> {
 pub(crate) struct BrokerCore<R> {
     cfg: BrokerConfig,
     phase: Phase,
+    /// Tenants with state, plus the idle ones admitted since the last
+    /// sweep; see [`BrokerCore::sweep_tenants`].
     tenants: HashMap<String, Tenant>,
+    /// The map size that triggers the next sweep: twice what the last one
+    /// kept.
+    sweep_at: usize,
     /// Global session id → owner.
     sessions: HashMap<u64, Owner>,
     /// Connections being served; a create landing for a closed one is ended.
@@ -120,6 +125,7 @@ impl<R: Clone> BrokerCore<R> {
         BrokerCore {
             phase: Phase::Open,
             tenants: HashMap::new(),
+            sweep_at: 2,
             sessions: HashMap::new(),
             open_conns: HashSet::new(),
             next_conn: 0,
@@ -193,6 +199,9 @@ impl<R: Clone> BrokerCore<R> {
             return Err(self.refusal(Rung::Rejected, None, reason));
         }
         let established = owner.is_some();
+        if self.tenants.len() >= self.sweep_at {
+            self.sweep_tenants(now);
+        }
         let (cfg, quota) = (&self.cfg, &self.cfg.quota);
         if creates && self.phase != Phase::Open {
             let retry = cfg.retry_after_ms.max(1).saturating_mul(4);
@@ -295,6 +304,25 @@ impl<R: Clone> BrokerCore<R> {
             wake,
             evicted,
         })
+    }
+
+    /// Forgets every tenant whose entry equals a fresh one: no live slot or
+    /// reservation, no lane on any worker, and a bucket that has refilled to
+    /// `burst` by `now`. Run when the map has doubled since the last sweep,
+    /// so its cost is amortized O(1) per submit and the map holds at most
+    /// twice the tenants with state.
+    fn sweep_tenants(&mut self, now: Duration) {
+        let queued: HashSet<&str> = self.lanes.iter().flatten().map(|l| &*l.tenant).collect();
+        let (rate, burst) = (
+            self.cfg.quota.actions_per_sec,
+            self.cfg.quota.burst.max(1.0),
+        );
+        self.tenants.retain(|name, t| {
+            let elapsed = now.saturating_sub(t.refilled).as_secs_f64();
+            let refilled = rate <= 0.0 || t.tokens + rate * elapsed >= burst;
+            t.live > 0 || queued.contains(name.as_str()) || !refilled
+        });
+        self.sweep_at = 2 * self.tenants.len().max(1);
     }
 
     /// Counts one session slot (live or reserved) of `tenant` on `worker`
@@ -798,6 +826,47 @@ mod tests {
         established(&mut c, "alice", 0, 1);
     }
 
+    #[test]
+    fn a_flood_of_one_shot_tenants_leaves_only_tenants_with_state() {
+        let mut c = core(|cfg| {
+            cfg.quota = TenantQuota {
+                max_sessions: 1,
+                actions_per_sec: 10.0,
+                burst: 2.0,
+            }
+        });
+        let gid = established(&mut c, "holder", 0, 0);
+        // An empty bucket is state until it refills, 200 ms later.
+        admit(&mut c, ms(0), "spender", step(7, 2), 1);
+        serve(&mut c, 0, Response::Ok);
+        let flood = |c: &mut Core, names: std::ops::Range<u32>, now: Duration| {
+            for i in names {
+                admit(c, now, &format!("flood-{i}"), Request::Ping, i);
+                serve(c, 0, Response::Pong);
+            }
+        };
+        flood(&mut c, 0..5_000, ms(100));
+        assert!(c.tenants.len() <= 4, "{} tenant entries", c.tenants.len());
+        let r = refuse(&mut c, ms(100), "spender", step(7, 2));
+        assert_eq!((r.rung, r.retry_after_ms), (Rung::Quota, 100), "the bucket");
+        assert_eq!(
+            refuse(&mut c, ms(100), "holder", create()).rung,
+            Rung::Quota
+        );
+        flood(&mut c, 5_000..10_000, ms(1000));
+        assert!(c.tenants.len() <= 2, "{} tenant entries", c.tenants.len());
+        assert!(c.tenants.contains_key("holder") && !c.tenants.contains_key("spender"));
+        admit(
+            &mut c,
+            ms(1000),
+            "holder",
+            Request::EndSession { session_id: gid },
+            2,
+        );
+        serve(&mut c, 0, Response::Ok);
+        assert_eq!((c.live_sessions(), c.tenants["holder"].live), (0, 0));
+    }
+
     /// A splitmix64 stream: the seed picks every event.
     struct Rng(u64);
 
@@ -821,6 +890,28 @@ mod tests {
     }
 
     const TENANTS: [&str; 3] = ["a", "b", "c"];
+    const RATE: f64 = 40.0;
+    const BURST: f64 = 4.0;
+
+    /// Each tenant's token bucket in the model: tokens and when they were
+    /// last refilled.
+    type Buckets = BTreeMap<&'static str, (f64, Duration)>;
+
+    /// A bucket's tokens at `now`; a tenant without one has a full bucket.
+    fn refill(bucket: Option<(f64, Duration)>, now: Duration) -> f64 {
+        let (tokens, refilled) = bucket.unwrap_or((BURST, now));
+        (tokens + RATE * now.saturating_sub(refilled).as_secs_f64()).min(BURST)
+    }
+
+    /// Charges `actions` to `tenant`'s bucket; false when its tokens do not
+    /// cover the batch (a batch beyond the burst costs the whole burst).
+    fn spend(buckets: &mut Buckets, tenant: &'static str, now: Duration, actions: u64) -> bool {
+        let tokens = refill(buckets.get(tenant).copied(), now);
+        let need = (actions as f64).min(BURST);
+        let paid = tokens >= need;
+        buckets.insert(tenant, (tokens - [0.0, need][usize::from(paid)], now));
+        paid
+    }
 
     /// Drives one core with `events` seeded events (requests from three
     /// tenants over connections that open and close, workers taking and
@@ -835,8 +926,8 @@ mod tests {
             cfg.quantum = 2;
             cfg.quota = TenantQuota {
                 max_sessions: 3,
-                actions_per_sec: 40.0,
-                burst: 4.0,
+                actions_per_sec: RATE,
+                burst: BURST,
             };
         });
         let mut rng = Rng(seed);
@@ -844,6 +935,7 @@ mod tests {
         let mut pending: BTreeMap<u32, Pending> = BTreeMap::new();
         // Established sessions: gid → (tenant, connection).
         let mut live: BTreeMap<u64, (&str, Option<u64>)> = BTreeMap::new();
+        let mut buckets = Buckets::new();
         let mut in_flight: Vec<Option<Job<u32>>> = vec![None, None];
         let mut next_local = [0u64; 2];
         let mut conns: Vec<u64> = Vec::new();
@@ -882,13 +974,17 @@ mod tests {
                 4..=8 => {
                     let Some(gid) = session else { continue };
                     let owner = live[&gid].0;
-                    let req = if rng.below(6) == 0 {
-                        Request::EndSession { session_id: gid }
+                    let (req, actions) = if rng.below(6) == 0 {
+                        (Request::EndSession { session_id: gid }, 0)
                     } else {
-                        step(gid, rng.below(4) as usize)
+                        let actions = rng.below(4);
+                        (step(gid, actions as usize), actions)
                     };
+                    // A stopped broker refuses before the rate quota.
+                    let paid = stopped || actions == 0 || spend(&mut buckets, owner, now, actions);
                     match c.submit(now, None, owner, req, tag) {
                         Ok(q) => {
+                            assert!(paid, "admitted past an empty bucket");
                             if let Some((evicted, _)) = q.evicted {
                                 let victim = pending.remove(&evicted.unwrap()).unwrap();
                                 assert!(victim.create && victim.queued, "only creates are shed");
@@ -905,7 +1001,7 @@ mod tests {
                         // An established session is refused only by its
                         // rate quota, by a queue with no create to evict,
                         // or by a stopped broker.
-                        Err(r) if r.reason.contains("rate quota") => {}
+                        Err(r) if r.reason.contains("rate quota") => assert!(!paid),
                         Err(r) if r.reason.contains("nothing evictable") => {
                             let creates = pending.values();
                             let mut queued = creates.filter(|p| p.queued && p.create);
@@ -968,7 +1064,10 @@ mod tests {
                     }
                 }
                 16 | 17 => match c.open_conn() {
-                    Ok(conn) => conns.push(conn),
+                    Ok(conn) => {
+                        conns.push(conn);
+                        assert!(conns.len() <= 3, "over the connection cap");
+                    }
                     Err(r) => assert_eq!(conns.len(), 3, "{}", r.reason),
                 },
                 18 => now += ms(rng.below(200)),
@@ -985,15 +1084,17 @@ mod tests {
                 }
                 _ => {}
             }
-            check(&c, &pending, &live);
+            check(&c, now, &pending, &live, &buckets);
         }
     }
 
     /// The core's books agree with each other and with the model.
     fn check(
         c: &Core,
+        now: Duration,
         pending: &BTreeMap<u32, Pending>,
         live: &BTreeMap<u64, (&str, Option<u64>)>,
+        buckets: &Buckets,
     ) {
         assert!(c.live_sessions() <= c.cfg.max_sessions, "global cap");
         assert_eq!(c.sessions.len(), live.len(), "established sessions");
@@ -1013,13 +1114,22 @@ mod tests {
         for (gid, owner) in &c.sessions {
             assert_eq!(live.get(gid).map(|o| o.0), Some(owner.tenant.as_str()));
         }
-        for (tenant, t) in &c.tenants {
-            assert_eq!(t.live, per_tenant[index(tenant)], "tenant {tenant}'s slots");
+        // A tenant the map forgot must have had nothing a fresh entry lacks.
+        for (tenant, slots) in TENANTS.into_iter().zip(per_tenant) {
+            let t = c.tenants.get(tenant);
+            assert_eq!(t.map_or(0, |t| t.live), slots, "tenant {tenant}'s slots");
             assert!(
-                t.live <= c.cfg.quota.max_sessions,
+                slots <= c.cfg.quota.max_sessions,
                 "tenant {tenant} over quota"
             );
+            let tokens = refill(t.map(|t| (t.tokens, t.refilled)), now);
+            let model = refill(buckets.get(tenant).copied(), now);
+            assert_eq!(tokens, model, "tenant {tenant}'s bucket");
         }
+        assert!(
+            c.tenants.len() <= c.sweep_at,
+            "the tenant map outgrew its sweep"
+        );
         assert_eq!(c.live_per_worker, per_worker, "per-worker slots");
         assert_eq!(
             per_tenant.iter().sum::<usize>(),

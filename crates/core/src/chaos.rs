@@ -51,22 +51,6 @@ pub enum FaultKind {
     /// `observe` on the session blocks indefinitely without panicking or
     /// erroring. Caught by the wall budget.
     Wedge,
-    /// A connection stampede: a burst of simultaneous TCP connects against
-    /// the service's front door mid-soak (a fleet of clients restarting at
-    /// once). Unlike every other kind, this is not an in-session fault —
-    /// the chaos *driver* (`cg chaos --faults stampede`) opens the burst
-    /// against a broker-mode server and asserts established sessions keep
-    /// progressing while excess connects are shed with typed refusals.
-    /// Never sampled by the per-apply injector.
-    Stampede,
-    /// A disk-fault family (torn write, short read, ENOSPC, bit-flip on
-    /// read) injected into the transition store's file layer rather than
-    /// into a compiler session. Like [`FaultKind::Stampede`] this is a
-    /// driver-level fault: `cg chaos --faults io` builds an
-    /// [`IoFaultInjector`] and threads it through the store's WAL, which
-    /// must recover every fault with typed, counted outcomes. Never
-    /// sampled by the per-apply injector.
-    IoFault,
 }
 
 /// The kinds of disk fault an [`IoFaultInjector`] can produce.
@@ -338,9 +322,6 @@ pub struct FaultPlan {
     /// unlimited. A budget guarantees an adversarial plan eventually lets
     /// recovery succeed.
     pub max_faults: Option<u64>,
-    /// How many simultaneous connects a [`FaultKind::Stampede`] opens.
-    /// Consumed by the chaos driver, not the in-session injector.
-    pub stampede_size: usize,
 }
 
 impl Default for FaultPlan {
@@ -357,7 +338,6 @@ impl Default for FaultPlan {
             growth_increment: 1_000,
             scheduled: Vec::new(),
             max_faults: None,
-            stampede_size: 32,
         }
     }
 }
@@ -435,13 +415,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the size of a connection stampede burst.
-    #[must_use]
-    pub fn with_stampede_size(mut self, connects: usize) -> FaultPlan {
-        self.stampede_size = connects.max(1);
-        self
-    }
-
     /// Wraps a session factory so every session it produces injects this
     /// plan's faults. All sessions (across service restarts, and their
     /// forks) share one fault schedule and one [`ChaosStats`], returned
@@ -477,7 +450,6 @@ pub struct ChaosStats {
     corruptions: AtomicU64,
     slow_growths: AtomicU64,
     wedges: AtomicU64,
-    stampedes: AtomicU64,
 }
 
 impl ChaosStats {
@@ -519,16 +491,6 @@ impl ChaosStats {
     /// Injected wedges.
     pub fn wedges(&self) -> u64 {
         self.wedges.load(Ordering::Relaxed)
-    }
-
-    /// Connection stampedes driven against the front door.
-    pub fn stampedes(&self) -> u64 {
-        self.stampedes.load(Ordering::Relaxed)
-    }
-
-    /// Records one driver-injected connection stampede.
-    pub fn record_stampede(&self) {
-        self.stampedes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total faults injected, all kinds.
@@ -703,11 +665,8 @@ impl CompilationSession for ChaosSession {
                 self.wedged = true;
                 wedge_forever();
             }
-            // CorruptReply fires on observe; Stampede and IoFault are
-            // driver-level faults injected outside the session entirely.
-            Some(FaultKind::CorruptReply | FaultKind::Stampede | FaultKind::IoFault) | None => {
-                self.inner.apply_action(action)
-            }
+            // CorruptReply fires on observe.
+            Some(FaultKind::CorruptReply) | None => self.inner.apply_action(action),
         }
     }
 

@@ -98,14 +98,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the jitter fraction and its seed.
-    #[must_use]
-    pub fn with_jitter(mut self, jitter: f64, seed: u64) -> RetryPolicy {
-        self.jitter = jitter.clamp(0.0, 1.0);
-        self.seed = seed;
-        self
-    }
-
     /// Sets the overall wall-clock budget across attempts.
     #[must_use]
     pub fn with_budget(mut self, budget: Duration) -> RetryPolicy {
@@ -174,11 +166,18 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
+    fn jittered(jitter: f64, seed: u64) -> RetryPolicy {
+        RetryPolicy {
+            jitter,
+            seed,
+            ..RetryPolicy::default()
+        }
+    }
+
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy::default()
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(100))
-            .with_jitter(0.0, 0);
+        let p =
+            jittered(0.0, 0).with_backoff(Duration::from_millis(10), Duration::from_millis(100));
         assert_eq!(p.backoff_for(1), Duration::from_millis(10));
         assert_eq!(p.backoff_for(2), Duration::from_millis(20));
         assert_eq!(p.backoff_for(3), Duration::from_millis(40));
@@ -192,16 +191,12 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_and_bounded() {
-        let p = RetryPolicy::default()
-            .with_backoff(Duration::from_millis(100), Duration::from_secs(10))
-            .with_jitter(0.5, 42);
+        let p = jittered(0.5, 42).with_backoff(Duration::from_millis(100), Duration::from_secs(10));
         let a = p.backoff_for(1);
         let b = p.backoff_for(1);
         assert_eq!(a, b, "same (seed, attempt) must give the same delay");
         assert!(a >= Duration::from_millis(50) && a <= Duration::from_millis(150));
-        let q = RetryPolicy::default()
-            .with_backoff(Duration::from_millis(100), Duration::from_secs(10))
-            .with_jitter(0.5, 43);
+        let q = jittered(0.5, 43).with_backoff(Duration::from_millis(100), Duration::from_secs(10));
         // Different seeds almost surely differ (fixed seeds: this is exact).
         assert_ne!(a, q.backoff_for(1));
     }
@@ -210,9 +205,8 @@ mod tests {
     fn server_retry_after_is_a_backoff_floor() {
         // Full jitter so the raw delay can land well below its nominal
         // value: 10ms base with ±100% jitter can round down to ~0.
-        let p = RetryPolicy::default()
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(80))
-            .with_jitter(1.0, 0xF100D);
+        let p = jittered(1.0, 0xF100D)
+            .with_backoff(Duration::from_millis(10), Duration::from_millis(80));
         let floor = Duration::from_millis(150);
         for attempt in 1..=12 {
             let d = p.backoff_with_floor(attempt, floor);
@@ -224,9 +218,7 @@ mod tests {
         // The floor dominates even the max_backoff cap …
         assert_eq!(p.backoff_with_floor(10, floor), floor);
         // … and a floor below the computed backoff changes nothing.
-        let q = RetryPolicy::default()
-            .with_backoff(Duration::from_millis(100), Duration::from_secs(2))
-            .with_jitter(0.0, 0);
+        let q = jittered(0.0, 0).with_backoff(Duration::from_millis(100), Duration::from_secs(2));
         assert_eq!(
             q.backoff_with_floor(3, Duration::from_millis(1)),
             q.backoff_for(3),

@@ -2297,6 +2297,23 @@ mod tests {
             TcpTransport::connect_with_policy(&addr, Duration::from_secs(5), no_retry.clone())
                 .unwrap();
         assert!(matches!(first.call(Request::Ping).unwrap(), Response::Pong));
+        // The admitted connection's session keeps stepping after each
+        // refused connect.
+        let sid = started(first.call(start_request()));
+        let mut steps = 0.0;
+        let mut step_established = || {
+            let step = Request::Step {
+                session_id: sid,
+                actions: vec![0],
+                observation_spaces: vec!["steps".into()],
+            };
+            let Ok(Response::Stepped { observations, .. }) = first.call(step) else {
+                panic!("the established session must keep stepping");
+            };
+            steps += 1.0;
+            assert_eq!(observations[0].as_scalar(), Some(steps));
+        };
+        step_established();
 
         // The second connection is over the cap. Read before writing: the
         // refusal arrives unsolicited as one typed `Overloaded` frame, so a
@@ -2321,6 +2338,7 @@ mod tests {
             other => panic!("expected a typed refusal, got {other:?}"),
         }
         drop(refused);
+        step_established();
 
         // A client reads the same frame where its handshake expected the
         // `HelloAck`, and surfaces it as the typed, retryable overload.
@@ -2332,6 +2350,7 @@ mod tests {
             other => panic!("expected a typed Overloaded from the handshake, got {other:?}"),
         }
         drop(turned_away);
+        step_established();
 
         // Ending the first connection frees the slot; a later connect is
         // admitted and served (polling, since the slot is released when the

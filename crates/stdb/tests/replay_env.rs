@@ -156,3 +156,111 @@ fn unseen_trajectories_fall_through_to_live() {
     drop(replay);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The disk path under seeded faults, checked by counts. Live episodes
+/// complete while the sink's WAL takes torn writes and `ENOSPC`; crash
+/// damage (a flipped byte, a cut tail) surfaces when the store is reopened
+/// and scrubbed under injected read faults; `scrub --repair` leaves a store
+/// that verifies clean; and `replay://` over it completes a logged episode
+/// and an unseen one.
+#[test]
+fn disk_faults_are_absorbed_detected_and_repaired() {
+    use cg_core::chaos::IoFaultPlan;
+    use cg_stdb::{scrub_dir, WalConfig};
+    use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+
+    let _guard = sink_lock().lock().unwrap();
+    cg_stdb::install();
+    let dir = fresh_dir("io-faults");
+    let benchmarks = [
+        "benchmark://cbench-v1/qsort",
+        "benchmark://cbench-v1/crc32",
+        "benchmark://cbench-v1/sha",
+    ];
+
+    // Ingest under write faults: a torn write is rolled back and retried,
+    // an ENOSPC drops its record, and neither reaches the episode.
+    let writes = IoFaultPlan::seeded(15)
+        .with_torn_write_prob(0.08)
+        .with_enospc_prob(0.05)
+        .with_max_faults(6)
+        .injector();
+    let write_stats = writes.stats();
+    let store = TransitionStore::open_with_faults(&dir, StoreConfig::default(), Some(writes))
+        .expect("open store");
+    let store = Arc::new(store);
+    cg_core::install_transition_sink(Arc::new(StoreSink(Arc::clone(&store))));
+    let mut live = cg_core::make("llvm-v0").expect("live env");
+    let n = live.action_space().len();
+    for (ep, benchmark) in (0..6).zip(benchmarks.iter().cycle()) {
+        live.set_benchmark(benchmark);
+        run(&mut live, &actions(ep, n, 8));
+    }
+    drop(live);
+    store.flush();
+    cg_core::clear_transition_sink();
+    let dropped = store.dropped_records();
+    drop(store);
+    let (torn, enospc) = (write_stats.torn_writes(), write_stats.enospcs());
+    assert!(
+        torn > 0 && enospc > 0,
+        "torn writes {torn}, ENOSPCs {enospc}"
+    );
+    assert!(dropped >= enospc, "{dropped} drops for {enospc} ENOSPCs");
+
+    // Crash damage: flip a byte mid-way through the first segment and cut
+    // the last segment's tail.
+    let segments = cg_stdb::log::list_segments(&dir).expect("segments");
+    let (first, last) = (&segments[0].1, &segments[segments.len() - 1].1);
+    let mut f = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(first)
+        .unwrap();
+    let offset = 8 + (f.metadata().unwrap().len() - 8) / 2;
+    let mut byte = [0u8];
+    f.seek(SeekFrom::Start(offset)).unwrap();
+    f.read_exact(&mut byte).unwrap();
+    f.seek(SeekFrom::Start(offset)).unwrap();
+    f.write_all(&[byte[0] ^ 0x40]).unwrap();
+    drop(f);
+    let f = std::fs::OpenOptions::new().write(true).open(last).unwrap();
+    f.set_len(f.metadata().unwrap().len() - 7).unwrap();
+    drop(f);
+
+    // Reopen and repair under transient read faults: a re-read heals
+    // those, while the real damage is reported.
+    let reads = IoFaultPlan::seeded(15 ^ 0xB17E)
+        .with_short_read_prob(0.25)
+        .with_bit_flip_prob(0.25)
+        .with_max_faults(4)
+        .injector();
+    let read_stats = reads.stats();
+    let reopened =
+        TransitionStore::open_with_faults(&dir, StoreConfig::default(), Some(reads.clone()))
+            .expect("reopen");
+    let recovery = reopened.recovery().clone();
+    drop(reopened);
+    let wal = WalConfig::default();
+    let scrub = scrub_dir(&dir, &wal, true, Some(&reads)).expect("scrub --repair");
+    let healed = recovery.transient_read_faults + scrub.transient_read_faults;
+    assert!(read_stats.injected() > 0, "no read fault fired");
+    assert!(healed > 0, "no injected read fault was healed by a re-read");
+    assert_eq!(recovery.torn_tails, 1, "the cut tail: {recovery:?}");
+    assert!(
+        recovery.quarantined + scrub.records_corrupt > 0,
+        "the flipped byte went unnoticed: {recovery:?} {scrub:?}"
+    );
+    let verify = scrub_dir(&dir, &wal, false, None).expect("scrub");
+    assert!(verify.is_clean(), "still dirty after repair: {verify:?}");
+
+    // Replay over the repaired store: a logged trajectory, then an unseen
+    // one whose every step falls through to the live compiler.
+    let uri = format!("replay://llvm-v0?dir={}", dir.display());
+    let mut replay = cg_core::make(&uri).expect("replay env");
+    replay.set_benchmark(benchmarks[0]);
+    run(&mut replay, &actions(0, n, 8));
+    run(&mut replay, &actions(0xD00D, n, 8));
+    drop(replay);
+    let _ = std::fs::remove_dir_all(&dir);
+}
