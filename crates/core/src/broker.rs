@@ -10,8 +10,11 @@
 //! the one clock, the threads and their wake-ups, and the sockets. Nothing
 //! polls: a worker waits until the core names it, a drainer until the
 //! queues empty or its grace ends, and `serve` in a blocking accept that a
-//! finished drain wakes with one connect. Decisions show as the
-//! `broker:{admit,queue,shed,drain}` spans and `cg_broker_*` metrics.
+//! finished drain wakes with one connect. A connection has a reader thread
+//! and its socket's one writer thread; a worker hands that writer a reply
+//! without blocking, so a client that stops reading stalls no one else.
+//! Decisions show as the `broker:{admit,queue,shed,drain}` spans and
+//! `cg_broker_*` metrics.
 
 mod core;
 
@@ -22,7 +25,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cg_telemetry::{SpanStatus, TraceContext};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 
 use self::core::{BrokerCore, Refusal, Rung, Shed};
@@ -118,13 +121,11 @@ pub struct DrainReport {
 
 /// The outcome of [`Broker::submit`].
 pub enum Submitted {
-    /// Admitted: the reply (or, for fan-out requests like `Configure`,
-    /// `replies` replies) arrives on `rx` once a worker serves the job.
+    /// Admitted: the one reply (for a fan-out like `Configure`, its
+    /// workers' replies folded) arrives on `rx` once the job is served.
     Queued {
         /// Reply channel.
         rx: Receiver<Response>,
-        /// How many responses to collect from `rx`.
-        replies: usize,
     },
     /// Refused by the admission ladder; answer the client with
     /// [`Response::Overloaded`] carrying these fields.
@@ -155,8 +156,60 @@ struct Inner {
     handles: Mutex<Vec<JoinHandle<usize>>>,
 }
 
-/// How a job is answered: its reply channel and trace context.
-type Reply = (Sender<Response>, Option<TraceContext>);
+/// Where a job's answer goes, and the trace context it runs under. The
+/// copies of a fan-out share `fold`: the replies still owed, and their
+/// fold so far. Only the last copy sends.
+#[derive(Clone)]
+struct Reply {
+    to: ReplyTo,
+    fold: Option<Arc<Mutex<(usize, Response)>>>,
+    ctx: Option<TraceContext>,
+}
+
+#[derive(Clone)]
+enum ReplyTo {
+    /// An in-process caller's channel ([`Broker::call`], [`Broker::submit`]).
+    Caller(Sender<Response>),
+    /// A connection's writer, under the request's correlation id.
+    Conn(Sender<Out>, u64),
+}
+
+/// What a connection's writer is handed, in the order it writes it.
+enum Out {
+    HelloAck,
+    Reply(u64, Response),
+    /// The reader is done: the writer exits once what came before is out.
+    Hangup,
+}
+
+impl Reply {
+    /// Hands `resp` over without blocking. A fan-out folds its replies, the
+    /// first failure winning, otherwise the last reply; its last copy sends
+    /// the fold. A reply nobody waits for any more is dropped.
+    fn send(self, resp: Response) {
+        let resp = match self.fold {
+            None => resp,
+            Some(fold) => {
+                let (left, folded) = &mut *lock(&fold);
+                if matches!(folded, Response::Ok | Response::Pong) {
+                    *folded = resp;
+                }
+                *left -= 1;
+                if *left > 0 {
+                    return;
+                }
+                std::mem::replace(folded, Response::Ok)
+            }
+        };
+        match self.to {
+            ReplyTo::Caller(tx) => drop(tx.send(resp)),
+            ReplyTo::Conn(out, corr) => {
+                cg_telemetry::global().wire.in_flight.dec();
+                drop(out.send(Out::Reply(corr, resp)));
+            }
+        }
+    }
+}
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -234,8 +287,9 @@ impl Broker {
     /// Runs the admission ladder and, if the request survives it, queues
     /// the work on its owning worker. See [`Submitted`] for the outcomes.
     pub fn submit(&self, tenant: &str, req: Request, ctx: Option<TraceContext>) -> Submitted {
-        match self.submit_from(None, tenant, req, ctx) {
-            Ok((rx, replies)) => Submitted::Queued { rx, replies },
+        let (tx, rx) = bounded(1);
+        match self.submit_from(None, tenant, req, ReplyTo::Caller(tx), ctx) {
+            Ok(()) => Submitted::Queued { rx },
             Err(Response::Overloaded {
                 retry_after_ms,
                 reason,
@@ -248,20 +302,22 @@ impl Broker {
     }
 
     /// [`Broker::submit`] on behalf of TCP connection `conn`, which will
-    /// own any session the request creates: the reply channel and its
-    /// reply count, or the in-band answer to a refused request.
+    /// own any session the request creates, with the answer bound for
+    /// `to`; or the in-band answer to a refused request.
     fn submit_from(
         &self,
         conn: Option<u64>,
         tenant: &str,
         req: Request,
+        to: ReplyTo,
         ctx: Option<TraceContext>,
-    ) -> Result<(Receiver<Response>, usize), Response> {
+    ) -> Result<(), Response> {
         let (kind, classes) = (req.kind(), req.classes());
-        // Room for a fan-out's replies, so no worker ever blocks on a send.
-        let (tx, rx) = bounded(self.inner.cfg.workers);
+        let workers = self.inner.cfg.workers;
+        let fold = (classes.fanout).then(|| Arc::new(Mutex::new((workers, Response::Ok))));
+        let reply = Reply { to, fold, ctx };
         let now = self.inner.now();
-        let admitted = lock(&self.inner.core).submit(now, conn, tenant, req, (tx, ctx));
+        let admitted = lock(&self.inner.core).submit(now, conn, tenant, req, reply);
         let queued = admitted.map_err(refused)?;
         self.inner.wake(queued.wake);
         queued.evicted.into_iter().for_each(answer);
@@ -271,14 +327,16 @@ impl Broker {
             let detail = format!("tenant {tenant}: {kind} admitted");
             tel.trace.emit("broker:admit", detail, Duration::ZERO);
         }
-        Ok((rx, queued.replies))
+        Ok(())
     }
 
     /// Submits under the caller's current trace context and blocks for the
     /// reply — the in-process client surface.
     pub fn call(&self, tenant: &str, req: Request) -> Response {
-        match self.submit_from(None, tenant, req, cg_telemetry::current_context()) {
-            Ok((rx, replies)) => collect(&rx, replies),
+        let ((tx, rx), ctx) = (bounded(1), cg_telemetry::current_context());
+        let lost = |_| Response::Error("broker worker unavailable".to_string());
+        match self.submit_from(None, tenant, req, ReplyTo::Caller(tx), ctx) {
+            Ok(()) => rx.recv().unwrap_or_else(lost),
             Err(resp) => resp,
         }
     }
@@ -325,9 +383,9 @@ impl Broker {
         report
     }
 
-    /// Serves the broker over TCP, one handler thread per connection up to
-    /// [`BrokerConfig::max_connections`] (an excess connect gets one
-    /// `Overloaded` frame). Returns once a drain (or `Shutdown`) completes.
+    /// Serves the broker over TCP, a reader and a writer thread per
+    /// connection up to [`BrokerConfig::max_connections`] (an excess connect
+    /// gets one `Overloaded` frame). Returns once a drain completes.
     ///
     /// # Errors
     /// Propagates listener configuration failures.
@@ -348,21 +406,28 @@ impl Broker {
 
     fn accept_connection(&self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
+        let (out, outs) = unbounded();
         let conn = lock(&self.inner.core).open_conn();
         let conn = match conn {
             Ok(conn) => conn,
             Err(refusal) => {
-                // Written before the client has spoken: its handshake reads
-                // this frame where it expected the `HelloAck`.
-                reply(&Mutex::new(stream), 0, &refused(refusal));
-                return;
+                // Written by the accept thread before the client has spoken:
+                // its handshake reads this frame where it expected `HelloAck`.
+                let _ = out.send(Out::Reply(0, refused(refusal)));
+                drop(out);
+                return write_loop(stream, &outs);
             }
         };
+        let writer = stream.try_clone().and_then(|socket| {
+            let thread = std::thread::Builder::new().name("cg-broker-write".to_string());
+            thread.spawn(move || write_loop(socket, &outs))
+        });
         let broker = self.clone();
         let handler = move || {
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                handle_connection(&broker, conn, stream);
+                handle_connection(&broker, conn, stream, &out);
             }));
+            let _ = out.send(Out::Hangup);
             broker.close(conn);
             if outcome.is_err() {
                 let tel = cg_telemetry::global();
@@ -371,8 +436,8 @@ impl Broker {
                 tel.trace.emit("service:panic", detail, Duration::ZERO);
             }
         };
-        let thread = std::thread::Builder::new().name("cg-broker-conn".to_string());
-        if thread.spawn(handler).is_err() {
+        let reader = std::thread::Builder::new().name("cg-broker-conn".to_string());
+        if writer.is_err() || reader.spawn(handler).is_err() {
             self.close(conn);
         }
     }
@@ -389,8 +454,8 @@ impl Broker {
 /// Sends a shed job the refusal it is owed.
 fn answer((reply, refusal): Shed<Reply>) {
     let resp = refused(refusal);
-    if let Some((tx, _)) = reply {
-        let _ = tx.send(resp);
+    if let Some(reply) = reply {
+        reply.send(resp);
     }
 }
 
@@ -408,8 +473,7 @@ fn refused(refusal: Refusal) -> Response {
         ),
     };
     counters.iter().for_each(|c| c.inc());
-    let status = SpanStatus::Error;
-    (tel.trace).emit_status(span, reason.clone(), Duration::ZERO, status);
+    (tel.trace).emit_status(span, reason.clone(), Duration::ZERO, SpanStatus::Error);
     let retry_after_ms = refusal.retry_after_ms;
     Response::Overloaded {
         retry_after_ms,
@@ -417,42 +481,34 @@ fn refused(refusal: Refusal) -> Response {
     }
 }
 
-/// Collects a job's `replies` responses: the first failure, otherwise the
-/// last reply.
-fn collect(rx: &Receiver<Response>, replies: usize) -> Response {
-    let mut folded = Response::Ok;
-    for _ in 0..replies {
-        let lost = |_| Response::Error("broker worker unavailable".to_string());
-        let resp = rx.recv().unwrap_or_else(lost);
-        if matches!(folded, Response::Ok | Response::Pong) {
-            folded = resp;
+/// A connection's one writer: encodes what it is handed into one reused
+/// buffer and writes it, until the reader hangs up or the channel closes.
+/// A failed write shuts the socket down, ending the reader's blocking read.
+fn write_loop(mut socket: TcpStream, outs: &Receiver<Out>) {
+    let mut buf = Vec::new();
+    for out in outs.iter() {
+        match out {
+            Out::HelloAck => wire::encode_hello_ack(&mut buf),
+            Out::Reply(corr, resp) => wire::encode_response_frame(&mut buf, corr, &resp),
+            Out::Hangup => return,
+        }
+        account_tx(buf.len());
+        if write_frame(&mut socket, &buf).is_err() {
+            let _ = socket.shutdown(std::net::Shutdown::Both);
+            return;
         }
     }
-    folded
-}
-
-/// Writes one response frame through the connection's shared writer.
-fn reply(writer: &Mutex<TcpStream>, corr: u64, resp: &Response) -> bool {
-    let mut buf = Vec::new();
-    wire::encode_response_frame(&mut buf, corr, resp);
-    send(writer, &buf)
-}
-
-fn send(writer: &Mutex<TcpStream>, frame: &[u8]) -> bool {
-    account_tx(frame.len());
-    write_frame(&mut *lock(writer), frame).is_ok()
 }
 
 /// Routes a connection's requests through the broker under the last tenant
-/// it named. Requests pipeline: a forwarder thread per request writes the
-/// reply under its correlation id, and the client demuxes. A non-`CGB1`
-/// frame or a `Hello` of another version gets one typed error and a close.
-fn handle_connection(broker: &Broker, conn: u64, stream: TcpStream) {
+/// it named. Requests pipeline: workers hand each answer to the writer
+/// under its correlation id, and the client demuxes. What the reader
+/// answers itself (`HelloAck`, decode errors, refusals, `Shutdown`'s `Ok`)
+/// it hands the writer too. A non-`CGB1` frame or a `Hello` of another
+/// version gets one typed error and a close.
+fn handle_connection(broker: &Broker, conn: u64, mut stream: TcpStream, out: &Sender<Out>) {
     let tel = cg_telemetry::global();
     let mut tenant = ANONYMOUS_TENANT.to_string();
-    let Ok(writer) = stream.try_clone().map(|w| Arc::new(Mutex::new(w))) else {
-        return;
-    };
     let foreign = || {
         let (magic, version) = (wire::WIRE_MAGIC, wire::WIRE_VERSION);
         let what = format!(
@@ -461,16 +517,14 @@ fn handle_connection(broker: &Broker, conn: u64, stream: TcpStream) {
         );
         (0, what, true)
     };
-    let (mut stream, mut reader) = (stream, FrameReader::new());
+    let mut reader = FrameReader::new();
     while let Ok(frame) = reader.read(&mut stream) {
         account_rx(frame.len());
         // A bad frame is answered with one typed error: (corr, what, close).
         let decoded = match wire::decode_frame(frame) {
             Ok(wire::Frame::Hello { version }) if version == wire::WIRE_VERSION => {
                 tel.wire.negotiations.inc();
-                let mut buf = Vec::new();
-                wire::encode_hello_ack(&mut buf);
-                if send(&writer, &buf) {
+                if out.send(Out::HelloAck).is_ok() {
                     continue;
                 }
                 break;
@@ -488,7 +542,7 @@ fn handle_connection(broker: &Broker, conn: u64, stream: TcpStream) {
             Ok(rf) => rf,
             Err((corr, what, close)) => {
                 tel.wire.decode_errors.inc();
-                if !reply(&writer, corr, &Response::Error(what)) || close {
+                if out.send(Out::Reply(corr, Response::Error(what))).is_err() || close {
                     break;
                 }
                 continue;
@@ -496,39 +550,21 @@ fn handle_connection(broker: &Broker, conn: u64, stream: TcpStream) {
         };
         tenant = rf.tenant.unwrap_or(tenant);
         let corr = rf.corr;
-        if matches!(rf.req, Request::Shutdown) {
+        if rf.req.classes().drains {
             // The drain path: stop admissions, park live sessions, stop
             // the fleet — then acknowledge, so `cg serve --drain` blocks
             // until the server is actually safe to kill.
             let _report = broker.drain(broker.inner.cfg.drain_grace);
-            let _ = reply(&writer, corr, &Response::Ok);
+            let _ = out.send(Out::Reply(corr, Response::Ok));
             break;
         }
-        let resp = match broker.submit_from(Some(conn), &tenant, rf.req, rf.ctx) {
-            Err(resp) => resp,
-            Ok((rx, replies)) => {
-                tel.wire.in_flight.inc();
-                let demux_writer = Arc::clone(&writer);
-                let spawned = std::thread::Builder::new()
-                    .name("cg-broker-demux".to_string())
-                    .spawn(move || {
-                        reply(&demux_writer, corr, &collect(&rx, replies));
-                        cg_telemetry::global().wire.in_flight.dec();
-                    });
-                if spawned.is_ok() {
-                    continue;
-                }
-                // Out of threads: answer in band rather than hang the
-                // client's window.
-                tel.wire.in_flight.dec();
-                Response::Overloaded {
-                    retry_after_ms: broker.inner.cfg.retry_after_ms.max(1),
-                    reason: "broker demux thread unavailable".to_string(),
-                }
+        tel.wire.in_flight.inc();
+        let to = ReplyTo::Conn(out.clone(), corr);
+        if let Err(resp) = broker.submit_from(Some(conn), &tenant, rf.req, to, rf.ctx) {
+            tel.wire.in_flight.dec();
+            if out.send(Out::Reply(corr, resp)).is_err() {
+                break;
             }
-        };
-        if !reply(&writer, corr, &resp) {
-            break;
         }
     }
 }
@@ -555,9 +591,9 @@ fn worker_loop(inner: &Inner, index: usize, factory: SessionFactory) -> usize {
         let detail = format!("tenant {tenant}: {kind} dequeued by worker {index}");
         tel.trace.emit("broker:queue", detail, waited);
         let classes = job.req.classes();
-        let (tx, ctx) = job.reply.unzip();
+        let ctx = job.reply.as_ref().and_then(|r| r.ctx);
         let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _trace_guard = ctx.flatten().map(cg_telemetry::enter_context);
+            let _trace_guard = ctx.map(cg_telemetry::enter_context);
             state.handle(job.req)
         }));
         let mut resp = handled.unwrap_or_else(|_| {
@@ -567,8 +603,8 @@ fn worker_loop(inner: &Inner, index: usize, factory: SessionFactory) -> usize {
         let now = inner.now();
         core = lock(&inner.core);
         core.settle(index, now, job.owner, classes, job.target, &mut resp);
-        if let Some(tx) = tx {
-            let _ = tx.send(resp);
+        if let Some(reply) = job.reply {
+            reply.send(resp);
         }
     }
     drop(core);
@@ -656,7 +692,12 @@ mod tests {
                 changed: true,
             })
         }
-        fn observe(&mut self, _s: &str) -> Result<Observation, String> {
+        /// The `big` space is about 1 MiB of text, for tests that need a
+        /// reply too large to sit in socket buffers.
+        fn observe(&mut self, space: &str) -> Result<Observation, String> {
+            if space == "big" {
+                return Ok(Observation::Text("x".repeat(1 << 20)));
+            }
             Ok(Observation::Scalar(self.steps as f64))
         }
         fn fork(&self) -> Box<dyn CompilationSession> {
@@ -1591,10 +1632,10 @@ mod tests {
             Response::SessionStarted { session_id } => session_id,
             other => panic!("{other:?}"),
         };
-        // One window of steps: the broker answers each frame from a
-        // detached forwarder thread, possibly out of order on the wire;
-        // the client's correlation-id demux restores request order, and
-        // session→worker pinning keeps the step counter strictly serial.
+        // One window of steps: workers hand each answer to the
+        // connection's writer as they finish, possibly out of order on the
+        // wire; the client's correlation-id demux restores request order,
+        // and session→worker pinning keeps the step counter strictly serial.
         let reqs: Vec<Request> = (0..6)
             .map(|_| Request::Step {
                 session_id: gid,
@@ -1611,6 +1652,214 @@ mod tests {
             transport.call(Request::Shutdown).unwrap(),
             Response::Ok
         ));
+        server.join().unwrap().unwrap();
+    }
+
+    /// A raw CGB1 client: the frames it writes and reads are exactly what
+    /// crosses the socket, so a test sees a missing or stray reply.
+    struct Peer {
+        socket: TcpStream,
+        reader: FrameReader,
+        buf: Vec<u8>,
+    }
+
+    impl Peer {
+        fn greet(addr: &str) -> Peer {
+            let socket = TcpStream::connect(addr).unwrap();
+            socket
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut peer = Peer {
+                socket,
+                reader: FrameReader::new(),
+                buf: Vec::new(),
+            };
+            wire::encode_hello(&mut peer.buf);
+            write_frame(&mut peer.socket, &peer.buf).unwrap();
+            let ack = peer.reader.read(&mut peer.socket).unwrap();
+            assert!(matches!(
+                wire::decode_frame(ack),
+                Ok(wire::Frame::HelloAck { .. })
+            ));
+            peer
+        }
+
+        fn send(&mut self, corr: u64, req: &Request) {
+            wire::encode_request_frame(&mut self.buf, corr, req, None, None);
+            write_frame(&mut self.socket, &self.buf).unwrap();
+        }
+
+        fn recv(&mut self) -> (u64, Response) {
+            let frame = self.reader.read(&mut self.socket).unwrap();
+            let Ok(wire::Frame::Response { corr, body }) = wire::decode_frame(frame) else {
+                panic!("expected a response frame");
+            };
+            (corr, wire::decode_response_body(body).unwrap())
+        }
+
+        fn start(&mut self, corr: u64) -> u64 {
+            let start = Request::StartSession {
+                benchmark: "b".into(),
+                action_space: 0,
+            };
+            self.send(corr, &start);
+            match self.recv() {
+                (got, Response::SessionStarted { session_id }) if got == corr => session_id,
+                other => panic!("expected session {corr} started, got {other:?}"),
+            }
+        }
+    }
+
+    fn step_req(session_id: u64, actions: Vec<usize>, space: &str) -> Request {
+        Request::Step {
+            session_id,
+            actions,
+            observation_spaces: vec![space.into()],
+        }
+    }
+
+    /// A worker never writes a socket. Connection A pipelines 32 steps
+    /// whose replies are about 1 MiB each and never reads them, so its
+    /// socket fills and its writer blocks; connection B's session, on the
+    /// same single worker, still completes 50 serial steps, each within
+    /// B's read deadline.
+    #[test]
+    fn a_client_that_stops_reading_stalls_no_other_session() {
+        use crate::retry::RetryPolicy;
+        use crate::service::TcpTransport;
+        let broker = Broker::new(
+            counting_factory(),
+            BrokerConfig {
+                workers: 1,
+                ..BrokerConfig::default()
+            },
+        );
+        let (addr, server) = serve(&broker);
+        let mut a = Peer::greet(&addr);
+        let gid_a = a.start(1);
+        for corr in 2..34 {
+            a.send(corr, &step_req(gid_a, vec![0], "big"));
+        }
+        let deadline = Duration::from_secs(5);
+        let b = TcpTransport::connect_with_policy(&addr, deadline, RetryPolicy::none()).unwrap();
+        let start = Request::StartSession {
+            benchmark: "b".into(),
+            action_space: 0,
+        };
+        let gid_b = match b.call(start) {
+            Ok(Response::SessionStarted { session_id }) => session_id,
+            other => panic!("the reading client's session was not started: {other:?}"),
+        };
+        for i in 1..=50 {
+            match b.call(step_req(gid_b, vec![0], "test")) {
+                Ok(Response::Stepped { observations, .. }) => {
+                    assert_eq!(observations, vec![Observation::Scalar(i as f64)]);
+                }
+                other => panic!("step {i} of the reading client: {other:?}"),
+            }
+        }
+        drop((a, b));
+        broker.drain(Duration::from_secs(2));
+        server.join().unwrap().unwrap();
+    }
+
+    /// A connection closed while its step still sleeps on the worker: its
+    /// session is ended once the step is done, the step's late reply finds
+    /// the connection's writer gone and is dropped, and the worker goes on
+    /// to serve a new connection's session.
+    #[test]
+    fn a_closed_connection_drops_its_late_reply_and_frees_the_worker() {
+        use crate::retry::RetryPolicy;
+        use crate::service::TcpTransport;
+        let broker = Broker::new(
+            sleeping_factory(),
+            BrokerConfig {
+                workers: 1,
+                ..BrokerConfig::default()
+            },
+        );
+        let (addr, server) = serve(&broker);
+        let mut a = Peer::greet(&addr);
+        let gid = a.start(1);
+        a.send(2, &step_req(gid, vec![300], "test"));
+        drop(a);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while broker.live_sessions() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(
+            broker.live_sessions(),
+            0,
+            "the closed connection's session must be ended"
+        );
+        let b =
+            TcpTransport::connect_with_policy(&addr, Duration::from_secs(5), RetryPolicy::none())
+                .unwrap();
+        let start = Request::StartSession {
+            benchmark: "b".into(),
+            action_space: 0,
+        };
+        let gid = match b.call(start) {
+            Ok(Response::SessionStarted { session_id }) => session_id,
+            other => panic!("the worker must serve a new connection: {other:?}"),
+        };
+        match b.call(step_req(gid, vec![0], "test")) {
+            Ok(Response::Stepped { observations, .. }) => {
+                assert_eq!(observations, vec![Observation::Scalar(1.0)]);
+            }
+            other => panic!("the new session must step normally: {other:?}"),
+        }
+        drop(b);
+        broker.drain(Duration::from_secs(2));
+        server.join().unwrap().unwrap();
+    }
+
+    /// A fan-out answers a connection once. One pipelined window mixes
+    /// `Configure`, which goes to both workers, with steps on a session on
+    /// each worker: every correlation id is answered exactly once, and
+    /// `Configure`'s answer is the fold `Broker::call` returns. A serial
+    /// request after the window reads its own reply, not a stray frame.
+    #[test]
+    fn a_fan_out_answers_a_pipelined_window_once() {
+        use crate::budget::ResourceBudget;
+        let broker = Broker::new(
+            counting_factory(),
+            BrokerConfig {
+                workers: 2,
+                ..BrokerConfig::default()
+            },
+        );
+        let (addr, server) = serve(&broker);
+        let mut peer = Peer::greet(&addr);
+        let sessions = [peer.start(1), peer.start(2)];
+        assert_ne!(sessions[0] % 2, sessions[1] % 2, "one session per worker");
+        let configure = Request::Configure {
+            budget: ResourceBudget::default(),
+        };
+        let mut window: Vec<Request> = sessions.map(|g| step_req(g, vec![0], "test")).into();
+        window.push(configure.clone());
+        window.extend(sessions.map(|g| step_req(g, vec![0], "test")));
+        for (corr, req) in (10..).zip(&window) {
+            peer.send(corr, req);
+        }
+        let mut answers: Vec<Option<Response>> = vec![None; window.len()];
+        for _ in 0..window.len() {
+            let (corr, resp) = peer.recv();
+            let slot = &mut answers[(corr - 10) as usize];
+            assert!(slot.is_none(), "correlation id {corr} answered twice");
+            *slot = Some(resp);
+        }
+        assert_eq!(answers[2], Some(broker.call(ANONYMOUS_TENANT, configure)));
+        for (i, answer) in answers.iter().enumerate().filter(|(i, _)| *i != 2) {
+            assert!(
+                matches!(answer, Some(Response::Stepped { .. })),
+                "slot {i}: {answer:?}"
+            );
+        }
+        peer.send(20, &Request::Ping);
+        assert_eq!(peer.recv(), (20, Response::Pong));
+        drop(peer);
+        broker.drain(Duration::from_secs(2));
         server.join().unwrap().unwrap();
     }
 }

@@ -61,10 +61,10 @@ pub(crate) type Shed<R> = (Option<R>, Refusal);
 /// emptied the queues a claimed drain waits on.
 pub(crate) type Popped<R> = (Job<R>, Duration, bool);
 
-/// An admitted request: `replies` responses arrive once the workers in
-/// `wake` serve it. `evicted` is the queued create it displaced.
+/// An admitted request: the workers in `wake` serve it, each answering
+/// its own copy of the reply handle. `evicted` is the queued create it
+/// displaced.
 pub(crate) struct Queued<R> {
-    pub(crate) replies: usize,
     pub(crate) wake: Range<usize>,
     pub(crate) evicted: Option<Shed<R>>,
 }
@@ -96,7 +96,8 @@ struct Lane<R> {
 }
 
 /// The broker's state machine; see the module docs. `R` is what the shell
-/// needs to answer a request (its reply channel and trace context).
+/// needs to answer a request (where its answer goes, and its trace
+/// context).
 pub(crate) struct BrokerCore<R> {
     cfg: BrokerConfig,
     phase: Phase,
@@ -299,11 +300,7 @@ impl<R: Clone> BrokerCore<R> {
             self.enqueue(w, job(req.clone(), reply.clone()));
         }
         self.enqueue(wake.start, job(req, reply));
-        Ok(Queued {
-            replies,
-            wake,
-            evicted,
-        })
+        Ok(Queued { wake, evicted })
     }
 
     /// Forgets every tenant whose entry equals a fresh one: no live slot or

@@ -34,6 +34,9 @@ pub struct Classes {
     pub fanout: bool,
     /// The response carries the id of the session its request created.
     pub created: bool,
+    /// A broker answers the request by draining: admissions close, live
+    /// sessions are parked and the fleet stops before the reply.
+    pub drains: bool,
 }
 
 impl Classes {
@@ -43,6 +46,7 @@ impl Classes {
         ends: false,
         fanout: false,
         created: false,
+        drains: false,
     };
 
     /// Whether a request of these classes runs session code: it creates a
@@ -227,7 +231,7 @@ protocol! {
         },
         /// Stop the service: drains a broker. In process it answers `Ok` and
         /// stops nothing; the service stops with its last handle.
-        Shutdown = 9,
+        Shutdown = 9 [drains],
     }
 
     /// A response from the compiler service.
